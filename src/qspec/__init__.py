@@ -38,11 +38,8 @@ from .models import (
     heisenberg,
     observable_spec,
     sample_eigenvalues,
-    site_magnetization,
-    staggered_magnetization,
     synthetic_diagonal_observable,
     tilted_ising,
-    total_magnetization,
 )
 from .oracle import (
     GoldenRuleWeights,

@@ -10,7 +10,9 @@ Subcommands:
 * ``plan``      register size and coupling time for a bandwidth/linewidth pair.
 
 Exit codes: 0 success, 1 configuration error, 2 resource cap exceeded,
-3 circuit preparation exhausted its attempt budget.
+3 circuit preparation exhausted its attempt budget, 4 any other error the
+package detects while running (for example an observable that annihilates
+the ensemble's base state).  Every failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PrepExhaustedError, ResourceCapError
+from .errors import ConfigError, PrepExhaustedError, QspecError, ResourceCapError
 from .experiment import run_experiment, validate_config, with_overrides
 from .models import (
     DISTRIBUTION_KINDS,
@@ -32,13 +34,13 @@ from .models import (
 )
 from .oracle import spectral_function
 from .qpe import plan_resolution
-from .simcore import eig_hermitian
 from .stateprep import acceptance_probability, preparation_fidelity
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CAP = 2
 EXIT_PREP = 3
+EXIT_ERROR = 4
 
 _SYNTH_KEY = 3
 
@@ -68,7 +70,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     config = _load_config(args)
     hamiltonian = build_operator(config.model)
     observable = build_operator(config.observable)
-    vals = eig_hermitian(hamiltonian).eigenvalues
+    vals = hamiltonian.eig.eigenvalues
     span = float(vals[-1] - vals[0])
     if config.qpe.auto_plan:
         gamma = config.qpe.gamma
@@ -168,6 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     except PrepExhaustedError as exc:
         print(f"preparation exhausted: {exc}", file=sys.stderr)
         return EXIT_PREP
+    except QspecError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -49,8 +49,8 @@ from .qpe import (
     run_qpe,
     sample_outcomes,
 )
-from .simcore import QUBIT_CAP, eig_hermitian
-from .stateprep import choose_phi, run_prep_circuit, success_probability_bound
+from .simcore import QUBIT_CAP
+from .stateprep import choose_phi, simulate_prep_circuit, success_probability_bound
 
 SCHEMA_VERSION = 1
 
@@ -364,7 +364,7 @@ class ExperimentReport:
 
 
 def _auto_plan(config: ExperimentConfig, hamiltonian) -> ResolutionPlan:
-    vals = eig_hermitian(hamiltonian).eigenvalues
+    vals = hamiltonian.eig.eigenvalues
     span = float(vals[-1] - vals[0])
     # Two-sided ensembles populate both signs of frequency, so the full
     # band to alias-protect is twice the spectral span.
@@ -409,31 +409,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         bound = success_probability_bound(
             observable, config.prep.epsilon, config.ensemble, hamiltonian
         )
-        outcome = None
-        attempts = 0
+        # The circuit is deterministic: simulate it once, then attempt k only
+        # redraws the ancilla from its own spawn key against the same P1.
+        p1, prepared, fidelity = simulate_prep_circuit(observable, phi, config.ensemble, hamiltonian)
         for attempt in range(config.prep.max_attempts):
-            outcome = run_prep_circuit(
-                observable,
-                phi,
-                config.ensemble,
-                seed=np.random.SeedSequence(config.seed, spawn_key=(_PREP_KEY, attempt)),
-                hamiltonian=hamiltonian,
-            )
-            attempts += 1
-            if outcome.accepted:
+            draw = np.random.SeedSequence(config.seed, spawn_key=(_PREP_KEY, attempt))
+            if np.random.default_rng(draw).random() < p1:
                 break
-        if outcome is None or not outcome.accepted:
+        else:
             raise PrepExhaustedError(
-                f"no acceptance in {attempts} attempts; exact acceptance probability "
-                f"is {outcome.acceptance_probability:.6f}"
+                f"no acceptance in {config.prep.max_attempts} attempts; exact acceptance "
+                f"probability is {min(p1, 1.0):.6f}"
             )
-        prepared = outcome.post_state
         prep_stats.update(
             phi=phi,
             epsilon=config.prep.epsilon,
-            attempts=attempts,
-            acceptance_probability=outcome.acceptance_probability,
-            fidelity_with_target=outcome.fidelity_with_target,
+            attempts=attempt + 1,
+            acceptance_probability=min(p1, 1.0),
+            fidelity_with_target=fidelity,
             predicted_p1=bound.predicted_p1,
             spectral_bound=bound.spectral_bound,
             rank_bound=bound.rank_bound,

@@ -116,34 +116,6 @@ def heisenberg(num_sites: int, coupling: float = 1.0) -> ModelSpec:
     return ModelSpec(num_sites, tuple(terms), name=f"heisenberg(J={coupling})")
 
 
-def total_magnetization(num_sites: int) -> HermitianOperator:
-    """Sum of sigma^z over all sites; diagonal entry is N - 2*popcount(bits)."""
-    if num_sites < 1:
-        raise ValueError("num_sites must be at least 1")
-    bits = np.arange(1 << num_sites, dtype=np.uint64)
-    pop = np.array([int(b).bit_count() for b in bits], dtype=float)
-    return HermitianOperator(np.diag(num_sites - 2.0 * pop))
-
-
-def site_magnetization(num_sites: int, site: int = 0) -> HermitianOperator:
-    """sigma^z on one site (site 0 is the most significant qubit)."""
-    if not 0 <= site < num_sites:
-        raise ValueError(f"site {site} out of range")
-    idx = np.arange(1 << num_sites)
-    vals = np.where((idx >> (num_sites - 1 - site)) & 1 == 0, 1.0, -1.0)
-    return HermitianOperator(np.diag(vals))
-
-
-def staggered_magnetization(num_sites: int) -> HermitianOperator:
-    """Alternating sum (-1)^i sigma^z_i."""
-    diag = np.zeros(1 << num_sites)
-    idx = np.arange(1 << num_sites)
-    for i in range(num_sites):
-        bit = (idx >> (num_sites - 1 - i)) & 1
-        diag += (-1.0) ** i * np.where(bit == 0, 1.0, -1.0)
-    return HermitianOperator(np.diag(diag))
-
-
 OBSERVABLE_PRESETS = ("total_sz", "site_sz", "staggered_sz")
 
 

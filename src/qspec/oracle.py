@@ -15,13 +15,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroOperatorError
 from .purify import INFINITE_TEMPERATURE, EnsembleSpec, ensemble_populations, thermal_operator_state
 from .qpe import PhaseDistribution
-from .simcore import HermitianOperator, eig_hermitian
+from .simcore import HermitianOperator
 
 
 @dataclass(frozen=True)
@@ -84,20 +85,29 @@ class GoldenRuleWeights:
             raise ValueError(f"weights sum to {w.sum():.12f}")
 
 
-def _spectral_weights(
-    hamiltonian: HermitianOperator,
-    operator: HermitianOperator,
-    ensemble: EnsembleSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Energy eigenvalues and the matrix pops_n * |O_nm|^2 driving S(t)."""
+def _transition_sum(
+    hamiltonian: HermitianOperator, operator: HermitianOperator, ensemble: EnsembleSpec,
+    points: np.ndarray, dtype: type, kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Sum over transitions n -> m of ``pops_n |O_nm|^2 * kernel(point, e_n - e_m)``.
+
+    ``kernel(block, gaps)`` returns a (points, transitions) matrix; the
+    points go through it in blocks of about 2**22 matrix entries.
+    """
     if hamiltonian.dim != operator.dim:
         raise DimensionMismatchError(
             f"Hamiltonian dim {hamiltonian.dim} vs operator dim {operator.dim}"
         )
-    eig = eig_hermitian(hamiltonian)
-    elements = eig.eigenvectors.conj().T @ operator.matrix @ eig.eigenvectors
+    eig = hamiltonian.eig
     pops = ensemble_populations(eig, ensemble)
-    return eig.eigenvalues, pops[:, None] * np.abs(elements) ** 2
+    w = np.abs(eig.eigenvectors.conj().T @ operator.matrix @ eig.eigenvectors) ** 2
+    w = (pops[:, None] * w).reshape(-1)
+    gaps = (eig.eigenvalues[:, None] - eig.eigenvalues[None, :]).reshape(-1)
+    out = np.empty(points.shape, dtype=dtype)
+    chunk = max(1, (1 << 22) // max(gaps.size, 1))
+    for start in range(0, points.size, chunk):
+        out[start : start + chunk] = kernel(points[start : start + chunk], gaps) @ w
+    return out
 
 
 def correlation_series(
@@ -107,16 +117,11 @@ def correlation_series(
     ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
 ) -> np.ndarray:
     """<O(t) O(0)> on an array of times, evaluated in the energy eigenbasis."""
-    energies, weights = _spectral_weights(hamiltonian, operator, ensemble)
-    gaps = (energies[:, None] - energies[None, :]).reshape(-1)
-    w = weights.reshape(-1)
     times = np.asarray(times, dtype=float)
-    out = np.empty(times.shape, dtype=complex)
-    chunk = max(1, (1 << 22) // max(gaps.size, 1))
-    for start in range(0, times.size, chunk):
-        block = times[start : start + chunk]
-        out[start : start + chunk] = np.exp(1j * np.outer(block, gaps)) @ w
-    return out
+    return _transition_sum(
+        hamiltonian, operator, ensemble, times, complex,
+        lambda block, gaps: np.exp(1j * np.outer(block, gaps)),
+    )
 
 
 def correlation_function(
@@ -144,16 +149,11 @@ def spectral_function(
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    energies, weights = _spectral_weights(hamiltonian, operator, ensemble)
-    gaps = (energies[:, None] - energies[None, :]).reshape(-1)
-    w = weights.reshape(-1)
     omega = np.asarray(omega_grid, dtype=float)
-    values = np.empty(omega.shape)
-    chunk = max(1, (1 << 22) // max(gaps.size, 1))
-    for start in range(0, omega.size, chunk):
-        block = omega[start : start + chunk]
-        lorentz = gamma / (gamma**2 + (block[:, None] + gaps[None, :]) ** 2)
-        values[start : start + chunk] = lorentz @ w
+    values = _transition_sum(
+        hamiltonian, operator, ensemble, omega, float,
+        lambda block, gaps: gamma / (gamma**2 + (block[:, None] + gaps[None, :]) ** 2),
+    )
     return SpectrumTable(omega, values, gamma, ensemble)
 
 
@@ -164,7 +164,7 @@ def transition_weights(
 ) -> GoldenRuleWeights:
     """|c_nm|^2 of the prepared purified state, resolved in the energy eigenbasis."""
     prepared = thermal_operator_state(operator, hamiltonian, ensemble)
-    eig = eig_hermitian(hamiltonian)
+    eig = hamiltonian.eig
     mat = prepared.amplitudes.reshape(hamiltonian.dim, hamiltonian.dim)
     coeffs = eig.eigenvectors.conj().T @ mat @ eig.eigenvectors.conj()
     return GoldenRuleWeights(np.abs(coeffs) ** 2, eig.eigenvalues)
@@ -179,7 +179,7 @@ def golden_rule_weights(
     if trace_sq <= 1e-24:
         raise ZeroOperatorError("zero operator has no transition weights")
     operational = transition_weights(hamiltonian, operator, INFINITE_TEMPERATURE)
-    eig = eig_hermitian(hamiltonian)
+    eig = hamiltonian.eig
     elements = eig.eigenvectors.conj().T @ operator.matrix @ eig.eigenvectors
     direct = np.abs(elements) ** 2 / trace_sq
     if float(np.max(np.abs(direct - operational.weights))) <= 1e-12:
@@ -221,12 +221,11 @@ def exact_outcome_distribution(
     if delta <= 0:
         raise ValueError("delta must be positive")
     tw = transition_weights(hamiltonian, operator, ensemble)
-    gaps = (tw.energies[:, None] - tw.energies[None, :]).reshape(-1)
-    w = tw.weights.reshape(-1)
     dim = 1 << num_bits
-    centers = delta * dim * gaps / (2.0 * math.pi)
-    offsets = centers[:, None] - np.arange(dim)[None, :]
-    probs = w @ _kernel(offsets, num_bits)
+    gaps = (tw.energies[:, None] - tw.energies[None, :]).reshape(-1)
+    offsets = (delta * dim * gaps / (2.0 * math.pi))[:, None] - np.arange(dim)[None, :]
+    del gaps  # the kernel's temporaries set the run's memory peak at large N
+    probs = tw.weights.reshape(-1) @ _kernel(offsets, num_bits)
     return PhaseDistribution(num_bits, delta, probs, kind="exact")
 
 

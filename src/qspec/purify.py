@@ -32,7 +32,6 @@ from .simcore import (
     EigenDecomposition,
     HermitianOperator,
     StateVector,
-    eig_hermitian,
 )
 
 ENSEMBLE_KINDS = ("infinite_temperature", "ground_state", "gibbs")
@@ -102,7 +101,7 @@ def purify_gibbs(hamiltonian: HermitianOperator, beta: float) -> StateVector:
     """
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError("beta must be finite and non-negative")
-    eig = eig_hermitian(hamiltonian)
+    eig = hamiltonian.eig
     _check_cap(hamiltonian.num_qubits)
     weights = np.exp(-0.5 * beta * (eig.eigenvalues - eig.eigenvalues[0]))
     m = (eig.eigenvectors * weights) @ eig.eigenvectors.conj().T
@@ -112,7 +111,7 @@ def purify_gibbs(hamiltonian: HermitianOperator, beta: float) -> StateVector:
 
 def ground_state_degeneracy(hamiltonian: HermitianOperator, tol: float = 1e-9) -> int:
     """Number of eigenvalues within ``tol`` (scaled by the spectral span) of the minimum."""
-    vals = eig_hermitian(hamiltonian).eigenvalues
+    vals = hamiltonian.eig.eigenvalues
     span = float(vals[-1] - vals[0])
     return int(np.sum(vals - vals[0] <= tol * max(1.0, span)))
 
@@ -139,7 +138,7 @@ def base_state(
     if ensemble.kind == "gibbs":
         return purify_gibbs(hamiltonian, ensemble.beta)
     _check_cap(hamiltonian.num_qubits)
-    psi0 = eig_hermitian(hamiltonian).eigenvectors[:, 0]
+    psi0 = hamiltonian.eig.eigenvectors[:, 0]
     # Copy b holds the same ground state as a phase reference, not a conjugate:
     # it must stay an eigenvector of H under the backward evolution.
     return StateVector(2 * hamiltonian.num_qubits, np.kron(psi0, psi0))

@@ -31,7 +31,6 @@ from .simcore import (
     RegisterLayout,
     StateVector,
     apply_controlled_unitary,
-    eig_hermitian,
     inverse_qft,
     plus_state,
     register_distribution,
@@ -119,7 +118,7 @@ def run_qpe(
 
     layout = RegisterLayout.standard(num_sites, num_bits)
     state = tensor_product(prepared, plus_state(num_bits))
-    eig = eig_hermitian(hamiltonian)
+    eig = hamiltonian.eig
     for j in range(num_bits):
         control = layout.phase[num_bits - 1 - j]  # bit j of the outcome
         step = delta * (1 << j)

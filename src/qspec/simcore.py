@@ -11,15 +11,18 @@ Conventions fixed here and relied on by every other module:
   so a phase gradient ``exp(+2j*pi*k0*x / 2**l)`` across the register maps
   onto the basis state ``|k0>``.
 
-All operations are pure functions of immutable inputs: amplitude arrays are
-never mutated in place and identical inputs produce bit-identical outputs.
-Time evolution is computed exactly in the eigenbasis of its generator,
-never split into short steps.
+All operations are pure functions of immutable inputs: amplitude arrays and
+operator matrices are never mutated in place and identical inputs produce
+bit-identical outputs.  A ``HermitianOperator`` therefore memoises its
+spectral decomposition (``.eig``): every consumer of one operator object
+shares a single ``eigh`` call.  Time evolution is computed exactly in the
+eigenbasis of its generator, never split into short steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -151,6 +154,11 @@ class HermitianOperator:
     @property
     def num_qubits(self) -> int:
         return self.dim.bit_length() - 1
+
+    @cached_property
+    def eig(self) -> EigenDecomposition:
+        """The spectral decomposition, computed on first use and kept with the operator."""
+        return eig_hermitian(self)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ ensemble is at finite temperature; it reduces to ``|<O U(phi)>|^2``
 whenever ``<O> = 0``.
 
 Both branch norms are always computed exactly; the seeded Bernoulli draw
-only decides which branch an end-to-end run keeps.
+only decides which branch an end-to-end run keeps.  The circuit is
+deterministic apart from that draw, so ``simulate_prep_circuit`` runs it
+once and repeated attempts only redraw against the same P1.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .simcore import (
     apply_controlled_unitary,
     apply_unitary,
     basis_state,
-    eig_hermitian,
     overlap,
     tensor_product,
 )
@@ -49,6 +50,11 @@ from .simcore import (
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 TRACE_TOL = 1e-12
+
+#: A second moment at or below this multiple of max|o|^2 is rounding noise:
+#: O then leaves the base state a norm sqrt(m2) below 1e-12 * max|o|, the
+#: floor at which ``thermal_operator_state`` rejects the state (for |O| ~ 1).
+M2_RTOL = 1e-24
 
 
 class NonTracelessWarning(UserWarning):
@@ -113,16 +119,24 @@ def _eigen_weights(
     hamiltonian: HermitianOperator | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of O and their occupation probabilities in the base state."""
-    eig_o = eig_hermitian(operator)
+    eig_o = operator.eig
     if ensemble.kind == "infinite_temperature":
         return eig_o.eigenvalues, np.full(operator.dim, 1.0 / operator.dim)
     if hamiltonian is None:
         raise ValueError(f"{ensemble.kind} expectations require the Hamiltonian")
-    eig_h = eig_hermitian(hamiltonian)
+    eig_h = hamiltonian.eig
     pops = ensemble_populations(eig_h, ensemble)
     amp = eig_o.eigenvectors.conj().T @ eig_h.eigenvectors
     q = (np.abs(amp) ** 2) @ pops
     return eig_o.eigenvalues, q
+
+
+def _second_moment(vals: np.ndarray, q: np.ndarray) -> float:
+    """<O^2>; rejected when it is at rounding scale (see ``M2_RTOL``)."""
+    m2 = float(q @ vals**2)
+    if m2 <= M2_RTOL * float(np.max(vals**2)):
+        raise ZeroOperatorError("observable has zero second moment in this ensemble")
+    return m2
 
 
 def moments(
@@ -132,10 +146,7 @@ def moments(
 ) -> MomentSet:
     """<O^2>, <O^3>, <O^4> in the ensemble's base state."""
     vals, q = _eigen_weights(operator, ensemble, hamiltonian)
-    m2 = float(q @ vals**2)
-    if m2 <= 0:
-        raise ZeroOperatorError("observable has zero second moment in this ensemble")
-    return MomentSet(m2, float(q @ vals**3), float(q @ vals**4))
+    return MomentSet(_second_moment(vals, q), float(q @ vals**3), float(q @ vals**4))
 
 
 def acceptance_probability(
@@ -162,26 +173,24 @@ def preparation_fidelity(
     _warn_if_traced(operator)
     vals, q = _eigen_weights(operator, ensemble, hamiltonian)
     numerator = abs(np.sum(q * vals * (1.0 - np.exp(1j * phi * vals)))) ** 2
-    m2 = float(q @ vals**2)
+    m2 = _second_moment(vals, q)
     branch = float(q @ (2.0 - 2.0 * np.cos(phi * vals)))
-    if m2 <= 0:
-        raise ZeroOperatorError("observable has zero second moment in this ensemble")
     if branch <= 1e-24:
         raise DegenerateAngleError("accepted branch has zero norm at this angle")
     return float(numerator / (m2 * branch))
 
 
-def run_prep_circuit(
+def simulate_prep_circuit(
     operator: HermitianOperator,
     phi: float,
     ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-    seed: int | np.random.SeedSequence = 0,
     hamiltonian: HermitianOperator | None = None,
-) -> PrepOutcome:
-    """Simulate Hadamard, controlled exp(1j*phi*O), Hadamard and the ancilla draw.
+) -> tuple[float, StateVector, float]:
+    """Simulate Hadamard, controlled exp(1j*phi*O), Hadamard on an appended ancilla.
 
-    The ancilla is appended as the least significant qubit.  Branch norms
-    and the fidelity come from the exact state; only ``accepted`` is random.
+    The ancilla is the least significant qubit.  Returns the exact,
+    unclipped acceptance probability P1, the normalized accepted branch and
+    its fidelity with the target operator state.
     """
     _warn_if_traced(operator)
     base = base_state(ensemble, hamiltonian=hamiltonian, num_sites=operator.num_qubits)
@@ -192,7 +201,7 @@ def run_prep_circuit(
     state = tensor_product(base, basis_state(1, 0))
     ancilla = n
     state = apply_unitary(state, _HADAMARD, (ancilla,))
-    rotation = eig_hermitian(operator).apply_function(lambda v: np.exp(1j * phi * v))
+    rotation = operator.eig.apply_function(lambda v: np.exp(1j * phi * v))
     state = apply_controlled_unitary(
         state, ancilla, rotation, range(operator.num_qubits), validate=False
     )
@@ -205,7 +214,22 @@ def run_prep_circuit(
     post = StateVector(n, branches[:, 1] / np.sqrt(p1))
     target = thermal_operator_state(operator, hamiltonian, ensemble)
     fidelity = min(abs(overlap(target, post)) ** 2, 1.0)
+    return p1, post, fidelity
 
+
+def run_prep_circuit(
+    operator: HermitianOperator,
+    phi: float,
+    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
+    seed: int | np.random.SeedSequence = 0,
+    hamiltonian: HermitianOperator | None = None,
+) -> PrepOutcome:
+    """One preparation attempt: the simulated circuit plus a seeded ancilla draw.
+
+    Branch norms and the fidelity come from the exact state; only
+    ``accepted`` is random.
+    """
+    p1, post, fidelity = simulate_prep_circuit(operator, phi, ensemble, hamiltonian)
     accepted = bool(np.random.default_rng(seed).random() < p1)
     return PrepOutcome(
         accepted=accepted,
@@ -242,11 +266,9 @@ def success_probability_bound(
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     ms = moments(operator, ensemble, hamiltonian)
-    vals = eig_hermitian(operator).eigenvalues
+    vals = operator.eig.eigenvalues
     magnitudes = np.abs(vals)
-    o_max = float(magnitudes.max())
-    if o_max <= 0:
-        raise ZeroOperatorError("zero operator has no spectral bounds")
+    o_max = float(magnitudes.max())  # positive: moments() rejected a zero operator
     nonzero = magnitudes[magnitudes > 1e-12 * o_max]
     o_min = float(nonzero.min())
     rank = int(nonzero.size)

@@ -1,8 +1,8 @@
-"""Seeded random instances shared across test modules."""
+"""Seeded random instances and compiled observable presets shared across test modules."""
 
 import numpy as np
 
-from qspec import HermitianOperator, StateVector
+from qspec import HermitianOperator, StateVector, build_operator, observable_spec
 
 
 def random_state(num_qubits: int, seed: int) -> StateVector:
@@ -25,3 +25,8 @@ def random_real_symmetric(num_qubits: int, seed: int) -> HermitianOperator:
     m = rng.normal(size=(dim, dim))
     m = (m + m.T) / 2
     return HermitianOperator(m - np.trace(m) / dim * np.eye(dim))
+
+
+def preset_observable(name: str, num_sites: int, site: int = 0) -> HermitianOperator:
+    """An observable preset (total_sz, site_sz, staggered_sz) compiled from its Pauli sum."""
+    return build_operator(observable_spec(name, num_sites, site))

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from helpers import random_real_symmetric
+from helpers import preset_observable, random_real_symmetric
 from qspec import (
     EigenvalueDistribution,
     build_operator,
@@ -28,12 +28,9 @@ from qspec import (
     run_prep_circuit,
     run_qpe,
     sample_outcomes,
-    site_magnetization,
-    staggered_magnetization,
     synthetic_diagonal_observable,
     thermal_operator_state,
     tilted_ising,
-    total_magnetization,
     transition_weights,
 )
 
@@ -82,7 +79,11 @@ def test_criterion_1_moment_ratio_constants():
 def test_criterion_2_circuit_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
-    presets = (total_magnetization, lambda n: site_magnetization(n, 0), staggered_magnetization)
+    presets = (
+        lambda n: preset_observable("total_sz", n),
+        lambda n: preset_observable("site_sz", n, 0),
+        lambda n: preset_observable("staggered_sz", n),
+    )
     worst = 0.0
     for instance in range(25):
         num_sites = int(rng.integers(1, 4))
@@ -133,9 +134,9 @@ def test_criterion_4_kernel_bound():
 
 def test_criterion_5_state_prep_closed_forms():
     presets = (
-        total_magnetization(4),
-        site_magnetization(4, 1),
-        staggered_magnetization(4),
+        preset_observable("total_sz", 4),
+        preset_observable("site_sz", 4, 1),
+        preset_observable("staggered_sz", 4),
     )
     worst_consistency = 0.0
     worst_fidelity = 1.0
@@ -177,7 +178,7 @@ def test_criterion_6_resolution_planning():
 
 def test_criterion_7_sampling_fidelity():
     ham = build_operator(tilted_ising(2))
-    exact = run_qpe(purify_operator(total_magnetization(2)), ham, 6, np.pi / 16)
+    exact = run_qpe(purify_operator(preset_observable("total_sz", 2)), ham, 6, np.pi / 16)
     worst = 0.0
     for seed in range(20):
         empirical = sample_outcomes(exact, shots=100_000, seed=seed)
@@ -193,7 +194,7 @@ def test_criterion_7_sampling_fidelity():
 
 def test_criterion_8_spectral_peak_agreement():
     ham = build_operator(tilted_ising(3))
-    obs = total_magnetization(3)
+    obs = preset_observable("total_sz", 3)
     num_bits, dim = 8, 256
     span = float(np.ptp(eig_hermitian(ham).eigenvalues))
     delta = 2 * np.pi * (dim // 2 - 1) / (dim * span)  # two-sided band fits without aliasing
@@ -236,7 +237,7 @@ def test_criterion_9_ensemble_limits():
         np.max(np.abs(purify_gibbs(ham, 0.0).amplitudes - entangled_pair_state(3).amplitudes))
     )
 
-    obs = total_magnetization(3)
+    obs = preset_observable("total_sz", 3)
     num_bits, dim = 6, 64
     beta = 50.0
     eig = eig_hermitian(ham)

@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from qspec import run_experiment, validate_config
+from qspec import (
+    build_operator,
+    choose_phi,
+    experiment,
+    run_experiment,
+    run_prep_circuit,
+    stateprep,
+    validate_config,
+)
 from qspec.cli import main
 from qspec.errors import ConfigError, PrepExhaustedError, ResourceCapError
 
@@ -227,6 +235,92 @@ def test_ground_state_metadata_reports_degeneracy(tmp_path):
     assert report.metadata["ground_state_degeneracy"] == 1
 
 
+# --- each spectrum once per run ---------------------------------------------------
+
+_ENSEMBLES = (
+    {"kind": "infinite_temperature"},
+    {"kind": "gibbs", "beta": 1.0},
+    {"kind": "ground_state"},
+)
+
+
+@pytest.mark.parametrize(
+    "ensemble, prep, expected",
+    [(e, {"mode": "exact"}, 1) for e in _ENSEMBLES]
+    + [({"kind": "gibbs", "beta": 1.0}, {"mode": "circuit", "epsilon": 0.5}, 2)],
+    ids=["exact-infinite_temperature", "exact-gibbs", "exact-ground_state", "circuit-gibbs"],
+)
+def test_run_decomposes_each_operator_once(tmp_path, monkeypatch, ensemble, prep, expected):
+    # H is decomposed once for prep, QPE and the oracle; circuit prep adds O.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    config = make_config(
+        tmp_path,
+        model={"preset": "tilted_ising", "N": 3},
+        observable="total_sz",
+        ensemble=ensemble,
+        prep=prep,
+        qpe={"gamma": 0.5, "auto_plan": True},
+        seed=1,
+    )
+    run_experiment(config)
+    assert len(calls) == expected
+
+
+def _per_attempt_reference(config):
+    """The runner's attempt loop with one full circuit simulation per attempt."""
+    hamiltonian = build_operator(config.model)
+    observable = build_operator(config.observable)
+    phi = choose_phi(observable, config.prep.epsilon, config.ensemble, hamiltonian)
+    for attempt in range(config.prep.max_attempts):
+        outcome = run_prep_circuit(
+            observable,
+            phi,
+            config.ensemble,
+            seed=np.random.SeedSequence(config.seed, spawn_key=(1, attempt)),
+            hamiltonian=hamiltonian,
+        )
+        if outcome.accepted:
+            return attempt + 1, outcome
+    return None, outcome
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_circuit_prep_matches_per_attempt_reference(tmp_path, monkeypatch, seed):
+    # N=3 Gibbs at the default budget: seeds 1, 3, 5 accept after 73 to 729
+    # attempts, seeds 0, 2, 4 exhaust.
+    config = make_config(
+        tmp_path,
+        model={"preset": "tilted_ising", "N": 3},
+        observable="total_sz",
+        ensemble={"kind": "gibbs", "beta": 1.0},
+        prep={"mode": "circuit"},
+        seed=seed,
+    )
+    simulations = []
+    rotate = stateprep.apply_controlled_unitary
+    monkeypatch.setattr(
+        stateprep, "apply_controlled_unitary", lambda *a, **k: simulations.append(1) or rotate(*a, **k)
+    )
+    prepared = []
+    qpe = experiment.run_qpe
+    monkeypatch.setattr(experiment, "run_qpe", lambda state, *a: prepared.append(state) or qpe(state, *a))
+
+    attempts, reference = _per_attempt_reference(config)
+    simulations.clear()
+    if attempts is None:
+        with pytest.raises(PrepExhaustedError, match=f"in {config.prep.max_attempts} attempts"):
+            run_experiment(config)
+    else:
+        stats = run_experiment(config).prep_stats
+        assert stats["attempts"] == attempts
+        assert stats["acceptance_probability"] == reference.acceptance_probability
+        assert stats["fidelity_with_target"] == reference.fidelity_with_target
+        np.testing.assert_array_equal(prepared[0].amplitudes, reference.post_state.amplitudes)
+    assert len(simulations) == 1
+
+
 # --- command line -----------------------------------------------------------------
 
 
@@ -280,6 +374,24 @@ def test_cli_prep_exhaustion_exit_code(tmp_path):
     document["prep"] = {"mode": "circuit", "epsilon": 1e-6, "max_attempts": 2}
     path = write_config(tmp_path, document)
     assert main(["run", "--config", str(path)]) == 3
+
+
+@pytest.mark.parametrize("mode", ["exact", "circuit"])
+def test_cli_package_error_exit_code(tmp_path, capsys, mode):
+    # Total S^z annihilates the Heisenberg singlet: exact prep hits a zero-norm
+    # state, circuit prep a zero second moment.  Both exit 4 with one line.
+    document = {
+        "model": {"preset": "heisenberg", "N": 4},
+        "observable": "total_sz",
+        "ensemble": {"kind": "ground_state"},
+        "prep": {"mode": mode},
+        "qpe": {"l": 3, "delta": 0.3},
+        "output_dir": str(tmp_path / "never"),
+    }
+    path = write_config(tmp_path, document)
+    assert main(["run", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_plan_prints_json(capsys):

@@ -12,11 +12,8 @@ from qspec import (
     heisenberg,
     observable_spec,
     sample_eigenvalues,
-    site_magnetization,
-    staggered_magnetization,
     synthetic_diagonal_observable,
     tilted_ising,
-    total_magnetization,
 )
 from qspec.errors import ResourceCapError
 
@@ -52,31 +49,30 @@ def test_transverse_ising_matches_bitwise_construction():
     np.testing.assert_allclose(built, oracle, atol=1e-14)
 
 
+def compiled(name, num_sites, site=0):
+    return build_operator(observable_spec(name, num_sites, site)).matrix
+
+
 def test_total_magnetization_small_cases():
-    np.testing.assert_allclose(total_magnetization(1).matrix, np.diag([1.0, -1.0]))
-    np.testing.assert_allclose(total_magnetization(2).matrix, np.diag([2.0, 0.0, 0.0, -2.0]))
+    np.testing.assert_array_equal(compiled("total_sz", 1), np.diag([1.0, -1.0]))
+    np.testing.assert_array_equal(compiled("total_sz", 2), np.diag([2.0, 0.0, 0.0, -2.0]))
+    # Diagonal entry of basis state b is N - 2*popcount(b).
+    for n in (3, 4):
+        expected = [n - 2.0 * b.bit_count() for b in range(1 << n)]
+        np.testing.assert_array_equal(compiled("total_sz", n), np.diag(expected))
 
 
 def test_total_magnetization_multiplicities():
-    diag = np.real(np.diag(total_magnetization(3).matrix))
+    diag = np.real(np.diag(compiled("total_sz", 3)))
     values, counts = np.unique(diag, return_counts=True)
     assert dict(zip(values, counts)) == {-3.0: 1, -1.0: 3, 1.0: 3, 3.0: 1}
 
 
-def test_observable_presets_match_diagonal_builders():
-    # Dual route: Pauli-sum compilation against the direct diagonal formulas.
-    for name, direct in [
-        ("total_sz", total_magnetization(3)),
-        ("site_sz", site_magnetization(3, 0)),
-        ("staggered_sz", staggered_magnetization(3)),
-    ]:
-        compiled = build_operator(observable_spec(name, 3))
-        np.testing.assert_allclose(compiled.matrix, direct.matrix, atol=1e-14)
-
-
 def test_site_magnetization_site_convention():
-    op = site_magnetization(2, site=1)
-    np.testing.assert_allclose(op.matrix, np.diag([1.0, -1.0, 1.0, -1.0]))
+    # Site 0 is the most significant qubit; staggered signs start at +1 on site 0.
+    np.testing.assert_array_equal(compiled("site_sz", 2, 0), np.diag([1.0, 1.0, -1.0, -1.0]))
+    np.testing.assert_array_equal(compiled("site_sz", 2, 1), np.diag([1.0, -1.0, 1.0, -1.0]))
+    np.testing.assert_array_equal(compiled("staggered_sz", 2), np.diag([0.0, 2.0, -2.0, 0.0]))
 
 
 def test_pauli_product_identity():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian, random_real_symmetric
+from helpers import preset_observable, random_hermitian, random_real_symmetric
 from qspec import (
     GROUND_STATE,
     HermitianOperator,
@@ -21,7 +21,6 @@ from qspec import (
     run_qpe,
     spectral_function,
     tilted_ising,
-    total_magnetization,
     transition_weights,
 )
 from qspec.errors import DimensionMismatchError, ZeroOperatorError
@@ -277,7 +276,7 @@ def test_outcome_distribution_two_level_lines():
 
 def test_outcome_distribution_matches_circuit_on_random_instance():
     ham = random_real_symmetric(3, seed=20)
-    obs = total_magnetization(3)
+    obs = preset_observable("total_sz", 3)
     circuit = run_qpe(purify_operator(obs), ham, 5, 0.23)
     reference = exact_outcome_distribution(ham, obs, 5, 0.23)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
@@ -287,7 +286,7 @@ def test_consistency_triangle_concentration():
     # Every aggregated gap keeps at least 80% of its weight within two bins
     # of its mapped location once the register has six bits.
     ham = build_operator(tilted_ising(2))
-    obs = total_magnetization(2)
+    obs = preset_observable("total_sz", 2)
     num_bits, dim = 6, 64
     eig = eig_hermitian(ham)
     span = float(eig.eigenvalues[-1] - eig.eigenvalues[0])
@@ -318,7 +317,7 @@ def test_spectrum_and_outcome_peaks_coincide():
     # With gamma set to one bin width, Lorentzian maxima and the discrete
     # distribution maxima sit within one bin of each other.
     ham = build_operator(tilted_ising(3))
-    obs = total_magnetization(3)
+    obs = preset_observable("total_sz", 3)
     num_bits, dim = 8, 256
     eig = eig_hermitian(ham)
     span = float(eig.eigenvalues[-1] - eig.eigenvalues[0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_real_symmetric
+from helpers import preset_observable, random_real_symmetric
 from qspec import (
     GROUND_STATE,
     HermitianOperator,
@@ -22,12 +22,9 @@ from qspec import (
     register_distribution,
     run_qpe,
     sample_outcomes,
-    site_magnetization,
-    staggered_magnetization,
     tensor_product,
     thermal_operator_state,
     tilted_ising,
-    total_magnetization,
     build_operator,
 )
 from qspec.errors import DimensionMismatchError, ResourceCapError
@@ -60,7 +57,7 @@ def test_circuit_matches_oracle_on_random_instances(seed):
     num_sites = int(rng.integers(1, 4))
     num_bits = int(rng.integers(3, 7))
     ham = random_real_symmetric(num_sites, seed=100 + seed)
-    obs = total_magnetization(num_sites)
+    obs = preset_observable("total_sz", num_sites)
     delta = float(rng.uniform(0.05, 1.2))
     circuit = run_qpe(purify_operator(obs), ham, num_bits, delta)
     reference = exact_outcome_distribution(ham, obs, num_bits, delta)
@@ -71,7 +68,7 @@ def test_circuit_matches_oracle_with_degenerate_spectrum():
     # The isotropic chain has exactly degenerate levels; outcome statistics
     # must not depend on which orthonormal basis the solver picks.
     ham = build_operator(heisenberg(2))
-    obs = staggered_magnetization(2)
+    obs = preset_observable("staggered_sz", 2)
     circuit = run_qpe(purify_operator(obs), ham, 4, 0.43)
     reference = exact_outcome_distribution(ham, obs, 4, 0.43)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
@@ -80,7 +77,7 @@ def test_circuit_matches_oracle_with_degenerate_spectrum():
 @pytest.mark.parametrize("ensemble", [gibbs(1.2), GROUND_STATE])
 def test_circuit_matches_oracle_for_thermal_ensembles(ensemble):
     ham = random_real_symmetric(2, seed=23)
-    obs = total_magnetization(2)
+    obs = preset_observable("total_sz", 2)
     prepared = thermal_operator_state(obs, ham, ensemble)
     circuit = run_qpe(prepared, ham, 5, 0.39)
     reference = exact_outcome_distribution(ham, obs, 5, 0.39, ensemble)
@@ -89,7 +86,7 @@ def test_circuit_matches_oracle_for_thermal_ensembles(ensemble):
 
 def test_frequency_symmetry_at_infinite_temperature():
     ham = random_real_symmetric(2, seed=7)
-    obs = site_magnetization(2, 0)
+    obs = preset_observable("site_sz", 2, 0)
     dist = run_qpe(purify_operator(obs), ham, 5, 0.31)
     p = dist.probabilities
     for f in range(1, 32):
@@ -102,7 +99,7 @@ def test_controlled_powers_match_repeated_base_steps():
     # exactly exponentiated power used by run_qpe.
     num_sites, num_bits, delta = 2, 3, 0.47
     ham = random_real_symmetric(num_sites, seed=11)
-    prepared = purify_operator(total_magnetization(num_sites))
+    prepared = purify_operator(preset_observable("total_sz", num_sites))
     layout = RegisterLayout.standard(num_sites, num_bits)
     state = tensor_product(prepared, plus_state(num_bits))
     eig = eig_hermitian(ham)
@@ -131,7 +128,7 @@ def test_run_qpe_rejects_bad_inputs():
 
 def test_run_qpe_is_deterministic():
     ham = random_real_symmetric(2, seed=13)
-    prepared = purify_operator(total_magnetization(2))
+    prepared = purify_operator(preset_observable("total_sz", 2))
     first = run_qpe(prepared, ham, 4, 0.6)
     second = run_qpe(prepared, ham, 4, 0.6)
     np.testing.assert_array_equal(first.probabilities, second.probabilities)
@@ -149,7 +146,7 @@ def test_sampling_point_mass_puts_all_shots_there():
 
 
 def test_sampling_is_seed_reproducible():
-    dist = run_qpe(purify_operator(total_magnetization(2)), random_real_symmetric(2, seed=17), 5, 0.4)
+    dist = run_qpe(purify_operator(preset_observable("total_sz", 2)), random_real_symmetric(2, seed=17), 5, 0.4)
     first = sample_outcomes(dist, shots=5000, seed=99)
     second = sample_outcomes(dist, shots=5000, seed=99)
     np.testing.assert_array_equal(first.probabilities, second.probabilities)
@@ -159,7 +156,7 @@ def test_sampling_is_seed_reproducible():
 
 def test_sampling_concentrates_l6_preset():
     ham = build_operator(tilted_ising(2))
-    dist = run_qpe(purify_operator(total_magnetization(2)), ham, 6, np.pi / 16)
+    dist = run_qpe(purify_operator(preset_observable("total_sz", 2)), ham, 6, np.pi / 16)
     for seed in range(20):
         empirical = sample_outcomes(dist, shots=100_000, seed=seed)
         assert distribution_distance(empirical, dist) <= 0.02

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian, random_real_symmetric
+from helpers import preset_observable, random_hermitian, random_real_symmetric
 from qspec import (
     GROUND_STATE,
     EigenvalueDistribution,
@@ -13,16 +13,17 @@ from qspec import (
     MomentSet,
     NonTracelessWarning,
     acceptance_probability,
+    build_operator,
     choose_phi,
     choose_phi_for_distribution,
     gibbs,
+    heisenberg,
     moment_ratio_constant,
     moments,
     preparation_fidelity,
     run_prep_circuit,
     success_probability_bound,
     synthetic_diagonal_observable,
-    total_magnetization,
 )
 from qspec.errors import DegenerateAngleError, ZeroOperatorError
 
@@ -174,12 +175,10 @@ def test_choose_phi_hits_fidelity_target_for_gaussian_synthetic():
 
 
 def test_choose_phi_meets_target_for_presets():
-    from qspec import site_magnetization, staggered_magnetization
-
     presets = (
-        total_magnetization(4),
-        site_magnetization(4, 2),
-        staggered_magnetization(4),
+        preset_observable("total_sz", 4),
+        preset_observable("site_sz", 4, 2),
+        preset_observable("staggered_sz", 4),
         PAULI_Z,
     )
     for epsilon in (0.1, 0.01):
@@ -214,6 +213,27 @@ def test_success_bound_chain_is_ordered():
 def test_moments_of_zero_operator_rejected():
     with pytest.raises(ZeroOperatorError):
         moments(HermitianOperator(np.zeros((2, 2))))
+
+
+def test_moments_reject_rounding_scale_second_moment():
+    # Total S^z annihilates the Heisenberg singlet ground state; the computed
+    # m2 is rounding noise (about 1e-33), not a positive moment.
+    ham = build_operator(heisenberg(4))
+    obs = preset_observable("total_sz", 4)
+    with pytest.raises(ZeroOperatorError):
+        moments(obs, GROUND_STATE, ham)
+    with pytest.raises(ZeroOperatorError):
+        choose_phi(obs, 0.01, GROUND_STATE, ham)
+
+
+def test_moments_accept_physically_small_second_moment():
+    # At beta = 10 only the thermally excited triplets carry weight: m2 is
+    # tiny (about 3e-11) but far above rounding scale.
+    ham = build_operator(heisenberg(4))
+    obs = preset_observable("total_sz", 4)
+    ms = moments(obs, gibbs(10.0), ham)
+    assert 1e-12 < ms.m2 < 1e-9
+    assert ms.m4 >= ms.m2**2
 
 
 def test_moment_set_validates_cauchy_schwarz():
