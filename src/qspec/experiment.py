@@ -59,6 +59,12 @@ _SHOT_KEY = 2
 
 _MODEL_PRESETS = ("tilted_ising", "heisenberg")
 
+#: |log2| of the linewidth stays below this, so the oracle's gamma**2 is a normal double.
+_LINEWIDTH_LOG2 = 511
+#: Largest phase winding delta * 2**l * gap / 2pi, as log2 of turns, whose
+#: fractional part (the outcome offset) survives double precision.
+_TURNS_LOG2 = 52
+
 
 def _package_version() -> str:
     try:
@@ -247,6 +253,7 @@ def _parse_qpe(obj, path: str) -> QpeSettings:
         delta = _as_number(_require(obj, "delta", path), f"{path}.delta")
         if delta <= 0:
             raise ConfigError(f"{path}.delta: must be positive")
+        _check_linewidth(math.log2(2.0 * math.pi / delta) - num_bits, f"{path}.delta")
         return QpeSettings(num_bits=num_bits, delta=delta)
     if auto:
         if obj.get("auto_plan") is not True:
@@ -254,8 +261,22 @@ def _parse_qpe(obj, path: str) -> QpeSettings:
         gamma = _as_number(_require(obj, "gamma", path), f"{path}.gamma")
         if gamma <= 0:
             raise ConfigError(f"{path}.gamma: must be positive")
+        _check_linewidth(math.log2(gamma), f"{path}.gamma")
         return QpeSettings(gamma=gamma, auto_plan=True)
     raise ConfigError(f"{path}: provide either (l, delta) or (gamma, auto_plan)")
+
+
+def _check_linewidth(log2_gamma: float, path: str) -> None:
+    if abs(log2_gamma) > _LINEWIDTH_LOG2:
+        raise ConfigError(f"{path}: linewidth 2**{log2_gamma:.1f} squares outside the double range")
+
+
+def _norm_bound(spec: ModelSpec, path: str) -> float:
+    """Sum of |coefficient|, which bounds every compiled entry and eigenvalue."""
+    bound = sum(abs(term.coefficient) for term in spec.terms)
+    if not math.isfinite(bound):
+        raise ConfigError(f"{path}: coefficient magnitudes sum past the double range")
+    return bound
 
 
 def validate_config(raw: str | dict) -> ExperimentConfig:
@@ -278,9 +299,22 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
     if model.num_sites > MAX_SITES:
         raise ConfigError(f"model.N: {model.num_sites} sites exceed the cap of {MAX_SITES}")
     observable = _parse_observable(_require(document, "observable", ""), model.num_sites, "observable")
+    h_bound = _norm_bound(model, "model.terms" if "terms" in document["model"] else "model")
+    o_bound = _norm_bound(observable, "observable.terms")
+    # Purification and the transition weights square O's entries over 2**N states.
+    if not math.isfinite(o_bound * o_bound * (1 << model.num_sites)):
+        raise ConfigError("observable.terms: squared coefficient magnitudes sum past the double range")
     ensemble = _parse_ensemble(document.get("ensemble", {"kind": "infinite_temperature"}), "ensemble")
     prep = _parse_prep(document.get("prep", {}), "prep")
     qpe_settings = _parse_qpe(_require(document, "qpe", ""), "qpe")
+    if not qpe_settings.auto_plan and h_bound > 0:
+        # Energy gaps are at most 2 * h_bound.
+        turns = math.log2(qpe_settings.delta) + qpe_settings.num_bits + math.log2(h_bound / math.pi)
+        if turns > _TURNS_LOG2:
+            raise ConfigError(
+                f"qpe.delta: phases wind up to 2**{turns:.1f} turns, past the 2**{_TURNS_LOG2} "
+                "that double precision resolves"
+            )
     shots = _as_int(document.get("shots", 0), "shots", minimum=0)
     seed = _as_int(document.get("seed", 0), "seed", minimum=0)
     if seed >= 1 << 64:

@@ -87,12 +87,13 @@ class GoldenRuleWeights:
 
 def _transition_sum(
     hamiltonian: HermitianOperator, operator: HermitianOperator, ensemble: EnsembleSpec,
-    points: np.ndarray, dtype: type, kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    points: np.ndarray, dtype: type, kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
 ) -> np.ndarray:
     """Sum over transitions n -> m of ``pops_n |O_nm|^2 * kernel(point, e_n - e_m)``.
 
-    ``kernel(block, gaps)`` returns a (points, transitions) matrix; the
-    points go through it in blocks of about 2**22 matrix entries.
+    ``kernel(block, gaps, out)`` fills the (points, transitions) matrix
+    ``out`` in place; the points go through it in blocks of about 2**22
+    matrix entries, all evaluated into one reused buffer.
     """
     if hamiltonian.dim != operator.dim:
         raise DimensionMismatchError(
@@ -105,8 +106,12 @@ def _transition_sum(
     gaps = (eig.eigenvalues[:, None] - eig.eigenvalues[None, :]).reshape(-1)
     out = np.empty(points.shape, dtype=dtype)
     chunk = max(1, (1 << 22) // max(gaps.size, 1))
+    buffer = np.empty((min(chunk, points.size), gaps.size), dtype=dtype)
     for start in range(0, points.size, chunk):
-        out[start : start + chunk] = kernel(points[start : start + chunk], gaps) @ w
+        block = points[start : start + chunk]
+        tile = buffer[: block.size]
+        kernel(block, gaps, tile)
+        out[start : start + chunk] = tile @ w
     return out
 
 
@@ -118,10 +123,13 @@ def correlation_series(
 ) -> np.ndarray:
     """<O(t) O(0)> on an array of times, evaluated in the energy eigenbasis."""
     times = np.asarray(times, dtype=float)
-    return _transition_sum(
-        hamiltonian, operator, ensemble, times, complex,
-        lambda block, gaps: np.exp(1j * np.outer(block, gaps)),
-    )
+
+    def kernel(block, gaps, out):
+        np.multiply.outer(block, gaps, out=out)
+        np.multiply(1j, out, out=out)
+        np.exp(out, out=out)
+
+    return _transition_sum(hamiltonian, operator, ensemble, times, complex, kernel)
 
 
 def correlation_function(
@@ -150,10 +158,14 @@ def spectral_function(
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     omega = np.asarray(omega_grid, dtype=float)
-    values = _transition_sum(
-        hamiltonian, operator, ensemble, omega, float,
-        lambda block, gaps: gamma / (gamma**2 + (block[:, None] + gaps[None, :]) ** 2),
-    )
+
+    def kernel(block, gaps, out):
+        np.add(block[:, None], gaps[None, :], out=out)
+        np.square(out, out=out)
+        np.add(gamma**2, out, out=out)
+        np.divide(gamma, out, out=out)
+
+    values = _transition_sum(hamiltonian, operator, ensemble, omega, float, kernel)
     return SpectrumTable(omega, values, gamma, ensemble)
 
 

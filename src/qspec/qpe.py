@@ -10,9 +10,18 @@ positive energy differences land at small positive f and negative ones wrap
 into the upper half of the register, which ``outcome_frequency`` maps back
 to signed angular frequencies.
 
+The circuit runs on one phase-major working array ``psi[x, a, b]`` over the
+register value x and the two copies.  The control=1 branches of bit j are a
+strided view of it, and the controlled power acts on all of them at once as
+``U_j psi conj(U_j)`` (``U_j`` on copy a, ``U_j^dagger`` on copy b), in place.
+The inverse Fourier transform is the simulator's FFT along x, and the
+outcome marginal sums ``|psi|^2`` over both copies.  The circuit stays a
+gate-level simulation in the computational basis; the eigenbasis is used
+only to exponentiate ``U_j``.
+
 Controlled powers are built by raising eigenphases once, not by repeating
-gates; repeating the base step is used only as a consistency check in the
-test-suite.
+gates; repeating the base step, and the gate-by-gate circuit on the full
+register, are used only as consistency checks in the test-suite.
 """
 
 from __future__ import annotations
@@ -24,18 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ResourceCapError
-from .simcore import (
-    QUBIT_CAP,
-    HermitianOperator,
-    RegisterLayout,
-    StateVector,
-    apply_controlled_unitary,
-    inverse_qft,
-    plus_state,
-    register_distribution,
-    tensor_product,
-)
+from .errors import DimensionMismatchError, NormalizationError, ResourceCapError
+from .simcore import NORM_TOL, QUBIT_CAP, HermitianOperator, StateVector, _fourier
 
 
 @dataclass(frozen=True)
@@ -116,18 +115,23 @@ def run_qpe(
             f"{prepared.num_qubits + num_bits} qubits exceed the {QUBIT_CAP}-qubit cap"
         )
 
-    layout = RegisterLayout.standard(num_sites, num_bits)
-    state = tensor_product(prepared, plus_state(num_bits))
+    dim, sys_dim = 1 << num_bits, hamiltonian.dim
+    # Phase-major working array psi[x, a, b]: the register is uniform, the copies prepared.
+    psi = np.empty((dim, sys_dim, sys_dim), dtype=complex)
+    psi[:] = prepared.amplitudes.reshape(sys_dim, sys_dim) * (1.0 / np.sqrt(dim))
     eig = hamiltonian.eig
     for j in range(num_bits):
-        control = layout.phase[num_bits - 1 - j]  # bit j of the outcome
-        step = delta * (1 << j)
-        forward = eig.propagator(step, +1)
-        backward = eig.propagator(step, -1)
-        state = apply_controlled_unitary(state, control, forward, layout.copy_a, validate=False)
-        state = apply_controlled_unitary(state, control, backward, layout.copy_b, validate=False)
-    state = inverse_qft(state, layout.phase)
-    probs = register_distribution(state, layout.phase)
+        # Branches with bit j of x set: x = (hi, 1, lo) with lo < 2**j.
+        branch = psi.reshape(dim >> (j + 1), 2, 1 << j, sys_dim, sys_dim)[:, 1]
+        forward = eig.propagator(delta * (1 << j), +1)
+        # U on copy a and U^dagger on copy b: psi -> U psi (U^dagger)^T = U psi conj(U).
+        np.matmul(forward @ branch, forward.conj(), out=branch)
+    amps = _fourier(psi.reshape(dim, -1), -1)
+    del psi
+    probs = (np.abs(amps) ** 2).sum(axis=1)
+    norm_err = abs(math.sqrt(probs.sum()) - 1.0)
+    if norm_err > NORM_TOL:
+        raise NormalizationError(f"register state norm deviates from 1 by {norm_err:.3e}")
     return PhaseDistribution(num_bits, delta, probs, kind="exact")
 
 

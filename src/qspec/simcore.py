@@ -9,7 +9,10 @@ Conventions fixed here and relied on by every other module:
   value is read most-significant-first along that sequence.
 * ``inverse_qft`` applies the matrix ``2**(-l/2) * exp(-2j*pi*x*k / 2**l)``,
   so a phase gradient ``exp(+2j*pi*k0*x / 2**l)`` across the register maps
-  onto the basis state ``|k0>``.
+  onto the basis state ``|k0>``.  It is computed as an orthonormal FFT
+  along the register (``qft`` as the inverse FFT, sign ``+``), never as a
+  dense Fourier matrix; phase estimation applies the same transform to its
+  register axis.
 
 All operations are pure functions of immutable inputs: amplitude arrays and
 operator matrices are never mutated in place and identical inputs produce
@@ -143,6 +146,8 @@ class HermitianOperator:
         dim = mat.shape[0]
         if dim < 1 or dim & (dim - 1):
             raise DimensionMismatchError(f"dimension {dim} is not a power of two")
+        if not np.isfinite(mat).all():
+            raise HermiticityError("matrix has non-finite entries")
         dev = float(np.max(np.abs(mat - mat.conj().T)))
         if dev > HERMITICITY_TOL:
             raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
@@ -311,22 +316,28 @@ def evolve(
     return apply_unitary(state, eig.propagator(t, sign), reg, validate=False)
 
 
-def _fourier_matrix(num_bits: int, sign: int) -> np.ndarray:
-    dim = 1 << num_bits
-    idx = np.arange(dim)
-    return np.exp(sign * 2j * np.pi * np.outer(idx, idx) / dim) / np.sqrt(dim)
+def _fourier(amplitudes: np.ndarray, sign: int) -> np.ndarray:
+    """Unitary DFT ``2**(-l/2) * exp(sign*2j*pi*x*k / 2**l)`` along axis 0, by FFT."""
+    transform = np.fft.fft if sign < 0 else np.fft.ifft
+    return transform(amplitudes, axis=0, norm="ortho")
+
+
+def _register_fourier(state: StateVector, register: Iterable[int], sign: int) -> StateVector:
+    reg = _as_register(register, state.num_qubits)
+    n, k = state.num_qubits, len(reg)
+    psi = np.moveaxis(state.amplitudes.reshape([2] * n), reg, range(k)).reshape(1 << k, -1)
+    out = _fourier(psi, sign).reshape([2] * n)
+    return StateVector(n, np.moveaxis(out, range(k), reg).reshape(-1), normalized=state.normalized)
 
 
 def inverse_qft(state: StateVector, register: Iterable[int]) -> StateVector:
     """Inverse Fourier transform of the register; see the module docstring for the sign."""
-    reg = _as_register(register, state.num_qubits)
-    return apply_unitary(state, _fourier_matrix(len(reg), -1), reg, validate=False)
+    return _register_fourier(state, register, -1)
 
 
 def qft(state: StateVector, register: Iterable[int]) -> StateVector:
     """Adjoint of ``inverse_qft``."""
-    reg = _as_register(register, state.num_qubits)
-    return apply_unitary(state, _fourier_matrix(len(reg), +1), reg, validate=False)
+    return _register_fourier(state, register, +1)
 
 
 def register_distribution(state: StateVector, register: Iterable[int]) -> np.ndarray:

@@ -394,6 +394,49 @@ def test_cli_package_error_exit_code(tmp_path, capsys, mode):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # Two 1e308 ZZ terms overflow the compiled matrix.
+        (
+            {
+                "model": {"N": 2, "terms": [{"coefficient": 1e308, "factors": "ZZ"}] * 2},
+                "observable": "total_sz",
+            },
+            "config error: model.terms: ",
+        ),
+        # Purification squares a 1e200 observable past the double range.
+        (
+            {"observable": {"N": 1, "terms": [{"coefficient": 1e200, "factors": "X"}]}},
+            "config error: observable.terms: ",
+        ),
+        # A linewidth 2 pi / (delta 2**l) near 8e299 overflows when squared ...
+        ({"qpe": {"l": 3, "delta": 1e-300}}, "config error: qpe.delta: "),
+        # ... or underflows to zero when it is tiny.
+        ({"qpe": {"l": 3, "delta": 1e300}}, "config error: qpe.delta: "),
+        # Phases past 2**52 turns leave the outcome offsets no fractional part.
+        ({"qpe": {"l": 3, "delta": 1e20}}, "config error: qpe.delta: "),
+    ],
+    ids=["model_overflow", "observable_overflow", "linewidth_overflow", "linewidth_underflow", "phase_winding"],
+)
+def test_cli_out_of_range_configs_exit_with_one_line(tmp_path, capsys, command, overrides, message):
+    document = dict(TWO_LEVEL, output_dir=str(tmp_path / "never"), **overrides)
+    path = write_config(tmp_path, document)
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "never").exists()
+
+
+def test_phase_winding_bound_admits_the_last_resolvable_delta(tmp_path):
+    # Gaps of the two-level model reach 2 * |c| = 2: delta * 2**l * 2 / 2 pi = 2**52 is accepted.
+    delta = 2.0**52 * np.pi / (1 << 3)
+    assert make_config(tmp_path, qpe={"l": 3, "delta": delta}).qpe.delta == delta
+    with pytest.raises(ConfigError, match="qpe.delta"):
+        make_config(tmp_path, qpe={"l": 3, "delta": 4 * delta})
+
+
 def test_cli_plan_prints_json(capsys):
     assert main(["plan", "--omega-max", "10", "--gamma", "0.1"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,7 +1,11 @@
 """Pauli-sum compilation, chain presets and synthetic eigenvalue laws."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspec import (
     EigenvalueDistribution,
@@ -92,6 +96,37 @@ def test_heisenberg_matches_kron_sum():
     built = build_operator(heisenberg(2)).matrix
     expected = sum(np.kron(PAULI[a], PAULI[a]) for a in "XYZ")
     np.testing.assert_allclose(built, expected, atol=1e-14)
+
+
+def kron_sum(spec):
+    # Reference compile: the dense Kronecker product of every string, summed in term order.
+    total = np.zeros((1 << spec.num_sites, 1 << spec.num_sites), dtype=complex)
+    for term in spec.terms:
+        total += term.coefficient * reduce(np.kron, [PAULI[c].astype(complex) for c in term.factors])
+    return total
+
+
+@st.composite
+def pauli_sums(draw):
+    num_sites = draw(st.integers(1, 5))
+    factors = st.text(alphabet="IXYZ", min_size=num_sites, max_size=num_sites)
+    coefficient = st.floats(-3.0, 3.0, allow_nan=False)
+    terms = draw(st.lists(st.builds(PauliTerm, coefficient, factors), min_size=1, max_size=8))
+    return ModelSpec(num_sites, tuple(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=pauli_sums())
+def test_flip_mask_compile_equals_kron_sum(spec):
+    np.testing.assert_array_equal(build_operator(spec).matrix, kron_sum(spec))
+
+
+def test_flip_mask_compile_equals_kron_sum_on_presets():
+    mixed = ModelSpec(
+        3, (PauliTerm(0.7, "XYZ"), PauliTerm(-1.3, "YYI"), PauliTerm(0.4, "ZXY"), PauliTerm(-2.0, "YYY"))
+    )
+    for spec in (tilted_ising(8), heisenberg(8), observable_spec("staggered_sz", 8), mixed):
+        np.testing.assert_array_equal(build_operator(spec).matrix, kron_sum(spec))
 
 
 def test_build_operator_rejects_large_chain():

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import preset_observable, random_real_symmetric
+from helpers import preset_observable, random_hermitian, random_real_symmetric
 from qspec import (
     GROUND_STATE,
+    INFINITE_TEMPERATURE,
     HermitianOperator,
     PhaseDistribution,
     apply_controlled_unitary,
+    apply_unitary,
     distribution_distance,
     eig_hermitian,
     exact_outcome_distribution,
@@ -114,6 +118,43 @@ def test_controlled_powers_match_repeated_base_steps():
     stepped = register_distribution(state, layout.phase)
     powered = run_qpe(prepared, ham, num_bits, delta)
     assert np.max(np.abs(stepped - powered.probabilities)) <= 1e-10
+
+
+def gate_by_gate_qpe(prepared, hamiltonian, num_bits, delta):
+    # The register-level circuit run_qpe replaced: one controlled gate per copy
+    # and bit, then a dense inverse Fourier matrix and the register marginal.
+    num_sites = prepared.num_qubits // 2
+    layout = RegisterLayout.standard(num_sites, num_bits)
+    state = tensor_product(prepared, plus_state(num_bits))
+    eig = eig_hermitian(hamiltonian)
+    for j in range(num_bits):
+        control = layout.phase[num_bits - 1 - j]
+        forward = eig.propagator(delta * (1 << j), +1)
+        backward = eig.propagator(delta * (1 << j), -1)
+        state = apply_controlled_unitary(state, control, forward, layout.copy_a, validate=False)
+        state = apply_controlled_unitary(state, control, backward, layout.copy_b, validate=False)
+    dim = 1 << num_bits
+    fourier = np.exp(-2j * np.pi * np.outer(np.arange(dim), np.arange(dim)) / dim) / np.sqrt(dim)
+    state = apply_unitary(state, fourier, layout.phase, validate=False)
+    return register_distribution(state, layout.phase)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_sites=st.integers(1, 3),
+    num_bits=st.integers(1, 4),
+    seed=st.integers(0, 10_000),
+    real=st.booleans(),
+    ensemble=st.sampled_from([INFINITE_TEMPERATURE, gibbs(0.8), GROUND_STATE]),
+    delta=st.floats(0.05, 1.5),
+)
+def test_run_qpe_matches_gate_by_gate_circuit(num_sites, num_bits, seed, real, ensemble, delta):
+    ham = (random_real_symmetric if real else random_hermitian)(num_sites, seed=seed)
+    obs = random_hermitian(num_sites, seed=seed + 1)
+    prepared = thermal_operator_state(obs, ham, ensemble)
+    reference = gate_by_gate_qpe(prepared, ham, num_bits, delta)
+    dist = run_qpe(prepared, ham, num_bits, delta)
+    assert np.max(np.abs(dist.probabilities - reference)) <= 1e-12
 
 
 def test_run_qpe_rejects_bad_inputs():

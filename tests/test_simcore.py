@@ -106,6 +106,12 @@ def test_eigh_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_operator_rejects_non_finite_entries():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(HermiticityError):
+            HermitianOperator(np.diag([1.0, bad]))
+
+
 def test_eigh_deterministic():
     op = random_hermitian(3, seed=6)
     first = eig_hermitian(op)
@@ -240,6 +246,34 @@ def test_qft_inverts_inverse_qft(num_bits):
     state = random_state(num_bits, seed=40 + num_bits)
     out = qft(inverse_qft(state, range(num_bits)), range(num_bits))
     assert np.max(np.abs(out.amplitudes - state.amplitudes)) <= 1e-12
+
+
+def dense_register_fourier(state, register, sign):
+    # Reference: the dense exp(sign 2 pi i x k / 2**l) / sqrt(2**l) matrix, index by index.
+    n, k = state.num_qubits, len(register)
+    fourier = np.exp(sign * 2j * np.pi * np.outer(np.arange(1 << k), np.arange(1 << k)) / (1 << k))
+    fourier /= np.sqrt(1 << k)
+    out = np.zeros(1 << n, dtype=complex)
+    for idx, amp in enumerate(state.amplitudes):
+        value = sum(((idx >> (n - 1 - q)) & 1) << (k - 1 - i) for i, q in enumerate(register))
+        rest = idx
+        for q in register:
+            rest &= ~(1 << (n - 1 - q))
+        for x in range(1 << k):
+            target = rest | sum(((x >> (k - 1 - i)) & 1) << (n - 1 - q) for i, q in enumerate(register))
+            out[target] += fourier[x, value] * amp
+    return out
+
+
+@pytest.mark.parametrize("register", [(2, 0), (1,), (0, 2, 1), (2, 1, 0)])
+def test_fourier_transforms_match_dense_matrix_on_any_register(register):
+    state = random_state(3, seed=45)
+    inverse = inverse_qft(state, register)
+    forward = qft(state, register)
+    assert np.max(np.abs(inverse.amplitudes - dense_register_fourier(state, register, -1))) <= 1e-14
+    assert np.max(np.abs(forward.amplitudes - dense_register_fourier(state, register, +1))) <= 1e-14
+    roundtrip = qft(inverse, register)
+    assert np.max(np.abs(roundtrip.amplitudes - state.amplitudes)) <= 1e-14
 
 
 # --- marginals -----------------------------------------------------------------
