@@ -161,7 +161,10 @@ def spectral_function(
 
     def kernel(block, gaps, out):
         np.add(block[:, None], gaps[None, :], out=out)
-        np.square(out, out=out)
+        # A detuning past sqrt(max double) squares to inf, and gamma / inf is
+        # the Lorentzian's exact limit 0: the overflow is not an error.
+        with np.errstate(over="ignore"):
+            np.square(out, out=out)
         np.add(gamma**2, out, out=out)
         np.divide(gamma, out, out=out)
 
@@ -229,15 +232,43 @@ def exact_outcome_distribution(
     delta: float,
     ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
 ) -> PhaseDistribution:
-    """Closed-form phase-register distribution: transition weights times kernel leakage."""
+    """Closed-form phase-register distribution: transition weights times kernel leakage.
+
+    A transition at phase ``p = delta * 2**l * gap / 2pi`` leaks into bin f
+    with ``sin^2(pi frac) / (2**l sin(pi r / 2**l))^2``, where
+    ``frac = p - round(p)`` and ``r = frac + j`` for the integer
+    ``j = round(p) - f`` wrapped into the register.  This is ``_kernel`` with
+    its numerator computed once per transition.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
     tw = transition_weights(hamiltonian, operator, ensemble)
-    dim = 1 << num_bits
+    dim, half = 1 << num_bits, 1 << (num_bits - 1)
     gaps = (tw.energies[:, None] - tw.energies[None, :]).reshape(-1)
-    offsets = (delta * dim * gaps / (2.0 * math.pi))[:, None] - np.arange(dim)[None, :]
-    del gaps  # the kernel's temporaries set the run's memory peak at large N
-    probs = tw.weights.reshape(-1) @ _kernel(offsets, num_bits)
+    phases = delta * dim * gaps / (2.0 * math.pi)
+    del gaps
+    nearest = np.round(phases)
+    frac = phases - nearest
+    hit = (nearest - dim * np.floor(nearest / dim)).astype(np.intp)  # the bin with j = 0
+    # Row h of the wrapped offsets ((h - f + half) mod dim) - half is a window of
+    # one ramp, so the (transitions, 2**l) buffer is a gather of rows; it is then
+    # evaluated in place, since the kernel sets the run's memory peak at large N.
+    ramp = (dim - 1 + half - np.arange(2 * dim - 1.0)) % dim - half
+    r = np.lib.stride_tricks.sliding_window_view(ramp, dim)[dim - 1 - hit]
+    r += frac[:, None]
+    r *= np.pi / dim
+    np.sin(r, out=r)
+    np.square(r, out=r)
+    numerator = np.sin(np.pi * frac)
+    numerator *= numerator / dim**2
+    # Near a zero offset this divides two vanishing squares (0/0 at zero); there
+    # the j = 0 entry takes _kernel's sinc ratio, which is 1 to within a few ulp
+    # for |frac| below sqrt(eps) and exactly 1 at zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(numerator[:, None], r, out=r)
+    near = np.flatnonzero(np.abs(frac) < 2.0**-26)
+    r[near, hit[near]] = _kernel(frac[near], num_bits)
+    probs = tw.weights.reshape(-1) @ r
     return PhaseDistribution(num_bits, delta, probs, kind="exact")
 
 

@@ -9,9 +9,11 @@ and the Gibbs purification at inverse temperature beta is the normalized
 matrix ``exp(-beta*H/2)``.
 
 The Gibbs construction therefore carries a conjugation on copy b relative
-to the plain eigenvector sum; the two coincide whenever the eigenbasis can
-be chosen real, and the matrix form keeps the beta=0 limit exactly equal
-to the entangled pair state for every Hermitian input.
+to the plain eigenvector sum; the two coincide whenever the eigenbasis is
+real, which it is for every real H (a real operator is stored and
+diagonalized in float64, see ``simcore``), and the matrix form keeps the
+beta=0 limit exactly equal to the entangled pair state for every Hermitian
+input.  Real H and O therefore give real purified states.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def entangled_pair_state(num_sites: int) -> StateVector:
         raise ValueError("num_sites must be at least 1")
     _check_cap(num_sites)
     dim = 1 << num_sites
-    m = np.eye(dim, dtype=complex) / np.sqrt(dim)
+    m = np.eye(dim) / np.sqrt(dim)
     return StateVector(2 * num_sites, m.reshape(-1))
 
 
@@ -103,9 +105,7 @@ def purify_gibbs(hamiltonian: HermitianOperator, beta: float) -> StateVector:
         raise ValueError("beta must be finite and non-negative")
     eig = hamiltonian.eig
     _check_cap(hamiltonian.num_qubits)
-    weights = np.exp(-0.5 * beta * (eig.eigenvalues - eig.eigenvalues[0]))
-    m = (eig.eigenvectors * weights) @ eig.eigenvectors.conj().T
-    amps = m.reshape(-1)
+    amps = eig.apply_function(lambda lam: np.exp(-0.5 * beta * (lam - lam[0]))).reshape(-1)
     return StateVector(2 * hamiltonian.num_qubits, amps / np.linalg.norm(amps))
 
 

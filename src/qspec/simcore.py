@@ -14,6 +14,15 @@ Conventions fixed here and relied on by every other module:
   dense Fourier matrix; phase estimation applies the same transform to its
   register axis.
 
+Real inputs stay real.  A ``HermitianOperator`` whose entries all have an
+exactly zero imaginary part stores a float64 matrix (a Y-free Pauli sum
+compiles to one), so its ``eigh`` is the real-symmetric one and its
+eigenvectors are real; other operators are complex128.  A ``StateVector``
+keeps float64 amplitudes when given real ones.  The gate operations
+(``apply_unitary``, ``apply_controlled_unitary``, ``evolve``, ``qft`` and
+``inverse_qft``) always return complex128 amplitudes, promoting a real
+state before the phases reach it, so no imaginary part is ever cast away.
+
 All operations are pure functions of immutable inputs: amplitude arrays and
 operator matrices are never mutated in place and identical inputs produce
 bit-identical outputs.  A ``HermitianOperator`` therefore memoises its
@@ -46,6 +55,11 @@ UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-10
 
 
+def _dtype_of(values) -> type:
+    """complex128 for complex input, float64 for everything else."""
+    return complex if np.iscomplexobj(values) else float
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Amplitudes over ``2**num_qubits`` computational states, qubit 0 most significant."""
@@ -57,7 +71,7 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.num_qubits < 0:
             raise ValueError("num_qubits must be non-negative")
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        amps = np.ascontiguousarray(self.amplitudes, dtype=_dtype_of(self.amplitudes))
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (1 << self.num_qubits,):
             raise DimensionMismatchError(
@@ -81,7 +95,7 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
     dim = 1 << num_qubits
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    amps = np.zeros(dim, dtype=complex)
+    amps = np.zeros(dim)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)
 
@@ -89,7 +103,7 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
 def plus_state(num_qubits: int) -> StateVector:
     """Uniform superposition over all computational states."""
     dim = 1 << num_qubits
-    return StateVector(num_qubits, np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))
+    return StateVector(num_qubits, np.full(dim, 1.0 / np.sqrt(dim)))
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
@@ -134,12 +148,15 @@ class RegisterLayout:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense Hermitian matrix on a power-of-two dimension."""
+    """Dense Hermitian matrix on a power-of-two dimension; float64 when its entries are real."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.ascontiguousarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix)
+        if np.iscomplexobj(mat) and not mat.imag.any():
+            mat = mat.real
+        mat = np.ascontiguousarray(mat, dtype=_dtype_of(mat))
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError(f"operator matrix must be square, got {mat.shape}")
@@ -168,7 +185,7 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues and a matching unitary of column eigenvectors."""
+    """Ascending eigenvalues and a matching unitary (real orthogonal for a real operator)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -178,8 +195,18 @@ class EigenDecomposition:
         return self.eigenvalues.shape[0]
 
     def apply_function(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """The matrix ``V fn(diag) V^dagger``."""
-        return (self.eigenvectors * fn(self.eigenvalues)) @ self.eigenvectors.conj().T
+        """The matrix ``V fn(diag) V^dagger``.
+
+        With real V and complex ``fn`` it is built as two real products, one
+        for the real and one for the imaginary part of ``fn``.
+        """
+        vecs, vals = self.eigenvectors, fn(self.eigenvalues)
+        if np.iscomplexobj(vecs) or not np.iscomplexobj(vals):
+            return (vecs * vals) @ vecs.conj().T
+        out = np.empty((self.dim, self.dim), dtype=complex)
+        out.real = (vecs * vals.real) @ vecs.T
+        out.imag = (vecs * vals.imag) @ vecs.T
+        return out
 
     def propagator(self, t: float, sign: int = 1) -> np.ndarray:
         """``exp(1j * sign * t * H)`` as a dense matrix."""
@@ -268,7 +295,7 @@ def apply_controlled_unitary(
     if control in targets:
         raise RegisterError("control qubit overlaps the target register")
 
-    psi = state.amplitudes.reshape([2] * n).copy()
+    psi = state.amplitudes.reshape([2] * n).astype(complex)
     sel = [slice(None)] * n
     sel[control] = 1
     sel = tuple(sel)

@@ -1,6 +1,7 @@
 """Config validation, the experiment pipeline and the command-line surface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -470,3 +471,24 @@ def test_cli_oracle_writes_spectrum(tmp_path):
     rows = (tmp_path / "oracle-out" / "spectrum.csv").read_text().strip().splitlines()
     assert rows[0] == "omega,sigma"
     assert len(rows) > 100
+
+
+def test_cli_oracle_overflowing_detuning_is_silent(tmp_path, capsys):
+    # Detunings near 2e300 square past the double range; the Lorentzian's
+    # limit there is exactly 0, so the run must succeed without a warning.
+    document = {
+        "model": {"N": 2, "terms": [{"coefficient": 1e300, "factors": "ZZ"}]},
+        "observable": "total_sz",
+        "ensemble": {"kind": "gibbs", "beta": 1.0},
+        "qpe": {"gamma": 1e150, "auto_plan": True},
+        "output_dir": str(tmp_path / "oracle-out"),
+    }
+    path = write_config(tmp_path, document)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["oracle", "--config", str(path)]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "oracle-out" / "spectrum.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 2001
+    assert np.isfinite(np.array([[float(v) for v in row.split(",")] for row in rows])).all()

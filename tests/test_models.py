@@ -20,6 +20,7 @@ from qspec import (
     tilted_ising,
 )
 from qspec.errors import ResourceCapError
+from qspec.models import OBSERVABLE_PRESETS
 
 PAULI = {
     "I": np.eye(2),
@@ -127,6 +128,25 @@ def test_flip_mask_compile_equals_kron_sum_on_presets():
     )
     for spec in (tilted_ising(8), heisenberg(8), observable_spec("staggered_sz", 8), mixed):
         np.testing.assert_array_equal(build_operator(spec).matrix, kron_sum(spec))
+
+
+def test_real_pauli_sums_compile_to_float64():
+    # A string with an even number of Y factors has real entries (i**2 = -1).
+    paired = ModelSpec(2, (PauliTerm(1.0, "YY"), PauliTerm(0.5, "XZ")))
+    presets = tuple(observable_spec(name, 4) for name in OBSERVABLE_PRESETS)
+    for spec in (tilted_ising(4), heisenberg(4), paired) + presets:
+        op = build_operator(spec)
+        assert op.matrix.dtype == np.float64
+        assert op.eig.eigenvectors.dtype == np.float64
+
+
+def test_pauli_sums_with_imaginary_entries_stay_complex():
+    odd = ModelSpec(2, (PauliTerm(1.0, "XY"), PauliTerm(1.0, "YX")))
+    for spec in (odd, ModelSpec(1, (PauliTerm(1.0, "Y"),))):
+        op = build_operator(spec)
+        assert op.matrix.dtype == np.complex128
+        assert op.eig.eigenvectors.dtype == np.complex128
+        np.testing.assert_array_equal(op.matrix, kron_sum(spec))
 
 
 def test_build_operator_rejects_large_chain():

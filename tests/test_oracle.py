@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import preset_observable, random_hermitian, random_real_symmetric
+from helpers import (
+    complex_copy,
+    preset_observable,
+    random_hermitian,
+    random_real_symmetric,
+    real_pauli_sums,
+)
 from qspec import (
     GROUND_STATE,
+    INFINITE_TEMPERATURE,
     HermitianOperator,
     build_operator,
     correlation_function,
@@ -15,15 +22,20 @@ from qspec import (
     distribution_distance,
     eig_hermitian,
     exact_outcome_distribution,
+    gibbs,
     golden_rule_weights,
+    ground_state_degeneracy,
+    heisenberg,
     purify_operator,
     qpe_kernel,
     run_qpe,
     spectral_function,
+    thermal_operator_state,
     tilted_ising,
     transition_weights,
 )
-from qspec.errors import DimensionMismatchError, ZeroOperatorError
+from qspec.errors import DimensionMismatchError, ZeroNormError, ZeroOperatorError
+from qspec.oracle import _kernel
 
 PAULI_X = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
 PAULI_Z = HermitianOperator(np.diag([1.0, -1.0]))
@@ -337,6 +349,100 @@ def test_spectrum_and_outcome_peaks_coincide():
         if sigma[k] >= sigma[k - 1] and sigma[k] >= sigma[k + 1] and sigma[k] > 0.05 * sigma.max():
             bin_of_peak = int(order[k])
             assert any((bin_of_peak + off) % dim in local_max_bins for off in (-1, 0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_sites=st.integers(1, 4),
+    num_bits=st.integers(1, 9),
+    delta=st.floats(0.01, 3.0),
+    scale=st.sampled_from([0.1, 1.0, 30.0, 1e9]),
+    on_bins=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_outcome_distribution_matches_kernel_sum(num_sites, num_bits, delta, scale, on_bins, seed):
+    # Reference: every transition weight times the leakage kernel at every bin offset.
+    dim = 1 << num_bits
+    energies = np.sort(np.random.default_rng(seed).normal(size=1 << num_sites)) * scale
+    if on_bins:  # gaps on exact bin offsets, the zero offset included
+        energies = np.round(energies) * 2 * np.pi / (delta * dim)
+    ham = HermitianOperator(np.diag(energies))
+    obs = random_real_symmetric(num_sites, seed)
+    dist = exact_outcome_distribution(ham, obs, num_bits, delta)
+    tw = transition_weights(ham, obs)
+    gaps = (tw.energies[:, None] - tw.energies[None, :]).reshape(-1)
+    offsets = (delta * dim * gaps / (2 * np.pi))[:, None] - np.arange(dim)
+    reference = tw.weights.reshape(-1) @ _kernel(offsets, num_bits)
+    assert np.max(np.abs(dist.probabilities - reference)) <= 1e-13
+    assert abs(dist.probabilities.sum() - 1.0) <= 1e-14
+
+
+# --- real and complex storage of the same operator ------------------------------------------
+
+
+def _weight_moments(tw, order: int = 2) -> np.ndarray:
+    """sum_nm w_nm e_n**p e_m**q for p, q <= order: invariant under a change of eigenbasis."""
+    powers = np.vander(tw.energies, order + 1, increasing=True)
+    return powers.T @ tw.weights @ powers
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    num_sites=st.integers(1, 4),
+    num_bits=st.integers(1, 4),
+    delta=st.floats(0.05, 1.5),
+    ensemble=st.sampled_from([INFINITE_TEMPERATURE, gibbs(0.8), GROUND_STATE]),
+)
+def test_real_storage_matches_complex_storage(data, num_sites, num_bits, delta, ensemble):
+    ham = build_operator(data.draw(real_pauli_sums(num_sites)))
+    obs = build_operator(data.draw(real_pauli_sums(num_sites)))
+    assert ham.matrix.dtype == obs.matrix.dtype == np.float64
+    # A degenerate ground level has no unique ground vector to compare.
+    assume(ensemble != GROUND_STATE or ground_state_degeneracy(ham, tol=1e-6) == 1)
+    ham_c, obs_c = complex_copy(ham), complex_copy(obs)
+    try:
+        prepared = thermal_operator_state(obs, ham, ensemble)
+    except (ZeroNormError, ZeroOperatorError):
+        assume(False)
+    prepared_c = thermal_operator_state(obs_c, ham_c, ensemble)
+    assert prepared.amplitudes.dtype == np.float64
+    assert prepared_c.amplitudes.dtype == np.complex128
+
+    circuit = run_qpe(prepared, ham, num_bits, delta).probabilities
+    circuit_c = run_qpe(prepared_c, ham_c, num_bits, delta).probabilities
+    assert np.max(np.abs(circuit - circuit_c)) <= 1e-12
+    exact = exact_outcome_distribution(ham, obs, num_bits, delta, ensemble).probabilities
+    exact_c = exact_outcome_distribution(ham_c, obs_c, num_bits, delta, ensemble).probabilities
+    assert np.max(np.abs(exact - exact_c)) <= 1e-12
+    grid = np.linspace(-6.0, 6.0, 41)
+    sigma = spectral_function(ham, obs, grid, 0.3, ensemble).values
+    sigma_c = spectral_function(ham_c, obs_c, grid, 0.3, ensemble).values
+    assert np.max(np.abs(sigma - sigma_c)) <= 1e-12
+
+    tw, tw_c = transition_weights(ham, obs, ensemble), transition_weights(ham_c, obs_c, ensemble)
+    assert np.max(np.abs(tw.energies - tw_c.energies)) <= 1e-12
+    reach = max(1.0, float(np.max(np.abs(tw.energies))))
+    tol = 1e-12 * reach ** np.add.outer(np.arange(3), np.arange(3))
+    assert np.all(np.abs(_weight_moments(tw) - _weight_moments(tw_c)) <= tol)
+    if np.min(np.diff(tw.energies), initial=1.0) > 1e-2:  # eigenbasis unique up to signs
+        assert np.max(np.abs(tw.weights - tw_c.weights)) <= 1e-12
+
+
+@pytest.mark.parametrize("ensemble", [INFINITE_TEMPERATURE, gibbs(0.7), GROUND_STATE])
+def test_degenerate_heisenberg_keeps_circuit_oracle_agreement(ensemble):
+    # Degenerate levels let the real eigenbasis differ from the complex one;
+    # the outcome statistics must not depend on it.
+    ham = build_operator(heisenberg(4))
+    obs = preset_observable("staggered_sz", 4)
+    assert ham.eig.eigenvectors.dtype == np.float64
+    assert np.min(np.diff(ham.eig.eigenvalues)) <= 1e-12
+    prepared = thermal_operator_state(obs, ham, ensemble)
+    circuit = run_qpe(prepared, ham, 5, 0.37)
+    reference = exact_outcome_distribution(ham, obs, 5, 0.37, ensemble)
+    assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
+    twin = exact_outcome_distribution(complex_copy(ham), complex_copy(obs), 5, 0.37, ensemble)
+    assert distribution_distance(reference, twin, "max_abs") <= 1e-12
 
 
 # --- distances ---------------------------------------------------------------------------

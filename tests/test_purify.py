@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_real_symmetric
+from helpers import complex_copy, random_real_symmetric
 from qspec import (
     GROUND_STATE,
     INFINITE_TEMPERATURE,
@@ -184,3 +184,17 @@ def test_all_purified_states_are_normalized():
         thermal_operator_state(op, ham, GROUND_STATE),
     ):
         assert abs(state.norm() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("ensemble", [INFINITE_TEMPERATURE, gibbs(0.9), GROUND_STATE])
+def test_real_operators_give_real_purified_states(ensemble):
+    ham = random_real_symmetric(2, seed=31)
+    obs = random_real_symmetric(2, seed=32)
+    real = thermal_operator_state(obs, ham, ensemble)
+    assert real.amplitudes.dtype == np.float64
+    for state in (entangled_pair_state(2), purify_operator(obs), purify_gibbs(ham, 0.9)):
+        assert state.amplitudes.dtype == np.float64
+    # The complex route reaches the same state up to a global phase (its ground vector's).
+    twin = thermal_operator_state(complex_copy(obs), complex_copy(ham), ensemble)
+    assert twin.amplitudes.dtype == np.complex128
+    assert abs(abs(overlap(real, twin)) - 1.0) <= 1e-12

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian, random_state
+from helpers import random_hermitian, random_real_symmetric, random_state
 from qspec import (
     HermitianOperator,
     RegisterLayout,
@@ -348,3 +348,61 @@ def test_operations_are_bit_deterministic():
     first = evolve(state, ham, 0.77)
     second = evolve(state, ham, 0.77)
     np.testing.assert_array_equal(first.amplitudes, second.amplitudes)
+
+
+# --- dtype contract: real stays real, gate operations promote ---------------------------
+
+
+def test_operator_with_zero_imaginary_part_is_stored_real():
+    real = HermitianOperator(PAULI_Z)  # complex128 entries, all imaginary parts zero
+    assert real.matrix.dtype == np.float64
+    assert real.eig.eigenvectors.dtype == np.float64
+    assert HermitianOperator(np.eye(2, dtype=int)).matrix.dtype == np.float64
+    pauli_y = HermitianOperator(np.array([[0, -1j], [1j, 0]]))
+    assert pauli_y.matrix.dtype == np.complex128
+    assert pauli_y.eig.eigenvectors.dtype == np.complex128
+
+
+def test_state_vector_keeps_real_amplitudes_real():
+    assert StateVector(1, np.array([1, 0])).amplitudes.dtype == np.float64
+    assert basis_state(2, 1).amplitudes.dtype == np.float64
+    assert plus_state(2).amplitudes.dtype == np.float64
+    assert StateVector(1, np.array([1.0 + 0j, 0.0])).amplitudes.dtype == np.complex128
+
+
+def test_apply_function_on_real_eigenvectors_matches_complex_product():
+    eig = random_real_symmetric(3, seed=8).eig
+    assert eig.eigenvectors.dtype == np.float64
+    fn = lambda lam: np.exp(0.7j * lam)  # noqa: E731
+    split = eig.apply_function(fn)
+    assert split.dtype == np.complex128
+    vecs = eig.eigenvectors.astype(complex)
+    np.testing.assert_allclose(split, (vecs * fn(eig.eigenvalues)) @ vecs.conj().T, atol=1e-14)
+    assert eig.apply_function(np.cos).dtype == np.float64
+
+
+def _real_state(num_qubits: int, seed: int) -> StateVector:
+    amps = np.random.default_rng(seed).normal(size=1 << num_qubits)
+    return StateVector(num_qubits, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        lambda s, u: apply_unitary(s, u, (2, 0)),
+        lambda s, u: apply_controlled_unitary(s, 1, u, (2, 0)),
+        lambda s, u: apply_controlled_unitary(s, 3, np.exp(0.3j)),
+        lambda s, u: evolve(s, HermitianOperator(np.diag([0.3, -0.1, 0.7, 0.2])), 0.9, -1, (1, 3)),
+        lambda s, u: inverse_qft(s, (3, 0, 2)),
+        lambda s, u: qft(s, (1, 2)),
+    ],
+    ids=["apply_unitary", "controlled_unitary", "controlled_phase", "evolve", "inverse_qft", "qft"],
+)
+def test_gate_ops_promote_a_real_state_exactly(gate):
+    unitary = eig_hermitian(random_hermitian(2, seed=6)).propagator(0.8)
+    real = _real_state(4, seed=9)
+    assert real.amplitudes.dtype == np.float64
+    promoted = StateVector(4, real.amplitudes.astype(complex))
+    out = gate(real, unitary)
+    assert out.amplitudes.dtype == np.complex128
+    np.testing.assert_array_equal(out.amplitudes, gate(promoted, unitary).amplitudes)
