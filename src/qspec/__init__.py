@@ -48,7 +48,6 @@ from .oracle import (
     correlation_series,
     distribution_distance,
     exact_outcome_distribution,
-    golden_rule_weights,
     qpe_kernel,
     spectral_function,
     transition_weights,
@@ -62,7 +61,6 @@ from .purify import (
     gibbs,
     ground_state_degeneracy,
     purify_gibbs,
-    purify_operator,
     thermal_operator_state,
 )
 from .qpe import (
@@ -77,7 +75,6 @@ from .simcore import (
     QUBIT_CAP,
     EigenDecomposition,
     HermitianOperator,
-    RegisterLayout,
     StateVector,
     apply_controlled_unitary,
     apply_unitary,

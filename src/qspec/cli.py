@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, PrepExhaustedError, QspecError, ResourceCapError
-from .experiment import run_experiment, validate_config, with_overrides
+from .experiment import plan_payload, run_experiment, validate_config, with_overrides, write_csv, write_json
 from .models import (
     DISTRIBUTION_KINDS,
     EigenvalueDistribution,
@@ -72,28 +73,28 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     observable = build_operator(config.observable)
     vals = hamiltonian.eig.eigenvalues
     span = float(vals[-1] - vals[0])
-    if config.qpe.auto_plan:
-        gamma = config.qpe.gamma
-    else:
-        gamma = 2.0 * np.pi / (config.qpe.delta * (1 << config.qpe.num_bits))
     reach = 1.2 * span if span > 0 else 1.0
     grid = np.linspace(-reach, reach, 2001)
-    table = spectral_function(hamiltonian, observable, grid, gamma, config.ensemble)
+    table = spectral_function(hamiltonian, observable, grid, config.qpe.linewidth, config.ensemble)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table.to_csv(out / "spectrum.csv")
-    table.to_json(out / "spectrum.json")
+    write_csv(out / "spectrum.csv", ("omega", "sigma"), zip(table.frequencies, table.values))
+    ensemble = {"kind": table.ensemble.kind, "beta": table.ensemble.beta}
+    write_json(out / "spectrum.json", {"gamma": table.gamma, "ensemble": ensemble,
+                                       "omega": table.frequencies.tolist(), "sigma": table.values.tolist()})
     print(f"oracle spectrum written to {out.resolve()}")
     return EXIT_OK
 
 
 def _cmd_prepstudy(args: argparse.Namespace) -> int:
-    if args.phi_points < 1 or args.phi_max <= 0:
-        raise ConfigError("prepstudy needs a positive angle grid")
+    if args.phi_points < 1 or not 0 < args.phi_max < math.inf:
+        raise ConfigError("prepstudy needs a positive, finite angle grid")
+    if args.num_sites < 1:
+        raise ConfigError(f"prepstudy needs --num-sites >= 1, got {args.num_sites}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     phis = np.linspace(args.phi_max / args.phi_points, args.phi_max, args.phi_points)
-    lines = ["phi,P1,fidelity,distribution,N,seed"]
+    rows = []
     for index, kind in enumerate(DISTRIBUTION_KINDS):
         dist = EigenvalueDistribution(kind, 1.0)
         observable = synthetic_diagonal_observable(
@@ -102,8 +103,8 @@ def _cmd_prepstudy(args: argparse.Namespace) -> int:
         for phi in phis:
             p1 = acceptance_probability(observable, float(phi))
             fid = preparation_fidelity(observable, float(phi))
-            lines.append(f"{phi:.17g},{p1:.17g},{fid:.17g},{kind},{args.num_sites},{args.seed}")
-    (out / "prepstudy.csv").write_text("\n".join(lines) + "\n")
+            rows.append((phi, p1, fid, kind, args.num_sites, args.seed))
+    write_csv(out / "prepstudy.csv", ("phi", "P1", "fidelity", "distribution", "N", "seed"), rows)
     print(f"prep study written to {(out / 'prepstudy.csv').resolve()}")
     return EXIT_OK
 
@@ -113,16 +114,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         plan = plan_resolution(args.omega_max, args.gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    print(
-        json.dumps(
-            {
-                "l": plan.num_bits,
-                "delta": plan.delta,
-                "omega_max": plan.omega_max,
-                "gamma": plan.gamma,
-            }
-        )
-    )
+    print(json.dumps(plan_payload(plan)))
     return EXIT_OK
 
 

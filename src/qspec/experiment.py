@@ -8,9 +8,17 @@ so no amount of internal parallelism can reorder draws.
 
 A run writes ``report.json`` plus two CSV files (``distribution.csv`` with
 columns f, omega, p_exact, p_oracle and optionally p_empirical;
-``spectrum.csv`` with columns omega, sigma).  Floats are printed with 17
-significant digits, which round-trips IEEE doubles exactly, so identical
-configs produce byte-identical CSV output.
+``spectrum.csv`` with columns omega, sigma).  Every artifact of the package,
+these and the ``oracle`` and ``prepstudy`` outputs of the command line, goes
+through the one CSV writer ``write_csv`` and the one JSON writer
+``write_json`` here.  Floats are printed with 17 significant digits, which
+round-trips IEEE doubles exactly.
+
+Determinism contract: re-running a config with the same BLAS thread count
+gives byte-identical CSV files.  Across BLAS thread counts they are
+byte-identical only up to N=6; from N=7 up the multithreaded BLAS/LAPACK
+calls round differently per thread count, and the last bits of the
+probabilities and spectra can move.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import time
 from dataclasses import dataclass, replace
 from importlib import metadata as importlib_metadata
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,9 +70,13 @@ _MODEL_PRESETS = ("tilted_ising", "heisenberg")
 
 #: |log2| of the linewidth stays below this, so the oracle's gamma**2 is a normal double.
 _LINEWIDTH_LOG2 = 511
-#: Largest phase winding delta * 2**l * gap / 2pi, as log2 of turns, whose
-#: fractional part (the outcome offset) survives double precision.
-_TURNS_LOG2 = 52
+#: Largest phase winding delta * 2**l * gap / 2pi, as log2 of turns.  Circuit
+#: and oracle round each phase apart by about 2e-16 per turn (in total
+#: variation), so 2**18 turns keep them within the 1e-10 acceptance tolerance.
+_TURNS_LOG2 = 18
+#: log2 of the largest coefficient magnitude sum: spectral spans reach twice
+#: it and the oracle's frequency grid 4.8 times it, which stays a finite double.
+_NORM_LOG2 = 1021
 
 
 def _package_version() -> str:
@@ -86,6 +99,13 @@ class QpeSettings:
     delta: float | None = None
     gamma: float | None = None
     auto_plan: bool = False
+
+    @property
+    def linewidth(self) -> float:
+        """Lorentzian half-width of the spectrum: the planned gamma, or 2*pi/(delta*2**l)."""
+        if self.auto_plan:
+            return self.gamma
+        return 2.0 * math.pi / math.ldexp(self.delta, self.num_bits)
 
 
 @dataclass(frozen=True)
@@ -274,8 +294,8 @@ def _check_linewidth(log2_gamma: float, path: str) -> None:
 def _norm_bound(spec: ModelSpec, path: str) -> float:
     """Sum of |coefficient|, which bounds every compiled entry and eigenvalue."""
     bound = sum(abs(term.coefficient) for term in spec.terms)
-    if not math.isfinite(bound):
-        raise ConfigError(f"{path}: coefficient magnitudes sum past the double range")
+    if not bound <= 2.0**_NORM_LOG2:
+        raise ConfigError(f"{path}: coefficient magnitudes sum past 2**{_NORM_LOG2}, where spectra overflow")
     return bound
 
 
@@ -306,14 +326,22 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
         raise ConfigError("observable.terms: squared coefficient magnitudes sum past the double range")
     ensemble = _parse_ensemble(document.get("ensemble", {"kind": "infinite_temperature"}), "ensemble")
     prep = _parse_prep(document.get("prep", {}), "prep")
+    # Circuit preparation takes O's fourth moment, bounded by o_bound**4.
+    squared = o_bound * o_bound
+    if prep.mode == "circuit" and not math.isfinite(squared * squared):
+        raise ConfigError("observable.terms: fourth powers of the coefficient magnitudes pass the double range")
     qpe_settings = _parse_qpe(_require(document, "qpe", ""), "qpe")
+    # The spectrum peaks below <O^2> / gamma <= o_bound**2 / gamma.
+    if not math.isfinite(o_bound * (o_bound / qpe_settings.linewidth)):
+        raise ConfigError("observable.terms: squared magnitudes over the linewidth pass the double range")
     if not qpe_settings.auto_plan and h_bound > 0:
         # Energy gaps are at most 2 * h_bound.
-        turns = math.log2(qpe_settings.delta) + qpe_settings.num_bits + math.log2(h_bound / math.pi)
+        log2_bound = math.log2(h_bound) - math.log2(math.pi)
+        turns = math.log2(qpe_settings.delta) + qpe_settings.num_bits + log2_bound
         if turns > _TURNS_LOG2:
             raise ConfigError(
                 f"qpe.delta: phases wind up to 2**{turns:.1f} turns, past the 2**{_TURNS_LOG2} "
-                "that double precision resolves"
+                "that circuit and oracle resolve alike"
             )
     shots = _as_int(document.get("shots", 0), "shots", minimum=0)
     seed = _as_int(document.get("seed", 0), "seed", minimum=0)
@@ -340,19 +368,11 @@ class ExperimentReport:
     metadata: dict
 
     def to_dict(self) -> dict:
-        plan = None
-        if self.plan is not None:
-            plan = {
-                "l": self.plan.num_bits,
-                "delta": self.plan.delta,
-                "omega_max": self.plan.omega_max,
-                "gamma": self.plan.gamma,
-            }
         dist = self.exact_distribution
         return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config.to_dict(),
-            "plan": plan,
+            "plan": None if self.plan is None else plan_payload(self.plan),
             "prep": self.prep_stats,
             "distribution": {
                 "f": list(range(1 << dist.num_bits)),
@@ -377,24 +397,31 @@ class ExperimentReport:
     def write(self, output_dir: str | Path) -> Path:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-        dist = self.exact_distribution
-        freqs = dist.frequencies()
-        empirical = self.empirical_distribution
-        header = "f,omega,p_exact,p_oracle" + (",p_empirical" if empirical is not None else "")
-        lines = [header]
-        for f in range(1 << dist.num_bits):
-            row = (
-                f"{f},{freqs[f]:.17g},{dist.probabilities[f]:.17g},"
-                f"{self.oracle_distribution.probabilities[f]:.17g}"
-            )
-            if empirical is not None:
-                row += f",{empirical.probabilities[f]:.17g}"
-            lines.append(row)
-        (out / "distribution.csv").write_text("\n".join(lines) + "\n")
-        self.spectrum.to_csv(out / "spectrum.csv")
+        payload = self.to_dict()
+        write_json(out / "report.json", payload)
+        # The CSV files hold the same tables as the report, column for column.
+        columns = {name: values for name, values in payload["distribution"].items() if values is not None}
+        write_csv(out / "distribution.csv", list(columns), zip(*columns.values()))
+        spectrum = payload["spectrum"]
+        write_csv(out / "spectrum.csv", ("omega", "sigma"), zip(spectrum["omega"], spectrum["sigma"]))
         return out
+
+
+def plan_payload(plan: ResolutionPlan) -> dict:
+    """A register plan as ``report.json`` and ``qspec plan`` print it."""
+    return {"l": plan.num_bits, "delta": plan.delta, "omega_max": plan.omega_max, "gamma": plan.gamma}
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one CSV artifact: floats with 17 significant digits, everything else as written."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write one JSON artifact, indented by two spaces, with a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _auto_plan(config: ExperimentConfig, hamiltonian) -> ResolutionPlan:
@@ -410,6 +437,10 @@ def _auto_plan(config: ExperimentConfig, hamiltonian) -> ResolutionPlan:
             f"qpe.gamma: {config.qpe.gamma} does not resolve anything below the bandwidth {omega_max:.6g}"
         )
     return plan_resolution(omega_max, config.qpe.gamma)
+
+
+def _distances(p: PhaseDistribution, q: PhaseDistribution) -> dict:
+    return {metric: distribution_distance(p, q, metric) for metric in ("total_variation", "max_abs")}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -476,9 +507,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     t0 = time.perf_counter()
     reference = exact_outcome_distribution(hamiltonian, observable, num_bits, delta, config.ensemble)
-    gamma_eff = config.qpe.gamma if config.qpe.auto_plan else 2.0 * math.pi / (delta * (1 << num_bits))
     grid = np.sort(exact.frequencies())
-    spectrum = spectral_function(hamiltonian, observable, grid, gamma_eff, config.ensemble)
+    spectrum = spectral_function(hamiltonian, observable, grid, config.qpe.linewidth, config.ensemble)
     timings["oracle_s"] = time.perf_counter() - t0
 
     empirical = None
@@ -487,17 +517,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             exact, config.shots, np.random.SeedSequence(config.seed, spawn_key=(_SHOT_KEY,))
         )
 
-    distances = {
-        "exact_vs_oracle": {
-            "total_variation": distribution_distance(exact, reference, "total_variation"),
-            "max_abs": distribution_distance(exact, reference, "max_abs"),
-        }
-    }
+    distances = {"exact_vs_oracle": _distances(exact, reference)}
     if empirical is not None:
-        distances["empirical_vs_exact"] = {
-            "total_variation": distribution_distance(empirical, exact, "total_variation"),
-            "max_abs": distribution_distance(empirical, exact, "max_abs"),
-        }
+        distances["empirical_vs_exact"] = _distances(empirical, exact)
 
     metadata = {
         "package_version": _package_version(),

@@ -11,15 +11,13 @@ test-suite compares bin by bin.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroOperatorError
+from .errors import DimensionMismatchError
 from .purify import INFINITE_TEMPERATURE, EnsembleSpec, ensemble_populations, thermal_operator_state
 from .qpe import PhaseDistribution
 from .simcore import HermitianOperator
@@ -44,37 +42,20 @@ class SpectrumTable:
         if not np.all(np.isfinite(vals)):
             raise ValueError("spectrum contains non-finite values")
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "ensemble": {"kind": self.ensemble.kind, "beta": self.ensemble.beta},
-            "omega": self.frequencies.tolist(),
-            "sigma": self.values.tolist(),
-        }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    def to_csv(self, path: str | Path) -> None:
-        lines = ["omega,sigma"]
-        lines += [f"{w:.17g},{s:.17g}" for w, s in zip(self.frequencies, self.values)]
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 @dataclass(frozen=True)
 class GoldenRuleWeights:
     """Normalized transition weights |c_nm|^2 between energy eigenstates.
 
     ``weights`` comes from the purified operator state and is what the
-    phase-estimation outcome distribution uses.  For a real eigenbasis it
-    equals the squared matrix elements ``|<E_n|O|E_m>|^2 / tr O^2``; when
-    the two routes differ (complex eigenvectors without time-reversal
-    symmetry) the matrix-element form is reported alongside.
+    phase-estimation outcome distribution uses.  At infinite temperature and
+    for a real eigenbasis it equals the squared matrix elements
+    ``|<E_n|O|E_m>|^2 / tr O^2``; without time-reversal symmetry (complex
+    eigenvectors) the two differ, and the circuit follows the state.
     """
 
     weights: np.ndarray
     energies: np.ndarray
-    matrix_element_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -161,11 +142,11 @@ def spectral_function(
 
     def kernel(block, gaps, out):
         np.add(block[:, None], gaps[None, :], out=out)
-        # A detuning past sqrt(max double) squares to inf, and gamma / inf is
-        # the Lorentzian's exact limit 0: the overflow is not an error.
+        # A denominator past the double range (a detuning past sqrt(max double),
+        # or gamma**2 plus a large square) is inf, and gamma / inf gives 0.
         with np.errstate(over="ignore"):
             np.square(out, out=out)
-        np.add(gamma**2, out, out=out)
+            np.add(gamma**2, out, out=out)
         np.divide(gamma, out, out=out)
 
     values = _transition_sum(hamiltonian, operator, ensemble, omega, float, kernel)
@@ -183,23 +164,6 @@ def transition_weights(
     mat = prepared.amplitudes.reshape(hamiltonian.dim, hamiltonian.dim)
     coeffs = eig.eigenvectors.conj().T @ mat @ eig.eigenvectors.conj()
     return GoldenRuleWeights(np.abs(coeffs) ** 2, eig.eigenvalues)
-
-
-def golden_rule_weights(
-    hamiltonian: HermitianOperator,
-    operator: HermitianOperator,
-) -> GoldenRuleWeights:
-    """Infinite-temperature transition weights with the matrix-element cross-check."""
-    trace_sq = float(np.sum(np.abs(operator.matrix) ** 2))
-    if trace_sq <= 1e-24:
-        raise ZeroOperatorError("zero operator has no transition weights")
-    operational = transition_weights(hamiltonian, operator, INFINITE_TEMPERATURE)
-    eig = hamiltonian.eig
-    elements = eig.eigenvectors.conj().T @ operator.matrix @ eig.eigenvectors
-    direct = np.abs(elements) ** 2 / trace_sq
-    if float(np.max(np.abs(direct - operational.weights))) <= 1e-12:
-        return operational
-    return GoldenRuleWeights(operational.weights, operational.energies, direct)
 
 
 def _kernel(offsets: np.ndarray, num_bits: int) -> np.ndarray:

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    ResourceCapError,
-    ZeroNormError,
-    ZeroOperatorError,
-)
+from .errors import DimensionMismatchError, ResourceCapError, ZeroNormError
 from .simcore import (
     QUBIT_CAP,
     EigenDecomposition,
@@ -81,31 +76,19 @@ def entangled_pair_state(num_sites: int) -> StateVector:
     return StateVector(2 * num_sites, m.reshape(-1))
 
 
-def purify_operator(operator: HermitianOperator) -> StateVector:
-    """Normalized operator state: (O tensor 1) applied to the entangled pair state.
-
-    Equals ``sum_i O_i |i>|i> / sqrt(tr O^2)`` whenever the eigenbasis of O
-    can be chosen real, and stays well defined under degeneracies.
-    """
-    m = operator.matrix
-    norm_sq = float(np.sum(np.abs(m) ** 2))  # tr(O^dagger O) = tr O^2 for Hermitian O
-    if norm_sq <= 1e-24:
-        raise ZeroOperatorError("cannot normalize the state of a zero operator")
-    _check_cap(operator.num_qubits)
-    return StateVector(2 * operator.num_qubits, m.reshape(-1) / np.sqrt(norm_sq))
-
-
 def purify_gibbs(hamiltonian: HermitianOperator, beta: float) -> StateVector:
     """Gibbs purification: the normalized matrix exp(-beta*H/2) on the doubled register.
 
     Eigenvalues are shifted by the ground-state energy before exponentiation,
-    so large beta cannot overflow; the normalization absorbs the shift.
+    so large beta cannot overflow; the normalization absorbs the shift.  A
+    weight whose exponent passes the double range is exp(-inf) = 0.
     """
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError("beta must be finite and non-negative")
     eig = hamiltonian.eig
     _check_cap(hamiltonian.num_qubits)
-    amps = eig.apply_function(lambda lam: np.exp(-0.5 * beta * (lam - lam[0]))).reshape(-1)
+    with np.errstate(over="ignore"):
+        amps = eig.apply_function(lambda lam: np.exp(-0.5 * beta * (lam - lam[0]))).reshape(-1)
     return StateVector(2 * hamiltonian.num_qubits, amps / np.linalg.norm(amps))
 
 
@@ -149,7 +132,11 @@ def thermal_operator_state(
     hamiltonian: HermitianOperator | None,
     ensemble: EnsembleSpec,
 ) -> StateVector:
-    """Normalized (O tensor 1) applied to the ensemble's base state."""
+    """Normalized (O tensor 1) applied to the ensemble's base state.
+
+    At infinite temperature (``hamiltonian`` may then be None) this is the
+    operator state ``sum_ij O_ij |i>|j> / sqrt(tr O^2)``.
+    """
     if hamiltonian is not None and hamiltonian.dim != operator.dim:
         raise DimensionMismatchError(
             f"operator dim {operator.dim} vs Hamiltonian dim {hamiltonian.dim}"
@@ -169,7 +156,8 @@ def ensemble_populations(eig: EigenDecomposition, ensemble: EnsembleSpec) -> np.
     if ensemble.kind == "infinite_temperature":
         return np.full(dim, 1.0 / dim)
     if ensemble.kind == "gibbs":
-        w = np.exp(-ensemble.beta * (eig.eigenvalues - eig.eigenvalues[0]))
+        with np.errstate(over="ignore"):  # an exponent past the double range gives exp(-inf) = 0
+            w = np.exp(-ensemble.beta * (eig.eigenvalues - eig.eigenvalues[0]))
         return w / w.sum()
     pops = np.zeros(dim)
     pops[0] = 1.0

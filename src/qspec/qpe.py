@@ -26,10 +26,8 @@ register, are used only as consistency checks in the test-suite.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -69,27 +67,6 @@ class PhaseDistribution:
         return np.array(
             [outcome_frequency(f, self.num_bits, self.delta) for f in range(1 << self.num_bits)]
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "num_bits": self.num_bits,
-            "delta": self.delta,
-            "kind": self.kind,
-            "shots": self.shots,
-            "omega": self.frequencies().tolist(),
-            "probabilities": self.probabilities.tolist(),
-        }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    def to_csv(self, path: str | Path) -> None:
-        freqs = self.frequencies()
-        lines = ["f,omega,probability"]
-        lines += [
-            f"{f},{freqs[f]:.17g},{p:.17g}" for f, p in enumerate(self.probabilities)
-        ]
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def run_qpe(
@@ -184,15 +161,21 @@ def plan_resolution(omega_max: float, gamma: float) -> ResolutionPlan:
     """Smallest register with 2**l >= 1 + omega_max/gamma, delta saturating the linewidth.
 
     The register grows by at most one bit when gamma halves, matching the
-    logarithmic scaling of bits with omega_max/gamma.
+    logarithmic scaling of bits with omega_max/gamma.  A ratio whose register
+    a double cannot describe (the ratio itself, 2**l or gamma * 2**l
+    overflows) raises ``ResourceCapError``.
     """
-    if omega_max <= 0 or gamma <= 0:
-        raise ValueError("omega_max and gamma must be positive")
+    if not (0 < omega_max < math.inf and 0 < gamma < math.inf):
+        raise ValueError("omega_max and gamma must be positive and finite")
     if gamma >= omega_max:
         raise ValueError("gamma must be below omega_max; nothing to resolve otherwise")
     ratio = 1.0 + omega_max / gamma
-    num_bits = 1
-    while (1 << num_bits) < ratio:
-        num_bits += 1
+    # The smallest l >= 1 with 2**l >= ratio, read off ratio = mantissa * 2**exponent.
+    mantissa, exponent = math.frexp(ratio)
+    num_bits = max(1, exponent - (mantissa == 0.5))
+    if not math.isfinite(ratio) or num_bits > 1023 or math.frexp(gamma)[1] + num_bits > 1024:
+        raise ResourceCapError(
+            f"omega_max/gamma = {omega_max / gamma:.6g} needs a phase register past the double range"
+        )
     delta = 2.0 * math.pi / (gamma * (1 << num_bits))
     return ResolutionPlan(num_bits, delta, omega_max, gamma)

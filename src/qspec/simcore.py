@@ -114,39 +114,6 @@ def overlap(a: StateVector, b: StateVector) -> complex:
 
 
 @dataclass(frozen=True)
-class RegisterLayout:
-    """Qubit positions of the two system copies, the phase register and an optional ancilla."""
-
-    copy_a: tuple[int, ...]
-    copy_b: tuple[int, ...]
-    phase: tuple[int, ...]
-    prep_ancilla: int | None = None
-
-    @classmethod
-    def standard(cls, num_sites: int, num_bits: int, with_ancilla: bool = False) -> "RegisterLayout":
-        """Copy a first, copy b second, phase register third, ancilla last (least significant)."""
-        a = tuple(range(num_sites))
-        b = tuple(range(num_sites, 2 * num_sites))
-        ph = tuple(range(2 * num_sites, 2 * num_sites + num_bits))
-        anc = 2 * num_sites + num_bits if with_ancilla else None
-        return cls(a, b, ph, anc)
-
-    def all_qubits(self) -> tuple[int, ...]:
-        anc = () if self.prep_ancilla is None else (self.prep_ancilla,)
-        return self.copy_a + self.copy_b + self.phase + anc
-
-    def validate(self, num_qubits: int) -> None:
-        """Registers must be pairwise disjoint and cover the state exactly."""
-        qs = self.all_qubits()
-        if len(set(qs)) != len(qs):
-            raise RegisterError("register layout has overlapping qubits")
-        if set(qs) != set(range(num_qubits)):
-            raise RegisterError(
-                f"layout covers {sorted(set(qs))}, state has qubits 0..{num_qubits - 1}"
-            )
-
-
-@dataclass(frozen=True)
 class HermitianOperator:
     """Dense Hermitian matrix on a power-of-two dimension; float64 when its entries are real."""
 

@@ -72,6 +72,8 @@ class MomentSet:
     def __post_init__(self) -> None:
         if not self.m2 > 0:
             raise ZeroOperatorError("second moment must be positive")
+        if not self.m4 > 0:
+            raise ZeroOperatorError("fourth moment underflows to zero")
         if self.m4 < self.m2**2 - 1e-12 * max(1.0, self.m2**2):
             raise ValueError("moments violate m4 >= m2^2")
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from helpers import preset_observable, random_real_symmetric
 from qspec import (
+    INFINITE_TEMPERATURE,
     EigenvalueDistribution,
     build_operator,
     choose_phi,
@@ -23,7 +24,6 @@ from qspec import (
     plan_resolution,
     preparation_fidelity,
     purify_gibbs,
-    purify_operator,
     qpe_kernel,
     run_prep_circuit,
     run_qpe,
@@ -91,7 +91,8 @@ def test_criterion_2_circuit_oracle_equivalence():
         ham = random_real_symmetric(num_sites, seed=5000 + instance)
         obs = presets[instance % 3](num_sites)
         delta = float(rng.uniform(0.05, 1.0))
-        circuit = run_qpe(purify_operator(obs), ham, num_bits, delta)
+        prepared = thermal_operator_state(obs, None, INFINITE_TEMPERATURE)
+        circuit = run_qpe(prepared, ham, num_bits, delta)
         reference = exact_outcome_distribution(ham, obs, num_bits, delta)
         worst = max(worst, distribution_distance(circuit, reference, "max_abs"))
     elapsed = time.perf_counter() - start
@@ -108,7 +109,7 @@ def test_criterion_3_golden_rule_identity():
         obs = random_real_symmetric(num_sites, seed=400 + seed)
         eig = eig_hermitian(ham)
         # Purification route, through the actual doubled-register state.
-        state = purify_operator(obs)
+        state = thermal_operator_state(obs, None, INFINITE_TEMPERATURE)
         matrix = state.amplitudes.reshape(obs.dim, obs.dim)
         from_state = np.abs(eig.eigenvectors.conj().T @ matrix @ eig.eigenvectors.conj()) ** 2
         # Direct matrix elements of the observable.
@@ -178,7 +179,8 @@ def test_criterion_6_resolution_planning():
 
 def test_criterion_7_sampling_fidelity():
     ham = build_operator(tilted_ising(2))
-    exact = run_qpe(purify_operator(preset_observable("total_sz", 2)), ham, 6, np.pi / 16)
+    prepared = thermal_operator_state(preset_observable("total_sz", 2), None, INFINITE_TEMPERATURE)
+    exact = run_qpe(prepared, ham, 6, np.pi / 16)
     worst = 0.0
     for seed in range(20):
         empirical = sample_outcomes(exact, shots=100_000, seed=seed)

@@ -1,6 +1,7 @@
 """Config validation, the experiment pipeline and the command-line surface."""
 
 import json
+import time
 import warnings
 
 import numpy as np
@@ -416,7 +417,7 @@ def test_cli_package_error_exit_code(tmp_path, capsys, mode):
         ({"qpe": {"l": 3, "delta": 1e-300}}, "config error: qpe.delta: "),
         # ... or underflows to zero when it is tiny.
         ({"qpe": {"l": 3, "delta": 1e300}}, "config error: qpe.delta: "),
-        # Phases past 2**52 turns leave the outcome offsets no fractional part.
+        # Phases past 2**18 turns round circuit and oracle apart by over 1e-10.
         ({"qpe": {"l": 3, "delta": 1e20}}, "config error: qpe.delta: "),
     ],
     ids=["model_overflow", "observable_overflow", "linewidth_overflow", "linewidth_underflow", "phase_winding"],
@@ -431,9 +432,12 @@ def test_cli_out_of_range_configs_exit_with_one_line(tmp_path, capsys, command, 
 
 
 def test_phase_winding_bound_admits_the_last_resolvable_delta(tmp_path):
-    # Gaps of the two-level model reach 2 * |c| = 2: delta * 2**l * 2 / 2 pi = 2**52 is accepted.
-    delta = 2.0**52 * np.pi / (1 << 3)
-    assert make_config(tmp_path, qpe={"l": 3, "delta": delta}).qpe.delta == delta
+    # Gaps of the two-level model reach 2 * |c| = 2: delta * 2**l * 2 / 2 pi = 2**18 is accepted,
+    # and circuit and oracle still agree there within the 1e-10 acceptance tolerance.
+    delta = 2.0**18 * np.pi / (1 << 3)
+    config = make_config(tmp_path, qpe={"l": 3, "delta": delta})
+    assert config.qpe.delta == delta
+    assert run_experiment(config).distances["exact_vs_oracle"]["total_variation"] <= 1e-10
     with pytest.raises(ConfigError, match="qpe.delta"):
         make_config(tmp_path, qpe={"l": 3, "delta": 4 * delta})
 
@@ -449,6 +453,33 @@ def test_cli_plan_rejects_bad_input(capsys):
     assert main(["plan", "--omega-max", "1", "--gamma", "2"]) == 1
 
 
+@pytest.mark.parametrize("omega_max, gamma", [("inf", "1"), ("nan", "1"), ("10", "nan"), ("inf", "inf")])
+def test_cli_plan_rejects_non_finite_input(capsys, omega_max, gamma):
+    # inf used to spin the doubling loop forever, and nan printed a NaN plan.
+    assert main(["plan", "--omega-max", omega_max, "--gamma", gamma]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_run_with_an_overflowing_plan_ratio_exits_two(tmp_path, capsys):
+    # omega_max / gamma = 4e300 / 1e-150 overflows; planning used to hang here.
+    document = {
+        "model": {"N": 2, "terms": [{"coefficient": 1e300, "factors": "ZZ"},
+                                    {"coefficient": 1.0, "factors": "XI"}]},
+        "observable": "total_sz",
+        "qpe": {"gamma": 1e-150, "auto_plan": True},
+        "output_dir": str(tmp_path / "never"),
+    }
+    path = write_config(tmp_path, document)
+    start = time.perf_counter()
+    assert main(["run", "--config", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: ") and err.count("\n") == 1
+    assert not (tmp_path / "never").exists()
+
+
 def test_cli_prepstudy_writes_expected_columns(tmp_path):
     out = tmp_path / "study"
     assert main([
@@ -461,6 +492,20 @@ def test_cli_prepstudy_writes_expected_columns(tmp_path):
     fields = rows[1].split(",")
     assert fields[3] == "semicircle"
     assert fields[4] == "6"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--num-sites", "-1"), ("--num-sites", "0"), ("--phi-max", "nan"), ("--phi-max", "inf")],
+)
+def test_cli_prepstudy_rejects_bad_input(tmp_path, capsys, flag, value):
+    # -1 sites used to end in a traceback, 0 sites in exit 4, and a nan angle
+    # wrote NaN rows with exit 0.
+    out = tmp_path / "study"
+    assert main(["prepstudy", "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: prepstudy") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_oracle_writes_spectrum(tmp_path):

@@ -23,10 +23,8 @@ from qspec import (
     eig_hermitian,
     exact_outcome_distribution,
     gibbs,
-    golden_rule_weights,
     ground_state_degeneracy,
     heisenberg,
-    purify_operator,
     qpe_kernel,
     run_qpe,
     spectral_function,
@@ -35,6 +33,7 @@ from qspec import (
     transition_weights,
 )
 from qspec.errors import DimensionMismatchError, ZeroNormError, ZeroOperatorError
+from qspec.experiment import write_csv, write_json
 from qspec.oracle import _kernel
 
 PAULI_X = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -142,15 +141,16 @@ def test_spectral_function_rejects_nonpositive_gamma():
 def test_spectrum_table_exports_round_trip(tmp_path):
     import json
 
+    # A spectrum goes to disk through the package's one CSV and one JSON writer.
     table = spectral_function(PAULI_Z, PAULI_X, np.linspace(-3, 3, 11), 0.4)
-    table.to_csv(tmp_path / "spectrum.csv")
+    write_csv(tmp_path / "spectrum.csv", ("omega", "sigma"), zip(table.frequencies, table.values))
     rows = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
     assert rows[0] == "omega,sigma"
     parsed = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     np.testing.assert_array_equal(parsed[:, 0], table.frequencies)
     np.testing.assert_array_equal(parsed[:, 1], table.values)
 
-    table.to_json(tmp_path / "spectrum.json")
+    write_json(tmp_path / "spectrum.json", {"gamma": table.gamma, "sigma": table.values.tolist()})
     payload = json.loads((tmp_path / "spectrum.json").read_text())
     np.testing.assert_array_equal(np.array(payload["sigma"]), table.values)
     assert payload["gamma"] == 0.4
@@ -159,16 +159,23 @@ def test_spectrum_table_exports_round_trip(tmp_path):
 # --- transition weights ----------------------------------------------------------------
 
 
+def matrix_element_weights(hamiltonian, operator):
+    # The golden-rule reference: |<E_n|O|E_m>|^2 / tr O^2, from matrix elements alone.
+    vecs = eig_hermitian(hamiltonian).eigenvectors
+    elements = vecs.conj().T @ operator.matrix @ vecs
+    return np.abs(elements) ** 2 / np.sum(np.abs(operator.matrix) ** 2)
+
+
 def test_two_level_golden_rule_weights():
-    weights = golden_rule_weights(PAULI_Z, PAULI_X)
+    weights = transition_weights(PAULI_Z, PAULI_X)
     np.testing.assert_allclose(weights.weights, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
-    assert weights.matrix_element_weights is None
+    np.testing.assert_allclose(weights.weights, matrix_element_weights(PAULI_Z, PAULI_X), atol=1e-12)
 
 
 def test_commuting_observable_weights_are_diagonal():
     ham = HermitianOperator(np.diag([0.1, 0.9, 1.7, 3.0]))
     op = HermitianOperator(np.diag([1.0, 2.0, -1.0, 0.5]))
-    weights = golden_rule_weights(ham, op)
+    weights = transition_weights(ham, op)
     diag = np.array([1.0, 4.0, 1.0, 0.25])
     np.testing.assert_allclose(weights.weights, np.diag(diag / diag.sum()), atol=1e-12)
 
@@ -176,7 +183,7 @@ def test_commuting_observable_weights_are_diagonal():
 def test_weights_symmetric_for_real_symmetric_inputs():
     ham = random_real_symmetric(3, seed=14)
     op = random_real_symmetric(3, seed=15)
-    weights = golden_rule_weights(ham, op).weights
+    weights = transition_weights(ham, op).weights
     assert np.max(np.abs(weights - weights.T)) <= 1e-12
     assert abs(weights.sum() - 1.0) <= 1e-10
 
@@ -187,14 +194,14 @@ def test_purification_route_equals_matrix_elements_route():
     ham = random_real_symmetric(3, seed=16)
     op = random_real_symmetric(3, seed=17)
     eig = eig_hermitian(ham)
-    state = purify_operator(op)
+    state = thermal_operator_state(op, None, INFINITE_TEMPERATURE)
     matrix = state.amplitudes.reshape(8, 8)
     coeffs = eig.eigenvectors.conj().T @ matrix @ eig.eigenvectors.conj()
     from_state = np.abs(coeffs) ** 2
     elements = eig.eigenvectors.conj().T @ op.matrix @ eig.eigenvectors
     from_elements = np.abs(elements) ** 2 / np.trace(op.matrix @ op.matrix).real
     assert np.max(np.abs(from_state - from_elements)) <= 1e-10
-    np.testing.assert_allclose(golden_rule_weights(ham, op).weights, from_state, atol=1e-12)
+    np.testing.assert_allclose(transition_weights(ham, op).weights, from_state, atol=1e-12)
 
 
 def test_ground_state_weights_select_ground_column():
@@ -206,8 +213,8 @@ def test_ground_state_weights_select_ground_column():
 
 
 def test_weights_reject_zero_operator():
-    with pytest.raises(ZeroOperatorError):
-        golden_rule_weights(PAULI_Z, HermitianOperator(np.zeros((2, 2))))
+    with pytest.raises(ZeroNormError):
+        transition_weights(PAULI_Z, HermitianOperator(np.zeros((2, 2))))
 
 
 def test_complex_inputs_report_both_weight_routes():
@@ -215,10 +222,9 @@ def test_complex_inputs_report_both_weight_routes():
     # matrix elements genuinely differ; the circuit follows the former.
     ham = random_hermitian(2, seed=201)
     obs = random_hermitian(2, seed=202)
-    gw = golden_rule_weights(ham, obs)
-    assert gw.matrix_element_weights is not None
-    assert np.max(np.abs(gw.weights - gw.matrix_element_weights)) > 1e-3
-    circuit = run_qpe(purify_operator(obs), ham, 5, 0.4)
+    weights = transition_weights(ham, obs).weights
+    assert np.max(np.abs(weights - matrix_element_weights(ham, obs))) > 1e-3
+    circuit = run_qpe(thermal_operator_state(obs, None, INFINITE_TEMPERATURE), ham, 5, 0.4)
     reference = exact_outcome_distribution(ham, obs, 5, 0.4)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
@@ -289,7 +295,7 @@ def test_outcome_distribution_two_level_lines():
 def test_outcome_distribution_matches_circuit_on_random_instance():
     ham = random_real_symmetric(3, seed=20)
     obs = preset_observable("total_sz", 3)
-    circuit = run_qpe(purify_operator(obs), ham, 5, 0.23)
+    circuit = run_qpe(thermal_operator_state(obs, None, INFINITE_TEMPERATURE), ham, 5, 0.23)
     reference = exact_outcome_distribution(ham, obs, 5, 0.23)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 

@@ -16,11 +16,10 @@ from qspec import (
     gibbs,
     overlap,
     purify_gibbs,
-    purify_operator,
     register_distribution,
     thermal_operator_state,
 )
-from qspec.errors import ResourceCapError, ZeroNormError, ZeroOperatorError
+from qspec.errors import ResourceCapError, ZeroNormError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -51,7 +50,7 @@ def test_entangled_pair_respects_cap():
 
 
 def test_purify_pauli_z():
-    state = purify_operator(HermitianOperator(PAULI_Z))
+    state = thermal_operator_state(HermitianOperator(PAULI_Z), None, INFINITE_TEMPERATURE)
     np.testing.assert_allclose(state.amplitudes, np.array([1, 0, 0, -1]) / np.sqrt(2), atol=1e-15)
 
 
@@ -59,7 +58,7 @@ def test_purify_pauli_x_matches_direct_application():
     # Independent route: apply X to the first copy of the Bell pair by hand.
     bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
     direct = np.kron(PAULI_X, np.eye(2)) @ bell
-    state = purify_operator(HermitianOperator(PAULI_X))
+    state = thermal_operator_state(HermitianOperator(PAULI_X), None, INFINITE_TEMPERATURE)
     np.testing.assert_allclose(state.amplitudes, direct, atol=1e-15)
 
 
@@ -70,13 +69,13 @@ def test_purify_matches_eigenbasis_sum():
     for k in range(4):
         target += vals[k] * np.kron(vecs[:, k], vecs[:, k])
     target /= np.sqrt(np.sum(vals**2))
-    state = purify_operator(op)
+    state = thermal_operator_state(op, None, INFINITE_TEMPERATURE)
     assert abs(abs(np.vdot(target, state.amplitudes)) - 1.0) <= 1e-10
 
 
 def test_purify_rejects_zero_operator():
-    with pytest.raises(ZeroOperatorError):
-        purify_operator(HermitianOperator(np.zeros((2, 2))))
+    with pytest.raises(ZeroNormError):
+        thermal_operator_state(HermitianOperator(np.zeros((2, 2))), None, INFINITE_TEMPERATURE)
 
 
 @settings(max_examples=25, deadline=None)
@@ -85,8 +84,9 @@ def test_purify_is_scale_invariant(scale, seed):
     if abs(scale) < 1e-6:
         scale = 1.0
     op = random_real_symmetric(2, seed=seed)
-    base = purify_operator(op)
-    scaled = purify_operator(HermitianOperator(scale * op.matrix))
+    base = thermal_operator_state(op, None, INFINITE_TEMPERATURE)
+    scaled_op = HermitianOperator(scale * op.matrix)
+    scaled = thermal_operator_state(scaled_op, None, INFINITE_TEMPERATURE)
     sign = 1.0 if scale > 0 else -1.0
     assert np.max(np.abs(scaled.amplitudes - sign * base.amplitudes)) <= 1e-12
 
@@ -94,7 +94,7 @@ def test_purify_is_scale_invariant(scale, seed):
 def test_purify_schmidt_coefficients_are_normalized_eigenvalues():
     op = random_real_symmetric(2, seed=23)
     vals = np.linalg.eigvalsh(op.matrix)
-    state = purify_operator(op)
+    state = thermal_operator_state(op, None, INFINITE_TEMPERATURE)
     schmidt = np.linalg.svd(state.amplitudes.reshape(4, 4), compute_uv=False)
     expected = np.sort(np.abs(vals))[::-1] / np.sqrt(np.sum(vals**2))
     np.testing.assert_allclose(schmidt, expected, atol=1e-10)
@@ -146,16 +146,17 @@ def test_gibbs_rejects_bad_beta():
 def test_thermal_state_infinite_temperature_equals_operator_state():
     op = random_real_symmetric(2, seed=41)
     via_ensemble = thermal_operator_state(op, None, INFINITE_TEMPERATURE)
-    direct = purify_operator(op)
-    np.testing.assert_allclose(via_ensemble.amplitudes, direct.amplitudes, atol=1e-14)
+    # The operator state by definition: sum_ij O_ij |i>|j> / sqrt(tr O^2).
+    direct = op.matrix.reshape(-1) / np.sqrt(np.trace(op.matrix @ op.matrix))
+    np.testing.assert_allclose(via_ensemble.amplitudes, direct, atol=1e-14)
 
 
 def test_thermal_state_gibbs_beta_zero_equals_operator_state():
     op = random_real_symmetric(2, seed=42)
     ham = random_real_symmetric(2, seed=43)
     via_gibbs = thermal_operator_state(op, ham, gibbs(0.0))
-    direct = purify_operator(op)
-    assert np.max(np.abs(via_gibbs.amplitudes - direct.amplitudes)) <= 1e-12
+    direct = op.matrix.reshape(-1) / np.sqrt(np.trace(op.matrix @ op.matrix))
+    assert np.max(np.abs(via_gibbs.amplitudes - direct)) <= 1e-12
 
 
 def test_thermal_state_ground_two_level():
@@ -178,7 +179,7 @@ def test_all_purified_states_are_normalized():
     ham = random_real_symmetric(3, seed=45)
     for state in (
         entangled_pair_state(3),
-        purify_operator(op),
+        thermal_operator_state(op, None, INFINITE_TEMPERATURE),
         purify_gibbs(ham, 1.3),
         thermal_operator_state(op, ham, gibbs(0.8)),
         thermal_operator_state(op, ham, GROUND_STATE),
@@ -192,7 +193,8 @@ def test_real_operators_give_real_purified_states(ensemble):
     obs = random_real_symmetric(2, seed=32)
     real = thermal_operator_state(obs, ham, ensemble)
     assert real.amplitudes.dtype == np.float64
-    for state in (entangled_pair_state(2), purify_operator(obs), purify_gibbs(ham, 0.9)):
+    infinite = thermal_operator_state(obs, None, INFINITE_TEMPERATURE)
+    for state in (entangled_pair_state(2), infinite, purify_gibbs(ham, 0.9)):
         assert state.amplitudes.dtype == np.float64
     # The complex route reaches the same state up to a global phase (its ground vector's).
     twin = thermal_operator_state(complex_copy(obs), complex_copy(ham), ensemble)

@@ -1,5 +1,7 @@
 """Phase-register statistics of the counter-propagating circuit."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,6 @@ from qspec import (
     outcome_frequency,
     plan_resolution,
     plus_state,
-    purify_operator,
     register_distribution,
     run_qpe,
     sample_outcomes,
@@ -32,14 +33,14 @@ from qspec import (
     build_operator,
 )
 from qspec.errors import DimensionMismatchError, ResourceCapError
-from qspec.simcore import RegisterLayout
+from qspec.experiment import write_csv, write_json
 
 PAULI_X = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
 PAULI_Z = HermitianOperator(np.diag([1.0, -1.0]))
 
 
 def test_zero_hamiltonian_concentrates_at_zero():
-    prepared = purify_operator(PAULI_X)
+    prepared = thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE)
     dist = run_qpe(prepared, HermitianOperator(np.zeros((2, 2))), 4, 0.3)
     expected = np.zeros(16)
     expected[0] = 1.0
@@ -48,7 +49,7 @@ def test_zero_hamiltonian_concentrates_at_zero():
 
 def test_two_level_lines_land_on_exact_bins():
     # Gaps +-2 at delta = pi/4 and l = 3 give integer bin offsets +-2.
-    dist = run_qpe(purify_operator(PAULI_X), PAULI_Z, 3, np.pi / 4)
+    dist = run_qpe(thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
     expected = np.zeros(8)
     expected[2] = 0.5
     expected[6] = 0.5
@@ -63,7 +64,8 @@ def test_circuit_matches_oracle_on_random_instances(seed):
     ham = random_real_symmetric(num_sites, seed=100 + seed)
     obs = preset_observable("total_sz", num_sites)
     delta = float(rng.uniform(0.05, 1.2))
-    circuit = run_qpe(purify_operator(obs), ham, num_bits, delta)
+    prepared = thermal_operator_state(obs, None, INFINITE_TEMPERATURE)
+    circuit = run_qpe(prepared, ham, num_bits, delta)
     reference = exact_outcome_distribution(ham, obs, num_bits, delta)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
@@ -73,7 +75,7 @@ def test_circuit_matches_oracle_with_degenerate_spectrum():
     # must not depend on which orthonormal basis the solver picks.
     ham = build_operator(heisenberg(2))
     obs = preset_observable("staggered_sz", 2)
-    circuit = run_qpe(purify_operator(obs), ham, 4, 0.43)
+    circuit = run_qpe(thermal_operator_state(obs, None, INFINITE_TEMPERATURE), ham, 4, 0.43)
     reference = exact_outcome_distribution(ham, obs, 4, 0.43)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
@@ -91,11 +93,18 @@ def test_circuit_matches_oracle_for_thermal_ensembles(ensemble):
 def test_frequency_symmetry_at_infinite_temperature():
     ham = random_real_symmetric(2, seed=7)
     obs = preset_observable("site_sz", 2, 0)
-    dist = run_qpe(purify_operator(obs), ham, 5, 0.31)
+    dist = run_qpe(thermal_operator_state(obs, None, INFINITE_TEMPERATURE), ham, 5, 0.31)
     p = dist.probabilities
     for f in range(1, 32):
         assert abs(p[f] - p[32 - f]) <= 1e-10
     assert abs(p.sum() - 1.0) <= 1e-10
+
+
+def register_positions(num_sites, num_bits):
+    # Copy a on the highest qubits, then copy b, then the phase register.
+    copy_a = tuple(range(num_sites))
+    copy_b = tuple(range(num_sites, 2 * num_sites))
+    return copy_a, copy_b, tuple(range(2 * num_sites, 2 * num_sites + num_bits))
 
 
 def test_controlled_powers_match_repeated_base_steps():
@@ -103,19 +112,19 @@ def test_controlled_powers_match_repeated_base_steps():
     # exactly exponentiated power used by run_qpe.
     num_sites, num_bits, delta = 2, 3, 0.47
     ham = random_real_symmetric(num_sites, seed=11)
-    prepared = purify_operator(preset_observable("total_sz", num_sites))
-    layout = RegisterLayout.standard(num_sites, num_bits)
+    prepared = thermal_operator_state(preset_observable("total_sz", num_sites), None, INFINITE_TEMPERATURE)
+    copy_a, copy_b, phase = register_positions(num_sites, num_bits)
     state = tensor_product(prepared, plus_state(num_bits))
     eig = eig_hermitian(ham)
     forward = eig.propagator(delta, +1)
     backward = eig.propagator(delta, -1)
     for j in range(num_bits):
-        control = layout.phase[num_bits - 1 - j]
+        control = phase[num_bits - 1 - j]
         for _ in range(1 << j):
-            state = apply_controlled_unitary(state, control, forward, layout.copy_a, validate=False)
-            state = apply_controlled_unitary(state, control, backward, layout.copy_b, validate=False)
-    state = inverse_qft(state, layout.phase)
-    stepped = register_distribution(state, layout.phase)
+            state = apply_controlled_unitary(state, control, forward, copy_a, validate=False)
+            state = apply_controlled_unitary(state, control, backward, copy_b, validate=False)
+    state = inverse_qft(state, phase)
+    stepped = register_distribution(state, phase)
     powered = run_qpe(prepared, ham, num_bits, delta)
     assert np.max(np.abs(stepped - powered.probabilities)) <= 1e-10
 
@@ -123,20 +132,19 @@ def test_controlled_powers_match_repeated_base_steps():
 def gate_by_gate_qpe(prepared, hamiltonian, num_bits, delta):
     # The register-level circuit run_qpe replaced: one controlled gate per copy
     # and bit, then a dense inverse Fourier matrix and the register marginal.
-    num_sites = prepared.num_qubits // 2
-    layout = RegisterLayout.standard(num_sites, num_bits)
+    copy_a, copy_b, phase = register_positions(prepared.num_qubits // 2, num_bits)
     state = tensor_product(prepared, plus_state(num_bits))
     eig = eig_hermitian(hamiltonian)
     for j in range(num_bits):
-        control = layout.phase[num_bits - 1 - j]
+        control = phase[num_bits - 1 - j]
         forward = eig.propagator(delta * (1 << j), +1)
         backward = eig.propagator(delta * (1 << j), -1)
-        state = apply_controlled_unitary(state, control, forward, layout.copy_a, validate=False)
-        state = apply_controlled_unitary(state, control, backward, layout.copy_b, validate=False)
+        state = apply_controlled_unitary(state, control, forward, copy_a, validate=False)
+        state = apply_controlled_unitary(state, control, backward, copy_b, validate=False)
     dim = 1 << num_bits
     fourier = np.exp(-2j * np.pi * np.outer(np.arange(dim), np.arange(dim)) / dim) / np.sqrt(dim)
-    state = apply_unitary(state, fourier, layout.phase, validate=False)
-    return register_distribution(state, layout.phase)
+    state = apply_unitary(state, fourier, phase, validate=False)
+    return register_distribution(state, phase)
 
 
 @settings(max_examples=40, deadline=None)
@@ -158,7 +166,7 @@ def test_run_qpe_matches_gate_by_gate_circuit(num_sites, num_bits, seed, real, e
 
 
 def test_run_qpe_rejects_bad_inputs():
-    prepared = purify_operator(PAULI_X)
+    prepared = thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE)
     with pytest.raises(ValueError):
         run_qpe(prepared, PAULI_Z, 3, 0.0)
     with pytest.raises(DimensionMismatchError):
@@ -169,7 +177,7 @@ def test_run_qpe_rejects_bad_inputs():
 
 def test_run_qpe_is_deterministic():
     ham = random_real_symmetric(2, seed=13)
-    prepared = purify_operator(preset_observable("total_sz", 2))
+    prepared = thermal_operator_state(preset_observable("total_sz", 2), None, INFINITE_TEMPERATURE)
     first = run_qpe(prepared, ham, 4, 0.6)
     second = run_qpe(prepared, ham, 4, 0.6)
     np.testing.assert_array_equal(first.probabilities, second.probabilities)
@@ -179,7 +187,8 @@ def test_run_qpe_is_deterministic():
 
 
 def test_sampling_point_mass_puts_all_shots_there():
-    dist = run_qpe(purify_operator(PAULI_X), HermitianOperator(np.zeros((2, 2))), 3, 0.5)
+    prepared = thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE)
+    dist = run_qpe(prepared, HermitianOperator(np.zeros((2, 2))), 3, 0.5)
     empirical = sample_outcomes(dist, shots=1000, seed=4)
     assert empirical.probabilities[0] == 1.0
     assert empirical.kind == "empirical"
@@ -187,7 +196,8 @@ def test_sampling_point_mass_puts_all_shots_there():
 
 
 def test_sampling_is_seed_reproducible():
-    dist = run_qpe(purify_operator(preset_observable("total_sz", 2)), random_real_symmetric(2, seed=17), 5, 0.4)
+    prepared = thermal_operator_state(preset_observable("total_sz", 2), None, INFINITE_TEMPERATURE)
+    dist = run_qpe(prepared, random_real_symmetric(2, seed=17), 5, 0.4)
     first = sample_outcomes(dist, shots=5000, seed=99)
     second = sample_outcomes(dist, shots=5000, seed=99)
     np.testing.assert_array_equal(first.probabilities, second.probabilities)
@@ -197,14 +207,15 @@ def test_sampling_is_seed_reproducible():
 
 def test_sampling_concentrates_l6_preset():
     ham = build_operator(tilted_ising(2))
-    dist = run_qpe(purify_operator(preset_observable("total_sz", 2)), ham, 6, np.pi / 16)
+    prepared = thermal_operator_state(preset_observable("total_sz", 2), None, INFINITE_TEMPERATURE)
+    dist = run_qpe(prepared, ham, 6, np.pi / 16)
     for seed in range(20):
         empirical = sample_outcomes(dist, shots=100_000, seed=seed)
         assert distribution_distance(empirical, dist) <= 0.02
 
 
 def test_sampling_requires_exact_distribution():
-    dist = run_qpe(purify_operator(PAULI_X), PAULI_Z, 3, np.pi / 4)
+    dist = run_qpe(thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
     empirical = sample_outcomes(dist, shots=10, seed=0)
     with pytest.raises(ValueError):
         sample_outcomes(empirical, shots=10, seed=0)
@@ -272,6 +283,33 @@ def test_plan_rejects_unresolvable_input():
         plan_resolution(0.0, 0.1)
 
 
+@pytest.mark.parametrize("omega_max, gamma", [
+    (float("inf"), 1.0), (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), float("inf")),
+])
+def test_plan_rejects_non_finite_input(omega_max, gamma):
+    with pytest.raises(ValueError):
+        plan_resolution(omega_max, gamma)
+
+
+@pytest.mark.parametrize("omega_max, gamma", [(1e300, 1e-150), (1.7e308, 0.5), (1.7e308, 1e100)])
+def test_plan_rejects_a_register_past_the_double_range(omega_max, gamma):
+    # omega_max/gamma, 2**l or gamma * 2**l overflows; the doubling loop never ended on the first.
+    with pytest.raises(ResourceCapError):
+        plan_resolution(omega_max, gamma)
+
+
+def test_plan_bits_match_the_doubling_search():
+    # The exponent read-off picks the same l as the doubling loop it replaced, on
+    # ratios that are exact powers of two, just above one, and in between.
+    for k in range(2, 1021):
+        for omega_max in (2.0**k - 1.0, np.nextafter(2.0**k - 1.0, np.inf), 0.75 * 2.0**k):
+            ratio = 1.0 + omega_max
+            expected = 1
+            while (1 << expected) < ratio:
+                expected += 1
+            assert plan_resolution(float(omega_max), 1.0).num_bits == expected
+
+
 # --- distribution container -----------------------------------------------------------
 
 
@@ -283,21 +321,20 @@ def test_phase_distribution_validation():
 
 
 def test_phase_distribution_csv_and_json_round_trip(tmp_path):
-    dist = run_qpe(purify_operator(PAULI_X), PAULI_Z, 3, np.pi / 4)
+    # A distribution goes to disk through the package's one CSV and one JSON writer.
+    dist = run_qpe(thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
     csv_path = tmp_path / "dist.csv"
-    dist.to_csv(csv_path)
+    write_csv(csv_path, ("f", "omega", "probability"), zip(range(8), dist.frequencies(), dist.probabilities))
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0] == "f,omega,probability"
     parsed = [row.split(",") for row in rows[1:]]
-    assert [int(row[0]) for row in parsed] == list(range(8))
-    np.testing.assert_array_equal(
-        np.array([float(row[2]) for row in parsed]), dist.probabilities
-    )
+    assert [row[0] for row in parsed] == [str(f) for f in range(8)]
+    np.testing.assert_array_equal(np.array([float(row[1]) for row in parsed]), dist.frequencies())
+    np.testing.assert_array_equal(np.array([float(row[2]) for row in parsed]), dist.probabilities)
 
     json_path = tmp_path / "dist.json"
-    dist.to_json(json_path)
-    import json
-
+    write_json(json_path, {"num_bits": dist.num_bits, "probabilities": dist.probabilities.tolist()})
     payload = json.loads(json_path.read_text())
+    assert json_path.read_text().endswith("}\n")
     np.testing.assert_array_equal(np.array(payload["probabilities"]), dist.probabilities)
     assert payload["num_bits"] == 3

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from helpers import random_hermitian, random_real_symmetric, random_state
 from qspec import (
     HermitianOperator,
-    RegisterLayout,
     StateVector,
     apply_controlled_unitary,
     apply_unitary,
@@ -308,22 +307,6 @@ def test_register_distribution_rejects_unnormalized():
     state = StateVector(1, np.array([1.0, 1.0]), normalized=False)
     with pytest.raises(NormalizationError):
         register_distribution(state, (0,))
-
-
-# --- layout ---------------------------------------------------------------------
-
-
-def test_register_layout_standard_covers_and_validates():
-    layout = RegisterLayout.standard(2, 3, with_ancilla=True)
-    assert layout.copy_a == (0, 1)
-    assert layout.copy_b == (2, 3)
-    assert layout.phase == (4, 5, 6)
-    assert layout.prep_ancilla == 7
-    layout.validate(8)
-    with pytest.raises(RegisterError):
-        layout.validate(9)
-    with pytest.raises(RegisterError):
-        RegisterLayout((0, 1), (1, 2), (3,)).validate(4)
 
 
 # --- norm preservation and determinism --------------------------------------------
