@@ -42,8 +42,8 @@ from .models import (
     tilted_ising,
 )
 from .oracle import (
-    GoldenRuleWeights,
     SpectrumTable,
+    TransitionTable,
     correlation_function,
     correlation_series,
     distribution_distance,

@@ -33,7 +33,7 @@ from .models import (
     build_operator,
     synthetic_diagonal_observable,
 )
-from .oracle import spectral_function
+from .oracle import spectral_function, transition_weights
 from .qpe import plan_resolution
 from .stateprep import acceptance_probability, preparation_fidelity
 
@@ -74,8 +74,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     vals = hamiltonian.eig.eigenvalues
     span = float(vals[-1] - vals[0])
     reach = 1.2 * span if span > 0 else 1.0
+    gamma, step = config.qpe.linewidth, 2.4 * span / 2000
+    if step > gamma:
+        path = "qpe.gamma" if config.qpe.auto_plan else "qpe.delta"
+        raise ConfigError(f"{path}: linewidth {gamma:.6g} is below the oracle grid step {step:.6g}")
     grid = np.linspace(-reach, reach, 2001)
-    table = spectral_function(hamiltonian, observable, grid, config.qpe.linewidth, config.ensemble)
+    table = spectral_function(transition_weights(hamiltonian, observable, config.ensemble), grid, gamma)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "spectrum.csv", ("omega", "sigma"), zip(table.frequencies, table.values))

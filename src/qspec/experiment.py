@@ -49,6 +49,7 @@ from .oracle import (
     distribution_distance,
     exact_outcome_distribution,
     spectral_function,
+    transition_weights,
 )
 from .purify import EnsembleSpec, ground_state_degeneracy, thermal_operator_state
 from .qpe import (
@@ -59,7 +60,7 @@ from .qpe import (
     sample_outcomes,
 )
 from .simcore import QUBIT_CAP
-from .stateprep import choose_phi, simulate_prep_circuit, success_probability_bound
+from .stateprep import choose_phi, is_traceless, simulate_prep_circuit, success_probability_bound
 
 SCHEMA_VERSION = 1
 
@@ -498,6 +499,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             o_max=bound.o_max,
             o_min=bound.o_min,
             rank=bound.rank,
+            traceless=is_traceless(observable),
         )
     timings["prep_s"] = time.perf_counter() - t0
 
@@ -506,9 +508,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     timings["qpe_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    reference = exact_outcome_distribution(hamiltonian, observable, num_bits, delta, config.ensemble)
-    grid = np.sort(exact.frequencies())
-    spectrum = spectral_function(hamiltonian, observable, grid, config.qpe.linewidth, config.ensemble)
+    # Built only after run_qpe returns: the QPE working array sets the memory peak at large N.
+    table = transition_weights(hamiltonian, observable, config.ensemble)
+    reference = exact_outcome_distribution(table, num_bits, delta)
+    spectrum = spectral_function(table, np.sort(exact.frequencies()), config.qpe.linewidth)
     timings["oracle_s"] = time.perf_counter() - t0
 
     empirical = None
@@ -527,6 +530,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "python_version": platform.python_version(),
         "seed": config.seed,
         "qpe": {"l": num_bits, "delta": delta},
+        "oracle": {"transitions": table.total, "kept": table.kept},
         "timings": timings,
     }
     if config.ensemble.kind == "ground_state":

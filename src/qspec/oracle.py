@@ -7,6 +7,21 @@ frequency convention puts the absorption peak of a transition n -> m at
 phase-register leakage kernel and the closed-form outcome distribution give
 an independent route to the same statistics the circuit produces, which the
 test-suite compares bin by bin.
+
+Every consumer reads one ``TransitionTable`` per run, built by
+``transition_weights``: the observable in H's eigenbasis ``O_e = V^dagger O V``
+and the ensemble populations p, computed once, list each transition n -> m
+with its energy difference ``e_m - e_n`` and weight ``p_n |O_e,nm|^2``.  The
+oracle shares no purification code with the circuit; it uses only
+``purify.ensemble_populations``.
+
+The table is pruned: of its T = 4**N transitions it drops every one whose
+weight is at most ``2**-60 * sum(w) / T``.  The dropped mass is then at most
+``2**-60`` of the total, so each oracle probability moves by at most
+``2**-60`` and each spectrum value by at most ``2**-60 * sum(w) / gamma``.
+In a reflection-symmetric model about half of the transitions carry weight
+that symmetry makes exactly zero, and rounding leaves them far below that
+threshold.
 """
 
 from __future__ import annotations
@@ -17,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .purify import INFINITE_TEMPERATURE, EnsembleSpec, ensemble_populations, thermal_operator_state
+from .errors import DimensionMismatchError, ZeroNormError
+from .purify import INFINITE_TEMPERATURE, EnsembleSpec, ensemble_populations
 from .qpe import PhaseDistribution
 from .simcore import HermitianOperator
 
@@ -43,127 +58,165 @@ class SpectrumTable:
             raise ValueError("spectrum contains non-finite values")
 
 
+#: The pruning share of the module docstring: the bound on the dropped mass.
+PRUNE_SHARE = 2.0**-60
+
+#: Shape (points, transitions) of one tile of ``_transition_sum``: 2**16
+#: doubles (512 KiB) stay in a core's L2 cache through the kernel's passes,
+#: and several points per tile make its product a matrix-vector one.  Fewer
+#: transitions than a tile row leave room for more points.
+TILE = (8, 1 << 13)
+
+
 @dataclass(frozen=True)
-class GoldenRuleWeights:
-    """Normalized transition weights |c_nm|^2 between energy eigenstates.
+class TransitionTable:
+    """The transitions n -> m of one run that carry weight, in closed form.
 
-    ``weights`` comes from the purified operator state and is what the
-    phase-estimation outcome distribution uses.  At infinite temperature and
-    for a real eigenbasis it equals the squared matrix elements
-    ``|<E_n|O|E_m>|^2 / tr O^2``; without time-reversal symmetry (complex
-    eigenvectors) the two differ, and the circuit follows the state.
+    ``energies`` holds ``e_m - e_n`` and ``weights`` holds ``p_n |O_nm|^2``
+    (O in H's eigenbasis, p the ensemble populations) for each kept
+    transition; ``index`` is its flat position ``n * dim + m``.  The spectrum
+    and the correlation series sum ``weights``.  ``phase_weights`` is what
+    the phase register sees of the same transition, unnormalized, with
+    ``mass`` its sum over all ``total`` transitions before pruning: for a
+    real eigenbasis (or the ground state) it is ``weights`` itself, and for
+    a complex one it carries the factor ``(V^T V)^*`` of ``transition_weights``.
     """
 
-    weights: np.ndarray
     energies: np.ndarray
+    weights: np.ndarray
+    phase_weights: np.ndarray
+    mass: float
+    index: np.ndarray
+    total: int
+    ensemble: EnsembleSpec
 
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.min() < -1e-12:
-            raise ValueError("negative transition weight")
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise ValueError(f"weights sum to {w.sum():.12f}")
-
-
-def _transition_sum(
-    hamiltonian: HermitianOperator, operator: HermitianOperator, ensemble: EnsembleSpec,
-    points: np.ndarray, dtype: type, kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
-) -> np.ndarray:
-    """Sum over transitions n -> m of ``pops_n |O_nm|^2 * kernel(point, e_n - e_m)``.
-
-    ``kernel(block, gaps, out)`` fills the (points, transitions) matrix
-    ``out`` in place; the points go through it in blocks of about 2**22
-    matrix entries, all evaluated into one reused buffer.
-    """
-    if hamiltonian.dim != operator.dim:
-        raise DimensionMismatchError(
-            f"Hamiltonian dim {hamiltonian.dim} vs operator dim {operator.dim}"
-        )
-    eig = hamiltonian.eig
-    pops = ensemble_populations(eig, ensemble)
-    w = np.abs(eig.eigenvectors.conj().T @ operator.matrix @ eig.eigenvectors) ** 2
-    w = (pops[:, None] * w).reshape(-1)
-    gaps = (eig.eigenvalues[:, None] - eig.eigenvalues[None, :]).reshape(-1)
-    out = np.empty(points.shape, dtype=dtype)
-    chunk = max(1, (1 << 22) // max(gaps.size, 1))
-    buffer = np.empty((min(chunk, points.size), gaps.size), dtype=dtype)
-    for start in range(0, points.size, chunk):
-        block = points[start : start + chunk]
-        tile = buffer[: block.size]
-        kernel(block, gaps, tile)
-        out[start : start + chunk] = tile @ w
-    return out
+    @property
+    def kept(self) -> int:
+        return int(self.index.size)
 
 
-def correlation_series(
-    hamiltonian: HermitianOperator,
-    operator: HermitianOperator,
-    times: np.ndarray,
-    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-) -> np.ndarray:
-    """<O(t) O(0)> on an array of times, evaluated in the energy eigenbasis."""
-    times = np.asarray(times, dtype=float)
-
-    def kernel(block, gaps, out):
-        np.multiply.outer(block, gaps, out=out)
-        np.multiply(1j, out, out=out)
-        np.exp(out, out=out)
-
-    return _transition_sum(hamiltonian, operator, ensemble, times, complex, kernel)
-
-
-def correlation_function(
-    hamiltonian: HermitianOperator,
-    operator: HermitianOperator,
-    t: float,
-    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-) -> complex:
-    """Two-time correlation of the observable at time t in the given ensemble."""
-    return complex(correlation_series(hamiltonian, operator, np.array([t]), ensemble)[0])
-
-
-def spectral_function(
-    hamiltonian: HermitianOperator,
-    operator: HermitianOperator,
-    omega_grid: np.ndarray,
-    gamma: float,
-    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-) -> SpectrumTable:
-    """Lorentzian-broadened spectrum, summed in closed form over transitions.
-
-    Each transition n -> m contributes weight ``pops_n |O_nm|^2`` under a
-    Lorentzian of half-width gamma centred at ``omega = e_m - e_n``; this is
-    the half-line Fourier-Laplace transform of the correlation series.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    omega = np.asarray(omega_grid, dtype=float)
-
-    def kernel(block, gaps, out):
-        np.add(block[:, None], gaps[None, :], out=out)
-        # A denominator past the double range (a detuning past sqrt(max double),
-        # or gamma**2 plus a large square) is inf, and gamma / inf gives 0.
-        with np.errstate(over="ignore"):
-            np.square(out, out=out)
-            np.add(gamma**2, out, out=out)
-        np.divide(gamma, out, out=out)
-
-    values = _transition_sum(hamiltonian, operator, ensemble, omega, float, kernel)
-    return SpectrumTable(omega, values, gamma, ensemble)
+def _keep(weights: np.ndarray) -> np.ndarray:
+    """Mask of the weights above ``PRUNE_SHARE`` of their mean; one pass, no sort."""
+    return weights > PRUNE_SHARE * weights.sum() / weights.size
 
 
 def transition_weights(
     hamiltonian: HermitianOperator,
     operator: HermitianOperator,
     ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-) -> GoldenRuleWeights:
-    """|c_nm|^2 of the prepared purified state, resolved in the energy eigenbasis."""
-    prepared = thermal_operator_state(operator, hamiltonian, ensemble)
+) -> TransitionTable:
+    """The run's one transition table: O in H's eigenbasis once, pruned by mass.
+
+    The circuit evolves the purified state's matrix ``M`` (see ``purify``)
+    written as ``V c V^T``, and its phase register sees ``|c_nm|^2`` at gap
+    ``e_n - e_m``.  At infinite temperature and Gibbs, ``M = O V diag(sqrt(p))
+    V^dagger`` gives ``c = O_e diag(sqrt(p)) (V^T V)^*``; for a real eigenbasis
+    the last factor is the identity and ``|c_mn|^2 = p_n |O_nm|^2``, the
+    spectral weight of n -> m.  The ground state's ``M = O psi_0 psi_0^T``
+    gives ``c = O_e diag(sqrt(p))`` for any eigenbasis.  Only a complex
+    eigenbasis away from the ground state pays the extra product.
+
+    A transition is dropped only when its weight is at most ``PRUNE_SHARE``
+    times the mean weight in each column (spectral and, if separate, phase),
+    so the pruned mass is at most ``PRUNE_SHARE`` of each column's total.
+    """
+    if hamiltonian.dim != operator.dim:
+        raise DimensionMismatchError(
+            f"Hamiltonian dim {hamiltonian.dim} vs operator dim {operator.dim}"
+        )
     eig = hamiltonian.eig
-    mat = prepared.amplitudes.reshape(hamiltonian.dim, hamiltonian.dim)
-    coeffs = eig.eigenvectors.conj().T @ mat @ eig.eigenvectors.conj()
-    return GoldenRuleWeights(np.abs(coeffs) ** 2, eig.eigenvalues)
+    vecs, levels = eig.eigenvectors, eig.eigenvalues
+    pops = ensemble_populations(eig, ensemble)
+    elements = vecs.conj().T @ operator.matrix @ vecs
+    weights = (np.abs(elements) ** 2 * pops[:, None]).reshape(-1)
+    keep = _keep(weights)
+    phase = weights
+    if np.iscomplexobj(vecs) and ensemble.kind != "ground_state":
+        coeffs = (elements * np.sqrt(pops)) @ (vecs.T @ vecs).conj()
+        phase = (np.abs(coeffs) ** 2).T.reshape(-1)
+        keep |= _keep(phase)
+    index = np.flatnonzero(keep)
+    initial, final = np.divmod(index, eig.dim)
+    kept = weights[index]
+    return TransitionTable(
+        energies=levels[final] - levels[initial],
+        weights=kept,
+        phase_weights=kept if phase is weights else phase[index],
+        mass=float(phase.sum()),
+        index=index,
+        total=weights.size,
+        ensemble=ensemble,
+    )
+
+
+def _transition_sum(
+    table: TransitionTable, points: np.ndarray, dtype: type,
+    kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
+) -> np.ndarray:
+    """Sum over kept transitions of ``weight * kernel(point, e_m - e_n)``.
+
+    ``kernel(block, energies, out)`` fills the (points, transitions) tile
+    ``out`` in place, one ``TILE`` at a time; each block of transitions
+    stays in cache while every block of points passes over it.
+    """
+    out = np.zeros(points.shape, dtype=dtype)
+    cols = min(max(table.kept, 1), TILE[1])
+    rows = TILE[0] * TILE[1] // cols
+    buffer = np.empty(rows * cols, dtype=dtype)
+    for start in range(0, table.kept, cols):
+        energies = table.energies[start : start + cols]
+        weights = table.weights[start : start + cols]
+        for row in range(0, points.size, rows):
+            block = points[row : row + rows]
+            tile = buffer[: block.size * energies.size].reshape(block.size, energies.size)
+            kernel(block, energies, tile)
+            out[row : row + rows] += tile @ weights
+    return out
+
+
+def correlation_series(table: TransitionTable, times: np.ndarray) -> np.ndarray:
+    """<O(t) O(0)> on an array of times, summed over the table's transitions."""
+    times = np.asarray(times, dtype=float)
+
+    def kernel(block, energies, out):
+        np.multiply.outer(block, energies, out=out)
+        np.multiply(-1j, out, out=out)
+        np.exp(out, out=out)
+
+    return _transition_sum(table, times, complex, kernel)
+
+
+def correlation_function(table: TransitionTable, t: float) -> complex:
+    """Two-time correlation of the observable at time t in the table's ensemble."""
+    return complex(correlation_series(table, np.array([t]))[0])
+
+
+def spectral_function(table: TransitionTable, omega_grid: np.ndarray, gamma: float) -> SpectrumTable:
+    """Lorentzian-broadened spectrum, summed in closed form over transitions.
+
+    Each transition n -> m contributes weight ``p_n |O_nm|^2`` under a
+    Lorentzian of half-width gamma centred at ``omega = e_m - e_n``; this is
+    the half-line Fourier-Laplace transform of the correlation series.  The
+    Lorentzian is evaluated as ``(1/gamma) / (1 + (x/gamma)**2)`` for every
+    gamma, with ``1/gamma`` computed once and ``x/gamma`` as a product with it:
+    a detuning ratio or square past the double range is inf, and the term
+    then takes its exact limit 0.
+    """
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    omega = np.asarray(omega_grid, dtype=float)
+    height = 1.0 / gamma
+
+    def kernel(block, energies, out):
+        np.subtract(block[:, None], energies[None, :], out=out)
+        np.multiply(out, height, out=out)
+        np.square(out, out=out)
+        np.add(1.0, out, out=out)
+        np.divide(height, out, out=out)
+
+    with np.errstate(over="ignore"):
+        values = _transition_sum(table, omega, float, kernel)
+    return SpectrumTable(omega, values, gamma, table.ensemble)
 
 
 def _kernel(offsets: np.ndarray, num_bits: int) -> np.ndarray:
@@ -189,14 +242,8 @@ def qpe_kernel(delta_energy: float, f: int, num_bits: int, delta: float) -> floa
     return float(_kernel(np.array([offset]), num_bits)[0])
 
 
-def exact_outcome_distribution(
-    hamiltonian: HermitianOperator,
-    operator: HermitianOperator,
-    num_bits: int,
-    delta: float,
-    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-) -> PhaseDistribution:
-    """Closed-form phase-register distribution: transition weights times kernel leakage.
+def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: float) -> PhaseDistribution:
+    """Closed-form phase-register distribution: the table's phase weights times kernel leakage.
 
     A transition at phase ``p = delta * 2**l * gap / 2pi`` leaks into bin f
     with ``sin^2(pi frac) / (2**l sin(pi r / 2**l))^2``, where
@@ -206,11 +253,10 @@ def exact_outcome_distribution(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    tw = transition_weights(hamiltonian, operator, ensemble)
+    if not table.mass > 0:
+        raise ZeroNormError("operator annihilates the base state")
     dim, half = 1 << num_bits, 1 << (num_bits - 1)
-    gaps = (tw.energies[:, None] - tw.energies[None, :]).reshape(-1)
-    phases = delta * dim * gaps / (2.0 * math.pi)
-    del gaps
+    phases = delta * dim * table.energies / (2.0 * math.pi)
     nearest = np.round(phases)
     frac = phases - nearest
     hit = (nearest - dim * np.floor(nearest / dim)).astype(np.intp)  # the bin with j = 0
@@ -232,7 +278,8 @@ def exact_outcome_distribution(
         np.divide(numerator[:, None], r, out=r)
     near = np.flatnonzero(np.abs(frac) < 2.0**-26)
     r[near, hit[near]] = _kernel(frac[near], num_bits)
-    probs = tw.weights.reshape(-1) @ r
+    probs = table.phase_weights @ r
+    probs /= table.mass
     return PhaseDistribution(num_bits, delta, probs, kind="exact")
 
 

@@ -58,7 +58,11 @@ M2_RTOL = 1e-24
 
 
 class NonTracelessWarning(UserWarning):
-    """The observable has a nonzero trace; the cubic moment handles the asymmetry."""
+    """The observable has a nonzero trace; the cubic moment handles the asymmetry.
+
+    The closed-form ``acceptance_probability`` and ``preparation_fidelity``
+    warn; a run records ``traceless`` in its prep statistics instead.
+    """
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,13 @@ class SuccessBound:
     rank: int
 
 
+def is_traceless(operator: HermitianOperator) -> bool:
+    """Whether tr(O)/dim is within ``TRACE_TOL`` of zero."""
+    return bool(abs(np.trace(operator.matrix).real) / operator.dim <= TRACE_TOL)
+
+
 def _warn_if_traced(operator: HermitianOperator) -> None:
-    if abs(np.trace(operator.matrix).real) / operator.dim > TRACE_TOL:
+    if not is_traceless(operator):
         warnings.warn(
             "observable is not traceless; odd moments enter the fidelity expansion",
             NonTracelessWarning,
@@ -194,7 +203,6 @@ def simulate_prep_circuit(
     unclipped acceptance probability P1, the normalized accepted branch and
     its fidelity with the target operator state.
     """
-    _warn_if_traced(operator)
     base = base_state(ensemble, hamiltonian=hamiltonian, num_sites=operator.num_qubits)
     n = base.num_qubits
     if n + 1 > QUBIT_CAP:
@@ -250,7 +258,6 @@ def choose_phi(
     """Angle sqrt(epsilon * m2 / m4), targeting infidelity of order epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    _warn_if_traced(operator)
     ms = moments(operator, ensemble, hamiltonian)
     return math.sqrt(epsilon * ms.m2 / ms.m4)
 

@@ -10,6 +10,7 @@ from qspec import (
     StateVector,
     build_operator,
     observable_spec,
+    thermal_operator_state,
 )
 
 
@@ -60,3 +61,27 @@ def real_pauli_sums(draw, num_sites: int) -> ModelSpec:
     coefficient = st.floats(-2.0, 2.0, allow_nan=False)
     terms = draw(st.lists(st.builds(PauliTerm, coefficient, factors), min_size=1, max_size=6))
     return ModelSpec(num_sites, tuple(terms))
+
+
+def purified_phase_weights(hamiltonian, operator, ensemble) -> np.ndarray:
+    """The oracle's reference route: |c_nm|^2 of the purified state, entry (n, m) at gap e_n - e_m.
+
+    ``c = V^dagger M V^*`` writes the doubled-register matrix M of the
+    prepared state as ``V c V^T``, the form in which the counter-propagating
+    circuit (U on copy a, U^dagger on copy b) multiplies each entry by a phase.
+    """
+    prepared = thermal_operator_state(operator, hamiltonian, ensemble)
+    vecs = hamiltonian.eig.eigenvectors
+    matrix = prepared.amplitudes.reshape(hamiltonian.dim, hamiltonian.dim)
+    return np.abs(vecs.conj().T @ matrix @ vecs.conj()) ** 2
+
+
+def dense_phase_weights(table, dim: int) -> np.ndarray:
+    """A transition table's normalized phase weights as a (dim, dim) matrix oriented as above.
+
+    Table entry n -> m sits at ``e_m - e_n``, so it lands at (m, n); pruned
+    entries read 0.
+    """
+    dense = np.zeros(dim * dim)
+    dense[table.index] = table.phase_weights / table.mass
+    return dense.reshape(dim, dim).T

@@ -8,8 +8,9 @@ import time
 
 import numpy as np
 
-from helpers import preset_observable, random_real_symmetric
+from helpers import preset_observable, random_hermitian, random_real_symmetric
 from qspec import (
+    GROUND_STATE,
     INFINITE_TEMPERATURE,
     EigenvalueDistribution,
     build_operator,
@@ -93,11 +94,29 @@ def test_criterion_2_circuit_oracle_equivalence():
         delta = float(rng.uniform(0.05, 1.0))
         prepared = thermal_operator_state(obs, None, INFINITE_TEMPERATURE)
         circuit = run_qpe(prepared, ham, num_bits, delta)
-        reference = exact_outcome_distribution(ham, obs, num_bits, delta)
+        reference = exact_outcome_distribution(transition_weights(ham, obs), num_bits, delta)
         worst = max(worst, distribution_distance(circuit, reference, "max_abs"))
+
+    # The oracle shares no purification code with the circuit, so the other
+    # ensembles are checked too: Gibbs at three temperatures and the ground
+    # state, each with a real and a complex (no time-reversal symmetry) H.
+    ensembles = (gibbs(0.3), gibbs(1.0), gibbs(3.0), GROUND_STATE)
+    worst_tv = 0.0
+    for instance in range(24):
+        num_sites = int(rng.integers(1, 4))
+        num_bits = int(rng.integers(3, 7))
+        make = random_hermitian if instance % 2 else random_real_symmetric
+        ham = make(num_sites, seed=6000 + instance)
+        obs = presets[instance % 3](num_sites) if instance % 4 < 2 else make(num_sites, seed=7000 + instance)
+        ensemble = ensembles[(instance // 2) % 4]
+        delta = float(rng.uniform(0.05, 1.0))
+        circuit = run_qpe(thermal_operator_state(obs, ham, ensemble), ham, num_bits, delta)
+        reference = exact_outcome_distribution(transition_weights(ham, obs, ensemble), num_bits, delta)
+        worst_tv = max(worst_tv, distribution_distance(circuit, reference))
     elapsed = time.perf_counter() - start
-    passed = worst <= 1e-10 and elapsed < 60.0
-    _report(2, passed, f"25 instances, max |P_circuit - P_oracle| = {worst:.2e} "
+    passed = worst <= 1e-10 and worst_tv <= 1e-10 and elapsed < 60.0
+    _report(2, passed, f"25 infinite-temperature instances, max |P_circuit - P_oracle| = {worst:.2e} "
+                       f"(tol 1e-10); 24 Gibbs/ground-state instances, max TV = {worst_tv:.2e} "
                        f"(tol 1e-10), {elapsed:.1f}s (limit 60s)")
 
 
@@ -201,16 +220,16 @@ def test_criterion_8_spectral_peak_agreement():
     span = float(np.ptp(eig_hermitian(ham).eigenvalues))
     delta = 2 * np.pi * (dim // 2 - 1) / (dim * span)  # two-sided band fits without aliasing
     gamma = 2 * np.pi / (delta * dim)
-    dist = exact_outcome_distribution(ham, obs, num_bits, delta)
+    table = transition_weights(ham, obs)
+    dist = exact_outcome_distribution(table, num_bits, delta)
 
     p = dist.probabilities
     local_max_bins = {
         f for f in range(dim) if p[f] >= p[(f - 1) % dim] and p[f] >= p[(f + 1) % dim]
     }
 
-    weights = transition_weights(ham, obs)
-    gaps = (weights.energies[:, None] - weights.energies[None, :]).reshape(-1)
-    flat = weights.weights.reshape(-1)
+    gaps = table.energies
+    flat = table.phase_weights / table.mass
     order = np.argsort(gaps)
     peaks: list[tuple[float, float]] = []
     for gap, weight in zip(gaps[order], flat[order]):
@@ -248,9 +267,9 @@ def test_criterion_9_ensemble_limits():
     prepared = thermal_operator_state(obs, ham, gibbs(beta))
     dist = run_qpe(prepared, ham, num_bits, delta)
 
-    weights = transition_weights(ham, obs, gibbs(beta))
-    gaps = (weights.energies[:, None] - weights.energies[None, :]).reshape(-1)
-    flat = weights.weights.reshape(-1)
+    table = transition_weights(ham, obs, gibbs(beta))
+    gaps = table.energies
+    flat = table.phase_weights / table.mass
     scale = delta * dim / (2 * np.pi)
     concentrated = True
     lines = 0

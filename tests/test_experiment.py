@@ -11,6 +11,8 @@ from qspec import (
     build_operator,
     choose_phi,
     experiment,
+    oracle,
+    purify,
     run_experiment,
     run_prep_circuit,
     stateprep,
@@ -116,6 +118,8 @@ def test_two_level_run_end_to_end(tmp_path):
     p = report.exact_distribution.probabilities
     assert abs(p[2] - 0.5) <= 1e-12 and abs(p[6] - 0.5) <= 1e-12
     assert report.distances["exact_vs_oracle"]["total_variation"] <= 1e-10
+    # Of the 4 transitions of H = Z, only the two that O = X connects carry weight.
+    assert report.metadata["oracle"] == {"transitions": 4, "kept": 2}
     out = tmp_path / "out"
     assert (out / "report.json").exists()
     assert (out / "distribution.csv").exists()
@@ -170,6 +174,7 @@ def test_circuit_prep_records_statistics(tmp_path):
     assert 0 < stats["acceptance_probability"] < 1
     assert stats["fidelity_with_target"] > 0.8
     assert stats["predicted_p1"] >= stats["spectral_bound"] >= stats["rank_bound"]
+    assert stats["traceless"] is True
     # The postselected state, not the exact target, went through phase estimation.
     assert report.distances["exact_vs_oracle"]["total_variation"] > 1e-10
 
@@ -268,6 +273,38 @@ def test_run_decomposes_each_operator_once(tmp_path, monkeypatch, ensemble, prep
     )
     run_experiment(config)
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
+    "ensemble, prep",
+    [(e, {"mode": "exact"}) for e in _ENSEMBLES]
+    + [({"kind": "gibbs", "beta": 1.0}, {"mode": "circuit", "epsilon": 0.5})],
+    ids=["exact-infinite_temperature", "exact-gibbs", "exact-ground_state", "circuit-gibbs"],
+)
+def test_run_builds_the_purified_state_once(tmp_path, monkeypatch, ensemble, prep):
+    # Prep builds it (circuit prep: for the fidelity); the oracle reads the
+    # closed-form table and never purifies.
+    calls = []
+    build = purify.thermal_operator_state
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (purify, experiment, stateprep, oracle):
+        if hasattr(module, "thermal_operator_state"):
+            monkeypatch.setattr(module, "thermal_operator_state", counted)
+    config = make_config(
+        tmp_path,
+        model={"preset": "tilted_ising", "N": 3},
+        observable="total_sz",
+        ensemble=ensemble,
+        prep=prep,
+        qpe={"gamma": 0.5, "auto_plan": True},
+        seed=1,
+    )
+    run_experiment(config)
+    assert len(calls) == 1
 
 
 def _per_attempt_reference(config):
@@ -376,6 +413,39 @@ def test_cli_prep_exhaustion_exit_code(tmp_path):
     document["prep"] = {"mode": "circuit", "epsilon": 1e-6, "max_attempts": 2}
     path = write_config(tmp_path, document)
     assert main(["run", "--config", str(path)]) == 3
+
+
+_TRACED_OBSERVABLE = {
+    "N": 2,
+    "terms": [{"coefficient": 1.0, "factors": "ZI"}, {"coefficient": 0.5, "factors": "II"}],
+}
+
+
+@pytest.mark.parametrize("max_attempts, code", [(1, 3), (1000, 0)])
+def test_circuit_prep_with_a_traced_observable_records_it_without_warning(
+    tmp_path, capsys, max_attempts, code
+):
+    # Seed 1 rejects its first attempt: the failed run prints its one error
+    # line and nothing else; the run that accepts records traceless: false.
+    document = {
+        "model": {"preset": "tilted_ising", "N": 2},
+        "observable": _TRACED_OBSERVABLE,
+        "prep": {"mode": "circuit", "max_attempts": max_attempts},
+        "qpe": {"l": 3, "delta": 0.3},
+        "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = write_config(tmp_path, document)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(path)]) == code
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("preparation exhausted: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["prep"]["traceless"] is False
 
 
 @pytest.mark.parametrize("mode", ["exact", "circuit"])
@@ -518,9 +588,9 @@ def test_cli_oracle_writes_spectrum(tmp_path):
     assert len(rows) > 100
 
 
-def test_cli_oracle_overflowing_detuning_is_silent(tmp_path, capsys):
-    # Detunings near 2e300 square past the double range; the Lorentzian's
-    # limit there is exactly 0, so the run must succeed without a warning.
+def test_cli_oracle_rejects_a_linewidth_below_its_grid_step(tmp_path, capsys):
+    # Detunings near 2e300 on a grid of step 2.4e297 cannot resolve gamma = 1e150:
+    # every sigma would read 0, so the command refuses the config instead.
     document = {
         "model": {"N": 2, "terms": [{"coefficient": 1e300, "factors": "ZZ"}]},
         "observable": "total_sz",
@@ -531,9 +601,8 @@ def test_cli_oracle_overflowing_detuning_is_silent(tmp_path, capsys):
     path = write_config(tmp_path, document)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["oracle", "--config", str(path)]) == 0
+        assert main(["oracle", "--config", str(path)]) == 1
     assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == ""
-    rows = (tmp_path / "oracle-out" / "spectrum.csv").read_text().strip().splitlines()[1:]
-    assert len(rows) == 2001
-    assert np.isfinite(np.array([[float(v) for v in row.split(",")] for row in rows])).all()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: qpe.gamma: ") and err.count("\n") == 1
+    assert not (tmp_path / "oracle-out").exists()

@@ -1,5 +1,7 @@
 """Exact-diagonalization references: correlations, spectra, weights, kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     complex_copy,
+    dense_phase_weights,
     preset_observable,
+    purified_phase_weights,
     random_hermitian,
     random_real_symmetric,
     real_pauli_sums,
@@ -25,6 +29,7 @@ from qspec import (
     gibbs,
     ground_state_degeneracy,
     heisenberg,
+    oracle,
     qpe_kernel,
     run_qpe,
     spectral_function,
@@ -34,7 +39,8 @@ from qspec import (
 )
 from qspec.errors import DimensionMismatchError, ZeroNormError, ZeroOperatorError
 from qspec.experiment import write_csv, write_json
-from qspec.oracle import _kernel
+from qspec.oracle import PRUNE_SHARE, _kernel
+from qspec.purify import ensemble_populations
 
 PAULI_X = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
 PAULI_Z = HermitianOperator(np.diag([1.0, -1.0]))
@@ -46,29 +52,31 @@ PAULI_Z = HermitianOperator(np.diag([1.0, -1.0]))
 def test_equal_time_correlation_is_second_moment():
     op = random_hermitian(2, seed=3)
     ham = random_hermitian(2, seed=4)
-    value = correlation_function(ham, op, 0.0)
+    value = correlation_function(transition_weights(ham, op), 0.0)
     m2 = np.trace(op.matrix @ op.matrix).real / 4
     assert abs(value - m2) <= 1e-12
 
 
 def test_two_level_correlation_is_cosine():
+    table = transition_weights(PAULI_Z, PAULI_X)
     for t in np.linspace(-4, 4, 17):
-        value = correlation_function(PAULI_Z, PAULI_X, float(t))
+        value = correlation_function(table, float(t))
         assert abs(value - np.cos(2 * t)) <= 1e-12
 
 
 def test_correlation_conjugate_symmetry():
     ham = random_real_symmetric(2, seed=5)
     op = random_real_symmetric(2, seed=6)
+    table = transition_weights(ham, op)
     for t in (0.3, 1.7):
-        forward = correlation_function(ham, op, t)
-        backward = correlation_function(ham, op, -t)
+        forward = correlation_function(table, t)
+        backward = correlation_function(table, -t)
         assert abs(forward - np.conj(backward)) <= 1e-12
 
 
 def test_correlation_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        correlation_function(PAULI_Z, HermitianOperator(np.eye(4)), 0.1)
+        transition_weights(PAULI_Z, HermitianOperator(np.eye(4)))
 
 
 def test_ground_state_correlation_matches_direct_expectation():
@@ -79,7 +87,7 @@ def test_ground_state_correlation_matches_direct_expectation():
     t = 0.9
     propagator = eig.propagator(t, +1)
     direct = psi0.conj() @ propagator @ op.matrix @ propagator.conj().T @ op.matrix @ psi0
-    assert abs(correlation_function(ham, op, t, GROUND_STATE) - direct) <= 1e-12
+    assert abs(correlation_function(transition_weights(ham, op, GROUND_STATE), t) - direct) <= 1e-12
 
 
 def test_gibbs_correlation_matches_density_matrix_trace():
@@ -95,7 +103,7 @@ def test_gibbs_correlation_matches_density_matrix_trace():
     propagator = eig.propagator(t, +1)
     heisenberg_op = propagator @ op.matrix @ propagator.conj().T
     direct = np.trace(rho @ heisenberg_op @ op.matrix)
-    assert abs(correlation_function(ham, op, t, gibbs(beta)) - direct) <= 1e-12
+    assert abs(correlation_function(transition_weights(ham, op, gibbs(beta)), t) - direct) <= 1e-12
 
 
 # --- spectral functions ------------------------------------------------------------
@@ -104,7 +112,7 @@ def test_gibbs_correlation_matches_density_matrix_trace():
 def test_two_level_spectrum_closed_form():
     gamma = 0.2
     omega = np.linspace(-4, 4, 201)
-    table = spectral_function(PAULI_Z, PAULI_X, omega, gamma)
+    table = spectral_function(transition_weights(PAULI_Z, PAULI_X), omega, gamma)
     expected = 0.5 * (gamma / (gamma**2 + (omega - 2) ** 2) + gamma / (gamma**2 + (omega + 2) ** 2))
     np.testing.assert_allclose(table.values, expected, atol=1e-12)
 
@@ -114,7 +122,7 @@ def test_commuting_observable_gives_single_lorentzian_at_zero():
     op = HermitianOperator(np.diag([1.0, -1.0, 2.0, -2.0]))
     gamma = 0.15
     omega = np.linspace(-3, 3, 101)
-    table = spectral_function(ham, op, omega, gamma)
+    table = spectral_function(transition_weights(ham, op), omega, gamma)
     m2 = np.trace(op.matrix @ op.matrix).real / 4
     np.testing.assert_allclose(table.values, m2 * gamma / (gamma**2 + omega**2), atol=1e-12)
 
@@ -125,24 +133,48 @@ def test_spectrum_matches_time_domain_quadrature():
     op = random_real_symmetric(2, seed=13)
     gamma = 1.0
     times = np.linspace(0.0, 40.0 / gamma, 200_001)
-    series = correlation_series(ham, op, times)
+    table = transition_weights(ham, op)
+    series = correlation_series(table, times)
     for omega in (-2.3, 0.0, 0.7, 3.1):
         integrand = np.exp((1j * omega - gamma) * times) * series
         direct = np.trapezoid(integrand, times).real
-        closed = spectral_function(ham, op, np.array([omega]), gamma).values[0]
+        closed = spectral_function(table, np.array([omega]), gamma).values[0]
         assert abs(closed - direct) <= 1e-6
+
+
+def test_two_level_spectrum_near_the_linewidth_cap():
+    # gamma**2 and the squared detunings are past the double range here; the
+    # Lorentzian written as (1/gamma) / (1 + (x/gamma)**2) is not.
+    scale, gamma = 1e154, 6.25e153
+    omega = np.linspace(-3e154, 3e154, 13)
+    table = spectral_function(transition_weights(HermitianOperator(np.array([[0.0, scale], [scale, 0.0]])),
+                                                 PAULI_Z), omega, gamma)
+    expected = 0.5 * sum((1 / gamma) / (1 + ((omega - line) / gamma) ** 2) for line in (2 * scale, -2 * scale))
+    np.testing.assert_allclose(table.values, expected, rtol=1e-14, atol=0)
+
+
+def test_overflowing_detunings_take_their_limit_silently():
+    # Lines at +-2e300 with gamma = 1e-150: every detuning over gamma, even the
+    # rounding of a line centre, passes the double range, and the true values
+    # (gamma / x**2 or less) underflow.  Each term takes its exact limit 0.
+    ham = HermitianOperator(np.diag([1e300, -1e300]))
+    table = transition_weights(ham, PAULI_X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = spectral_function(table, np.array([-2.4e300, -2e300, 0.0, 1e300, 2e300]), 1e-150).values
+    np.testing.assert_array_equal(values, 0.0)
 
 
 def test_spectral_function_rejects_nonpositive_gamma():
     with pytest.raises(ValueError):
-        spectral_function(PAULI_Z, PAULI_X, np.array([0.0]), 0.0)
+        spectral_function(transition_weights(PAULI_Z, PAULI_X), np.array([0.0]), 0.0)
 
 
 def test_spectrum_table_exports_round_trip(tmp_path):
     import json
 
     # A spectrum goes to disk through the package's one CSV and one JSON writer.
-    table = spectral_function(PAULI_Z, PAULI_X, np.linspace(-3, 3, 11), 0.4)
+    table = spectral_function(transition_weights(PAULI_Z, PAULI_X), np.linspace(-3, 3, 11), 0.4)
     write_csv(tmp_path / "spectrum.csv", ("omega", "sigma"), zip(table.frequencies, table.values))
     rows = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
     assert rows[0] == "omega,sigma"
@@ -167,23 +199,23 @@ def matrix_element_weights(hamiltonian, operator):
 
 
 def test_two_level_golden_rule_weights():
-    weights = transition_weights(PAULI_Z, PAULI_X)
-    np.testing.assert_allclose(weights.weights, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
-    np.testing.assert_allclose(weights.weights, matrix_element_weights(PAULI_Z, PAULI_X), atol=1e-12)
+    weights = dense_phase_weights(transition_weights(PAULI_Z, PAULI_X), 2)
+    np.testing.assert_allclose(weights, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
+    np.testing.assert_allclose(weights, matrix_element_weights(PAULI_Z, PAULI_X), atol=1e-12)
 
 
 def test_commuting_observable_weights_are_diagonal():
     ham = HermitianOperator(np.diag([0.1, 0.9, 1.7, 3.0]))
     op = HermitianOperator(np.diag([1.0, 2.0, -1.0, 0.5]))
-    weights = transition_weights(ham, op)
+    weights = dense_phase_weights(transition_weights(ham, op), 4)
     diag = np.array([1.0, 4.0, 1.0, 0.25])
-    np.testing.assert_allclose(weights.weights, np.diag(diag / diag.sum()), atol=1e-12)
+    np.testing.assert_allclose(weights, np.diag(diag / diag.sum()), atol=1e-12)
 
 
 def test_weights_symmetric_for_real_symmetric_inputs():
     ham = random_real_symmetric(3, seed=14)
     op = random_real_symmetric(3, seed=15)
-    weights = transition_weights(ham, op).weights
+    weights = dense_phase_weights(transition_weights(ham, op), 8)
     assert np.max(np.abs(weights - weights.T)) <= 1e-12
     assert abs(weights.sum() - 1.0) <= 1e-10
 
@@ -201,20 +233,24 @@ def test_purification_route_equals_matrix_elements_route():
     elements = eig.eigenvectors.conj().T @ op.matrix @ eig.eigenvectors
     from_elements = np.abs(elements) ** 2 / np.trace(op.matrix @ op.matrix).real
     assert np.max(np.abs(from_state - from_elements)) <= 1e-10
-    np.testing.assert_allclose(transition_weights(ham, op).weights, from_state, atol=1e-12)
+    np.testing.assert_allclose(dense_phase_weights(transition_weights(ham, op), 8), from_state, atol=1e-12)
 
 
 def test_ground_state_weights_select_ground_column():
     ham = random_real_symmetric(2, seed=18)
     op = random_real_symmetric(2, seed=19)
-    weights = transition_weights(ham, op, GROUND_STATE).weights
+    table = transition_weights(ham, op, GROUND_STATE)
+    weights = dense_phase_weights(table, 4)
     assert np.max(np.abs(weights[:, 1:])) <= 1e-12  # only transitions out of the ground state
     assert abs(weights.sum() - 1.0) <= 1e-10
+    assert table.kept <= 4  # every transition out of an empty level is pruned
 
 
 def test_weights_reject_zero_operator():
+    table = transition_weights(PAULI_Z, HermitianOperator(np.zeros((2, 2))))
+    assert table.kept == 0 and table.total == 4
     with pytest.raises(ZeroNormError):
-        transition_weights(PAULI_Z, HermitianOperator(np.zeros((2, 2))))
+        exact_outcome_distribution(table, 3, 0.4)
 
 
 def test_complex_inputs_report_both_weight_routes():
@@ -222,11 +258,75 @@ def test_complex_inputs_report_both_weight_routes():
     # matrix elements genuinely differ; the circuit follows the former.
     ham = random_hermitian(2, seed=201)
     obs = random_hermitian(2, seed=202)
-    weights = transition_weights(ham, obs).weights
+    table = transition_weights(ham, obs)
+    weights = dense_phase_weights(table, 4)
     assert np.max(np.abs(weights - matrix_element_weights(ham, obs))) > 1e-3
     circuit = run_qpe(thermal_operator_state(obs, None, INFINITE_TEMPERATURE), ham, 5, 0.4)
-    reference = exact_outcome_distribution(ham, obs, 5, 0.4)
+    reference = exact_outcome_distribution(table, 5, 0.4)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_sites=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    complex_h=st.booleans(),
+    ensemble=st.sampled_from([INFINITE_TEMPERATURE, gibbs(0.3), gibbs(1.0), gibbs(3.0), GROUND_STATE]),
+)
+def test_table_matches_purified_state_reference(num_sites, seed, complex_h, ensemble):
+    # The closed-form table against the purified-state route of the circuit,
+    # with a complex eigenbasis (copy b conjugated) as well as a real one.
+    make = random_hermitian if complex_h else random_real_symmetric
+    ham, obs = make(num_sites, seed), make(num_sites, seed + 1)
+    dim = ham.dim
+    table = transition_weights(ham, obs, ensemble)
+    reference = purified_phase_weights(ham, obs, ensemble)
+    assert np.max(np.abs(dense_phase_weights(table, dim) - reference)) <= 1e-12
+    levels = ham.eig.eigenvalues
+    initial, final = np.divmod(table.index, dim)
+    np.testing.assert_array_equal(table.energies, levels[final] - levels[initial])
+    pops = ensemble_populations(ham.eig, ensemble)
+    elements = ham.eig.eigenvectors.conj().T @ obs.matrix @ ham.eig.eigenvectors
+    spectral = (pops[:, None] * np.abs(elements) ** 2).reshape(-1)
+    assert np.max(np.abs(table.weights - spectral[table.index])) <= 1e-12 * spectral.sum()
+
+
+def _unpruned(monkeypatch, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "PRUNE_SHARE", 0.0)  # keeps every nonzero weight
+        return transition_weights(*args)
+
+
+@pytest.mark.parametrize(
+    "ensemble", [INFINITE_TEMPERATURE, gibbs(1.0), GROUND_STATE], ids=["infinite", "gibbs", "ground"]
+)
+@pytest.mark.parametrize("complex_h", [False, True], ids=["real", "complex"])
+def test_pruning_stays_within_its_mass_bound(monkeypatch, ensemble, complex_h):
+    # tilted Ising and total_sz are reflection-symmetric: about half of the
+    # transitions carry weight that is exactly zero up to rounding.
+    ham = build_operator(tilted_ising(4))
+    obs = preset_observable("total_sz", 4)
+    if complex_h:
+        ham, obs = complex_copy(ham), complex_copy(obs)
+    pruned = transition_weights(ham, obs, ensemble)
+    full = _unpruned(monkeypatch, ham, obs, ensemble)
+    assert PRUNE_SHARE == 2.0**-60  # the stated bound
+    assert pruned.total == full.total == 4**4
+    assert pruned.kept < full.kept
+    dropped = ~np.isin(full.index, pruned.index)
+    assert full.weights[dropped].sum() <= PRUNE_SHARE * full.weights.sum()
+    assert full.phase_weights[dropped].sum() <= PRUNE_SHARE * full.mass
+    assert pruned.mass == full.mass
+
+    gamma = 0.2
+    grid = np.linspace(-12.0, 12.0, 301)
+    sigma = spectral_function(pruned, grid, gamma).values
+    sigma_full = spectral_function(full, grid, gamma).values
+    bound = PRUNE_SHARE * full.weights.sum() / gamma
+    assert np.max(np.abs(sigma - sigma_full)) <= bound + 1e-14 * sigma_full.max()
+    p = exact_outcome_distribution(pruned, 6, 0.3).probabilities
+    p_full = exact_outcome_distribution(full, 6, 0.3).probabilities
+    assert np.max(np.abs(p - p_full)) <= PRUNE_SHARE + 1e-15
 
 
 # --- leakage kernel ---------------------------------------------------------------------
@@ -280,14 +380,14 @@ def test_kernel_range_check():
 
 
 def test_outcome_distribution_zero_hamiltonian():
-    dist = exact_outcome_distribution(HermitianOperator(np.zeros((2, 2))), PAULI_X, 3, 0.4)
+    dist = exact_outcome_distribution(transition_weights(HermitianOperator(np.zeros((2, 2))), PAULI_X), 3, 0.4)
     expected = np.zeros(8)
     expected[0] = 1.0
     np.testing.assert_allclose(dist.probabilities, expected, atol=1e-12)
 
 
 def test_outcome_distribution_two_level_lines():
-    dist = exact_outcome_distribution(PAULI_Z, PAULI_X, 3, np.pi / 4)
+    dist = exact_outcome_distribution(transition_weights(PAULI_Z, PAULI_X), 3, np.pi / 4)
     np.testing.assert_allclose(dist.probabilities[[2, 6]], [0.5, 0.5], atol=1e-12)
     assert abs(dist.probabilities.sum() - 1.0) <= 1e-10
 
@@ -296,7 +396,7 @@ def test_outcome_distribution_matches_circuit_on_random_instance():
     ham = random_real_symmetric(3, seed=20)
     obs = preset_observable("total_sz", 3)
     circuit = run_qpe(thermal_operator_state(obs, None, INFINITE_TEMPERATURE), ham, 5, 0.23)
-    reference = exact_outcome_distribution(ham, obs, 5, 0.23)
+    reference = exact_outcome_distribution(transition_weights(ham, obs), 5, 0.23)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
 
@@ -309,11 +409,10 @@ def test_consistency_triangle_concentration():
     eig = eig_hermitian(ham)
     span = float(eig.eigenvalues[-1] - eig.eigenvalues[0])
     delta = 2 * np.pi * (dim // 2 - 1) / (dim * span)
-    dist = exact_outcome_distribution(ham, obs, num_bits, delta)
-    weights = transition_weights(ham, obs)
-    gaps = weights.energies[:, None] - weights.energies[None, :]
-    flat_gaps = gaps.reshape(-1)
-    flat_weights = weights.weights.reshape(-1)
+    table = transition_weights(ham, obs)
+    dist = exact_outcome_distribution(table, num_bits, delta)
+    flat_gaps = table.energies
+    flat_weights = table.phase_weights / table.mass
     # Aggregate degenerate gaps before checking concentration.
     order = np.argsort(flat_gaps)
     grouped: list[tuple[float, float]] = []
@@ -341,9 +440,10 @@ def test_spectrum_and_outcome_peaks_coincide():
     span = float(eig.eigenvalues[-1] - eig.eigenvalues[0])
     delta = 2 * np.pi * (dim // 2 - 1) / (dim * span)
     gamma = 2 * np.pi / (delta * dim)
-    dist = exact_outcome_distribution(ham, obs, num_bits, delta)
+    transitions = transition_weights(ham, obs)
+    dist = exact_outcome_distribution(transitions, num_bits, delta)
     freqs = dist.frequencies()
-    table = spectral_function(ham, obs, np.sort(freqs), gamma)
+    table = spectral_function(transitions, np.sort(freqs), gamma)
     order = np.argsort(freqs)
 
     p = dist.probabilities
@@ -374,11 +474,10 @@ def test_outcome_distribution_matches_kernel_sum(num_sites, num_bits, delta, sca
         energies = np.round(energies) * 2 * np.pi / (delta * dim)
     ham = HermitianOperator(np.diag(energies))
     obs = random_real_symmetric(num_sites, seed)
-    dist = exact_outcome_distribution(ham, obs, num_bits, delta)
-    tw = transition_weights(ham, obs)
-    gaps = (tw.energies[:, None] - tw.energies[None, :]).reshape(-1)
-    offsets = (delta * dim * gaps / (2 * np.pi))[:, None] - np.arange(dim)
-    reference = tw.weights.reshape(-1) @ _kernel(offsets, num_bits)
+    table = transition_weights(ham, obs)
+    dist = exact_outcome_distribution(table, num_bits, delta)
+    offsets = (delta * dim * table.energies / (2 * np.pi))[:, None] - np.arange(dim)
+    reference = table.phase_weights / table.mass @ _kernel(offsets, num_bits)
     assert np.max(np.abs(dist.probabilities - reference)) <= 1e-13
     assert abs(dist.probabilities.sum() - 1.0) <= 1e-14
 
@@ -386,10 +485,10 @@ def test_outcome_distribution_matches_kernel_sum(num_sites, num_bits, delta, sca
 # --- real and complex storage of the same operator ------------------------------------------
 
 
-def _weight_moments(tw, order: int = 2) -> np.ndarray:
+def _weight_moments(table, levels: np.ndarray, order: int = 2) -> np.ndarray:
     """sum_nm w_nm e_n**p e_m**q for p, q <= order: invariant under a change of eigenbasis."""
-    powers = np.vander(tw.energies, order + 1, increasing=True)
-    return powers.T @ tw.weights @ powers
+    powers = np.vander(levels, order + 1, increasing=True)
+    return powers.T @ dense_phase_weights(table, levels.size) @ powers
 
 
 @settings(max_examples=40, deadline=None)
@@ -418,21 +517,23 @@ def test_real_storage_matches_complex_storage(data, num_sites, num_bits, delta, 
     circuit = run_qpe(prepared, ham, num_bits, delta).probabilities
     circuit_c = run_qpe(prepared_c, ham_c, num_bits, delta).probabilities
     assert np.max(np.abs(circuit - circuit_c)) <= 1e-12
-    exact = exact_outcome_distribution(ham, obs, num_bits, delta, ensemble).probabilities
-    exact_c = exact_outcome_distribution(ham_c, obs_c, num_bits, delta, ensemble).probabilities
+    tw, tw_c = transition_weights(ham, obs, ensemble), transition_weights(ham_c, obs_c, ensemble)
+    exact = exact_outcome_distribution(tw, num_bits, delta).probabilities
+    exact_c = exact_outcome_distribution(tw_c, num_bits, delta).probabilities
     assert np.max(np.abs(exact - exact_c)) <= 1e-12
     grid = np.linspace(-6.0, 6.0, 41)
-    sigma = spectral_function(ham, obs, grid, 0.3, ensemble).values
-    sigma_c = spectral_function(ham_c, obs_c, grid, 0.3, ensemble).values
+    sigma = spectral_function(tw, grid, 0.3).values
+    sigma_c = spectral_function(tw_c, grid, 0.3).values
     assert np.max(np.abs(sigma - sigma_c)) <= 1e-12
 
-    tw, tw_c = transition_weights(ham, obs, ensemble), transition_weights(ham_c, obs_c, ensemble)
-    assert np.max(np.abs(tw.energies - tw_c.energies)) <= 1e-12
-    reach = max(1.0, float(np.max(np.abs(tw.energies))))
+    levels, levels_c = ham.eig.eigenvalues, ham_c.eig.eigenvalues
+    assert np.max(np.abs(levels - levels_c)) <= 1e-12
+    reach = max(1.0, float(np.max(np.abs(levels))))
     tol = 1e-12 * reach ** np.add.outer(np.arange(3), np.arange(3))
-    assert np.all(np.abs(_weight_moments(tw) - _weight_moments(tw_c)) <= tol)
-    if np.min(np.diff(tw.energies), initial=1.0) > 1e-2:  # eigenbasis unique up to signs
-        assert np.max(np.abs(tw.weights - tw_c.weights)) <= 1e-12
+    assert np.all(np.abs(_weight_moments(tw, levels) - _weight_moments(tw_c, levels_c)) <= tol)
+    if np.min(np.diff(levels), initial=1.0) > 1e-2:  # eigenbasis unique up to signs
+        dim = levels.size
+        assert np.max(np.abs(dense_phase_weights(tw, dim) - dense_phase_weights(tw_c, dim))) <= 1e-12
 
 
 @pytest.mark.parametrize("ensemble", [INFINITE_TEMPERATURE, gibbs(0.7), GROUND_STATE])
@@ -445,9 +546,9 @@ def test_degenerate_heisenberg_keeps_circuit_oracle_agreement(ensemble):
     assert np.min(np.diff(ham.eig.eigenvalues)) <= 1e-12
     prepared = thermal_operator_state(obs, ham, ensemble)
     circuit = run_qpe(prepared, ham, 5, 0.37)
-    reference = exact_outcome_distribution(ham, obs, 5, 0.37, ensemble)
+    reference = exact_outcome_distribution(transition_weights(ham, obs, ensemble), 5, 0.37)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
-    twin = exact_outcome_distribution(complex_copy(ham), complex_copy(obs), 5, 0.37, ensemble)
+    twin = exact_outcome_distribution(transition_weights(complex_copy(ham), complex_copy(obs), ensemble), 5, 0.37)
     assert distribution_distance(reference, twin, "max_abs") <= 1e-12
 
 

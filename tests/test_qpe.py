@@ -30,6 +30,7 @@ from qspec import (
     tensor_product,
     thermal_operator_state,
     tilted_ising,
+    transition_weights,
     build_operator,
 )
 from qspec.errors import DimensionMismatchError, ResourceCapError
@@ -66,7 +67,7 @@ def test_circuit_matches_oracle_on_random_instances(seed):
     delta = float(rng.uniform(0.05, 1.2))
     prepared = thermal_operator_state(obs, None, INFINITE_TEMPERATURE)
     circuit = run_qpe(prepared, ham, num_bits, delta)
-    reference = exact_outcome_distribution(ham, obs, num_bits, delta)
+    reference = exact_outcome_distribution(transition_weights(ham, obs), num_bits, delta)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
 
@@ -76,7 +77,7 @@ def test_circuit_matches_oracle_with_degenerate_spectrum():
     ham = build_operator(heisenberg(2))
     obs = preset_observable("staggered_sz", 2)
     circuit = run_qpe(thermal_operator_state(obs, None, INFINITE_TEMPERATURE), ham, 4, 0.43)
-    reference = exact_outcome_distribution(ham, obs, 4, 0.43)
+    reference = exact_outcome_distribution(transition_weights(ham, obs), 4, 0.43)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
 
@@ -86,7 +87,7 @@ def test_circuit_matches_oracle_for_thermal_ensembles(ensemble):
     obs = preset_observable("total_sz", 2)
     prepared = thermal_operator_state(obs, ham, ensemble)
     circuit = run_qpe(prepared, ham, 5, 0.39)
-    reference = exact_outcome_distribution(ham, obs, 5, 0.39, ensemble)
+    reference = exact_outcome_distribution(transition_weights(ham, obs, ensemble), 5, 0.39)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
 
