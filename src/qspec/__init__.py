@@ -44,7 +44,6 @@ from .models import (
 from .oracle import (
     SpectrumTable,
     TransitionTable,
-    correlation_function,
     correlation_series,
     distribution_distance,
     exact_outcome_distribution,
@@ -80,11 +79,8 @@ from .simcore import (
     apply_unitary,
     basis_state,
     eig_hermitian,
-    evolve,
     inverse_qft,
     overlap,
-    plus_state,
-    qft,
     register_distribution,
     tensor_product,
 )

@@ -9,10 +9,10 @@ Subcommands:
 * ``oracle``    reference spectrum only, from the same config format.
 * ``plan``      register size and coupling time for a bandwidth/linewidth pair.
 
-Exit codes: 0 success, 1 configuration error, 2 resource cap exceeded,
-3 circuit preparation exhausted its attempt budget, 4 any other error the
-package detects while running (for example an observable that annihilates
-the ensemble's base state).  Every failure prints one line to stderr.
+Exit codes: 0 success, 1 configuration error (among them an observable that
+annihilates the ensemble's base state), 2 resource cap exceeded, 3 circuit
+preparation exhausted its attempt budget, 4 any other error the package
+detects while running.  Every failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PrepExhaustedError, QspecError, ResourceCapError
+from .errors import ConfigError, PrepExhaustedError, QspecError, ResourceCapError, ZeroNormError
 from .experiment import plan_payload, run_experiment, validate_config, with_overrides, write_csv, write_json
 from .models import (
     DISTRIBUTION_KINDS,
@@ -159,6 +159,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ZeroNormError as exc:
+        print(f"config error: observable: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

@@ -29,8 +29,8 @@ class ZeroOperatorError(QspecError):
     """Operation undefined for a (numerically) zero operator."""
 
 
-class ZeroNormError(QspecError):
-    """Construction produced a state of zero norm."""
+class ZeroNormError(ZeroOperatorError):
+    """The observable annihilates the ensemble's base state: (O tensor 1) leaves it zero norm."""
 
 
 class DegenerateAngleError(QspecError):

@@ -27,7 +27,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import metadata as importlib_metadata
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -60,7 +60,7 @@ from .qpe import (
     sample_outcomes,
 )
 from .simcore import QUBIT_CAP
-from .stateprep import choose_phi, is_traceless, simulate_prep_circuit, success_probability_bound
+from .stateprep import choose_phi, is_traceless, moments, simulate_prep_circuit, success_probability_bound
 
 SCHEMA_VERSION = 1
 
@@ -128,12 +128,8 @@ class ExperimentConfig:
         return {
             "model": self.model.to_dict(),
             "observable": self.observable.to_dict(),
-            "ensemble": {"kind": self.ensemble.kind, "beta": self.ensemble.beta},
-            "prep": {
-                "mode": self.prep.mode,
-                "epsilon": self.prep.epsilon,
-                "max_attempts": self.prep.max_attempts,
-            },
+            "ensemble": asdict(self.ensemble),
+            "prep": asdict(self.prep),
             "qpe": qpe,
             "shots": self.shots,
             "seed": self.seed,
@@ -471,10 +467,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.prep.mode == "exact":
         prepared = thermal_operator_state(observable, hamiltonian, config.ensemble)
     else:
-        phi = choose_phi(observable, config.prep.epsilon, config.ensemble, hamiltonian)
-        bound = success_probability_bound(
-            observable, config.prep.epsilon, config.ensemble, hamiltonian
-        )
+        ms = moments(observable, config.ensemble, hamiltonian)
+        phi = choose_phi(ms, config.prep.epsilon)
+        bound = success_probability_bound(observable, ms, config.prep.epsilon)
         # The circuit is deterministic: simulate it once, then attempt k only
         # redraws the ancilla from its own spawn key against the same P1.
         p1, prepared, fidelity = simulate_prep_circuit(observable, phi, config.ensemble, hamiltonian)
@@ -493,12 +488,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             attempts=attempt + 1,
             acceptance_probability=min(p1, 1.0),
             fidelity_with_target=fidelity,
-            predicted_p1=bound.predicted_p1,
-            spectral_bound=bound.spectral_bound,
-            rank_bound=bound.rank_bound,
-            o_max=bound.o_max,
-            o_min=bound.o_min,
-            rank=bound.rank,
+            **asdict(bound),
             traceless=is_traceless(observable),
         )
     timings["prep_s"] = time.perf_counter() - t0

@@ -13,7 +13,8 @@ Every consumer reads one ``TransitionTable`` per run, built by
 and the ensemble populations p, computed once, list each transition n -> m
 with its energy difference ``e_m - e_n`` and weight ``p_n |O_e,nm|^2``.  The
 oracle shares no purification code with the circuit; it uses only
-``purify.ensemble_populations``.
+``purify.ensemble_populations`` and the annihilation rule
+``purify.reject_annihilation``.
 
 The table is pruned: of its T = 4**N transitions it drops every one whose
 weight is at most ``2**-60 * sum(w) / T``.  The dropped mass is then at most
@@ -32,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroNormError
-from .purify import INFINITE_TEMPERATURE, EnsembleSpec, ensemble_populations
+from .errors import DimensionMismatchError
+from .purify import INFINITE_TEMPERATURE, EnsembleSpec, ensemble_populations, reject_annihilation
 from .qpe import PhaseDistribution
 from .simcore import HermitianOperator
 
@@ -119,6 +120,8 @@ def transition_weights(
     A transition is dropped only when its weight is at most ``PRUNE_SHARE``
     times the mean weight in each column (spectral and, if separate, phase),
     so the pruned mass is at most ``PRUNE_SHARE`` of each column's total.
+    The phase mass is ``<O^2>`` in the base state, and an observable that
+    annihilates the base state is rejected (``purify.reject_annihilation``).
     """
     if hamiltonian.dim != operator.dim:
         raise DimensionMismatchError(
@@ -128,13 +131,16 @@ def transition_weights(
     vecs, levels = eig.eigenvectors, eig.eigenvalues
     pops = ensemble_populations(eig, ensemble)
     elements = vecs.conj().T @ operator.matrix @ vecs
-    weights = (np.abs(elements) ** 2 * pops[:, None]).reshape(-1)
+    squares = np.abs(elements) ** 2
+    weights = (squares * pops[:, None]).reshape(-1)
     keep = _keep(weights)
     phase = weights
     if np.iscomplexobj(vecs) and ensemble.kind != "ground_state":
         coeffs = (elements * np.sqrt(pops)) @ (vecs.T @ vecs).conj()
         phase = (np.abs(coeffs) ** 2).T.reshape(-1)
         keep |= _keep(phase)
+    mass = float(phase.sum())
+    reject_annihilation(mass, float(squares.sum()) / eig.dim, ensemble)
     index = np.flatnonzero(keep)
     initial, final = np.divmod(index, eig.dim)
     kept = weights[index]
@@ -142,7 +148,7 @@ def transition_weights(
         energies=levels[final] - levels[initial],
         weights=kept,
         phase_weights=kept if phase is weights else phase[index],
-        mass=float(phase.sum()),
+        mass=mass,
         index=index,
         total=weights.size,
         ensemble=ensemble,
@@ -184,11 +190,6 @@ def correlation_series(table: TransitionTable, times: np.ndarray) -> np.ndarray:
         np.exp(out, out=out)
 
     return _transition_sum(table, times, complex, kernel)
-
-
-def correlation_function(table: TransitionTable, t: float) -> complex:
-    """Two-time correlation of the observable at time t in the table's ensemble."""
-    return complex(correlation_series(table, np.array([t]))[0])
 
 
 def spectral_function(table: TransitionTable, omega_grid: np.ndarray, gamma: float) -> SpectrumTable:
@@ -253,8 +254,6 @@ def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: flo
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if not table.mass > 0:
-        raise ZeroNormError("operator annihilates the base state")
     dim, half = 1 << num_bits, 1 << (num_bits - 1)
     phases = delta * dim * table.energies / (2.0 * math.pi)
     nearest = np.round(phases)

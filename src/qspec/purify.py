@@ -33,6 +33,13 @@ from .simcore import (
 
 ENSEMBLE_KINDS = ("infinite_temperature", "ground_state", "gibbs")
 
+#: An observable whose second moment in the base state is at or below this
+#: multiple of ``tr(O^2)/dim`` annihilates the base state: ``(O tensor 1)``
+#: leaves it a norm below ``1e-12`` of O's root-mean-square eigenvalue,
+#: which is rounding noise (an exactly annihilating O leaves about 1e-16 of
+#: it).  The rule is scale-free, so ``c*O`` passes or fails with O.
+M2_RTOL = 1e-24
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -101,8 +108,8 @@ def ground_state_degeneracy(hamiltonian: HermitianOperator, tol: float = 1e-9) -
 
 def base_state(
     ensemble: EnsembleSpec,
-    hamiltonian: HermitianOperator | None = None,
-    num_sites: int | None = None,
+    hamiltonian: HermitianOperator | None,
+    num_sites: int,
 ) -> StateVector:
     """The doubled-register state the operator is applied to.
 
@@ -111,10 +118,6 @@ def base_state(
     ground level uses the lowest-index eigenvector.
     """
     if ensemble.kind == "infinite_temperature":
-        if num_sites is None:
-            if hamiltonian is None:
-                raise ValueError("infinite temperature needs num_sites or a Hamiltonian")
-            num_sites = hamiltonian.num_qubits
         return entangled_pair_state(num_sites)
     if hamiltonian is None:
         raise ValueError(f"{ensemble.kind} base state requires the Hamiltonian")
@@ -125,6 +128,12 @@ def base_state(
     # Copy b holds the same ground state as a phase reference, not a conjugate:
     # it must stay an eigenvector of H under the backward evolution.
     return StateVector(2 * hamiltonian.num_qubits, np.kron(psi0, psi0))
+
+
+def reject_annihilation(second_moment: float, mean_square: float, ensemble: EnsembleSpec) -> None:
+    """Raise ``ZeroNormError`` when ``<O^2> <= M2_RTOL * tr(O^2)/dim`` in the base state."""
+    if not second_moment > M2_RTOL * mean_square:
+        raise ZeroNormError(f"annihilates the {ensemble.kind} base state")
 
 
 def thermal_operator_state(
@@ -141,12 +150,15 @@ def thermal_operator_state(
         raise DimensionMismatchError(
             f"operator dim {operator.dim} vs Hamiltonian dim {hamiltonian.dim}"
         )
-    base = base_state(ensemble, hamiltonian=hamiltonian, num_sites=operator.num_qubits)
+    return operator_state(operator, base_state(ensemble, hamiltonian, operator.num_qubits), ensemble)
+
+
+def operator_state(operator: HermitianOperator, base: StateVector, ensemble: EnsembleSpec) -> StateVector:
+    """Normalized (O tensor 1) applied to an already built base state of ``ensemble``."""
     dim = operator.dim
     m = operator.matrix @ base.amplitudes.reshape(dim, dim)
     norm = float(np.linalg.norm(m))
-    if norm <= 1e-12:
-        raise ZeroNormError("operator annihilates the base state")
+    reject_annihilation(norm * norm, float(np.vdot(operator.matrix, operator.matrix).real) / dim, ensemble)
     return StateVector(base.num_qubits, m.reshape(-1) / norm)
 
 

@@ -100,10 +100,10 @@ def run_qpe(
     for j in range(num_bits):
         # Branches with bit j of x set: x = (hi, 1, lo) with lo < 2**j.
         branch = psi.reshape(dim >> (j + 1), 2, 1 << j, sys_dim, sys_dim)[:, 1]
-        forward = eig.propagator(delta * (1 << j), +1)
+        forward = eig.propagator(delta * (1 << j))
         # U on copy a and U^dagger on copy b: psi -> U psi (U^dagger)^T = U psi conj(U).
         np.matmul(forward @ branch, forward.conj(), out=branch)
-    amps = _fourier(psi.reshape(dim, -1), -1)
+    amps = _fourier(psi.reshape(dim, -1))
     del psi
     probs = (np.abs(amps) ** 2).sum(axis=1)
     norm_err = abs(math.sqrt(probs.sum()) - 1.0)

@@ -10,25 +10,24 @@ Conventions fixed here and relied on by every other module:
 * ``inverse_qft`` applies the matrix ``2**(-l/2) * exp(-2j*pi*x*k / 2**l)``,
   so a phase gradient ``exp(+2j*pi*k0*x / 2**l)`` across the register maps
   onto the basis state ``|k0>``.  It is computed as an orthonormal FFT
-  along the register (``qft`` as the inverse FFT, sign ``+``), never as a
-  dense Fourier matrix; phase estimation applies the same transform to its
-  register axis.
+  along the register, never as a dense Fourier matrix; phase estimation
+  applies the same transform to its register axis.
 
 Real inputs stay real.  A ``HermitianOperator`` whose entries all have an
 exactly zero imaginary part stores a float64 matrix (a Y-free Pauli sum
 compiles to one), so its ``eigh`` is the real-symmetric one and its
 eigenvectors are real; other operators are complex128.  A ``StateVector``
 keeps float64 amplitudes when given real ones.  The gate operations
-(``apply_unitary``, ``apply_controlled_unitary``, ``evolve``, ``qft`` and
-``inverse_qft``) always return complex128 amplitudes, promoting a real
-state before the phases reach it, so no imaginary part is ever cast away.
+(``apply_unitary``, ``apply_controlled_unitary`` and ``inverse_qft``)
+always return complex128 amplitudes, promoting a real state before the
+phases reach it, so no imaginary part is ever cast away.
 
 All operations are pure functions of immutable inputs: amplitude arrays and
 operator matrices are never mutated in place and identical inputs produce
 bit-identical outputs.  A ``HermitianOperator`` therefore memoises its
 spectral decomposition (``.eig``): every consumer of one operator object
-shares a single ``eigh`` call.  Time evolution is computed exactly in the
-eigenbasis of its generator, never split into short steps.
+shares a single ``eigh`` call.  Propagators are computed exactly in the
+eigenbasis of their generator, never split into short steps.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ class StateVector:
 
     num_qubits: int
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         if self.num_qubits < 0:
@@ -77,10 +75,9 @@ class StateVector:
             raise DimensionMismatchError(
                 f"expected {1 << self.num_qubits} amplitudes, got shape {amps.shape}"
             )
-        if self.normalized:
-            err = abs(np.linalg.norm(amps) - 1.0)
-            if err > NORM_TOL:
-                raise NormalizationError(f"norm deviates from 1 by {err:.3e}")
+        err = abs(np.linalg.norm(amps) - 1.0)
+        if err > NORM_TOL:
+            raise NormalizationError(f"norm deviates from 1 by {err:.3e}")
 
     @property
     def dim(self) -> int:
@@ -98,12 +95,6 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
     amps = np.zeros(dim)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)
-
-
-def plus_state(num_qubits: int) -> StateVector:
-    """Uniform superposition over all computational states."""
-    dim = 1 << num_qubits
-    return StateVector(num_qubits, np.full(dim, 1.0 / np.sqrt(dim)))
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
@@ -175,9 +166,9 @@ class EigenDecomposition:
         out.imag = (vecs * vals.imag) @ vecs.T
         return out
 
-    def propagator(self, t: float, sign: int = 1) -> np.ndarray:
-        """``exp(1j * sign * t * H)`` as a dense matrix."""
-        return self.apply_function(lambda lam: np.exp(1j * sign * t * lam))
+    def propagator(self, t: float) -> np.ndarray:
+        """``exp(1j * t * H)`` as a dense matrix; ``propagator(-t)`` steps backward."""
+        return self.apply_function(lambda lam: np.exp(1j * t * lam))
 
 
 def eig_hermitian(operator: HermitianOperator | np.ndarray) -> EigenDecomposition:
@@ -193,13 +184,12 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(
         a.num_qubits + b.num_qubits,
         np.kron(a.amplitudes, b.amplitudes),
-        normalized=a.normalized and b.normalized,
     )
 
 
-def _as_register(register: Iterable[int], num_qubits: int, allow_empty: bool = False) -> tuple[int, ...]:
+def _as_register(register: Iterable[int], num_qubits: int) -> tuple[int, ...]:
     reg = tuple(int(q) for q in register)
-    if not reg and not allow_empty:
+    if not reg:
         raise RegisterError("empty register")
     if len(set(reg)) != len(reg):
         raise RegisterError(f"register {reg} repeats a qubit")
@@ -240,104 +230,65 @@ def apply_unitary(
     moved = np.moveaxis(psi, reg, range(k))
     out = mat @ moved.reshape(1 << k, -1)
     out = np.moveaxis(out.reshape([2] * state.num_qubits), range(k), reg)
-    return StateVector(state.num_qubits, out.reshape(-1), normalized=state.normalized)
+    return StateVector(state.num_qubits, out.reshape(-1))
 
 
 def apply_controlled_unitary(
     state: StateVector,
     control: int,
-    matrix: np.ndarray | complex,
-    target: Iterable[int] = (),
+    matrix: np.ndarray,
+    target: Iterable[int],
     validate: bool = True,
 ) -> StateVector:
     """Multiply the control=1 branch by a unitary on ``target``.
 
-    The control=0 branch is untouched.  An empty target with a scalar (or
-    1x1) ``matrix`` attaches a pure phase to the control=1 branch.
+    The control=0 branch is untouched.
     """
     n = state.num_qubits
     if not 0 <= control < n:
         raise RegisterError(f"control qubit {control} out of range")
-    targets = _as_register(target, n, allow_empty=True)
+    targets = _as_register(target, n)
     if control in targets:
         raise RegisterError("control qubit overlaps the target register")
+    k = len(targets)
+    mat = np.asarray(matrix, dtype=complex)
+    if mat.shape != (1 << k, 1 << k):
+        raise DimensionMismatchError(
+            f"matrix shape {mat.shape} does not fit a {k}-qubit target"
+        )
+    if validate:
+        _require_unitary(mat)
 
     psi = state.amplitudes.reshape([2] * n).astype(complex)
     sel = [slice(None)] * n
     sel[control] = 1
     sel = tuple(sel)
+    # Target axes inside the control=1 slice shift down by one past the control.
+    shifted = tuple(q - (q > control) for q in targets)
+    branch = np.moveaxis(psi[sel], shifted, range(k))
+    out = mat @ branch.reshape(1 << k, -1)
+    out = np.moveaxis(out.reshape([2] * (n - 1)), range(k), shifted)
+    psi[sel] = out
 
-    if not targets:
-        phase = complex(np.asarray(matrix).reshape(()))
-        if abs(abs(phase) - 1.0) > UNITARITY_TOL:
-            raise UnitarityError(f"scalar phase has modulus {abs(phase):.12f}")
-        psi[sel] = psi[sel] * phase
-    else:
-        k = len(targets)
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != (1 << k, 1 << k):
-            raise DimensionMismatchError(
-                f"matrix shape {mat.shape} does not fit a {k}-qubit target"
-            )
-        if validate:
-            _require_unitary(mat)
-        # Target axes inside the control=1 slice shift down by one past the control.
-        shifted = tuple(q - (q > control) for q in targets)
-        branch = np.moveaxis(psi[sel], shifted, range(k))
-        out = mat @ branch.reshape(1 << k, -1)
-        out = np.moveaxis(out.reshape([2] * (n - 1)), range(k), shifted)
-        psi[sel] = out
-
-    return StateVector(n, psi.reshape(-1), normalized=state.normalized)
+    return StateVector(n, psi.reshape(-1))
 
 
-def evolve(
-    state: StateVector,
-    hamiltonian: HermitianOperator | EigenDecomposition | np.ndarray,
-    t: float,
-    sign: int = 1,
-    register: Iterable[int] | None = None,
-) -> StateVector:
-    """Propagate ``register`` by ``exp(1j * sign * t * H)``, exact in H's eigenbasis."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    eig = hamiltonian if isinstance(hamiltonian, EigenDecomposition) else eig_hermitian(hamiltonian)
-    reg = tuple(register) if register is not None else tuple(range(state.num_qubits))
-    if (1 << len(reg)) != eig.dim:
-        raise DimensionMismatchError(
-            f"operator dimension {eig.dim} does not match a {len(reg)}-qubit register"
-        )
-    return apply_unitary(state, eig.propagator(t, sign), reg, validate=False)
-
-
-def _fourier(amplitudes: np.ndarray, sign: int) -> np.ndarray:
-    """Unitary DFT ``2**(-l/2) * exp(sign*2j*pi*x*k / 2**l)`` along axis 0, by FFT."""
-    transform = np.fft.fft if sign < 0 else np.fft.ifft
-    return transform(amplitudes, axis=0, norm="ortho")
-
-
-def _register_fourier(state: StateVector, register: Iterable[int], sign: int) -> StateVector:
-    reg = _as_register(register, state.num_qubits)
-    n, k = state.num_qubits, len(reg)
-    psi = np.moveaxis(state.amplitudes.reshape([2] * n), reg, range(k)).reshape(1 << k, -1)
-    out = _fourier(psi, sign).reshape([2] * n)
-    return StateVector(n, np.moveaxis(out, range(k), reg).reshape(-1), normalized=state.normalized)
+def _fourier(amplitudes: np.ndarray) -> np.ndarray:
+    """Unitary DFT ``2**(-l/2) * exp(-2j*pi*x*k / 2**l)`` along axis 0, by FFT."""
+    return np.fft.fft(amplitudes, axis=0, norm="ortho")
 
 
 def inverse_qft(state: StateVector, register: Iterable[int]) -> StateVector:
     """Inverse Fourier transform of the register; see the module docstring for the sign."""
-    return _register_fourier(state, register, -1)
-
-
-def qft(state: StateVector, register: Iterable[int]) -> StateVector:
-    """Adjoint of ``inverse_qft``."""
-    return _register_fourier(state, register, +1)
+    reg = _as_register(register, state.num_qubits)
+    n, k = state.num_qubits, len(reg)
+    psi = np.moveaxis(state.amplitudes.reshape([2] * n), reg, range(k)).reshape(1 << k, -1)
+    out = _fourier(psi).reshape([2] * n)
+    return StateVector(n, np.moveaxis(out, range(k), reg).reshape(-1))
 
 
 def register_distribution(state: StateVector, register: Iterable[int]) -> np.ndarray:
     """Marginal outcome probabilities of the register, summed over all other qubits."""
-    if abs(state.norm() - 1.0) > NORM_TOL:
-        raise NormalizationError("register_distribution requires a normalized state")
     reg = _as_register(register, state.num_qubits)
     n = state.num_qubits
     probs = (np.abs(state.amplitudes) ** 2).reshape([2] * n)

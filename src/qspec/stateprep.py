@@ -34,7 +34,8 @@ from .purify import (
     EnsembleSpec,
     base_state,
     ensemble_populations,
-    thermal_operator_state,
+    operator_state,
+    reject_annihilation,
 )
 from .simcore import (
     QUBIT_CAP,
@@ -50,11 +51,6 @@ from .simcore import (
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 TRACE_TOL = 1e-12
-
-#: A second moment at or below this multiple of max|o|^2 is rounding noise:
-#: O then leaves the base state a norm sqrt(m2) below 1e-12 * max|o|, the
-#: floor at which ``thermal_operator_state`` rejects the state (for |O| ~ 1).
-M2_RTOL = 1e-24
 
 
 class NonTracelessWarning(UserWarning):
@@ -142,11 +138,10 @@ def _eigen_weights(
     return eig_o.eigenvalues, q
 
 
-def _second_moment(vals: np.ndarray, q: np.ndarray) -> float:
-    """<O^2>; rejected when it is at rounding scale (see ``M2_RTOL``)."""
+def _second_moment(vals: np.ndarray, q: np.ndarray, ensemble: EnsembleSpec) -> float:
+    """<O^2>; rejected when O annihilates the base state (see ``purify.M2_RTOL``)."""
     m2 = float(q @ vals**2)
-    if m2 <= M2_RTOL * float(np.max(vals**2)):
-        raise ZeroOperatorError("observable has zero second moment in this ensemble")
+    reject_annihilation(m2, float(np.mean(vals**2)), ensemble)
     return m2
 
 
@@ -157,7 +152,7 @@ def moments(
 ) -> MomentSet:
     """<O^2>, <O^3>, <O^4> in the ensemble's base state."""
     vals, q = _eigen_weights(operator, ensemble, hamiltonian)
-    return MomentSet(_second_moment(vals, q), float(q @ vals**3), float(q @ vals**4))
+    return MomentSet(_second_moment(vals, q, ensemble), float(q @ vals**3), float(q @ vals**4))
 
 
 def acceptance_probability(
@@ -184,7 +179,7 @@ def preparation_fidelity(
     _warn_if_traced(operator)
     vals, q = _eigen_weights(operator, ensemble, hamiltonian)
     numerator = abs(np.sum(q * vals * (1.0 - np.exp(1j * phi * vals)))) ** 2
-    m2 = _second_moment(vals, q)
+    m2 = _second_moment(vals, q, ensemble)
     branch = float(q @ (2.0 - 2.0 * np.cos(phi * vals)))
     if branch <= 1e-24:
         raise DegenerateAngleError("accepted branch has zero norm at this angle")
@@ -203,7 +198,7 @@ def simulate_prep_circuit(
     unclipped acceptance probability P1, the normalized accepted branch and
     its fidelity with the target operator state.
     """
-    base = base_state(ensemble, hamiltonian=hamiltonian, num_sites=operator.num_qubits)
+    base = base_state(ensemble, hamiltonian, operator.num_qubits)
     n = base.num_qubits
     if n + 1 > QUBIT_CAP:
         raise ResourceCapError(f"prep circuit needs {n + 1} qubits, cap is {QUBIT_CAP}")
@@ -222,7 +217,7 @@ def simulate_prep_circuit(
     if p1 <= 1e-24:
         raise DegenerateAngleError("rotation angle leaves the accepted branch empty")
     post = StateVector(n, branches[:, 1] / np.sqrt(p1))
-    target = thermal_operator_state(operator, hamiltonian, ensemble)
+    target = operator_state(operator, base, ensemble)
     fidelity = min(abs(overlap(target, post)) ** 2, 1.0)
     return p1, post, fidelity
 
@@ -249,35 +244,24 @@ def run_prep_circuit(
     )
 
 
-def choose_phi(
-    operator: HermitianOperator,
-    epsilon: float,
-    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-    hamiltonian: HermitianOperator | None = None,
-) -> float:
+def choose_phi(ms: MomentSet, epsilon: float) -> float:
     """Angle sqrt(epsilon * m2 / m4), targeting infidelity of order epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    ms = moments(operator, ensemble, hamiltonian)
     return math.sqrt(epsilon * ms.m2 / ms.m4)
 
 
-def success_probability_bound(
-    operator: HermitianOperator,
-    epsilon: float,
-    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-    hamiltonian: HermitianOperator | None = None,
-) -> SuccessBound:
+def success_probability_bound(operator: HermitianOperator, ms: MomentSet, epsilon: float) -> SuccessBound:
     """Predicted P1 at the chosen angle and the chain of spectral lower bounds.
 
+    ``ms`` holds O's moments in the base state.
     predicted_p1 = eps*m2^2/m4 >= eps*m2/o_max^2 >= eps*(rank/dim)*(o_min/o_max)^2.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    ms = moments(operator, ensemble, hamiltonian)
     vals = operator.eig.eigenvalues
     magnitudes = np.abs(vals)
-    o_max = float(magnitudes.max())  # positive: moments() rejected a zero operator
+    o_max = float(magnitudes.max())  # positive: MomentSet rejects a zero second moment
     nonzero = magnitudes[magnitudes > 1e-12 * o_max]
     o_min = float(nonzero.min())
     rank = int(nonzero.size)
@@ -298,8 +282,5 @@ def moment_ratio_constant(dist: EigenvalueDistribution) -> float:
 
 
 def choose_phi_for_distribution(dist: EigenvalueDistribution, epsilon: float) -> float:
-    """Angle sqrt(epsilon * m2 / m4) from the law's analytic moments."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
-    m2, _, m4 = analytic_moments(dist)
-    return math.sqrt(epsilon * m2 / m4)
+    """``choose_phi`` at the law's analytic moments."""
+    return choose_phi(MomentSet(*analytic_moments(dist)), epsilon)

@@ -14,6 +14,12 @@ from qspec import (
 )
 
 
+def plus_state(num_qubits: int) -> StateVector:
+    """Uniform superposition over all computational states."""
+    dim = 1 << num_qubits
+    return StateVector(num_qubits, np.full(dim, 1.0 / np.sqrt(dim)))
+
+
 def random_state(num_qubits: int, seed: int) -> StateVector:
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)

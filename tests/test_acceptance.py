@@ -170,7 +170,7 @@ def test_criterion_5_state_prep_closed_forms():
                 abs(outcome.acceptance_probability - p1_closed),
                 abs(outcome.fidelity_with_target - preparation_fidelity(obs, phi)),
             )
-        phi_star = choose_phi(obs, 0.01)
+        phi_star = choose_phi(moments(obs), 0.01)
         worst_fidelity = min(worst_fidelity, preparation_fidelity(obs, phi_star))
     passed = worst_consistency <= 1e-10 and worst_fidelity >= 1 - 0.012
     _report(

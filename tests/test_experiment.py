@@ -11,6 +11,7 @@ from qspec import (
     build_operator,
     choose_phi,
     experiment,
+    moments,
     oracle,
     purify,
     run_experiment,
@@ -282,18 +283,18 @@ def test_run_decomposes_each_operator_once(tmp_path, monkeypatch, ensemble, prep
     ids=["exact-infinite_temperature", "exact-gibbs", "exact-ground_state", "circuit-gibbs"],
 )
 def test_run_builds_the_purified_state_once(tmp_path, monkeypatch, ensemble, prep):
-    # Prep builds it (circuit prep: for the fidelity); the oracle reads the
-    # closed-form table and never purifies.
+    # Prep builds it (circuit prep: for the fidelity, on the circuit's own base
+    # state); the oracle reads the closed-form table and never purifies.
     calls = []
-    build = purify.thermal_operator_state
+    build = purify.operator_state
 
     def counted(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
     for module in (purify, experiment, stateprep, oracle):
-        if hasattr(module, "thermal_operator_state"):
-            monkeypatch.setattr(module, "thermal_operator_state", counted)
+        if hasattr(module, "operator_state"):
+            monkeypatch.setattr(module, "operator_state", counted)
     config = make_config(
         tmp_path,
         model={"preset": "tilted_ising", "N": 3},
@@ -307,11 +308,45 @@ def test_run_builds_the_purified_state_once(tmp_path, monkeypatch, ensemble, pre
     assert len(calls) == 1
 
 
+def test_circuit_prep_builds_each_fact_once(tmp_path, monkeypatch):
+    # One moment set (one O/H overlap) feeds the angle and the success bound,
+    # and one base state feeds both the circuit and its fidelity target.
+    owners = {
+        "moments": stateprep,
+        "_eigen_weights": stateprep,
+        "base_state": purify,
+        "purify_gibbs": purify,
+        "operator_state": purify,
+    }
+    counts = dict.fromkeys(owners, 0)
+    for name, owner in owners.items():
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (purify, experiment, stateprep, oracle):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    config = make_config(
+        tmp_path,
+        model={"preset": "tilted_ising", "N": 3},
+        observable="total_sz",
+        ensemble={"kind": "gibbs", "beta": 1.0},
+        prep={"mode": "circuit", "epsilon": 0.5},
+        qpe={"gamma": 0.5, "auto_plan": True},
+        seed=1,
+    )
+    run_experiment(config)
+    assert counts == dict.fromkeys(owners, 1)
+
+
 def _per_attempt_reference(config):
     """The runner's attempt loop with one full circuit simulation per attempt."""
     hamiltonian = build_operator(config.model)
     observable = build_operator(config.observable)
-    phi = choose_phi(observable, config.prep.epsilon, config.ensemble, hamiltonian)
+    phi = choose_phi(moments(observable, config.ensemble, hamiltonian), config.prep.epsilon)
     for attempt in range(config.prep.max_attempts):
         outcome = run_prep_circuit(
             observable,
@@ -450,8 +485,9 @@ def test_circuit_prep_with_a_traced_observable_records_it_without_warning(
 
 @pytest.mark.parametrize("mode", ["exact", "circuit"])
 def test_cli_package_error_exit_code(tmp_path, capsys, mode):
-    # Total S^z annihilates the Heisenberg singlet: exact prep hits a zero-norm
-    # state, circuit prep a zero second moment.  Both exit 4 with one line.
+    # Total S^z annihilates the Heisenberg singlet: exact prep sees a zero-norm
+    # state, circuit prep a zero second moment, both at rounding scale.  Both
+    # are the same configuration error, on one line.
     document = {
         "model": {"preset": "heisenberg", "N": 4},
         "observable": "total_sz",
@@ -461,9 +497,47 @@ def test_cli_package_error_exit_code(tmp_path, capsys, mode):
         "output_dir": str(tmp_path / "never"),
     }
     path = write_config(tmp_path, document)
-    assert main(["run", "--config", str(path)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "config error: observable: annihilates the ground_state base state\n"
+    assert not (tmp_path / "never").exists()
+
+
+def test_cli_oracle_rejects_an_annihilating_observable(tmp_path, capsys):
+    # The oracle's table applies the same rule as prep; its spectrum would be rounding noise.
+    document = {
+        "model": {"preset": "heisenberg", "N": 4},
+        "observable": "total_sz",
+        "ensemble": {"kind": "ground_state"},
+        "qpe": {"l": 3, "delta": 0.3},
+        "output_dir": str(tmp_path / "never"),
+    }
+    path = write_config(tmp_path, document)
+    assert main(["oracle", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "config error: observable: annihilates the ground_state base state\n"
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("command, mode", [("run", "exact"), ("run", "circuit"), ("oracle", "exact")])
+def test_cli_small_observable_is_not_annihilation(tmp_path, capsys, command, mode):
+    # 1e-13 ZI has <O^2> = tr(O^2)/dim = 1e-26 at infinite temperature: small, but
+    # nowhere near rounding noise, so every command runs it.
+    document = {
+        "model": {
+            "N": 2,
+            "terms": [{"coefficient": 1.0, "factors": "XI"}, {"coefficient": 0.7, "factors": "ZZ"}],
+        },
+        "observable": {"N": 2, "terms": [{"coefficient": 1e-13, "factors": "ZI"}]},
+        "prep": {"mode": mode, "epsilon": 0.5},
+        "qpe": {"l": 3, "delta": 0.3},
+        "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = write_config(tmp_path, document)
+    assert main([command, "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    if (command, mode) == ("run", "exact"):
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["distances"]["exact_vs_oracle"]["total_variation"] <= 1e-10
 
 
 @pytest.mark.parametrize("command", ["run", "oracle"])

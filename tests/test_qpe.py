@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import preset_observable, random_hermitian, random_real_symmetric
+from helpers import plus_state, preset_observable, random_hermitian, random_real_symmetric
 from qspec import (
     GROUND_STATE,
     INFINITE_TEMPERATURE,
@@ -23,7 +23,6 @@ from qspec import (
     inverse_qft,
     outcome_frequency,
     plan_resolution,
-    plus_state,
     register_distribution,
     run_qpe,
     sample_outcomes,
@@ -117,8 +116,8 @@ def test_controlled_powers_match_repeated_base_steps():
     copy_a, copy_b, phase = register_positions(num_sites, num_bits)
     state = tensor_product(prepared, plus_state(num_bits))
     eig = eig_hermitian(ham)
-    forward = eig.propagator(delta, +1)
-    backward = eig.propagator(delta, -1)
+    forward = eig.propagator(delta)
+    backward = eig.propagator(-delta)
     for j in range(num_bits):
         control = phase[num_bits - 1 - j]
         for _ in range(1 << j):
@@ -138,8 +137,8 @@ def gate_by_gate_qpe(prepared, hamiltonian, num_bits, delta):
     eig = eig_hermitian(hamiltonian)
     for j in range(num_bits):
         control = phase[num_bits - 1 - j]
-        forward = eig.propagator(delta * (1 << j), +1)
-        backward = eig.propagator(delta * (1 << j), -1)
+        forward = eig.propagator(delta * (1 << j))
+        backward = eig.propagator(-delta * (1 << j))
         state = apply_controlled_unitary(state, control, forward, copy_a, validate=False)
         state = apply_controlled_unitary(state, control, backward, copy_b, validate=False)
     dim = 1 << num_bits

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian, random_real_symmetric, random_state
+from helpers import plus_state, random_hermitian, random_real_symmetric, random_state
 from qspec import (
     HermitianOperator,
     StateVector,
@@ -13,10 +13,7 @@ from qspec import (
     apply_unitary,
     basis_state,
     eig_hermitian,
-    evolve,
     inverse_qft,
-    plus_state,
-    qft,
     register_distribution,
     tensor_product,
 )
@@ -43,7 +40,6 @@ def test_state_vector_rejects_wrong_length():
 def test_state_vector_rejects_unnormalized_when_flagged():
     with pytest.raises(NormalizationError):
         StateVector(1, np.array([1.0, 1.0]))
-    StateVector(1, np.array([1.0, 1.0]), normalized=False)  # allowed
 
 
 def test_tensor_product_basis_states():
@@ -119,34 +115,35 @@ def test_eigh_deterministic():
     np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
 
 
-# --- evolution ----------------------------------------------------------------
+# --- evolution: the exact propagator applied as a register unitary --------------
 
 
 def test_evolve_zero_time_is_identity():
     state = random_state(2, seed=21)
-    out = evolve(state, random_hermitian(2, seed=22), 0.0)
+    out = apply_unitary(state, random_hermitian(2, seed=22).eig.propagator(0.0), (0, 1))
     np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-14)
 
 
 def test_evolve_pauli_z_quarter_period():
-    # Each eigenbranch picks up exp(1j*sign*eigenvalue*t).
-    out = evolve(plus_state(1), HermitianOperator(PAULI_Z), np.pi / 2, sign=+1)
+    # Each eigenbranch picks up exp(1j*eigenvalue*t).
+    out = apply_unitary(plus_state(1), eig_hermitian(PAULI_Z).propagator(np.pi / 2), (0,))
     expected = 1j * np.array([1, -1]) / np.sqrt(2)
     np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
 
 
 def test_evolve_forward_backward_composes_to_identity():
     state = random_state(3, seed=23)
-    ham = random_hermitian(3, seed=24)
-    roundtrip = evolve(evolve(state, ham, 0.37, sign=+1), ham, 0.37, sign=-1)
+    eig = random_hermitian(3, seed=24).eig
+    forward = apply_unitary(state, eig.propagator(0.37), range(3))
+    roundtrip = apply_unitary(forward, eig.propagator(-0.37), range(3))
     assert np.max(np.abs(roundtrip.amplitudes - state.amplitudes)) <= 1e-12
 
 
 def test_evolve_composition_law():
     state = random_state(2, seed=25)
-    ham = random_hermitian(2, seed=26)
-    once = evolve(state, ham, 0.9 + 0.4)
-    twice = evolve(evolve(state, ham, 0.9), ham, 0.4)
+    eig = random_hermitian(2, seed=26).eig
+    once = apply_unitary(state, eig.propagator(0.9 + 0.4), (0, 1))
+    twice = apply_unitary(apply_unitary(state, eig.propagator(0.9), (0, 1)), eig.propagator(0.4), (0, 1))
     assert np.max(np.abs(once.amplitudes - twice.amplitudes)) <= 1e-10
 
 
@@ -156,23 +153,22 @@ def test_evolve_is_diagonal_on_eigenvectors():
     t = 0.61
     for k in range(4):
         state = StateVector(2, eig.eigenvectors[:, k])
-        out = evolve(state, ham, t, sign=-1)
+        out = apply_unitary(state, eig.propagator(-t), (0, 1))
         expected = np.exp(-1j * eig.eigenvalues[k] * t) * eig.eigenvectors[:, k]
         assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
 
 
 def test_evolve_register_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        evolve(random_state(2, seed=28), HermitianOperator(PAULI_Z), 1.0, register=(0, 1))
+        apply_unitary(random_state(2, seed=28), eig_hermitian(PAULI_Z).propagator(1.0), (0, 1))
 
 
 def test_evolve_acts_only_on_its_register():
     # Propagating qubit 1 of a 3-qubit state equals the kron-expanded unitary.
     state = random_state(3, seed=29)
-    ham = random_hermitian(1, seed=30)
+    eig = random_hermitian(1, seed=30).eig
     t = 0.83
-    out = evolve(state, ham, t, register=(1,))
-    eig = eig_hermitian(ham)
+    out = apply_unitary(state, eig.propagator(t), (1,))
     full = np.kron(np.kron(np.eye(2), eig.propagator(t)), np.eye(2))
     np.testing.assert_allclose(out.amplitudes, full @ state.amplitudes, atol=1e-13)
 
@@ -190,14 +186,6 @@ def test_controlled_unitary_acts_as_cnot():
     state = tensor_product(basis_state(1, 1), basis_state(1, 0))
     out = apply_controlled_unitary(state, 0, PAULI_X, (1,))
     np.testing.assert_allclose(out.amplitudes, basis_state(2, 3).amplitudes, atol=1e-15)
-
-
-def test_controlled_scalar_phase_matches_two_by_two_matrix():
-    phi = 0.831
-    state = plus_state(1)
-    out = apply_controlled_unitary(state, 0, np.exp(1j * phi))
-    expected = np.diag([1.0, np.exp(1j * phi)]) @ state.amplitudes
-    np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
 
 
 def test_controlled_unitary_rejects_overlap_and_non_unitary():
@@ -240,18 +228,27 @@ def test_inverse_qft_rejects_empty_register():
         inverse_qft(plus_state(2), ())
 
 
+def dense_fourier(num_bits, sign):
+    # The dense exp(sign 2 pi i x k / 2**l) / sqrt(2**l) matrix, its phases reduced exactly mod 2**l.
+    dim = 1 << num_bits
+    turns = np.outer(np.arange(dim), np.arange(dim)) % dim
+    return np.exp(sign * 2j * np.pi * turns / dim) / np.sqrt(dim)
+
+
 @pytest.mark.parametrize("num_bits", [1, 3, 10])
 def test_qft_inverts_inverse_qft(num_bits):
+    # The FFT-based inverse QFT is the dense sign -1 matrix; the dense sign +1 one undoes it.
     state = random_state(num_bits, seed=40 + num_bits)
-    out = qft(inverse_qft(state, range(num_bits)), range(num_bits))
-    assert np.max(np.abs(out.amplitudes - state.amplitudes)) <= 1e-12
+    inverse = inverse_qft(state, range(num_bits))
+    assert np.max(np.abs(inverse.amplitudes - dense_fourier(num_bits, -1) @ state.amplitudes)) <= 1e-12
+    out = dense_fourier(num_bits, +1) @ inverse.amplitudes
+    assert np.max(np.abs(out - state.amplitudes)) <= 1e-12
 
 
 def dense_register_fourier(state, register, sign):
-    # Reference: the dense exp(sign 2 pi i x k / 2**l) / sqrt(2**l) matrix, index by index.
+    # Reference: the dense Fourier matrix on the register, index by index.
     n, k = state.num_qubits, len(register)
-    fourier = np.exp(sign * 2j * np.pi * np.outer(np.arange(1 << k), np.arange(1 << k)) / (1 << k))
-    fourier /= np.sqrt(1 << k)
+    fourier = dense_fourier(k, sign)
     out = np.zeros(1 << n, dtype=complex)
     for idx, amp in enumerate(state.amplitudes):
         value = sum(((idx >> (n - 1 - q)) & 1) << (k - 1 - i) for i, q in enumerate(register))
@@ -268,11 +265,9 @@ def dense_register_fourier(state, register, sign):
 def test_fourier_transforms_match_dense_matrix_on_any_register(register):
     state = random_state(3, seed=45)
     inverse = inverse_qft(state, register)
-    forward = qft(state, register)
     assert np.max(np.abs(inverse.amplitudes - dense_register_fourier(state, register, -1))) <= 1e-14
-    assert np.max(np.abs(forward.amplitudes - dense_register_fourier(state, register, +1))) <= 1e-14
-    roundtrip = qft(inverse, register)
-    assert np.max(np.abs(roundtrip.amplitudes - state.amplitudes)) <= 1e-14
+    roundtrip = dense_register_fourier(inverse, register, +1)
+    assert np.max(np.abs(roundtrip - state.amplitudes)) <= 1e-14
 
 
 # --- marginals -----------------------------------------------------------------
@@ -303,12 +298,6 @@ def test_register_distribution_matches_brute_force():
         assert abs(probs.sum() - 1.0) <= 1e-10
 
 
-def test_register_distribution_rejects_unnormalized():
-    state = StateVector(1, np.array([1.0, 1.0]), normalized=False)
-    with pytest.raises(NormalizationError):
-        register_distribution(state, (0,))
-
-
 # --- norm preservation and determinism --------------------------------------------
 
 
@@ -318,7 +307,7 @@ def test_gates_preserve_norm(seed):
     state = random_state(3, seed=seed)
     ham = random_hermitian(1, seed=seed + 1)
     for out in (
-        evolve(state, ham, 1.3, register=(1,)),
+        apply_unitary(state, ham.eig.propagator(1.3), (1,)),
         apply_controlled_unitary(state, 0, PAULI_X, (2,)),
         inverse_qft(state, (0, 1)),
     ):
@@ -328,8 +317,8 @@ def test_gates_preserve_norm(seed):
 def test_operations_are_bit_deterministic():
     state = random_state(3, seed=60)
     ham = random_hermitian(3, seed=61)
-    first = evolve(state, ham, 0.77)
-    second = evolve(state, ham, 0.77)
+    first = apply_unitary(state, eig_hermitian(ham).propagator(0.77), range(3))
+    second = apply_unitary(state, eig_hermitian(ham).propagator(0.77), range(3))
     np.testing.assert_array_equal(first.amplitudes, second.amplitudes)
 
 
@@ -374,12 +363,11 @@ def _real_state(num_qubits: int, seed: int) -> StateVector:
     [
         lambda s, u: apply_unitary(s, u, (2, 0)),
         lambda s, u: apply_controlled_unitary(s, 1, u, (2, 0)),
-        lambda s, u: apply_controlled_unitary(s, 3, np.exp(0.3j)),
-        lambda s, u: evolve(s, HermitianOperator(np.diag([0.3, -0.1, 0.7, 0.2])), 0.9, -1, (1, 3)),
+        lambda s, u: apply_unitary(s, eig_hermitian(np.diag([0.3, -0.1, 0.7, 0.2])).propagator(-0.9), (1, 3)),
         lambda s, u: inverse_qft(s, (3, 0, 2)),
-        lambda s, u: qft(s, (1, 2)),
+        lambda s, u: apply_unitary(s, dense_fourier(2, +1), (1, 2)),
     ],
-    ids=["apply_unitary", "controlled_unitary", "controlled_phase", "evolve", "inverse_qft", "qft"],
+    ids=["apply_unitary", "controlled_unitary", "evolve", "inverse_qft", "qft"],
 )
 def test_gate_ops_promote_a_real_state_exactly(gate):
     unitary = eig_hermitian(random_hermitian(2, seed=6)).propagator(0.8)
