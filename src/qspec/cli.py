@@ -21,12 +21,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, PrepExhaustedError, QspecError, ResourceCapError, ZeroNormError
-from .experiment import plan_payload, run_experiment, validate_config, with_overrides, write_csv, write_json
+from .experiment import plan_payload, run_experiment, validate_config, write_csv, write_json
 from .models import (
     DISTRIBUTION_KINDS,
     EigenvalueDistribution,
@@ -55,7 +56,8 @@ def _load_config(args: argparse.Namespace):
     config = validate_config(raw)
     if args.seed is not None and not 0 <= args.seed < 1 << 64:
         raise ConfigError("--seed must fit in 64 unsigned bits")
-    return with_overrides(config, seed=args.seed, output_dir=args.out)
+    overrides = {"seed": args.seed, "output_dir": args.out}
+    return replace(config, **{key: value for key, value in overrides.items() if value is not None})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

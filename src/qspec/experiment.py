@@ -3,8 +3,9 @@
 One JSON document describes model, observable, ensemble, preparation, phase
 estimation and sampling, and one 64-bit master seed makes the whole run
 reproducible: component generators derive from it through fixed spawn keys,
-``(1, attempt)`` for preparation attempts and ``(2,)`` for shot sampling,
-so no amount of internal parallelism can reorder draws.
+``(1, attempt)`` for preparation attempts (drawn in
+``stateprep.run_prep_circuit``) and ``(2,)`` for shot sampling, so no amount
+of internal parallelism can reorder draws.
 
 A run writes ``report.json`` plus two CSV files (``distribution.csv`` with
 columns f, omega, p_exact, p_oracle and optionally p_empirical;
@@ -26,8 +27,9 @@ from __future__ import annotations
 import json
 import math
 import platform
+import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from importlib import metadata as importlib_metadata
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -60,11 +62,10 @@ from .qpe import (
     sample_outcomes,
 )
 from .simcore import QUBIT_CAP
-from .stateprep import choose_phi, is_traceless, moments, simulate_prep_circuit, success_probability_bound
+from .stateprep import run_prep_circuit
 
 SCHEMA_VERSION = 1
 
-_PREP_KEY = 1
 _SHOT_KEY = 2
 
 _MODEL_PRESETS = ("tilted_ising", "heisenberg")
@@ -319,14 +320,22 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
     h_bound = _norm_bound(model, "model.terms" if "terms" in document["model"] else "model")
     o_bound = _norm_bound(observable, "observable.terms")
     # Purification and the transition weights square O's entries over 2**N states.
-    if not math.isfinite(o_bound * o_bound * (1 << model.num_sites)):
+    # Below the normal range those squares lose digits: norms drift, moments vanish.
+    squared = o_bound * o_bound
+    dim = 1 << model.num_sites
+    if not math.isfinite(squared * dim):
         raise ConfigError("observable.terms: squared coefficient magnitudes sum past the double range")
+    if squared / dim < sys.float_info.min:
+        raise ConfigError("observable.terms: squared coefficient magnitudes fall below the normal double range")
     ensemble = _parse_ensemble(document.get("ensemble", {"kind": "infinite_temperature"}), "ensemble")
     prep = _parse_prep(document.get("prep", {}), "prep")
     # Circuit preparation takes O's fourth moment, bounded by o_bound**4.
-    squared = o_bound * o_bound
     if prep.mode == "circuit" and not math.isfinite(squared * squared):
         raise ConfigError("observable.terms: fourth powers of the coefficient magnitudes pass the double range")
+    if prep.mode == "circuit" and squared * squared / dim < sys.float_info.min:
+        raise ConfigError(
+            "observable.terms: fourth powers of the coefficient magnitudes fall below the normal double range"
+        )
     qpe_settings = _parse_qpe(_require(document, "qpe", ""), "qpe")
     # The spectrum peaks below <O^2> / gamma <= o_bound**2 / gamma.
     if not math.isfinite(o_bound * (o_bound / qpe_settings.linewidth)):
@@ -467,30 +476,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.prep.mode == "exact":
         prepared = thermal_operator_state(observable, hamiltonian, config.ensemble)
     else:
-        ms = moments(observable, config.ensemble, hamiltonian)
-        phi = choose_phi(ms, config.prep.epsilon)
-        bound = success_probability_bound(observable, ms, config.prep.epsilon)
-        # The circuit is deterministic: simulate it once, then attempt k only
-        # redraws the ancilla from its own spawn key against the same P1.
-        p1, prepared, fidelity = simulate_prep_circuit(observable, phi, config.ensemble, hamiltonian)
-        for attempt in range(config.prep.max_attempts):
-            draw = np.random.SeedSequence(config.seed, spawn_key=(_PREP_KEY, attempt))
-            if np.random.default_rng(draw).random() < p1:
-                break
-        else:
+        outcome = run_prep_circuit(observable, config.prep.epsilon, config.ensemble, hamiltonian,
+                                   seed=config.seed, max_attempts=config.prep.max_attempts)
+        if not outcome.accepted:
             raise PrepExhaustedError(
                 f"no acceptance in {config.prep.max_attempts} attempts; exact acceptance "
-                f"probability is {min(p1, 1.0):.6f}"
+                f"probability is {outcome.stats['acceptance_probability']:.6f}"
             )
-        prep_stats.update(
-            phi=phi,
-            epsilon=config.prep.epsilon,
-            attempts=attempt + 1,
-            acceptance_probability=min(p1, 1.0),
-            fidelity_with_target=fidelity,
-            **asdict(bound),
-            traceless=is_traceless(observable),
-        )
+        prepared = outcome.post_state
+        prep_stats.update(outcome.stats)
     timings["prep_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -541,16 +535,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     report.write(config.output_dir)
     return report
 
-
-def with_overrides(
-    config: ExperimentConfig,
-    seed: int | None = None,
-    output_dir: str | None = None,
-) -> ExperimentConfig:
-    """Copy of the config with the command-line overrides applied."""
-    updates: dict = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if output_dir is not None:
-        updates["output_dir"] = output_dir
-    return replace(config, **updates) if updates else config

@@ -15,15 +15,16 @@ whenever ``<O> = 0``.
 
 Both branch norms are always computed exactly; the seeded Bernoulli draw
 only decides which branch an end-to-end run keeps.  The circuit is
-deterministic apart from that draw, so ``simulate_prep_circuit`` runs it
-once and repeated attempts only redraw against the same P1.
+deterministic apart from that draw, so ``run_prep_circuit``, a run's one
+preparation call, simulates it once and redraws only the ancilla, from spawn
+key ``(1, k)`` of the run's seed for attempt ``k``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,6 +52,8 @@ from .simcore import (
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 TRACE_TOL = 1e-12
+
+_PREP_KEY = 1
 
 
 class NonTracelessWarning(UserWarning):
@@ -80,18 +83,15 @@ class MomentSet:
 
 @dataclass(frozen=True)
 class PrepOutcome:
-    """Result of one preparation attempt; exact fields are filled regardless of the draw."""
+    """Circuit preparation run until an attempt accepts or the budget is spent.
+
+    ``post_state`` is the accepted branch (None when no attempt accepted);
+    ``stats``, filled either way, is the ``prep`` record of ``report.json``.
+    """
 
     accepted: bool
-    acceptance_probability: float
-    fidelity_with_target: float
-    post_state: StateVector | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.acceptance_probability <= 1.0:
-            raise ValueError("acceptance probability outside [0, 1]")
-        if not 0.0 <= self.fidelity_with_target <= 1.0 + 1e-12:
-            raise ValueError("fidelity outside [0, 1]")
+    post_state: StateVector | None
+    stats: dict
 
 
 @dataclass(frozen=True)
@@ -224,28 +224,35 @@ def simulate_prep_circuit(
 
 def run_prep_circuit(
     operator: HermitianOperator,
-    phi: float,
+    epsilon: float,
     ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-    seed: int | np.random.SeedSequence = 0,
     hamiltonian: HermitianOperator | None = None,
+    *,
+    seed: int,
+    max_attempts: int,
 ) -> PrepOutcome:
-    """One preparation attempt: the simulated circuit plus a seeded ancilla draw.
+    """Prepare the operator state at the angle ``choose_phi`` picks for ``epsilon``.
 
-    Branch norms and the fidelity come from the exact state; only
-    ``accepted`` is random.
+    The circuit is simulated once; attempt ``k`` (from 0) then draws the ancilla
+    from spawn key ``(1, k)`` of ``seed`` until a draw falls below P1.  After
+    ``max_attempts`` rejections ``accepted`` is False and ``attempts == max_attempts``.
     """
+    ms = moments(operator, ensemble, hamiltonian)
+    phi = choose_phi(ms, epsilon)
+    bound = success_probability_bound(operator, ms, epsilon)
     p1, post, fidelity = simulate_prep_circuit(operator, phi, ensemble, hamiltonian)
-    accepted = bool(np.random.default_rng(seed).random() < p1)
-    return PrepOutcome(
-        accepted=accepted,
-        acceptance_probability=min(p1, 1.0),
-        fidelity_with_target=fidelity,
-        post_state=post if accepted else None,
-    )
+    attempts, accepted = 0, False
+    while not accepted and attempts < max_attempts:
+        draw = np.random.SeedSequence(seed, spawn_key=(_PREP_KEY, attempts))
+        accepted = bool(np.random.default_rng(draw).random() < p1)
+        attempts += 1
+    stats = dict(phi=phi, epsilon=epsilon, attempts=attempts, acceptance_probability=min(p1, 1.0),
+                 fidelity_with_target=fidelity, **asdict(bound), traceless=is_traceless(operator))
+    return PrepOutcome(accepted, post if accepted else None, stats)
 
 
 def choose_phi(ms: MomentSet, epsilon: float) -> float:
-    """Angle sqrt(epsilon * m2 / m4), targeting infidelity of order epsilon."""
+    """Angle sqrt(epsilon * m2 / m4), where the infidelity is (epsilon/4)(1 - m3^2/(m2*m4)) to leading order."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     return math.sqrt(epsilon * ms.m2 / ms.m4)
@@ -254,8 +261,9 @@ def choose_phi(ms: MomentSet, epsilon: float) -> float:
 def success_probability_bound(operator: HermitianOperator, ms: MomentSet, epsilon: float) -> SuccessBound:
     """Predicted P1 at the chosen angle and the chain of spectral lower bounds.
 
-    ``ms`` holds O's moments in the base state.
-    predicted_p1 = eps*m2^2/m4 >= eps*m2/o_max^2 >= eps*(rank/dim)*(o_min/o_max)^2.
+    ``ms`` holds O's moments in the base state.  At phi^2 = eps*m2/m4 the
+    exact P1 = <sin^2(phi*O/2)> lies at most phi^4*m4/48 below phi^2*m2/4, so
+    predicted_p1 = eps*m2^2/(4*m4) >= eps*m2/(4*o_max^2) >= eps*(rank/dim)*(o_min/o_max)^2/4.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
@@ -266,9 +274,9 @@ def success_probability_bound(operator: HermitianOperator, ms: MomentSet, epsilo
     o_min = float(nonzero.min())
     rank = int(nonzero.size)
     return SuccessBound(
-        predicted_p1=epsilon * ms.m2**2 / ms.m4,
-        spectral_bound=epsilon * ms.m2 / o_max**2,
-        rank_bound=epsilon * rank / operator.dim * (o_min / o_max) ** 2,
+        predicted_p1=epsilon * ms.m2**2 / ms.m4 / 4,
+        spectral_bound=epsilon * ms.m2 / o_max**2 / 4,
+        rank_bound=epsilon * rank / operator.dim * (o_min / o_max) ** 2 / 4,
         o_max=o_max,
         o_min=o_min,
         rank=rank,

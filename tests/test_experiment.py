@@ -15,7 +15,6 @@ from qspec import (
     oracle,
     purify,
     run_experiment,
-    run_prep_circuit,
     stateprep,
     validate_config,
 )
@@ -309,9 +308,12 @@ def test_run_builds_the_purified_state_once(tmp_path, monkeypatch, ensemble, pre
 
 
 def test_circuit_prep_builds_each_fact_once(tmp_path, monkeypatch):
-    # One moment set (one O/H overlap) feeds the angle and the success bound,
-    # and one base state feeds both the circuit and its fidelity target.
+    # One preparation call simulates the circuit once; one moment set (one O/H
+    # overlap) feeds the angle and the success bound, and one base state feeds
+    # both the circuit and its fidelity target.
     owners = {
+        "run_prep_circuit": stateprep,
+        "simulate_prep_circuit": stateprep,
         "moments": stateprep,
         "_eigen_weights": stateprep,
         "base_state": purify,
@@ -343,21 +345,20 @@ def test_circuit_prep_builds_each_fact_once(tmp_path, monkeypatch):
 
 
 def _per_attempt_reference(config):
-    """The runner's attempt loop with one full circuit simulation per attempt."""
+    """The attempt loop with one full circuit simulation and one ancilla draw per attempt.
+
+    Returns the accepted attempt (None on exhaustion) and the last simulation's
+    (P1, accepted branch, fidelity).
+    """
     hamiltonian = build_operator(config.model)
     observable = build_operator(config.observable)
     phi = choose_phi(moments(observable, config.ensemble, hamiltonian), config.prep.epsilon)
     for attempt in range(config.prep.max_attempts):
-        outcome = run_prep_circuit(
-            observable,
-            phi,
-            config.ensemble,
-            seed=np.random.SeedSequence(config.seed, spawn_key=(1, attempt)),
-            hamiltonian=hamiltonian,
-        )
-        if outcome.accepted:
-            return attempt + 1, outcome
-    return None, outcome
+        simulated = stateprep.simulate_prep_circuit(observable, phi, config.ensemble, hamiltonian)
+        draw = np.random.SeedSequence(config.seed, spawn_key=(1, attempt))
+        if np.random.default_rng(draw).random() < simulated[0]:
+            return attempt + 1, simulated
+    return None, simulated
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -388,10 +389,11 @@ def test_circuit_prep_matches_per_attempt_reference(tmp_path, monkeypatch, seed)
             run_experiment(config)
     else:
         stats = run_experiment(config).prep_stats
+        p1, post, fidelity = reference
         assert stats["attempts"] == attempts
-        assert stats["acceptance_probability"] == reference.acceptance_probability
-        assert stats["fidelity_with_target"] == reference.fidelity_with_target
-        np.testing.assert_array_equal(prepared[0].amplitudes, reference.post_state.amplitudes)
+        assert stats["acceptance_probability"] == p1
+        assert stats["fidelity_with_target"] == fidelity
+        np.testing.assert_array_equal(prepared[0].amplitudes, post.amplitudes)
     assert len(simulations) == 1
 
 
@@ -517,27 +519,56 @@ def test_cli_oracle_rejects_an_annihilating_observable(tmp_path, capsys):
     assert not (tmp_path / "never").exists()
 
 
-@pytest.mark.parametrize("command, mode", [("run", "exact"), ("run", "circuit"), ("oracle", "exact")])
-def test_cli_small_observable_is_not_annihilation(tmp_path, capsys, command, mode):
-    # 1e-13 ZI has <O^2> = tr(O^2)/dim = 1e-26 at infinite temperature: small, but
-    # nowhere near rounding noise, so every command runs it.
+def _scaled_observable_config(tmp_path, coefficient, mode):
     document = {
         "model": {
             "N": 2,
             "terms": [{"coefficient": 1.0, "factors": "XI"}, {"coefficient": 0.7, "factors": "ZZ"}],
         },
-        "observable": {"N": 2, "terms": [{"coefficient": 1e-13, "factors": "ZI"}]},
+        "observable": {"N": 2, "terms": [{"coefficient": coefficient, "factors": "ZI"}]},
         "prep": {"mode": mode, "epsilon": 0.5},
         "qpe": {"l": 3, "delta": 0.3},
         "seed": 1,
         "output_dir": str(tmp_path / "out"),
     }
-    path = write_config(tmp_path, document)
+    return write_config(tmp_path, document)
+
+
+@pytest.mark.parametrize("command, mode", [("run", "exact"), ("run", "circuit"), ("oracle", "exact")])
+def test_cli_small_observable_is_not_annihilation(tmp_path, capsys, command, mode):
+    # 1e-13 ZI has <O^2> = tr(O^2)/dim = 1e-26 at infinite temperature: small, but
+    # nowhere near rounding noise, so every command runs it.
+    path = _scaled_observable_config(tmp_path, 1e-13, mode)
     assert main([command, "--config", str(path)]) == 0
     assert capsys.readouterr().err == ""
     if (command, mode) == ("run", "exact"):
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["distances"]["exact_vs_oracle"]["total_variation"] <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "command, mode, coefficient, power",
+    [
+        # Circuit prep's fourth moment used to underflow to zero (exit 4) ...
+        ("run", "circuit", 1e-100, "fourth powers"),
+        ("run", "circuit", 1e-160, "squared"),
+        # ... exact prep's subnormal norm drifted past its check (exit 4) ...
+        ("run", "exact", 1e-157, "squared"),
+        ("run", "exact", 1e-160, "squared"),
+        # ... and the oracle wrote a spectrum from subnormal weights (exit 0).
+        ("oracle", "exact", 1e-157, "squared"),
+        ("oracle", "exact", 1e-160, "squared"),
+    ],
+)
+def test_cli_observable_below_the_normal_range_exits_with_one_line(
+    tmp_path, capsys, command, mode, coefficient, power
+):
+    path = _scaled_observable_config(tmp_path, coefficient, mode)
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: observable.terms: {power} ") and err.count("\n") == 1
+    assert "below the normal double range" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "oracle"])

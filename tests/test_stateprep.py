@@ -24,8 +24,10 @@ from qspec import (
     run_prep_circuit,
     success_probability_bound,
     synthetic_diagonal_observable,
+    tilted_ising,
 )
 from qspec.errors import DegenerateAngleError, ZeroOperatorError
+from qspec.stateprep import simulate_prep_circuit
 
 PAULI_Z = HermitianOperator(np.diag([1.0, -1.0]))
 
@@ -75,7 +77,7 @@ def test_zero_angle_is_degenerate():
     with pytest.raises(DegenerateAngleError):
         preparation_fidelity(PAULI_Z, 0.0)
     with pytest.raises(DegenerateAngleError):
-        run_prep_circuit(PAULI_Z, 0.0, seed=1)
+        simulate_prep_circuit(PAULI_Z, 0.0)
 
 
 # --- circuit against closed forms ------------------------------------------------
@@ -90,9 +92,9 @@ def test_circuit_branch_norms_match_closed_forms(ensemble, needs_ham):
     ham = random_real_symmetric(2, seed=72) if needs_ham else None
     kwargs = {} if ensemble is None else {"ensemble": ensemble, "hamiltonian": ham}
     phi = 0.43
-    outcome = run_prep_circuit(op, phi, seed=5, **kwargs)
-    assert abs(outcome.acceptance_probability - acceptance_probability(op, phi, **kwargs)) <= 1e-12
-    assert abs(outcome.fidelity_with_target - preparation_fidelity(op, phi, **kwargs)) <= 1e-10
+    p1, _, fidelity = simulate_prep_circuit(op, phi, **kwargs)
+    assert abs(p1 - acceptance_probability(op, phi, **kwargs)) <= 1e-12
+    assert abs(fidelity - preparation_fidelity(op, phi, **kwargs)) <= 1e-10
 
 
 def test_branch_norms_sum_to_one():
@@ -107,22 +109,48 @@ def test_branch_norms_sum_to_one():
 
 def test_accepted_state_is_returned_only_on_acceptance():
     op = PAULI_Z
-    # P1(2.9) = sin^2(1.45) ~ 0.985: seed 0 accepts.
-    outcome = run_prep_circuit(op, 2.9, seed=0)
+    # epsilon = 0.99 gives phi ~ 0.995 and P1 ~ 0.23: seed 0 accepts within 100 attempts.
+    outcome = run_prep_circuit(op, 0.99, seed=0, max_attempts=100)
     assert outcome.accepted and outcome.post_state is not None
-    # P1(0.02) ~ 1e-4: same seed rejects, but exact fields stay filled.
-    outcome = run_prep_circuit(op, 0.02, seed=0)
+    # epsilon = 1e-8 gives P1 = sin^2(5e-5) ~ 2.5e-9: one attempt rejects, but the stats stay filled.
+    outcome = run_prep_circuit(op, 1e-8, seed=0, max_attempts=1)
     assert not outcome.accepted and outcome.post_state is None
-    assert outcome.acceptance_probability > 0
-    assert outcome.fidelity_with_target > 0.99
+    assert outcome.stats["acceptance_probability"] > 0
+    assert outcome.stats["fidelity_with_target"] > 0.99
+
+
+def _first_acceptance(seed: int, p1: float, max_attempts: int) -> int | None:
+    """1 + the first attempt k whose draw from spawn key (1, k) falls below P1."""
+    for k in range(max_attempts):
+        if np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k))).random() < p1:
+            return k + 1
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_attempts_follow_the_spawn_keys_until_acceptance_or_budget(seed):
+    # P1 ~ 0.079 with a budget of 8: seeds 0 and 2 accept (attempts 3 and 1), the rest exhaust.
+    op = random_real_symmetric(2, seed=75)
+    epsilon, budget = 0.5, 8
+    outcome = run_prep_circuit(op, epsilon, seed=seed, max_attempts=budget)
+    p1, post, fidelity = simulate_prep_circuit(op, choose_phi(moments(op), epsilon))
+    expected = _first_acceptance(seed, p1, budget)
+    assert outcome.accepted == (expected is not None)
+    if outcome.accepted:
+        assert outcome.stats["attempts"] == expected
+        np.testing.assert_array_equal(outcome.post_state.amplitudes, post.amplitudes)
+    else:
+        assert outcome.stats["attempts"] == budget and outcome.post_state is None
+    assert outcome.stats["acceptance_probability"] == p1
+    assert outcome.stats["fidelity_with_target"] == fidelity
 
 
 def test_prep_draw_is_seed_deterministic():
     op = random_real_symmetric(2, seed=74)
-    first = run_prep_circuit(op, 0.8, seed=123)
-    second = run_prep_circuit(op, 0.8, seed=123)
+    first = run_prep_circuit(op, 0.3, seed=123, max_attempts=5)
+    second = run_prep_circuit(op, 0.3, seed=123, max_attempts=5)
     assert first.accepted == second.accepted
-    assert first.acceptance_probability == second.acceptance_probability
+    assert first.stats == second.stats
 
 
 # --- small-angle expansions --------------------------------------------------------
@@ -207,6 +235,24 @@ def test_success_bound_chain_is_ordered():
         # The realized acceptance at the chosen angle stays above every bound.
         phi = choose_phi(ms, 0.01)
         assert acceptance_probability(op, phi) >= 0.9 * bound.rank_bound
+
+
+@pytest.mark.parametrize("case", ["pauli_z", "gaussian", "uniform", "gibbs_ising"])
+def test_predicted_p1_is_the_acceptance_at_the_chosen_angle(case):
+    # sin^2 x lies within x^4/3 below x^2, so at phi the exact P1 is within
+    # phi^4 m4 / 48 below phi^2 m2 / 4 = predicted_p1.
+    kwargs = {}
+    if case == "pauli_z":
+        op = PAULI_Z
+    elif case == "gibbs_ising":
+        op = preset_observable("total_sz", 3)
+        kwargs = {"ensemble": gibbs(1.0), "hamiltonian": build_operator(tilted_ising(3))}
+    else:
+        op = synthetic_diagonal_observable(EigenvalueDistribution(case, 1.0), 6, seed=2)
+    ms = moments(op, **kwargs)
+    phi = choose_phi(ms, 0.01)
+    gap = success_probability_bound(op, ms, 0.01).predicted_p1 - acceptance_probability(op, phi, **kwargs)
+    assert 0.0 <= gap <= phi**4 * ms.m4 / 48
 
 
 # --- moment machinery ------------------------------------------------------------
