@@ -86,7 +86,6 @@ from .simcore import (
 )
 from .stateprep import (
     MomentSet,
-    NonTracelessWarning,
     PrepOutcome,
     SuccessBound,
     acceptance_probability,

@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +76,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     vals = hamiltonian.eig.eigenvalues
     span = float(vals[-1] - vals[0])
     reach = 1.2 * span if span > 0 else 1.0
-    gamma, step = config.qpe.linewidth, 2.4 * span / 2000
+    gamma, step = config.qpe.linewidth, 2 * reach / 2000
     if step > gamma:
         path = "qpe.gamma" if config.qpe.auto_plan else "qpe.delta"
         raise ConfigError(f"{path}: linewidth {gamma:.6g} is below the oracle grid step {step:.6g}")
@@ -85,8 +85,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "spectrum.csv", ("omega", "sigma"), zip(table.frequencies, table.values))
-    ensemble = {"kind": table.ensemble.kind, "beta": table.ensemble.beta}
-    write_json(out / "spectrum.json", {"gamma": table.gamma, "ensemble": ensemble,
+    write_json(out / "spectrum.json", {"gamma": table.gamma, "ensemble": asdict(config.ensemble),
                                        "omega": table.frequencies.tolist(), "sigma": table.values.tolist()})
     print(f"oracle spectrum written to {out.resolve()}")
     return EXIT_OK

@@ -12,9 +12,10 @@ Every consumer reads one ``TransitionTable`` per run, built by
 ``transition_weights``: the observable in H's eigenbasis ``O_e = V^dagger O V``
 and the ensemble populations p, computed once, list each transition n -> m
 with its energy difference ``e_m - e_n`` and weight ``p_n |O_e,nm|^2``.  The
-oracle shares no purification code with the circuit; it uses only
-``purify.ensemble_populations`` and the annihilation rule
-``purify.reject_annihilation``.
+spectrum, the correlation series and the phase-register distribution all
+read that one weight column.  The oracle shares no purification code with
+the circuit; it uses only ``purify.ensemble_populations`` and the
+annihilation rule ``purify.reject_annihilation``.
 
 The table is pruned: of its T = 4**N transitions it drops every one whose
 weight is at most ``2**-60 * sum(w) / T``.  The dropped mass is then at most
@@ -46,7 +47,6 @@ class SpectrumTable:
     frequencies: np.ndarray
     values: np.ndarray
     gamma: float
-    ensemble: EnsembleSpec
 
     def __post_init__(self) -> None:
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -75,30 +75,19 @@ class TransitionTable:
 
     ``energies`` holds ``e_m - e_n`` and ``weights`` holds ``p_n |O_nm|^2``
     (O in H's eigenbasis, p the ensemble populations) for each kept
-    transition; ``index`` is its flat position ``n * dim + m``.  The spectrum
-    and the correlation series sum ``weights``.  ``phase_weights`` is what
-    the phase register sees of the same transition, unnormalized, with
-    ``mass`` its sum over all ``total`` transitions before pruning: for a
-    real eigenbasis (or the ground state) it is ``weights`` itself, and for
-    a complex one it carries the factor ``(V^T V)^*`` of ``transition_weights``.
+    transition; ``index`` is its flat position ``n * dim + m``, and ``mass``
+    is the weight sum over all ``total`` transitions before pruning.
     """
 
     energies: np.ndarray
     weights: np.ndarray
-    phase_weights: np.ndarray
     mass: float
     index: np.ndarray
     total: int
-    ensemble: EnsembleSpec
 
     @property
     def kept(self) -> int:
         return int(self.index.size)
-
-
-def _keep(weights: np.ndarray) -> np.ndarray:
-    """Mask of the weights above ``PRUNE_SHARE`` of their mean; one pass, no sort."""
-    return weights > PRUNE_SHARE * weights.sum() / weights.size
 
 
 def transition_weights(
@@ -108,20 +97,16 @@ def transition_weights(
 ) -> TransitionTable:
     """The run's one transition table: O in H's eigenbasis once, pruned by mass.
 
-    The circuit evolves the purified state's matrix ``M`` (see ``purify``)
-    written as ``V c V^T``, and its phase register sees ``|c_nm|^2`` at gap
-    ``e_n - e_m``.  At infinite temperature and Gibbs, ``M = O V diag(sqrt(p))
-    V^dagger`` gives ``c = O_e diag(sqrt(p)) (V^T V)^*``; for a real eigenbasis
-    the last factor is the identity and ``|c_mn|^2 = p_n |O_nm|^2``, the
-    spectral weight of n -> m.  The ground state's ``M = O psi_0 psi_0^T``
-    gives ``c = O_e diag(sqrt(p))`` for any eigenbasis.  Only a complex
-    eigenbasis away from the ground state pays the extra product.
+    The circuit's phase register sees these weights directly.  The purified
+    state's matrix (see ``purify``) is ``M = O V diag(sqrt(p)) V^dagger =
+    V c V^dagger`` with ``c = O_e diag(sqrt(p))``, and with -H^T on copy b
+    each ``c_mn`` turns with the gap ``e_m - e_n``, so the register sees
+    ``|c_mn|^2 = p_n |O_nm|^2`` there: the spectral weight of n -> m.
 
     A transition is dropped only when its weight is at most ``PRUNE_SHARE``
-    times the mean weight in each column (spectral and, if separate, phase),
-    so the pruned mass is at most ``PRUNE_SHARE`` of each column's total.
-    The phase mass is ``<O^2>`` in the base state, and an observable that
-    annihilates the base state is rejected (``purify.reject_annihilation``).
+    times the mean weight, so the pruned mass is at most ``PRUNE_SHARE`` of
+    the total.  The mass is ``<O^2>`` in the base state, and an observable
+    that annihilates the base state is rejected (``purify.reject_annihilation``).
     """
     if hamiltonian.dim != operator.dim:
         raise DimensionMismatchError(
@@ -133,25 +118,18 @@ def transition_weights(
     elements = vecs.conj().T @ operator.matrix @ vecs
     squares = np.abs(elements) ** 2
     weights = (squares * pops[:, None]).reshape(-1)
-    keep = _keep(weights)
-    phase = weights
-    if np.iscomplexobj(vecs) and ensemble.kind != "ground_state":
-        coeffs = (elements * np.sqrt(pops)) @ (vecs.T @ vecs).conj()
-        phase = (np.abs(coeffs) ** 2).T.reshape(-1)
-        keep |= _keep(phase)
-    mass = float(phase.sum())
+    mass = float(weights.sum())
     reject_annihilation(mass, float(squares.sum()) / eig.dim, ensemble)
-    index = np.flatnonzero(keep)
+    # One pass, no sort: the weights above PRUNE_SHARE of their mean.
+    index = np.flatnonzero(weights > PRUNE_SHARE * mass / weights.size)
     initial, final = np.divmod(index, eig.dim)
     kept = weights[index]
     return TransitionTable(
         energies=levels[final] - levels[initial],
         weights=kept,
-        phase_weights=kept if phase is weights else phase[index],
         mass=mass,
         index=index,
         total=weights.size,
-        ensemble=ensemble,
     )
 
 
@@ -217,7 +195,7 @@ def spectral_function(table: TransitionTable, omega_grid: np.ndarray, gamma: flo
 
     with np.errstate(over="ignore"):
         values = _transition_sum(table, omega, float, kernel)
-    return SpectrumTable(omega, values, gamma, table.ensemble)
+    return SpectrumTable(omega, values, gamma)
 
 
 def _kernel(offsets: np.ndarray, num_bits: int) -> np.ndarray:
@@ -244,7 +222,7 @@ def qpe_kernel(delta_energy: float, f: int, num_bits: int, delta: float) -> floa
 
 
 def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: float) -> PhaseDistribution:
-    """Closed-form phase-register distribution: the table's phase weights times kernel leakage.
+    """Closed-form phase-register distribution: the table's weights times kernel leakage.
 
     A transition at phase ``p = delta * 2**l * gap / 2pi`` leaks into bin f
     with ``sin^2(pi frac) / (2**l sin(pi r / 2**l))^2``, where
@@ -277,7 +255,7 @@ def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: flo
         np.divide(numerator[:, None], r, out=r)
     near = np.flatnonzero(np.abs(frac) < 2.0**-26)
     r[near, hit[near]] = _kernel(frac[near], num_bits)
-    probs = table.phase_weights @ r
+    probs = table.weights @ r
     probs /= table.mass
     return PhaseDistribution(num_bits, delta, probs, kind="exact")
 

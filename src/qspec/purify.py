@@ -8,12 +8,13 @@ over sqrt(2**N), applying an operator to copy a is a left matrix product,
 and the Gibbs purification at inverse temperature beta is the normalized
 matrix ``exp(-beta*H/2)``.
 
-The Gibbs construction therefore carries a conjugation on copy b relative
-to the plain eigenvector sum; the two coincide whenever the eigenbasis is
-real, which it is for every real H (a real operator is stored and
-diagonalized in float64, see ``simcore``), and the matrix form keeps the
-beta=0 limit exactly equal to the entangled pair state for every Hermitian
-input.  Real H and O therefore give real purified states.
+Every base state is the matrix ``rho**(1/2) = V diag(sqrt(p)) V^dagger``
+of its ensemble (for the ground state ``psi_0 psi_0^dagger``), so copy b
+holds conjugated eigenvectors; the circuit evolves copy b under -H^T (see
+``qpe``), which keeps them eigenstates.  The matrix form keeps the beta=0
+limit exactly equal to the entangled pair state for every Hermitian input.
+A real operator is stored and diagonalized in float64 (see ``simcore``),
+so real H and O give real purified states.
 """
 
 from __future__ import annotations
@@ -125,9 +126,7 @@ def base_state(
         return purify_gibbs(hamiltonian, ensemble.beta)
     _check_cap(hamiltonian.num_qubits)
     psi0 = hamiltonian.eig.eigenvectors[:, 0]
-    # Copy b holds the same ground state as a phase reference, not a conjugate:
-    # it must stay an eigenvector of H under the backward evolution.
-    return StateVector(2 * hamiltonian.num_qubits, np.kron(psi0, psi0))
+    return StateVector(2 * hamiltonian.num_qubits, np.kron(psi0, psi0.conj()))
 
 
 def reject_annihilation(second_moment: float, mean_square: float, ensemble: EnsembleSpec) -> None:

@@ -1,11 +1,14 @@
 """Phase estimation on two counter-propagating system copies.
 
 The phase register starts in a uniform superposition; its bit j (weight
-2**j in the outcome) controls the powered step ``(exp(1j*H*delta) on copy a)
-times (exp(-1j*H*delta) on copy b)`` applied 2**j times, so the branch
-labelled x accumulates ``exp(1j*delta*(e_n - e_m)*x)`` between eigenstates
-n of copy a and m of copy b.  After the inverse Fourier transform the
-outcome f therefore concentrates near ``delta * 2**l * (e_n - e_m) / 2pi``;
+2**j in the outcome) controls the powered step ``exp(1j*H*delta)`` on copy
+a times ``exp(-1j*H^T*delta)`` on copy b, applied 2**j times: copy b
+evolves under -H^T, which is -H for every real H.  The purified states of
+``purify`` hold conjugated eigenvectors on copy b, which -H^T keeps as
+eigenstates, so the branch labelled x accumulates
+``exp(1j*delta*(e_n - e_m)*x)`` between eigenstate n of copy a and the
+conjugate of eigenstate m on copy b.  After the inverse Fourier transform
+the outcome f therefore concentrates near ``delta * 2**l * (e_n - e_m) / 2pi``;
 positive energy differences land at small positive f and negative ones wrap
 into the upper half of the register, which ``outcome_frequency`` maps back
 to signed angular frequencies.
@@ -13,11 +16,10 @@ to signed angular frequencies.
 The circuit runs on one phase-major working array ``psi[x, a, b]`` over the
 register value x and the two copies.  The control=1 branches of bit j are a
 strided view of it, and the controlled power acts on all of them at once as
-``U_j psi conj(U_j)`` (``U_j`` on copy a, ``U_j^dagger`` on copy b), in place.
-The inverse Fourier transform is the simulator's FFT along x, and the
-outcome marginal sums ``|psi|^2`` over both copies.  The circuit stays a
-gate-level simulation in the computational basis; the eigenbasis is used
-only to exponentiate ``U_j``.
+``U_j psi U_j^dagger``, in place.  The inverse Fourier transform is the
+simulator's FFT along x, and the outcome marginal sums ``|psi|^2`` over both
+copies.  The circuit stays a gate-level simulation in the computational
+basis; the eigenbasis is used only to exponentiate ``U_j``.
 
 Controlled powers are built by raising eigenphases once, not by repeating
 gates; repeating the base step, and the gate-by-gate circuit on the full
@@ -101,8 +103,8 @@ def run_qpe(
         # Branches with bit j of x set: x = (hi, 1, lo) with lo < 2**j.
         branch = psi.reshape(dim >> (j + 1), 2, 1 << j, sys_dim, sys_dim)[:, 1]
         forward = eig.propagator(delta * (1 << j))
-        # U on copy a and U^dagger on copy b: psi -> U psi (U^dagger)^T = U psi conj(U).
-        np.matmul(forward @ branch, forward.conj(), out=branch)
+        # exp(-1j*H^T*t) = (U^dagger)^T on copy b: psi -> U psi U^dagger.
+        np.matmul(forward @ branch, forward.conj().T, out=branch)
     amps = _fourier(psi.reshape(dim, -1))
     del psi
     probs = (np.abs(amps) ** 2).sum(axis=1)

@@ -23,7 +23,6 @@ key ``(1, k)`` of the run's seed for attempt ``k``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -54,14 +53,6 @@ _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 TRACE_TOL = 1e-12
 
 _PREP_KEY = 1
-
-
-class NonTracelessWarning(UserWarning):
-    """The observable has a nonzero trace; the cubic moment handles the asymmetry.
-
-    The closed-form ``acceptance_probability`` and ``preparation_fidelity``
-    warn; a run records ``traceless`` in its prep statistics instead.
-    """
 
 
 @dataclass(frozen=True)
@@ -111,15 +102,6 @@ def is_traceless(operator: HermitianOperator) -> bool:
     return bool(abs(np.trace(operator.matrix).real) / operator.dim <= TRACE_TOL)
 
 
-def _warn_if_traced(operator: HermitianOperator) -> None:
-    if not is_traceless(operator):
-        warnings.warn(
-            "observable is not traceless; odd moments enter the fidelity expansion",
-            NonTracelessWarning,
-            stacklevel=3,
-        )
-
-
 def _eigen_weights(
     operator: HermitianOperator,
     ensemble: EnsembleSpec,
@@ -162,7 +144,6 @@ def acceptance_probability(
     hamiltonian: HermitianOperator | None = None,
 ) -> float:
     """Exact postselection probability <sin^2(phi*O/2)> in the base state."""
-    _warn_if_traced(operator)
     vals, q = _eigen_weights(operator, ensemble, hamiltonian)
     return float(q @ np.sin(0.5 * phi * vals) ** 2)
 
@@ -176,7 +157,6 @@ def preparation_fidelity(
     """Squared overlap of the accepted branch with the target operator state."""
     if phi == 0.0:
         raise DegenerateAngleError("fidelity is undefined at phi = 0")
-    _warn_if_traced(operator)
     vals, q = _eigen_weights(operator, ensemble, hamiltonian)
     numerator = abs(np.sum(q * vals * (1.0 - np.exp(1j * phi * vals)))) ** 2
     m2 = _second_moment(vals, q, ensemble)

@@ -70,24 +70,25 @@ def real_pauli_sums(draw, num_sites: int) -> ModelSpec:
 
 
 def purified_phase_weights(hamiltonian, operator, ensemble) -> np.ndarray:
-    """The oracle's reference route: |c_nm|^2 of the purified state, entry (n, m) at gap e_n - e_m.
+    """The circuit's route to the weights: |c_nm|^2 of the purified state, entry (n, m) at gap e_n - e_m.
 
-    ``c = V^dagger M V^*`` writes the doubled-register matrix M of the
-    prepared state as ``V c V^T``, the form in which the counter-propagating
-    circuit (U on copy a, U^dagger on copy b) multiplies each entry by a phase.
+    ``c = V^dagger M V`` writes the doubled-register matrix M of the prepared
+    state as ``V c V^dagger``, the form in which the counter-propagating
+    circuit (U on copy a, -H^T on copy b: ``M -> U M U^dagger``) multiplies
+    each entry by a phase.
     """
     prepared = thermal_operator_state(operator, hamiltonian, ensemble)
     vecs = hamiltonian.eig.eigenvectors
     matrix = prepared.amplitudes.reshape(hamiltonian.dim, hamiltonian.dim)
-    return np.abs(vecs.conj().T @ matrix @ vecs.conj()) ** 2
+    return np.abs(vecs.conj().T @ matrix @ vecs) ** 2
 
 
 def dense_phase_weights(table, dim: int) -> np.ndarray:
-    """A transition table's normalized phase weights as a (dim, dim) matrix oriented as above.
+    """A transition table's normalized weights as a (dim, dim) matrix oriented as above.
 
     Table entry n -> m sits at ``e_m - e_n``, so it lands at (m, n); pruned
     entries read 0.
     """
     dense = np.zeros(dim * dim)
-    dense[table.index] = table.phase_weights / table.mass
+    dense[table.index] = table.weights / table.mass
     return dense.reshape(dim, dim).T

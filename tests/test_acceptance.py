@@ -229,7 +229,7 @@ def test_criterion_8_spectral_peak_agreement():
     }
 
     gaps = table.energies
-    flat = table.phase_weights / table.mass
+    flat = table.weights / table.mass
     order = np.argsort(gaps)
     peaks: list[tuple[float, float]] = []
     for gap, weight in zip(gaps[order], flat[order]):
@@ -269,7 +269,7 @@ def test_criterion_9_ensemble_limits():
 
     table = transition_weights(ham, obs, gibbs(beta))
     gaps = table.energies
-    flat = table.phase_weights / table.mass
+    flat = table.weights / table.mass
     scale = delta * dim / (2 * np.pi)
     concentrated = True
     lines = 0

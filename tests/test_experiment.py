@@ -695,19 +695,28 @@ def test_cli_oracle_writes_spectrum(tmp_path):
 
 def test_cli_oracle_rejects_a_linewidth_below_its_grid_step(tmp_path, capsys):
     # Detunings near 2e300 on a grid of step 2.4e297 cannot resolve gamma = 1e150:
-    # every sigma would read 0, so the command refuses the config instead.
-    document = {
-        "model": {"N": 2, "terms": [{"coefficient": 1e300, "factors": "ZZ"}]},
-        "observable": "total_sz",
-        "ensemble": {"kind": "gibbs", "beta": 1.0},
-        "qpe": {"gamma": 1e150, "auto_plan": True},
-        "output_dir": str(tmp_path / "oracle-out"),
-    }
-    path = write_config(tmp_path, document)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["oracle", "--config", str(path)]) == 1
-    assert [str(w.message) for w in caught] == []
-    err = capsys.readouterr().err
-    assert err.startswith("config error: qpe.gamma: ") and err.count("\n") == 1
-    assert not (tmp_path / "oracle-out").exists()
+    # every sigma would read 0, so the command refuses the config instead.  A
+    # zero-span model is sampled over +-1 (step 1e-3), which cannot resolve the
+    # linewidth 7.9e-5 of l=3, delta=1e4 either.
+    cases = [
+        ({"N": 2, "terms": [{"coefficient": 1e300, "factors": "ZZ"}]},
+         {"kind": "gibbs", "beta": 1.0}, {"gamma": 1e150, "auto_plan": True}, "qpe.gamma"),
+        ({"N": 1, "terms": [{"coefficient": 1.0, "factors": "I"}]},
+         {"kind": "infinite_temperature"}, {"l": 3, "delta": 1e4}, "qpe.delta"),
+    ]
+    for model, ensemble, qpe, field in cases:
+        document = {
+            "model": model,
+            "observable": "total_sz",
+            "ensemble": ensemble,
+            "qpe": qpe,
+            "output_dir": str(tmp_path / "oracle-out"),
+        }
+        path = write_config(tmp_path, document)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["oracle", "--config", str(path)]) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+        assert not (tmp_path / "oracle-out").exists()

@@ -229,7 +229,7 @@ def test_purification_route_equals_matrix_elements_route():
     eig = eig_hermitian(ham)
     state = thermal_operator_state(op, None, INFINITE_TEMPERATURE)
     matrix = state.amplitudes.reshape(8, 8)
-    coeffs = eig.eigenvectors.conj().T @ matrix @ eig.eigenvectors.conj()
+    coeffs = eig.eigenvectors.conj().T @ matrix @ eig.eigenvectors
     from_state = np.abs(coeffs) ** 2
     elements = eig.eigenvectors.conj().T @ op.matrix @ eig.eigenvectors
     from_elements = np.abs(elements) ** 2 / np.trace(op.matrix @ op.matrix).real
@@ -252,17 +252,30 @@ def test_weights_reject_zero_operator():
         transition_weights(PAULI_Z, HermitianOperator(np.zeros((2, 2))))
 
 
-def test_complex_inputs_report_both_weight_routes():
-    # Without time-reversal symmetry the purification route and the squared
-    # matrix elements genuinely differ; the circuit follows the former.
-    ham = random_hermitian(2, seed=201)
-    obs = random_hermitian(2, seed=202)
-    table = transition_weights(ham, obs)
-    weights = dense_phase_weights(table, 4)
-    assert np.max(np.abs(weights - matrix_element_weights(ham, obs))) > 1e-3
-    circuit = run_qpe(thermal_operator_state(obs, None, INFINITE_TEMPERATURE), ham, 5, 0.4)
-    reference = exact_outcome_distribution(table, 5, 0.4)
-    assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
+@settings(max_examples=60, deadline=None)
+@given(
+    num_sites=st.integers(1, 3),
+    num_bits=st.integers(1, 5),
+    seed=st.integers(0, 10_000),
+    complex_h=st.booleans(),
+    ensemble=st.sampled_from([INFINITE_TEMPERATURE, gibbs(0.8), GROUND_STATE]),
+    delta=st.floats(0.05, 1.5),
+)
+def test_circuit_samples_the_golden_rule_weights(num_sites, num_bits, seed, complex_h, ensemble, delta):
+    # The circuit's histogram is the spectrum's own weights p_n |<m|O|n>|^2 under
+    # the leakage kernel, for a complex eigenbasis as for a real one.  The
+    # weights are formed here from the eigenvectors, not read from the table.
+    make = random_hermitian if complex_h else random_real_symmetric
+    ham, obs = make(num_sites, seed), make(num_sites, seed + 1)
+    vecs, levels = ham.eig.eigenvectors, ham.eig.eigenvalues
+    elements = vecs.conj().T @ obs.matrix @ vecs  # <m|O|n> at [m, n]
+    golden = ensemble_populations(ham.eig, ensemble) * np.abs(elements) ** 2
+    gaps = np.subtract.outer(levels, levels)  # e_m - e_n at [m, n]
+    dim = 1 << num_bits
+    offsets = (delta * dim * gaps.reshape(-1) / (2 * np.pi))[:, None] - np.arange(dim)
+    reference = golden.reshape(-1) / golden.sum() @ _kernel(offsets, num_bits)
+    circuit = run_qpe(thermal_operator_state(obs, ham, ensemble), ham, num_bits, delta)
+    assert distribution_distance(circuit, reference) <= 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,7 +327,6 @@ def test_pruning_stays_within_its_mass_bound(monkeypatch, ensemble, complex_h):
     assert pruned.kept < full.kept
     dropped = ~np.isin(full.index, pruned.index)
     assert full.weights[dropped].sum() <= PRUNE_SHARE * full.weights.sum()
-    assert full.phase_weights[dropped].sum() <= PRUNE_SHARE * full.mass
     assert pruned.mass == full.mass
 
     gamma = 0.2
@@ -411,7 +423,7 @@ def test_consistency_triangle_concentration():
     table = transition_weights(ham, obs)
     dist = exact_outcome_distribution(table, num_bits, delta)
     flat_gaps = table.energies
-    flat_weights = table.phase_weights / table.mass
+    flat_weights = table.weights / table.mass
     # Aggregate degenerate gaps before checking concentration.
     order = np.argsort(flat_gaps)
     grouped: list[tuple[float, float]] = []
@@ -476,7 +488,7 @@ def test_outcome_distribution_matches_kernel_sum(num_sites, num_bits, delta, sca
     table = transition_weights(ham, obs)
     dist = exact_outcome_distribution(table, num_bits, delta)
     offsets = (delta * dim * table.energies / (2 * np.pi))[:, None] - np.arange(dim)
-    reference = table.phase_weights / table.mass @ _kernel(offsets, num_bits)
+    reference = table.weights / table.mass @ _kernel(offsets, num_bits)
     assert np.max(np.abs(dist.probabilities - reference)) <= 1e-13
     assert abs(dist.probabilities.sum() - 1.0) <= 1e-14
 

@@ -117,7 +117,7 @@ def test_controlled_powers_match_repeated_base_steps():
     state = tensor_product(prepared, plus_state(num_bits))
     eig = eig_hermitian(ham)
     forward = eig.propagator(delta)
-    backward = eig.propagator(-delta)
+    backward = forward.conj()  # exp(-1j*H^T*delta) on copy b
     for j in range(num_bits):
         control = phase[num_bits - 1 - j]
         for _ in range(1 << j):
@@ -138,7 +138,7 @@ def gate_by_gate_qpe(prepared, hamiltonian, num_bits, delta):
     for j in range(num_bits):
         control = phase[num_bits - 1 - j]
         forward = eig.propagator(delta * (1 << j))
-        backward = eig.propagator(-delta * (1 << j))
+        backward = forward.conj()  # exp(-1j*H^T*t) on copy b
         state = apply_controlled_unitary(state, control, forward, copy_a, validate=False)
         state = apply_controlled_unitary(state, control, backward, copy_b, validate=False)
     dim = 1 << num_bits

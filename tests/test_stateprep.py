@@ -1,5 +1,7 @@
 """Closed forms and circuit simulation of the postselected preparation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from qspec import (
     EigenvalueDistribution,
     HermitianOperator,
     MomentSet,
-    NonTracelessWarning,
     acceptance_probability,
     build_operator,
     choose_phi,
@@ -289,16 +290,17 @@ def test_moment_set_validates_cauchy_schwarz():
         MomentSet(m2=0.0, m3=0.0, m4=1.0)
 
 
-def test_non_traceless_observable_warns():
+def test_traced_observable_closed_forms_are_silent_and_exact():
+    # The closed forms keep the identity part, so a trace needs no warning:
+    # both match the simulated circuit on an observable with one.
     shifted = HermitianOperator(np.diag([2.0, 0.0]))
-    with pytest.warns(NonTracelessWarning):
-        acceptance_probability(shifted, 0.4)
-    # Traceless input stays silent.
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        acceptance_probability(PAULI_Z, 0.4)
+        p1 = acceptance_probability(shifted, 0.4)
+        fidelity = preparation_fidelity(shifted, 0.4)
+    simulated_p1, _, simulated_fidelity = simulate_prep_circuit(shifted, 0.4)
+    assert abs(p1 - simulated_p1) <= 1e-12
+    assert abs(fidelity - simulated_fidelity) <= 1e-12
 
 
 def test_ensemble_moments_match_direct_traces():
