@@ -47,6 +47,11 @@ EXIT_ERROR = 4
 _SYNTH_KEY = 3
 
 
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and not 0 <= seed < 1 << 64:
+        raise ConfigError("--seed must fit in 64 unsigned bits")
+
+
 def _load_config(args: argparse.Namespace):
     path = Path(args.config)
     try:
@@ -54,8 +59,7 @@ def _load_config(args: argparse.Namespace):
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     config = validate_config(raw)
-    if args.seed is not None and not 0 <= args.seed < 1 << 64:
-        raise ConfigError("--seed must fit in 64 unsigned bits")
+    _check_seed(args.seed)
     overrides = {"seed": args.seed, "output_dir": args.out}
     return replace(config, **{key: value for key, value in overrides.items() if value is not None})
 
@@ -92,6 +96,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_prepstudy(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     if args.phi_points < 1 or not 0 < args.phi_max < math.inf:
         raise ConfigError("prepstudy needs a positive, finite angle grid")
     if args.num_sites < 1:

@@ -12,7 +12,7 @@ Every base state is the matrix ``rho**(1/2) = V diag(sqrt(p)) V^dagger``
 of its ensemble (for the ground state ``psi_0 psi_0^dagger``), so copy b
 holds conjugated eigenvectors; the circuit evolves copy b under -H^T (see
 ``qpe``), which keeps them eigenstates.  The matrix form keeps the beta=0
-limit exactly equal to the entangled pair state for every Hermitian input.
+limit equal, to rounding, to the entangled pair state for any Hermitian input.
 A real operator is stored and diagonalized in float64 (see ``simcore``),
 so real H and O give real purified states.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ResourceCapError, ZeroNormError
+from .errors import DimensionMismatchError, ResourceCapError, ZeroNormError, ZeroOperatorError
 from .simcore import (
     QUBIT_CAP,
     EigenDecomposition,
@@ -130,7 +130,12 @@ def base_state(
 
 
 def reject_annihilation(second_moment: float, mean_square: float, ensemble: EnsembleSpec) -> None:
-    """Raise ``ZeroNormError`` when ``<O^2> <= M2_RTOL * tr(O^2)/dim`` in the base state."""
+    """Raise ``ZeroNormError`` when ``<O^2> <= M2_RTOL * tr(O^2)/dim`` in the base state.
+
+    A nonzero but subnormal ``tr(O^2)/dim`` is a ``ZeroOperatorError``: no norm of O is accurate.
+    """
+    if 0.0 < mean_square < np.finfo(float).tiny:
+        raise ZeroOperatorError(f"tr(O^2)/dim = {mean_square:.3g} is below the normal float range")
     if not second_moment > M2_RTOL * mean_square:
         raise ZeroNormError(f"annihilates the {ensemble.kind} base state")
 

@@ -22,6 +22,10 @@ keeps float64 amplitudes when given real ones.  The gate operations
 always return complex128 amplitudes, promoting a real state before the
 phases reach it, so no imaginary part is ever cast away.
 
+The register operations (``basis_state``, ``tensor_product``, the gate
+operations, ``register_distribution``) are the tests' gate-level reference;
+the pipeline (``qpe``, ``stateprep``) works on the doubled-register matrix.
+
 All operations are pure functions of immutable inputs: amplitude arrays and
 operator matrices are never mutated in place and identical inputs produce
 bit-identical outputs.  A ``HermitianOperator`` therefore memoises its

@@ -1,9 +1,12 @@
 """Probabilistic preparation of the purified operator state.
 
 The circuit entangles a fresh ancilla with copy a of the doubled register:
-Hadamard, controlled ``exp(1j * phi * O)``, Hadamard, then postselection of
-the ancilla on ``|1>``.  Postselection succeeds with probability
-``P1 = <sin^2(phi*O/2)>`` and the accepted branch has fidelity
+Hadamard, controlled ``U = exp(1j * phi * O)``, Hadamard, then postselection
+of the ancilla on ``|1>``.  As ``qpe`` folds its phase register, the
+simulation folds the ancilla into the base state's matrix B (see ``purify``):
+its two branches are ``(B +- U B)/2``, U acting on copy a as a left product.
+Postselection succeeds with probability ``P1 = <sin^2(phi*O/2)>`` and the
+accepted branch has fidelity
 
     F = |<O (1 - exp(1j*phi*O))>|^2 / (<O^2> <4 sin^2(phi*O/2)>)
 
@@ -37,18 +40,7 @@ from .purify import (
     operator_state,
     reject_annihilation,
 )
-from .simcore import (
-    QUBIT_CAP,
-    HermitianOperator,
-    StateVector,
-    apply_controlled_unitary,
-    apply_unitary,
-    basis_state,
-    overlap,
-    tensor_product,
-)
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+from .simcore import QUBIT_CAP, HermitianOperator, StateVector, overlap
 
 TRACE_TOL = 1e-12
 
@@ -172,31 +164,24 @@ def simulate_prep_circuit(
     ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
     hamiltonian: HermitianOperator | None = None,
 ) -> tuple[float, StateVector, float]:
-    """Simulate Hadamard, controlled exp(1j*phi*O), Hadamard on an appended ancilla.
+    """Simulate Hadamard, controlled U = exp(1j*phi*O) on copy a, Hadamard on a fresh ancilla.
 
-    The ancilla is the least significant qubit.  Returns the exact,
-    unclipped acceptance probability P1, the normalized accepted branch and
-    its fidelity with the target operator state.
+    The ancilla is folded into the base matrix B, leaving its ``|1>`` branch
+    ``(B - U B)/2``.  Returns the exact, unclipped acceptance probability P1,
+    the normalized accepted branch and its fidelity with the target operator state.
     """
     base = base_state(ensemble, hamiltonian, operator.num_qubits)
     n = base.num_qubits
     if n + 1 > QUBIT_CAP:
         raise ResourceCapError(f"prep circuit needs {n + 1} qubits, cap is {QUBIT_CAP}")
 
-    state = tensor_product(base, basis_state(1, 0))
-    ancilla = n
-    state = apply_unitary(state, _HADAMARD, (ancilla,))
+    matrix = base.amplitudes.reshape(operator.dim, operator.dim)
     rotation = operator.eig.apply_function(lambda v: np.exp(1j * phi * v))
-    state = apply_controlled_unitary(
-        state, ancilla, rotation, range(operator.num_qubits), validate=False
-    )
-    state = apply_unitary(state, _HADAMARD, (ancilla,))
-
-    branches = state.amplitudes.reshape(-1, 2)  # ancilla is the last qubit
-    p1 = float(np.linalg.norm(branches[:, 1]) ** 2)
+    branch = (matrix - rotation @ matrix) / 2
+    p1 = float(np.linalg.norm(branch) ** 2)
     if p1 <= 1e-24:
         raise DegenerateAngleError("rotation angle leaves the accepted branch empty")
-    post = StateVector(n, branches[:, 1] / np.sqrt(p1))
+    post = StateVector(n, branch.reshape(-1) / np.sqrt(p1))
     target = operator_state(operator, base, ensemble)
     fidelity = min(abs(overlap(target, post)) ** 2, 1.0)
     return p1, post, fidelity

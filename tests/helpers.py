@@ -4,14 +4,22 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qspec import (
+    INFINITE_TEMPERATURE,
     HermitianOperator,
     ModelSpec,
     PauliTerm,
     StateVector,
+    apply_controlled_unitary,
+    apply_unitary,
+    base_state,
+    basis_state,
     build_operator,
     observable_spec,
+    overlap,
+    tensor_product,
     thermal_operator_state,
 )
+from qspec.purify import operator_state
 
 
 def plus_state(num_qubits: int) -> StateVector:
@@ -92,3 +100,24 @@ def dense_phase_weights(table, dim: int) -> np.ndarray:
     dense = np.zeros(dim * dim)
     dense[table.index] = table.weights / table.mass
     return dense.reshape(dim, dim).T
+
+
+def gate_by_gate_prep(operator, phi, ensemble=INFINITE_TEMPERATURE, hamiltonian=None):
+    """The register-level prep circuit that ``simulate_prep_circuit`` replaced.
+
+    The ancilla is appended as the least significant qubit: Hadamard, then
+    ``exp(1j*phi*O)`` on copy a controlled by it, then Hadamard.  Returns the
+    same ``(P1, accepted branch, fidelity)`` triple.
+    """
+    base = base_state(ensemble, hamiltonian, operator.num_qubits)
+    ancilla = base.num_qubits
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    state = apply_unitary(tensor_product(base, basis_state(1, 0)), hadamard, (ancilla,))
+    rotation = operator.eig.propagator(phi)
+    state = apply_controlled_unitary(state, ancilla, rotation, range(operator.num_qubits), validate=False)
+    state = apply_unitary(state, hadamard, (ancilla,))
+    accepted = state.amplitudes.reshape(-1, 2)[:, 1]
+    p1 = float(np.linalg.norm(accepted) ** 2)
+    post = StateVector(ancilla, accepted / np.sqrt(p1))
+    fidelity = min(abs(overlap(operator_state(operator, base, ensemble), post)) ** 2, 1.0)
+    return p1, post, fidelity

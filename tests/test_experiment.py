@@ -374,9 +374,9 @@ def test_circuit_prep_matches_per_attempt_reference(tmp_path, monkeypatch, seed)
         seed=seed,
     )
     simulations = []
-    rotate = stateprep.apply_controlled_unitary
+    simulate = stateprep.simulate_prep_circuit
     monkeypatch.setattr(
-        stateprep, "apply_controlled_unitary", lambda *a, **k: simulations.append(1) or rotate(*a, **k)
+        stateprep, "simulate_prep_circuit", lambda *a, **k: simulations.append(1) or simulate(*a, **k)
     )
     prepared = []
     qpe = experiment.run_qpe
@@ -680,6 +680,15 @@ def test_cli_prepstudy_rejects_bad_input(tmp_path, capsys, flag, value):
     assert main(["prepstudy", "--out", str(out), flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: prepstudy") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_cli_prepstudy_rejects_a_seed_outside_64_unsigned_bits(tmp_path, capsys, seed):
+    # -1 used to end in a traceback from SeedSequence, and 2**64 was accepted.
+    out = tmp_path / "study"
+    assert main(["prepstudy", "--out", str(out), "--seed", seed]) == 1
+    assert capsys.readouterr().err == "config error: --seed must fit in 64 unsigned bits\n"
     assert not out.exists()
 
 

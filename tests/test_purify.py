@@ -14,12 +14,14 @@ from qspec import (
     HermitianOperator,
     entangled_pair_state,
     gibbs,
+    moments,
     overlap,
     purify_gibbs,
     register_distribution,
     thermal_operator_state,
+    transition_weights,
 )
-from qspec.errors import ResourceCapError, ZeroNormError
+from qspec.errors import ResourceCapError, ZeroNormError, ZeroOperatorError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -76,6 +78,25 @@ def test_purify_matches_eigenbasis_sum():
 def test_purify_rejects_zero_operator():
     with pytest.raises(ZeroNormError):
         thermal_operator_state(HermitianOperator(np.zeros((2, 2))), None, INFINITE_TEMPERATURE)
+
+
+@pytest.mark.parametrize("ensemble", [INFINITE_TEMPERATURE, gibbs(0.8), GROUND_STATE])
+def test_observable_with_subnormal_squares_is_a_zero_operator(ensemble):
+    # The squares of 1e-160 ZI are subnormal: the operator state's norm came
+    # out wrong by up to 3e-4 (a NormalizationError) and the oracle built a
+    # table from them.  Every route rejects it as a zero operator, not as one
+    # that annihilates the base state.
+    ham = random_real_symmetric(2, seed=46)
+    obs = HermitianOperator(1e-160 * np.kron(PAULI_Z.real, np.eye(2)))
+    routes = (
+        lambda: thermal_operator_state(obs, ham, ensemble),
+        lambda: moments(obs, ensemble, ham),
+        lambda: transition_weights(ham, obs, ensemble),
+    )
+    for route in routes:
+        with pytest.raises(ZeroOperatorError) as caught:
+            route()
+        assert not isinstance(caught.value, ZeroNormError)
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import preset_observable, random_hermitian, random_real_symmetric
+from helpers import gate_by_gate_prep, preset_observable, random_hermitian, random_real_symmetric
 from qspec import (
     GROUND_STATE,
+    INFINITE_TEMPERATURE,
     EigenvalueDistribution,
     HermitianOperator,
     MomentSet,
@@ -96,6 +97,27 @@ def test_circuit_branch_norms_match_closed_forms(ensemble, needs_ham):
     p1, _, fidelity = simulate_prep_circuit(op, phi, **kwargs)
     assert abs(p1 - acceptance_probability(op, phi, **kwargs)) <= 1e-12
     assert abs(fidelity - preparation_fidelity(op, phi, **kwargs)) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_sites=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    real_h=st.booleans(),
+    real_o=st.booleans(),
+    ensemble=st.sampled_from([INFINITE_TEMPERATURE, gibbs(0.8), GROUND_STATE]),
+    # Below about 1e-2 the accepted branch is a cancellation whose rounding
+    # both simulations divide by sqrt(P1), so the 1e-12 match would not hold.
+    phi=st.floats(0.01, np.pi - 0.01),
+)
+def test_simulate_prep_circuit_matches_gate_by_gate_circuit(num_sites, seed, real_h, real_o, ensemble, phi):
+    ham = (random_real_symmetric if real_h else random_hermitian)(num_sites, seed=seed)
+    obs = (random_real_symmetric if real_o else random_hermitian)(num_sites, seed=seed + 1)
+    p1, post, fidelity = simulate_prep_circuit(obs, phi, ensemble, ham)
+    ref_p1, ref_post, ref_fidelity = gate_by_gate_prep(obs, phi, ensemble, ham)
+    assert abs(p1 - ref_p1) <= 1e-12
+    assert np.max(np.abs(post.amplitudes - ref_post.amplitudes)) <= 1e-12
+    assert abs(fidelity - ref_fidelity) <= 1e-12
 
 
 def test_branch_norms_sum_to_one():

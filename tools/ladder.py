@@ -30,7 +30,8 @@ The ladder:
   with ``total_sz`` and with a complex observable, in all three ensembles,
   under exact ``run``, circuit ``run`` and ``oracle``;
 * a zero-span model under ``oracle`` with a linewidth below the grid step;
-* ``qspec prepstudy --num-sites 6 --seed 3``.
+* ``qspec prepstudy --num-sites 6 --seed 3``, and ``prepstudy`` with the
+  out-of-range seeds ``-1`` and ``2**64``.
 """
 
 from __future__ import annotations
@@ -133,6 +134,8 @@ def invocations():
     yield "zero_span/oracle", "oracle", _config(_pauli_sum(1, [(1.0, "I")]), "total_sz",
                                                 ENSEMBLES["infinite"], "exact", {"l": 3, "delta": 1e4})
     yield "prepstudy/N6/seed3", "prepstudy", ["--num-sites", "6", "--seed", "3"]
+    for seed in (-1, 1 << 64):
+        yield f"prepstudy/seed{seed}", "prepstudy", ["--seed", str(seed)]
 
 
 def _normalized_report(path: Path) -> dict:
