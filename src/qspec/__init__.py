@@ -56,10 +56,8 @@ from .purify import (
     INFINITE_TEMPERATURE,
     EnsembleSpec,
     base_state,
-    entangled_pair_state,
     gibbs,
     ground_state_degeneracy,
-    purify_gibbs,
     thermal_operator_state,
 )
 from .qpe import (
@@ -75,14 +73,8 @@ from .simcore import (
     EigenDecomposition,
     HermitianOperator,
     StateVector,
-    apply_controlled_unitary,
-    apply_unitary,
-    basis_state,
     eig_hermitian,
-    inverse_qft,
     overlap,
-    register_distribution,
-    tensor_product,
 )
 from .stateprep import (
     MomentSet,

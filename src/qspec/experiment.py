@@ -41,6 +41,7 @@ from .models import (
     MAX_SITES,
     ModelSpec,
     OBSERVABLE_PRESETS,
+    PauliTerm,
     build_operator,
     heisenberg,
     observable_spec,
@@ -161,9 +162,16 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    # Also false for NaN, and for a JSON integer past the double range, whose float() overflows.
+    if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{path}: must be finite")
     return float(value)
+
+
+def _as_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    return value
 
 
 def _parse_terms(obj: dict, path: str) -> ModelSpec:
@@ -172,17 +180,20 @@ def _parse_terms(obj: dict, path: str) -> ModelSpec:
     raw_terms = _require(obj, "terms", path)
     if not isinstance(raw_terms, list) or not raw_terms:
         raise ConfigError(f"{path}.terms: expected a non-empty list")
+    terms = []
     for index, term in enumerate(raw_terms):
+        term_path = f"{path}.terms[{index}]"
         if not isinstance(term, dict):
-            raise ConfigError(f"{path}.terms[{index}]: expected an object")
-        _reject_unknown(term, ("coefficient", "factors"), f"{path}.terms[{index}]")
-        _require(term, "coefficient", f"{path}.terms[{index}]")
-        _require(term, "factors", f"{path}.terms[{index}]")
+            raise ConfigError(f"{term_path}: expected an object")
+        _reject_unknown(term, ("coefficient", "factors"), term_path)
+        coefficient = _as_number(_require(term, "coefficient", term_path), f"{term_path}.coefficient")
+        factors = _as_str(_require(term, "factors", term_path), f"{term_path}.factors")
+        terms.append((coefficient, factors))
+    name = _as_str(obj.get("name", ""), f"{path}.name")
     try:
-        spec = ModelSpec.from_dict({"N": num_sites, "terms": raw_terms, "name": obj.get("name", "")})
-    except (TypeError, ValueError) as exc:
+        return ModelSpec(num_sites, tuple(PauliTerm(c, f) for c, f in terms), name)
+    except ValueError as exc:
         raise ConfigError(f"{path}.terms: {exc}") from exc
-    return spec
 
 
 def _parse_model(obj, path: str) -> ModelSpec:

@@ -68,13 +68,6 @@ class ModelSpec:
             "terms": [{"coefficient": t.coefficient, "factors": t.factors} for t in self.terms],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelSpec":
-        terms = tuple(
-            PauliTerm(float(t["coefficient"]), str(t["factors"])) for t in data["terms"]
-        )
-        return cls(int(data["N"]), terms, str(data.get("name", "")))
-
 
 def build_operator(spec: ModelSpec) -> HermitianOperator:
     """Compile the Pauli sum to a dense matrix (real coefficients keep it Hermitian).

@@ -14,8 +14,11 @@ and the ensemble populations p, computed once, list each transition n -> m
 with its energy difference ``e_m - e_n`` and weight ``p_n |O_e,nm|^2``.  The
 spectrum, the correlation series and the phase-register distribution all
 read that one weight column.  The oracle shares no purification code with
-the circuit; it uses only ``purify.ensemble_populations`` and the
-annihilation rule ``purify.reject_annihilation``.
+the circuit, only its inputs: the ensemble populations p of
+``purify.ensemble_populations``, from which ``purify.base_state`` also
+builds the circuit's base state, and the annihilation rule
+``purify.reject_annihilation``.  Since circuit and oracle read the same p,
+the test suite checks p against an independent purification.
 
 The table is pruned: of its T = 4**N transitions it drops every one whose
 weight is at most ``2**-60 * sum(w) / T``.  The dropped mass is then at most

@@ -3,18 +3,18 @@
 A state on two copies of an N-site system is stored with copy a on the
 high qubits and copy b on the low qubits, so its amplitudes reshape to a
 ``(2**N, 2**N)`` matrix M with ``M[i, j]`` the amplitude of ``|i>|j>``.
-In that picture the maximally entangled pair state is the identity matrix
-over sqrt(2**N), applying an operator to copy a is a left matrix product,
-and the Gibbs purification at inverse temperature beta is the normalized
-matrix ``exp(-beta*H/2)``.
+In that picture applying an operator to copy a is a left matrix product.
 
-Every base state is the matrix ``rho**(1/2) = V diag(sqrt(p)) V^dagger``
-of its ensemble (for the ground state ``psi_0 psi_0^dagger``), so copy b
-holds conjugated eigenvectors; the circuit evolves copy b under -H^T (see
-``qpe``), which keeps them eigenstates.  The matrix form keeps the beta=0
-limit equal, to rounding, to the entangled pair state for any Hermitian input.
-A real operator is stored and diagonalized in float64 (see ``simcore``),
-so real H and O give real purified states.
+Every base state is one formula, the matrix ``rho**(1/2) = V diag(sqrt(p))
+V^dagger`` of its ensemble, with the populations p of
+``ensemble_populations``: the normalized ``exp(-beta*H/2)`` for Gibbs and
+``psi_0 psi_0^dagger`` for the ground state.  Uniform p gives the identity
+over sqrt(2**N) in any basis, so the infinite-temperature base state (the
+entangled pair state) is built as that identity, exactly and without a
+Hamiltonian.  Copy b holds conjugated eigenvectors; the circuit evolves
+copy b under -H^T (see ``qpe``), which keeps them eigenstates.  A real
+operator is stored and diagonalized in float64 (see ``simcore``), so real
+H and O give real purified states.
 """
 
 from __future__ import annotations
@@ -67,39 +67,6 @@ def gibbs(beta: float) -> EnsembleSpec:
     return EnsembleSpec("gibbs", float(beta))
 
 
-def _check_cap(num_sites: int) -> None:
-    if 2 * num_sites > QUBIT_CAP:
-        raise ResourceCapError(
-            f"two copies of {num_sites} sites exceed the {QUBIT_CAP}-qubit cap"
-        )
-
-
-def entangled_pair_state(num_sites: int) -> StateVector:
-    """Product of Bell pairs between the system and its copy: 2**(-N/2) sum_z |z>|z>."""
-    if num_sites < 1:
-        raise ValueError("num_sites must be at least 1")
-    _check_cap(num_sites)
-    dim = 1 << num_sites
-    m = np.eye(dim) / np.sqrt(dim)
-    return StateVector(2 * num_sites, m.reshape(-1))
-
-
-def purify_gibbs(hamiltonian: HermitianOperator, beta: float) -> StateVector:
-    """Gibbs purification: the normalized matrix exp(-beta*H/2) on the doubled register.
-
-    Eigenvalues are shifted by the ground-state energy before exponentiation,
-    so large beta cannot overflow; the normalization absorbs the shift.  A
-    weight whose exponent passes the double range is exp(-inf) = 0.
-    """
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError("beta must be finite and non-negative")
-    eig = hamiltonian.eig
-    _check_cap(hamiltonian.num_qubits)
-    with np.errstate(over="ignore"):
-        amps = eig.apply_function(lambda lam: np.exp(-0.5 * beta * (lam - lam[0]))).reshape(-1)
-    return StateVector(2 * hamiltonian.num_qubits, amps / np.linalg.norm(amps))
-
-
 def ground_state_degeneracy(hamiltonian: HermitianOperator, tol: float = 1e-9) -> int:
     """Number of eigenvalues within ``tol`` (scaled by the spectral span) of the minimum."""
     vals = hamiltonian.eig.eigenvalues
@@ -107,37 +74,62 @@ def ground_state_degeneracy(hamiltonian: HermitianOperator, tol: float = 1e-9) -
     return int(np.sum(vals - vals[0] <= tol * max(1.0, span)))
 
 
+def ensemble_populations(eig: EigenDecomposition, ensemble: EnsembleSpec) -> np.ndarray:
+    """Diagonal occupation of each eigenstate in the ensemble's density matrix."""
+    dim = eig.dim
+    if ensemble.kind == "infinite_temperature":
+        return np.full(dim, 1.0 / dim)
+    if ensemble.kind == "gibbs":
+        with np.errstate(over="ignore"):  # an exponent past the double range gives exp(-inf) = 0
+            w = np.exp(-ensemble.beta * (eig.eigenvalues - eig.eigenvalues[0]))
+        return w / w.sum()
+    pops = np.zeros(dim)
+    pops[0] = 1.0
+    return pops
+
+
 def base_state(
     ensemble: EnsembleSpec,
     hamiltonian: HermitianOperator | None,
     num_sites: int,
 ) -> StateVector:
-    """The doubled-register state the operator is applied to.
+    """The doubled-register state ``rho**(1/2) = V diag(sqrt(p)) V^dagger`` the operator is applied to.
 
-    Infinite temperature needs only the site count (the entangled pair
-    state); ground state and Gibbs need the Hamiltonian.  A degenerate
-    ground level uses the lowest-index eigenvector.
+    Infinite temperature needs only the site count: uniform p gives the
+    identity over sqrt(2**N), built directly.  Ground state and Gibbs need
+    the Hamiltonian; a degenerate ground level uses the lowest-index
+    eigenvector (see ``ensemble_populations``).
     """
+    if ensemble.kind != "infinite_temperature":
+        if hamiltonian is None:
+            raise ValueError(f"{ensemble.kind} base state requires the Hamiltonian")
+        num_sites = hamiltonian.num_qubits
+    if 2 * num_sites > QUBIT_CAP:
+        raise ResourceCapError(f"two copies of {num_sites} sites exceed the {QUBIT_CAP}-qubit cap")
     if ensemble.kind == "infinite_temperature":
-        return entangled_pair_state(num_sites)
-    if hamiltonian is None:
-        raise ValueError(f"{ensemble.kind} base state requires the Hamiltonian")
-    if ensemble.kind == "gibbs":
-        return purify_gibbs(hamiltonian, ensemble.beta)
-    _check_cap(hamiltonian.num_qubits)
-    psi0 = hamiltonian.eig.eigenvectors[:, 0]
-    return StateVector(2 * hamiltonian.num_qubits, np.kron(psi0, psi0.conj()))
+        dim = 1 << num_sites
+        matrix = np.eye(dim) / np.sqrt(dim)
+    else:
+        eig = hamiltonian.eig
+        matrix = eig.apply_function(lambda _: np.sqrt(ensemble_populations(eig, ensemble)))
+    return StateVector(2 * num_sites, matrix.reshape(-1))
 
 
 def reject_annihilation(second_moment: float, mean_square: float, ensemble: EnsembleSpec) -> None:
     """Raise ``ZeroNormError`` when ``<O^2> <= M2_RTOL * tr(O^2)/dim`` in the base state.
 
     A nonzero but subnormal ``tr(O^2)/dim`` is a ``ZeroOperatorError``: no norm of O is accurate.
+    A subnormal ``<O^2>`` is a ``ZeroNormError`` too: the base state leaves O's
+    norm, and every moment above it, to rounding.
     """
     if 0.0 < mean_square < np.finfo(float).tiny:
         raise ZeroOperatorError(f"tr(O^2)/dim = {mean_square:.3g} is below the normal float range")
     if not second_moment > M2_RTOL * mean_square:
         raise ZeroNormError(f"annihilates the {ensemble.kind} base state")
+    if second_moment < np.finfo(float).tiny:
+        raise ZeroNormError(
+            f"<O^2> = {second_moment:.3g} in the {ensemble.kind} base state is below the normal float range"
+        )
 
 
 def thermal_operator_state(
@@ -164,17 +156,3 @@ def operator_state(operator: HermitianOperator, base: StateVector, ensemble: Ens
     norm = float(np.linalg.norm(m))
     reject_annihilation(norm * norm, float(np.vdot(operator.matrix, operator.matrix).real) / dim, ensemble)
     return StateVector(base.num_qubits, m.reshape(-1) / norm)
-
-
-def ensemble_populations(eig: EigenDecomposition, ensemble: EnsembleSpec) -> np.ndarray:
-    """Diagonal occupation of each eigenstate in the ensemble's density matrix."""
-    dim = eig.dim
-    if ensemble.kind == "infinite_temperature":
-        return np.full(dim, 1.0 / dim)
-    if ensemble.kind == "gibbs":
-        with np.errstate(over="ignore"):  # an exponent past the double range gives exp(-inf) = 0
-            w = np.exp(-ensemble.beta * (eig.eigenvalues - eig.eigenvalues[0]))
-        return w / w.sum()
-    pops = np.zeros(dim)
-    pops[0] = 1.0
-    return pops

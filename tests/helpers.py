@@ -9,17 +9,19 @@ from qspec import (
     ModelSpec,
     PauliTerm,
     StateVector,
-    apply_controlled_unitary,
-    apply_unitary,
     base_state,
-    basis_state,
     build_operator,
     observable_spec,
     overlap,
-    tensor_product,
     thermal_operator_state,
 )
 from qspec.purify import operator_state
+from qspec.simcore import (
+    apply_controlled_unitary,
+    apply_unitary,
+    basis_state,
+    tensor_product,
+)
 
 
 def plus_state(num_qubits: int) -> StateVector:
@@ -75,6 +77,24 @@ def real_pauli_sums(draw, num_sites: int) -> ModelSpec:
     coefficient = st.floats(-2.0, 2.0, allow_nan=False)
     terms = draw(st.lists(st.builds(PauliTerm, coefficient, factors), min_size=1, max_size=6))
     return ModelSpec(num_sites, tuple(terms))
+
+
+def gibbs_purification(hamiltonian: HermitianOperator, beta: float) -> np.ndarray:
+    """The Gibbs base state built without the ensemble populations: normalized exp(-beta*H/2).
+
+    Eigenvalues are shifted by the ground energy before exponentiation, so a
+    large beta cannot overflow, and the matrix is normalized by its own norm.
+    """
+    vals, vecs = np.linalg.eigh(hamiltonian.matrix)
+    with np.errstate(over="ignore"):
+        matrix = (vecs * np.exp(-0.5 * beta * (vals - vals[0]))) @ vecs.conj().T
+    return matrix.reshape(-1) / np.linalg.norm(matrix)
+
+
+def ground_pair(hamiltonian: HermitianOperator) -> np.ndarray:
+    """The ground-state base state as ``kron(psi_0, psi_0*)``: the matrix psi_0 psi_0^dagger."""
+    psi0 = np.linalg.eigh(hamiltonian.matrix)[1][:, 0]
+    return np.kron(psi0, psi0.conj())
 
 
 def purified_phase_weights(hamiltonian, operator, ensemble) -> np.ndarray:

@@ -13,18 +13,17 @@ from qspec import (
     GROUND_STATE,
     INFINITE_TEMPERATURE,
     EigenvalueDistribution,
+    base_state,
     build_operator,
     choose_phi,
     distribution_distance,
     eig_hermitian,
-    entangled_pair_state,
     exact_outcome_distribution,
     gibbs,
     moment_ratio_constant,
     moments,
     plan_resolution,
     preparation_fidelity,
-    purify_gibbs,
     qpe_kernel,
     run_qpe,
     sample_outcomes,
@@ -254,9 +253,8 @@ def test_criterion_8_spectral_peak_agreement():
 
 def test_criterion_9_ensemble_limits():
     ham = build_operator(tilted_ising(3))
-    worst_pair = float(
-        np.max(np.abs(purify_gibbs(ham, 0.0).amplitudes - entangled_pair_state(3).amplitudes))
-    )
+    pair = base_state(INFINITE_TEMPERATURE, None, 3)
+    worst_pair = float(np.max(np.abs(base_state(gibbs(0.0), ham, 3).amplitudes - pair.amplitudes)))
 
     obs = preset_observable("total_sz", 3)
     num_bits, dim = 6, 64

@@ -86,6 +86,47 @@ def test_unknown_term_field_rejected_with_index():
         validate_config(json.dumps(document))
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("coefficient", ["2", True])
+def test_cli_non_numeric_coefficient_exits_with_one_line(tmp_path, capsys, command, coefficient):
+    # float() used to coerce both, and the run exited 0.
+    observable = {"N": 1, "terms": [{"coefficient": coefficient, "factors": "X"}]}
+    document = dict(TWO_LEVEL, observable=observable, output_dir=str(tmp_path / "never"))
+    path = write_config(tmp_path, document)
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: observable.terms[0].coefficient: expected a number, got {coefficient!r}\n"
+    )
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"observable": {"N": 1, "terms": [{"coefficient": 1.0, "factors": 5}]}},
+            "observable.terms[0].factors: expected a string, got 5",
+        ),
+        (
+            {"observable": {"N": 1, "terms": [{"coefficient": 1.0, "factors": "X"}], "name": 5}},
+            "observable.name: expected a string, got 5",
+        ),
+        # float() of a 401-digit JSON integer raised OverflowError, a traceback from the CLI.
+        (
+            {"observable": {"N": 1, "terms": [{"coefficient": "HUGE", "factors": "X"}]}},
+            "observable.terms[0].coefficient: must be finite",
+        ),
+        ({"qpe": {"l": 3, "delta": "HUGE"}}, "qpe.delta: must be finite"),
+    ],
+    ids=["factors", "name", "huge_coefficient", "huge_delta"],
+)
+def test_fields_are_parsed_not_coerced(overrides, message):
+    text = json.dumps(dict(TWO_LEVEL, **overrides)).replace('"HUGE"', "1" + "0" * 400)
+    with pytest.raises(ConfigError) as caught:
+        validate_config(text)
+    assert str(caught.value) == message
+
+
 def test_observable_preset_and_model_preset_parse(tmp_path):
     config = make_config(
         tmp_path,
@@ -317,7 +358,6 @@ def test_circuit_prep_builds_each_fact_once(tmp_path, monkeypatch):
         "moments": stateprep,
         "_eigen_weights": stateprep,
         "base_state": purify,
-        "purify_gibbs": purify,
         "operator_state": purify,
     }
     counts = dict.fromkeys(owners, 0)
@@ -516,6 +556,29 @@ def test_cli_oracle_rejects_an_annihilating_observable(tmp_path, capsys):
     path = write_config(tmp_path, document)
     assert main(["oracle", "--config", str(path)]) == 1
     assert capsys.readouterr().err == "config error: observable: annihilates the ground_state base state\n"
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_cli_subnormal_second_moment_exits_with_one_line(tmp_path, capsys, command):
+    # O = 1e-150 |1><1| passes the validator's range checks, but the Gibbs state at
+    # beta = 46 leaves <O^2> subnormal.  run used to exit 4 on a NormalizationError
+    # and oracle to exit 0 with a spectrum of subnormal weights.
+    document = {
+        "model": {"N": 1, "terms": [{"coefficient": -0.5, "factors": "Z"}]},
+        "observable": {
+            "N": 1,
+            "terms": [{"coefficient": 5e-151, "factors": "I"}, {"coefficient": -5e-151, "factors": "Z"}],
+        },
+        "ensemble": {"kind": "gibbs", "beta": 46.0},
+        "qpe": {"l": 3, "delta": 0.3},
+        "output_dir": str(tmp_path / "never"),
+    }
+    path = write_config(tmp_path, document)
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: observable: <O^2> = 1.05e-320 in the gibbs base state is below the normal float range\n"
+    )
     assert not (tmp_path / "never").exists()
 
 

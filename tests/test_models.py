@@ -1,5 +1,6 @@
 """Pauli-sum compilation, chain presets and synthetic eigenvalue laws."""
 
+import json
 from functools import reduce
 
 import numpy as np
@@ -18,6 +19,7 @@ from qspec import (
     sample_eigenvalues,
     synthetic_diagonal_observable,
     tilted_ising,
+    validate_config,
 )
 from qspec.errors import ResourceCapError
 from qspec.models import OBSERVABLE_PRESETS
@@ -166,9 +168,10 @@ def test_model_spec_validation():
 
 
 def test_model_spec_round_trips_through_dict():
+    # The config parser is the one reader of the dict form.
     spec = tilted_ising(3)
-    again = ModelSpec.from_dict(spec.to_dict())
-    assert again == spec
+    document = {"model": spec.to_dict(), "observable": "total_sz", "qpe": {"l": 3, "delta": 0.3}}
+    assert validate_config(json.dumps(document)).model == spec
 
 
 # --- synthetic observables ---------------------------------------------------

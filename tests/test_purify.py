@@ -1,4 +1,4 @@
-"""Entangled pair, operator and Gibbs purifications on the doubled register."""
+"""Base states, operator states and their purifications on the doubled register."""
 
 import math
 
@@ -7,40 +7,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complex_copy, random_real_symmetric
+from helpers import (
+    complex_copy,
+    gibbs_purification,
+    ground_pair,
+    random_hermitian,
+    random_real_symmetric,
+)
 from qspec import (
     GROUND_STATE,
     INFINITE_TEMPERATURE,
     HermitianOperator,
-    entangled_pair_state,
+    base_state,
     gibbs,
     moments,
     overlap,
-    purify_gibbs,
-    register_distribution,
     thermal_operator_state,
     transition_weights,
 )
 from qspec.errors import ResourceCapError, ZeroNormError, ZeroOperatorError
+from qspec.simcore import register_distribution
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
+def pair_state(num_sites: int):
+    """The infinite-temperature base state: the entangled pair state, built without a Hamiltonian."""
+    return base_state(INFINITE_TEMPERATURE, None, num_sites)
+
+
 def test_entangled_pair_single_site_is_bell_pair():
-    state = entangled_pair_state(1)
+    state = pair_state(1)
     np.testing.assert_allclose(state.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-15)
 
 
 def test_entangled_pair_two_sites_diagonal_support():
-    state = entangled_pair_state(2)
+    state = pair_state(2)
     expected = np.zeros(16)
     expected[[0, 5, 10, 15]] = 0.5
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
 
 
 def test_entangled_pair_copy_marginal_is_uniform():
-    state = entangled_pair_state(3)
+    state = pair_state(3)
     np.testing.assert_allclose(
         register_distribution(state, range(3)), np.full(8, 1 / 8), atol=1e-14
     )
@@ -48,7 +58,7 @@ def test_entangled_pair_copy_marginal_is_uniform():
 
 def test_entangled_pair_respects_cap():
     with pytest.raises(ResourceCapError):
-        entangled_pair_state(12)
+        pair_state(12)
 
 
 def test_purify_pauli_z():
@@ -99,6 +109,23 @@ def test_observable_with_subnormal_squares_is_a_zero_operator(ensemble):
         assert not isinstance(caught.value, ZeroNormError)
 
 
+def test_subnormal_second_moment_in_the_base_state_is_zero_norm():
+    # H = -0.5 Z and O = 1e-150 |1><1|: tr(O^2)/dim = 5e-301 is normal, but at beta = 46
+    # the excited level holds e^-46 of the ensemble, so <O^2> = 1.05e-320 is subnormal.
+    # Exact prep used to fail its norm check, the oracle to write a spectrum from it.
+    ham = HermitianOperator(-0.5 * PAULI_Z.real)
+    obs = HermitianOperator(np.diag([0.0, 1e-150]))
+    ensemble = gibbs(46.0)
+    routes = (
+        lambda: thermal_operator_state(obs, ham, ensemble),
+        lambda: moments(obs, ensemble, ham),
+        lambda: transition_weights(ham, obs, ensemble),
+    )
+    for route in routes:
+        with pytest.raises(ZeroNormError, match=r"<O\^2> = 1\.05e-320 in the gibbs base state"):
+            route()
+
+
 @settings(max_examples=25, deadline=None)
 @given(scale=st.floats(-20.0, 20.0), seed=st.integers(0, 500))
 def test_purify_is_scale_invariant(scale, seed):
@@ -121,17 +148,17 @@ def test_purify_schmidt_coefficients_are_normalized_eigenvalues():
     np.testing.assert_allclose(schmidt, expected, atol=1e-10)
 
 
-# --- Gibbs purification ------------------------------------------------------
+# --- Gibbs and ground-state base states --------------------------------------
 
 
 def test_gibbs_at_zero_beta_is_entangled_pair():
     ham = random_real_symmetric(2, seed=31)
-    state = purify_gibbs(ham, 0.0)
-    assert np.max(np.abs(state.amplitudes - entangled_pair_state(2).amplitudes)) <= 1e-12
+    state = base_state(gibbs(0.0), ham, 2)
+    assert np.max(np.abs(state.amplitudes - pair_state(2).amplitudes)) <= 1e-12
 
 
 def test_gibbs_two_level_closed_form():
-    state = purify_gibbs(HermitianOperator(PAULI_Z), beta=2.0)
+    state = base_state(gibbs(2.0), HermitianOperator(PAULI_Z), 1)
     norm = math.sqrt(2.0 * math.cosh(2.0))
     expected = np.array([math.exp(-1.0), 0.0, 0.0, math.exp(1.0)]) / norm
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-14)
@@ -139,26 +166,56 @@ def test_gibbs_two_level_closed_form():
 
 def test_gibbs_large_beta_reaches_ground_pair():
     ham = HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0]))
-    state = purify_gibbs(ham, beta=50.0)
-    ground_pair = np.zeros(16)
-    ground_pair[0] = 1.0
-    assert abs(np.vdot(ground_pair, state.amplitudes)) ** 2 >= 1.0 - 1e-10
+    state = base_state(gibbs(50.0), ham, 2)
+    assert abs(np.vdot(ground_pair(ham), state.amplitudes)) ** 2 >= 1.0 - 1e-10
 
 
 def test_gibbs_fidelity_with_pair_state_decreases_in_beta():
     ham = HermitianOperator(np.diag([0.0, 0.7, 1.9, 3.1]))
-    pair = entangled_pair_state(2)
+    pair = pair_state(2)
     fidelities = [
-        abs(overlap(pair, purify_gibbs(ham, beta))) ** 2 for beta in (0.0, 0.5, 1.0, 2.0, 4.0)
+        abs(overlap(pair, base_state(gibbs(beta), ham, 2))) ** 2 for beta in (0.0, 0.5, 1.0, 2.0, 4.0)
     ]
     assert all(a > b for a, b in zip(fidelities, fidelities[1:]))
 
 
 def test_gibbs_rejects_bad_beta():
-    with pytest.raises(ValueError):
-        purify_gibbs(HermitianOperator(PAULI_Z), -1.0)
-    with pytest.raises(ValueError):
-        purify_gibbs(HermitianOperator(PAULI_Z), float("inf"))
+    # The ensemble is the one place beta is checked: no bad beta reaches base_state.
+    for beta in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            gibbs(beta)
+
+
+def test_ground_state_is_the_ground_projector():
+    ham = random_real_symmetric(2, seed=33)
+    state = base_state(GROUND_STATE, ham, 2)
+    psi0 = ham.eig.eigenvectors[:, 0]
+    # Every other population is exactly zero, so a real psi_0 psi_0^T is kron(psi0, psi0) bit for bit.
+    np.testing.assert_array_equal(state.amplitudes, np.kron(psi0, psi0))
+
+
+def test_gibbs_and_ground_state_need_the_hamiltonian():
+    for ensemble in (gibbs(1.0), GROUND_STATE):
+        with pytest.raises(ValueError, match="requires the Hamiltonian"):
+            base_state(ensemble, None, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_sites=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    is_complex=st.booleans(),
+    beta=st.one_of(st.none(), st.floats(0.0, 50.0)),
+)
+def test_base_state_matches_the_direct_purification(num_sites, seed, is_complex, beta):
+    # The circuit and the oracle both read ensemble_populations, so criterion 2 cannot
+    # catch a wrong population; the shifted exp(-beta*H/2) and psi_0 psi_0^dagger can.
+    ham = (random_hermitian if is_complex else random_real_symmetric)(num_sites, seed)
+    if beta is None:
+        state, reference = base_state(GROUND_STATE, ham, num_sites), ground_pair(ham)
+    else:
+        state, reference = base_state(gibbs(beta), ham, num_sites), gibbs_purification(ham, beta)
+    assert np.max(np.abs(state.amplitudes - reference)) <= 1e-13
 
 
 # --- thermal operator states ----------------------------------------------------
@@ -199,9 +256,10 @@ def test_all_purified_states_are_normalized():
     op = random_real_symmetric(3, seed=44)
     ham = random_real_symmetric(3, seed=45)
     for state in (
-        entangled_pair_state(3),
+        pair_state(3),
         thermal_operator_state(op, None, INFINITE_TEMPERATURE),
-        purify_gibbs(ham, 1.3),
+        base_state(gibbs(1.3), ham, 3),
+        base_state(GROUND_STATE, ham, 3),
         thermal_operator_state(op, ham, gibbs(0.8)),
         thermal_operator_state(op, ham, GROUND_STATE),
     ):
@@ -215,7 +273,7 @@ def test_real_operators_give_real_purified_states(ensemble):
     real = thermal_operator_state(obs, ham, ensemble)
     assert real.amplitudes.dtype == np.float64
     infinite = thermal_operator_state(obs, None, INFINITE_TEMPERATURE)
-    for state in (entangled_pair_state(2), infinite, purify_gibbs(ham, 0.9)):
+    for state in (pair_state(2), infinite, base_state(gibbs(0.9), ham, 2), base_state(GROUND_STATE, ham, 2)):
         assert state.amplitudes.dtype == np.float64
     # The complex route reaches the same state up to a global phase (its ground vector's).
     twin = thermal_operator_state(complex_copy(obs), complex_copy(ham), ensemble)

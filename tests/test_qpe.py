@@ -13,20 +13,15 @@ from qspec import (
     INFINITE_TEMPERATURE,
     HermitianOperator,
     PhaseDistribution,
-    apply_controlled_unitary,
-    apply_unitary,
     distribution_distance,
     eig_hermitian,
     exact_outcome_distribution,
     gibbs,
     heisenberg,
-    inverse_qft,
     outcome_frequency,
     plan_resolution,
-    register_distribution,
     run_qpe,
     sample_outcomes,
-    tensor_product,
     thermal_operator_state,
     tilted_ising,
     transition_weights,
@@ -34,6 +29,13 @@ from qspec import (
 )
 from qspec.errors import DimensionMismatchError, ResourceCapError
 from qspec.experiment import write_csv, write_json
+from qspec.simcore import (
+    apply_controlled_unitary,
+    apply_unitary,
+    inverse_qft,
+    register_distribution,
+    tensor_product,
+)
 
 PAULI_X = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
 PAULI_Z = HermitianOperator(np.diag([1.0, -1.0]))

@@ -6,23 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import plus_state, random_hermitian, random_real_symmetric, random_state
-from qspec import (
-    HermitianOperator,
-    StateVector,
-    apply_controlled_unitary,
-    apply_unitary,
-    basis_state,
-    eig_hermitian,
-    inverse_qft,
-    register_distribution,
-    tensor_product,
-)
+from qspec import HermitianOperator, StateVector, eig_hermitian
 from qspec.errors import (
     DimensionMismatchError,
     HermiticityError,
     NormalizationError,
     RegisterError,
     UnitarityError,
+)
+from qspec.simcore import (
+    apply_controlled_unitary,
+    apply_unitary,
+    basis_state,
+    inverse_qft,
+    register_distribution,
+    tensor_product,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -17,7 +17,7 @@ manifests::
     python tools/ladder.py /tmp/after
     diff /tmp/before/manifest.json /tmp/after/manifest.json
 
-The ladder:
+The ladder (207 invocations):
 
 * the benchmark workload configs at workload seed 1, plus the ``oracle_grid``
   config under ``run``, and the benchmark's N=2 smoke configs;
@@ -30,6 +30,9 @@ The ladder:
   with ``total_sz`` and with a complex observable, in all three ensembles,
   under exact ``run``, circuit ``run`` and ``oracle``;
 * a zero-span model under ``oracle`` with a linewidth below the grid step;
+* ``-0.5 Z`` with ``1e-150 |1><1|`` at Gibbs beta=46 (a subnormal ``<O^2>``)
+  under exact ``run``, circuit ``run`` and ``oracle``;
+* a string and a bool observable coefficient under ``run``;
 * ``qspec prepstudy --num-sites 6 --seed 3``, and ``prepstudy`` with the
   out-of-range seeds ``-1`` and ``2**64``.
 """
@@ -133,6 +136,15 @@ def invocations():
 
     yield "zero_span/oracle", "oracle", _config(_pauli_sum(1, [(1.0, "I")]), "total_sz",
                                                 ENSEMBLES["infinite"], "exact", {"l": 3, "delta": 1e4})
+    model = _pauli_sum(1, [(-0.5, "Z")])
+    observable = _pauli_sum(1, [(5e-151, "I"), (-5e-151, "Z")])
+    for prep, command in (("exact", "run"), ("circuit", "run"), ("exact", "oracle")):
+        config = _config(model, observable, {"kind": "gibbs", "beta": 46.0}, prep, {"l": 3, "delta": 0.3})
+        yield f"subnormal_m2/{prep}/{command}", command, config
+    for label, coefficient in (("string", "2"), ("bool", True)):
+        config = _config(_pauli_sum(2, [(1.0, "XI"), (0.7, "ZZ")]), _pauli_sum(2, [(coefficient, "ZI")]),
+                         ENSEMBLES["infinite"], "exact", {"l": 3, "delta": 0.3})
+        yield f"coefficient/{label}/run", "run", config
     yield "prepstudy/N6/seed3", "prepstudy", ["--num-sites", "6", "--seed", "3"]
     for seed in (-1, 1 << 64):
         yield f"prepstudy/seed{seed}", "prepstudy", ["--seed", str(seed)]
