@@ -47,7 +47,6 @@ from .oracle import (
     correlation_series,
     distribution_distance,
     exact_outcome_distribution,
-    qpe_kernel,
     spectral_function,
     transition_weights,
 )

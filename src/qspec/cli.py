@@ -82,7 +82,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     reach = 1.2 * span if span > 0 else 1.0
     gamma, step = config.qpe.linewidth, 2 * reach / 2000
     if step > gamma:
-        path = "qpe.gamma" if config.qpe.auto_plan else "qpe.delta"
+        path = "qpe.gamma" if config.qpe.gamma is not None else "qpe.delta"
         raise ConfigError(f"{path}: linewidth {gamma:.6g} is below the oracle grid step {step:.6g}")
     grid = np.linspace(-reach, reach, 2001)
     table = spectral_function(transition_weights(hamiltonian, observable, config.ensemble), grid, gamma)

@@ -91,22 +91,23 @@ def _package_version() -> str:
 
 @dataclass(frozen=True)
 class PrepSettings:
-    mode: str = "exact"
-    epsilon: float = 0.01
-    max_attempts: int = 1000
+    mode: str
+    epsilon: float
+    max_attempts: int
 
 
 @dataclass(frozen=True)
 class QpeSettings:
+    """An explicit register (``num_bits``, ``delta``), or a ``gamma`` to plan one from."""
+
     num_bits: int | None = None
     delta: float | None = None
     gamma: float | None = None
-    auto_plan: bool = False
 
     @property
     def linewidth(self) -> float:
         """Lorentzian half-width of the spectrum: the planned gamma, or 2*pi/(delta*2**l)."""
-        if self.auto_plan:
+        if self.gamma is not None:
             return self.gamma
         return 2.0 * math.pi / math.ldexp(self.delta, self.num_bits)
 
@@ -123,7 +124,7 @@ class ExperimentConfig:
     output_dir: str
 
     def to_dict(self) -> dict:
-        if self.qpe.auto_plan:
+        if self.qpe.gamma is not None:
             qpe = {"gamma": self.qpe.gamma, "auto_plan": True}
         else:
             qpe = {"l": self.qpe.num_bits, "delta": self.qpe.delta}
@@ -196,6 +197,11 @@ def _parse_terms(obj: dict, path: str) -> ModelSpec:
         raise ConfigError(f"{path}.terms: {exc}") from exc
 
 
+def _given_numbers(obj: dict, keys: tuple[str, ...], path: str) -> dict:
+    """The preset parameters the document gives; the builder's own defaults fill the rest."""
+    return {key: _as_number(obj[key], f"{path}.{key}") for key in keys if key in obj}
+
+
 def _parse_model(obj, path: str) -> ModelSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -204,15 +210,11 @@ def _parse_model(obj, path: str) -> ModelSpec:
         if preset == "tilted_ising":
             _reject_unknown(obj, ("preset", "N", "g", "h"), path)
             num_sites = _as_int(_require(obj, "N", path), f"{path}.N", minimum=1)
-            return tilted_ising(
-                num_sites,
-                g=_as_number(obj.get("g", 1.05), f"{path}.g"),
-                h=_as_number(obj.get("h", 0.5), f"{path}.h"),
-            )
+            return tilted_ising(num_sites, **_given_numbers(obj, ("g", "h"), path))
         if preset == "heisenberg":
             _reject_unknown(obj, ("preset", "N", "coupling"), path)
             num_sites = _as_int(_require(obj, "N", path), f"{path}.N", minimum=2)
-            return heisenberg(num_sites, coupling=_as_number(obj.get("coupling", 1.0), f"{path}.coupling"))
+            return heisenberg(num_sites, **_given_numbers(obj, ("coupling",), path))
         raise ConfigError(f"{path}.preset: unknown preset {preset!r}; choose from {_MODEL_PRESETS}")
     return _parse_terms(obj, path)
 
@@ -229,9 +231,9 @@ def _parse_observable(obj, num_sites: int, path: str) -> ModelSpec:
         name = obj["preset"]
         if name not in OBSERVABLE_PRESETS:
             raise ConfigError(f"{path}.preset: unknown preset {name!r}; choose from {OBSERVABLE_PRESETS}")
-        site = _as_int(obj.get("site", 0), f"{path}.site", minimum=0)
+        given = {"site": _as_int(obj["site"], f"{path}.site", minimum=0)} if "site" in obj else {}
         try:
-            return observable_spec(name, num_sites, site=site)
+            return observable_spec(name, num_sites, **given)
         except ValueError as exc:
             raise ConfigError(f"{path}.site: {exc}") from exc
     spec = _parse_terms(obj, path)
@@ -291,7 +293,7 @@ def _parse_qpe(obj, path: str) -> QpeSettings:
         if gamma <= 0:
             raise ConfigError(f"{path}.gamma: must be positive")
         _check_linewidth(math.log2(gamma), f"{path}.gamma")
-        return QpeSettings(gamma=gamma, auto_plan=True)
+        return QpeSettings(gamma=gamma)
     raise ConfigError(f"{path}: provide either (l, delta) or (gamma, auto_plan)")
 
 
@@ -351,7 +353,7 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
     # The spectrum peaks below <O^2> / gamma <= o_bound**2 / gamma.
     if not math.isfinite(o_bound * (o_bound / qpe_settings.linewidth)):
         raise ConfigError("observable.terms: squared magnitudes over the linewidth pass the double range")
-    if not qpe_settings.auto_plan and h_bound > 0:
+    if qpe_settings.gamma is None and h_bound > 0:
         # Energy gaps are at most 2 * h_bound.
         log2_bound = math.log2(h_bound) - math.log2(math.pi)
         turns = math.log2(qpe_settings.delta) + qpe_settings.num_bits + log2_bound
@@ -471,7 +473,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     timings["build_s"] = time.perf_counter() - t0
 
     plan = None
-    if config.qpe.auto_plan:
+    if config.qpe.gamma is not None:
         plan = _auto_plan(config, hamiltonian)
         num_bits, delta = plan.num_bits, plan.delta
     else:

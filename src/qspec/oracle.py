@@ -4,9 +4,9 @@ Correlation functions and Lorentzian spectra are evaluated in closed form
 from the spectral decomposition, never by numerical time integration; the
 frequency convention puts the absorption peak of a transition n -> m at
 ``omega = e_m - e_n`` and is locked by a two-level regression test.  The
-phase-register leakage kernel and the closed-form outcome distribution give
-an independent route to the same statistics the circuit produces, which the
-test-suite compares bin by bin.
+closed-form outcome distribution, each transition weight times the
+phase-register leakage kernel, gives an independent route to the same
+statistics the circuit produces, which the test-suite compares bin by bin.
 
 Every consumer reads one ``TransitionTable`` per run, built by
 ``transition_weights``: the observable in H's eigenbasis ``O_e = V^dagger O V``
@@ -201,40 +201,21 @@ def spectral_function(table: TransitionTable, omega_grid: np.ndarray, gamma: flo
     return SpectrumTable(omega, values, gamma)
 
 
-def _kernel(offsets: np.ndarray, num_bits: int) -> np.ndarray:
-    """Squared leakage amplitude at the given bin offsets (2**l periodic).
-
-    Written through the sinc ratio sin(pi r)/(2**l sin(pi r / 2**l)) squared,
-    which evaluates the removable singularity at zero offset exactly.
-    """
-    dim = 1 << num_bits
-    reduced = offsets - dim * np.round(offsets / dim)
-    return (np.sinc(reduced) / np.sinc(reduced / dim)) ** 2
-
-
-def qpe_kernel(delta_energy: float, f: int, num_bits: int, delta: float) -> float:
-    """Probability leak of a transition with energy gap delta_energy into bin f.
-
-    Equals 1 when the gap lands exactly on the bin, vanishes on other
-    integer offsets, and is bounded below by sinc^2 of the offset.
-    """
-    if not 0 <= f < (1 << num_bits):
-        raise ValueError(f"outcome {f} out of range for {num_bits} bits")
-    offset = delta * (1 << num_bits) * delta_energy / (2.0 * math.pi) - f
-    return float(_kernel(np.array([offset]), num_bits)[0])
-
-
 def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: float) -> PhaseDistribution:
     """Closed-form phase-register distribution: the table's weights times kernel leakage.
 
     A transition at phase ``p = delta * 2**l * gap / 2pi`` leaks into bin f
     with ``sin^2(pi frac) / (2**l sin(pi r / 2**l))^2``, where
     ``frac = p - round(p)`` and ``r = frac + j`` for the integer
-    ``j = round(p) - f`` wrapped into the register.  This is ``_kernel`` with
-    its numerator computed once per transition.
+    ``j = round(p) - f`` wrapped into the register.  This is the package's one
+    leakage kernel, the squared sinc ratio ``(sinc(r) / sinc(r / 2**l))**2``,
+    with its numerator ``sin^2(pi r) = sin^2(pi frac)`` computed once per
+    transition; ``r`` never carries the phase's integer part.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if num_bits < 1:
+        raise ValueError("need at least one phase bit")
     dim, half = 1 << num_bits, 1 << (num_bits - 1)
     phases = delta * dim * table.energies / (2.0 * math.pi)
     nearest = np.round(phases)
@@ -252,15 +233,15 @@ def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: flo
     numerator = np.sin(np.pi * frac)
     numerator *= numerator / dim**2
     # Near a zero offset this divides two vanishing squares (0/0 at zero); there
-    # the j = 0 entry takes _kernel's sinc ratio, which is 1 to within a few ulp
-    # for |frac| below sqrt(eps) and exactly 1 at zero.
+    # the j = 0 entry takes the unsplit sinc ratio, which is 1 to within a few
+    # ulp for |frac| below sqrt(eps) and exactly 1 at zero.
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(numerator[:, None], r, out=r)
     near = np.flatnonzero(np.abs(frac) < 2.0**-26)
-    r[near, hit[near]] = _kernel(frac[near], num_bits)
+    r[near, hit[near]] = (np.sinc(frac[near]) / np.sinc(frac[near] / dim)) ** 2
     probs = table.weights @ r
     probs /= table.mass
-    return PhaseDistribution(num_bits, delta, probs, kind="exact")
+    return PhaseDistribution(num_bits, delta, probs)
 
 
 def distribution_distance(p, q, metric: str = "total_variation") -> float:

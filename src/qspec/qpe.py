@@ -39,12 +39,14 @@ from .simcore import NORM_TOL, QUBIT_CAP, HermitianOperator, StateVector, _fouri
 
 @dataclass(frozen=True)
 class PhaseDistribution:
-    """Exact or sampled outcome probabilities of the phase register."""
+    """Exact or sampled outcome probabilities of the phase register.
+
+    A sampled distribution records its shot count; an exact one has ``shots=None``.
+    """
 
     num_bits: int
     delta: float
     probabilities: np.ndarray
-    kind: str = "exact"
     shots: int | None = None
 
     def __post_init__(self) -> None:
@@ -59,9 +61,7 @@ class PhaseDistribution:
         object.__setattr__(self, "probabilities", probs)
         if abs(probs.sum() - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {probs.sum():.12f}")
-        if self.kind not in ("exact", "empirical"):
-            raise ValueError(f"kind must be exact or empirical, got {self.kind!r}")
-        if self.kind == "empirical" and (self.shots is None or self.shots < 1):
+        if self.shots is not None and self.shots < 1:
             raise ValueError("empirical distributions must record a positive shot count")
 
     def frequencies(self) -> np.ndarray:
@@ -111,7 +111,7 @@ def run_qpe(
     norm_err = abs(math.sqrt(probs.sum()) - 1.0)
     if norm_err > NORM_TOL:
         raise NormalizationError(f"register state norm deviates from 1 by {norm_err:.3e}")
-    return PhaseDistribution(num_bits, delta, probs, kind="exact")
+    return PhaseDistribution(num_bits, delta, probs)
 
 
 def sample_outcomes(
@@ -120,16 +120,14 @@ def sample_outcomes(
     seed: int | np.random.SeedSequence,
 ) -> PhaseDistribution:
     """Multinomial draw from an exact distribution, returned as normalized counts."""
-    if dist.kind != "exact":
+    if dist.shots is not None:
         raise ValueError("sampling requires an exact distribution")
     if shots < 1:
         raise ValueError("shots must be at least 1")
     rng = np.random.default_rng(seed)
     pvals = dist.probabilities / dist.probabilities.sum()
     counts = rng.multinomial(shots, pvals)
-    return PhaseDistribution(
-        dist.num_bits, dist.delta, counts / shots, kind="empirical", shots=shots
-    )
+    return PhaseDistribution(dist.num_bits, dist.delta, counts / shots, shots=shots)
 
 
 def outcome_frequency(f: int, num_bits: int, delta: float) -> float:

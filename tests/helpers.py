@@ -9,8 +9,10 @@ from qspec import (
     ModelSpec,
     PauliTerm,
     StateVector,
+    TransitionTable,
     base_state,
     build_operator,
+    exact_outcome_distribution,
     observable_spec,
     overlap,
     thermal_operator_state,
@@ -120,6 +122,24 @@ def dense_phase_weights(table, dim: int) -> np.ndarray:
     dense = np.zeros(dim * dim)
     dense[table.index] = table.weights / table.mass
     return dense.reshape(dim, dim).T
+
+
+def leakage_kernel(offsets: np.ndarray, num_bits: int) -> np.ndarray:
+    """Squared leakage amplitude at the given bin offsets (2**l periodic): the tests' reference kernel.
+
+    Written through the sinc ratio sin(pi r)/(2**l sin(pi r / 2**l)) squared,
+    which evaluates the removable singularity at zero offset exactly.  It
+    shares no arithmetic with the split-phase form of ``exact_outcome_distribution``.
+    """
+    dim = 1 << num_bits
+    reduced = offsets - dim * np.round(offsets / dim)
+    return (np.sinc(reduced) / np.sinc(reduced / dim)) ** 2
+
+
+def leakage_row(gap: float, num_bits: int, delta: float) -> np.ndarray:
+    """The package's kernel over every bin: the outcome distribution of one unit-weight transition at ``gap``."""
+    table = TransitionTable(np.array([gap]), np.array([1.0]), 1.0, np.array([0]), 1)
+    return exact_outcome_distribution(table, num_bits, delta).probabilities
 
 
 def gate_by_gate_prep(operator, phi, ensemble=INFINITE_TEMPERATURE, hamiltonian=None):

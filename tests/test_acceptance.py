@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from helpers import preset_observable, random_hermitian, random_real_symmetric
+from helpers import leakage_row, preset_observable, random_hermitian, random_real_symmetric
 from qspec import (
     GROUND_STATE,
     INFINITE_TEMPERATURE,
@@ -24,7 +24,6 @@ from qspec import (
     moments,
     plan_resolution,
     preparation_fidelity,
-    qpe_kernel,
     run_qpe,
     sample_outcomes,
     synthetic_diagonal_observable,
@@ -139,14 +138,20 @@ def test_criterion_3_golden_rule_identity():
 
 
 def test_criterion_4_kernel_bound():
+    # Offsets in [-2**l, 2**l] at step 0.01.  The kernel has period 2**l, so the
+    # row of one transition at fractional phase p holds it at every offset p + k:
+    # in bin f = -k mod 2**l.
     worst = np.inf
+    delta = 0.9
     for num_bits in range(1, 9):
         dim = 1 << num_bits
-        offsets = np.arange(-dim, dim + 1e-9, 0.01)
-        delta = 0.9
-        gaps = 2 * np.pi * offsets / (delta * dim)
-        kernel = np.array([qpe_kernel(g, 0, num_bits, delta) for g in gaps])
-        worst = min(worst, float(np.min(kernel - np.sinc(offsets) ** 2)))
+        for step in range(100):
+            phase = step / 100
+            row = leakage_row(2 * np.pi * phase / (delta * dim), num_bits, delta)
+            shifts = np.arange(-dim, dim + 1)
+            shifts = shifts[phase + shifts <= dim]
+            kernel = row[-shifts % dim]
+            worst = min(worst, float(np.min(kernel - np.sinc(phase + shifts) ** 2)))
     passed = worst >= -1e-12
     _report(4, passed, f"min(kernel - sinc^2) = {worst:.2e} over l in 1..8 (floor -1e-12)")
 

@@ -11,11 +11,14 @@ from qspec import (
     build_operator,
     choose_phi,
     experiment,
+    heisenberg,
     moments,
+    observable_spec,
     oracle,
     purify,
     run_experiment,
     stateprep,
+    tilted_ising,
     validate_config,
 )
 from qspec.cli import main
@@ -139,6 +142,15 @@ def test_observable_preset_and_model_preset_parse(tmp_path):
     assert config.ensemble.beta == 1.5
 
 
+def test_preset_fields_the_document_omits_take_the_builder_defaults(tmp_path):
+    config = make_config(tmp_path, model={"preset": "tilted_ising", "N": 3, "h": 0.2},
+                         observable={"preset": "site_sz"})
+    assert config.model == tilted_ising(3, h=0.2)
+    assert config.observable == observable_spec("site_sz", 3)
+    config = make_config(tmp_path, model={"preset": "heisenberg", "N": 3}, observable="total_sz")
+    assert config.model == heisenberg(3)
+
+
 def test_observable_site_out_of_range(tmp_path):
     with pytest.raises(ConfigError, match=r"observable\.site"):
         make_config(tmp_path, model={"preset": "tilted_ising", "N": 2},
@@ -194,6 +206,7 @@ def test_auto_plan_satisfies_inequalities(tmp_path):
         qpe={"gamma": 0.1, "auto_plan": True},
     )
     report = run_experiment(config)
+    assert report.to_dict()["config"]["qpe"] == {"gamma": 0.1, "auto_plan": True}
     plan = report.plan
     scale = plan.delta * (1 << plan.num_bits) / (2 * np.pi)
     assert scale >= 1 / plan.gamma - 1e-9

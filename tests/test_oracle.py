@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from helpers import (
     complex_copy,
     dense_phase_weights,
+    leakage_kernel,
+    leakage_row,
     preset_observable,
     purified_phase_weights,
     random_hermitian,
@@ -29,7 +31,6 @@ from qspec import (
     ground_state_degeneracy,
     heisenberg,
     oracle,
-    qpe_kernel,
     run_qpe,
     spectral_function,
     thermal_operator_state,
@@ -38,7 +39,7 @@ from qspec import (
 )
 from qspec.errors import DimensionMismatchError, ZeroNormError, ZeroOperatorError
 from qspec.experiment import write_csv, write_json
-from qspec.oracle import PRUNE_SHARE, _kernel
+from qspec.oracle import PRUNE_SHARE
 from qspec.purify import ensemble_populations
 
 PAULI_X = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -273,7 +274,7 @@ def test_circuit_samples_the_golden_rule_weights(num_sites, num_bits, seed, comp
     gaps = np.subtract.outer(levels, levels)  # e_m - e_n at [m, n]
     dim = 1 << num_bits
     offsets = (delta * dim * gaps.reshape(-1) / (2 * np.pi))[:, None] - np.arange(dim)
-    reference = golden.reshape(-1) / golden.sum() @ _kernel(offsets, num_bits)
+    reference = golden.reshape(-1) / golden.sum() @ leakage_kernel(offsets, num_bits)
     circuit = run_qpe(thermal_operator_state(obs, ham, ensemble), ham, num_bits, delta)
     assert distribution_distance(circuit, reference) <= 1e-10
 
@@ -344,50 +345,52 @@ def test_pruning_stays_within_its_mass_bound(monkeypatch, ensemble, complex_h):
 
 
 def test_kernel_exact_hit_gives_one():
-    assert qpe_kernel(0.0, 0, 4, 0.7) == 1.0
+    assert leakage_row(0.0, 4, 0.7)[0] == 1.0
     # Gap that lands exactly on bin 5: delta_energy = 2*pi*5 / (delta * 2**l).
     delta = 0.7
     gap = 2 * np.pi * 5 / (delta * 16)
-    assert abs(qpe_kernel(gap, 5, 4, delta) - 1.0) <= 1e-12
+    assert abs(leakage_row(gap, 4, delta)[5] - 1.0) <= 1e-12
 
 
 def test_kernel_vanishes_on_other_integer_offsets():
     delta = 0.9
     gap = 2 * np.pi * 3 / (delta * 16)  # sits on bin 3
+    row = leakage_row(gap, 4, delta)
     for f in (0, 1, 2, 4, 9, 15):
-        assert abs(qpe_kernel(gap, f, 4, delta)) <= 1e-25
+        assert abs(row[f]) <= 1e-25
 
 
 def test_kernel_half_offset_single_bit():
     # l = 1, offset 0.5: (1/4) sin^2(pi/2) / sin^2(pi/4) = 1/2.
     delta = 1.0
     gap = 2 * np.pi * 0.5 / (delta * 2)
-    assert abs(qpe_kernel(gap, 0, 1, delta) - 0.5) <= 1e-12
+    assert abs(leakage_row(gap, 1, delta)[0] - 0.5) <= 1e-12
 
 
 def test_kernel_bounded_below_by_sinc_squared():
+    # The reference kernel on a dense offset grid; acceptance criterion 4 checks
+    # the same bound on the package's kernel.
     for num_bits in range(1, 9):
         dim = 1 << num_bits
         offsets = np.arange(-dim, dim + 1e-9, 0.01)
-        delta = 1.0
-        gaps = 2 * np.pi * offsets / (delta * dim)
-        kernel = np.array([qpe_kernel(g, 0, num_bits, delta) for g in gaps])
+        kernel = leakage_kernel(offsets, num_bits)
         assert np.min(kernel - np.sinc(offsets) ** 2) >= -1e-12
 
 
 def test_kernel_row_is_normalized():
     # Summed over all bins, the leakage of any fixed gap is exactly 1.
     for gap in (0.0, 0.37, 1.9, -2.4):
-        total = sum(qpe_kernel(gap, f, 5, 0.8) for f in range(32))
-        assert abs(total - 1.0) <= 1e-10
-
-
-def test_kernel_range_check():
-    with pytest.raises(ValueError):
-        qpe_kernel(0.1, 16, 4, 0.5)
+        assert abs(leakage_row(gap, 5, 0.8).sum() - 1.0) <= 1e-10
 
 
 # --- closed-form outcome distribution ------------------------------------------------------
+
+
+@pytest.mark.parametrize("num_bits", [0, -1])
+def test_outcome_distribution_needs_a_phase_bit(num_bits):
+    table = transition_weights(PAULI_Z, PAULI_X)
+    with pytest.raises(ValueError, match="need at least one phase bit"):
+        exact_outcome_distribution(table, num_bits, 0.3)
 
 
 def test_outcome_distribution_zero_hamiltonian():
@@ -491,7 +494,7 @@ def test_outcome_distribution_matches_kernel_sum(num_sites, num_bits, delta, sca
     # exactly.  Subtracting the bins from the full phase instead rounds it once more when the
     # offset crosses a power of two: 4.5e-13 at phase -4094.5, a 2.3e-13 error in the reference.
     phases = np.fmod(delta * dim * table.energies / (2 * np.pi), dim)
-    reference = table.weights / table.mass @ _kernel(phases[:, None] - np.arange(dim), num_bits)
+    reference = table.weights / table.mass @ leakage_kernel(phases[:, None] - np.arange(dim), num_bits)
     assert np.max(np.abs(dist.probabilities - reference)) <= 1e-13
     assert abs(dist.probabilities.sum() - 1.0) <= 1e-14
 

@@ -193,7 +193,6 @@ def test_sampling_point_mass_puts_all_shots_there():
     dist = run_qpe(prepared, HermitianOperator(np.zeros((2, 2))), 3, 0.5)
     empirical = sample_outcomes(dist, shots=1000, seed=4)
     assert empirical.probabilities[0] == 1.0
-    assert empirical.kind == "empirical"
     assert empirical.shots == 1000
 
 
@@ -219,7 +218,7 @@ def test_sampling_concentrates_l6_preset():
 def test_sampling_requires_exact_distribution():
     dist = run_qpe(thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
     empirical = sample_outcomes(dist, shots=10, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sampling requires an exact distribution"):
         sample_outcomes(empirical, shots=10, seed=0)
     with pytest.raises(ValueError):
         sample_outcomes(dist, shots=0, seed=0)
@@ -319,7 +318,7 @@ def test_phase_distribution_validation():
     with pytest.raises(ValueError):
         PhaseDistribution(2, 0.5, np.array([0.5, 0.5, 0.5, 0.5]))
     with pytest.raises(ValueError):
-        PhaseDistribution(1, 0.5, np.array([0.5, 0.5]), kind="empirical")
+        PhaseDistribution(1, 0.5, np.array([0.5, 0.5]), shots=0)
 
 
 def test_phase_distribution_csv_and_json_round_trip(tmp_path):
