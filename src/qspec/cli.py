@@ -84,7 +84,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if step > gamma:
         path = "qpe.gamma" if config.qpe.gamma is not None else "qpe.delta"
         raise ConfigError(f"{path}: linewidth {gamma:.6g} is below the oracle grid step {step:.6g}")
-    grid = np.linspace(-reach, reach, 2001)
+    grid = step * np.arange(-1000, 1001)  # exactly symmetric: the oracle folds each line with its mirror
     table = spectral_function(transition_weights(hamiltonian, observable, config.ensemble), grid, gamma)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

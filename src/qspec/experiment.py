@@ -527,7 +527,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "python_version": platform.python_version(),
         "seed": config.seed,
         "qpe": {"l": num_bits, "delta": delta},
-        "oracle": {"transitions": table.total, "kept": table.kept},
+        "oracle": {"transitions": table.total, "kept": table.kept, "gaps": int(table.gaps.size)},
         "timings": timings,
     }
     if config.ensemble.kind == "ground_state":

@@ -10,22 +10,28 @@ statistics the circuit produces, which the test-suite compares bin by bin.
 
 Every consumer reads one ``TransitionTable`` per run, built by
 ``transition_weights``: the observable in H's eigenbasis ``O_e = V^dagger O V``
-and the ensemble populations p, computed once, list each transition n -> m
-with its energy difference ``e_m - e_n`` and weight ``p_n |O_e,nm|^2``.  The
-spectrum, the correlation series and the phase-register distribution all
-read that one weight column.  The oracle shares no purification code with
-the circuit, only its inputs: the ensemble populations p of
-``purify.ensemble_populations``, from which ``purify.base_state`` also
-builds the circuit's base state, and the annihilation rule
-``purify.reject_annihilation``.  Since circuit and oracle read the same p,
-the test suite checks p against an independent purification.
+and the ensemble populations p, computed once, give each transition n -> m
+the energy difference ``e_m - e_n`` and weight ``p_n |O_e,nm|^2``.  A
+transition and its reverse share ``|O_e,nm|^2`` and sit at opposite gaps, so
+the table holds one row per pair of levels n <= m: the gap ``e_m - e_n >= 0``
+with the absorption weight ``p_n |O_e,nm|^2`` at +gap and the emission weight
+``p_m |O_e,mn|^2`` at -gap.  Each consumer's kernel is even under a flip of
+both gap and argument, so it is evaluated once per gap and the emission
+column is read at the mirrored point: the spectrum and the correlation series
+at ``-omega`` and ``-t``, the phase-register distribution at bin ``-f``.  The
+oracle shares no purification code with the circuit, only its inputs: the
+ensemble populations p of ``purify.ensemble_populations``, from which
+``purify.base_state`` also builds the circuit's base state, and the
+annihilation rule ``purify.reject_annihilation``.  Since circuit and oracle
+read the same p, the test suite checks p against an independent purification.
 
-The table is pruned: of its T = 4**N transitions it drops every one whose
-weight is at most ``2**-60 * sum(w) / T``.  The dropped mass is then at most
-``2**-60`` of the total, so each oracle probability moves by at most
-``2**-60`` and each spectrum value by at most ``2**-60 * sum(w) / gamma``.
-In a reflection-symmetric model about half of the transitions carry weight
-that symmetry makes exactly zero, and rounding leaves them far below that
+The table is pruned: of its T = 4**N directed transitions it drops every one
+whose weight is at most ``2**-60 * sum(w) / T``, and a pair row goes once both
+of its directions are dropped.  The dropped mass is then at most ``2**-60`` of
+the total, so each oracle probability moves by at most ``2**-60`` and each
+spectrum value by at most ``2**-60 * sum(w) / gamma``.  In a
+reflection-symmetric model about half of the transitions carry weight that
+symmetry makes exactly zero, and rounding leaves them far below that
 threshold.
 """
 
@@ -65,24 +71,27 @@ class SpectrumTable:
 #: The pruning share of the module docstring: the bound on the dropped mass.
 PRUNE_SHARE = 2.0**-60
 
-#: Shape (points, transitions) of one tile of ``_transition_sum``: 2**16
-#: doubles (512 KiB) stay in a core's L2 cache through the kernel's passes,
-#: and several points per tile make its product a matrix-vector one.  Fewer
-#: transitions than a tile row leave room for more points.
+#: Shape (points, pairs) of one tile of ``_transition_sum``: 2**16 doubles
+#: (512 KiB) stay in a core's L2 cache through the kernel's passes, and
+#: several points per tile make its product a matrix one.  Fewer pairs than a
+#: tile row leave room for more points.
 TILE = (8, 1 << 13)
 
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """The transitions n -> m of one run that carry weight, in closed form.
+    """The pairs of levels n <= m of one run that carry weight, in closed form.
 
-    ``energies`` holds ``e_m - e_n`` and ``weights`` holds ``p_n |O_nm|^2``
-    (O in H's eigenbasis, p the ensemble populations) for each kept
-    transition; ``index`` is its flat position ``n * dim + m``, and ``mass``
-    is the weight sum over all ``total`` transitions before pruning.
+    Row k is the pair at flat position ``index = n * dim + m``: ``gaps`` holds
+    ``e_m - e_n >= 0`` and ``weights`` its two directions, column 0 the
+    transition n -> m at +gap with ``p_n |O_nm|^2`` and column 1 the reverse
+    m -> n at -gap with ``p_m |O_mn|^2`` (O in H's eigenbasis, p the ensemble
+    populations).  A pruned direction and the diagonal's reverse read 0.
+    ``mass`` is the weight sum over all ``total`` directed transitions before
+    pruning, and ``kept`` counts the directed transitions that survive it.
     """
 
-    energies: np.ndarray
+    gaps: np.ndarray
     weights: np.ndarray
     mass: float
     index: np.ndarray
@@ -90,7 +99,7 @@ class TransitionTable:
 
     @property
     def kept(self) -> int:
-        return int(self.index.size)
+        return int(np.count_nonzero(self.weights))
 
 
 def transition_weights(
@@ -108,8 +117,9 @@ def transition_weights(
 
     A transition is dropped only when its weight is at most ``PRUNE_SHARE``
     times the mean weight, so the pruned mass is at most ``PRUNE_SHARE`` of
-    the total.  The mass is ``<O^2>`` in the base state, and an observable
-    that annihilates the base state is rejected (``purify.reject_annihilation``).
+    the total; a pair row is dropped when both of its transitions are.  The
+    mass is ``<O^2>`` in the base state, and an observable that annihilates
+    the base state is rejected (``purify.reject_annihilation``).
     """
     if hamiltonian.dim != operator.dim:
         raise DimensionMismatchError(
@@ -120,16 +130,23 @@ def transition_weights(
     pops = ensemble_populations(eig, ensemble)
     elements = vecs.conj().T @ operator.matrix @ vecs
     squares = np.abs(elements) ** 2
-    weights = (squares * pops[:, None]).reshape(-1)
+    weights = squares * pops[:, None]  # the transition n -> m at [n, m]
     mass = float(weights.sum())
     reject_annihilation(mass, float(squares.sum()) / eig.dim, ensemble)
-    # One pass, no sort: the weights above PRUNE_SHARE of their mean.
-    index = np.flatnonzero(weights > PRUNE_SHARE * mass / weights.size)
+    # One pass, no sort: the weights above PRUNE_SHARE of their mean, and the
+    # pairs n <= m (levels ascending, so gaps >= 0) with either direction kept.
+    cut = PRUNE_SHARE * mass / weights.size
+    live = weights > cut
+    index = np.flatnonzero(np.triu(live | live.T))
     initial, final = np.divmod(index, eig.dim)
-    kept = weights[index]
+    pairs = np.empty((index.size, 2))
+    pairs[:, 0] = weights.reshape(-1)[index]
+    pairs[:, 1] = weights[final, initial]
+    pairs[pairs <= cut] = 0.0
+    pairs[initial == final, 1] = 0.0
     return TransitionTable(
-        energies=levels[final] - levels[initial],
-        weights=kept,
+        gaps=levels[final] - levels[initial],
+        weights=pairs,
         mass=mass,
         index=index,
         total=weights.size,
@@ -140,33 +157,39 @@ def _transition_sum(
     table: TransitionTable, points: np.ndarray, dtype: type,
     kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
 ) -> np.ndarray:
-    """Sum over kept transitions of ``weight * kernel(point, e_m - e_n)``.
+    """Sum over kept transitions of ``weight * kernel(point, gap)``, one kernel per gap.
 
-    ``kernel(block, energies, out)`` fills the (points, transitions) tile
-    ``out`` in place, one ``TILE`` at a time; each block of transitions
-    stays in cache while every block of points passes over it.
+    The kernels satisfy ``kernel(p, -g) == kernel(-p, g)``, so a reverse
+    transition at -gap contributes the pair's kernel at -p.  The kernel runs
+    once on the points and their mirrors, and each tile meets both weight
+    columns in one product: ``S(p) = out[p, 0] + out[-p, 1]``.
+    ``kernel(block, gaps, out)`` fills the (points, pairs) tile ``out`` in
+    place, one ``TILE`` at a time; each block of pairs stays in cache while
+    every block of points passes over it.
     """
-    out = np.zeros(points.shape, dtype=dtype)
-    cols = min(max(table.kept, 1), TILE[1])
+    mirrored, where = np.unique(np.concatenate((points, -points)), return_inverse=True)
+    out = np.zeros((mirrored.size, 2), dtype=dtype)
+    pairs = table.gaps.size
+    cols = min(max(pairs, 1), TILE[1])
     rows = TILE[0] * TILE[1] // cols
     buffer = np.empty(rows * cols, dtype=dtype)
-    for start in range(0, table.kept, cols):
-        energies = table.energies[start : start + cols]
+    for start in range(0, pairs, cols):
+        gaps = table.gaps[start : start + cols]
         weights = table.weights[start : start + cols]
-        for row in range(0, points.size, rows):
-            block = points[row : row + rows]
-            tile = buffer[: block.size * energies.size].reshape(block.size, energies.size)
-            kernel(block, energies, tile)
+        for row in range(0, mirrored.size, rows):
+            block = mirrored[row : row + rows]
+            tile = buffer[: block.size * gaps.size].reshape(block.size, gaps.size)
+            kernel(block, gaps, tile)
             out[row : row + rows] += tile @ weights
-    return out
+    return out[where[: points.size], 0] + out[where[points.size :], 1]
 
 
 def correlation_series(table: TransitionTable, times: np.ndarray) -> np.ndarray:
     """<O(t) O(0)> on an array of times, summed over the table's transitions."""
     times = np.asarray(times, dtype=float)
 
-    def kernel(block, energies, out):
-        np.multiply.outer(block, energies, out=out)
+    def kernel(block, gaps, out):
+        np.multiply.outer(block, gaps, out=out)
         np.multiply(-1j, out, out=out)
         np.exp(out, out=out)
 
@@ -184,13 +207,13 @@ def spectral_function(table: TransitionTable, omega_grid: np.ndarray, gamma: flo
     a detuning ratio or square past the double range is inf, and the term
     then takes its exact limit 0.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     omega = np.asarray(omega_grid, dtype=float)
     height = 1.0 / gamma
 
-    def kernel(block, energies, out):
-        np.subtract(block[:, None], energies[None, :], out=out)
+    def kernel(block, gaps, out):
+        np.subtract(block[:, None], gaps[None, :], out=out)
         np.multiply(out, height, out=out)
         np.square(out, out=out)
         np.add(1.0, out, out=out)
@@ -210,19 +233,21 @@ def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: flo
     ``j = round(p) - f`` wrapped into the register.  This is the package's one
     leakage kernel, the squared sinc ratio ``(sinc(r) / sinc(r / 2**l))**2``,
     with its numerator ``sin^2(pi r) = sin^2(pi frac)`` computed once per
-    transition; ``r`` never carries the phase's integer part.
+    pair; ``r`` never carries the phase's integer part.  The kernel is even,
+    so a pair's row at +gap, read at bin ``-f mod 2**l``, is its reverse
+    transition's row at -gap: each row is evaluated once for both directions.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     if num_bits < 1:
         raise ValueError("need at least one phase bit")
     dim, half = 1 << num_bits, 1 << (num_bits - 1)
-    phases = delta * dim * table.energies / (2.0 * math.pi)
+    phases = delta * dim * table.gaps / (2.0 * math.pi)
     nearest = np.round(phases)
     frac = phases - nearest
     hit = (nearest - dim * np.floor(nearest / dim)).astype(np.intp)  # the bin with j = 0
     # Row h of the wrapped offsets ((h - f + half) mod dim) - half is a window of
-    # one ramp, so the (transitions, 2**l) buffer is a gather of rows; it is then
+    # one ramp, so the (pairs, 2**l) buffer is a gather of rows; it is then
     # evaluated in place, since the kernel sets the run's memory peak at large N.
     ramp = (dim - 1 + half - np.arange(2 * dim - 1.0)) % dim - half
     r = np.lib.stride_tricks.sliding_window_view(ramp, dim)[dim - 1 - hit]
@@ -239,7 +264,8 @@ def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: flo
         np.divide(numerator[:, None], r, out=r)
     near = np.flatnonzero(np.abs(frac) < 2.0**-26)
     r[near, hit[near]] = (np.sinc(frac[near]) / np.sinc(frac[near] / dim)) ** 2
-    probs = table.weights @ r
+    forward, reverse = table.weights.T @ r
+    probs = forward + reverse[-np.arange(dim) % dim]
     probs /= table.mass
     return PhaseDistribution(num_bits, delta, probs)
 

@@ -113,15 +113,42 @@ def purified_phase_weights(hamiltonian, operator, ensemble) -> np.ndarray:
     return np.abs(vecs.conj().T @ matrix @ vecs) ** 2
 
 
+def directed_transitions(table) -> tuple[np.ndarray, np.ndarray]:
+    """A pair table unfolded into its ``table.kept`` directed transitions: (gaps, weights).
+
+    Row n <= m gives n -> m at ``+gap`` with its column-0 weight and m -> n at
+    ``-gap`` with its column-1 weight; a pruned direction, which reads 0, is left out.
+    """
+    gaps = np.concatenate((table.gaps, -table.gaps))
+    weights = np.concatenate((table.weights[:, 0], table.weights[:, 1]))
+    kept = weights > 0
+    return gaps[kept], weights[kept]
+
+
 def dense_phase_weights(table, dim: int) -> np.ndarray:
     """A transition table's normalized weights as a (dim, dim) matrix oriented as above.
 
-    Table entry n -> m sits at ``e_m - e_n``, so it lands at (m, n); pruned
-    entries read 0.
+    Transition n -> m sits at ``e_m - e_n``, so it lands at (m, n): a pair
+    row's column 0 at (m, n) and its column 1 at (n, m).  Pruned entries read 0.
     """
-    dense = np.zeros(dim * dim)
-    dense[table.index] = table.weights / table.mass
-    return dense.reshape(dim, dim).T
+    initial, final = np.divmod(table.index, dim)
+    dense = np.zeros((dim, dim))
+    dense[final, initial] = table.weights[:, 0] / table.mass
+    off = initial != final
+    dense[initial[off], final[off]] = table.weights[off, 1] / table.mass
+    return dense
+
+
+def direct_transition_sum(table, points: np.ndarray, term) -> np.ndarray:
+    """Sum of ``weight * term(points, gap)`` over the directed transitions, one at a time.
+
+    The reference for ``oracle._transition_sum``: no tiles and no mirrored
+    points, each transition at its own signed gap.
+    """
+    total = np.zeros(points.shape, dtype=complex)
+    for gap, weight in zip(*directed_transitions(table)):
+        total += weight * term(points, gap)
+    return total
 
 
 def leakage_kernel(offsets: np.ndarray, num_bits: int) -> np.ndarray:
@@ -137,8 +164,13 @@ def leakage_kernel(offsets: np.ndarray, num_bits: int) -> np.ndarray:
 
 
 def leakage_row(gap: float, num_bits: int, delta: float) -> np.ndarray:
-    """The package's kernel over every bin: the outcome distribution of one unit-weight transition at ``gap``."""
-    table = TransitionTable(np.array([gap]), np.array([1.0]), 1.0, np.array([0]), 1)
+    """The package's kernel over every bin: the outcome distribution of one unit-weight transition at ``gap``.
+
+    A negative gap is the reverse direction of a pair row at ``-gap``, so it is
+    read through the mirrored bins.
+    """
+    weights = [[1.0, 0.0]] if gap >= 0 else [[0.0, 1.0]]
+    table = TransitionTable(np.array([abs(gap)]), np.array(weights), 1.0, np.array([1]), 4)
     return exact_outcome_distribution(table, num_bits, delta).probabilities
 
 

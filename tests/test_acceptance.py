@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from helpers import leakage_row, preset_observable, random_hermitian, random_real_symmetric
+from helpers import directed_transitions, leakage_row, preset_observable, random_hermitian, random_real_symmetric
 from qspec import (
     GROUND_STATE,
     INFINITE_TEMPERATURE,
@@ -232,8 +232,8 @@ def test_criterion_8_spectral_peak_agreement():
         f for f in range(dim) if p[f] >= p[(f - 1) % dim] and p[f] >= p[(f + 1) % dim]
     }
 
-    gaps = table.energies
-    flat = table.weights / table.mass
+    gaps, flat = directed_transitions(table)
+    flat = flat / table.mass
     order = np.argsort(gaps)
     peaks: list[tuple[float, float]] = []
     for gap, weight in zip(gaps[order], flat[order]):
@@ -271,8 +271,8 @@ def test_criterion_9_ensemble_limits():
     dist = run_qpe(prepared, ham, num_bits, delta)
 
     table = transition_weights(ham, obs, gibbs(beta))
-    gaps = table.energies
-    flat = table.weights / table.mass
+    gaps, flat = directed_transitions(table)
+    flat = flat / table.mass
     scale = delta * dim / (2 * np.pi)
     concentrated = True
     lines = 0

@@ -172,7 +172,8 @@ def test_two_level_run_end_to_end(tmp_path):
     assert abs(p[2] - 0.5) <= 1e-12 and abs(p[6] - 0.5) <= 1e-12
     assert report.distances["exact_vs_oracle"]["total_variation"] <= 1e-10
     # Of the 4 transitions of H = Z, only the two that O = X connects carry weight.
-    assert report.metadata["oracle"] == {"transitions": 4, "kept": 2}
+    # Both sit on the one pair row of levels (0, 1): one kernel column.
+    assert report.metadata["oracle"] == {"transitions": 4, "kept": 2, "gaps": 1}
     out = tmp_path / "out"
     assert (out / "report.json").exists()
     assert (out / "distribution.csv").exists()
@@ -776,6 +777,26 @@ def test_cli_oracle_writes_spectrum(tmp_path):
     rows = (tmp_path / "oracle-out" / "spectrum.csv").read_text().strip().splitlines()
     assert rows[0] == "omega,sigma"
     assert len(rows) > 100
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"model": {"preset": "tilted_ising", "N": 3}, "observable": "total_sz",
+          "ensemble": {"kind": "gibbs", "beta": 1.0}, "qpe": {"gamma": 0.05, "auto_plan": True}}],
+    ids=["two_level", "tilted_ising"],
+)
+def test_cli_oracle_grid_is_exactly_symmetric(tmp_path, overrides):
+    # The oracle evaluates each line once and reads its reverse at -omega, so the
+    # grid must hold every point's exact negative: 2001 points over +-reach.
+    config = make_config(tmp_path, **overrides)
+    path = write_config(tmp_path, {**TWO_LEVEL, **overrides, "output_dir": str(tmp_path / "oracle-out")})
+    assert main(["oracle", "--config", str(path)]) == 0
+    omega = np.array(json.loads((tmp_path / "oracle-out" / "spectrum.json").read_text())["omega"])
+    assert omega.size == 2001
+    assert np.all(omega == -omega[::-1])
+    levels = build_operator(config.model).eig.eigenvalues
+    reach = 1.2 * float(levels[-1] - levels[0])
+    assert abs(omega[-1] - reach) <= np.spacing(reach) and abs(omega[0] + reach) <= np.spacing(reach)
 
 
 def test_cli_oracle_rejects_a_linewidth_below_its_grid_step(tmp_path, capsys):

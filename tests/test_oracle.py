@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from helpers import (
     complex_copy,
     dense_phase_weights,
+    direct_transition_sum,
+    directed_transitions,
     leakage_kernel,
     leakage_row,
     preset_observable,
@@ -22,6 +24,8 @@ from qspec import (
     GROUND_STATE,
     INFINITE_TEMPERATURE,
     HermitianOperator,
+    PhaseDistribution,
+    TransitionTable,
     build_operator,
     correlation_series,
     distribution_distance,
@@ -167,9 +171,52 @@ def test_overflowing_detunings_take_their_limit_silently():
     np.testing.assert_array_equal(values, 0.0)
 
 
+def _test_grid(kind: str, reach: float, rng) -> np.ndarray:
+    if kind == "asymmetric":
+        return rng.uniform(-reach, reach, 41)
+    if kind == "symmetric":
+        side = np.sort(rng.uniform(0.0, reach, 20))
+        return np.concatenate((-side[::-1], [0.0], side))
+    if kind == "signed_zeros":
+        return rng.permutation(np.concatenate((rng.uniform(-reach, reach, 20), [0.0, -0.0])))
+    # The register grid of a run: exact negatives but for the unpaired -half bin.
+    grid = np.sort(PhaseDistribution(5, np.pi / reach, np.full(32, 1 / 32)).frequencies())
+    assert -grid[0] not in grid and np.all(grid[1:] == -grid[:0:-1])
+    return grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_sites=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    complex_h=st.booleans(),
+    ensemble=st.sampled_from([INFINITE_TEMPERATURE, gibbs(0.8), GROUND_STATE]),
+    kind=st.sampled_from(["asymmetric", "symmetric", "signed_zeros", "register"]),
+    gamma=st.floats(0.05, 2.0),
+)
+def test_folded_sums_match_the_direct_sum(num_sites, seed, complex_h, ensemble, kind, gamma):
+    # Each pair's kernel is evaluated once and its reverse read at the mirrored
+    # point; the reference sums every directed transition at its own signed gap.
+    make = random_hermitian if complex_h else random_real_symmetric
+    ham, obs = make(num_sites, seed), make(num_sites, seed + 1)
+    table = transition_weights(ham, obs, ensemble)
+    levels = ham.eig.eigenvalues
+    points = _test_grid(kind, 1.2 * float(levels[-1] - levels[0]) + 0.1, np.random.default_rng(seed))
+    sigma = spectral_function(table, points, gamma).values
+    reference = direct_transition_sum(table, points, lambda x, gap: gamma / (gamma**2 + (x - gap) ** 2)).real
+    assert np.max(np.abs(sigma - reference)) <= 1e-13 * np.max(reference)
+    series = correlation_series(table, points)
+    reference = direct_transition_sum(table, points, lambda t, gap: np.exp(-1j * t * gap))
+    assert np.max(np.abs(series - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
 def test_spectral_function_rejects_nonpositive_gamma():
-    with pytest.raises(ValueError):
-        spectral_function(transition_weights(PAULI_Z, PAULI_X), np.array([0.0]), 0.0)
+    # NaN fails every comparison, so it is caught at the guard, not by the
+    # non-finite check on the finished spectrum.
+    table = transition_weights(PAULI_Z, PAULI_X)
+    for gamma in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            spectral_function(table, np.array([0.0]), gamma)
 
 
 def test_spectrum_table_exports_round_trip(tmp_path):
@@ -297,17 +344,51 @@ def test_table_matches_purified_state_reference(num_sites, seed, complex_h, ense
     assert np.max(np.abs(dense_phase_weights(table, dim) - reference)) <= 1e-12
     levels = ham.eig.eigenvalues
     initial, final = np.divmod(table.index, dim)
-    np.testing.assert_array_equal(table.energies, levels[final] - levels[initial])
+    assert np.all(initial <= final) and np.all(np.diff(table.index) > 0)  # one row per pair n <= m
+    np.testing.assert_array_equal(table.gaps, levels[final] - levels[initial])
+    assert np.all(table.gaps >= 0)
+    assert table.weights.shape == (table.index.size, 2)
     pops = ensemble_populations(ham.eig, ensemble)
     elements = ham.eig.eigenvectors.conj().T @ obs.matrix @ ham.eig.eigenvectors
-    spectral = (pops[:, None] * np.abs(elements) ** 2).reshape(-1)
-    assert np.max(np.abs(table.weights - spectral[table.index])) <= 1e-12 * spectral.sum()
+    spectral = pops[:, None] * np.abs(elements) ** 2  # n -> m at [n, m]
+    scale = 1e-12 * spectral.sum()
+    assert np.max(np.abs(table.weights[:, 0] - spectral[initial, final])) <= scale
+    off = initial != final
+    assert np.max(np.abs(table.weights[off, 1] - spectral[final, initial][off]), initial=0.0) <= scale
+    np.testing.assert_array_equal(table.weights[~off, 1], 0.0)  # the diagonal has no reverse
+    assert np.all(table.weights.max(axis=1) > 0)  # a row is kept while one direction is
 
 
 def _unpruned(monkeypatch, *args):
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "PRUNE_SHARE", 0.0)  # keeps every nonzero weight
         return transition_weights(*args)
+
+
+def _assert_pruning_within_bound(monkeypatch, ham, obs, ensemble):
+    pruned = transition_weights(ham, obs, ensemble)
+    full = _unpruned(monkeypatch, ham, obs, ensemble)
+    assert PRUNE_SHARE == 2.0**-60  # the stated bound
+    assert pruned.total == full.total == ham.dim**2
+    assert pruned.kept < full.kept
+    # Directed weights: every kept one unchanged, the dropped ones within the bound.
+    dense, dense_full = (dense_phase_weights(t, ham.dim) * t.mass for t in (pruned, full))
+    assert pruned.kept == np.count_nonzero(dense) and full.kept == np.count_nonzero(dense_full)
+    kept = dense != 0
+    np.testing.assert_array_equal(dense[kept], dense_full[kept])
+    assert dense_full[~kept].sum() <= PRUNE_SHARE * dense_full.sum()
+    assert pruned.mass == full.mass
+
+    gamma = 0.2
+    grid = np.linspace(-12.0, 12.0, 301)
+    sigma = spectral_function(pruned, grid, gamma).values
+    sigma_full = spectral_function(full, grid, gamma).values
+    bound = PRUNE_SHARE * dense_full.sum() / gamma
+    assert np.max(np.abs(sigma - sigma_full)) <= bound + 1e-14 * sigma_full.max()
+    p = exact_outcome_distribution(pruned, 6, 0.3).probabilities
+    p_full = exact_outcome_distribution(full, 6, 0.3).probabilities
+    assert np.max(np.abs(p - p_full)) <= PRUNE_SHARE + 1e-15
+    return pruned
 
 
 @pytest.mark.parametrize(
@@ -321,24 +402,16 @@ def test_pruning_stays_within_its_mass_bound(monkeypatch, ensemble, complex_h):
     obs = preset_observable("total_sz", 4)
     if complex_h:
         ham, obs = complex_copy(ham), complex_copy(obs)
-    pruned = transition_weights(ham, obs, ensemble)
-    full = _unpruned(monkeypatch, ham, obs, ensemble)
-    assert PRUNE_SHARE == 2.0**-60  # the stated bound
-    assert pruned.total == full.total == 4**4
-    assert pruned.kept < full.kept
-    dropped = ~np.isin(full.index, pruned.index)
-    assert full.weights[dropped].sum() <= PRUNE_SHARE * full.weights.sum()
-    assert pruned.mass == full.mass
+    _assert_pruning_within_bound(monkeypatch, ham, obs, ensemble)
 
-    gamma = 0.2
-    grid = np.linspace(-12.0, 12.0, 301)
-    sigma = spectral_function(pruned, grid, gamma).values
-    sigma_full = spectral_function(full, grid, gamma).values
-    bound = PRUNE_SHARE * full.weights.sum() / gamma
-    assert np.max(np.abs(sigma - sigma_full)) <= bound + 1e-14 * sigma_full.max()
-    p = exact_outcome_distribution(pruned, 6, 0.3).probabilities
-    p_full = exact_outcome_distribution(full, 6, 0.3).probabilities
-    assert np.max(np.abs(p - p_full)) <= PRUNE_SHARE + 1e-15
+    # A Gibbs pair whose reverse weight is cut while its forward weight is kept:
+    # at beta = 1 across a gap of 50 the upper level's population is e**-50 of
+    # the lower's, below 2**-60 of the mean weight.
+    pair = HermitianOperator(np.diag([0.0, 50.0]))
+    one_sided = _assert_pruning_within_bound(monkeypatch, pair, PAULI_X, gibbs(1.0))
+    np.testing.assert_array_equal(one_sided.index, [1])
+    assert one_sided.weights[0, 0] > 0 and one_sided.weights[0, 1] == 0
+    assert one_sided.kept == 1
 
 
 # --- leakage kernel ---------------------------------------------------------------------
@@ -393,6 +466,34 @@ def test_outcome_distribution_needs_a_phase_bit(num_bits):
         exact_outcome_distribution(table, num_bits, 0.3)
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.5, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])
+def test_outcome_distribution_rejects_a_nonpositive_or_nonfinite_delta(delta):
+    # inf and NaN used to reach the bin index and fail there with an IndexError.
+    table = transition_weights(PAULI_Z, PAULI_X)
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        exact_outcome_distribution(table, 3, delta)
+
+
+@pytest.mark.parametrize("num_bits", range(1, 7))
+def test_outcome_distribution_reads_edge_phases_through_the_mirror(num_bits):
+    # One pair row at a time, both directions weighted: a phase at +-half (its
+    # reverse lands on the same, unpaired bin), half-integer phases beside it,
+    # and phases within 2**-26 of an integer, where the j = 0 entry takes the
+    # unsplit sinc ratio and the reverse reads it at the mirrored bin.
+    dim, half = 1 << num_bits, 1 << (num_bits - 1)
+    delta = 2 * np.pi / dim  # the phase is then the gap, exactly at 0 and at half
+    near = [3 + 2.0**-30, 3 - 2.0**-30, 3 + 2.0**-27, 3.0]
+    for gap in [0.0, half, half - 0.5, half + 0.5, half + 0.25] + near:
+        phase = delta * dim * gap / (2 * np.pi)
+        assert phase == gap if gap in (0.0, half) else abs(phase - gap) <= 1e-14
+        table = TransitionTable(np.array([gap]), np.array([[0.625, 0.375]]), 1.0, np.array([1]), 4)
+        dist = exact_outcome_distribution(table, num_bits, delta).probabilities
+        offsets = np.fmod([[phase], [-phase]], dim) - np.arange(dim)
+        reference = np.array([0.625, 0.375]) @ leakage_kernel(offsets, num_bits)
+        assert np.max(np.abs(dist - reference)) <= 1e-14
+        assert abs(dist.sum() - 1.0) <= 1e-14
+
+
 def test_outcome_distribution_zero_hamiltonian():
     dist = exact_outcome_distribution(transition_weights(HermitianOperator(np.zeros((2, 2))), PAULI_X), 3, 0.4)
     expected = np.zeros(8)
@@ -425,8 +526,8 @@ def test_consistency_triangle_concentration():
     delta = 2 * np.pi * (dim // 2 - 1) / (dim * span)
     table = transition_weights(ham, obs)
     dist = exact_outcome_distribution(table, num_bits, delta)
-    flat_gaps = table.energies
-    flat_weights = table.weights / table.mass
+    flat_gaps, flat_weights = directed_transitions(table)
+    flat_weights = flat_weights / table.mass
     # Aggregate degenerate gaps before checking concentration.
     order = np.argsort(flat_gaps)
     grouped: list[tuple[float, float]] = []
@@ -493,8 +594,9 @@ def test_outcome_distribution_matches_kernel_sum(num_sites, num_bits, delta, sca
     # The kernel has period 2**l, so the phase is first reduced modulo 2**l, which fmod does
     # exactly.  Subtracting the bins from the full phase instead rounds it once more when the
     # offset crosses a power of two: 4.5e-13 at phase -4094.5, a 2.3e-13 error in the reference.
-    phases = np.fmod(delta * dim * table.energies / (2 * np.pi), dim)
-    reference = table.weights / table.mass @ leakage_kernel(phases[:, None] - np.arange(dim), num_bits)
+    gaps, weights = directed_transitions(table)
+    phases = np.fmod(delta * dim * gaps / (2 * np.pi), dim)
+    reference = weights / table.mass @ leakage_kernel(phases[:, None] - np.arange(dim), num_bits)
     assert np.max(np.abs(dist.probabilities - reference)) <= 1e-13
     assert abs(dist.probabilities.sum() - 1.0) <= 1e-14
 
