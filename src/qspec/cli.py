@@ -10,9 +10,13 @@ Subcommands:
 * ``plan``      register size and coupling time for a bandwidth/linewidth pair.
 
 Exit codes: 0 success, 1 configuration error (among them an observable that
-annihilates the ensemble's base state), 2 resource cap exceeded, 3 circuit
-preparation exhausted its attempt budget, 4 any other error the package
-detects while running.  Every failure prints one line to stderr.
+annihilates the ensemble's base state, and an output path that cannot be
+used), 2 resource cap exceeded, 3 circuit preparation exhausted its attempt
+budget, 4 any other error the package detects while running.  Every failure
+prints one line to stderr.
+
+Python names are imported from their modules, e.g. ``qspec.experiment.run_experiment``;
+the package root holds only ``__version__``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, PrepExhaustedError, QspecError, ResourceCapError, ZeroNormError
-from .experiment import plan_payload, run_experiment, validate_config, write_csv, write_json
+from .experiment import check_output_dir, plan_payload, run_experiment, validate_config, write_csv, write_json
 from .models import (
     DISTRIBUTION_KINDS,
     EigenvalueDistribution,
@@ -60,6 +64,8 @@ def _load_config(args: argparse.Namespace):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     config = validate_config(raw)
     _check_seed(args.seed)
+    if args.out is not None:
+        check_output_dir(args.out, "--out")
     overrides = {"seed": args.seed, "output_dir": args.out}
     return replace(config, **{key: value for key, value in overrides.items() if value is not None})
 
@@ -87,7 +93,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     grid = step * np.arange(-1000, 1001)  # exactly symmetric: the oracle folds each line with its mirror
     table = spectral_function(transition_weights(hamiltonian, observable, config.ensemble), grid, gamma)
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "spectrum.csv", ("omega", "sigma"), zip(table.frequencies, table.values))
     write_json(out / "spectrum.json", {"gamma": table.gamma, "ensemble": asdict(config.ensemble),
                                        "omega": table.frequencies.tolist(), "sigma": table.values.tolist()})
@@ -101,8 +106,7 @@ def _cmd_prepstudy(args: argparse.Namespace) -> int:
         raise ConfigError("prepstudy needs a positive, finite angle grid")
     if args.num_sites < 1:
         raise ConfigError(f"prepstudy needs --num-sites >= 1, got {args.num_sites}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(check_output_dir(args.out, "--out"))
     phis = np.linspace(args.phi_max / args.phi_points, args.phi_max, args.phi_points)
     rows = []
     for index, kind in enumerate(DISTRIBUTION_KINDS):

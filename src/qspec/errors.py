@@ -42,7 +42,7 @@ class ResourceCapError(QspecError):
 
 
 class ConfigError(QspecError):
-    """Experiment configuration document is invalid."""
+    """Experiment configuration document is invalid, or its output path cannot be written."""
 
 
 class PrepExhaustedError(QspecError):

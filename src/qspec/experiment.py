@@ -26,16 +26,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import platform
 import sys
 import time
 from dataclasses import asdict, dataclass
-from importlib import metadata as importlib_metadata
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError, PrepExhaustedError, ResourceCapError
 from .models import (
     MAX_SITES,
@@ -80,13 +81,6 @@ _TURNS_LOG2 = 18
 #: log2 of the largest coefficient magnitude sum: spectral spans reach twice
 #: it and the oracle's frequency grid 4.8 times it, which stays a finite double.
 _NORM_LOG2 = 1021
-
-
-def _package_version() -> str:
-    try:
-        return importlib_metadata.version("qspec")
-    except importlib_metadata.PackageNotFoundError:
-        return "unknown"
 
 
 @dataclass(frozen=True)
@@ -310,6 +304,19 @@ def _norm_bound(spec: ModelSpec, path: str) -> float:
     return bound
 
 
+def check_output_dir(value, path: str) -> str:
+    """An output directory the file system can name: a non-empty string, encodable and without NUL."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a non-empty string")
+    if "\0" in value:
+        raise ConfigError(f"{path}: contains a NUL character")
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"{path}: not a file name: {exc.reason}") from exc
+    return value
+
+
 def validate_config(raw: str | dict) -> ExperimentConfig:
     """Parse and validate a JSON experiment document, applying defaults."""
     if isinstance(raw, str):
@@ -363,12 +370,12 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
                 "that circuit and oracle resolve alike"
             )
     shots = _as_int(document.get("shots", 0), "shots", minimum=0)
+    if shots >= 1 << 63:
+        raise ConfigError("shots: must fit in 63 bits")
     seed = _as_int(document.get("seed", 0), "seed", minimum=0)
     if seed >= 1 << 64:
         raise ConfigError("seed: must fit in 64 bits")
-    output_dir = document.get("output_dir", "runs")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir: expected a non-empty string")
+    output_dir = check_output_dir(document.get("output_dir", "runs"), "output_dir")
     return ExperimentConfig(model, observable, ensemble, prep, qpe_settings, shots, seed, output_dir)
 
 
@@ -415,7 +422,6 @@ class ExperimentReport:
 
     def write(self, output_dir: str | Path) -> Path:
         out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         payload = self.to_dict()
         write_json(out / "report.json", payload)
         # The CSV files hold the same tables as the report, column for column.
@@ -435,12 +441,21 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     """Write one CSV artifact: floats with 17 significant digits, everything else as written."""
     lines = [",".join(header)]
     lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(Path(path), "\n".join(lines) + "\n")
 
 
 def write_json(path: str | Path, payload: dict) -> None:
     """Write one JSON artifact, indented by two spaces, with a final newline."""
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    _write_text(Path(path), json.dumps(payload, indent=2) + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Create the artifact's directory and write it; the file system's refusal is a ``ConfigError``."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _auto_plan(config: ExperimentConfig, hamiltonian) -> ResolutionPlan:
@@ -522,7 +537,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         distances["empirical_vs_exact"] = _distances(empirical, exact)
 
     metadata = {
-        "package_version": _package_version(),
+        "package_version": __version__,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "seed": config.seed,

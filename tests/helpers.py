@@ -3,25 +3,16 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from qspec import (
-    INFINITE_TEMPERATURE,
-    HermitianOperator,
-    ModelSpec,
-    PauliTerm,
-    StateVector,
-    TransitionTable,
-    base_state,
-    build_operator,
-    exact_outcome_distribution,
-    observable_spec,
-    overlap,
-    thermal_operator_state,
-)
-from qspec.purify import operator_state
+from qspec.models import ModelSpec, PauliTerm, build_operator, observable_spec
+from qspec.oracle import TransitionTable, exact_outcome_distribution
+from qspec.purify import INFINITE_TEMPERATURE, base_state, operator_state, thermal_operator_state
 from qspec.simcore import (
+    HermitianOperator,
+    StateVector,
     apply_controlled_unitary,
     apply_unitary,
     basis_state,
+    overlap,
     tensor_product,
 )
 

@@ -9,29 +9,29 @@ import time
 import numpy as np
 
 from helpers import directed_transitions, leakage_row, preset_observable, random_hermitian, random_real_symmetric
-from qspec import (
+from qspec.models import (
+    EigenvalueDistribution,
+    build_operator,
+    synthetic_diagonal_observable,
+    tilted_ising,
+)
+from qspec.oracle import distribution_distance, exact_outcome_distribution, transition_weights
+from qspec.purify import (
     GROUND_STATE,
     INFINITE_TEMPERATURE,
-    EigenvalueDistribution,
     base_state,
-    build_operator,
-    choose_phi,
-    distribution_distance,
-    eig_hermitian,
-    exact_outcome_distribution,
     gibbs,
+    thermal_operator_state,
+)
+from qspec.qpe import plan_resolution, run_qpe, sample_outcomes
+from qspec.simcore import eig_hermitian
+from qspec.stateprep import (
+    choose_phi,
     moment_ratio_constant,
     moments,
-    plan_resolution,
     preparation_fidelity,
-    run_qpe,
-    sample_outcomes,
-    synthetic_diagonal_observable,
-    thermal_operator_state,
-    tilted_ising,
-    transition_weights,
+    simulate_prep_circuit,
 )
-from qspec.stateprep import simulate_prep_circuit
 
 LAWS = ("semicircle", "uniform", "arcsine", "gaussian")
 CONSTANTS = (0.5, 5 / 9, 2 / 3, 1 / 3)

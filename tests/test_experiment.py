@@ -1,28 +1,21 @@
 """Config validation, the experiment pipeline and the command-line surface."""
 
+import ast
 import json
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qspec import (
-    build_operator,
-    choose_phi,
-    experiment,
-    heisenberg,
-    moments,
-    observable_spec,
-    oracle,
-    purify,
-    run_experiment,
-    stateprep,
-    tilted_ising,
-    validate_config,
-)
+import qspec
+from qspec import experiment, oracle, purify, stateprep
 from qspec.cli import main
 from qspec.errors import ConfigError, PrepExhaustedError, ResourceCapError
+from qspec.experiment import run_experiment, validate_config
+from qspec.models import build_operator, heisenberg, observable_spec, tilted_ising
+from qspec.stateprep import choose_phi, moments
 
 TWO_LEVEL = {
     "model": {"N": 1, "terms": [{"coefficient": 1.0, "factors": "Z"}]},
@@ -63,6 +56,21 @@ def test_negative_shots_rejected():
     document["shots"] = -1
     with pytest.raises(ConfigError, match="shots"):
         validate_config(json.dumps(document))
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_cli_shots_past_63_bits_exit_with_one_line(tmp_path, capsys, command):
+    # 2**63 shots passed validation and ended in an OverflowError from numpy's multinomial.
+    path = write_config(tmp_path, dict(TWO_LEVEL, shots=1 << 63, output_dir=str(tmp_path / "never")))
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "config error: shots: must fit in 63 bits\n"
+    assert not (tmp_path / "never").exists()
+
+
+def test_largest_63_bit_shot_count_runs(tmp_path):
+    report = run_experiment(make_config(tmp_path, shots=(1 << 63) - 1))
+    assert report.empirical_distribution.shots == (1 << 63) - 1
+    assert abs(report.empirical_distribution.probabilities.sum() - 1.0) <= 1e-12
 
 
 def test_unknown_fields_rejected_with_path():
@@ -178,6 +186,20 @@ def test_two_level_run_end_to_end(tmp_path):
     assert (out / "report.json").exists()
     assert (out / "distribution.csv").exists()
     assert (out / "spectrum.csv").exists()
+
+
+def test_report_records_the_package_version(tmp_path):
+    run_experiment(make_config(tmp_path))
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert payload["metadata"]["package_version"] == qspec.__version__
+
+
+def test_package_root_defines_only_its_version():
+    # Every name has one import path, through the module that defines it.
+    docstring, *body = ast.parse(Path(qspec.__file__).read_text()).body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert all(isinstance(node, ast.Assign) for node in body)
+    assert [target.id for node in body for target in node.targets] == ["__version__"]
 
 
 def test_sampled_run_is_reproducible(tmp_path):
@@ -692,6 +714,50 @@ def test_phase_winding_bound_admits_the_last_resolvable_delta(tmp_path):
     assert run_experiment(config).distances["exact_vs_oracle"]["total_variation"] <= 1e-10
     with pytest.raises(ConfigError, match="qpe.delta"):
         make_config(tmp_path, qpe={"l": 3, "delta": 4 * delta})
+
+
+@pytest.mark.parametrize(
+    "command, via",
+    [("run", "output_dir"), ("oracle", "output_dir"), ("run", "--out"), ("oracle", "--out"), ("prepstudy", "--out")],
+)
+@pytest.mark.parametrize(
+    "name, reason",
+    [("", "expected a non-empty string"), ("out\0", "contains a NUL character"),
+     ("out\ud800", "not a file name: surrogates not allowed")],
+    ids=["empty", "nul", "surrogate"],
+)
+def test_cli_output_path_the_file_system_cannot_name_exits_with_one_line(
+    tmp_path, capsys, monkeypatch, command, via, name, reason
+):
+    # A NUL or a lone surrogate ended in a traceback from mkdir (ValueError,
+    # UnicodeEncodeError), and --out "" wrote into the working directory.
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, dict(TWO_LEVEL, output_dir=name) if via == "output_dir" else TWO_LEVEL)
+    if command == "prepstudy":
+        argv = ["prepstudy", "--out", name, "--num-sites", "2", "--phi-points", "2"]
+    else:
+        argv = [command, "--config", str(path), *(["--out", name] if via == "--out" else [])]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {via}: {reason}\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", ["run", "oracle", "prepstudy"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+def test_cli_output_dir_that_cannot_be_created_exits_with_one_line(tmp_path, capsys, command, below):
+    # mkdir's FileExistsError or NotADirectoryError used to end in a traceback.
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if below else taken
+    if command == "prepstudy":
+        argv = ["prepstudy", "--out", str(out), "--num-sites", "2", "--phi-points", "2"]
+    else:
+        argv = [command, "--config", str(write_config(tmp_path, TWO_LEVEL)), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}/") and err.count("\n") == 1
+    assert str(taken) in err
+    assert taken.read_text() == "kept\n"
 
 
 def test_cli_plan_prints_json(capsys):

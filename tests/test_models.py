@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspec import (
+from qspec.errors import ResourceCapError
+from qspec.experiment import validate_config
+from qspec.models import (
+    OBSERVABLE_PRESETS,
     EigenvalueDistribution,
     ModelSpec,
     PauliTerm,
@@ -19,10 +22,7 @@ from qspec import (
     sample_eigenvalues,
     synthetic_diagonal_observable,
     tilted_ising,
-    validate_config,
 )
-from qspec.errors import ResourceCapError
-from qspec.models import OBSERVABLE_PRESETS
 
 PAULI = {
     "I": np.eye(2),

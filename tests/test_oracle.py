@@ -20,31 +20,29 @@ from helpers import (
     random_real_symmetric,
     real_pauli_sums,
 )
-from qspec import (
-    GROUND_STATE,
-    INFINITE_TEMPERATURE,
-    HermitianOperator,
-    PhaseDistribution,
-    TransitionTable,
-    build_operator,
-    correlation_series,
-    distribution_distance,
-    eig_hermitian,
-    exact_outcome_distribution,
-    gibbs,
-    ground_state_degeneracy,
-    heisenberg,
-    oracle,
-    run_qpe,
-    spectral_function,
-    thermal_operator_state,
-    tilted_ising,
-    transition_weights,
-)
+from qspec import oracle
 from qspec.errors import DimensionMismatchError, ZeroNormError, ZeroOperatorError
 from qspec.experiment import write_csv, write_json
-from qspec.oracle import PRUNE_SHARE
-from qspec.purify import ensemble_populations
+from qspec.models import build_operator, heisenberg, tilted_ising
+from qspec.oracle import (
+    PRUNE_SHARE,
+    TransitionTable,
+    correlation_series,
+    distribution_distance,
+    exact_outcome_distribution,
+    spectral_function,
+    transition_weights,
+)
+from qspec.purify import (
+    GROUND_STATE,
+    INFINITE_TEMPERATURE,
+    ensemble_populations,
+    gibbs,
+    ground_state_degeneracy,
+    thermal_operator_state,
+)
+from qspec.qpe import PhaseDistribution, run_qpe
+from qspec.simcore import HermitianOperator, eig_hermitian
 
 PAULI_X = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
 PAULI_Z = HermitianOperator(np.diag([1.0, -1.0]))
@@ -96,7 +94,7 @@ def test_ground_state_correlation_matches_direct_expectation():
 
 
 def test_gibbs_correlation_matches_density_matrix_trace():
-    from qspec import gibbs
+    from qspec.purify import gibbs
 
     ham = random_real_symmetric(2, seed=10)
     op = random_real_symmetric(2, seed=11)
@@ -202,6 +200,25 @@ def test_folded_sums_match_the_direct_sum(num_sites, seed, complex_h, ensemble, 
     table = transition_weights(ham, obs, ensemble)
     levels = ham.eig.eigenvalues
     points = _test_grid(kind, 1.2 * float(levels[-1] - levels[0]) + 0.1, np.random.default_rng(seed))
+    sigma = spectral_function(table, points, gamma).values
+    reference = direct_transition_sum(table, points, lambda x, gap: gamma / (gamma**2 + (x - gap) ** 2)).real
+    assert np.max(np.abs(sigma - reference)) <= 1e-13 * np.max(reference)
+    series = correlation_series(table, points)
+    reference = direct_transition_sum(table, points, lambda t, gap: np.exp(-1j * t * gap))
+    assert np.max(np.abs(series - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("tile", [(1, 1), (2, 3), (3, 5)])
+def test_folded_sums_accumulate_across_tile_blocks(monkeypatch, tile):
+    # The default tile holds every pair of a small table in one block.  Tiny
+    # tiles split the pairs and the mirrored points into many blocks each.
+    monkeypatch.setattr(oracle, "TILE", tile)
+    ham = random_hermitian(3, 41)
+    table = transition_weights(ham, random_real_symmetric(3, 42), gibbs(0.8))
+    assert table.gaps.size >= 20
+    levels = ham.eig.eigenvalues
+    points = _test_grid("asymmetric", 1.2 * float(levels[-1] - levels[0]) + 0.1, np.random.default_rng(43))
+    gamma = 0.3
     sigma = spectral_function(table, points, gamma).values
     reference = direct_transition_sum(table, points, lambda x, gap: gamma / (gamma**2 + (x - gap) ** 2)).real
     assert np.max(np.abs(sigma - reference)) <= 1e-13 * np.max(reference)

@@ -14,19 +14,17 @@ from helpers import (
     random_hermitian,
     random_real_symmetric,
 )
-from qspec import (
+from qspec.errors import ResourceCapError, ZeroNormError, ZeroOperatorError
+from qspec.oracle import transition_weights
+from qspec.purify import (
     GROUND_STATE,
     INFINITE_TEMPERATURE,
-    HermitianOperator,
     base_state,
     gibbs,
-    moments,
-    overlap,
     thermal_operator_state,
-    transition_weights,
 )
-from qspec.errors import ResourceCapError, ZeroNormError, ZeroOperatorError
-from qspec.simcore import register_distribution
+from qspec.simcore import HermitianOperator, overlap, register_distribution
+from qspec.stateprep import moments
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)

@@ -8,30 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import plus_state, preset_observable, random_hermitian, random_real_symmetric
-from qspec import (
-    GROUND_STATE,
-    INFINITE_TEMPERATURE,
-    HermitianOperator,
+from qspec.errors import DimensionMismatchError, ResourceCapError
+from qspec.experiment import write_csv, write_json
+from qspec.models import build_operator, heisenberg, tilted_ising
+from qspec.oracle import distribution_distance, exact_outcome_distribution, transition_weights
+from qspec.purify import GROUND_STATE, INFINITE_TEMPERATURE, gibbs, thermal_operator_state
+from qspec.qpe import (
     PhaseDistribution,
-    distribution_distance,
-    eig_hermitian,
-    exact_outcome_distribution,
-    gibbs,
-    heisenberg,
     outcome_frequency,
     plan_resolution,
     run_qpe,
     sample_outcomes,
-    thermal_operator_state,
-    tilted_ising,
-    transition_weights,
-    build_operator,
 )
-from qspec.errors import DimensionMismatchError, ResourceCapError
-from qspec.experiment import write_csv, write_json
 from qspec.simcore import (
+    HermitianOperator,
     apply_controlled_unitary,
     apply_unitary,
+    eig_hermitian,
     inverse_qft,
     register_distribution,
     tensor_product,

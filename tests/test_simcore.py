@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import plus_state, random_hermitian, random_real_symmetric, random_state
-from qspec import HermitianOperator, StateVector, eig_hermitian
 from qspec.errors import (
     DimensionMismatchError,
     HermiticityError,
@@ -15,9 +14,12 @@ from qspec.errors import (
     UnitarityError,
 )
 from qspec.simcore import (
+    HermitianOperator,
+    StateVector,
     apply_controlled_unitary,
     apply_unitary,
     basis_state,
+    eig_hermitian,
     inverse_qft,
     register_distribution,
     tensor_product,

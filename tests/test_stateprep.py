@@ -8,28 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gate_by_gate_prep, preset_observable, random_hermitian, random_real_symmetric
-from qspec import (
-    GROUND_STATE,
-    INFINITE_TEMPERATURE,
+from qspec.errors import DegenerateAngleError, ZeroOperatorError
+from qspec.models import (
     EigenvalueDistribution,
-    HermitianOperator,
+    build_operator,
+    heisenberg,
+    synthetic_diagonal_observable,
+    tilted_ising,
+)
+from qspec.purify import GROUND_STATE, INFINITE_TEMPERATURE, gibbs
+from qspec.simcore import HermitianOperator
+from qspec.stateprep import (
     MomentSet,
     acceptance_probability,
-    build_operator,
     choose_phi,
     choose_phi_for_distribution,
-    gibbs,
-    heisenberg,
     moment_ratio_constant,
     moments,
     preparation_fidelity,
     run_prep_circuit,
+    simulate_prep_circuit,
     success_probability_bound,
-    synthetic_diagonal_observable,
-    tilted_ising,
 )
-from qspec.errors import DegenerateAngleError, ZeroOperatorError
-from qspec.stateprep import simulate_prep_circuit
 
 PAULI_Z = HermitianOperator(np.diag([1.0, -1.0]))
 

@@ -6,18 +6,18 @@ Usage::
 
 Every invocation runs ``qspec.cli.main`` in this process, with one BLAS
 thread, and writes its artifacts under ``OUTDIR/<name>/``.  ``OUTDIR/manifest.json``
-then holds, per invocation, the config, the exit code, the stderr line, the
-sha256 of each CSV and of ``spectrum.json``, and ``report.json`` with its
-timings, versions and output path removed.  ``SRC`` (default: the ``src``
-directory of this checkout) is where ``qspec`` is imported from, so two
-trees are compared by running the ladder once against each and diffing the
-manifests::
+then holds, per invocation, the config, the exit code, the stderr line (with
+the literal ``OUTDIR`` in place of that path), the sha256 of each CSV and of
+``spectrum.json``, and ``report.json`` with its timings, versions and output
+path removed.  ``SRC`` (default: the ``src`` directory of this checkout)
+is where ``qspec`` is imported from, so two trees are compared by running
+the ladder once against each and diffing the manifests::
 
     python tools/ladder.py /tmp/before --src /path/to/other/checkout/src
     python tools/ladder.py /tmp/after
     diff /tmp/before/manifest.json /tmp/after/manifest.json
 
-The ladder (207 invocations):
+The ladder (211 invocations):
 
 * the benchmark workload configs at workload seed 1, plus the ``oracle_grid``
   config under ``run``, and the benchmark's N=2 smoke configs;
@@ -34,7 +34,9 @@ The ladder (207 invocations):
   under exact ``run``, circuit ``run`` and ``oracle``;
 * a string and a bool observable coefficient under ``run``;
 * ``qspec prepstudy --num-sites 6 --seed 3``, and ``prepstudy`` with the
-  out-of-range seeds ``-1`` and ``2**64``.
+  out-of-range seeds ``-1`` and ``2**64``;
+* ``2**63`` shots under ``run``, and ``run``, ``oracle`` and ``prepstudy``
+  with an ``--out`` that names an existing file (``OUTDIR/<name>/taken``).
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ ENSEMBLES = {
     "ground": {"kind": "ground_state"},
 }
 ARTIFACTS = ("distribution.csv", "spectrum.csv", "spectrum.json", "prepstudy.csv")
+#: Invocations under this name get ``--out OUTDIR/<name>/taken``, a file written beforehand.
+OUT_IS_FILE = "out_is_file"
 
 COMPLEX_MODELS = {
     2: [(0.8, "XY"), (0.5, "ZI"), (0.3, "IX"), (0.6, "YZ")],
@@ -148,6 +152,12 @@ def invocations():
     yield "prepstudy/N6/seed3", "prepstudy", ["--num-sites", "6", "--seed", "3"]
     for seed in (-1, 1 << 64):
         yield f"prepstudy/seed{seed}", "prepstudy", ["--seed", str(seed)]
+    two_level = _config(_pauli_sum(1, [(1.0, "Z")]), _pauli_sum(1, [(1.0, "X")]), ENSEMBLES["infinite"],
+                        "exact", {"l": 3, "delta": 0.3})
+    yield "shots/2**63/run", "run", {**two_level, "shots": 1 << 63}
+    for command in ("run", "oracle"):
+        yield f"{OUT_IS_FILE}/{command}", command, two_level
+    yield f"{OUT_IS_FILE}/prepstudy", "prepstudy", ["--num-sites", "2", "--phi-points", "2"]
 
 
 def _normalized_report(path: Path) -> dict:
@@ -165,12 +175,16 @@ def run_ladder(outdir: Path) -> dict:
     for name, command, config in invocations():
         out = outdir / name
         out.mkdir(parents=True, exist_ok=True)
+        target = out
+        if name.startswith(f"{OUT_IS_FILE}/"):
+            target = out / "taken"
+            target.write_text("")
         if command == "prepstudy":
-            argv = ["prepstudy", "--out", str(out), *config]
+            argv = ["prepstudy", "--out", str(target), *config]
         else:
             path = out / "config.json"
             path.write_text(json.dumps(config, indent=2) + "\n")
-            argv = [command, "--config", str(path), "--out", str(out)]
+            argv = [command, "--config", str(path), "--out", str(target)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
@@ -178,7 +192,8 @@ def run_ladder(outdir: Path) -> dict:
             except Exception as exc:  # recorded, so one failure does not end the ladder
                 code = "uncaught"
                 print(f"{type(exc).__name__}: {exc}", file=err)
-        entry = {"command": command, "config": config, "exit": code, "stderr": err.getvalue().strip(),
+        stderr = err.getvalue().strip().replace(str(outdir), "OUTDIR")  # the same line from any OUTDIR
+        entry = {"command": command, "config": config, "exit": code, "stderr": stderr,
                  "sha256": {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
                             for artifact in ARTIFACTS if (out / artifact).exists()}}
         if (out / "report.json").exists():
