@@ -14,12 +14,14 @@ into the upper half of the register, which ``outcome_frequency`` maps back
 to signed angular frequencies.
 
 The circuit runs on one phase-major working array ``psi[x, a, b]`` over the
-register value x and the two copies.  The control=1 branches of bit j are a
-strided view of it, and the controlled power acts on all of them at once as
-``U_j psi U_j^dagger``, in place.  The inverse Fourier transform is the
-simulator's FFT along x, and the outcome marginal sums ``|psi|^2`` over both
-copies.  The circuit stays a gate-level simulation in the computational
-basis; the eigenbasis is used only to exponentiate ``U_j``.
+register value x and the two copies.  The register starts uniform and the
+controlled powers act only on the copies, so the array fills in doubling
+order: ``psi[0]`` is the prepared state and bit j writes ``psi[2**j : 2**(j+1)]``
+as ``U_j psi[0 : 2**j] U_j^dagger``.  Each distinct branch is computed once,
+with the gates of the full circuit in their order.  The inverse Fourier
+transform is the simulator's FFT along x, in place, and the outcome marginal
+sums ``|psi|^2`` over both copies.  The circuit stays a gate-level simulation
+in the computational basis; the eigenbasis is used only to exponentiate ``U_j``.
 
 Controlled powers are built by raising eigenphases once, not by repeating
 gates; repeating the base step, and the gate-by-gate circuit on the full
@@ -55,6 +57,8 @@ class PhaseDistribution:
             raise DimensionMismatchError(
                 f"expected {1 << self.num_bits} probabilities, got {probs.shape}"
             )
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
         if probs.min() < -1e-12:
             raise ValueError(f"negative probability {probs.min():.3e}")
         probs = np.maximum(probs, 0.0)
@@ -78,8 +82,8 @@ def run_qpe(
     delta: float,
 ) -> PhaseDistribution:
     """Exact outcome distribution of the phase register for a prepared doubled state."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     if num_bits < 1:
         raise ValueError("need at least one phase bit")
     if prepared.num_qubits % 2:
@@ -97,19 +101,19 @@ def run_qpe(
     dim, sys_dim = 1 << num_bits, hamiltonian.dim
     # Phase-major working array psi[x, a, b]: the register is uniform, the copies prepared.
     psi = np.empty((dim, sys_dim, sys_dim), dtype=complex)
-    psi[:] = prepared.amplitudes.reshape(sys_dim, sys_dim) * (1.0 / np.sqrt(dim))
+    psi[0] = prepared.amplitudes.reshape(sys_dim, sys_dim) * (1.0 / np.sqrt(dim))
     eig = hamiltonian.eig
     for j in range(num_bits):
-        # Branches with bit j of x set: x = (hi, 1, lo) with lo < 2**j.
-        branch = psi.reshape(dim >> (j + 1), 2, 1 << j, sys_dim, sys_dim)[:, 1]
+        # The branches with bit j set are those below 2**j with U_j applied.
+        low, high = psi[: 1 << j], psi[1 << j : 2 << j]
         forward = eig.propagator(delta * (1 << j))
-        # exp(-1j*H^T*t) = (U^dagger)^T on copy b: psi -> U psi U^dagger.
-        np.matmul(forward @ branch, forward.conj().T, out=branch)
-    amps = _fourier(psi.reshape(dim, -1))
-    del psi
+        # exp(-1j*H^T*t) = (U^dagger)^T on copy b; U is conjugated in place after U psi is formed.
+        np.matmul(forward @ low, np.conjugate(forward, out=forward).T, out=high)
+    amps = psi.reshape(dim, -1)
+    _fourier(amps, out=amps)
     probs = (np.abs(amps) ** 2).sum(axis=1)
     norm_err = abs(math.sqrt(probs.sum()) - 1.0)
-    if norm_err > NORM_TOL:
+    if not norm_err <= NORM_TOL:
         raise NormalizationError(f"register state norm deviates from 1 by {norm_err:.3e}")
     return PhaseDistribution(num_bits, delta, probs)
 

@@ -277,9 +277,9 @@ def apply_controlled_unitary(
     return StateVector(n, psi.reshape(-1))
 
 
-def _fourier(amplitudes: np.ndarray) -> np.ndarray:
-    """Unitary DFT ``2**(-l/2) * exp(-2j*pi*x*k / 2**l)`` along axis 0, by FFT."""
-    return np.fft.fft(amplitudes, axis=0, norm="ortho")
+def _fourier(amplitudes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary DFT ``2**(-l/2) * exp(-2j*pi*x*k / 2**l)`` along axis 0, by FFT; ``out`` may be the input."""
+    return np.fft.fft(amplitudes, axis=0, norm="ortho", out=out)
 
 
 def inverse_qft(state: StateVector, register: Iterable[int]) -> StateVector:

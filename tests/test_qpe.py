@@ -1,6 +1,7 @@
 """Phase-register statistics of the counter-propagating circuit."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import plus_state, preset_observable, random_hermitian, random_real_symmetric
-from qspec.errors import DimensionMismatchError, ResourceCapError
+from qspec.errors import DimensionMismatchError, NormalizationError, ResourceCapError
 from qspec.experiment import write_csv, write_json
 from qspec.models import build_operator, heisenberg, tilted_ising
 from qspec.oracle import distribution_distance, exact_outcome_distribution, transition_weights
@@ -145,7 +146,7 @@ def gate_by_gate_qpe(prepared, hamiltonian, num_bits, delta):
 @settings(max_examples=40, deadline=None)
 @given(
     num_sites=st.integers(1, 3),
-    num_bits=st.integers(1, 4),
+    num_bits=st.integers(1, 6),
     seed=st.integers(0, 10_000),
     real=st.booleans(),
     ensemble=st.sampled_from([INFINITE_TEMPERATURE, gibbs(0.8), GROUND_STATE]),
@@ -168,6 +169,38 @@ def test_run_qpe_rejects_bad_inputs():
         run_qpe(prepared, HermitianOperator(np.eye(4)), 3, 0.5)
     with pytest.raises(ResourceCapError):
         run_qpe(prepared, PAULI_Z, 21, 0.5)
+
+
+@pytest.mark.parametrize("delta", [-0.5, float("inf"), float("nan")])
+def test_run_qpe_rejects_a_nonpositive_or_nonfinite_delta(delta):
+    prepared = thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        run_qpe(prepared, PAULI_Z, 3, delta)
+
+
+def test_run_qpe_rejects_a_non_finite_register_state():
+    # Phases of 1e310 overflow, so every propagator entry and the norm are NaN.
+    prepared = thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE)
+    huge = HermitianOperator(np.diag([1e300, -1e300]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NormalizationError):
+        run_qpe(prepared, huge, 3, 1e10)
+
+
+def test_run_qpe_heap_peak_is_one_working_array():
+    # The branches are filled in doubling order and transformed in place: the
+    # peak is the working array, a half-size temporary and the propagators.
+    num_sites, num_bits = 5, 8
+    ham = random_hermitian(num_sites, seed=5)
+    prepared = thermal_operator_state(random_hermitian(num_sites, seed=6), None, INFINITE_TEMPERATURE)
+    ham.eig  # the memoised decomposition is not part of the circuit
+    working = (1 << num_bits) * 4**num_sites * 16
+    tracemalloc.start()
+    try:
+        run_qpe(prepared, ham, num_bits, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * working
 
 
 def test_run_qpe_is_deterministic():
@@ -312,6 +345,14 @@ def test_phase_distribution_validation():
         PhaseDistribution(2, 0.5, np.array([0.5, 0.5, 0.5, 0.5]))
     with pytest.raises(ValueError):
         PhaseDistribution(1, 0.5, np.array([0.5, 0.5]), shots=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_phase_distribution_rejects_non_finite_probabilities(bad):
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        PhaseDistribution(1, 0.1, np.array([bad, bad]))
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        PhaseDistribution(1, 0.1, np.array([1.0, bad]))
 
 
 def test_phase_distribution_csv_and_json_round_trip(tmp_path):
