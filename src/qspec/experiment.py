@@ -19,7 +19,9 @@ Determinism contract: re-running a config with the same BLAS thread count
 gives byte-identical CSV files.  Across BLAS thread counts they are
 byte-identical only up to N=6; from N=7 up the multithreaded BLAS/LAPACK
 calls round differently per thread count, and the last bits of the
-probabilities and spectra can move.
+probabilities and spectra can move.  The oracle's own worker threads, one
+per usable CPU, never move a byte: the CSVs are the same at any CPU count
+or affinity mask for a given BLAS thread count.
 """
 
 from __future__ import annotations

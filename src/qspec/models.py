@@ -74,6 +74,9 @@ def build_operator(spec: ModelSpec) -> HermitianOperator:
 
     A string with X/Y flip mask ``x``, Z/Y sign mask ``z`` and ``y`` factors
     of Y has exactly one entry per column: ``P[c ^ x, c] = i**y (-1)**|c & z|``.
+    When every string has an even number of Y factors, every entry is real
+    and the sum is accumulated in float64: the same float sums as the real
+    part of a complex accumulation, at half its memory.
     """
     if spec.num_sites > MAX_SITES:
         raise ResourceCapError(
@@ -83,7 +86,8 @@ def build_operator(spec: ModelSpec) -> HermitianOperator:
     dim = 1 << n
     idx = np.arange(dim)
     signs = 1.0 - 2.0 * (np.bitwise_count(idx) & 1)  # signs[c] = (-1)**popcount(c)
-    total = np.zeros((dim, dim), dtype=complex)
+    real = all(term.factors.count("Y") % 2 == 0 for term in spec.terms)
+    total = np.zeros((dim, dim), dtype=float if real else complex)
     for term in spec.terms:
         xmask = zmask = 0
         for site, factor in enumerate(term.factors):
@@ -92,7 +96,8 @@ def build_operator(spec: ModelSpec) -> HermitianOperator:
                 xmask |= bit
             if factor in "ZY":
                 zmask |= bit
-        coefficient = term.coefficient * _I_POWERS[term.factors.count("Y") % 4]
+        phase = _I_POWERS[term.factors.count("Y") % 4]
+        coefficient = term.coefficient * (phase.real if real else phase)
         total[idx ^ xmask, idx] += coefficient * signs[idx & zmask]
     return HermitianOperator(total)
 

@@ -33,11 +33,22 @@ spectrum value by at most ``2**-60 * sum(w) / gamma``.  In a
 reflection-symmetric model about half of the transitions carry weight that
 symmetry makes exactly zero, and rounding leaves them far below that
 threshold.
+
+The spectrum and the correlation series are summed in cache-sized tiles,
+and the blocks of points are cut into contiguous runs, one per usable CPU.
+The caller sums one run and a thread, started in a copy of the caller's
+context, sums each other one.  Every point meets the same tiles and products
+in the same order at any worker count, so the sums do not move by a bit
+with the number of CPUs; they move only with the BLAS thread count, as the
+table's products do.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -153,6 +164,14 @@ def transition_weights(
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _transition_sum(
     table: TransitionTable, points: np.ndarray, dtype: type,
     kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
@@ -165,22 +184,60 @@ def _transition_sum(
     columns in one product: ``S(p) = out[p, 0] + out[-p, 1]``.
     ``kernel(block, gaps, out)`` fills the (points, pairs) tile ``out`` in
     place, one ``TILE`` at a time; each block of pairs stays in cache while
-    every block of points passes over it.
+    every block of points in a run passes over it.
+
+    The blocks of points are cut into contiguous runs, one per usable CPU
+    and at most one per block.  The calling thread sums the first run, and
+    each other run gets a thread with its own tile buffer and a copy of the
+    caller's context, so numpy's error state holds there too; a helper's
+    exception is raised here once every run is done.  A run writes only its
+    own rows of the sum, and each row meets the same kernel calls and
+    products, on the same tile shapes and in the same order, at any number
+    of runs: the result's bytes do not depend on the worker count.
     """
     mirrored, where = np.unique(np.concatenate((points, -points)), return_inverse=True)
     out = np.zeros((mirrored.size, 2), dtype=dtype)
     pairs = table.gaps.size
     cols = min(max(pairs, 1), TILE[1])
     rows = TILE[0] * TILE[1] // cols
-    buffer = np.empty(rows * cols, dtype=dtype)
-    for start in range(0, pairs, cols):
-        gaps = table.gaps[start : start + cols]
-        weights = table.weights[start : start + cols]
-        for row in range(0, mirrored.size, rows):
-            block = mirrored[row : row + rows]
-            tile = buffer[: block.size * gaps.size].reshape(block.size, gaps.size)
-            kernel(block, gaps, tile)
-            out[row : row + rows] += tile @ weights
+    blocks = -(-mirrored.size // rows)
+    workers = min(_usable_cpus(), blocks)
+    buffers = np.empty((workers, rows * cols), dtype=dtype)
+
+    def run(part: int) -> None:
+        first = part * blocks // workers * rows
+        stop = min((part + 1) * blocks // workers * rows, mirrored.size)
+        for start in range(0, pairs, cols):
+            gaps = table.gaps[start : start + cols]
+            weights = table.weights[start : start + cols]
+            for row in range(first, stop, rows):
+                block = mirrored[row : row + rows]
+                tile = buffers[part, : block.size * gaps.size].reshape(block.size, gaps.size)
+                kernel(block, gaps, tile)
+                out[row : row + rows] += tile @ weights
+
+    errors: list[BaseException] = []
+
+    def helper(part: int) -> None:
+        try:
+            run(part)
+        except BaseException as exc:  # raised by the caller after the join
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(helper, part))
+        for part in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        if workers:
+            run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out[where[: points.size], 0] + out[where[points.size :], 1]
 
 

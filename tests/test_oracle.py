@@ -1,5 +1,6 @@
 """Exact-diagonalization references: correlations, spectra, weights, kernel."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -169,6 +170,33 @@ def test_overflowing_detunings_take_their_limit_silently():
     np.testing.assert_array_equal(values, 0.0)
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_overflowing_detunings_take_their_limit_silently_on_every_worker(monkeypatch, workers):
+    # One point per block, so the helpers sum most of the grid; each must see
+    # the caller's numpy error state, or the overflow escapes as an error.
+    monkeypatch.setattr(oracle, "TILE", (1, 1))
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: workers)
+    test_overflowing_detunings_take_their_limit_silently()
+
+
+def test_an_error_in_a_helper_is_raised_by_the_call(monkeypatch):
+    monkeypatch.setattr(oracle, "TILE", (1, 1))
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    table = transition_weights(HermitianOperator(np.diag([1.0, -1.0])), PAULI_X)
+    points = np.arange(4.0)
+    raised_in = []
+
+    def kernel(block, gaps, out):
+        if block[-1] == points[-1]:  # the last block, in the helper's run
+            raised_in.append(threading.current_thread())
+            raise RuntimeError("kernel failed")
+        np.subtract(block[:, None], gaps[None, :], out=out)
+
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        oracle._transition_sum(table, points, float, kernel)
+    assert raised_in and raised_in[0] is not threading.current_thread()
+
+
 def _test_grid(kind: str, reach: float, rng) -> np.ndarray:
     if kind == "asymmetric":
         return rng.uniform(-reach, reach, 41)
@@ -225,6 +253,26 @@ def test_folded_sums_accumulate_across_tile_blocks(monkeypatch, tile):
     series = correlation_series(table, points)
     reference = direct_transition_sum(table, points, lambda t, gap: np.exp(-1j * t * gap))
     assert np.max(np.abs(series - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("tile", [(1, 1), (2, 3), (3, 5)])
+def test_folded_sums_are_the_same_bytes_at_any_worker_count(monkeypatch, tile):
+    # Each run of point blocks sums its rows with the same calls as one run
+    # would.  The two-point grid has at most four blocks, fewer than 8 workers.
+    monkeypatch.setattr(oracle, "TILE", tile)
+    ham = random_hermitian(3, 41)
+    table = transition_weights(ham, random_real_symmetric(3, 42), gibbs(0.8))
+    levels = ham.eig.eigenvalues
+    grid = _test_grid("asymmetric", 1.2 * float(levels[-1] - levels[0]) + 0.1, np.random.default_rng(43))
+    for points in (grid, grid[:2], np.array([])):
+        results = []
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(oracle, "_usable_cpus", lambda workers=workers: workers)
+            results.append((spectral_function(table, points, 0.3).values, correlation_series(table, points)))
+        for sigma, series in results:
+            assert sigma.shape == series.shape == points.shape
+            np.testing.assert_array_equal(sigma, results[0][0])
+            np.testing.assert_array_equal(series, results[0][1])
 
 
 def test_spectral_function_rejects_nonpositive_gamma():

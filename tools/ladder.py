@@ -17,6 +17,14 @@ the ladder once against each and diffing the manifests::
     python tools/ladder.py /tmp/after
     diff /tmp/before/manifest.json /tmp/after/manifest.json
 
+The oracle sums its spectra on one thread per usable CPU.  Running the
+ladder once on a single CPU and once on all of them checks that this worker
+count moves no output; the two manifests must be identical::
+
+    taskset -c 0 python tools/ladder.py /tmp/one_cpu
+    python tools/ladder.py /tmp/all_cpus
+    diff /tmp/one_cpu/manifest.json /tmp/all_cpus/manifest.json
+
 The ladder (211 invocations):
 
 * the benchmark workload configs at workload seed 1, plus the ``oracle_grid``
