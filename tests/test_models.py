@@ -143,9 +143,10 @@ def test_real_pauli_sums_compile_to_float64():
         assert op.eig.eigenvectors.dtype == np.float64
 
 
-def test_real_pauli_sums_compile_in_three_matrices():
-    # The float64 sum and the Hermiticity check's two temporaries, plus a few
-    # index vectors of length 2**N; a complex128 sum took five matrices.
+def test_real_pauli_sums_compile_in_two_matrices():
+    # The float64 sum and the Hermiticity check's one temporary, plus a few
+    # index vectors of length 2**N; a complex128 sum with a two-temporary
+    # check took five matrices.
     num_sites = 10
     dim = 1 << num_sites
     for spec in (tilted_ising(num_sites), heisenberg(num_sites), observable_spec("total_sz", num_sites)):
@@ -155,7 +156,7 @@ def test_real_pauli_sums_compile_in_three_matrices():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * dim * dim * 8 + 8 * dim * 8
+        assert peak <= 2 * dim * dim * 8 + 8 * dim * 8
 
 
 def test_pauli_sums_with_imaginary_entries_stay_complex():

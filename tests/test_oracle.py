@@ -749,6 +749,11 @@ def test_distance_length_mismatch():
         distribution_distance(np.array([1.0]), np.array([0.5, 0.5]))
 
 
+def test_distance_rejects_a_nan_probability():
+    with pytest.raises(ValueError, match="not normalized"):
+        distribution_distance(np.array([np.nan, 1.0]), np.array([0.0, 1.0]))
+
+
 def test_distance_unknown_metric():
     with pytest.raises(ValueError):
         distribution_distance(np.array([1.0, 0.0]), np.array([1.0, 0.0]), "hellinger")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import plus_state, preset_observable, random_hermitian, random_real_symmetric
+from qspec import qpe
 from qspec.errors import DimensionMismatchError, NormalizationError, ResourceCapError
 from qspec.experiment import write_csv, write_json
 from qspec.models import build_operator, heisenberg, tilted_ising
@@ -23,6 +24,7 @@ from qspec.qpe import (
 )
 from qspec.simcore import (
     HermitianOperator,
+    _fourier,
     apply_controlled_unitary,
     apply_unitary,
     eig_hermitian,
@@ -158,6 +160,28 @@ def test_run_qpe_matches_gate_by_gate_circuit(num_sites, num_bits, seed, real, e
     prepared = thermal_operator_state(obs, ham, ensemble)
     reference = gate_by_gate_qpe(prepared, ham, num_bits, delta)
     dist = run_qpe(prepared, ham, num_bits, delta)
+    assert np.max(np.abs(dist.probabilities - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("num_sites, num_bits", [(1, 1), (4, 1), (2, 5), (4, 5)])
+def test_run_qpe_transforms_in_place_off_power_of_two_strides(monkeypatch, num_sites, num_bits):
+    # A register stride that is a multiple of 4096 bytes maps every row the FFT
+    # gathers to the same cache sets; the padded rows keep it off that grid.
+    seen = []
+
+    def spy(amplitudes, out=None):
+        seen.append((amplitudes, out))
+        return _fourier(amplitudes, out=out)
+
+    monkeypatch.setattr(qpe, "_fourier", spy)
+    ham = random_hermitian(num_sites, seed=num_bits)
+    prepared = thermal_operator_state(random_hermitian(num_sites, seed=7), ham, gibbs(0.8))
+    dist = run_qpe(prepared, ham, num_bits, 0.4)
+    [(amplitudes, out)] = seen
+    assert out is amplitudes
+    assert amplitudes.shape == (1 << num_bits, 4**num_sites)
+    assert amplitudes.strides[0] % 4096 != 0
+    reference = gate_by_gate_qpe(prepared, ham, num_bits, 0.4)
     assert np.max(np.abs(dist.probabilities - reference)) <= 1e-12
 
 

@@ -42,6 +42,11 @@ def test_state_vector_rejects_unnormalized_when_flagged():
         StateVector(1, np.array([1.0, 1.0]))
 
 
+def test_state_vector_rejects_a_nan_amplitude():
+    with pytest.raises(NormalizationError):
+        StateVector(1, [np.nan, 0.0])
+
+
 def test_tensor_product_basis_states():
     result = tensor_product(basis_state(1, 0), basis_state(1, 1))
     np.testing.assert_array_equal(result.amplitudes, [0, 1, 0, 0])
@@ -105,6 +110,22 @@ def test_hermitian_operator_rejects_non_finite_entries():
     for bad in (np.inf, np.nan):
         with pytest.raises(HermiticityError):
             HermitianOperator(np.diag([1.0, bad]))
+
+
+def test_hermiticity_check_measures_the_deviation_and_leaves_the_matrix_alone():
+    # The check overwrites its own copy of mat^dagger; the operator's bytes are the input's.
+    for scale, accepted in ((5e-11, True), (2e-10, False)):
+        for base in (random_real_symmetric(2, seed=3).matrix, random_hermitian(2, seed=3).matrix):
+            skew = np.zeros((4, 4), dtype=base.dtype)
+            skew[0, 1] = scale
+            mat = base + skew
+            before = mat.copy()
+            if accepted:
+                np.testing.assert_array_equal(HermitianOperator(mat).matrix, before)
+            else:
+                with pytest.raises(HermiticityError, match=f"{scale:.3e}"):
+                    HermitianOperator(mat)
+            np.testing.assert_array_equal(mat, before)
 
 
 def test_eigh_deterministic():
@@ -196,6 +217,12 @@ def test_controlled_unitary_rejects_overlap_and_non_unitary():
         apply_controlled_unitary(state, 0, np.array([[1.0, 0.0], [0.0, 2.0]]), (1,))
     with pytest.raises(UnitarityError):
         apply_unitary(state, np.array([[1.0, 1.0], [0.0, 1.0]]), (0,))
+
+
+def test_unitarity_check_rejects_a_nan_entry():
+    state = random_state(2, seed=31)
+    with pytest.raises(UnitarityError):
+        apply_unitary(state, np.array([[np.nan, 0.0], [0.0, 1.0]]), (0,))
 
 
 # --- Fourier transforms -----------------------------------------------------------
