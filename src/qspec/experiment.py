@@ -16,12 +16,16 @@ through the one CSV writer ``write_csv`` and the one JSON writer
 round-trips IEEE doubles exactly.
 
 Determinism contract: re-running a config with the same BLAS thread count
-gives byte-identical CSV files.  Across BLAS thread counts they are
-byte-identical only up to N=6; from N=7 up the multithreaded BLAS/LAPACK
-calls round differently per thread count, and the last bits of the
-probabilities and spectra can move.  The oracle's own worker threads, one
-per usable CPU, never move a byte: the CSVs are the same at any CPU count
-or affinity mask for a given BLAS thread count.
+gives byte-identical CSV files.  Across BLAS thread counts the multithreaded
+BLAS/LAPACK calls can round differently, so each column is byte-identical
+only up to a size (measured with OpenBLAS at 1 and 2 threads): ``f`` and the
+``omega`` of both ``run`` CSVs at every N, since they come from the register
+alone; ``p_oracle`` up to N=5, as from N=6 the product of the table's
+weights with the leakage kernel can move by an ulp; ``p_exact`` and
+``p_empirical``, which is drawn from it, up to N=6; ``sigma``, and the
+``omega`` grid of the ``oracle`` command, up to N=7.  The oracle's own
+worker threads, one per usable CPU, never move a byte: the CSVs are the same
+at any CPU count or affinity mask for a given BLAS thread count.
 """
 
 from __future__ import annotations

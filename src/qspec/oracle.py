@@ -34,11 +34,12 @@ reflection-symmetric model about half of the transitions carry weight that
 symmetry makes exactly zero, and rounding leaves them far below that
 threshold.
 
-The spectrum and the correlation series are summed in cache-sized tiles,
-and the blocks of points are cut into contiguous runs, one per usable CPU.
-The caller sums one run and a thread, started in a copy of the caller's
-context, sums each other one.  Every point meets the same tiles and products
-in the same order at any worker count, so the sums do not move by a bit
+The spectrum and the correlation series are summed in cache-sized tiles on
+a thread pool with one worker per usable CPU.  Each worker, in a copy of the
+caller's context, takes the next block of points from a shared counter and
+sums it against every block of pairs, so a slow CPU holds up only the
+blocks it has taken.  Every point meets the same tiles and products in the
+same order whichever worker takes it, so the sums do not move by a bit
 with the number of CPUs; they move only with the BLAS thread count, as the
 table's products do.
 """
@@ -48,7 +49,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -183,61 +184,42 @@ def _transition_sum(
     once on the points and their mirrors, and each tile meets both weight
     columns in one product: ``S(p) = out[p, 0] + out[-p, 1]``.
     ``kernel(block, gaps, out)`` fills the (points, pairs) tile ``out`` in
-    place, one ``TILE`` at a time; each block of pairs stays in cache while
-    every block of points in a run passes over it.
+    place, one ``TILE`` at a time, in a buffer that stays in cache while each
+    block of points meets every block of pairs in turn.
 
-    The blocks of points are cut into contiguous runs, one per usable CPU
-    and at most one per block.  The calling thread sums the first run, and
-    each other run gets a thread with its own tile buffer and a copy of the
-    caller's context, so numpy's error state holds there too; a helper's
-    exception is raised here once every run is done.  A run writes only its
-    own rows of the sum, and each row meets the same kernel calls and
-    products, on the same tile shapes and in the same order, at any number
-    of runs: the result's bytes do not depend on the worker count.
+    The pool has one worker per usable CPU and at most one per block of
+    points.  Each worker runs in a copy of the caller's context, so numpy's
+    error state holds there too, and sums its tiles in its own row of the
+    tile buffer.  It takes the next block of points from a shared counter
+    until none is left, and writes only that block's rows of the sum.  Each
+    row meets the same kernel calls and products, on the same tile shapes
+    and in the same order, whichever worker takes it: the result's bytes do
+    not depend on the worker count.  Once every worker is done, the first
+    worker's exception, in worker order, is raised here.
     """
     mirrored, where = np.unique(np.concatenate((points, -points)), return_inverse=True)
     out = np.zeros((mirrored.size, 2), dtype=dtype)
     pairs = table.gaps.size
     cols = min(max(pairs, 1), TILE[1])
     rows = TILE[0] * TILE[1] // cols
-    blocks = -(-mirrored.size // rows)
-    workers = min(_usable_cpus(), blocks)
+    blocks = range(0, mirrored.size, rows)
+    workers = max(1, min(_usable_cpus(), len(blocks)))  # a pool needs one, even for no points
     buffers = np.empty((workers, rows * cols), dtype=dtype)
+    starts = iter(blocks)  # shared: each next() hands one block to one worker
 
     def run(part: int) -> None:
-        first = part * blocks // workers * rows
-        stop = min((part + 1) * blocks // workers * rows, mirrored.size)
-        for start in range(0, pairs, cols):
-            gaps = table.gaps[start : start + cols]
-            weights = table.weights[start : start + cols]
-            for row in range(first, stop, rows):
-                block = mirrored[row : row + rows]
+        for row in starts:
+            block = mirrored[row : row + rows]
+            for start in range(0, pairs, cols):
+                gaps = table.gaps[start : start + cols]
                 tile = buffers[part, : block.size * gaps.size].reshape(block.size, gaps.size)
                 kernel(block, gaps, tile)
-                out[row : row + rows] += tile @ weights
+                out[row : row + rows] += tile @ table.weights[start : start + cols]
 
-    errors: list[BaseException] = []
-
-    def helper(part: int) -> None:
-        try:
-            run(part)
-        except BaseException as exc:  # raised by the caller after the join
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(helper, part))
-        for part in range(1, workers)
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        if workers:
-            run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run, part) for part in range(workers)]
+    for future in futures:
+        future.result()
     return out[where[: points.size], 0] + out[where[points.size :], 1]
 
 

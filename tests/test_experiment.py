@@ -1,7 +1,11 @@
 """Config validation, the experiment pipeline and the command-line surface."""
 
 import ast
+import csv
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -219,6 +223,47 @@ def test_sampled_run_is_reproducible(tmp_path):
         return payload
 
     assert strip_timings(first) == strip_timings(second)
+
+
+#: The determinism contract of ``qspec.experiment`` across BLAS thread counts:
+#: the largest N at which each CSV column is byte-identical (None: every N).
+THREAD_INVARIANT_UP_TO = {
+    "distribution.csv": {"f": None, "omega": None, "p_exact": 6, "p_oracle": 5, "p_empirical": 6},
+    "spectrum.csv": {"omega": None, "sigma": 7},
+}
+
+
+def test_promised_columns_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # N=6 is the last size at which p_exact and p_empirical are promised and
+    # the first at which p_oracle is not, so p_oracle is left unchecked.
+    num_sites = 6
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"preset": "tilted_ising", "N": num_sites},
+        "observable": "total_sz",
+        "ensemble": {"kind": "gibbs", "beta": 1.0},
+        "qpe": {"l": 5, "delta": 0.05},
+        "shots": 2000,
+        "seed": 3,
+    }))
+    env = dict(os.environ, PYTHONPATH=str(Path(qspec.__file__).parents[1]))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env["OPENBLAS_NUM_THREADS"] = threads
+        subprocess.run(
+            [sys.executable, "-m", "qspec.cli", "run", "--config", str(config), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        runs.append({})
+        for name in THREAD_INVARIANT_UP_TO:
+            header, *rows = csv.reader((out / name).open())
+            runs[-1][name] = dict(zip(header, zip(*rows)))
+    for name, bounds in THREAD_INVARIANT_UP_TO.items():
+        assert list(runs[0][name]) == list(bounds)
+        for column, bound in bounds.items():
+            if bound is None or num_sites <= bound:
+                assert runs[0][name][column] == runs[1][name][column], (name, column)
 
 
 def test_auto_plan_satisfies_inequalities(tmp_path):

@@ -1,5 +1,7 @@
 """Exact-diagonalization references: correlations, spectra, weights, kernel."""
 
+import itertools
+import sys
 import threading
 import warnings
 
@@ -187,7 +189,7 @@ def test_an_error_in_a_helper_is_raised_by_the_call(monkeypatch):
     raised_in = []
 
     def kernel(block, gaps, out):
-        if block[-1] == points[-1]:  # the last block, in the helper's run
+        if block[-1] == points[-1]:  # the last block, on a pool worker
             raised_in.append(threading.current_thread())
             raise RuntimeError("kernel failed")
         np.subtract(block[:, None], gaps[None, :], out=out)
@@ -195,6 +197,66 @@ def test_an_error_in_a_helper_is_raised_by_the_call(monkeypatch):
     with pytest.raises(RuntimeError, match="kernel failed"):
         oracle._transition_sum(table, points, float, kernel)
     assert raised_in and raised_in[0] is not threading.current_thread()
+
+
+def test_a_stalled_worker_does_not_hold_up_the_grid(monkeypatch):
+    # One point and one pair per block.  The first kernel call stalls its
+    # worker until every tile outside its block of points is summed, which
+    # the other worker can do only if blocks are dealt out as workers ask.
+    monkeypatch.setattr(oracle, "TILE", (1, 1))
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    table = transition_weights(random_hermitian(2, 5), random_real_symmetric(2, 6))
+    points = np.arange(1.0, 6.0)
+    others = (2 * points.size - 1) * table.gaps.size
+    calls = itertools.count()
+    released = threading.Event()
+    waited = []
+
+    def kernel(block, gaps, out):
+        call = next(calls)
+        if call == 0:
+            waited.append(released.wait(timeout=5))
+        elif call == others:
+            released.set()
+        np.subtract(block[:, None], gaps[None, :], out=out)
+
+    oracle._transition_sum(table, points, float, kernel)
+    assert waited == [True]
+
+
+def test_every_tile_is_summed_once_under_frequent_thread_switches(monkeypatch):
+    # More workers than cores share one counter of point blocks; a block
+    # handed out twice or not at all shows up as a repeated or missing tile.
+    monkeypatch.setattr(oracle, "TILE", (1, 1))
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 8)
+    table = transition_weights(random_hermitian(2, 5), random_real_symmetric(2, 6))
+    points = np.arange(1.0, 21.0)
+    tiles = []
+
+    def kernel(block, gaps, out):
+        tiles.append((block[0], gaps[0]))
+        np.subtract(block[:, None], gaps[None, :], out=out)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        oracle._transition_sum(table, points, float, kernel)
+    finally:
+        sys.setswitchinterval(interval)
+    grid = np.concatenate((-points[::-1], points))
+    assert sorted(tiles) == sorted((x, gap) for x in grid for gap in table.gaps)
+
+
+def test_usable_cpus_counts_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert oracle._usable_cpus() == 3
+
+
+@pytest.mark.parametrize(("count", "expected"), [(6, 6), (None, 1)])
+def test_usable_cpus_without_affinity_takes_the_cpu_count(monkeypatch, count, expected):
+    monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: count)
+    assert oracle._usable_cpus() == expected
 
 
 def _test_grid(kind: str, reach: float, rng) -> np.ndarray:

@@ -17,9 +17,10 @@ the ladder once against each and diffing the manifests::
     python tools/ladder.py /tmp/after
     diff /tmp/before/manifest.json /tmp/after/manifest.json
 
-The oracle sums its spectra on one thread per usable CPU.  Running the
-ladder once on a single CPU and once on all of them checks that this worker
-count moves no output; the two manifests must be identical::
+The oracle sums its spectra on a thread pool with one worker per usable
+CPU, each worker taking the next block of points.  Running the ladder once
+on a single CPU and once on all of them checks that this worker count moves
+no output; the two manifests must be identical::
 
     taskset -c 0 python tools/ladder.py /tmp/one_cpu
     python tools/ladder.py /tmp/all_cpus
