@@ -3,9 +3,10 @@
 One JSON document describes model, observable, ensemble, preparation, phase
 estimation and sampling, and one 64-bit master seed makes the whole run
 reproducible: component generators derive from it through fixed spawn keys,
-``(1, attempt)`` for preparation attempts (drawn in
-``stateprep.run_prep_circuit``) and ``(2,)`` for shot sampling, so no amount
-of internal parallelism can reorder draws.
+``(1, attempt)`` for preparation attempts and ``(2,)`` for shot sampling, so
+no amount of internal parallelism can reorder draws.  ``stateprep`` draws the
+attempts in vectorized blocks, and attempt k's draw is still, bit for bit, the
+first double of numpy's generator at spawn key ``(1, k)``.
 
 A run writes ``report.json`` plus two CSV files (``distribution.csv`` with
 columns f, omega, p_exact, p_oracle and optionally p_empirical;
@@ -268,6 +269,8 @@ def _parse_prep(obj, path: str) -> PrepSettings:
     if not 0.0 < epsilon < 1.0:
         raise ConfigError(f"{path}.epsilon: must lie strictly between 0 and 1")
     max_attempts = _as_int(obj.get("max_attempts", 1000), f"{path}.max_attempts", minimum=1)
+    if max_attempts >= 1 << 63:
+        raise ConfigError(f"{path}.max_attempts: must fit in 63 bits")
     return PrepSettings(mode, epsilon, max_attempts)
 
 
@@ -515,7 +518,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         if not outcome.accepted:
             raise PrepExhaustedError(
                 f"no acceptance in {config.prep.max_attempts} attempts; exact acceptance "
-                f"probability is {outcome.stats['acceptance_probability']:.6f}"
+                f"probability is {outcome.stats['acceptance_probability']:.6g}"
             )
         prepared = outcome.post_state
         prep_stats.update(outcome.stats)

@@ -19,8 +19,12 @@ whenever ``<O> = 0``.
 Both branch norms are always computed exactly; the seeded Bernoulli draw
 only decides which branch an end-to-end run keeps.  The circuit is
 deterministic apart from that draw, so ``run_prep_circuit``, a run's one
-preparation call, simulates it once and redraws only the ancilla, from spawn
-key ``(1, k)`` of the run's seed for attempt ``k``.
+preparation call, simulates it once and redraws only the ancilla: attempt
+``k`` draws the first double of the generator at spawn key ``(1, k)`` of the
+run's seed.  Building a numpy generator per attempt would cost far more than
+the draw, so ``_ancilla_draws`` reproduces those draws bit for bit, ``_BLOCK``
+attempts at a time, in vectorized 32- and 64-bit integer arithmetic: numpy's
+``SeedSequence`` hash, its PCG64 seeding and one PCG64 step.
 """
 
 from __future__ import annotations
@@ -45,6 +49,14 @@ from .simcore import QUBIT_CAP, HermitianOperator, StateVector, overlap
 TRACE_TOL = 1e-12
 
 _PREP_KEY = 1
+_BLOCK = 1024
+
+_M32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants, and the PCG64 multiplier split into 64-bit halves.
+_HASH_A, _HASH_A_MULT = 0x43B0D7E5, 0x931E8875
+_HASH_B, _HASH_B_MULT = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -199,21 +211,93 @@ def run_prep_circuit(
     """Prepare the operator state at the angle ``choose_phi`` picks for ``epsilon``.
 
     The circuit is simulated once; attempt ``k`` (from 0) then draws the ancilla
-    from spawn key ``(1, k)`` of ``seed`` until a draw falls below P1.  After
+    from spawn key ``(1, k)`` of ``seed`` until a draw falls below P1.  The draws
+    come ``_BLOCK`` attempts at a time, the last block cut at the budget.  After
     ``max_attempts`` rejections ``accepted`` is False and ``attempts == max_attempts``.
     """
     ms = moments(operator, ensemble, hamiltonian)
     phi = choose_phi(ms, epsilon)
     bound = success_probability_bound(operator, ms, epsilon)
     p1, post, fidelity = simulate_prep_circuit(operator, phi, ensemble, hamiltonian)
-    attempts, accepted = 0, False
-    while not accepted and attempts < max_attempts:
-        draw = np.random.SeedSequence(seed, spawn_key=(_PREP_KEY, attempts))
-        accepted = bool(np.random.default_rng(draw).random() < p1)
-        attempts += 1
+    attempts, accepted = max_attempts, False
+    for start in range(0, max_attempts, _BLOCK):
+        below = np.flatnonzero(_ancilla_draws(seed, start, min(start + _BLOCK, max_attempts)) < p1)
+        if below.size:
+            attempts, accepted = start + int(below[0]) + 1, True
+            break
     stats = dict(phi=phi, epsilon=epsilon, attempts=attempts, acceptance_probability=min(p1, 1.0),
                  fidelity_with_target=fidelity, **asdict(bound), traceless=is_traceless(operator))
     return PrepOutcome(accepted, post if accepted else None, stats)
+
+
+def _ancilla_draws(seed: int, start: int, stop: int) -> np.ndarray:
+    """Draws of attempts ``start`` to ``stop - 1``, each bit for bit the first double of
+    ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k)))``.
+
+    ``hashmix`` and ``mix`` take Python ints and uint32 arrays alike, so the words
+    that every attempt shares (the seed's and the key's 1) are hashed once and
+    the attempt's own words per element.  Attempts from 2**32 on carry a second word.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    hash_const = _HASH_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _HASH_A_MULT & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        # _MIX_L * x - _MIX_R * y, the subtraction written as an addition mod 2**32.
+        result = (_MIX_L * x & _M32) + (-_MIX_R & _M32) * y & _M32
+        return result ^ result >> 16
+
+    # The seed's little-endian 32-bit words (0 has one), which a spawn key pads
+    # to the 4-word pool before the key's own words follow.
+    entropy = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (4 - len(entropy)) + [_PREP_KEY]
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    attempts = np.arange(start, stop, dtype=np.uint64)
+    for word in entropy[4:] + [(attempts & _M32).astype(np.uint32)]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    if stop > 1 << 32:
+        high = (attempts >> 32).astype(np.uint32)
+        longer = [mix(p, hashmix(high)) for p in pool]
+        pool = [np.where(high > 0, b, a) for a, b in zip(pool, longer)]
+
+    # generate_state(4, uint64): eight hashed pool words, paired little-endian.
+    hash_const, words = _HASH_B, []
+    for i in range(8):
+        word = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _HASH_B_MULT & _M32
+        word = word * hash_const & _M32
+        words.append((word ^ word >> 16).astype(np.uint64))
+    seed_hi, seed_lo, inc_hi, inc_lo = (words[j] | words[j + 1] << 32 for j in range(0, 8, 2))
+
+    # PCG64 on (hi, lo) uint64 halves mod 2**128: inc = 2*(inc_hi, inc_lo) + 1 and
+    # state = inc + (seed_hi, seed_lo); then the seeding step and the draw's own step.
+    inc_hi, inc_lo = inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < inc_lo)
+    for _ in range(2):
+        # The high word of lo * _PCG_MULT_LO from 32-bit partial products, plus the cross terms.
+        lo_lo, lo_hi = lo & _M32, lo >> 32
+        p00, p01 = lo_lo * (_PCG_MULT_LO & _M32), lo_lo * (_PCG_MULT_LO >> 32)
+        p10, p11 = lo_hi * (_PCG_MULT_LO & _M32), lo_hi * (_PCG_MULT_LO >> 32)
+        middle = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+        hi = p11 + (p01 >> 32) + (p10 >> 32) + (middle >> 32) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+        lo = lo * _PCG_MULT_LO + inc_lo
+        hi = hi + inc_hi + (lo < inc_lo)
+    # XSL-RR output, then the top 53 bits as a double in [0, 1).
+    folded, turn = hi ^ lo, hi >> 58
+    out = folded >> turn | folded << (64 - turn & 63)
+    return (out >> 11) * 2.0**-53
 
 
 def choose_phi(ms: MomentSet, epsilon: float) -> float:

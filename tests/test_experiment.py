@@ -71,6 +71,21 @@ def test_cli_shots_past_63_bits_exit_with_one_line(tmp_path, capsys, command):
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_cli_max_attempts_past_63_bits_exit_with_one_line(tmp_path, capsys, command):
+    # Every attempt index must fit the uint64 arithmetic of the block draws.
+    prep = {"mode": "circuit", "max_attempts": 1 << 63}
+    document = dict(TWO_LEVEL, prep=prep, output_dir=str(tmp_path / "never"))
+    assert main([command, "--config", str(write_config(tmp_path, document))]) == 1
+    assert capsys.readouterr().err == "config error: prep.max_attempts: must fit in 63 bits\n"
+    assert not (tmp_path / "never").exists()
+
+
+def test_largest_63_bit_attempt_budget_validates(tmp_path):
+    config = make_config(tmp_path, prep={"mode": "circuit", "max_attempts": (1 << 63) - 1})
+    assert config.prep.max_attempts == (1 << 63) - 1
+
+
 def test_largest_63_bit_shot_count_runs(tmp_path):
     report = run_experiment(make_config(tmp_path, shots=(1 << 63) - 1))
     assert report.empirical_distribution.shots == (1 << 63) - 1
@@ -571,6 +586,26 @@ def test_cli_prep_exhaustion_exit_code(tmp_path):
     document["prep"] = {"mode": "circuit", "epsilon": 1e-6, "max_attempts": 2}
     path = write_config(tmp_path, document)
     assert main(["run", "--config", str(path)]) == 3
+
+
+def test_cli_prep_exhaustion_prints_a_tiny_acceptance_probability(tmp_path, capsys):
+    # P1 ~ 1.1e-7 printed as 0.000000 under a fixed six decimals.
+    document = {
+        "model": {"preset": "tilted_ising", "N": 3},
+        "observable": "total_sz",
+        "prep": {"mode": "circuit", "epsilon": 1e-6, "max_attempts": 2},
+        "qpe": {"l": 3, "delta": 0.3},
+        "output_dir": str(tmp_path / "never"),
+    }
+    path = write_config(tmp_path, document)
+    assert main(["run", "--config", str(path)]) == 3
+    observable = build_operator(observable_spec("total_sz", 3))
+    phi = choose_phi(moments(observable), 1e-6)
+    p1 = stateprep.simulate_prep_circuit(observable, phi)[0]
+    assert 0 < p1 < 5e-7
+    assert capsys.readouterr().err == (
+        f"preparation exhausted: no acceptance in 2 attempts; exact acceptance probability is {p1:.6g}\n"
+    )
 
 
 _TRACED_OBSERVABLE = {

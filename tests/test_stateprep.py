@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gate_by_gate_prep, preset_observable, random_hermitian, random_real_symmetric
+from qspec import stateprep
 from qspec.errors import DegenerateAngleError, ZeroOperatorError
 from qspec.models import (
     EigenvalueDistribution,
@@ -174,6 +175,69 @@ def test_prep_draw_is_seed_deterministic():
     second = run_prep_circuit(op, 0.3, seed=123, max_attempts=5)
     assert first.accepted == second.accepted
     assert first.stats == second.stats
+
+
+def _numpy_draws(seed: int, start: int, stop: int) -> np.ndarray:
+    """The first double of numpy's generator at spawn key (1, k), one generator per k."""
+    return np.array([
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k))).random()
+        for k in range(start, stop)
+    ])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1 << 32, (1 << 63) + 5, (1 << 64) - 1, (1 << 130) + 7])
+@pytest.mark.parametrize("start, stop", [(0, 3000), ((1 << 32) - 8, (1 << 32) + 8)])
+def test_block_draws_are_numpys_per_attempt_draws(seed, start, stop):
+    # The second range crosses 2**32, where an attempt index gains a second 32-bit word.
+    # A seed past 2**128 has more words than the 4-word pool; they are mixed in after it.
+    draws = stateprep._ancilla_draws(seed, start, stop)
+    assert draws.dtype == np.float64
+    np.testing.assert_array_equal(draws, _numpy_draws(seed, start, stop))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, (1 << 64) - 1), st.integers(1 << 128, (1 << 160) - 1)),
+    start=st.integers(0, (1 << 64) - 24),
+    count=st.integers(0, 24),
+)
+def test_block_draws_match_numpy_at_any_seed_and_start(seed, start, count):
+    np.testing.assert_array_equal(
+        stateprep._ancilla_draws(seed, start, start + count), _numpy_draws(seed, start, start + count)
+    )
+
+
+def test_block_draws_reject_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.SeedSequence(-1, spawn_key=(1, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        stateprep._ancilla_draws(-1, 0, 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_prep_circuit(random_real_symmetric(2, seed=75), 0.5, seed=-1, max_attempts=4)
+
+
+@pytest.mark.parametrize(
+    "seed, budget, blocks",
+    [
+        (0, 5000, [(0, 1024), (1024, 2048)]),  # accepts at 1761, in the second block
+        (0, 1761, [(0, 1024), (1024, 1761)]),  # accepts at the budget's last attempt
+        (0, 1760, [(0, 1024), (1024, 1760)]),  # exhausts one attempt short
+        (2, 1500, [(0, 1024), (1024, 1500)]),  # exhausts mid-block (accepts at 1620)
+        (3, 5000, [(0, 1024)]),  # accepts at 73
+    ],
+)
+def test_attempt_blocks_accept_past_the_first_and_stop_at_the_budget(monkeypatch, seed, budget, blocks):
+    op = random_real_symmetric(2, seed=75)
+    epsilon = 0.01  # P1 ~ 1.6e-3
+    drawn = []
+    draws = stateprep._ancilla_draws
+    monkeypatch.setattr(stateprep, "_ancilla_draws", lambda s, a, b: drawn.append((a, b)) or draws(s, a, b))
+    outcome = run_prep_circuit(op, epsilon, seed=seed, max_attempts=budget)
+    assert drawn == blocks
+    p1 = simulate_prep_circuit(op, choose_phi(moments(op), epsilon))[0]
+    expected = _first_acceptance(seed, p1, budget)
+    assert outcome.accepted == (expected is not None)
+    assert outcome.stats["attempts"] == (budget if expected is None else expected)
 
 
 # --- small-angle expansions --------------------------------------------------------

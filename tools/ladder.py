@@ -26,10 +26,13 @@ no output; the two manifests must be identical::
     python tools/ladder.py /tmp/all_cpus
     diff /tmp/one_cpu/manifest.json /tmp/all_cpus/manifest.json
 
-The ladder (211 invocations):
+The ladder (214 invocations):
 
 * the benchmark workload configs at workload seed 1, plus the ``oracle_grid``
   config under ``run``, and the benchmark's N=2 smoke configs;
+* the ``prep_circuit`` config with ``max_attempts`` 5000 at config seed 0
+  (accepts at attempt 1763, in the second block of draws), 1500 at config
+  seed 2 (exhausts mid-block) and ``2**63`` (a config error);
 * tilted Ising (l=4, delta=0.3) and Heisenberg (planned at gamma=0.35),
   N 2-4 x infinite temperature / Gibbs beta=1 / ground state x exact /
   circuit prep x ``total_sz`` / ``staggered_sz`` x ``run`` / ``oracle``;
@@ -107,6 +110,10 @@ def invocations():
     for s in range(4):
         yield f"prep_circuit/{s}", "run", _config(ising(6), "total_sz", ENSEMBLES["gibbs"], "circuit",
                                                   bench(5), 0, s)
+    for s, budget in ((0, 5000), (2, 1500), (0, 1 << 63)):
+        config = _config(ising(6), "total_sz", ENSEMBLES["gibbs"], "circuit", bench(5), 0, s)
+        config["prep"]["max_attempts"] = budget
+        yield f"prep_budget/{s}/{budget}", "run", config
     (s,) = _workload_seeds(1)
     yield f"eigh_dense/{s}", "run", _config(ising(10), "total_sz", ENSEMBLES["gibbs"], "exact",
                                             bench(1), 0, s)
