@@ -3,14 +3,14 @@
 One JSON document describes model, observable, ensemble, preparation, phase
 estimation and sampling, and one 64-bit master seed makes the whole run
 reproducible: component generators derive from it through fixed spawn keys,
-``(1, attempt)`` for preparation attempts and ``(2,)`` for shot sampling, so
-no amount of internal parallelism can reorder draws.  ``stateprep`` draws the
-attempts in vectorized blocks, and attempt k's draw is still, bit for bit, the
-first double of numpy's generator at spawn key ``(1, k)``.
+``(1,)`` for the preparation's accepting attempt and ``(2,)`` for shot
+sampling, so no amount of internal parallelism can reorder draws.
+``stateprep`` takes the accepting attempt in closed form from the first
+double at ``(1,)``, so a seed accepts at the same attempt whatever the budget.
 
-A run writes ``report.json`` plus two CSV files (``distribution.csv`` with
-columns f, omega, p_exact, p_oracle and optionally p_empirical;
-``spectrum.csv`` with columns omega, sigma).  Every artifact of the package,
+A run writes two CSV files (``distribution.csv`` with columns f, omega,
+p_exact, p_oracle and optionally p_empirical; ``spectrum.csv`` with columns
+omega, sigma), then ``report.json``.  Every artifact of the package,
 these and the ``oracle`` and ``prepstudy`` outputs of the command line, goes
 through the one CSV writer ``write_csv`` and the one JSON writer
 ``write_json`` here.  Floats are printed with 17 significant digits, which
@@ -429,15 +429,24 @@ class ExperimentReport:
             "metadata": self.metadata,
         }
 
-    def write(self, output_dir: str | Path) -> Path:
+    def write(self, output_dir: str | Path, started: float) -> Path:
+        """Write the two CSV files, then ``report.json`` with the write's time in its timings.
+
+        ``started`` is the run's ``time.perf_counter()`` start: ``total_s`` is taken
+        after the CSV write, so the report's own write is the one step it leaves out.
+        """
         out = Path(output_dir)
+        t0 = time.perf_counter()
         payload = self.to_dict()
-        write_json(out / "report.json", payload)
         # The CSV files hold the same tables as the report, column for column.
         columns = {name: values for name, values in payload["distribution"].items() if values is not None}
         write_csv(out / "distribution.csv", list(columns), zip(*columns.values()))
         spectrum = payload["spectrum"]
         write_csv(out / "spectrum.csv", ("omega", "sigma"), zip(spectrum["omega"], spectrum["sigma"]))
+        timings = self.metadata["timings"]
+        timings["write_s"] = time.perf_counter() - t0
+        timings["total_s"] = time.perf_counter() - started
+        write_json(out / "report.json", payload)
         return out
 
 
@@ -556,7 +565,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     }
     if config.ensemble.kind == "ground_state":
         metadata["ground_state_degeneracy"] = ground_state_degeneracy(hamiltonian)
-    timings["total_s"] = time.perf_counter() - t_total
 
     report = ExperimentReport(
         config=config,
@@ -569,6 +577,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         distances=distances,
         metadata=metadata,
     )
-    report.write(config.output_dir)
+    report.write(config.output_dir, t_total)
     return report
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,10 +81,14 @@ class PhaseDistribution:
             raise ValueError("empirical distributions must record a positive shot count")
 
     def frequencies(self) -> np.ndarray:
-        """Signed angular frequency of every outcome."""
-        return np.array(
-            [outcome_frequency(f, self.num_bits, self.delta) for f in range(1 << self.num_bits)]
-        )
+        """Signed angular frequency of every outcome, computed once and returned read-only."""
+        return self._frequencies
+
+    @cached_property
+    def _frequencies(self) -> np.ndarray:
+        omega = outcome_frequency(np.arange(1 << self.num_bits), self.num_bits, self.delta)
+        omega.flags.writeable = False
+        return omega
 
 
 def run_qpe(
@@ -146,13 +151,15 @@ def sample_outcomes(
     return PhaseDistribution(dist.num_bits, dist.delta, counts / shots, shots=shots)
 
 
-def outcome_frequency(f: int, num_bits: int, delta: float) -> float:
-    """Signed angular frequency of outcome f; the upper half wraps to negative values."""
+def outcome_frequency(f, num_bits: int, delta: float):
+    """Signed angular frequency of outcome f (an int or an integer array).
+
+    The upper half of the register wraps to negative values.
+    """
     dim = 1 << num_bits
-    if not 0 <= f < dim:
+    if not np.all((0 <= f) & (f < dim)):
         raise ValueError(f"outcome {f} out of range for {num_bits} bits")
-    wrapped = f - dim if f >= dim // 2 else f
-    return 2.0 * math.pi * wrapped / (delta * dim)
+    return 2.0 * math.pi * (f - dim * (f >= dim // 2)) / (delta * dim)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import ast
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -73,7 +74,7 @@ def test_cli_shots_past_63_bits_exit_with_one_line(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
 def test_cli_max_attempts_past_63_bits_exit_with_one_line(tmp_path, capsys, command):
-    # Every attempt index must fit the uint64 arithmetic of the block draws.
+    # Like the shot count, the attempt budget is a count that must fit a signed 64-bit integer.
     prep = {"mode": "circuit", "max_attempts": 1 << 63}
     document = dict(TWO_LEVEL, prep=prep, output_dir=str(tmp_path / "never"))
     assert main([command, "--config", str(write_config(tmp_path, document))]) == 1
@@ -238,6 +239,21 @@ def test_sampled_run_is_reproducible(tmp_path):
         return payload
 
     assert strip_timings(first) == strip_timings(second)
+
+
+def test_report_json_is_written_last_and_times_the_csv_write(tmp_path, monkeypatch):
+    written = []
+    for name in ("write_csv", "write_json"):
+        writer = getattr(experiment, name)
+        monkeypatch.setattr(
+            experiment, name, lambda path, *a, w=writer: written.append(Path(path).name) or w(path, *a)
+        )
+    run_experiment(make_config(tmp_path, shots=100))
+    assert written == ["distribution.csv", "spectrum.csv", "report.json"]
+    timings = json.loads((tmp_path / "out" / "report.json").read_text())["metadata"]["timings"]
+    assert list(timings) == ["build_s", "prep_s", "qpe_s", "oracle_s", "write_s", "total_s"]
+    assert timings["write_s"] > 0
+    assert timings["total_s"] >= sum(value for key, value in timings.items() if key != "total_s")
 
 
 #: The determinism contract of ``qspec.experiment`` across BLAS thread counts:
@@ -480,26 +496,24 @@ def test_circuit_prep_builds_each_fact_once(tmp_path, monkeypatch):
     assert counts == dict.fromkeys(owners, 1)
 
 
-def _per_attempt_reference(config):
-    """The attempt loop with one full circuit simulation and one ancilla draw per attempt.
+def _closed_form_reference(config):
+    """One circuit simulation and K drawn by inversion of Geometric(P1) from spawn key (1,).
 
-    Returns the accepted attempt (None on exhaustion) and the last simulation's
-    (P1, accepted branch, fidelity).
+    Returns the accepted attempt K (None when K passes the budget) and the
+    simulation's (P1, accepted branch, fidelity).
     """
     hamiltonian = build_operator(config.model)
     observable = build_operator(config.observable)
     phi = choose_phi(moments(observable, config.ensemble, hamiltonian), config.prep.epsilon)
-    for attempt in range(config.prep.max_attempts):
-        simulated = stateprep.simulate_prep_circuit(observable, phi, config.ensemble, hamiltonian)
-        draw = np.random.SeedSequence(config.seed, spawn_key=(1, attempt))
-        if np.random.default_rng(draw).random() < simulated[0]:
-            return attempt + 1, simulated
-    return None, simulated
+    simulated = stateprep.simulate_prep_circuit(observable, phi, config.ensemble, hamiltonian)
+    u = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,))).random()
+    first = max(1, math.ceil(math.log1p(-u) / math.log1p(-simulated[0])))
+    return (first if first <= config.prep.max_attempts else None), simulated
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_circuit_prep_matches_per_attempt_reference(tmp_path, monkeypatch, seed):
-    # N=3 Gibbs at the default budget: seeds 1, 3, 5 accept after 73 to 729
+def test_circuit_prep_matches_closed_form_reference(tmp_path, monkeypatch, seed):
+    # N=3 Gibbs at the default budget: seeds 1, 3, 5 accept after 118 to 717
     # attempts, seeds 0, 2, 4 exhaust.
     config = make_config(
         tmp_path,
@@ -518,7 +532,7 @@ def test_circuit_prep_matches_per_attempt_reference(tmp_path, monkeypatch, seed)
     qpe = experiment.run_qpe
     monkeypatch.setattr(experiment, "run_qpe", lambda state, *a: prepared.append(state) or qpe(state, *a))
 
-    attempts, reference = _per_attempt_reference(config)
+    attempts, reference = _closed_form_reference(config)
     simulations.clear()
     if attempts is None:
         with pytest.raises(PrepExhaustedError, match=f"in {config.prep.max_attempts} attempts"):
@@ -531,6 +545,28 @@ def test_circuit_prep_matches_per_attempt_reference(tmp_path, monkeypatch, seed)
         assert stats["fidelity_with_target"] == fidelity
         np.testing.assert_array_equal(prepared[0].amplitudes, post.amplitudes)
     assert len(simulations) == 1
+
+
+def test_benchmark_prep_batch_exhausts_on_seeds_0_and_2(tmp_path):
+    # The prep_circuit benchmark batch: tilted Ising N=6, total_sz, Gibbs beta=1,
+    # l=5, config seeds 0-3 at the default budget (P1 = 7.92414e-4).  Seeds 0 and 2
+    # need K = 1427 and 3290, past the budget, so half the batch exhausts.
+    config = make_config(
+        tmp_path,
+        model={"preset": "tilted_ising", "N": 6},
+        observable="total_sz",
+        ensemble={"kind": "gibbs", "beta": 1.0},
+        prep={"mode": "circuit"},
+        qpe={"l": 5, "delta": 0.05},
+    )
+    hamiltonian, observable = build_operator(config.model), build_operator(config.observable)
+    outcomes = [
+        stateprep.run_prep_circuit(observable, config.prep.epsilon, config.ensemble, hamiltonian,
+                                   seed=seed, max_attempts=config.prep.max_attempts)
+        for seed in range(4)
+    ]
+    assert [o.stats["attempts"] for o in outcomes] == [1000, 815, 1000, 134]
+    assert [o.accepted for o in outcomes] == [False, True, False, True]
 
 
 # --- command line -----------------------------------------------------------------

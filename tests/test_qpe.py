@@ -88,6 +88,22 @@ def test_circuit_matches_oracle_for_thermal_ensembles(ensemble):
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
 
+@pytest.mark.parametrize("num_sites", range(1, 11))
+def test_circuit_matches_oracle_along_the_cap_diagonal(num_sites):
+    # The largest register at every N under the 22-qubit cap (2N + l + 1 = 22 with
+    # circuit prep's ancilla), one ensemble per N.  The ground state uses Heisenberg
+    # with site_sz: total_sz commutes with that model and would give one line at 0.
+    num_bits = 21 - 2 * num_sites
+    ensemble = (INFINITE_TEMPERATURE, gibbs(1.0), GROUND_STATE)[num_sites % 3]
+    if ensemble is GROUND_STATE:
+        ham, obs = build_operator(heisenberg(num_sites)), preset_observable("site_sz", num_sites)
+    else:
+        ham, obs = build_operator(tilted_ising(num_sites)), preset_observable("total_sz", num_sites)
+    circuit = run_qpe(thermal_operator_state(obs, ham, ensemble), ham, num_bits, 0.05)
+    reference = exact_outcome_distribution(transition_weights(ham, obs, ensemble), num_bits, 0.05)
+    assert distribution_distance(circuit, reference, "total_variation") <= 1e-10
+
+
 def test_frequency_symmetry_at_infinite_temperature():
     ham = random_real_symmetric(2, seed=7)
     obs = preset_observable("site_sz", 2, 0)
@@ -284,6 +300,9 @@ def test_outcome_frequency_zero():
 def test_outcome_frequency_positive_and_wrapped():
     assert abs(outcome_frequency(2, 3, np.pi / 4) - 2.0) <= 1e-14
     assert abs(outcome_frequency(6, 3, np.pi / 4) + 2.0) <= 1e-14
+    # The middle outcome 2**(l-1) is the first to wrap.
+    assert abs(outcome_frequency(3, 3, np.pi / 4) - 3.0) <= 1e-14
+    assert abs(outcome_frequency(4, 3, np.pi / 4) + 4.0) <= 1e-14
 
 
 def test_outcome_frequency_range_check():
@@ -291,6 +310,21 @@ def test_outcome_frequency_range_check():
         outcome_frequency(8, 3, np.pi / 4)
     with pytest.raises(ValueError):
         outcome_frequency(-1, 3, np.pi / 4)
+    with pytest.raises(ValueError):
+        outcome_frequency(np.array([0, 8]), 3, np.pi / 4)
+
+
+@pytest.mark.parametrize("num_bits", [1, 2, 7, 12])
+@pytest.mark.parametrize("delta", [0.05, 0.3, np.pi / 4, 7.123456789])
+def test_frequencies_are_each_outcome_frequency_byte_for_byte(num_bits, delta):
+    dim = 1 << num_bits
+    dist = PhaseDistribution(num_bits, delta, np.full(dim, 1.0 / dim))
+    freqs = dist.frequencies()
+    expected = np.array([outcome_frequency(f, num_bits, delta) for f in range(dim)])
+    assert freqs.dtype == np.float64
+    assert freqs.tobytes() == expected.tobytes()
+    # Computed once: the report's omega column and the spectrum grid share one array.
+    assert dist.frequencies() is freqs and not freqs.flags.writeable
 
 
 # --- resolution planning -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Closed forms and circuit simulation of the postselected preparation."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gate_by_gate_prep, preset_observable, random_hermitian, random_real_symmetric
-from qspec import stateprep
 from qspec.errors import DegenerateAngleError, ZeroOperatorError
 from qspec.models import (
     EigenvalueDistribution,
@@ -143,28 +143,26 @@ def test_accepted_state_is_returned_only_on_acceptance():
     assert outcome.stats["fidelity_with_target"] > 0.99
 
 
-def _first_acceptance(seed: int, p1: float, max_attempts: int) -> int | None:
-    """1 + the first attempt k whose draw from spawn key (1, k) falls below P1."""
-    for k in range(max_attempts):
-        if np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k))).random() < p1:
-            return k + 1
-    return None
+def _accepting_attempt(seed: int, p1: float) -> int:
+    """K by inversion of Geometric(P1) at the first double of spawn key (1,) of ``seed``."""
+    u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,))).random()
+    return max(1, math.ceil(math.log1p(-u) / math.log1p(-p1)))
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_attempts_follow_the_spawn_keys_until_acceptance_or_budget(seed):
-    # P1 ~ 0.079 with a budget of 8: seeds 0 and 2 accept (attempts 3 and 1), the rest exhaust.
+def test_attempts_follow_the_closed_form_until_acceptance_or_budget(seed):
+    # P1 ~ 0.079 with a budget of 8: seeds 1, 3 and 5 accept (attempts 8, 2 and 4), the rest exhaust.
     op = random_real_symmetric(2, seed=75)
     epsilon, budget = 0.5, 8
     outcome = run_prep_circuit(op, epsilon, seed=seed, max_attempts=budget)
     p1, post, fidelity = simulate_prep_circuit(op, choose_phi(moments(op), epsilon))
-    expected = _first_acceptance(seed, p1, budget)
-    assert outcome.accepted == (expected is not None)
+    first = _accepting_attempt(seed, p1)
+    assert outcome.accepted == (first <= budget)
+    assert outcome.stats["attempts"] == min(first, budget)
     if outcome.accepted:
-        assert outcome.stats["attempts"] == expected
         np.testing.assert_array_equal(outcome.post_state.amplitudes, post.amplitudes)
     else:
-        assert outcome.stats["attempts"] == budget and outcome.post_state is None
+        assert outcome.post_state is None
     assert outcome.stats["acceptance_probability"] == p1
     assert outcome.stats["fidelity_with_target"] == fidelity
 
@@ -177,67 +175,56 @@ def test_prep_draw_is_seed_deterministic():
     assert first.stats == second.stats
 
 
-def _numpy_draws(seed: int, start: int, stop: int) -> np.ndarray:
-    """The first double of numpy's generator at spawn key (1, k), one generator per k."""
-    return np.array([
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k))).random()
-        for k in range(start, stop)
-    ])
-
-
-@pytest.mark.parametrize("seed", [0, 1, 1 << 32, (1 << 63) + 5, (1 << 64) - 1, (1 << 130) + 7])
-@pytest.mark.parametrize("start, stop", [(0, 3000), ((1 << 32) - 8, (1 << 32) + 8)])
-def test_block_draws_are_numpys_per_attempt_draws(seed, start, stop):
-    # The second range crosses 2**32, where an attempt index gains a second 32-bit word.
-    # A seed past 2**128 has more words than the 4-word pool; they are mixed in after it.
-    draws = stateprep._ancilla_draws(seed, start, stop)
-    assert draws.dtype == np.float64
-    np.testing.assert_array_equal(draws, _numpy_draws(seed, start, stop))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.one_of(st.integers(0, (1 << 64) - 1), st.integers(1 << 128, (1 << 160) - 1)),
-    start=st.integers(0, (1 << 64) - 24),
-    count=st.integers(0, 24),
-)
-def test_block_draws_match_numpy_at_any_seed_and_start(seed, start, count):
-    np.testing.assert_array_equal(
-        stateprep._ancilla_draws(seed, start, start + count), _numpy_draws(seed, start, start + count)
-    )
-
-
-def test_block_draws_reject_a_negative_seed_as_numpy_does():
+def test_prep_draw_rejects_a_negative_seed_as_numpy_does():
     with pytest.raises(ValueError, match="non-negative"):
-        np.random.SeedSequence(-1, spawn_key=(1, 0))
-    with pytest.raises(ValueError, match="non-negative"):
-        stateprep._ancilla_draws(-1, 0, 4)
+        np.random.SeedSequence(-1, spawn_key=(1,))
     with pytest.raises(ValueError, match="non-negative"):
         run_prep_circuit(random_real_symmetric(2, seed=75), 0.5, seed=-1, max_attempts=4)
 
 
-@pytest.mark.parametrize(
-    "seed, budget, blocks",
-    [
-        (0, 5000, [(0, 1024), (1024, 2048)]),  # accepts at 1761, in the second block
-        (0, 1761, [(0, 1024), (1024, 1761)]),  # accepts at the budget's last attempt
-        (0, 1760, [(0, 1024), (1024, 1760)]),  # exhausts one attempt short
-        (2, 1500, [(0, 1024), (1024, 1500)]),  # exhausts mid-block (accepts at 1620)
-        (3, 5000, [(0, 1024)]),  # accepts at 73
-    ],
-)
-def test_attempt_blocks_accept_past_the_first_and_stop_at_the_budget(monkeypatch, seed, budget, blocks):
+def test_accepting_attempts_follow_the_geometric_law():
+    # Kolmogorov-Smirnov distance of K over 3000 fixed seeds from Geometric(P1 ~ 0.079),
+    # and the mean of K against 1/P1 within four standard errors.  The 1% critical
+    # value 1.63/sqrt(n) is conservative for a discrete law; an off-by-one K moves
+    # the CDF by up to P1, about three times that value.
     op = random_real_symmetric(2, seed=75)
-    epsilon = 0.01  # P1 ~ 1.6e-3
-    drawn = []
-    draws = stateprep._ancilla_draws
-    monkeypatch.setattr(stateprep, "_ancilla_draws", lambda s, a, b: drawn.append((a, b)) or draws(s, a, b))
-    outcome = run_prep_circuit(op, epsilon, seed=seed, max_attempts=budget)
-    assert drawn == blocks
-    p1 = simulate_prep_circuit(op, choose_phi(moments(op), epsilon))[0]
-    expected = _first_acceptance(seed, p1, budget)
-    assert outcome.accepted == (expected is not None)
-    assert outcome.stats["attempts"] == (budget if expected is None else expected)
+    count = 3000
+    ks = np.array([run_prep_circuit(op, 0.5, seed=s, max_attempts=1 << 62).stats["attempts"]
+                   for s in range(count)])
+    p1 = run_prep_circuit(op, 0.5, seed=0, max_attempts=1).stats["acceptance_probability"]
+    support = np.arange(1, ks.max() + 1)
+    empirical = np.searchsorted(np.sort(ks), support, side="right") / count
+    law = 1.0 - (1.0 - p1) ** support
+    assert np.max(np.abs(empirical - law)) <= 1.63 / math.sqrt(count)
+    assert abs(ks.mean() * p1 - 1.0) <= 4 * math.sqrt(1.0 - p1) / math.sqrt(count)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_budget_of_k_accepts_and_one_less_exhausts(seed):
+    op = random_real_symmetric(2, seed=75)
+    epsilon = 0.01  # P1 ~ 1.6e-3: K runs from 65 to 2309 over these seeds
+    first = run_prep_circuit(op, epsilon, seed=seed, max_attempts=1 << 62).stats["attempts"]
+    at_k = run_prep_circuit(op, epsilon, seed=seed, max_attempts=first)
+    assert at_k.accepted and at_k.stats["attempts"] == first
+    short = run_prep_circuit(op, epsilon, seed=seed, max_attempts=first - 1)
+    assert not short.accepted and short.post_state is None
+    assert short.stats["attempts"] == first - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, (1 << 64) - 1),
+    epsilon=st.floats(1e-4, 0.9),
+    spare=st.one_of(st.integers(0, 1000), st.integers(0, (1 << 62) - 1)),
+)
+def test_accepting_attempt_is_the_same_at_any_budget_from_k(seed, epsilon, spare):
+    op = random_real_symmetric(2, seed=75)
+    outcome = run_prep_circuit(op, epsilon, seed=seed, max_attempts=1 << 62)
+    first = outcome.stats["attempts"]
+    assert outcome.accepted and first == _accepting_attempt(seed, outcome.stats["acceptance_probability"])
+    again = run_prep_circuit(op, epsilon, seed=seed, max_attempts=first + spare)
+    assert again.accepted and again.stats == outcome.stats
+    np.testing.assert_array_equal(again.post_state.amplitudes, outcome.post_state.amplitudes)
 
 
 # --- small-angle expansions --------------------------------------------------------

@@ -31,8 +31,8 @@ The ladder (214 invocations):
 * the benchmark workload configs at workload seed 1, plus the ``oracle_grid``
   config under ``run``, and the benchmark's N=2 smoke configs;
 * the ``prep_circuit`` config with ``max_attempts`` 5000 at config seed 0
-  (accepts at attempt 1763, in the second block of draws), 1500 at config
-  seed 2 (exhausts mid-block) and ``2**63`` (a config error);
+  (accepts at attempt 1427, past the default budget of 1000), 1500 at config
+  seed 2 (exhausts: it accepts at 3290) and ``2**63`` (a config error);
 * tilted Ising (l=4, delta=0.3) and Heisenberg (planned at gamma=0.35),
   N 2-4 x infinite temperature / Gibbs beta=1 / ground state x exact /
   circuit prep x ``total_sz`` / ``staggered_sz`` x ``run`` / ``oracle``;
