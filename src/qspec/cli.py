@@ -6,7 +6,9 @@ Subcommands:
                 oracle comparison, sampling, CSV + JSON artifacts).
 * ``prepstudy`` acceptance probability and fidelity over an angle grid for
                 the four synthetic eigenvalue laws.
-* ``oracle``    reference spectrum only, from the same config format.
+* ``oracle``    reference spectrum only, from the same config format:
+                ``spectrum.csv`` and ``spectrum.json`` (gamma, ensemble and
+                the CSV's sha256).
 * ``plan``      register size and coupling time for a bandwidth/linewidth pair.
 
 Exit codes: 0 success, 1 configuration error (among them an observable that
@@ -93,9 +95,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     grid = step * np.arange(-1000, 1001)  # exactly symmetric: the oracle folds each line with its mirror
     table = spectral_function(transition_weights(hamiltonian, observable, config.ensemble), grid, gamma)
     out = Path(config.output_dir)
-    write_csv(out / "spectrum.csv", ("omega", "sigma"), zip(table.frequencies, table.values))
+    digest = write_csv(out / "spectrum.csv", ("omega", "sigma"),
+                       zip(table.frequencies.tolist(), table.values.tolist()))
     write_json(out / "spectrum.json", {"gamma": table.gamma, "ensemble": asdict(config.ensemble),
-                                       "omega": table.frequencies.tolist(), "sigma": table.values.tolist()})
+                                       "artifacts": {"spectrum.csv": digest}})
     print(f"oracle spectrum written to {out.resolve()}")
     return EXIT_OK
 

@@ -10,7 +10,8 @@ double at ``(1,)``, so a seed accepts at the same attempt whatever the budget.
 
 A run writes two CSV files (``distribution.csv`` with columns f, omega,
 p_exact, p_oracle and optionally p_empirical; ``spectrum.csv`` with columns
-omega, sigma), then ``report.json``.  Every artifact of the package,
+omega, sigma), then ``report.json``, which holds scalars and records only and
+names each CSV with the sha256 of its bytes.  Every artifact of the package,
 these and the ``oracle`` and ``prepstudy`` outputs of the command line, goes
 through the one CSV writer ``write_csv`` and the one JSON writer
 ``write_json`` here.  Floats are printed with 17 significant digits, which
@@ -31,13 +32,14 @@ at any CPU count or affinity mask for a given BLAS thread count.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -73,7 +75,7 @@ from .qpe import (
 from .simcore import QUBIT_CAP
 from .stateprep import run_prep_circuit
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SHOT_KEY = 2
 
@@ -390,7 +392,7 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Everything one run produced, serializable to JSON plus two CSV files."""
+    """One run's results: two CSV tables, and ``report.json`` naming them by sha256 in ``artifacts``."""
 
     config: ExperimentConfig
     plan: ResolutionPlan | None
@@ -401,52 +403,42 @@ class ExperimentReport:
     spectrum: SpectrumTable
     distances: dict
     metadata: dict
+    artifacts: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        dist = self.exact_distribution
         return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "plan": None if self.plan is None else plan_payload(self.plan),
             "prep": self.prep_stats,
-            "distribution": {
-                "f": list(range(1 << dist.num_bits)),
-                "omega": dist.frequencies().tolist(),
-                "p_exact": dist.probabilities.tolist(),
-                "p_oracle": self.oracle_distribution.probabilities.tolist(),
-                "p_empirical": (
-                    None
-                    if self.empirical_distribution is None
-                    else self.empirical_distribution.probabilities.tolist()
-                ),
-            },
-            "spectrum": {
-                "gamma": self.spectrum.gamma,
-                "omega": self.spectrum.frequencies.tolist(),
-                "sigma": self.spectrum.values.tolist(),
-            },
+            "spectrum": {"gamma": self.spectrum.gamma},
             "distances": self.distances,
+            "artifacts": self.artifacts,
             "metadata": self.metadata,
         }
 
     def write(self, output_dir: str | Path, started: float) -> Path:
-        """Write the two CSV files, then ``report.json`` with the write's time in its timings.
+        """Write the two CSV files, then ``report.json`` with their digests and the write's time.
 
         ``started`` is the run's ``time.perf_counter()`` start: ``total_s`` is taken
         after the CSV write, so the report's own write is the one step it leaves out.
         """
         out = Path(output_dir)
         t0 = time.perf_counter()
-        payload = self.to_dict()
-        # The CSV files hold the same tables as the report, column for column.
-        columns = {name: values for name, values in payload["distribution"].items() if values is not None}
-        write_csv(out / "distribution.csv", list(columns), zip(*columns.values()))
-        spectrum = payload["spectrum"]
-        write_csv(out / "spectrum.csv", ("omega", "sigma"), zip(spectrum["omega"], spectrum["sigma"]))
+        dist = self.exact_distribution
+        columns = {"f": np.arange(1 << dist.num_bits), "omega": dist.frequencies(),
+                   "p_exact": dist.probabilities, "p_oracle": self.oracle_distribution.probabilities}
+        if self.empirical_distribution is not None:
+            columns["p_empirical"] = self.empirical_distribution.probabilities
+        # Python floats: they format faster than numpy scalars, to the same bytes.
+        rows = zip(*(column.tolist() for column in columns.values()))
+        self.artifacts["distribution.csv"] = write_csv(out / "distribution.csv", list(columns), rows)
+        rows = zip(self.spectrum.frequencies.tolist(), self.spectrum.values.tolist())
+        self.artifacts["spectrum.csv"] = write_csv(out / "spectrum.csv", ("omega", "sigma"), rows)
         timings = self.metadata["timings"]
         timings["write_s"] = time.perf_counter() - t0
         timings["total_s"] = time.perf_counter() - started
-        write_json(out / "report.json", payload)
+        write_json(out / "report.json", self.to_dict())
         return out
 
 
@@ -455,23 +447,25 @@ def plan_payload(plan: ResolutionPlan) -> dict:
     return {"l": plan.num_bits, "delta": plan.delta, "omega_max": plan.omega_max, "gamma": plan.gamma}
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write one CSV artifact: floats with 17 significant digits, everything else as written."""
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Write one CSV artifact, floats with 17 significant digits; return the sha256 of its bytes."""
     lines = [",".join(header)]
     lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode()
+    _write_bytes(Path(path), data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_json(path: str | Path, payload: dict) -> None:
     """Write one JSON artifact, indented by two spaces, with a final newline."""
-    _write_text(Path(path), json.dumps(payload, indent=2) + "\n")
+    _write_bytes(Path(path), (json.dumps(payload, indent=2) + "\n").encode())
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_bytes(path: Path, data: bytes) -> None:
     """Create the artifact's directory and write it; the file system's refusal is a ``ConfigError``."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_bytes(data)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import hashlib
 import json
 import math
 import os
@@ -34,6 +35,16 @@ def make_config(tmp_path, **overrides):
     document["output_dir"] = str(tmp_path / "out")
     document.update(overrides)
     return validate_config(json.dumps(document))
+
+
+def csv_columns(path):
+    """A CSV artifact's columns by name, each parsed as float64."""
+    header, *rows = csv.reader(path.open())
+    return {name: np.array([float(v) for v in column]) for name, column in zip(header, zip(*rows))}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # --- config validation ------------------------------------------------------------
@@ -354,21 +365,81 @@ def test_resource_cap_detected_before_running(tmp_path):
 
 
 def test_report_arrays_round_trip_losslessly(tmp_path):
-    config = make_config(tmp_path, shots=5000, seed=3)
-    report = run_experiment(config)
-    payload = json.loads((tmp_path / "out" / "report.json").read_text())
-    np.testing.assert_array_equal(
-        np.array(payload["distribution"]["p_exact"]), report.exact_distribution.probabilities
-    )
-    np.testing.assert_array_equal(
-        np.array(payload["spectrum"]["sigma"]), report.spectrum.values
-    )
-    rows = (tmp_path / "out" / "distribution.csv").read_text().strip().splitlines()
-    assert rows[0] == "f,omega,p_exact,p_oracle,p_empirical"
-    parsed = np.array([[float(v) for v in row.split(",")[2:]] for row in rows[1:]])
-    np.testing.assert_array_equal(parsed[:, 0], report.exact_distribution.probabilities)
-    np.testing.assert_array_equal(parsed[:, 1], report.oracle_distribution.probabilities)
-    np.testing.assert_array_equal(parsed[:, 2], report.empirical_distribution.probabilities)
+    # Each table lives only in its CSV, whose 17 digits give back every double bit
+    # for bit; report.json names each CSV by the sha256 of its bytes.
+    report = run_experiment(make_config(tmp_path, shots=5000, seed=3))
+    out = tmp_path / "out"
+    exact = report.exact_distribution
+    tables = {
+        "distribution.csv": {
+            "f": np.arange(1 << exact.num_bits),
+            "omega": exact.frequencies(),
+            "p_exact": exact.probabilities,
+            "p_oracle": report.oracle_distribution.probabilities,
+            "p_empirical": report.empirical_distribution.probabilities,
+        },
+        "spectrum.csv": {"omega": report.spectrum.frequencies, "sigma": report.spectrum.values},
+    }
+    for name, expected in tables.items():
+        columns = csv_columns(out / name)
+        assert list(columns) == list(expected)
+        for column, values in expected.items():
+            assert columns[column].tobytes() == np.asarray(values, dtype=float).tobytes(), (name, column)
+    artifacts = json.loads((out / "report.json").read_text())["artifacts"]
+    assert artifacts == report.artifacts == {name: sha256(out / name) for name in tables}
+
+
+REPORT_KEYS = {"schema_version", "config", "plan", "prep", "spectrum", "distances", "artifacts", "metadata"}
+
+
+def _list_lengths(node):
+    """The length of every JSON array in a parsed document."""
+    if isinstance(node, dict):
+        return [n for child in node.values() for n in _list_lengths(child)]
+    if isinstance(node, list):
+        return [len(node)] + [n for child in node for n in _list_lengths(child)]
+    return []
+
+
+def test_report_json_is_schema_2_without_per_bin_arrays(tmp_path):
+    # The same run at l=3 and l=10 (8 and 1024 bins) writes a report of the same
+    # shape: only the l digits, the floats and the timings differ in length.
+    sizes, longest = [], []
+    for num_bits in (3, 10):
+        out = tmp_path / f"l{num_bits:02d}"
+        report = run_experiment(make_config(tmp_path, qpe={"l": num_bits, "delta": 0.05}, shots=100,
+                                            output_dir=str(out)))
+        payload = json.loads((out / "report.json").read_text())
+        assert set(payload) == REPORT_KEYS
+        assert payload["schema_version"] == experiment.SCHEMA_VERSION == 2
+        assert payload["spectrum"] == {"gamma": report.spectrum.gamma}
+        assert payload["artifacts"] == {name: sha256(out / name) for name in ("distribution.csv", "spectrum.csv")}
+        sizes.append((out / "report.json").stat().st_size)
+        longest.append(max(_list_lengths(payload)))
+    assert longest[0] == longest[1] <= 2
+    # One 1024-entry array at indent 2 would add over 9 kB.
+    assert abs(sizes[1] - sizes[0]) < 512
+
+
+def test_circuit_run_writes_what_the_benchmark_gate_reads(tmp_path):
+    # perfbench/gate.py bounds TV(p_exact, p_oracle), read from distribution.csv,
+    # by sqrt(1 - prep.fidelity_with_target), read from report.json.
+    document = {
+        **TWO_LEVEL,
+        "model": {"preset": "tilted_ising", "N": 2},
+        "observable": "total_sz",
+        "prep": {"mode": "circuit", "epsilon": 0.5, "max_attempts": 400},
+        "seed": 11,
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["run", "--config", str(write_config(tmp_path, document))]) == 0
+    out = tmp_path / "out"
+    fidelity = json.loads((out / "report.json").read_text())["prep"]["fidelity_with_target"]
+    assert isinstance(fidelity, float) and math.isfinite(fidelity)
+    columns = csv_columns(out / "distribution.csv")
+    assert len(columns["p_exact"]) == len(columns["p_oracle"]) == 1 << TWO_LEVEL["qpe"]["l"]
+    tv = 0.5 * np.abs(columns["p_exact"] - columns["p_oracle"]).sum()
+    assert 1e-10 < tv <= math.sqrt(1.0 - fidelity) + 1e-10
 
 
 def test_gibbs_pipeline_stays_on_oracle(tmp_path):
@@ -973,12 +1044,22 @@ def test_cli_oracle_grid_is_exactly_symmetric(tmp_path, overrides):
     config = make_config(tmp_path, **overrides)
     path = write_config(tmp_path, {**TWO_LEVEL, **overrides, "output_dir": str(tmp_path / "oracle-out")})
     assert main(["oracle", "--config", str(path)]) == 0
-    omega = np.array(json.loads((tmp_path / "oracle-out" / "spectrum.json").read_text())["omega"])
+    omega = csv_columns(tmp_path / "oracle-out" / "spectrum.csv")["omega"]
     assert omega.size == 2001
     assert np.all(omega == -omega[::-1])
     levels = build_operator(config.model).eig.eigenvalues
     reach = 1.2 * float(levels[-1] - levels[0])
     assert abs(omega[-1] - reach) <= np.spacing(reach) and abs(omega[0] + reach) <= np.spacing(reach)
+
+
+def test_cli_oracle_spectrum_json_names_its_csv_and_holds_no_grid(tmp_path):
+    path = write_config(tmp_path, {**TWO_LEVEL, "output_dir": str(tmp_path / "oracle-out")})
+    assert main(["oracle", "--config", str(path)]) == 0
+    out = tmp_path / "oracle-out"
+    payload = json.loads((out / "spectrum.json").read_text())
+    assert set(payload) == {"gamma", "ensemble", "artifacts"}
+    assert payload["artifacts"] == {"spectrum.csv": sha256(out / "spectrum.csv")}
+    assert payload["ensemble"] == {"kind": "infinite_temperature", "beta": None}
 
 
 def test_cli_oracle_rejects_a_linewidth_below_its_grid_step(tmp_path, capsys):

@@ -347,21 +347,26 @@ def test_spectral_function_rejects_nonpositive_gamma():
 
 
 def test_spectrum_table_exports_round_trip(tmp_path):
+    import hashlib
     import json
 
-    # A spectrum goes to disk through the package's one CSV and one JSON writer.
+    # A spectrum's table goes to disk once, through the package's one CSV writer, which
+    # returns the sha256 that the JSON writer records beside gamma.
     table = spectral_function(transition_weights(PAULI_Z, PAULI_X), np.linspace(-3, 3, 11), 0.4)
-    write_csv(tmp_path / "spectrum.csv", ("omega", "sigma"), zip(table.frequencies, table.values))
+    digest = write_csv(tmp_path / "spectrum.csv", ("omega", "sigma"), zip(table.frequencies, table.values))
+    assert digest == hashlib.sha256((tmp_path / "spectrum.csv").read_bytes()).hexdigest()
     rows = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
     assert rows[0] == "omega,sigma"
     parsed = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     np.testing.assert_array_equal(parsed[:, 0], table.frequencies)
     np.testing.assert_array_equal(parsed[:, 1], table.values)
+    # Python floats and numpy scalars print to the same bytes.
+    columns = zip(table.frequencies.tolist(), table.values.tolist())
+    assert write_csv(tmp_path / "floats.csv", ("omega", "sigma"), columns) == digest
 
-    write_json(tmp_path / "spectrum.json", {"gamma": table.gamma, "sigma": table.values.tolist()})
+    write_json(tmp_path / "spectrum.json", {"gamma": table.gamma, "artifacts": {"spectrum.csv": digest}})
     payload = json.loads((tmp_path / "spectrum.json").read_text())
-    np.testing.assert_array_equal(np.array(payload["sigma"]), table.values)
-    assert payload["gamma"] == 0.4
+    assert payload == {"gamma": 0.4, "artifacts": {"spectrum.csv": digest}}
 
 
 # --- transition weights ----------------------------------------------------------------

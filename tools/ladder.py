@@ -26,10 +26,13 @@ no output; the two manifests must be identical::
     python tools/ladder.py /tmp/all_cpus
     diff /tmp/one_cpu/manifest.json /tmp/all_cpus/manifest.json
 
-The ladder (214 invocations):
+The ladder (224 invocations):
 
 * the benchmark workload configs at workload seed 1, plus the ``oracle_grid``
   config under ``run``, and the benchmark's N=2 smoke configs;
+* the cap diagonal (2N + l + 1 = 22 qubits): N 1-10 at l = 21 - 2N and
+  delta=0.05, exact prep, no shots, under ``run``, each N with the model,
+  ensemble and observable of the diagonal test in ``tests/test_qpe.py``;
 * the ``prep_circuit`` config with ``max_attempts`` 5000 at config seed 0
   (accepts at attempt 1427, past the default budget of 1000), 1500 at config
   seed 2 (exhausts: it accepts at 3290) and ``2**63`` (a config error);
@@ -126,6 +129,11 @@ def invocations():
                                                bench(3), 0, s)
     yield f"smoke/oracle/{s}", "oracle", _config(ising(2), "total_sz", ENSEMBLES["gibbs"], "exact",
                                                  bench(3), 0, s)
+    for n in range(1, 11):
+        ens = ("infinite", "gibbs", "ground")[n % 3]
+        # total_sz commutes with the Heisenberg model, which the ground state uses.
+        model, obs = ({"preset": "heisenberg", "N": n}, "site_sz") if ens == "ground" else (ising(n), "total_sz")
+        yield f"diagonal/N{n}/run", "run", _config(model, obs, ENSEMBLES[ens], "exact", bench(21 - 2 * n))
 
     presets = {"ising": ("tilted_ising", {"l": 4, "delta": 0.3}),
                "heisenberg": ("heisenberg", {"gamma": 0.35, "auto_plan": True})}
