@@ -95,8 +95,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     grid = step * np.arange(-1000, 1001)  # exactly symmetric: the oracle folds each line with its mirror
     table = spectral_function(transition_weights(hamiltonian, observable, config.ensemble), grid, gamma)
     out = Path(config.output_dir)
-    digest = write_csv(out / "spectrum.csv", ("omega", "sigma"),
-                       zip(table.frequencies.tolist(), table.values.tolist()))
+    digest = write_csv(out / "spectrum.csv", {"omega": table.frequencies, "sigma": table.values})
     write_json(out / "spectrum.json", {"gamma": table.gamma, "ensemble": asdict(config.ensemble),
                                        "artifacts": {"spectrum.csv": digest}})
     print(f"oracle spectrum written to {out.resolve()}")
@@ -111,17 +110,20 @@ def _cmd_prepstudy(args: argparse.Namespace) -> int:
         raise ConfigError(f"prepstudy needs --num-sites >= 1, got {args.num_sites}")
     out = Path(check_output_dir(args.out, "--out"))
     phis = np.linspace(args.phi_max / args.phi_points, args.phi_max, args.phi_points)
-    rows = []
+    p1, fidelity = [], []
     for index, kind in enumerate(DISTRIBUTION_KINDS):
         dist = EigenvalueDistribution(kind, 1.0)
         observable = synthetic_diagonal_observable(
             dist, args.num_sites, np.random.SeedSequence(args.seed, spawn_key=(_SYNTH_KEY, index))
         )
-        for phi in phis:
-            p1 = acceptance_probability(observable, float(phi))
-            fid = preparation_fidelity(observable, float(phi))
-            rows.append((phi, p1, fid, kind, args.num_sites, args.seed))
-    write_csv(out / "prepstudy.csv", ("phi", "P1", "fidelity", "distribution", "N", "seed"), rows)
+        p1 += [acceptance_probability(observable, float(phi)) for phi in phis]
+        fidelity += [preparation_fidelity(observable, float(phi)) for phi in phis]
+    rows = len(p1)
+    write_csv(out / "prepstudy.csv", {
+        "phi": np.tile(phis, len(DISTRIBUTION_KINDS)), "P1": p1, "fidelity": fidelity,
+        "distribution": np.repeat(DISTRIBUTION_KINDS, phis.size), "N": [args.num_sites] * rows,
+        "seed": [args.seed] * rows,
+    })
     print(f"prep study written to {(out / 'prepstudy.csv').resolve()}")
     return EXIT_OK
 

@@ -41,7 +41,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -76,6 +76,10 @@ from .simcore import QUBIT_CAP
 from .stateprep import run_prep_circuit
 
 SCHEMA_VERSION = 2
+
+#: Rows that ``write_csv`` formats, hashes and writes at a time: the write
+#: holds one block of formatted text, never the whole table.
+CSV_BLOCK_ROWS = 1 << 14
 
 _SHOT_KEY = 2
 
@@ -430,11 +434,9 @@ class ExperimentReport:
                    "p_exact": dist.probabilities, "p_oracle": self.oracle_distribution.probabilities}
         if self.empirical_distribution is not None:
             columns["p_empirical"] = self.empirical_distribution.probabilities
-        # Python floats: they format faster than numpy scalars, to the same bytes.
-        rows = zip(*(column.tolist() for column in columns.values()))
-        self.artifacts["distribution.csv"] = write_csv(out / "distribution.csv", list(columns), rows)
-        rows = zip(self.spectrum.frequencies.tolist(), self.spectrum.values.tolist())
-        self.artifacts["spectrum.csv"] = write_csv(out / "spectrum.csv", ("omega", "sigma"), rows)
+        self.artifacts["distribution.csv"] = write_csv(out / "distribution.csv", columns)
+        columns = {"omega": self.spectrum.frequencies, "sigma": self.spectrum.values}
+        self.artifacts["spectrum.csv"] = write_csv(out / "spectrum.csv", columns)
         timings = self.metadata["timings"]
         timings["write_s"] = time.perf_counter() - t0
         timings["total_s"] = time.perf_counter() - started
@@ -447,27 +449,46 @@ def plan_payload(plan: ResolutionPlan) -> dict:
     return {"l": plan.num_bits, "delta": plan.delta, "omega_max": plan.omega_max, "gamma": plan.gamma}
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Write one CSV artifact, floats with 17 significant digits; return the sha256 of its bytes."""
-    lines = [",".join(header)]
-    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
-    data = ("\n".join(lines) + "\n").encode()
-    _write_bytes(Path(path), data)
-    return hashlib.sha256(data).hexdigest()
+def write_csv(path: str | Path, columns: Mapping[str, Iterable]) -> str:
+    """Write one CSV artifact from named, equally long columns; return the sha256 of its bytes.
+
+    One row format serves the whole table: a float column prints with 17
+    significant digits, any other column as ``str``.  Rows are formatted,
+    hashed and written ``CSV_BLOCK_ROWS`` at a time, each block from Python
+    scalars (``tolist``), which format faster than numpy's to the same bytes.
+    """
+    arrays = [np.asarray(column) for column in columns.values()]
+    row = ",".join("{:.17g}" if array.dtype.kind == "f" else "{}" for array in arrays) + "\n"
+
+    def blocks():
+        yield (",".join(columns) + "\n").encode()
+        for start in range(0, len(arrays[0]), CSV_BLOCK_ROWS):
+            block = [array[start : start + CSV_BLOCK_ROWS].tolist() for array in arrays]
+            yield "".join(map(row.format, *block)).encode()
+
+    return _write_blocks(Path(path), blocks())
 
 
 def write_json(path: str | Path, payload: dict) -> None:
     """Write one JSON artifact, indented by two spaces, with a final newline."""
-    _write_bytes(Path(path), (json.dumps(payload, indent=2) + "\n").encode())
+    _write_blocks(Path(path), [(json.dumps(payload, indent=2) + "\n").encode()])
 
 
-def _write_bytes(path: Path, data: bytes) -> None:
-    """Create the artifact's directory and write it; the file system's refusal is a ``ConfigError``."""
+def _write_blocks(path: Path, blocks: Iterable[bytes]) -> str:
+    """Create the artifact's directory, write the blocks and return their sha256.
+
+    The file system's refusal is a ``ConfigError``.
+    """
+    digest = hashlib.sha256()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+        with path.open("wb") as stream:
+            for block in blocks:
+                digest.update(block)
+                stream.write(block)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return digest.hexdigest()
 
 
 def _auto_plan(config: ExperimentConfig, hamiltonian) -> ResolutionPlan:

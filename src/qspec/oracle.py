@@ -1,9 +1,10 @@
 """Exact-diagonalization references for every circuit result.
 
-Correlation functions and Lorentzian spectra are evaluated in closed form
-from the spectral decomposition, never by numerical time integration; the
-frequency convention puts the absorption peak of a transition n -> m at
-``omega = e_m - e_n`` and is locked by a two-level regression test.  The
+Lorentzian spectra are evaluated in closed form from the spectral
+decomposition, never by numerical time integration of the correlation
+function ``<O(t) O(0)>``, which no command outputs; the frequency convention
+puts the absorption peak of a transition n -> m at ``omega = e_m - e_n`` and
+is locked by a two-level regression test.  The
 closed-form outcome distribution, each transition weight times the
 phase-register leakage kernel, gives an independent route to the same
 statistics the circuit produces, which the test-suite compares bin by bin.
@@ -17,10 +18,10 @@ the table holds one row per pair of levels n <= m: the gap ``e_m - e_n >= 0``
 with the absorption weight ``p_n |O_e,nm|^2`` at +gap and the emission weight
 ``p_m |O_e,mn|^2`` at -gap.  Each consumer's kernel is even under a flip of
 both gap and argument, so it is evaluated once per gap and the emission
-column is read at the mirrored point: the spectrum and the correlation series
-at ``-omega`` and ``-t``, the phase-register distribution at bin ``-f``.  The
-oracle shares no purification code with the circuit, only its inputs: the
-ensemble populations p of ``purify.ensemble_populations``, from which
+column is read at the mirrored point: the spectrum at ``-omega``, the
+phase-register distribution at bin ``-f``.  The oracle shares no
+purification code with the circuit, only its inputs: the ensemble
+populations p of ``purify.ensemble_populations``, from which
 ``purify.base_state`` also builds the circuit's base state, and the
 annihilation rule ``purify.reject_annihilation``.  Since circuit and oracle
 read the same p, the test suite checks p against an independent purification.
@@ -34,10 +35,10 @@ reflection-symmetric model about half of the transitions carry weight that
 symmetry makes exactly zero, and rounding leaves them far below that
 threshold.
 
-The spectrum and the correlation series are summed in cache-sized tiles on
-a thread pool with one worker per usable CPU.  Each worker, in a copy of the
-caller's context, takes the next block of points from a shared counter and
-sums it against every block of pairs, so a slow CPU holds up only the
+The spectrum is summed in cache-sized tiles on a thread pool with one
+worker per usable CPU.  Each worker, in a copy of the caller's context,
+takes the next block of points from a shared counter and sums it against
+every block of pairs, so a slow CPU holds up only the
 blocks it has taken.  Every point meets the same tiles and products in the
 same order whichever worker takes it, so the sums do not move by a bit
 with the number of CPUs; they move only with the BLAS thread count, as the
@@ -174,15 +175,15 @@ def _usable_cpus() -> int:
 
 
 def _transition_sum(
-    table: TransitionTable, points: np.ndarray, dtype: type,
-    kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
+    table: TransitionTable, points: np.ndarray, kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 ) -> np.ndarray:
-    """Sum over kept transitions of ``weight * kernel(point, gap)``, one kernel per gap.
+    """Real sum over kept transitions of ``weight * kernel(point, gap)``, one kernel per gap.
 
-    The kernels satisfy ``kernel(p, -g) == kernel(-p, g)``, so a reverse
-    transition at -gap contributes the pair's kernel at -p.  The kernel runs
-    once on the points and their mirrors, and each tile meets both weight
-    columns in one product: ``S(p) = out[p, 0] + out[-p, 1]``.
+    ``spectral_function`` is its one caller.  The kernel satisfies
+    ``kernel(p, -g) == kernel(-p, g)``, so a reverse transition at -gap
+    contributes the pair's kernel at -p.  The kernel runs once on the points
+    and their mirrors, and each tile meets both weight columns in one
+    product: ``S(p) = out[p, 0] + out[-p, 1]``.
     ``kernel(block, gaps, out)`` fills the (points, pairs) tile ``out`` in
     place, one ``TILE`` at a time, in a buffer that stays in cache while each
     block of points meets every block of pairs in turn.
@@ -198,13 +199,13 @@ def _transition_sum(
     worker's exception, in worker order, is raised here.
     """
     mirrored, where = np.unique(np.concatenate((points, -points)), return_inverse=True)
-    out = np.zeros((mirrored.size, 2), dtype=dtype)
+    out = np.zeros((mirrored.size, 2))
     pairs = table.gaps.size
     cols = min(max(pairs, 1), TILE[1])
     rows = TILE[0] * TILE[1] // cols
     blocks = range(0, mirrored.size, rows)
     workers = max(1, min(_usable_cpus(), len(blocks)))  # a pool needs one, even for no points
-    buffers = np.empty((workers, rows * cols), dtype=dtype)
+    buffers = np.empty((workers, rows * cols))
     starts = iter(blocks)  # shared: each next() hands one block to one worker
 
     def run(part: int) -> None:
@@ -223,24 +224,12 @@ def _transition_sum(
     return out[where[: points.size], 0] + out[where[points.size :], 1]
 
 
-def correlation_series(table: TransitionTable, times: np.ndarray) -> np.ndarray:
-    """<O(t) O(0)> on an array of times, summed over the table's transitions."""
-    times = np.asarray(times, dtype=float)
-
-    def kernel(block, gaps, out):
-        np.multiply.outer(block, gaps, out=out)
-        np.multiply(-1j, out, out=out)
-        np.exp(out, out=out)
-
-    return _transition_sum(table, times, complex, kernel)
-
-
 def spectral_function(table: TransitionTable, omega_grid: np.ndarray, gamma: float) -> SpectrumTable:
     """Lorentzian-broadened spectrum, summed in closed form over transitions.
 
     Each transition n -> m contributes weight ``p_n |O_nm|^2`` under a
     Lorentzian of half-width gamma centred at ``omega = e_m - e_n``; this is
-    the half-line Fourier-Laplace transform of the correlation series.  The
+    the half-line Fourier-Laplace transform of ``<O(t) O(0)>``.  The
     Lorentzian is evaluated as ``(1/gamma) / (1 + (x/gamma)**2)`` for every
     gamma, with ``1/gamma`` computed once and ``x/gamma`` as a product with it:
     a detuning ratio or square past the double range is inf, and the term
@@ -259,7 +248,7 @@ def spectral_function(table: TransitionTable, omega_grid: np.ndarray, gamma: flo
         np.divide(height, out, out=out)
 
     with np.errstate(over="ignore"):
-        values = _transition_sum(table, omega, float, kernel)
+        values = _transition_sum(table, omega, kernel)
     return SpectrumTable(omega, values, gamma)
 
 

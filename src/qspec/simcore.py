@@ -25,6 +25,8 @@ phases reach it, so no imaginary part is ever cast away.
 The register operations (``basis_state``, ``tensor_product``, the gate
 operations, ``register_distribution``) are the tests' gate-level reference;
 the pipeline (``qpe``, ``stateprep``) works on the doubled-register matrix.
+There is one gate engine: ``apply_controlled_unitary`` is ``apply_unitary``
+of ``diag(1, U)``, and both check their matrix against ``UNITARITY_TOL``.
 
 All operations are pure functions of immutable inputs: amplitude arrays and
 operator matrices are never mutated in place and identical inputs produce
@@ -215,17 +217,8 @@ def _require_unitary(mat: np.ndarray) -> None:
         raise UnitarityError(f"matrix deviates from unitary by {dev:.3e}")
 
 
-def apply_unitary(
-    state: StateVector,
-    matrix: np.ndarray,
-    register: Iterable[int],
-    validate: bool = True,
-) -> StateVector:
-    """Apply a register-wide unitary; ``register[0]`` is the operator's most significant bit.
-
-    Set ``validate=False`` only when the caller guarantees unitarity (for
-    example a matrix built as ``V exp(i diag) V^dagger``).
-    """
+def apply_unitary(state: StateVector, matrix: np.ndarray, register: Iterable[int]) -> StateVector:
+    """Apply a register-wide unitary; ``register[0]`` is the operator's most significant bit."""
     reg = _as_register(register, state.num_qubits)
     k = len(reg)
     mat = np.asarray(matrix, dtype=complex)
@@ -233,8 +226,7 @@ def apply_unitary(
         raise DimensionMismatchError(
             f"matrix shape {mat.shape} does not fit a {k}-qubit register"
         )
-    if validate:
-        _require_unitary(mat)
+    _require_unitary(mat)
     psi = state.amplitudes.reshape([2] * state.num_qubits)
     moved = np.moveaxis(psi, reg, range(k))
     out = mat @ moved.reshape(1 << k, -1)
@@ -243,43 +235,17 @@ def apply_unitary(
 
 
 def apply_controlled_unitary(
-    state: StateVector,
-    control: int,
-    matrix: np.ndarray,
-    target: Iterable[int],
-    validate: bool = True,
+    state: StateVector, control: int, matrix: np.ndarray, target: Iterable[int]
 ) -> StateVector:
     """Multiply the control=1 branch by a unitary on ``target``.
 
-    The control=0 branch is untouched.
+    This is ``apply_unitary`` of the block matrix ``diag(1, U)`` on
+    ``(control, *target)``, so the control=0 branch is untouched.
     """
-    n = state.num_qubits
-    if not 0 <= control < n:
-        raise RegisterError(f"control qubit {control} out of range")
-    targets = _as_register(target, n)
-    if control in targets:
-        raise RegisterError("control qubit overlaps the target register")
-    k = len(targets)
     mat = np.asarray(matrix, dtype=complex)
-    if mat.shape != (1 << k, 1 << k):
-        raise DimensionMismatchError(
-            f"matrix shape {mat.shape} does not fit a {k}-qubit target"
-        )
-    if validate:
-        _require_unitary(mat)
-
-    psi = state.amplitudes.reshape([2] * n).astype(complex)
-    sel = [slice(None)] * n
-    sel[control] = 1
-    sel = tuple(sel)
-    # Target axes inside the control=1 slice shift down by one past the control.
-    shifted = tuple(q - (q > control) for q in targets)
-    branch = np.moveaxis(psi[sel], shifted, range(k))
-    out = mat @ branch.reshape(1 << k, -1)
-    out = np.moveaxis(out.reshape([2] * (n - 1)), range(k), shifted)
-    psi[sel] = out
-
-    return StateVector(n, psi.reshape(-1))
+    zero = np.zeros_like(mat)
+    block = np.block([[np.eye(*mat.shape), zero], [zero, mat]])
+    return apply_unitary(state, block, (control, *target))
 
 
 def _fourier(amplitudes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -177,7 +177,7 @@ def gate_by_gate_prep(operator, phi, ensemble=INFINITE_TEMPERATURE, hamiltonian=
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     state = apply_unitary(tensor_product(base, basis_state(1, 0)), hadamard, (ancilla,))
     rotation = operator.eig.propagator(phi)
-    state = apply_controlled_unitary(state, ancilla, rotation, range(operator.num_qubits), validate=False)
+    state = apply_controlled_unitary(state, ancilla, rotation, range(operator.num_qubits))
     state = apply_unitary(state, hadamard, (ancilla,))
     accepted = state.amplitudes.reshape(-1, 2)[:, 1]
     p1 = float(np.linalg.norm(accepted) ** 2)

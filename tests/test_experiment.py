@@ -233,6 +233,36 @@ def test_package_root_defines_only_its_version():
     assert [target.id for node in body for target in node.targets] == ["__version__"]
 
 
+#: The package's public top-level names that nothing else in the package reads:
+#: its test-only surface.  A new one must be added here on purpose.
+TEST_ONLY_NAMES = {
+    # purify: the ensembles a caller spells out; the package reads the kind string.
+    "gibbs", "GROUND_STATE",
+    # simcore: the gate-level reference for the doubled-register pipeline.
+    "basis_state", "tensor_product", "apply_controlled_unitary", "inverse_qft", "register_distribution",
+    # stateprep: the prep study's analytic small-angle law.
+    "moment_ratio_constant", "choose_phi_for_distribution",
+}
+
+
+def test_the_package_has_no_unlisted_test_only_names():
+    defined, read = set(), set()
+    for path in Path(qspec.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(target.id for target in targets if isinstance(target, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert {name for name in defined - read if not name.startswith("_")} == TEST_ONLY_NAMES
+
+
 def test_sampled_run_is_reproducible(tmp_path):
     config = make_config(tmp_path, shots=100_000, seed=7)
     first = run_experiment(config)
@@ -387,6 +417,59 @@ def test_report_arrays_round_trip_losslessly(tmp_path):
             assert columns[column].tobytes() == np.asarray(values, dtype=float).tobytes(), (name, column)
     artifacts = json.loads((out / "report.json").read_text())["artifacts"]
     assert artifacts == report.artifacts == {name: sha256(out / name) for name in tables}
+
+
+def per_value_csv(columns):
+    """The reference bytes of a table: each value on its own, 17 digits for a float, else ``str``."""
+    lines = [",".join(columns)]
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+              for row in zip(*columns.values())]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+@pytest.mark.parametrize("as_arrays", [True, False])
+def test_csv_write_spans_blocks_to_the_per_value_bytes(tmp_path, monkeypatch, block_rows, as_arrays):
+    # 20 rows span several blocks; the bytes and the digest are those of the whole
+    # table formatted at once, whatever the block size.
+    monkeypatch.setattr(experiment, "CSV_BLOCK_ROWS", block_rows)
+    floats = np.random.default_rng(5).normal(size=11).tolist()
+    floats += [0.0, -0.0, 5e-324, 1e300, 1.0, 0.1, math.inf, -math.inf, math.nan]
+    columns = {
+        "f": list(range(20)),
+        "omega": floats,
+        "distribution": [("semicircle", "uniform", "arcsine", "gaussian")[i % 4] for i in range(20)],
+        "N": [6] * 20,
+        "seed": [2**64 - 1] * 20,
+    }
+    given = {name: np.asarray(values) for name, values in columns.items()} if as_arrays else columns
+    path = tmp_path / "table.csv"
+    digest = experiment.write_csv(path, given)
+    expected = per_value_csv(columns)
+    assert path.read_bytes() == expected
+    assert digest == hashlib.sha256(expected).hexdigest()
+    assert experiment.write_csv(tmp_path / "empty.csv", {"omega": [], "sigma": []}) == hashlib.sha256(
+        b"omega,sigma\n").hexdigest()
+
+
+def test_prepstudy_csv_spans_blocks_to_the_per_value_bytes(tmp_path, monkeypatch):
+    # prepstudy's table mixes float, str and int columns.
+    argv = ["prepstudy", "--num-sites", "3", "--seed", "3", "--phi-points", "5"]
+    assert main(argv + ["--out", str(tmp_path / "one")]) == 0
+    monkeypatch.setattr(experiment, "CSV_BLOCK_ROWS", 3)
+    assert main(argv + ["--out", str(tmp_path / "many")]) == 0
+    data = (tmp_path / "many" / "prepstudy.csv").read_bytes()
+    assert data == (tmp_path / "one" / "prepstudy.csv").read_bytes()
+    header, *rows = csv.reader(data.decode().splitlines())
+    assert header == ["phi", "P1", "fidelity", "distribution", "N", "seed"]
+    assert len(rows) == 4 * 5
+    columns = dict(zip(header, map(list, zip(*rows))))
+    for name in ("phi", "P1", "fidelity"):
+        columns[name] = [float(v) for v in columns[name]]
+    columns["N"] = [int(v) for v in columns["N"]]
+    columns["seed"] = [int(v) for v in columns["seed"]]
+    assert columns["N"] == [3] * 20 and columns["seed"] == [3] * 20
+    assert per_value_csv(columns) == data
 
 
 REPORT_KEYS = {"schema_version", "config", "plan", "prep", "spectrum", "distances", "artifacts", "metadata"}
