@@ -238,6 +238,8 @@ def _parse_observable(obj, num_sites: int, path: str) -> ModelSpec:
         name = obj["preset"]
         if name not in OBSERVABLE_PRESETS:
             raise ConfigError(f"{path}.preset: unknown preset {name!r}; choose from {OBSERVABLE_PRESETS}")
+        if "site" in obj and name != "site_sz":
+            raise ConfigError(f"{path}.site: only the site_sz preset takes a site, not {name!r}")
         given = {"site": _as_int(obj["site"], f"{path}.site", minimum=0)} if "site" in obj else {}
         try:
             return observable_spec(name, num_sites, **given)
@@ -494,9 +496,9 @@ def _write_blocks(path: Path, blocks: Iterable[bytes]) -> str:
 def _auto_plan(config: ExperimentConfig, hamiltonian) -> ResolutionPlan:
     vals = hamiltonian.eig.eigenvalues
     span = float(vals[-1] - vals[0])
-    # Two-sided ensembles populate both signs of frequency, so the full
-    # band to alias-protect is twice the spectral span.
-    omega_max = span if config.ensemble.kind == "ground_state" else 2.0 * span
+    # outcome_frequency wraps the upper half of every register to negative
+    # frequencies whatever the ensemble, so the band is twice the span.
+    omega_max = 2.0 * span
     if omega_max <= 0:
         raise ConfigError("qpe.auto_plan: model spectrum has zero bandwidth; give l and delta explicitly")
     if config.qpe.gamma >= omega_max:

@@ -185,17 +185,8 @@ def sample_eigenvalues(dist: EigenvalueDistribution, size: int, rng: np.random.G
         return rng.normal(0.0, p, size)
     if dist.kind == "arcsine":
         return p * np.cos(np.pi * rng.random(size))
-    # Semicircle by rejection in the unit disk: x | x^2 + y^2 <= 1 is semicircular.
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        x = rng.uniform(-1.0, 1.0, 2 * (size - filled))
-        y = rng.uniform(-1.0, 1.0, 2 * (size - filled))
-        keep = x[x * x + y * y <= 1.0]
-        take = min(keep.size, size - filled)
-        out[filled : filled + take] = keep[:take]
-        filled += take
-    return p * out
+    # Semicircle: (x + 1) / 2 of the unit semicircle follows Beta(3/2, 3/2).
+    return p * (2.0 * rng.beta(1.5, 1.5, size) - 1.0)
 
 
 def synthetic_diagonal_observable(

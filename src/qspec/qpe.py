@@ -23,13 +23,15 @@ transform is the simulator's FFT along x, in place, and the outcome marginal
 sums ``|psi|^2`` over both copies.  The circuit stays a gate-level simulation
 in the computational basis; the eigenbasis is used only to exponentiate ``U_j``.
 
-Each register row of the working array carries one spare 64-byte cache line
-after its ``4**N`` amplitudes, and ``psi`` is a view of the leading columns.
-Without it the register stride is a power of two (64 KiB at N=6), so the
-FFT's gather along x maps every row to the same cache sets; with it the
-transform at N=6, l=9 runs 2 to 2.5 times faster (2-vCPU x86 host).  The pad
-is never read: every product, the transform and the marginal see the same
-values in the same order, so the outcome bytes do not depend on it.
+Each register row of the working array carries one spare complex amplitude
+(16 bytes) after its ``4**N`` amplitudes, and ``psi`` is a view of the
+leading columns.  Without it the register stride is a power of two (64 KiB
+at N=6), so the FFT's gather along x maps every row to the same cache sets;
+with it the transform at N=6, l=9 runs 2 to 2.5 times faster (2-vCPU x86
+host), as fast as with a 64-byte pad.  One amplitude is the smallest pad at
+every N, so no size needs its own rule.  The pad is never read: every
+product, the transform and the marginal see the same values in the same
+order, so the outcome bytes do not depend on it.
 
 Controlled powers are built by raising eigenphases once, not by repeating
 gates; repeating the base step, and the gate-by-gate circuit on the full
@@ -47,8 +49,8 @@ import numpy as np
 from .errors import DimensionMismatchError, NormalizationError, ResourceCapError
 from .simcore import NORM_TOL, QUBIT_CAP, HermitianOperator, StateVector, _fourier
 
-#: Spare complex128 entries after each register row: one 64-byte cache line.
-_ROW_PAD = 4
+#: Spare complex128 entries after each register row (module docstring).
+_ROW_PAD = 1
 
 
 @dataclass(frozen=True)

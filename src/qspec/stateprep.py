@@ -16,9 +16,10 @@ base state.  Keeping the identity part in the numerator makes F exactly
 ensemble is at finite temperature; it reduces to ``|<O U(phi)>|^2``
 whenever ``<O> = 0``.
 
-Both branch norms are always computed exactly; the seeded draw only decides
-which branch an end-to-end run keeps.  The circuit is deterministic apart
-from that draw, so ``run_prep_circuit``, a run's one preparation call,
+Only the ``|1>`` branch is built; its squared norm is P1 exactly, and the
+``|0>`` branch holds the rest, ``1 - P1``.  The seeded draw only decides
+at which attempt an end-to-end run accepts.  The circuit is deterministic
+apart from that draw, so ``run_prep_circuit``, a run's one preparation call,
 simulates it once.  Repeating the preparation until the ancilla reads
 ``|1>`` matters only through the index K of the first accepted attempt, and
 K follows the geometric law of success probability P1 exactly.  One uniform

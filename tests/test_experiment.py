@@ -196,6 +196,20 @@ def test_observable_site_out_of_range(tmp_path):
                     observable={"preset": "site_sz", "site": 5})
 
 
+@pytest.mark.parametrize("preset", ["total_sz", "staggered_sz"])
+def test_observable_site_only_with_site_sz(tmp_path, capsys, preset):
+    document = dict(TWO_LEVEL, model={"preset": "tilted_ising", "N": 2},
+                    observable={"preset": preset, "site": 1}, output_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match=r"^observable\.site: only the site_sz preset"):
+        validate_config(json.dumps(document))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: observable.site:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_ensemble_beta_only_for_gibbs(tmp_path):
     with pytest.raises(ConfigError, match="beta"):
         make_config(tmp_path, ensemble={"kind": "ground_state", "beta": 1.0})
@@ -351,6 +365,29 @@ def test_auto_plan_satisfies_inequalities(tmp_path):
     scale = plan.delta * (1 << plan.num_bits) / (2 * np.pi)
     assert scale >= 1 / plan.gamma - 1e-9
     assert scale <= ((1 << plan.num_bits) - 1) / plan.omega_max + 1e-9
+
+
+def test_planned_ground_state_band_keeps_every_line_at_its_positive_gap(tmp_path):
+    # The register wraps its upper half to negative frequencies in every ensemble,
+    # so a ground-state plan (absorption lines only, at +gap in (0, span]) must
+    # cover twice the span; a one-sided band wraps the top lines to -omega.
+    config = make_config(tmp_path, model={"preset": "heisenberg", "N": 4}, observable="site_sz",
+                         ensemble={"kind": "ground_state"}, qpe={"gamma": 0.35, "auto_plan": True})
+    report = run_experiment(config)
+    plan, oracle_dist = report.plan, report.oracle_distribution
+    dim = 1 << plan.num_bits
+    omega, width = oracle_dist.frequencies(), 2 * np.pi / (plan.delta * dim)
+    table = oracle.transition_weights(build_operator(config.model), build_operator(config.observable),
+                                      config.ensemble)
+    strong = table.weights[:, 0] >= 0.05 * table.mass
+    assert strong.sum() >= 2 and table.gaps[strong].max() > 5
+    assert not (table.weights[:, 1] >= 0.05 * table.mass).any()
+    for gap in table.gaps[strong]:
+        # A line's leakage kernel peaks at the register bin nearest its phase.
+        peak = round(plan.delta * dim * gap / (2 * np.pi)) % dim
+        assert abs(omega[peak] - gap) <= width
+    assert oracle_dist.probabilities[omega < 0].sum() <= 0.05
+    assert report.spectrum.frequencies.max() >= table.gaps.max()
 
 
 def test_circuit_prep_records_statistics(tmp_path):

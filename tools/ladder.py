@@ -8,10 +8,11 @@ Every invocation runs ``qspec.cli.main`` in this process, with one BLAS
 thread, and writes its artifacts under ``OUTDIR/<name>/``.  ``OUTDIR/manifest.json``
 then holds, per invocation, the config, the exit code, the stderr line (with
 the literal ``OUTDIR`` in place of that path), the sha256 of each CSV and of
-``spectrum.json``, and ``report.json`` with its timings, versions and output
-path removed.  ``SRC`` (default: the ``src`` directory of this checkout)
-is where ``qspec`` is imported from, so two trees are compared by running
-the ladder once against each and diffing the manifests::
+``spectrum.json``, ``report.json`` with its timings, versions and output
+path removed, and for ``plan``, which writes no file, its stdout line.
+``SRC`` (default: the ``src`` directory of this checkout) is where ``qspec``
+is imported from, so two trees are compared by running the ladder once
+against each and diffing the manifests::
 
     python tools/ladder.py /tmp/before --src /path/to/other/checkout/src
     python tools/ladder.py /tmp/after
@@ -26,7 +27,7 @@ no output; the two manifests must be identical::
     python tools/ladder.py /tmp/all_cpus
     diff /tmp/one_cpu/manifest.json /tmp/all_cpus/manifest.json
 
-The ladder (224 invocations):
+The ladder (226 invocations):
 
 * the benchmark workload configs at workload seed 1, plus the ``oracle_grid``
   config under ``run``, and the benchmark's N=2 smoke configs;
@@ -51,7 +52,9 @@ The ladder (224 invocations):
 * ``qspec prepstudy --num-sites 6 --seed 3``, and ``prepstudy`` with the
   out-of-range seeds ``-1`` and ``2**64``;
 * ``2**63`` shots under ``run``, and ``run``, ``oracle`` and ``prepstudy``
-  with an ``--out`` that names an existing file (``OUTDIR/<name>/taken``).
+  with an ``--out`` that names an existing file (``OUTDIR/<name>/taken``);
+* ``qspec plan --omega-max 10 --gamma 0.1``, and ``plan`` with an infinite
+  ``--omega-max``.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def _workload_seeds(count: int) -> list[int]:
 
 
 def invocations():
-    """Yield ``(name, command, config)``; prepstudy carries its arguments instead of a config."""
+    """Yield ``(name, command, config)``; prepstudy and plan carry their arguments instead of a config."""
     ising = lambda n: {"preset": "tilted_ising", "N": n}  # noqa: E731
     bench = lambda l: {"l": l, "delta": 0.05}  # noqa: E731
     for s in _workload_seeds(2):
@@ -182,6 +185,8 @@ def invocations():
     for command in ("run", "oracle"):
         yield f"{OUT_IS_FILE}/{command}", command, two_level
     yield f"{OUT_IS_FILE}/prepstudy", "prepstudy", ["--num-sites", "2", "--phi-points", "2"]
+    for omega_max in ("10", "inf"):
+        yield f"plan/omega_max{omega_max}", "plan", ["--omega-max", omega_max, "--gamma", "0.1"]
 
 
 def _normalized_report(path: Path) -> dict:
@@ -205,12 +210,14 @@ def run_ladder(outdir: Path) -> dict:
             target.write_text("")
         if command == "prepstudy":
             argv = ["prepstudy", "--out", str(target), *config]
+        elif command == "plan":
+            argv = ["plan", *config]
         else:
             path = out / "config.json"
             path.write_text(json.dumps(config, indent=2) + "\n")
             argv = [command, "--config", str(path), "--out", str(target)]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out_text, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out_text), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except Exception as exc:  # recorded, so one failure does not end the ladder
@@ -222,6 +229,8 @@ def run_ladder(outdir: Path) -> dict:
                             for artifact in ARTIFACTS if (out / artifact).exists()}}
         if (out / "report.json").exists():
             entry["report"] = _normalized_report(out / "report.json")
+        if command == "plan":  # the other commands print only the artifact path
+            entry["stdout"] = out_text.getvalue().strip()
         manifest[name] = entry
         print(f"{name}: exit {code}", file=sys.stderr)
     return manifest
