@@ -9,7 +9,8 @@ Subcommands:
 * ``oracle``    reference spectrum only, from the same config format:
                 ``spectrum.csv`` and ``spectrum.json`` (gamma, ensemble and
                 the CSV's sha256).
-* ``plan``      register size and coupling time for a bandwidth/linewidth pair.
+* ``plan``      register size and coupling time for a two-sided bandwidth
+                and a linewidth.
 
 Exit codes: 0 success, 1 configuration error (among them an observable that
 annihilates the ensemble's base state, and an output path that cannot be
@@ -160,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_prepstudy)
 
     p = sub.add_parser("plan")
-    p.add_argument("--omega-max", type=float, required=True)
+    p.add_argument("--omega-max", type=float, required=True,
+                   help="two-sided band: the register reaches about +-omega_max/2")
     p.add_argument("--gamma", type=float, required=True)
     p.set_defaults(handler=_cmd_plan)
 

@@ -22,10 +22,9 @@ gives byte-identical CSV files.  Across BLAS thread counts the multithreaded
 BLAS/LAPACK calls can round differently, so each column is byte-identical
 only up to a size (measured with OpenBLAS at 1 and 2 threads): ``f`` and the
 ``omega`` of both ``run`` CSVs at every N, since they come from the register
-alone; ``p_oracle`` up to N=5, as from N=6 the product of the table's
-weights with the leakage kernel can move by an ulp; ``p_exact`` and
-``p_empirical``, which is drawn from it, up to N=6; ``sigma``, and the
-``omega`` grid of the ``oracle`` command, up to N=7.  The oracle's own
+alone; ``p_exact`` and ``p_empirical``, which is drawn from it, up to N=6;
+``p_oracle`` and ``sigma``, which ``oracle._transition_sum`` sums in the
+same tiles, and the ``omega`` grid of the ``oracle`` command, up to N=7.  The oracle's own
 worker threads, one per usable CPU, never move a byte: the CSVs are the same
 at any CPU count or affinity mask for a given BLAS thread count.
 """
@@ -238,8 +237,6 @@ def _parse_observable(obj, num_sites: int, path: str) -> ModelSpec:
         name = obj["preset"]
         if name not in OBSERVABLE_PRESETS:
             raise ConfigError(f"{path}.preset: unknown preset {name!r}; choose from {OBSERVABLE_PRESETS}")
-        if "site" in obj and name != "site_sz":
-            raise ConfigError(f"{path}.site: only the site_sz preset takes a site, not {name!r}")
         given = {"site": _as_int(obj["site"], f"{path}.site", minimum=0)} if "site" in obj else {}
         try:
             return observable_spec(name, num_sites, **given)
@@ -313,6 +310,17 @@ def _check_linewidth(log2_gamma: float, path: str) -> None:
         raise ConfigError(f"{path}: linewidth 2**{log2_gamma:.1f} squares outside the double range")
 
 
+def _check_winding(h_bound: float, num_bits: int, delta: float, path: str) -> None:
+    """Reject a register whose phases wind past ``_TURNS_LOG2``; energy gaps are at most 2 * h_bound."""
+    if h_bound > 0:
+        turns = math.log2(delta) + num_bits + (math.log2(h_bound) - math.log2(math.pi))
+        if turns > _TURNS_LOG2:
+            raise ConfigError(
+                f"{path}: phases wind up to 2**{turns:.1f} turns, past the 2**{_TURNS_LOG2} "
+                "that circuit and oracle resolve alike"
+            )
+
+
 def _norm_bound(spec: ModelSpec, path: str) -> float:
     """Sum of |coefficient|, which bounds every compiled entry and eigenvalue."""
     bound = sum(abs(term.coefficient) for term in spec.terms)
@@ -377,15 +385,8 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
     # The spectrum peaks below <O^2> / gamma <= o_bound**2 / gamma.
     if not math.isfinite(o_bound * (o_bound / qpe_settings.linewidth)):
         raise ConfigError("observable.terms: squared magnitudes over the linewidth pass the double range")
-    if qpe_settings.gamma is None and h_bound > 0:
-        # Energy gaps are at most 2 * h_bound.
-        log2_bound = math.log2(h_bound) - math.log2(math.pi)
-        turns = math.log2(qpe_settings.delta) + qpe_settings.num_bits + log2_bound
-        if turns > _TURNS_LOG2:
-            raise ConfigError(
-                f"qpe.delta: phases wind up to 2**{turns:.1f} turns, past the 2**{_TURNS_LOG2} "
-                "that circuit and oracle resolve alike"
-            )
+    if qpe_settings.gamma is None:
+        _check_winding(h_bound, qpe_settings.num_bits, qpe_settings.delta, "qpe.delta")
     shots = _as_int(document.get("shots", 0), "shots", minimum=0)
     if shots >= 1 << 63:
         raise ConfigError("shots: must fit in 63 bits")
@@ -505,7 +506,10 @@ def _auto_plan(config: ExperimentConfig, hamiltonian) -> ResolutionPlan:
         raise ConfigError(
             f"qpe.gamma: {config.qpe.gamma} does not resolve anything below the bandwidth {omega_max:.6g}"
         )
-    return plan_resolution(omega_max, config.qpe.gamma)
+    plan = plan_resolution(omega_max, config.qpe.gamma)
+    # Checked on the planned register, not before planning: an overflowing plan is a cap error.
+    _check_winding(_norm_bound(config.model, "model"), plan.num_bits, plan.delta, "qpe.gamma")
+    return plan
 
 
 def _distances(p: PhaseDistribution, q: PhaseDistribution) -> dict:

@@ -131,11 +131,14 @@ def heisenberg(num_sites: int, coupling: float = 1.0) -> ModelSpec:
 OBSERVABLE_PRESETS = ("total_sz", "site_sz", "staggered_sz")
 
 
-def observable_spec(name: str, num_sites: int, site: int = 0) -> ModelSpec:
-    """The named observable preset written out as a Pauli sum."""
+def observable_spec(name: str, num_sites: int, site: int | None = None) -> ModelSpec:
+    """The named observable preset written out as a Pauli sum; only ``site_sz`` takes a site (default 0)."""
+    if site is not None and name != "site_sz":
+        raise ValueError(f"only the site_sz preset takes a site, not {name!r}")
     if name == "total_sz":
         terms = tuple(PauliTerm(1.0, _string(num_sites, {i: "Z"})) for i in range(num_sites))
     elif name == "site_sz":
+        site = 0 if site is None else site
         if not 0 <= site < num_sites:
             raise ValueError(f"site {site} out of range")
         terms = (PauliTerm(1.0, _string(num_sites, {site: "Z"})),)

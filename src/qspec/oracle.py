@@ -4,9 +4,9 @@ Lorentzian spectra are evaluated in closed form from the spectral
 decomposition, never by numerical time integration of the correlation
 function ``<O(t) O(0)>``, which no command outputs; the frequency convention
 puts the absorption peak of a transition n -> m at ``omega = e_m - e_n`` and
-is locked by a two-level regression test.  The
-closed-form outcome distribution, each transition weight times the
-phase-register leakage kernel, gives an independent route to the same
+is locked by a two-level regression test.  The closed-form outcome
+distribution, the same sum over transitions with the phase-register leakage
+kernel in place of the Lorentzian, gives an independent route to the
 statistics the circuit produces, which the test-suite compares bin by bin.
 
 Every consumer reads one ``TransitionTable`` per run, built by
@@ -35,14 +35,9 @@ reflection-symmetric model about half of the transitions carry weight that
 symmetry makes exactly zero, and rounding leaves them far below that
 threshold.
 
-The spectrum is summed in cache-sized tiles on a thread pool with one
-worker per usable CPU.  Each worker, in a copy of the caller's context,
-takes the next block of points from a shared counter and sums it against
-every block of pairs, so a slow CPU holds up only the
-blocks it has taken.  Every point meets the same tiles and products in the
-same order whichever worker takes it, so the sums do not move by a bit
-with the number of CPUs; they move only with the BLAS thread count, as the
-table's products do.
+Both sums run in cache-sized tiles, on a thread pool when there is more than
+one block of points (``_transition_sum``).  They do not move by a bit with
+the number of CPUs, only with the BLAS thread count, as the table's products do.
 """
 
 from __future__ import annotations
@@ -175,28 +170,30 @@ def _usable_cpus() -> int:
 
 
 def _transition_sum(
-    table: TransitionTable, points: np.ndarray, kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+    table: TransitionTable, points: np.ndarray, kernel: Callable[[np.ndarray, slice, np.ndarray], None]
 ) -> np.ndarray:
     """Real sum over kept transitions of ``weight * kernel(point, gap)``, one kernel per gap.
 
-    ``spectral_function`` is its one caller.  The kernel satisfies
-    ``kernel(p, -g) == kernel(-p, g)``, so a reverse transition at -gap
-    contributes the pair's kernel at -p.  The kernel runs once on the points
-    and their mirrors, and each tile meets both weight columns in one
-    product: ``S(p) = out[p, 0] + out[-p, 1]``.
-    ``kernel(block, gaps, out)`` fills the (points, pairs) tile ``out`` in
-    place, one ``TILE`` at a time, in a buffer that stays in cache while each
-    block of points meets every block of pairs in turn.
+    The kernel satisfies ``kernel(p, -g) == kernel(-p, g)``, so a reverse
+    transition at -gap contributes the pair's kernel at -p.  The kernel runs
+    once on the points and their mirrors, and each tile meets both weight
+    columns in one product: ``S(p) = out[p, 0] + out[-p, 1]``.
+    ``kernel(block, pairs, out)`` fills the (points, pairs) tile ``out`` in
+    place for the table rows in the slice ``pairs``, one ``TILE`` at a time,
+    in a buffer that stays in cache while each block of points meets every
+    block of pairs in turn.
 
-    The pool has one worker per usable CPU and at most one per block of
-    points.  Each worker runs in a copy of the caller's context, so numpy's
-    error state holds there too, and sums its tiles in its own row of the
-    tile buffer.  It takes the next block of points from a shared counter
-    until none is left, and writes only that block's rows of the sum.  Each
-    row meets the same kernel calls and products, on the same tile shapes
-    and in the same order, whichever worker takes it: the result's bytes do
-    not depend on the worker count.  Once every worker is done, the first
-    worker's exception, in worker order, is raised here.
+    The pool has one worker per usable CPU and at most one per block of points;
+    when that is one, the calling thread sums every block and no pool starts.
+    Each worker runs in a copy of the caller's context, so numpy's error state
+    holds there too.  It takes the next block of points from a shared counter
+    until none is left, so a slow CPU holds up only the blocks it has taken,
+    sums its tiles in its own row of the tile buffer and writes only that
+    block's rows of the sum.  Each row meets the same kernel calls and
+    products, on the same tile shapes and in the same order, whichever worker
+    takes it: the result's bytes do not depend on the worker count.  Once
+    every worker is done, the first worker's exception, in worker order, is
+    raised here.
     """
     mirrored, where = np.unique(np.concatenate((points, -points)), return_inverse=True)
     out = np.zeros((mirrored.size, 2))
@@ -204,7 +201,7 @@ def _transition_sum(
     cols = min(max(pairs, 1), TILE[1])
     rows = TILE[0] * TILE[1] // cols
     blocks = range(0, mirrored.size, rows)
-    workers = max(1, min(_usable_cpus(), len(blocks)))  # a pool needs one, even for no points
+    workers = max(1, min(_usable_cpus(), len(blocks)))  # one, even for no points
     buffers = np.empty((workers, rows * cols))
     starts = iter(blocks)  # shared: each next() hands one block to one worker
 
@@ -212,15 +209,18 @@ def _transition_sum(
         for row in starts:
             block = mirrored[row : row + rows]
             for start in range(0, pairs, cols):
-                gaps = table.gaps[start : start + cols]
-                tile = buffers[part, : block.size * gaps.size].reshape(block.size, gaps.size)
-                kernel(block, gaps, tile)
-                out[row : row + rows] += tile @ table.weights[start : start + cols]
+                span = slice(start, min(start + cols, pairs))
+                tile = buffers[part, : block.size * (span.stop - start)].reshape(block.size, -1)
+                kernel(block, span, tile)
+                out[row : row + rows] += tile @ table.weights[span]
 
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, run, part) for part in range(workers)]
-    for future in futures:
-        future.result()
+    if workers == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, run, part) for part in range(workers)]
+        for future in futures:
+            future.result()
     return out[where[: points.size], 0] + out[where[points.size :], 1]
 
 
@@ -240,8 +240,8 @@ def spectral_function(table: TransitionTable, omega_grid: np.ndarray, gamma: flo
     omega = np.asarray(omega_grid, dtype=float)
     height = 1.0 / gamma
 
-    def kernel(block, gaps, out):
-        np.subtract(block[:, None], gaps[None, :], out=out)
+    def kernel(block, pairs, out):
+        np.subtract(block[:, None], table.gaps[pairs], out=out)
         np.multiply(out, height, out=out)
         np.square(out, out=out)
         np.add(1.0, out, out=out)
@@ -262,8 +262,7 @@ def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: flo
     leakage kernel, the squared sinc ratio ``(sinc(r) / sinc(r / 2**l))**2``,
     with its numerator ``sin^2(pi r) = sin^2(pi frac)`` computed once per
     pair; ``r`` never carries the phase's integer part.  The kernel is even,
-    so a pair's row at +gap, read at bin ``-f mod 2**l``, is its reverse
-    transition's row at -gap: each row is evaluated once for both directions.
+    so ``_transition_sum`` sums it on the signed bins ``f - 2**l [f >= 2**(l-1)]``.
     """
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
@@ -273,29 +272,30 @@ def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: flo
     phases = delta * dim * table.gaps / (2.0 * math.pi)
     nearest = np.round(phases)
     frac = phases - nearest
-    hit = (nearest - dim * np.floor(nearest / dim)).astype(np.intp)  # the bin with j = 0
-    # Row h of the wrapped offsets ((h - f + half) mod dim) - half is a window of
-    # one ramp, so the (pairs, 2**l) buffer is a gather of rows; it is then
-    # evaluated in place, since the kernel sets the run's memory peak at large N.
-    ramp = (dim - 1 + half - np.arange(2 * dim - 1.0)) % dim - half
-    r = np.lib.stride_tricks.sliding_window_view(ramp, dim)[dim - 1 - hit]
-    r += frac[:, None]
-    r *= np.pi / dim
-    np.sin(r, out=r)
-    np.square(r, out=r)
+    hit = nearest - dim * np.floor(nearest / dim)  # the bin with j = 0
     numerator = np.sin(np.pi * frac)
     numerator *= numerator / dim**2
-    # Near a zero offset this divides two vanishing squares (0/0 at zero); there
-    # the j = 0 entry takes the unsplit sinc ratio, which is 1 to within a few
-    # ulp for |frac| below sqrt(eps) and exactly 1 at zero.
+    # Near a zero offset the split form divides two vanishing squares; there the
+    # j = 0 entry takes the unsplit sinc ratio, 1 to a few ulp for |frac| < sqrt(eps).
+    near = np.abs(frac) < 2.0**-26
+    unsplit = np.zeros_like(frac)
+    unsplit[near] = (np.sinc(frac[near]) / np.sinc(frac[near] / dim)) ** 2
+
+    def kernel(block, pairs, out):
+        np.subtract(hit[pairs], block[:, None], out=out)  # from -half to below dim + half
+        np.subtract(out, dim, out=out, where=out >= half)  # j, wrapped into the register
+        cols = np.flatnonzero(near[pairs])
+        hits, which = np.nonzero(out[:, cols] == 0)
+        out += frac[pairs]
+        out *= np.pi / dim
+        np.sin(out, out=out)
+        np.square(out, out=out)
+        np.divide(numerator[pairs], out, out=out)
+        out[hits, cols[which]] = unsplit[pairs][cols[which]]
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(numerator[:, None], r, out=r)
-    near = np.flatnonzero(np.abs(frac) < 2.0**-26)
-    r[near, hit[near]] = (np.sinc(frac[near]) / np.sinc(frac[near] / dim)) ** 2
-    forward, reverse = table.weights.T @ r
-    probs = forward + reverse[-np.arange(dim) % dim]
-    probs /= table.mass
-    return PhaseDistribution(num_bits, delta, probs)
+        probs = _transition_sum(table, np.roll(np.arange(-half, half, dtype=float), half), kernel)
+    return PhaseDistribution(num_bits, delta, probs / table.mass)
 
 
 def distribution_distance(p, q, metric: str = "total_variation") -> float:

@@ -166,7 +166,11 @@ def outcome_frequency(f, num_bits: int, delta: float):
 
 @dataclass(frozen=True)
 class ResolutionPlan:
-    """Register size and coupling time meeting a bandwidth and linewidth target."""
+    """Register size and coupling time meeting a bandwidth and linewidth target.
+
+    ``omega_max`` is a two-sided band: the register's upper half holds negative
+    frequencies, so its signed range is about ``+-omega_max/2``.
+    """
 
     num_bits: int
     delta: float
@@ -184,6 +188,11 @@ class ResolutionPlan:
 
 def plan_resolution(omega_max: float, gamma: float) -> ResolutionPlan:
     """Smallest register with 2**l >= 1 + omega_max/gamma, delta saturating the linewidth.
+
+    ``omega_max`` is the full two-sided band, not the largest |omega|: the
+    register's signed frequencies reach about ``+-omega_max/2``, rounded up with
+    its power of two (``plan_resolution(10, 0.1)`` tops out at +6.3), and a
+    line beyond them wraps to the other sign.
 
     The register grows by at most one bit when gamma halves, matching the
     logarithmic scaling of bits with omega_max/gamma.  A ratio whose register

@@ -45,7 +45,7 @@ def random_real_symmetric(num_qubits: int, seed: int) -> HermitianOperator:
     return HermitianOperator(m - np.trace(m) / dim * np.eye(dim))
 
 
-def preset_observable(name: str, num_sites: int, site: int = 0) -> HermitianOperator:
+def preset_observable(name: str, num_sites: int, site: int | None = None) -> HermitianOperator:
     """An observable preset (total_sz, site_sz, staggered_sz) compiled from its Pauli sum."""
     return build_operator(observable_spec(name, num_sites, site))
 

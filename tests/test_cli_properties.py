@@ -21,7 +21,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qspec.cli import main
@@ -111,6 +111,12 @@ def total_variation(distribution_csv: Path) -> float:
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(config=configs())
+# A planned register past the phase-winding bound: the identity term winds the
+# l=19 register to 2**37.5 turns, and its run used to give TV 1.15e-9.
+@example(config={
+    "model": {"N": 1, "terms": [{"coefficient": 1.0, "factors": "I"}, {"coefficient": 1e-06, "factors": "X"}]},
+    "observable": "total_sz", "prep": {"mode": "exact"}, "qpe": {"gamma": 1e-11, "auto_plan": True},
+})
 def test_cli_run_and_oracle_exit_cleanly(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

@@ -314,14 +314,14 @@ def test_report_json_is_written_last_and_times_the_csv_write(tmp_path, monkeypat
 #: The determinism contract of ``qspec.experiment`` across BLAS thread counts:
 #: the largest N at which each CSV column is byte-identical (None: every N).
 THREAD_INVARIANT_UP_TO = {
-    "distribution.csv": {"f": None, "omega": None, "p_exact": 6, "p_oracle": 5, "p_empirical": 6},
+    "distribution.csv": {"f": None, "omega": None, "p_exact": 6, "p_oracle": 7, "p_empirical": 6},
     "spectrum.csv": {"omega": None, "sigma": 7},
 }
 
 
 def test_promised_columns_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
-    # N=6 is the last size at which p_exact and p_empirical are promised and
-    # the first at which p_oracle is not, so p_oracle is left unchecked.
+    # N=6 is the last size at which p_exact and p_empirical are promised; p_oracle
+    # and sigma are promised up to N=7, so every column is checked here.
     num_sites = 6
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -1102,6 +1102,23 @@ def test_cli_run_with_an_overflowing_plan_ratio_exits_two(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("resource cap: ") and err.count("\n") == 1
+    assert not (tmp_path / "never").exists()
+
+
+def test_cli_run_with_a_planned_register_past_the_winding_bound_exits_one(tmp_path, capsys):
+    # The identity term puts absolute energies near 1 against a 2e-6 span, so the
+    # planned l=19 register winds phases to 2**37.5 turns; the circuit and oracle
+    # used to differ by 1.15e-9 in total variation here.
+    document = {
+        "model": {"N": 1, "terms": [{"coefficient": 1.0, "factors": "I"}, {"coefficient": 1e-06, "factors": "X"}]},
+        "observable": "total_sz",
+        "qpe": {"gamma": 1e-11, "auto_plan": True},
+        "output_dir": str(tmp_path / "never"),
+    }
+    path = write_config(tmp_path, document)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: qpe.gamma: phases wind up to 2**37.5 turns") and err.count("\n") == 1
     assert not (tmp_path / "never").exists()
 
 

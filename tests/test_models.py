@@ -57,7 +57,7 @@ def test_transverse_ising_matches_bitwise_construction():
     np.testing.assert_allclose(built, oracle, atol=1e-14)
 
 
-def compiled(name, num_sites, site=0):
+def compiled(name, num_sites, site=None):
     return build_operator(observable_spec(name, num_sites, site)).matrix
 
 
@@ -81,6 +81,14 @@ def test_site_magnetization_site_convention():
     np.testing.assert_array_equal(compiled("site_sz", 2, 0), np.diag([1.0, 1.0, -1.0, -1.0]))
     np.testing.assert_array_equal(compiled("site_sz", 2, 1), np.diag([1.0, -1.0, 1.0, -1.0]))
     np.testing.assert_array_equal(compiled("staggered_sz", 2), np.diag([0.0, 2.0, -2.0, 0.0]))
+
+
+@pytest.mark.parametrize("name", ["total_sz", "staggered_sz"])
+def test_only_site_sz_takes_a_site(name):
+    # Silently dropping the site would run a different observable than the one named.
+    with pytest.raises(ValueError, match=f"only the site_sz preset takes a site, not '{name}'"):
+        observable_spec(name, 3, site=7)
+    assert observable_spec("site_sz", 3) == observable_spec("site_sz", 3, site=0)
 
 
 def test_pauli_product_identity():

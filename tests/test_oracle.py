@@ -3,6 +3,7 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -192,11 +193,11 @@ def test_an_error_in_a_helper_is_raised_by_the_call(monkeypatch):
     points = np.arange(4.0)
     raised_in = []
 
-    def kernel(block, gaps, out):
+    def kernel(block, pairs, out):
         if block[-1] == points[-1]:  # the last block, on a pool worker
             raised_in.append(threading.current_thread())
             raise RuntimeError("kernel failed")
-        np.subtract(block[:, None], gaps[None, :], out=out)
+        np.subtract(block[:, None], table.gaps[pairs][None, :], out=out)
 
     with pytest.raises(RuntimeError, match="kernel failed"):
         oracle._transition_sum(table, points, kernel)
@@ -216,13 +217,13 @@ def test_a_stalled_worker_does_not_hold_up_the_grid(monkeypatch):
     released = threading.Event()
     waited = []
 
-    def kernel(block, gaps, out):
+    def kernel(block, pairs, out):
         call = next(calls)
         if call == 0:
             waited.append(released.wait(timeout=5))
         elif call == others:
             released.set()
-        np.subtract(block[:, None], gaps[None, :], out=out)
+        np.subtract(block[:, None], table.gaps[pairs][None, :], out=out)
 
     oracle._transition_sum(table, points, kernel)
     assert waited == [True]
@@ -237,9 +238,9 @@ def test_every_tile_is_summed_once_under_frequent_thread_switches(monkeypatch):
     points = np.arange(1.0, 21.0)
     tiles = []
 
-    def kernel(block, gaps, out):
-        tiles.append((block[0], gaps[0]))
-        np.subtract(block[:, None], gaps[None, :], out=out)
+    def kernel(block, pairs, out):
+        tiles.append((block[0], table.gaps[pairs][0]))
+        np.subtract(block[:, None], table.gaps[pairs][None, :], out=out)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -332,6 +333,15 @@ def test_folded_sums_are_the_same_bytes_at_any_worker_count(monkeypatch, tile):
         for sigma in results:
             assert sigma.shape == points.shape
             np.testing.assert_array_equal(sigma, results[0])
+    # The leakage kernel, on the signed bins of a one-bit and a four-bit register.
+    for num_bits in (1, 4):
+        results = []
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(oracle, "_usable_cpus", lambda workers=workers: workers)
+            results.append(exact_outcome_distribution(table, num_bits, 0.37).probabilities)
+        for probs in results:
+            assert probs.shape == (1 << num_bits,)
+            np.testing.assert_array_equal(probs, results[0])
 
 
 def test_spectral_function_rejects_nonpositive_gamma():
@@ -621,6 +631,22 @@ def test_outcome_distribution_reads_edge_phases_through_the_mirror(num_bits):
         reference = np.array([0.625, 0.375]) @ leakage_kernel(offsets, num_bits)
         assert np.max(np.abs(dist - reference)) <= 1e-14
         assert abs(dist.sum() - 1.0) <= 1e-14
+
+
+def test_outcome_distribution_holds_a_tile_per_worker_not_a_row_per_pair(monkeypatch):
+    # N=6, l=9: a dense (pairs, 2**l) kernel buffer alone would take 4.2 MiB.  The
+    # sum holds one tile per worker beside arrays of one entry per pair or per bin.
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    table = transition_weights(build_operator(tilted_ising(6)), preset_observable("total_sz", 6))
+    assert table.gaps.size * 8 * 2**9 > 4 * 2**20
+    exact_outcome_distribution(table, 9, 0.05)
+    tracemalloc.start()
+    try:
+        exact_outcome_distribution(table, 9, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * oracle.TILE[0] * oracle.TILE[1] + 2**19
 
 
 def test_outcome_distribution_zero_hamiltonian():

@@ -27,7 +27,7 @@ no output; the two manifests must be identical::
     python tools/ladder.py /tmp/all_cpus
     diff /tmp/one_cpu/manifest.json /tmp/all_cpus/manifest.json
 
-The ladder (226 invocations):
+The ladder (227 invocations):
 
 * the benchmark workload configs at workload seed 1, plus the ``oracle_grid``
   config under ``run``, and the benchmark's N=2 smoke configs;
@@ -51,6 +51,8 @@ The ladder (226 invocations):
 * a string and a bool observable coefficient under ``run``;
 * ``qspec prepstudy --num-sites 6 --seed 3``, and ``prepstudy`` with the
   out-of-range seeds ``-1`` and ``2**64``;
+* ``I + 1e-6 X`` planned at gamma=1e-11 (l=19, phases past the ``2**18``-turn
+  winding bound) under ``run``;
 * ``2**63`` shots under ``run``, and ``run``, ``oracle`` and ``prepstudy``
   with an ``--out`` that names an existing file (``OUTDIR/<name>/taken``);
 * ``qspec plan --omega-max 10 --gamma 0.1``, and ``plan`` with an infinite
@@ -182,6 +184,9 @@ def invocations():
     two_level = _config(_pauli_sum(1, [(1.0, "Z")]), _pauli_sum(1, [(1.0, "X")]), ENSEMBLES["infinite"],
                         "exact", {"l": 3, "delta": 0.3})
     yield "shots/2**63/run", "run", {**two_level, "shots": 1 << 63}
+    winding = _config(_pauli_sum(1, [(1.0, "I"), (1e-6, "X")]), "total_sz", ENSEMBLES["infinite"], "exact",
+                      {"gamma": 1e-11, "auto_plan": True})
+    yield "winding/planned/run", "run", winding
     for command in ("run", "oracle"):
         yield f"{OUT_IS_FILE}/{command}", command, two_level
     yield f"{OUT_IS_FILE}/prepstudy", "prepstudy", ["--num-sites", "2", "--phi-points", "2"]
