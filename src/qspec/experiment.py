@@ -36,6 +36,7 @@ import json
 import math
 import os
 import platform
+import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -429,6 +430,7 @@ class ExperimentReport:
 
         ``started`` is the run's ``time.perf_counter()`` start: ``total_s`` is taken
         after the CSV write, so the report's own write is the one step it leaves out.
+        ``peak_rss_mb`` is the process's peak resident set at the same point, in MiB.
         """
         out = Path(output_dir)
         t0 = time.perf_counter()
@@ -443,6 +445,9 @@ class ExperimentReport:
         timings = self.metadata["timings"]
         timings["write_s"] = time.perf_counter() - t0
         timings["total_s"] = time.perf_counter() - started
+        # ru_maxrss is in KiB on Linux and in bytes on macOS.
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        self.metadata["peak_rss_mb"] = peak / (2**20 if sys.platform == "darwin" else 1024)
         write_json(out / "report.json", self.to_dict())
         return out
 
@@ -559,7 +564,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     timings["qpe_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # Built only after run_qpe returns: the QPE working array sets the memory peak at large N.
+    # Built only after run_qpe returns and frees its working array, which with
+    # one block of rows (see ``qpe``) sets the memory peak at large N.
     table = transition_weights(hamiltonian, observable, config.ensemble)
     reference = exact_outcome_distribution(table, num_bits, delta)
     spectrum = spectral_function(table, np.sort(exact.frequencies()), config.qpe.linewidth)
@@ -585,7 +591,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "timings": timings,
     }
     if config.ensemble.kind == "ground_state":
-        metadata["ground_state_degeneracy"] = ground_state_degeneracy(hamiltonian)
+        metadata["ground_state_degeneracy"] = ground_state_degeneracy(hamiltonian.eig)
 
     report = ExperimentReport(
         config=config,

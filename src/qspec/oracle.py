@@ -169,15 +169,26 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _mirror(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted union of the points and their negatives, and where each point and its negative sit in it."""
+    mirrored, where = np.unique(np.concatenate((points, -points)), return_inverse=True)
+    return mirrored, where[: points.size], where[points.size :]
+
+
 def _transition_sum(
-    table: TransitionTable, points: np.ndarray, kernel: Callable[[np.ndarray, slice, np.ndarray], None]
+    table: TransitionTable,
+    mirror: tuple[np.ndarray, np.ndarray, np.ndarray],
+    kernel: Callable[[np.ndarray, slice, np.ndarray], None],
 ) -> np.ndarray:
     """Real sum over kept transitions of ``weight * kernel(point, gap)``, one kernel per gap.
 
     The kernel satisfies ``kernel(p, -g) == kernel(-p, g)``, so a reverse
     transition at -gap contributes the pair's kernel at -p.  The kernel runs
     once on the points and their mirrors, and each tile meets both weight
-    columns in one product: ``S(p) = out[p, 0] + out[-p, 1]``.
+    columns in one product: ``S(p) = out[p, 0] + out[-p, 1]``.  ``mirror`` is
+    ``(mirrored, plus, minus)``: the sorted union of the points and their
+    negatives, and the index there of each point and of its negative, as
+    ``_mirror`` builds it or a caller knows it in closed form.
     ``kernel(block, pairs, out)`` fills the (points, pairs) tile ``out`` in
     place for the table rows in the slice ``pairs``, one ``TILE`` at a time,
     in a buffer that stays in cache while each block of points meets every
@@ -195,7 +206,7 @@ def _transition_sum(
     every worker is done, the first worker's exception, in worker order, is
     raised here.
     """
-    mirrored, where = np.unique(np.concatenate((points, -points)), return_inverse=True)
+    mirrored, plus, minus = mirror
     out = np.zeros((mirrored.size, 2))
     pairs = table.gaps.size
     cols = min(max(pairs, 1), TILE[1])
@@ -221,7 +232,7 @@ def _transition_sum(
             futures = [pool.submit(contextvars.copy_context().run, run, part) for part in range(workers)]
         for future in futures:
             future.result()
-    return out[where[: points.size], 0] + out[where[points.size :], 1]
+    return out[plus, 0] + out[minus, 1]
 
 
 def spectral_function(table: TransitionTable, omega_grid: np.ndarray, gamma: float) -> SpectrumTable:
@@ -248,7 +259,7 @@ def spectral_function(table: TransitionTable, omega_grid: np.ndarray, gamma: flo
         np.divide(height, out, out=out)
 
     with np.errstate(over="ignore"):
-        values = _transition_sum(table, omega, kernel)
+        values = _transition_sum(table, _mirror(omega), kernel)
     return SpectrumTable(omega, values, gamma)
 
 
@@ -262,7 +273,8 @@ def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: flo
     leakage kernel, the squared sinc ratio ``(sinc(r) / sinc(r / 2**l))**2``,
     with its numerator ``sin^2(pi r) = sin^2(pi frac)`` computed once per
     pair; ``r`` never carries the phase's integer part.  The kernel is even,
-    so ``_transition_sum`` sums it on the signed bins ``f - 2**l [f >= 2**(l-1)]``.
+    so ``_transition_sum`` sums it on the signed bins ``f - 2**l [f >= 2**(l-1)]``,
+    whose mirror is the lattice ``-2**(l-1) ... 2**(l-1)`` in closed form.
     """
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
@@ -293,8 +305,10 @@ def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: flo
         np.divide(numerator[pairs], out, out=out)
         out[hits, cols[which]] = unsplit[pairs][cols[which]]
 
+    signed = np.roll(np.arange(-half, half), half)  # the signed bin of each f
+    lattice = np.arange(-half, half + 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        probs = _transition_sum(table, np.roll(np.arange(-half, half, dtype=float), half), kernel)
+        probs = _transition_sum(table, (lattice, signed + half, half - signed), kernel)
     return PhaseDistribution(num_bits, delta, probs / table.mass)
 
 

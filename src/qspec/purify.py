@@ -7,8 +7,10 @@ In that picture applying an operator to copy a is a left matrix product.
 
 Every base state is one formula, the matrix ``rho**(1/2) = V diag(sqrt(p))
 V^dagger`` of its ensemble, with the populations p of
-``ensemble_populations``: the normalized ``exp(-beta*H/2)`` for Gibbs and
-``psi_0 psi_0^dagger`` for the ground state.  Uniform p gives the identity
+``ensemble_populations``: the normalized ``exp(-beta*H/2)`` for Gibbs and,
+for the ground state, the projector onto the ground level over the square
+root of its degeneracy (``psi_0 psi_0^dagger`` when it is one state), the
+beta -> infinity limit of Gibbs.  Uniform p gives the identity
 over sqrt(2**N) in any basis, so the infinite-temperature base state (the
 entangled pair state) is built as that identity, exactly and without a
 Hamiltonian.  Copy b holds conjugated eigenvectors; the circuit evolves
@@ -67,15 +69,24 @@ def gibbs(beta: float) -> EnsembleSpec:
     return EnsembleSpec("gibbs", float(beta))
 
 
-def ground_state_degeneracy(hamiltonian: HermitianOperator, tol: float = 1e-9) -> int:
-    """Number of eigenvalues within ``tol`` (scaled by the spectral span) of the minimum."""
-    vals = hamiltonian.eig.eigenvalues
+#: Eigenvalues within this multiple of ``max(1, span)`` of the lowest one form the ground level.
+DEGENERACY_RTOL = 1e-9
+
+
+def ground_state_degeneracy(eig: EigenDecomposition) -> int:
+    """Size g of the ground level: the eigenvalues within ``DEGENERACY_RTOL * max(1, span)`` of the lowest."""
+    vals = eig.eigenvalues
     span = float(vals[-1] - vals[0])
-    return int(np.sum(vals - vals[0] <= tol * max(1.0, span)))
+    return int(np.sum(vals - vals[0] <= DEGENERACY_RTOL * max(1.0, span)))
 
 
 def ensemble_populations(eig: EigenDecomposition, ensemble: EnsembleSpec) -> np.ndarray:
-    """Diagonal occupation of each eigenstate in the ensemble's density matrix."""
+    """Diagonal occupation of each eigenstate in the ensemble's density matrix.
+
+    The ground state spreads its population evenly over the ground level, as
+    Gibbs does when beta grows, so a degenerate level gives the same state in
+    any eigenbasis of it.
+    """
     dim = eig.dim
     if ensemble.kind == "infinite_temperature":
         return np.full(dim, 1.0 / dim)
@@ -84,7 +95,8 @@ def ensemble_populations(eig: EigenDecomposition, ensemble: EnsembleSpec) -> np.
             w = np.exp(-ensemble.beta * (eig.eigenvalues - eig.eigenvalues[0]))
         return w / w.sum()
     pops = np.zeros(dim)
-    pops[0] = 1.0
+    level = ground_state_degeneracy(eig)
+    pops[:level] = 1.0 / level
     return pops
 
 
@@ -97,8 +109,8 @@ def base_state(
 
     Infinite temperature needs only the site count: uniform p gives the
     identity over sqrt(2**N), built directly.  Ground state and Gibbs need
-    the Hamiltonian; a degenerate ground level uses the lowest-index
-    eigenvector (see ``ensemble_populations``).
+    the Hamiltonian; a degenerate ground level is populated evenly (see
+    ``ensemble_populations``).
     """
     if ensemble.kind != "infinite_temperature":
         if hamiltonian is None:

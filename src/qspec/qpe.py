@@ -33,6 +33,16 @@ every N, so no size needs its own rule.  The pad is never read: every
 product, the transform and the marginal see the same values in the same
 order, so the outcome bytes do not depend on it.
 
+Beside the propagators and the returned probabilities, the heap holds one
+working array plus one bounded block.  The left product ``U_j psi`` is
+written straight into ``psi[2**j : 2**(j+1)]``, which it does not overlap.
+The right product by ``U_j^dagger`` then runs in place on blocks of
+``_BLOCK_BYTES`` of register rows, so numpy's copy of the overlapping operand
+is at most one block, and the marginal sums ``|psi|^2`` over the same blocks
+into the preallocated probabilities.  Every gemm sees the same 2-D matrices
+in the same order as one unblocked product, and every row is reduced the
+same way, so the outcome bytes do not depend on the block size.
+
 Controlled powers are built by raising eigenphases once, not by repeating
 gates; repeating the base step, and the gate-by-gate circuit on the full
 register, are used only as consistency checks in the test-suite.
@@ -51,6 +61,10 @@ from .simcore import NORM_TOL, QUBIT_CAP, HermitianOperator, StateVector, _fouri
 
 #: Spare complex128 entries after each register row (module docstring).
 _ROW_PAD = 1
+
+#: Bytes of register rows per block of the in-place right product and the
+#: marginal; a block holds at least one row (module docstring).
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -122,15 +136,21 @@ def run_qpe(
     amps = np.empty((dim, sys_dim * sys_dim + _ROW_PAD), dtype=complex)[:, : sys_dim * sys_dim]
     psi = amps.reshape(dim, sys_dim, sys_dim)
     psi[0] = prepared.amplitudes.reshape(sys_dim, sys_dim) * (1.0 / np.sqrt(dim))
+    rows = max(1, _BLOCK_BYTES // (16 * sys_dim * sys_dim))  # register rows per block
     eig = hamiltonian.eig
     for j in range(num_bits):
         # The branches with bit j set are those below 2**j with U_j applied.
         low, high = psi[: 1 << j], psi[1 << j : 2 << j]
         forward = eig.propagator(delta * (1 << j))
+        np.matmul(forward, low, out=high)
         # exp(-1j*H^T*t) = (U^dagger)^T on copy b; U is conjugated in place after U psi is formed.
-        np.matmul(forward @ low, np.conjugate(forward, out=forward).T, out=high)
+        backward = np.conjugate(forward, out=forward).T
+        for s in range(0, 1 << j, rows):
+            np.matmul(high[s : s + rows], backward, out=high[s : s + rows])
     _fourier(amps, out=amps)
-    probs = (np.abs(amps) ** 2).sum(axis=1)
+    probs = np.empty(dim)
+    for s in range(0, dim, rows):
+        np.sum(np.abs(amps[s : s + rows]) ** 2, axis=1, out=probs[s : s + rows])
     norm_err = abs(math.sqrt(probs.sum()) - 1.0)
     if not norm_err <= NORM_TOL:
         raise NormalizationError(f"register state norm deviates from 1 by {norm_err:.3e}")

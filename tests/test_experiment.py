@@ -291,6 +291,7 @@ def test_sampled_run_is_reproducible(tmp_path):
     def strip_timings(report):
         payload = report.to_dict()
         payload["metadata"].pop("timings")
+        payload["metadata"].pop("peak_rss_mb")
         return payload
 
     assert strip_timings(first) == strip_timings(second)
@@ -305,10 +306,12 @@ def test_report_json_is_written_last_and_times_the_csv_write(tmp_path, monkeypat
         )
     run_experiment(make_config(tmp_path, shots=100))
     assert written == ["distribution.csv", "spectrum.csv", "report.json"]
-    timings = json.loads((tmp_path / "out" / "report.json").read_text())["metadata"]["timings"]
+    metadata = json.loads((tmp_path / "out" / "report.json").read_text())["metadata"]
+    timings = metadata["timings"]
     assert list(timings) == ["build_s", "prep_s", "qpe_s", "oracle_s", "write_s", "total_s"]
     assert timings["write_s"] > 0
     assert timings["total_s"] >= sum(value for key, value in timings.items() if key != "total_s")
+    assert metadata["peak_rss_mb"] > 0
 
 
 #: The determinism contract of ``qspec.experiment`` across BLAS thread counts:

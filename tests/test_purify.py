@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -13,16 +13,21 @@ from helpers import (
     ground_pair,
     random_hermitian,
     random_real_symmetric,
+    real_pauli_sums,
 )
 from qspec.errors import ResourceCapError, ZeroNormError, ZeroOperatorError
-from qspec.oracle import transition_weights
+from qspec.models import ModelSpec, PauliTerm, build_operator
+from qspec.oracle import distribution_distance, exact_outcome_distribution, transition_weights
 from qspec.purify import (
     GROUND_STATE,
     INFINITE_TEMPERATURE,
     base_state,
+    ensemble_populations,
     gibbs,
+    ground_state_degeneracy,
     thermal_operator_state,
 )
+from qspec.qpe import run_qpe
 from qspec.simcore import HermitianOperator, overlap, register_distribution
 from qspec.stateprep import moments
 
@@ -190,6 +195,39 @@ def test_ground_state_is_the_ground_projector():
     psi0 = ham.eig.eigenvectors[:, 0]
     # Every other population is exactly zero, so a real psi_0 psi_0^T is kron(psi0, psi0) bit for bit.
     np.testing.assert_array_equal(state.amplitudes, np.kron(psi0, psi0))
+
+
+def test_a_degenerate_ground_level_is_the_zero_temperature_limit():
+    # H = -IZ - ZX + 0.5 II has two doubly degenerate levels.  Putting the whole
+    # ground population on one of LAPACK's vectors put 0.941 at omega = 0, 0.44 TV
+    # from Gibbs at beta = 1000; the even population is that limit.
+    def pauli_sum(*terms):
+        return build_operator(ModelSpec(2, tuple(PauliTerm(c, f) for c, f in terms)))
+
+    ham = pauli_sum((-1.0, "IZ"), (-1.0, "ZX"), (0.5, "II"))
+    obs = pauli_sum((1.0, "IX"), (0.6, "IZ"))
+    assert ground_state_degeneracy(ham.eig) == 2
+    circuit, oracle = {}, {}
+    for ensemble in (GROUND_STATE, gibbs(1000.0)):
+        circuit[ensemble] = run_qpe(thermal_operator_state(obs, ham, ensemble), ham, 5, 0.3)
+        oracle[ensemble] = exact_outcome_distribution(transition_weights(ham, obs, ensemble), 5, 0.3)
+    assert distribution_distance(circuit[GROUND_STATE], circuit[gibbs(1000.0)]) <= 1e-10
+    assert distribution_distance(oracle[GROUND_STATE], oracle[gibbs(1000.0)]) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), num_sites=st.integers(1, 3), scale=st.floats(40.0, 400.0))
+def test_ground_state_populations_are_gibbs_far_below_the_first_gap(data, num_sites, scale):
+    # beta times the first gap above the ground level is at least 40, so every
+    # level above it holds below exp(-40) of the Gibbs weight.  beta stays at or
+    # below 1e3, where it cannot resolve rounding within the ground level.
+    eig = build_operator(data.draw(real_pauli_sums(num_sites))).eig
+    level = ground_state_degeneracy(eig)
+    gap = eig.eigenvalues[level] - eig.eigenvalues[0] if level < eig.dim else math.inf
+    beta = scale / gap
+    assume(beta <= 1e3)
+    ground = ensemble_populations(eig, GROUND_STATE)
+    assert np.max(np.abs(ground - ensemble_populations(eig, gibbs(beta)))) <= 1e-10
 
 
 def test_gibbs_and_ground_state_need_the_hamiltonian():

@@ -89,11 +89,14 @@ def test_circuit_matches_oracle_for_thermal_ensembles(ensemble):
 
 
 #: ``run_qpe``'s heap peak on the cap diagonal, in working arrays (2**l * 4**N
-#: complex doubles): at most 1.75 for N=2-9, measured 1.51-1.63 at 1 and 2 BLAS
-#: threads.  The exceptions: N=1 (1.88), whose rows hold four amplitudes, so
+#: complex doubles): at most 1.15 for N=2-8, measured 1.03-1.13 at 1 and 2 BLAS
+#: threads (the working array, its row pad, the probabilities and one block).
+#: The exceptions: N=1 (1.50), whose rows hold four amplitudes, so
 #: ``qpe._ROW_PAD`` adds a quarter of a working array and the returned
-#: probabilities an eighth, and N=10 (2.00), which peaks in the propagator build.
-DIAGONAL_HEAP_EXCEPTIONS = {1: 2.0, 10: 2.125}
+#: probabilities an eighth; N=9 (1.38), whose eight rows of 4 MiB each make a
+#: block one row and a propagator an eighth of the array; and N=10 (2.00),
+#: which has one register row and peaks in the propagator build.
+DIAGONAL_HEAP_EXCEPTIONS = {1: 1.625, 9: 1.5, 10: 2.125}
 
 
 @pytest.mark.parametrize("num_sites", range(1, 11))
@@ -116,7 +119,7 @@ def test_circuit_matches_oracle_along_the_cap_diagonal(num_sites):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= DIAGONAL_HEAP_EXCEPTIONS.get(num_sites, 1.75) * working
+    assert peak <= DIAGONAL_HEAP_EXCEPTIONS.get(num_sites, 1.15) * working
     reference = exact_outcome_distribution(transition_weights(ham, obs, ensemble), num_bits, 0.05)
     assert distribution_distance(circuit, reference, "total_variation") <= 1e-10
 
@@ -244,8 +247,8 @@ def test_run_qpe_rejects_a_non_finite_register_state():
 
 
 def test_run_qpe_heap_peak_is_one_working_array():
-    # The branches are filled in doubling order and transformed in place: the
-    # peak is the working array, a half-size temporary and the propagators.
+    # The branches are filled in doubling order, multiplied and transformed in
+    # place: the peak is the working array, one block and the propagators.
     num_sites, num_bits = 5, 8
     ham = random_hermitian(num_sites, seed=5)
     prepared = thermal_operator_state(random_hermitian(num_sites, seed=6), None, INFINITE_TEMPERATURE)
@@ -257,7 +260,21 @@ def test_run_qpe_heap_peak_is_one_working_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.75 * working
+    propagator = 4**num_sites * 16
+    assert peak <= working + qpe._BLOCK_BYTES + 4 * propagator
+
+
+def test_run_qpe_bytes_do_not_depend_on_the_block_size(monkeypatch):
+    # One register row per block, three (which does not divide 2**l), and the
+    # default, which splits this working array into four blocks.
+    num_sites, num_bits = 4, 10
+    ham = random_hermitian(num_sites, seed=8)
+    prepared = thermal_operator_state(random_hermitian(num_sites, seed=9), None, INFINITE_TEMPERATURE)
+    default = run_qpe(prepared, ham, num_bits, 0.2).probabilities
+    assert qpe._BLOCK_BYTES == (1 << num_bits) * 4**num_sites * 16 // 4
+    for rows in (1, 3):
+        monkeypatch.setattr(qpe, "_BLOCK_BYTES", rows * 4**num_sites * 16)
+        np.testing.assert_array_equal(run_qpe(prepared, ham, num_bits, 0.2).probabilities, default)
 
 
 def test_run_qpe_is_deterministic():

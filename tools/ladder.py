@@ -8,8 +8,8 @@ Every invocation runs ``qspec.cli.main`` in this process, with one BLAS
 thread, and writes its artifacts under ``OUTDIR/<name>/``.  ``OUTDIR/manifest.json``
 then holds, per invocation, the config, the exit code, the stderr line (with
 the literal ``OUTDIR`` in place of that path), the sha256 of each CSV and of
-``spectrum.json``, ``report.json`` with its timings, versions and output
-path removed, and for ``plan``, which writes no file, its stdout line.
+``spectrum.json``, ``report.json`` with its timings, peak RSS, versions and
+output path removed, and for ``plan``, which writes no file, its stdout line.
 ``SRC`` (default: the ``src`` directory of this checkout) is where ``qspec``
 is imported from, so two trees are compared by running the ladder once
 against each and diffing the manifests::
@@ -197,7 +197,7 @@ def invocations():
 def _normalized_report(path: Path) -> dict:
     report = json.loads(path.read_text())
     report["config"].pop("output_dir", None)
-    for key in ("timings", "package_version", "numpy_version", "python_version"):
+    for key in ("timings", "peak_rss_mb", "package_version", "numpy_version", "python_version"):
         report["metadata"].pop(key, None)
     return report
 
