@@ -5,7 +5,7 @@ Subcommands:
 * ``run``       full pipeline from a JSON config (prep, phase estimation,
                 oracle comparison, sampling, CSV + JSON artifacts).
 * ``prepstudy`` acceptance probability and fidelity over an angle grid for
-                the four synthetic eigenvalue laws.
+                the four synthetic eigenvalue laws, on their sampled spectra.
 * ``oracle``    reference spectrum only, from the same config format:
                 ``spectrum.csv`` and ``spectrum.json`` (gamma, ensemble and
                 the CSV's sha256).
@@ -14,7 +14,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration error (among them an observable that
 annihilates the ensemble's base state, and an output path that cannot be
-used), 2 resource cap exceeded, 3 circuit preparation exhausted its attempt
+used), 2 resource cap exceeded (for ``prepstudy``, checked before the grid is
+allocated: more than ``MAX_SITES`` sites, or more than ``2**QUBIT_CAP``
+angles), 3 circuit preparation exhausted its attempt
 budget, 4 any other error the package detects while running.  Every failure
 prints one line to stderr.
 
@@ -39,10 +41,12 @@ from .models import (
     DISTRIBUTION_KINDS,
     EigenvalueDistribution,
     build_operator,
-    synthetic_diagonal_observable,
+    check_sites,
+    synthetic_eigenvalues,
 )
 from .oracle import spectral_function, transition_weights
 from .qpe import plan_resolution
+from .simcore import QUBIT_CAP
 from .stateprep import acceptance_probability, preparation_fidelity
 
 EXIT_OK = 0
@@ -110,15 +114,20 @@ def _cmd_prepstudy(args: argparse.Namespace) -> int:
     if args.num_sites < 1:
         raise ConfigError(f"prepstudy needs --num-sites >= 1, got {args.num_sites}")
     out = Path(check_output_dir(args.out, "--out"))
+    check_sites(args.num_sites)
+    if args.phi_points > 1 << QUBIT_CAP:
+        raise ResourceCapError(f"prepstudy grid of {args.phi_points} angles exceeds the cap of 2**{QUBIT_CAP}")
+    dim = 1 << args.num_sites
     phis = np.linspace(args.phi_max / args.phi_points, args.phi_max, args.phi_points)
+    q = np.full(dim, 1.0 / dim)
     p1, fidelity = [], []
     for index, kind in enumerate(DISTRIBUTION_KINDS):
-        dist = EigenvalueDistribution(kind, 1.0)
-        observable = synthetic_diagonal_observable(
-            dist, args.num_sites, np.random.SeedSequence(args.seed, spawn_key=(_SYNTH_KEY, index))
+        vals = synthetic_eigenvalues(
+            EigenvalueDistribution(kind, 1.0), args.num_sites,
+            np.random.SeedSequence(args.seed, spawn_key=(_SYNTH_KEY, index)),
         )
-        p1 += [acceptance_probability(observable, float(phi)) for phi in phis]
-        fidelity += [preparation_fidelity(observable, float(phi)) for phi in phis]
+        p1 += [acceptance_probability(vals, q, float(phi)) for phi in phis]
+        fidelity += [preparation_fidelity(vals, q, float(phi)) for phi in phis]
     rows = len(p1)
     write_csv(out / "prepstudy.csv", {
         "phi": np.tile(phis, len(DISTRIBUTION_KINDS)), "P1": p1, "fidelity": fidelity,

@@ -4,9 +4,9 @@ Models are written as sums of Pauli strings and compiled to dense Hermitian
 matrices.  A Pauli string has one nonzero entry per column, so each term is
 compiled from its X/Y flip mask, Z/Y sign mask and ``i**(#Y)`` phase in
 O(2**N), never as a Kronecker product.  Chains use open boundary
-conditions.  Synthetic diagonal observables draw their eigenvalues from one
-of four symmetric laws (semicircle, uniform, arcsine, gaussian) and are
-shifted traceless.
+conditions.  Synthetic observables are spectra only: eigenvalues drawn from
+one of four symmetric laws (semicircle, uniform, arcsine, gaussian), shifted
+traceless and sorted, with no matrix built.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 from .errors import ResourceCapError
 from .simcore import HermitianOperator
 
-#: Largest chain compiled to a dense matrix (doubled-system use stays in cap).
+#: Largest chain compiled to a dense matrix or drawn as a synthetic spectrum
+#: (doubled-system use stays in cap).
 MAX_SITES = 11
 
 _PAULI = "IXYZ"
@@ -69,6 +70,12 @@ class ModelSpec:
         }
 
 
+def check_sites(num_sites: int) -> None:
+    """Reject a chain longer than ``MAX_SITES``."""
+    if num_sites > MAX_SITES:
+        raise ResourceCapError(f"{num_sites} sites exceed the dense-matrix cap of {MAX_SITES}")
+
+
 def build_operator(spec: ModelSpec) -> HermitianOperator:
     """Compile the Pauli sum to a dense matrix (real coefficients keep it Hermitian).
 
@@ -78,10 +85,7 @@ def build_operator(spec: ModelSpec) -> HermitianOperator:
     and the sum is accumulated in float64: the same float sums as the real
     part of a complex accumulation, at half its memory.
     """
-    if spec.num_sites > MAX_SITES:
-        raise ResourceCapError(
-            f"{spec.num_sites} sites exceed the dense-matrix cap of {MAX_SITES}"
-        )
+    check_sites(spec.num_sites)
     n = spec.num_sites
     dim = 1 << n
     idx = np.arange(dim)
@@ -192,15 +196,10 @@ def sample_eigenvalues(dist: EigenvalueDistribution, size: int, rng: np.random.G
     return p * (2.0 * rng.beta(1.5, 1.5, size) - 1.0)
 
 
-def synthetic_diagonal_observable(
-    dist: EigenvalueDistribution, num_sites: int, seed: int
-) -> HermitianOperator:
-    """Diagonal observable with 2**N seeded i.i.d. eigenvalues, shifted traceless."""
-    if num_sites > MAX_SITES:
-        raise ResourceCapError(
-            f"{num_sites} sites exceed the dense-matrix cap of {MAX_SITES}"
-        )
-    rng = np.random.default_rng(seed)
-    vals = sample_eigenvalues(dist, 1 << num_sites, rng)
-    vals = vals - vals.mean()
-    return HermitianOperator(np.diag(vals))
+def synthetic_eigenvalues(
+    dist: EigenvalueDistribution, num_sites: int, seed: int | np.random.SeedSequence
+) -> np.ndarray:
+    """Sorted spectrum of a synthetic observable: 2**N seeded i.i.d. draws, shifted traceless."""
+    check_sites(num_sites)
+    vals = sample_eigenvalues(dist, 1 << num_sites, np.random.default_rng(seed))
+    return np.sort(vals - vals.mean())

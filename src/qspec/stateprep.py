@@ -16,6 +16,10 @@ base state.  Keeping the identity part in the numerator makes F exactly
 ensemble is at finite temperature; it reduces to ``|<O U(phi)>|^2``
 whenever ``<O> = 0``.
 
+The closed forms are functions of the occupied spectrum ``(vals, q)``: O's
+eigenvalues and their probabilities in the base state, which
+``spectral_weights`` resolves once from the operator, ensemble and Hamiltonian.
+
 Only the ``|1>`` branch is built; its squared norm is P1 exactly, and the
 ``|0>`` branch holds the rest, ``1 - P1``.  The seeded draw only decides
 at which attempt an end-to-end run accepts.  The circuit is deterministic
@@ -100,64 +104,46 @@ def is_traceless(operator: HermitianOperator) -> bool:
     return bool(abs(np.trace(operator.matrix).real) / operator.dim <= TRACE_TOL)
 
 
-def _eigen_weights(
+def spectral_weights(
     operator: HermitianOperator,
-    ensemble: EnsembleSpec,
-    hamiltonian: HermitianOperator | None,
+    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
+    hamiltonian: HermitianOperator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of O and their occupation probabilities in the base state."""
+    """Eigenvalues of O and their occupation probabilities q in the ensemble's base state.
+
+    The one reader of the (operator, ensemble, Hamiltonian) triple: an O that
+    annihilates the base state is rejected here (see ``purify.M2_RTOL``).
+    """
     eig_o = operator.eig
+    vals = eig_o.eigenvalues
     if ensemble.kind == "infinite_temperature":
-        return eig_o.eigenvalues, np.full(operator.dim, 1.0 / operator.dim)
-    if hamiltonian is None:
+        q = np.full(operator.dim, 1.0 / operator.dim)
+    elif hamiltonian is None:
         raise ValueError(f"{ensemble.kind} expectations require the Hamiltonian")
-    eig_h = hamiltonian.eig
-    pops = ensemble_populations(eig_h, ensemble)
-    amp = eig_o.eigenvectors.conj().T @ eig_h.eigenvectors
-    q = (np.abs(amp) ** 2) @ pops
-    return eig_o.eigenvalues, q
+    else:
+        eig_h = hamiltonian.eig
+        amp = eig_o.eigenvectors.conj().T @ eig_h.eigenvectors
+        q = (np.abs(amp) ** 2) @ ensemble_populations(eig_h, ensemble)
+    reject_annihilation(float(q @ vals**2), float(np.mean(vals**2)), ensemble)
+    return vals, q
 
 
-def _second_moment(vals: np.ndarray, q: np.ndarray, ensemble: EnsembleSpec) -> float:
-    """<O^2>; rejected when O annihilates the base state (see ``purify.M2_RTOL``)."""
-    m2 = float(q @ vals**2)
-    reject_annihilation(m2, float(np.mean(vals**2)), ensemble)
-    return m2
+def moments(vals: np.ndarray, q: np.ndarray) -> MomentSet:
+    """<O^2>, <O^3>, <O^4> over the eigenvalues ``vals`` occupied with probabilities ``q``."""
+    return MomentSet(float(q @ vals**2), float(q @ vals**3), float(q @ vals**4))
 
 
-def moments(
-    operator: HermitianOperator,
-    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-    hamiltonian: HermitianOperator | None = None,
-) -> MomentSet:
-    """<O^2>, <O^3>, <O^4> in the ensemble's base state."""
-    vals, q = _eigen_weights(operator, ensemble, hamiltonian)
-    return MomentSet(_second_moment(vals, q, ensemble), float(q @ vals**3), float(q @ vals**4))
-
-
-def acceptance_probability(
-    operator: HermitianOperator,
-    phi: float,
-    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-    hamiltonian: HermitianOperator | None = None,
-) -> float:
-    """Exact postselection probability <sin^2(phi*O/2)> in the base state."""
-    vals, q = _eigen_weights(operator, ensemble, hamiltonian)
+def acceptance_probability(vals: np.ndarray, q: np.ndarray, phi: float) -> float:
+    """Exact postselection probability <sin^2(phi*O/2)> over the occupied spectrum."""
     return float(q @ np.sin(0.5 * phi * vals) ** 2)
 
 
-def preparation_fidelity(
-    operator: HermitianOperator,
-    phi: float,
-    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-    hamiltonian: HermitianOperator | None = None,
-) -> float:
+def preparation_fidelity(vals: np.ndarray, q: np.ndarray, phi: float) -> float:
     """Squared overlap of the accepted branch with the target operator state."""
     if phi == 0.0:
         raise DegenerateAngleError("fidelity is undefined at phi = 0")
-    vals, q = _eigen_weights(operator, ensemble, hamiltonian)
     numerator = abs(np.sum(q * vals * (1.0 - np.exp(1j * phi * vals)))) ** 2
-    m2 = _second_moment(vals, q, ensemble)
+    m2 = float(q @ vals**2)
     branch = float(q @ (2.0 - 2.0 * np.cos(phi * vals)))
     if branch <= 1e-24:
         raise DegenerateAngleError("accepted branch has zero norm at this angle")
@@ -182,7 +168,7 @@ def simulate_prep_circuit(
         raise ResourceCapError(f"prep circuit needs {n + 1} qubits, cap is {QUBIT_CAP}")
 
     matrix = base.amplitudes.reshape(operator.dim, operator.dim)
-    rotation = operator.eig.apply_function(lambda v: np.exp(1j * phi * v))
+    rotation = operator.eig.propagator(phi)
     branch = (matrix - rotation @ matrix) / 2
     p1 = float(np.linalg.norm(branch) ** 2)
     if p1 <= 1e-24:
@@ -209,9 +195,10 @@ def run_prep_circuit(
     ``(1,)`` of ``seed``.  ``accepted`` is ``K <= max_attempts`` and the
     recorded attempts are ``min(K, max_attempts)``.
     """
-    ms = moments(operator, ensemble, hamiltonian)
+    vals, q = spectral_weights(operator, ensemble, hamiltonian)
+    ms = moments(vals, q)
     phi = choose_phi(ms, epsilon)
-    bound = success_probability_bound(operator, ms, epsilon)
+    bound = success_probability_bound(vals, ms, epsilon)
     p1, post, fidelity = simulate_prep_circuit(operator, phi, ensemble, hamiltonian)
     u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_PREP_KEY,))).random()
     # At the chosen angle P1 <= predicted_p1 <= epsilon/4 < 1/4, so log1p(-P1) is finite and negative.
@@ -229,16 +216,16 @@ def choose_phi(ms: MomentSet, epsilon: float) -> float:
     return math.sqrt(epsilon * ms.m2 / ms.m4)
 
 
-def success_probability_bound(operator: HermitianOperator, ms: MomentSet, epsilon: float) -> SuccessBound:
+def success_probability_bound(vals: np.ndarray, ms: MomentSet, epsilon: float) -> SuccessBound:
     """Predicted P1 at the chosen angle and the chain of spectral lower bounds.
 
-    ``ms`` holds O's moments in the base state.  At phi^2 = eps*m2/m4 the
+    ``vals`` are O's eigenvalues, ``vals.size`` its dimension, and ``ms`` its
+    moments in the base state.  At phi^2 = eps*m2/m4 the
     exact P1 = <sin^2(phi*O/2)> lies at most phi^4*m4/48 below phi^2*m2/4, so
     predicted_p1 = eps*m2^2/(4*m4) >= eps*m2/(4*o_max^2) >= eps*(rank/dim)*(o_min/o_max)^2/4.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    vals = operator.eig.eigenvalues
     magnitudes = np.abs(vals)
     o_max = float(magnitudes.max())  # positive: MomentSet rejects a zero second moment
     nonzero = magnitudes[magnitudes > 1e-12 * o_max]
@@ -247,7 +234,7 @@ def success_probability_bound(operator: HermitianOperator, ms: MomentSet, epsilo
     return SuccessBound(
         predicted_p1=epsilon * ms.m2**2 / ms.m4 / 4,
         spectral_bound=epsilon * ms.m2 / o_max**2 / 4,
-        rank_bound=epsilon * rank / operator.dim * (o_min / o_max) ** 2 / 4,
+        rank_bound=epsilon * rank / vals.size * (o_min / o_max) ** 2 / 4,
         o_max=o_max,
         o_min=o_min,
         rank=rank,

@@ -12,7 +12,7 @@ from helpers import directed_transitions, leakage_row, preset_observable, random
 from qspec.models import (
     EigenvalueDistribution,
     build_operator,
-    synthetic_diagonal_observable,
+    synthetic_eigenvalues,
     tilted_ising,
 )
 from qspec.oracle import distribution_distance, exact_outcome_distribution, transition_weights
@@ -31,6 +31,7 @@ from qspec.stateprep import (
     moments,
     preparation_fidelity,
     simulate_prep_circuit,
+    spectral_weights,
 )
 
 LAWS = ("semicircle", "uniform", "arcsine", "gaussian")
@@ -56,11 +57,11 @@ def test_criterion_1_moment_ratio_constants():
     worst_mc = 0.0
     phi = 1e-2
     for index, kind in enumerate(LAWS):
-        op = synthetic_diagonal_observable(EigenvalueDistribution(kind, 1.0), 10, seed=index)
-        ms = moments(op)
-        vals = np.real(np.diag(op.matrix))
+        vals = synthetic_eigenvalues(EigenvalueDistribution(kind, 1.0), 10, seed=index)
+        q = np.full(vals.size, 1.0 / vals.size)
+        ms = moments(vals, q)
         p1 = float(np.mean(np.sin(phi * vals / 2) ** 2))
-        fidelity = preparation_fidelity(op, phi)
+        fidelity = preparation_fidelity(vals, q, phi)
         ratio = p1 / (1 - fidelity)
         predicted = ms.m2**2 / (ms.m4 - ms.m3**2 / ms.m2)
         worst_mc = max(worst_mc, abs(ratio - predicted))
@@ -165,6 +166,7 @@ def test_criterion_5_state_prep_closed_forms():
     worst_consistency = 0.0
     worst_fidelity = 1.0
     for obs in presets:
+        spectrum = spectral_weights(obs)
         for phi in (0.05, 0.3, 1.1):
             p1, _, fidelity = simulate_prep_circuit(obs, phi)
             vals = np.real(np.linalg.eigvalsh(obs.matrix))
@@ -172,10 +174,10 @@ def test_criterion_5_state_prep_closed_forms():
             worst_consistency = max(
                 worst_consistency,
                 abs(p1 - p1_closed),
-                abs(fidelity - preparation_fidelity(obs, phi)),
+                abs(fidelity - preparation_fidelity(*spectrum, phi)),
             )
-        phi_star = choose_phi(moments(obs), 0.01)
-        worst_fidelity = min(worst_fidelity, preparation_fidelity(obs, phi_star))
+        phi_star = choose_phi(moments(*spectrum), 0.01)
+        worst_fidelity = min(worst_fidelity, preparation_fidelity(*spectrum, phi_star))
     passed = worst_consistency <= 1e-10 and worst_fidelity >= 1 - 0.012
     _report(
         5,

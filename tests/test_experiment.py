@@ -19,9 +19,18 @@ import qspec
 from qspec import experiment, oracle, purify, stateprep
 from qspec.cli import main
 from qspec.errors import ConfigError, PrepExhaustedError, ResourceCapError
-from qspec.experiment import run_experiment, validate_config
-from qspec.models import build_operator, heisenberg, observable_spec, tilted_ising
-from qspec.stateprep import choose_phi, moments
+from qspec.experiment import run_experiment, validate_config, write_csv
+from qspec.models import (
+    DISTRIBUTION_KINDS,
+    EigenvalueDistribution,
+    build_operator,
+    heisenberg,
+    observable_spec,
+    sample_eigenvalues,
+    tilted_ising,
+)
+from qspec.simcore import HermitianOperator
+from qspec.stateprep import acceptance_probability, choose_phi, moments, preparation_fidelity, spectral_weights
 
 TWO_LEVEL = {
     "model": {"N": 1, "terms": [{"coefficient": 1.0, "factors": "Z"}]},
@@ -655,14 +664,15 @@ def test_run_builds_the_purified_state_once(tmp_path, monkeypatch, ensemble, pre
 
 
 def test_circuit_prep_builds_each_fact_once(tmp_path, monkeypatch):
-    # One preparation call simulates the circuit once; one moment set (one O/H
-    # overlap) feeds the angle and the success bound, and one base state feeds
-    # both the circuit and its fidelity target.
+    # One preparation call simulates the circuit once; one occupied spectrum
+    # (one O/H overlap) gives the one moment set that feeds the angle and the
+    # success bound, and one base state feeds both the circuit and its
+    # fidelity target.
     owners = {
         "run_prep_circuit": stateprep,
         "simulate_prep_circuit": stateprep,
         "moments": stateprep,
-        "_eigen_weights": stateprep,
+        "spectral_weights": stateprep,
         "base_state": purify,
         "operator_state": purify,
     }
@@ -698,7 +708,7 @@ def _closed_form_reference(config):
     """
     hamiltonian = build_operator(config.model)
     observable = build_operator(config.observable)
-    phi = choose_phi(moments(observable, config.ensemble, hamiltonian), config.prep.epsilon)
+    phi = choose_phi(moments(*spectral_weights(observable, config.ensemble, hamiltonian)), config.prep.epsilon)
     simulated = stateprep.simulate_prep_circuit(observable, phi, config.ensemble, hamiltonian)
     u = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,))).random()
     first = max(1, math.ceil(math.log1p(-u) / math.log1p(-simulated[0])))
@@ -830,7 +840,7 @@ def test_cli_prep_exhaustion_prints_a_tiny_acceptance_probability(tmp_path, caps
     path = write_config(tmp_path, document)
     assert main(["run", "--config", str(path)]) == 3
     observable = build_operator(observable_spec("total_sz", 3))
-    phi = choose_phi(moments(observable), 1e-6)
+    phi = choose_phi(moments(*spectral_weights(observable)), 1e-6)
     p1 = stateprep.simulate_prep_circuit(observable, phi)[0]
     assert 0 < p1 < 5e-7
     assert capsys.readouterr().err == (
@@ -1137,6 +1147,70 @@ def test_cli_prepstudy_writes_expected_columns(tmp_path):
     fields = rows[1].split(",")
     assert fields[3] == "semicircle"
     assert fields[4] == "6"
+
+
+def _operator_route_prepstudy(path, num_sites, seed, phi_max=3.0, phi_points=60):
+    """``prepstudy.csv`` by the dense route: per law a diagonal operator, its eigh, then the closed forms."""
+    phis = np.linspace(phi_max / phi_points, phi_max, phi_points)
+    p1, fidelity = [], []
+    for index, kind in enumerate(DISTRIBUTION_KINDS):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, index)))
+        draws = sample_eigenvalues(EigenvalueDistribution(kind, 1.0), 1 << num_sites, rng)
+        spectrum = spectral_weights(HermitianOperator(np.diag(draws - draws.mean())))
+        p1 += [acceptance_probability(*spectrum, float(phi)) for phi in phis]
+        fidelity += [preparation_fidelity(*spectrum, float(phi)) for phi in phis]
+    rows = len(p1)
+    write_csv(path, {
+        "phi": np.tile(phis, len(DISTRIBUTION_KINDS)), "P1": p1, "fidelity": fidelity,
+        "distribution": np.repeat(DISTRIBUTION_KINDS, phis.size), "N": [num_sites] * rows, "seed": [seed] * rows,
+    })
+
+
+@pytest.mark.parametrize("num_sites, seed", [(6, 3), (10, 0)])
+def test_cli_prepstudy_matches_the_operator_route_without_eigh(tmp_path, monkeypatch, num_sites, seed):
+    # The study reads the sampled spectra directly: the same bytes as
+    # diagonalizing a dense diagonal operator per law, and no eigh call.
+    _operator_route_prepstudy(tmp_path / "reference.csv", num_sites, seed)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("prepstudy diagonalized a matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    out = tmp_path / "study"
+    assert main(["prepstudy", "--out", str(out), "--num-sites", str(num_sites), "--seed", str(seed)]) == 0
+    assert (out / "prepstudy.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+class _GridBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "num_sites, points, message",
+    [
+        (1, 10**12, "prepstudy grid of 1000000000000 angles exceeds the cap of 2**22"),
+        (1, 2**22 + 1, "prepstudy grid of 4194305 angles exceeds the cap of 2**22"),
+        (12, 10**12, "12 sites exceed the dense-matrix cap of 11"),
+        (11, 2**22, None),
+    ],
+)
+def test_cli_prepstudy_caps_the_grid_before_allocating_it(tmp_path, capsys, monkeypatch, num_sites, points, message):
+    # 10**12 angles used to end in an uncaught _ArrayMemoryError from
+    # np.linspace, and 12 sites were rejected only after it.  The grid may
+    # hold up to 2**QUBIT_CAP angles at any size: 2**22 at N=11 reaches it.
+    def grid(*args, **kwargs):
+        raise _GridBuilt
+
+    monkeypatch.setattr(np, "linspace", grid)
+    out = tmp_path / "study"
+    argv = ["prepstudy", "--out", str(out), "--num-sites", str(num_sites), "--phi-points", str(points)]
+    if message is None:
+        with pytest.raises(_GridBuilt):
+            main(argv)
+        return
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"resource cap: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

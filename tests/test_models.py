@@ -21,7 +21,7 @@ from qspec.models import (
     heisenberg,
     observable_spec,
     sample_eigenvalues,
-    synthetic_diagonal_observable,
+    synthetic_eigenvalues,
     tilted_ising,
 )
 
@@ -203,26 +203,21 @@ def test_model_spec_round_trips_through_dict():
 
 
 def test_gaussian_second_moment():
-    op = synthetic_diagonal_observable(EigenvalueDistribution("gaussian", 1.0), 8, seed=3)
-    m2 = float(np.mean(np.real(np.diag(op.matrix)) ** 2))
-    assert abs(m2 - 1.0) <= 0.05
+    vals = synthetic_eigenvalues(EigenvalueDistribution("gaussian", 1.0), 8, seed=3)
+    assert abs(float(np.mean(vals**2)) - 1.0) <= 0.05
 
 
 def test_uniform_fourth_moment():
-    op = synthetic_diagonal_observable(EigenvalueDistribution("uniform", 1.0), 10, seed=2)
-    m4 = float(np.mean(np.real(np.diag(op.matrix)) ** 4))
-    assert abs(m4 - 0.2) <= 0.01  # 5% of a**4/5 = 0.2
+    vals = synthetic_eigenvalues(EigenvalueDistribution("uniform", 1.0), 10, seed=2)
+    assert abs(float(np.mean(vals**4)) - 0.2) <= 0.01  # 5% of a**4/5 = 0.2
 
 
 def test_synthetic_observable_is_traceless_and_deterministic():
     dist = EigenvalueDistribution("semicircle", 2.0)
-    first = synthetic_diagonal_observable(dist, 6, seed=9)
-    second = synthetic_diagonal_observable(dist, 6, seed=9)
-    np.testing.assert_array_equal(first.matrix, second.matrix)
-    assert abs(np.trace(first.matrix)) <= 1e-10
-    assert not np.array_equal(
-        first.matrix, synthetic_diagonal_observable(dist, 6, seed=10).matrix
-    )
+    first = synthetic_eigenvalues(dist, 6, seed=9)
+    np.testing.assert_array_equal(first, synthetic_eigenvalues(dist, 6, seed=9))
+    assert abs(first.sum()) <= 1e-10
+    assert not np.array_equal(first, synthetic_eigenvalues(dist, 6, seed=10))
 
 
 def test_sampled_laws_respect_their_support():
@@ -250,4 +245,4 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         EigenvalueDistribution("uniform", 0.0)
     with pytest.raises(ResourceCapError):
-        synthetic_diagonal_observable(EigenvalueDistribution("uniform", 1.0), 12, seed=0)
+        synthetic_eigenvalues(EigenvalueDistribution("uniform", 1.0), 12, seed=0)

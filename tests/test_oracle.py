@@ -27,7 +27,7 @@ from helpers import (
 from qspec import oracle
 from qspec.errors import DimensionMismatchError, ZeroNormError, ZeroOperatorError
 from qspec.experiment import write_csv, write_json
-from qspec.models import build_operator, heisenberg, tilted_ising
+from qspec.models import ModelSpec, PauliTerm, build_operator, heisenberg, tilted_ising
 from qspec.oracle import (
     PRUNE_SHARE,
     TransitionTable,
@@ -41,6 +41,7 @@ from qspec.purify import (
     INFINITE_TEMPERATURE,
     ensemble_populations,
     gibbs,
+    ground_state_degeneracy,
     thermal_operator_state,
 )
 from qspec.qpe import PhaseDistribution, run_qpe
@@ -764,6 +765,66 @@ def _weight_moments(table, levels: np.ndarray, order: int = 2) -> np.ndarray:
     return powers.T @ dense_phase_weights(table, levels.size) @ powers
 
 
+def _ground_level_rotation(ham: HermitianOperator, ensemble) -> float:
+    """How far LAPACK may turn the populated subspace: eps * ||H|| / gap_1 in the ground state, else 0.
+
+    The ground-state ensemble populates only the ground level, so its outputs
+    depend on which subspace eigh returns for that level.  A backward-stable
+    eigh turns it toward the next level by up to this angle (Davis-Kahan),
+    gap_1 being the first gap above the level.  The infinite-temperature and
+    Gibbs ensembles weight nearby levels almost alike and need no such term.
+    """
+    levels = ham.eig.eigenvalues
+    level = ground_state_degeneracy(ham.eig)
+    if ensemble.kind != "ground_state" or level == levels.size:
+        return 0.0
+    return np.finfo(float).eps * float(np.max(np.abs(levels))) / float(levels[level] - levels[level - 1])
+
+
+def _check_real_storage_matches_complex(ham, obs, num_bits, delta, ensemble):
+    """Every output of real-stored H and O equals that of the same operators stored complex.
+
+    Besides 1e-12 of rounding, the bounds carry the ground level's turn
+    (``_ground_level_rotation``).  Real and complex storage turn it
+    independently, so their vectors differ by up to 2 theta, and each level
+    sum of weights |<m|O|n>|^2 / g moves by at most 2 ||O||^2 times that:
+    ``drift``.  A normalized distribution moves by at most 2 drift / mass (its
+    sum and the mass both move), the spectral function by drift / (pi gamma)
+    and a weight moment by drift reach**(p+q).
+    """
+    assert ham.matrix.dtype == obs.matrix.dtype == np.float64
+    ham_c, obs_c = complex_copy(ham), complex_copy(obs)
+    try:
+        prepared = thermal_operator_state(obs, ham, ensemble)
+    except (ZeroNormError, ZeroOperatorError):
+        assume(False)
+    prepared_c = thermal_operator_state(obs_c, ham_c, ensemble)
+    assert prepared.amplitudes.dtype == np.float64
+    assert prepared_c.amplitudes.dtype == np.complex128
+    tw, tw_c = transition_weights(ham, obs, ensemble), transition_weights(ham_c, obs_c, ensemble)
+    drift = 4 * _ground_level_rotation(ham, ensemble) * float(np.max(np.abs(obs.eig.eigenvalues))) ** 2
+
+    circuit = run_qpe(prepared, ham, num_bits, delta).probabilities
+    circuit_c = run_qpe(prepared_c, ham_c, num_bits, delta).probabilities
+    assert np.max(np.abs(circuit - circuit_c)) <= 1e-12 + 2 * drift / tw.mass
+    exact = exact_outcome_distribution(tw, num_bits, delta).probabilities
+    exact_c = exact_outcome_distribution(tw_c, num_bits, delta).probabilities
+    assert np.max(np.abs(exact - exact_c)) <= 1e-12 + 2 * drift / tw.mass
+    grid, gamma = np.linspace(-6.0, 6.0, 41), 0.3
+    sigma = spectral_function(tw, grid, gamma).values
+    sigma_c = spectral_function(tw_c, grid, gamma).values
+    assert np.max(np.abs(sigma - sigma_c)) <= 1e-12 + drift / (np.pi * gamma)
+
+    levels, levels_c = ham.eig.eigenvalues, ham_c.eig.eigenvalues
+    assert np.max(np.abs(levels - levels_c)) <= 1e-12
+    reach = max(1.0, float(np.max(np.abs(levels))))
+    tol = (1e-12 + drift) * reach ** np.add.outer(np.arange(3), np.arange(3))
+    assert np.all(np.abs(_weight_moments(tw, levels) - _weight_moments(tw_c, levels_c)) <= tol)
+    if np.min(np.diff(levels), initial=1.0) > 1e-2:  # eigenbasis unique up to signs
+        dim = levels.size
+        assert np.max(np.abs(dense_phase_weights(tw, dim) - dense_phase_weights(tw_c, dim))) <= 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
@@ -775,36 +836,29 @@ def _weight_moments(table, levels: np.ndarray, order: int = 2) -> np.ndarray:
 def test_real_storage_matches_complex_storage(data, num_sites, num_bits, delta, ensemble):
     ham = build_operator(data.draw(real_pauli_sums(num_sites)))
     obs = build_operator(data.draw(real_pauli_sums(num_sites)))
-    assert ham.matrix.dtype == obs.matrix.dtype == np.float64
-    ham_c, obs_c = complex_copy(ham), complex_copy(obs)
-    try:
-        prepared = thermal_operator_state(obs, ham, ensemble)
-    except (ZeroNormError, ZeroOperatorError):
-        assume(False)
-    prepared_c = thermal_operator_state(obs_c, ham_c, ensemble)
-    assert prepared.amplitudes.dtype == np.float64
-    assert prepared_c.amplitudes.dtype == np.complex128
+    _check_real_storage_matches_complex(ham, obs, num_bits, delta, ensemble)
 
-    circuit = run_qpe(prepared, ham, num_bits, delta).probabilities
-    circuit_c = run_qpe(prepared_c, ham_c, num_bits, delta).probabilities
-    assert np.max(np.abs(circuit - circuit_c)) <= 1e-12
-    tw, tw_c = transition_weights(ham, obs, ensemble), transition_weights(ham_c, obs_c, ensemble)
-    exact = exact_outcome_distribution(tw, num_bits, delta).probabilities
-    exact_c = exact_outcome_distribution(tw_c, num_bits, delta).probabilities
-    assert np.max(np.abs(exact - exact_c)) <= 1e-12
-    grid = np.linspace(-6.0, 6.0, 41)
-    sigma = spectral_function(tw, grid, 0.3).values
-    sigma_c = spectral_function(tw_c, grid, 0.3).values
-    assert np.max(np.abs(sigma - sigma_c)) <= 1e-12
 
-    levels, levels_c = ham.eig.eigenvalues, ham_c.eig.eigenvalues
-    assert np.max(np.abs(levels - levels_c)) <= 1e-12
-    reach = max(1.0, float(np.max(np.abs(levels))))
-    tol = 1e-12 * reach ** np.add.outer(np.arange(3), np.arange(3))
-    assert np.all(np.abs(_weight_moments(tw, levels) - _weight_moments(tw_c, levels_c)) <= tol)
-    if np.min(np.diff(levels), initial=1.0) > 1e-2:  # eigenbasis unique up to signs
-        dim = levels.size
-        assert np.max(np.abs(dense_phase_weights(tw, dim) - dense_phase_weights(tw_c, dim))) <= 1e-12
+@pytest.mark.parametrize(
+    "ham_terms, obs_terms",
+    [
+        (((1.0, "IXX"), (1.0, "IXZ"), (2.0**-24, "IIX")), ((1.0, "III"), (1.0, "IZX"))),
+        (((1.0, "III"), (1.0, "IXX"), (2.0**-24, "IIX")), ((1.0, "III"), (1.0, "IYY"))),
+    ],
+)
+def test_real_storage_matches_complex_storage_on_a_barely_split_ground_level(ham_terms, obs_terms):
+    # The property's two counterexamples at --hypothesis-seed=33: the 2**-24 term
+    # splits the ground level by about 1e-7, just above DEGENERACY_RTOL, so its
+    # vectors are ill-conditioned.  Against the old flat 1e-12 the circuit
+    # moved by 5.9e-10 and sigma by 6.2e-9 between real and complex storage;
+    # the ground level's turn theta is 3.7e-9 here.
+    def compile_terms(terms):
+        return build_operator(ModelSpec(3, tuple(PauliTerm(c, f) for c, f in terms)))
+
+    ham, obs = compile_terms(ham_terms), compile_terms(obs_terms)
+    assert ground_state_degeneracy(ham.eig) == 2
+    assert 1e-8 < ham.eig.eigenvalues[2] - ham.eig.eigenvalues[1] < 1e-6
+    _check_real_storage_matches_complex(ham, obs, 1, 1.0, GROUND_STATE)
 
 
 @pytest.mark.parametrize("ensemble", [INFINITE_TEMPERATURE, gibbs(0.7), GROUND_STATE])

@@ -29,7 +29,7 @@ from qspec.purify import (
 )
 from qspec.qpe import run_qpe
 from qspec.simcore import HermitianOperator, overlap, register_distribution
-from qspec.stateprep import moments
+from qspec.stateprep import spectral_weights
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -103,7 +103,7 @@ def test_observable_with_subnormal_squares_is_a_zero_operator(ensemble):
     obs = HermitianOperator(1e-160 * np.kron(PAULI_Z.real, np.eye(2)))
     routes = (
         lambda: thermal_operator_state(obs, ham, ensemble),
-        lambda: moments(obs, ensemble, ham),
+        lambda: spectral_weights(obs, ensemble, ham),
         lambda: transition_weights(ham, obs, ensemble),
     )
     for route in routes:
@@ -121,7 +121,7 @@ def test_subnormal_second_moment_in_the_base_state_is_zero_norm():
     ensemble = gibbs(46.0)
     routes = (
         lambda: thermal_operator_state(obs, ham, ensemble),
-        lambda: moments(obs, ensemble, ham),
+        lambda: spectral_weights(obs, ensemble, ham),
         lambda: transition_weights(ham, obs, ensemble),
     )
     for route in routes:

@@ -14,7 +14,7 @@ from qspec.models import (
     EigenvalueDistribution,
     build_operator,
     heisenberg,
-    synthetic_diagonal_observable,
+    synthetic_eigenvalues,
     tilted_ising,
 )
 from qspec.purify import GROUND_STATE, INFINITE_TEMPERATURE, gibbs
@@ -29,10 +29,12 @@ from qspec.stateprep import (
     preparation_fidelity,
     run_prep_circuit,
     simulate_prep_circuit,
+    spectral_weights,
     success_probability_bound,
 )
 
 PAULI_Z = HermitianOperator(np.diag([1.0, -1.0]))
+Z_SPECTRUM = spectral_weights(PAULI_Z)
 
 LAWS = ("semicircle", "uniform", "arcsine", "gaussian")
 CONSTANTS = {"semicircle": 0.5, "uniform": 5 / 9, "arcsine": 2 / 3, "gaussian": 1 / 3}
@@ -58,6 +60,12 @@ def law_quadrature(kind: str):
     return grid, np.ones(n), np.cos(np.pi * grid)
 
 
+def synthetic_spectrum(kind: str, num_sites: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A unit-parameter law's synthetic eigenvalues with uniform (infinite-temperature) weights."""
+    vals = synthetic_eigenvalues(EigenvalueDistribution(kind, 1.0), num_sites, seed)
+    return vals, np.full(vals.size, 1.0 / vals.size)
+
+
 def law_expect(kind: str, fn) -> complex:
     grid, weight, x = law_quadrature(kind)
     return np.trapezoid(weight * fn(x), grid)
@@ -68,17 +76,17 @@ def law_expect(kind: str, fn) -> complex:
 
 @pytest.mark.parametrize("phi", [0.2, 0.7, 1.5, np.pi / 2, 2.9])
 def test_two_level_acceptance_and_fidelity(phi):
-    assert abs(acceptance_probability(PAULI_Z, phi) - np.sin(phi / 2) ** 2) <= 1e-14
-    assert abs(preparation_fidelity(PAULI_Z, phi) - np.cos(phi / 2) ** 2) <= 1e-14
+    assert abs(acceptance_probability(*Z_SPECTRUM, phi) - np.sin(phi / 2) ** 2) <= 1e-14
+    assert abs(preparation_fidelity(*Z_SPECTRUM, phi) - np.cos(phi / 2) ** 2) <= 1e-14
 
 
 def test_fidelity_at_right_angle_is_half():
-    assert abs(preparation_fidelity(PAULI_Z, np.pi / 2) - 0.5) <= 1e-14
+    assert abs(preparation_fidelity(*Z_SPECTRUM, np.pi / 2) - 0.5) <= 1e-14
 
 
 def test_zero_angle_is_degenerate():
     with pytest.raises(DegenerateAngleError):
-        preparation_fidelity(PAULI_Z, 0.0)
+        preparation_fidelity(*Z_SPECTRUM, 0.0)
     with pytest.raises(DegenerateAngleError):
         simulate_prep_circuit(PAULI_Z, 0.0)
 
@@ -96,8 +104,9 @@ def test_circuit_branch_norms_match_closed_forms(ensemble, needs_ham):
     kwargs = {} if ensemble is None else {"ensemble": ensemble, "hamiltonian": ham}
     phi = 0.43
     p1, _, fidelity = simulate_prep_circuit(op, phi, **kwargs)
-    assert abs(p1 - acceptance_probability(op, phi, **kwargs)) <= 1e-12
-    assert abs(fidelity - preparation_fidelity(op, phi, **kwargs)) <= 1e-10
+    spectrum = spectral_weights(op, **kwargs)
+    assert abs(p1 - acceptance_probability(*spectrum, phi)) <= 1e-12
+    assert abs(fidelity - preparation_fidelity(*spectrum, phi)) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,7 +133,7 @@ def test_simulate_prep_circuit_matches_gate_by_gate_circuit(num_sites, seed, rea
 def test_branch_norms_sum_to_one():
     op = random_hermitian(2, seed=73)
     phi = 1.1
-    p1 = acceptance_probability(op, phi)
+    p1 = acceptance_probability(*spectral_weights(op), phi)
     # The rejected branch carries <cos^2(phi O / 2)>; unitarity forces the sum to 1.
     eig = np.linalg.eigvalsh(op.matrix)
     p0 = float(np.mean(np.cos(phi * eig / 2) ** 2))
@@ -155,7 +164,7 @@ def test_attempts_follow_the_closed_form_until_acceptance_or_budget(seed):
     op = random_real_symmetric(2, seed=75)
     epsilon, budget = 0.5, 8
     outcome = run_prep_circuit(op, epsilon, seed=seed, max_attempts=budget)
-    p1, post, fidelity = simulate_prep_circuit(op, choose_phi(moments(op), epsilon))
+    p1, post, fidelity = simulate_prep_circuit(op, choose_phi(moments(*spectral_weights(op)), epsilon))
     first = _accepting_attempt(seed, p1)
     assert outcome.accepted == (first <= budget)
     assert outcome.stats["attempts"] == min(first, budget)
@@ -231,28 +240,28 @@ def test_accepting_attempt_is_the_same_at_any_budget_from_k(seed, epsilon, spare
 
 
 def test_small_angle_acceptance_remainder_bound():
-    op = random_hermitian(3, seed=75)
-    ms = moments(op)
+    spectrum = spectral_weights(random_hermitian(3, seed=75))
+    ms = moments(*spectrum)
     for phi in (0.05, 0.2, 0.5):
-        p1 = acceptance_probability(op, phi)
+        p1 = acceptance_probability(*spectrum, phi)
         assert abs(p1 - phi**2 * ms.m2 / 4) <= phi**4 * ms.m4 / 48 + 1e-15
 
 
 def test_small_angle_fidelity_coefficient():
-    op = random_real_symmetric(3, seed=76)
-    ms = moments(op)
+    spectrum = spectral_weights(random_real_symmetric(3, seed=76))
+    ms = moments(*spectrum)
     phi = 1e-3
     expansion = 1 - (phi**2 / 4) * (ms.m4 / ms.m2 - ms.m3**2 / ms.m2**2)
-    assert abs(preparation_fidelity(op, phi) - expansion) <= 1e-8
+    assert abs(preparation_fidelity(*spectrum, phi) - expansion) <= 1e-8
 
 
 @settings(max_examples=30, deadline=None)
 @given(phi=st.floats(-3.0, 3.0), seed=st.integers(0, 300))
 def test_acceptance_probability_is_even_and_bounded(phi, seed):
-    op = random_hermitian(2, seed=seed)
-    p1 = acceptance_probability(op, phi)
+    spectrum = spectral_weights(random_hermitian(2, seed=seed))
+    p1 = acceptance_probability(*spectrum, phi)
     assert 0.0 <= p1 <= 1.0
-    assert abs(p1 - acceptance_probability(op, -phi)) <= 1e-14
+    assert abs(p1 - acceptance_probability(*spectrum, -phi)) <= 1e-14
 
 
 # --- angle selection -----------------------------------------------------------------
@@ -265,16 +274,15 @@ def test_choose_phi_for_uniform_law():
 
 
 def test_choose_phi_quarter_epsilon_scaling():
-    op = random_real_symmetric(3, seed=77)
-    ms = moments(op)
+    ms = moments(*spectral_weights(random_real_symmetric(3, seed=77)))
     assert abs(choose_phi(ms, 0.04) / choose_phi(ms, 0.01) - 2.0) <= 1e-12
 
 
 def test_choose_phi_hits_fidelity_target_for_gaussian_synthetic():
-    op = synthetic_diagonal_observable(EigenvalueDistribution("gaussian", 1.0), 8, seed=21)
+    spectrum = synthetic_spectrum("gaussian", 8, seed=21)
     epsilon = 0.01
-    phi = choose_phi(moments(op), epsilon)
-    assert preparation_fidelity(op, phi) >= 1 - 1.1 * epsilon
+    phi = choose_phi(moments(*spectrum), epsilon)
+    assert preparation_fidelity(*spectrum, phi) >= 1 - 1.1 * epsilon
 
 
 def test_choose_phi_meets_target_for_presets():
@@ -286,64 +294,63 @@ def test_choose_phi_meets_target_for_presets():
     )
     for epsilon in (0.1, 0.01):
         for op in presets:
-            phi = choose_phi(moments(op), epsilon)
-            assert preparation_fidelity(op, phi) >= 1 - 1.2 * epsilon
+            spectrum = spectral_weights(op)
+            phi = choose_phi(moments(*spectrum), epsilon)
+            assert preparation_fidelity(*spectrum, phi) >= 1 - 1.2 * epsilon
 
 
 def test_choose_phi_epsilon_range():
     with pytest.raises(ValueError):
-        choose_phi(moments(PAULI_Z), 0.0)
+        choose_phi(moments(*Z_SPECTRUM), 0.0)
     with pytest.raises(ValueError):
-        choose_phi(moments(PAULI_Z), 1.0)
+        choose_phi(moments(*Z_SPECTRUM), 1.0)
 
 
 def test_success_bound_chain_is_ordered():
     for seed in range(4):
-        op = synthetic_diagonal_observable(EigenvalueDistribution("uniform", 1.0), 6, seed=seed)
-        ms = moments(op)
-        bound = success_probability_bound(op, ms, 0.01)
+        vals, q = synthetic_spectrum("uniform", 6, seed=seed)
+        ms = moments(vals, q)
+        bound = success_probability_bound(vals, ms, 0.01)
         assert bound.predicted_p1 >= bound.spectral_bound - 1e-15
         assert bound.spectral_bound >= bound.rank_bound - 1e-15
         assert 0 < bound.o_min <= bound.o_max
         assert bound.rank == 64
         # The realized acceptance at the chosen angle stays above every bound.
         phi = choose_phi(ms, 0.01)
-        assert acceptance_probability(op, phi) >= 0.9 * bound.rank_bound
+        assert acceptance_probability(vals, q, phi) >= 0.9 * bound.rank_bound
 
 
 @pytest.mark.parametrize("case", ["pauli_z", "gaussian", "uniform", "gibbs_ising"])
 def test_predicted_p1_is_the_acceptance_at_the_chosen_angle(case):
     # sin^2 x lies within x^4/3 below x^2, so at phi the exact P1 is within
     # phi^4 m4 / 48 below phi^2 m2 / 4 = predicted_p1.
-    kwargs = {}
     if case == "pauli_z":
-        op = PAULI_Z
+        vals, q = Z_SPECTRUM
     elif case == "gibbs_ising":
-        op = preset_observable("total_sz", 3)
-        kwargs = {"ensemble": gibbs(1.0), "hamiltonian": build_operator(tilted_ising(3))}
+        vals, q = spectral_weights(preset_observable("total_sz", 3), gibbs(1.0), build_operator(tilted_ising(3)))
     else:
-        op = synthetic_diagonal_observable(EigenvalueDistribution(case, 1.0), 6, seed=2)
-    ms = moments(op, **kwargs)
+        vals, q = synthetic_spectrum(case, 6, seed=2)
+    ms = moments(vals, q)
     phi = choose_phi(ms, 0.01)
-    gap = success_probability_bound(op, ms, 0.01).predicted_p1 - acceptance_probability(op, phi, **kwargs)
+    gap = success_probability_bound(vals, ms, 0.01).predicted_p1 - acceptance_probability(vals, q, phi)
     assert 0.0 <= gap <= phi**4 * ms.m4 / 48
 
 
 # --- moment machinery ------------------------------------------------------------
 
 
-def test_moments_of_zero_operator_rejected():
+def test_spectral_weights_of_zero_operator_rejected():
     with pytest.raises(ZeroOperatorError):
-        moments(HermitianOperator(np.zeros((2, 2))))
+        spectral_weights(HermitianOperator(np.zeros((2, 2))))
 
 
-def test_moments_reject_rounding_scale_second_moment():
+def test_spectral_weights_reject_rounding_scale_second_moment():
     # Total S^z annihilates the Heisenberg singlet ground state; the computed
     # m2 is rounding noise (about 1e-33), not a positive moment.
     ham = build_operator(heisenberg(4))
     obs = preset_observable("total_sz", 4)
     with pytest.raises(ZeroOperatorError):
-        moments(obs, GROUND_STATE, ham)
+        spectral_weights(obs, GROUND_STATE, ham)
 
 
 def test_moments_accept_physically_small_second_moment():
@@ -351,7 +358,7 @@ def test_moments_accept_physically_small_second_moment():
     # tiny (about 3e-11) but far above rounding scale.
     ham = build_operator(heisenberg(4))
     obs = preset_observable("total_sz", 4)
-    ms = moments(obs, gibbs(10.0), ham)
+    ms = moments(*spectral_weights(obs, gibbs(10.0), ham))
     assert 1e-12 < ms.m2 < 1e-9
     assert ms.m4 >= ms.m2**2
 
@@ -369,8 +376,9 @@ def test_traced_observable_closed_forms_are_silent_and_exact():
     shifted = HermitianOperator(np.diag([2.0, 0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p1 = acceptance_probability(shifted, 0.4)
-        fidelity = preparation_fidelity(shifted, 0.4)
+        spectrum = spectral_weights(shifted)
+        p1 = acceptance_probability(*spectrum, 0.4)
+        fidelity = preparation_fidelity(*spectrum, 0.4)
     simulated_p1, _, simulated_fidelity = simulate_prep_circuit(shifted, 0.4)
     assert abs(p1 - simulated_p1) <= 1e-12
     assert abs(fidelity - simulated_fidelity) <= 1e-12
@@ -383,7 +391,7 @@ def test_ensemble_moments_match_direct_traces():
     vals, vecs = np.linalg.eigh(ham.matrix)
     rho = (vecs * np.exp(-beta * (vals - vals[0]))) @ vecs.T
     rho /= np.trace(rho)
-    ms = moments(op, gibbs(beta), hamiltonian=ham)
+    ms = moments(*spectral_weights(op, gibbs(beta), hamiltonian=ham))
     for k, got in ((2, ms.m2), (3, ms.m3), (4, ms.m4)):
         direct = np.trace(rho @ np.linalg.matrix_power(op.matrix, k)).real
         assert abs(got - direct) <= 1e-12
@@ -400,8 +408,7 @@ def test_moment_ratio_constants_are_exact():
 
 def test_moment_ratio_monte_carlo_estimate():
     for kind, seed in (("semicircle", 1), ("uniform", 1), ("arcsine", 1), ("gaussian", 8)):
-        op = synthetic_diagonal_observable(EigenvalueDistribution(kind, 1.0), 10, seed=seed)
-        ms = moments(op)
+        ms = moments(*synthetic_spectrum(kind, 10, seed=seed))
         estimate = ms.m2**2 / ms.m4
         assert abs(estimate - CONSTANTS[kind]) <= 0.05 * CONSTANTS[kind]
 
@@ -409,11 +416,11 @@ def test_moment_ratio_monte_carlo_estimate():
 def test_acceptance_rises_from_zero_to_one_half():
     # For a continuous symmetric spectrum the acceptance saturates at 1/2.
     for kind in LAWS:
-        op = synthetic_diagonal_observable(EigenvalueDistribution(kind, 1.0), 8, seed=5)
-        small_grid = [acceptance_probability(op, phi) for phi in (0.02, 0.1, 0.3, 0.6, 1.0)]
+        spectrum = synthetic_spectrum(kind, 8, seed=5)
+        small_grid = [acceptance_probability(*spectrum, phi) for phi in (0.02, 0.1, 0.3, 0.6, 1.0)]
         assert small_grid[0] < 1e-3
         assert all(a < b for a, b in zip(small_grid, small_grid[1:]))
-        assert abs(acceptance_probability(op, 200.0) - 0.5) <= 0.05
+        assert abs(acceptance_probability(*spectrum, 200.0) - 0.5) <= 0.05
 
 
 def test_small_angle_law_against_quadrature():

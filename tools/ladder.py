@@ -27,7 +27,7 @@ no output; the two manifests must be identical::
     python tools/ladder.py /tmp/all_cpus
     diff /tmp/one_cpu/manifest.json /tmp/all_cpus/manifest.json
 
-The ladder (227 invocations):
+The ladder (228 invocations):
 
 * the benchmark workload configs at workload seed 1, plus the ``oracle_grid``
   config under ``run``, and the benchmark's N=2 smoke configs;
@@ -49,8 +49,9 @@ The ladder (227 invocations):
 * ``-0.5 Z`` with ``1e-150 |1><1|`` at Gibbs beta=46 (a subnormal ``<O^2>``)
   under exact ``run``, circuit ``run`` and ``oracle``;
 * a string and a bool observable coefficient under ``run``;
-* ``qspec prepstudy --num-sites 6 --seed 3``, and ``prepstudy`` with the
-  out-of-range seeds ``-1`` and ``2**64``;
+* ``qspec prepstudy --num-sites 6 --seed 3``, ``prepstudy`` with the
+  out-of-range seeds ``-1`` and ``2**64``, and with ``10**12`` angles (past
+  the grid cap);
 * ``I + 1e-6 X`` planned at gamma=1e-11 (l=19, phases past the ``2**18``-turn
   winding bound) under ``run``;
 * ``2**63`` shots under ``run``, and ``run``, ``oracle`` and ``prepstudy``
@@ -181,6 +182,7 @@ def invocations():
     yield "prepstudy/N6/seed3", "prepstudy", ["--num-sites", "6", "--seed", "3"]
     for seed in (-1, 1 << 64):
         yield f"prepstudy/seed{seed}", "prepstudy", ["--seed", str(seed)]
+    yield "prepstudy/grid_cap", "prepstudy", ["--num-sites", "1", "--phi-points", str(10**12)]
     two_level = _config(_pauli_sum(1, [(1.0, "Z")]), _pauli_sum(1, [(1.0, "X")]), ENSEMBLES["infinite"],
                         "exact", {"l": 3, "delta": 0.3})
     yield "shots/2**63/run", "run", {**two_level, "shots": 1 << 63}
