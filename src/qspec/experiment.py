@@ -254,11 +254,15 @@ def _parse_ensemble(obj, path: str) -> EnsembleSpec:
         raise ConfigError(f"{path}: expected an object")
     _reject_unknown(obj, ("kind", "beta"), path)
     kind = _require(obj, "kind", path)
+    if kind == "gibbs":
+        beta = _as_number(_require(obj, "beta", path), f"{path}.beta")
+        try:
+            return EnsembleSpec("gibbs", beta)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.beta: {exc}") from exc
+    if "beta" in obj:
+        raise ConfigError(f"{path}.beta: only the gibbs ensemble takes beta")
     try:
-        if kind == "gibbs":
-            return EnsembleSpec("gibbs", _as_number(_require(obj, "beta", path), f"{path}.beta"))
-        if "beta" in obj:
-            raise ConfigError(f"{path}.beta: only the gibbs ensemble takes beta")
         return EnsembleSpec(kind)
     except ValueError as exc:
         raise ConfigError(f"{path}.kind: {exc}") from exc
@@ -548,7 +552,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.prep.mode == "exact":
         prepared = thermal_operator_state(observable, hamiltonian, config.ensemble)
     else:
-        outcome = run_prep_circuit(observable, config.prep.epsilon, config.ensemble, hamiltonian,
+        outcome = run_prep_circuit(observable, hamiltonian, config.ensemble, config.prep.epsilon,
                                    seed=config.seed, max_attempts=config.prep.max_attempts)
         if not outcome.accepted:
             raise PrepExhaustedError(

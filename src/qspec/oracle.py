@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .purify import INFINITE_TEMPERATURE, EnsembleSpec, ensemble_populations, reject_annihilation
+from .purify import EnsembleSpec, ensemble_populations, reject_annihilation
 from .qpe import PhaseDistribution
 from .simcore import HermitianOperator
 
@@ -113,7 +113,7 @@ class TransitionTable:
 def transition_weights(
     hamiltonian: HermitianOperator,
     operator: HermitianOperator,
-    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
+    ensemble: EnsembleSpec,
 ) -> TransitionTable:
     """The run's one transition table: O in H's eigenbasis once, pruned by mass.
 

@@ -10,13 +10,16 @@ V^dagger`` of its ensemble, with the populations p of
 ``ensemble_populations``: the normalized ``exp(-beta*H/2)`` for Gibbs and,
 for the ground state, the projector onto the ground level over the square
 root of its degeneracy (``psi_0 psi_0^dagger`` when it is one state), the
-beta -> infinity limit of Gibbs.  Uniform p gives the identity
-over sqrt(2**N) in any basis, so the infinite-temperature base state (the
-entangled pair state) is built as that identity, exactly and without a
-Hamiltonian.  Copy b holds conjugated eigenvectors; the circuit evolves
-copy b under -H^T (see ``qpe``), which keeps them eigenstates.  A real
-operator is stored and diagonalized in float64 (see ``simcore``), so real
-H and O give real purified states.
+beta -> infinity limit of Gibbs.  Uniform p gives the identity over
+sqrt(2**N) in any basis, so the infinite-temperature base state (the
+entangled pair state) is built as that identity, exactly and without
+diagonalizing H.  The builders take (operator, Hamiltonian, ensemble) in
+that order, every member required: ``base_state(hamiltonian, ensemble)``,
+and ``thermal_operator_state(operator, hamiltonian, ensemble)``, the one
+builder of the target operator state.  Copy b holds conjugated
+eigenvectors; the circuit evolves copy b under -H^T (see ``qpe``), which
+keeps them eigenstates.  A real operator is stored and diagonalized in
+float64 (see ``simcore``), so real H and O give real purified states.
 """
 
 from __future__ import annotations
@@ -100,27 +103,18 @@ def ensemble_populations(eig: EigenDecomposition, ensemble: EnsembleSpec) -> np.
     return pops
 
 
-def base_state(
-    ensemble: EnsembleSpec,
-    hamiltonian: HermitianOperator | None,
-    num_sites: int,
-) -> StateVector:
+def base_state(hamiltonian: HermitianOperator, ensemble: EnsembleSpec) -> StateVector:
     """The doubled-register state ``rho**(1/2) = V diag(sqrt(p)) V^dagger`` the operator is applied to.
 
-    Infinite temperature needs only the site count: uniform p gives the
-    identity over sqrt(2**N), built directly.  Ground state and Gibbs need
-    the Hamiltonian; a degenerate ground level is populated evenly (see
-    ``ensemble_populations``).
+    Infinite temperature reads only H's size: uniform p gives the identity
+    over sqrt(2**N), built directly without diagonalizing H.  A degenerate
+    ground level is populated evenly (see ``ensemble_populations``).
     """
-    if ensemble.kind != "infinite_temperature":
-        if hamiltonian is None:
-            raise ValueError(f"{ensemble.kind} base state requires the Hamiltonian")
-        num_sites = hamiltonian.num_qubits
+    num_sites = hamiltonian.num_qubits
     if 2 * num_sites > QUBIT_CAP:
         raise ResourceCapError(f"two copies of {num_sites} sites exceed the {QUBIT_CAP}-qubit cap")
     if ensemble.kind == "infinite_temperature":
-        dim = 1 << num_sites
-        matrix = np.eye(dim) / np.sqrt(dim)
+        matrix = np.eye(hamiltonian.dim) / np.sqrt(hamiltonian.dim)
     else:
         eig = hamiltonian.eig
         matrix = eig.apply_function(lambda _: np.sqrt(ensemble_populations(eig, ensemble)))
@@ -146,24 +140,19 @@ def reject_annihilation(second_moment: float, mean_square: float, ensemble: Ense
 
 def thermal_operator_state(
     operator: HermitianOperator,
-    hamiltonian: HermitianOperator | None,
+    hamiltonian: HermitianOperator,
     ensemble: EnsembleSpec,
 ) -> StateVector:
-    """Normalized (O tensor 1) applied to the ensemble's base state.
+    """Normalized (O tensor 1) applied to the ensemble's base state: the target operator state.
 
-    At infinite temperature (``hamiltonian`` may then be None) this is the
-    operator state ``sum_ij O_ij |i>|j> / sqrt(tr O^2)``.
+    At infinite temperature this is ``sum_ij O_ij |i>|j> / sqrt(tr O^2)``.
     """
-    if hamiltonian is not None and hamiltonian.dim != operator.dim:
+    if hamiltonian.dim != operator.dim:
         raise DimensionMismatchError(
             f"operator dim {operator.dim} vs Hamiltonian dim {hamiltonian.dim}"
         )
-    return operator_state(operator, base_state(ensemble, hamiltonian, operator.num_qubits), ensemble)
-
-
-def operator_state(operator: HermitianOperator, base: StateVector, ensemble: EnsembleSpec) -> StateVector:
-    """Normalized (O tensor 1) applied to an already built base state of ``ensemble``."""
     dim = operator.dim
+    base = base_state(hamiltonian, ensemble)
     m = operator.matrix @ base.amplitudes.reshape(dim, dim)
     norm = float(np.linalg.norm(m))
     reject_annihilation(norm * norm, float(np.vdot(operator.matrix, operator.matrix).real) / dim, ensemble)

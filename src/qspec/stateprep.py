@@ -14,11 +14,16 @@ with the target operator state, all expectations taken in the ensemble's
 base state.  Keeping the identity part in the numerator makes F exactly
 ``|<target|accepted>|^2`` even when the observable carries a trace or the
 ensemble is at finite temperature; it reduces to ``|<O U(phi)>|^2``
-whenever ``<O> = 0``.
+whenever ``<O> = 0``.  ``preparation_fidelity`` evaluates it in half-angle
+form, where neither sum cancels at small angles.
 
 The closed forms are functions of the occupied spectrum ``(vals, q)``: O's
 eigenvalues and their probabilities in the base state, which
-``spectral_weights`` resolves once from the operator, ensemble and Hamiltonian.
+``spectral_weights(operator, hamiltonian, ensemble)`` resolves once.  A run
+records F at the chosen angle as ``fidelity_with_target`` from this closed
+form, while P1 is the simulated branch's norm; the target state itself is
+never built.  Every function that reads an operator takes (operator,
+Hamiltonian, ensemble) in that order, every member required.
 
 Only the ``|1>`` branch is built; its squared norm is P1 exactly, and the
 ``|0>`` branch holds the rest, ``1 - P1``.  The seeded draw only decides
@@ -40,17 +45,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateAngleError, ResourceCapError, ZeroOperatorError
+from .errors import DegenerateAngleError, DimensionMismatchError, ResourceCapError, ZeroOperatorError
 from .models import EigenvalueDistribution, analytic_moments
-from .purify import (
-    INFINITE_TEMPERATURE,
-    EnsembleSpec,
-    base_state,
-    ensemble_populations,
-    operator_state,
-    reject_annihilation,
-)
-from .simcore import QUBIT_CAP, HermitianOperator, StateVector, overlap
+from .purify import EnsembleSpec, base_state, ensemble_populations, reject_annihilation
+from .simcore import QUBIT_CAP, HermitianOperator, StateVector
 
 TRACE_TOL = 1e-12
 
@@ -106,20 +104,22 @@ def is_traceless(operator: HermitianOperator) -> bool:
 
 def spectral_weights(
     operator: HermitianOperator,
-    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-    hamiltonian: HermitianOperator | None = None,
+    hamiltonian: HermitianOperator,
+    ensemble: EnsembleSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of O and their occupation probabilities q in the ensemble's base state.
 
-    The one reader of the (operator, ensemble, Hamiltonian) triple: an O that
-    annihilates the base state is rejected here (see ``purify.M2_RTOL``).
+    The closed forms' one reader of the (operator, Hamiltonian, ensemble)
+    triple: an O that annihilates the base state is rejected here (see
+    ``purify.M2_RTOL``).  Infinite temperature occupies every eigenvalue
+    evenly and does not diagonalize H.
     """
+    if hamiltonian.dim != operator.dim:
+        raise DimensionMismatchError(f"operator dim {operator.dim} vs Hamiltonian dim {hamiltonian.dim}")
     eig_o = operator.eig
     vals = eig_o.eigenvalues
     if ensemble.kind == "infinite_temperature":
         q = np.full(operator.dim, 1.0 / operator.dim)
-    elif hamiltonian is None:
-        raise ValueError(f"{ensemble.kind} expectations require the Hamiltonian")
     else:
         eig_h = hamiltonian.eig
         amp = eig_o.eigenvectors.conj().T @ eig_h.eigenvectors
@@ -139,30 +139,34 @@ def acceptance_probability(vals: np.ndarray, q: np.ndarray, phi: float) -> float
 
 
 def preparation_fidelity(vals: np.ndarray, q: np.ndarray, phi: float) -> float:
-    """Squared overlap of the accepted branch with the target operator state."""
-    if phi == 0.0:
-        raise DegenerateAngleError("fidelity is undefined at phi = 0")
-    numerator = abs(np.sum(q * vals * (1.0 - np.exp(1j * phi * vals)))) ** 2
-    m2 = float(q @ vals**2)
-    branch = float(q @ (2.0 - 2.0 * np.cos(phi * vals)))
-    if branch <= 1e-24:
+    """Squared overlap of the accepted branch with the target operator state.
+
+    Evaluated through ``1 - exp(1j*t) = -2j sin(t/2) exp(1j*t/2)`` as
+    ``|<O sin(phi*O/2) exp(1j*phi*O/2)>|^2 / (<O^2> P1)``, whose sums do not
+    cancel at small angles, where ``<2 - 2cos(phi*O)>`` would carry a
+    relative rounding error of about ``1e-16 / (phi*O)^2``.
+    """
+    half = 0.5 * phi * vals
+    sines = np.sin(half)
+    p1 = float(q @ sines**2)
+    if p1 <= 1e-24:
         raise DegenerateAngleError("accepted branch has zero norm at this angle")
-    return float(numerator / (m2 * branch))
+    return float(abs(np.sum(q * vals * sines * np.exp(1j * half))) ** 2 / (float(q @ vals**2) * p1))
 
 
 def simulate_prep_circuit(
     operator: HermitianOperator,
+    hamiltonian: HermitianOperator,
+    ensemble: EnsembleSpec,
     phi: float,
-    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-    hamiltonian: HermitianOperator | None = None,
-) -> tuple[float, StateVector, float]:
+) -> tuple[float, StateVector]:
     """Simulate Hadamard, controlled U = exp(1j*phi*O) on copy a, Hadamard on a fresh ancilla.
 
     The ancilla is folded into the base matrix B, leaving its ``|1>`` branch
-    ``(B - U B)/2``.  Returns the exact, unclipped acceptance probability P1,
-    the normalized accepted branch and its fidelity with the target operator state.
+    ``(B - U B)/2``.  Returns the exact, unclipped acceptance probability P1
+    and the normalized accepted branch.
     """
-    base = base_state(ensemble, hamiltonian, operator.num_qubits)
+    base = base_state(hamiltonian, ensemble)
     n = base.num_qubits
     if n + 1 > QUBIT_CAP:
         raise ResourceCapError(f"prep circuit needs {n + 1} qubits, cap is {QUBIT_CAP}")
@@ -173,17 +177,14 @@ def simulate_prep_circuit(
     p1 = float(np.linalg.norm(branch) ** 2)
     if p1 <= 1e-24:
         raise DegenerateAngleError("rotation angle leaves the accepted branch empty")
-    post = StateVector(n, branch.reshape(-1) / np.sqrt(p1))
-    target = operator_state(operator, base, ensemble)
-    fidelity = min(abs(overlap(target, post)) ** 2, 1.0)
-    return p1, post, fidelity
+    return p1, StateVector(n, branch.reshape(-1) / np.sqrt(p1))
 
 
 def run_prep_circuit(
     operator: HermitianOperator,
+    hamiltonian: HermitianOperator,
+    ensemble: EnsembleSpec,
     epsilon: float,
-    ensemble: EnsembleSpec = INFINITE_TEMPERATURE,
-    hamiltonian: HermitianOperator | None = None,
     *,
     seed: int,
     max_attempts: int,
@@ -193,17 +194,19 @@ def run_prep_circuit(
     The circuit is simulated once; the accepting attempt K is then one draw
     from the geometric law of P1 (module docstring), taken from spawn key
     ``(1,)`` of ``seed``.  ``accepted`` is ``K <= max_attempts`` and the
-    recorded attempts are ``min(K, max_attempts)``.
+    recorded attempts are ``min(K, max_attempts)``; ``fidelity_with_target``
+    is ``preparation_fidelity`` at the chosen angle.
     """
-    vals, q = spectral_weights(operator, ensemble, hamiltonian)
+    vals, q = spectral_weights(operator, hamiltonian, ensemble)
     ms = moments(vals, q)
     phi = choose_phi(ms, epsilon)
     bound = success_probability_bound(vals, ms, epsilon)
-    p1, post, fidelity = simulate_prep_circuit(operator, phi, ensemble, hamiltonian)
+    p1, post = simulate_prep_circuit(operator, hamiltonian, ensemble, phi)
     u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_PREP_KEY,))).random()
     # At the chosen angle P1 <= predicted_p1 <= epsilon/4 < 1/4, so log1p(-P1) is finite and negative.
     first = max(1, math.ceil(math.log1p(-u) / math.log1p(-p1)))
     accepted, attempts = first <= max_attempts, min(first, max_attempts)
+    fidelity = min(preparation_fidelity(vals, q, phi), 1.0)
     stats = dict(phi=phi, epsilon=epsilon, attempts=attempts, acceptance_probability=min(p1, 1.0),
                  fidelity_with_target=fidelity, **asdict(bound), traceless=is_traceless(operator))
     return PrepOutcome(accepted, post if accepted else None, stats)

@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from qspec.models import ModelSpec, PauliTerm, build_operator, observable_spec
 from qspec.oracle import TransitionTable, exact_outcome_distribution
-from qspec.purify import INFINITE_TEMPERATURE, base_state, operator_state, thermal_operator_state
+from qspec.purify import INFINITE_TEMPERATURE, base_state, thermal_operator_state
 from qspec.simcore import (
     HermitianOperator,
     StateVector,
     apply_controlled_unitary,
     apply_unitary,
     basis_state,
-    overlap,
     tensor_product,
 )
 
@@ -27,6 +26,11 @@ def random_state(num_qubits: int, seed: int) -> StateVector:
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
     return StateVector(num_qubits, amps / np.linalg.norm(amps))
+
+
+def at_infinite_temperature(operator: HermitianOperator) -> tuple:
+    """The triple (operator, H = 0, infinite temperature); that base state reads only H's size."""
+    return operator, HermitianOperator(np.zeros((operator.dim, operator.dim))), INFINITE_TEMPERATURE
 
 
 def random_hermitian(num_qubits: int, seed: int) -> HermitianOperator:
@@ -165,14 +169,14 @@ def leakage_row(gap: float, num_bits: int, delta: float) -> np.ndarray:
     return exact_outcome_distribution(table, num_bits, delta).probabilities
 
 
-def gate_by_gate_prep(operator, phi, ensemble=INFINITE_TEMPERATURE, hamiltonian=None):
+def gate_by_gate_prep(operator, hamiltonian, ensemble, phi):
     """The register-level prep circuit that ``simulate_prep_circuit`` replaced.
 
     The ancilla is appended as the least significant qubit: Hadamard, then
     ``exp(1j*phi*O)`` on copy a controlled by it, then Hadamard.  Returns the
-    same ``(P1, accepted branch, fidelity)`` triple.
+    same ``(P1, accepted branch)`` pair.
     """
-    base = base_state(ensemble, hamiltonian, operator.num_qubits)
+    base = base_state(hamiltonian, ensemble)
     ancilla = base.num_qubits
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     state = apply_unitary(tensor_product(base, basis_state(1, 0)), hadamard, (ancilla,))
@@ -181,6 +185,4 @@ def gate_by_gate_prep(operator, phi, ensemble=INFINITE_TEMPERATURE, hamiltonian=
     state = apply_unitary(state, hadamard, (ancilla,))
     accepted = state.amplitudes.reshape(-1, 2)[:, 1]
     p1 = float(np.linalg.norm(accepted) ** 2)
-    post = StateVector(ancilla, accepted / np.sqrt(p1))
-    fidelity = min(abs(overlap(operator_state(operator, base, ensemble), post)) ** 2, 1.0)
-    return p1, post, fidelity
+    return p1, StateVector(ancilla, accepted / np.sqrt(p1))

@@ -8,7 +8,14 @@ import time
 
 import numpy as np
 
-from helpers import directed_transitions, leakage_row, preset_observable, random_hermitian, random_real_symmetric
+from helpers import (
+    at_infinite_temperature,
+    directed_transitions,
+    leakage_row,
+    preset_observable,
+    random_hermitian,
+    random_real_symmetric,
+)
 from qspec.models import (
     EigenvalueDistribution,
     build_operator,
@@ -24,7 +31,7 @@ from qspec.purify import (
     thermal_operator_state,
 )
 from qspec.qpe import plan_resolution, run_qpe, sample_outcomes
-from qspec.simcore import eig_hermitian
+from qspec.simcore import eig_hermitian, overlap
 from qspec.stateprep import (
     choose_phi,
     moment_ratio_constant,
@@ -91,9 +98,10 @@ def test_criterion_2_circuit_oracle_equivalence():
         ham = random_real_symmetric(num_sites, seed=5000 + instance)
         obs = presets[instance % 3](num_sites)
         delta = float(rng.uniform(0.05, 1.0))
-        prepared = thermal_operator_state(obs, None, INFINITE_TEMPERATURE)
+        prepared = thermal_operator_state(obs, ham, INFINITE_TEMPERATURE)
         circuit = run_qpe(prepared, ham, num_bits, delta)
-        reference = exact_outcome_distribution(transition_weights(ham, obs), num_bits, delta)
+        table = transition_weights(ham, obs, INFINITE_TEMPERATURE)
+        reference = exact_outcome_distribution(table, num_bits, delta)
         worst = max(worst, distribution_distance(circuit, reference, "max_abs"))
 
     # The oracle shares no purification code with the circuit, so the other
@@ -127,7 +135,7 @@ def test_criterion_3_golden_rule_identity():
         obs = random_real_symmetric(num_sites, seed=400 + seed)
         eig = eig_hermitian(ham)
         # Purification route, through the actual doubled-register state.
-        state = thermal_operator_state(obs, None, INFINITE_TEMPERATURE)
+        state = thermal_operator_state(obs, ham, INFINITE_TEMPERATURE)
         matrix = state.amplitudes.reshape(obs.dim, obs.dim)
         from_state = np.abs(eig.eigenvectors.conj().T @ matrix @ eig.eigenvectors.conj()) ** 2
         # Direct matrix elements of the observable.
@@ -166,9 +174,12 @@ def test_criterion_5_state_prep_closed_forms():
     worst_consistency = 0.0
     worst_fidelity = 1.0
     for obs in presets:
-        spectrum = spectral_weights(obs)
+        triple = at_infinite_temperature(obs)
+        spectrum = spectral_weights(*triple)
+        target = thermal_operator_state(*triple)
         for phi in (0.05, 0.3, 1.1):
-            p1, _, fidelity = simulate_prep_circuit(obs, phi)
+            p1, post = simulate_prep_circuit(*triple, phi)
+            fidelity = abs(overlap(target, post)) ** 2
             vals = np.real(np.linalg.eigvalsh(obs.matrix))
             p1_closed = float(np.mean(np.sin(phi * vals / 2) ** 2))
             worst_consistency = max(
@@ -204,7 +215,7 @@ def test_criterion_6_resolution_planning():
 
 def test_criterion_7_sampling_fidelity():
     ham = build_operator(tilted_ising(2))
-    prepared = thermal_operator_state(preset_observable("total_sz", 2), None, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(preset_observable("total_sz", 2), ham, INFINITE_TEMPERATURE)
     exact = run_qpe(prepared, ham, 6, np.pi / 16)
     worst = 0.0
     for seed in range(20):
@@ -226,7 +237,7 @@ def test_criterion_8_spectral_peak_agreement():
     span = float(np.ptp(eig_hermitian(ham).eigenvalues))
     delta = 2 * np.pi * (dim // 2 - 1) / (dim * span)  # two-sided band fits without aliasing
     gamma = 2 * np.pi / (delta * dim)
-    table = transition_weights(ham, obs)
+    table = transition_weights(ham, obs, INFINITE_TEMPERATURE)
     dist = exact_outcome_distribution(table, num_bits, delta)
 
     p = dist.probabilities
@@ -260,8 +271,8 @@ def test_criterion_8_spectral_peak_agreement():
 
 def test_criterion_9_ensemble_limits():
     ham = build_operator(tilted_ising(3))
-    pair = base_state(INFINITE_TEMPERATURE, None, 3)
-    worst_pair = float(np.max(np.abs(base_state(gibbs(0.0), ham, 3).amplitudes - pair.amplitudes)))
+    pair = base_state(ham, INFINITE_TEMPERATURE)
+    worst_pair = float(np.max(np.abs(base_state(ham, gibbs(0.0)).amplitudes - pair.amplitudes)))
 
     obs = preset_observable("total_sz", 3)
     num_bits, dim = 6, 64

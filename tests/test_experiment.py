@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import qspec
+from helpers import at_infinite_temperature
 from qspec import experiment, oracle, purify, stateprep
 from qspec.cli import main
 from qspec.errors import ConfigError, PrepExhaustedError, ResourceCapError
@@ -29,6 +30,7 @@ from qspec.models import (
     sample_eigenvalues,
     tilted_ising,
 )
+from qspec.purify import INFINITE_TEMPERATURE
 from qspec.simcore import HermitianOperator
 from qspec.stateprep import acceptance_probability, choose_phi, moments, preparation_fidelity, spectral_weights
 
@@ -168,8 +170,10 @@ def test_cli_non_numeric_coefficient_exits_with_one_line(tmp_path, capsys, comma
             "observable.terms[0].coefficient: must be finite",
         ),
         ({"qpe": {"l": 3, "delta": "HUGE"}}, "qpe.delta: must be finite"),
+        # Was reported under ensemble.kind, which the document got right.
+        ({"ensemble": {"kind": "gibbs", "beta": -1}}, "ensemble.beta: gibbs ensemble needs a finite beta >= 0"),
     ],
-    ids=["factors", "name", "huge_coefficient", "huge_delta"],
+    ids=["factors", "name", "huge_coefficient", "huge_delta", "negative_beta"],
 )
 def test_fields_are_parsed_not_coerced(overrides, message):
     text = json.dumps(dict(TWO_LEVEL, **overrides)).replace('"HUGE"', "1" + "0" * 400)
@@ -260,9 +264,11 @@ def test_package_root_defines_only_its_version():
 #: its test-only surface.  A new one must be added here on purpose.
 TEST_ONLY_NAMES = {
     # purify: the ensembles a caller spells out; the package reads the kind string.
-    "gibbs", "GROUND_STATE",
-    # simcore: the gate-level reference for the doubled-register pipeline.
+    "gibbs", "GROUND_STATE", "INFINITE_TEMPERATURE",
+    # simcore: the gate-level reference for the doubled-register pipeline, and the
+    # overlap that scores a prepared state against its target.
     "basis_state", "tensor_product", "apply_controlled_unitary", "inverse_qft", "register_distribution",
+    "overlap",
     # stateprep: the prep study's analytic small-angle law.
     "moment_ratio_constant", "choose_phi_for_distribution",
 }
@@ -637,19 +643,28 @@ def test_run_decomposes_each_operator_once(tmp_path, monkeypatch, ensemble, prep
     + [({"kind": "gibbs", "beta": 1.0}, {"mode": "circuit", "epsilon": 0.5})],
     ids=["exact-infinite_temperature", "exact-gibbs", "exact-ground_state", "circuit-gibbs"],
 )
-def test_run_builds_the_purified_state_once(tmp_path, monkeypatch, ensemble, prep):
-    # Prep builds it (circuit prep: for the fidelity, on the circuit's own base
-    # state); the oracle reads the closed-form table and never purifies.
-    calls = []
-    build = purify.operator_state
+def test_run_purifies_only_for_exact_prep_and_checks_annihilation_twice(tmp_path, monkeypatch, ensemble, prep):
+    # Exact prep builds the purified state once and checks it; circuit prep
+    # never builds it (its fidelity is the closed form) and checks the occupied
+    # spectrum instead.  The oracle reads the closed-form table, checks it and
+    # never purifies.  Circuit prep once checked a third time, on the target
+    # state it rebuilt for the fidelity.
+    builds, checks = [], []
+    build, check = purify.thermal_operator_state, purify.reject_annihilation
 
-    def counted(*args, **kwargs):
-        calls.append(args)
+    def counted_build(*args, **kwargs):
+        builds.append(args)
         return build(*args, **kwargs)
 
+    def counted_check(*args):
+        checks.append(args)
+        return check(*args)
+
     for module in (purify, experiment, stateprep, oracle):
-        if hasattr(module, "operator_state"):
-            monkeypatch.setattr(module, "operator_state", counted)
+        if hasattr(module, "thermal_operator_state"):
+            monkeypatch.setattr(module, "thermal_operator_state", counted_build)
+        if hasattr(module, "reject_annihilation"):
+            monkeypatch.setattr(module, "reject_annihilation", counted_check)
     config = make_config(
         tmp_path,
         model={"preset": "tilted_ising", "N": 3},
@@ -660,21 +675,21 @@ def test_run_builds_the_purified_state_once(tmp_path, monkeypatch, ensemble, pre
         seed=1,
     )
     run_experiment(config)
-    assert len(calls) == 1
+    assert len(builds) == (prep["mode"] == "exact")
+    assert len(checks) == 2
 
 
 def test_circuit_prep_builds_each_fact_once(tmp_path, monkeypatch):
     # One preparation call simulates the circuit once; one occupied spectrum
-    # (one O/H overlap) gives the one moment set that feeds the angle and the
-    # success bound, and one base state feeds both the circuit and its
-    # fidelity target.
+    # (one O/H overlap) gives the one moment set that feeds the angle, the
+    # success bound and the closed-form fidelity, and one base state feeds
+    # the circuit.
     owners = {
         "run_prep_circuit": stateprep,
         "simulate_prep_circuit": stateprep,
         "moments": stateprep,
         "spectral_weights": stateprep,
         "base_state": purify,
-        "operator_state": purify,
     }
     counts = dict.fromkeys(owners, 0)
     for name, owner in owners.items():
@@ -704,15 +719,16 @@ def _closed_form_reference(config):
     """One circuit simulation and K drawn by inversion of Geometric(P1) from spawn key (1,).
 
     Returns the accepted attempt K (None when K passes the budget) and the
-    simulation's (P1, accepted branch, fidelity).
+    simulation's (P1, accepted branch) with the closed-form fidelity at its angle.
     """
-    hamiltonian = build_operator(config.model)
-    observable = build_operator(config.observable)
-    phi = choose_phi(moments(*spectral_weights(observable, config.ensemble, hamiltonian)), config.prep.epsilon)
-    simulated = stateprep.simulate_prep_circuit(observable, phi, config.ensemble, hamiltonian)
+    triple = build_operator(config.observable), build_operator(config.model), config.ensemble
+    spectrum = spectral_weights(*triple)
+    phi = choose_phi(moments(*spectrum), config.prep.epsilon)
+    p1, post = stateprep.simulate_prep_circuit(*triple, phi)
     u = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,))).random()
-    first = max(1, math.ceil(math.log1p(-u) / math.log1p(-simulated[0])))
-    return (first if first <= config.prep.max_attempts else None), simulated
+    first = max(1, math.ceil(math.log1p(-u) / math.log1p(-p1)))
+    fidelity = min(preparation_fidelity(*spectrum, phi), 1.0)
+    return (first if first <= config.prep.max_attempts else None), (p1, post, fidelity)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -765,7 +781,7 @@ def test_benchmark_prep_batch_exhausts_on_seeds_0_and_2(tmp_path):
     )
     hamiltonian, observable = build_operator(config.model), build_operator(config.observable)
     outcomes = [
-        stateprep.run_prep_circuit(observable, config.prep.epsilon, config.ensemble, hamiltonian,
+        stateprep.run_prep_circuit(observable, hamiltonian, config.ensemble, config.prep.epsilon,
                                    seed=seed, max_attempts=config.prep.max_attempts)
         for seed in range(4)
     ]
@@ -828,20 +844,24 @@ def test_cli_prep_exhaustion_exit_code(tmp_path):
     assert main(["run", "--config", str(path)]) == 3
 
 
-def test_cli_prep_exhaustion_prints_a_tiny_acceptance_probability(tmp_path, capsys):
-    # P1 ~ 1.1e-7 printed as 0.000000 under a fixed six decimals.
+@pytest.mark.parametrize("epsilon", [1e-6, 1e-18])
+def test_cli_prep_exhaustion_prints_a_tiny_acceptance_probability(tmp_path, capsys, epsilon):
+    # P1 ~ 1.1e-7 printed as 0.000000 under a fixed six decimals.  At
+    # epsilon = 1e-18 cos(phi*O) rounds to 1, yet P1 ~ 1e-19 is a positive
+    # branch norm: the run exhausts (exit 3), it does not fail on a fidelity.
     document = {
         "model": {"preset": "tilted_ising", "N": 3},
         "observable": "total_sz",
-        "prep": {"mode": "circuit", "epsilon": 1e-6, "max_attempts": 2},
+        "prep": {"mode": "circuit", "epsilon": epsilon, "max_attempts": 2},
         "qpe": {"l": 3, "delta": 0.3},
         "output_dir": str(tmp_path / "never"),
     }
     path = write_config(tmp_path, document)
     assert main(["run", "--config", str(path)]) == 3
-    observable = build_operator(observable_spec("total_sz", 3))
-    phi = choose_phi(moments(*spectral_weights(observable)), 1e-6)
-    p1 = stateprep.simulate_prep_circuit(observable, phi)[0]
+    observable, hamiltonian = build_operator(observable_spec("total_sz", 3)), build_operator(tilted_ising(3))
+    triple = observable, hamiltonian, INFINITE_TEMPERATURE
+    phi = choose_phi(moments(*spectral_weights(*triple)), epsilon)
+    p1 = stateprep.simulate_prep_circuit(*triple, phi)[0]
     assert 0 < p1 < 5e-7
     assert capsys.readouterr().err == (
         f"preparation exhausted: no acceptance in 2 attempts; exact acceptance probability is {p1:.6g}\n"
@@ -1156,7 +1176,7 @@ def _operator_route_prepstudy(path, num_sites, seed, phi_max=3.0, phi_points=60)
     for index, kind in enumerate(DISTRIBUTION_KINDS):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, index)))
         draws = sample_eigenvalues(EigenvalueDistribution(kind, 1.0), 1 << num_sites, rng)
-        spectrum = spectral_weights(HermitianOperator(np.diag(draws - draws.mean())))
+        spectrum = spectral_weights(*at_infinite_temperature(HermitianOperator(np.diag(draws - draws.mean()))))
         p1 += [acceptance_probability(*spectrum, float(phi)) for phi in phis]
         fidelity += [preparation_fidelity(*spectrum, float(phi)) for phi in phis]
     rows = len(p1)

@@ -62,13 +62,13 @@ def correlation_series(table, times):
 def test_equal_time_correlation_is_second_moment():
     op = random_hermitian(2, seed=3)
     ham = random_hermitian(2, seed=4)
-    (value,) = correlation_series(transition_weights(ham, op), np.array([0.0]))
+    (value,) = correlation_series(transition_weights(ham, op, INFINITE_TEMPERATURE), np.array([0.0]))
     m2 = np.trace(op.matrix @ op.matrix).real / 4
     assert abs(value - m2) <= 1e-12
 
 
 def test_two_level_correlation_is_cosine():
-    table = transition_weights(PAULI_Z, PAULI_X)
+    table = transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE)
     times = np.linspace(-4, 4, 17)
     values = correlation_series(table, times)
     assert np.max(np.abs(values - np.cos(2 * times))) <= 1e-12
@@ -77,7 +77,7 @@ def test_two_level_correlation_is_cosine():
 def test_correlation_conjugate_symmetry():
     ham = random_real_symmetric(2, seed=5)
     op = random_real_symmetric(2, seed=6)
-    table = transition_weights(ham, op)
+    table = transition_weights(ham, op, INFINITE_TEMPERATURE)
     times = np.array([0.3, 1.7])
     forward = correlation_series(table, times)
     backward = correlation_series(table, -times)
@@ -86,7 +86,7 @@ def test_correlation_conjugate_symmetry():
 
 def test_correlation_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        transition_weights(PAULI_Z, HermitianOperator(np.eye(4)))
+        transition_weights(PAULI_Z, HermitianOperator(np.eye(4)), INFINITE_TEMPERATURE)
 
 
 def test_ground_state_correlation_matches_direct_expectation():
@@ -124,7 +124,7 @@ def test_gibbs_correlation_matches_density_matrix_trace():
 def test_two_level_spectrum_closed_form():
     gamma = 0.2
     omega = np.linspace(-4, 4, 201)
-    table = spectral_function(transition_weights(PAULI_Z, PAULI_X), omega, gamma)
+    table = spectral_function(transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE), omega, gamma)
     expected = 0.5 * (gamma / (gamma**2 + (omega - 2) ** 2) + gamma / (gamma**2 + (omega + 2) ** 2))
     np.testing.assert_allclose(table.values, expected, atol=1e-12)
 
@@ -134,7 +134,7 @@ def test_commuting_observable_gives_single_lorentzian_at_zero():
     op = HermitianOperator(np.diag([1.0, -1.0, 2.0, -2.0]))
     gamma = 0.15
     omega = np.linspace(-3, 3, 101)
-    table = spectral_function(transition_weights(ham, op), omega, gamma)
+    table = spectral_function(transition_weights(ham, op, INFINITE_TEMPERATURE), omega, gamma)
     m2 = np.trace(op.matrix @ op.matrix).real / 4
     np.testing.assert_allclose(table.values, m2 * gamma / (gamma**2 + omega**2), atol=1e-12)
 
@@ -145,7 +145,7 @@ def test_spectrum_matches_time_domain_quadrature():
     op = random_real_symmetric(2, seed=13)
     gamma = 1.0
     times = np.linspace(0.0, 40.0 / gamma, 200_001)
-    table = transition_weights(ham, op)
+    table = transition_weights(ham, op, INFINITE_TEMPERATURE)
     series = correlation_series(table, times)
     for omega in (-2.3, 0.0, 0.7, 3.1):
         integrand = np.exp((1j * omega - gamma) * times) * series
@@ -159,8 +159,8 @@ def test_two_level_spectrum_near_the_linewidth_cap():
     # Lorentzian written as (1/gamma) / (1 + (x/gamma)**2) is not.
     scale, gamma = 1e154, 6.25e153
     omega = np.linspace(-3e154, 3e154, 13)
-    table = spectral_function(transition_weights(HermitianOperator(np.array([[0.0, scale], [scale, 0.0]])),
-                                                 PAULI_Z), omega, gamma)
+    ham = HermitianOperator(np.array([[0.0, scale], [scale, 0.0]]))
+    table = spectral_function(transition_weights(ham, PAULI_Z, INFINITE_TEMPERATURE), omega, gamma)
     expected = 0.5 * sum((1 / gamma) / (1 + ((omega - line) / gamma) ** 2) for line in (2 * scale, -2 * scale))
     np.testing.assert_allclose(table.values, expected, rtol=1e-14, atol=0)
 
@@ -170,7 +170,7 @@ def test_overflowing_detunings_take_their_limit_silently():
     # rounding of a line centre, passes the double range, and the true values
     # (gamma / x**2 or less) underflow.  Each term takes its exact limit 0.
     ham = HermitianOperator(np.diag([1e300, -1e300]))
-    table = transition_weights(ham, PAULI_X)
+    table = transition_weights(ham, PAULI_X, INFINITE_TEMPERATURE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = spectral_function(table, np.array([-2.4e300, -2e300, 0.0, 1e300, 2e300]), 1e-150).values
@@ -189,7 +189,7 @@ def test_overflowing_detunings_take_their_limit_silently_on_every_worker(monkeyp
 def test_an_error_in_a_helper_is_raised_by_the_call(monkeypatch):
     monkeypatch.setattr(oracle, "TILE", (1, 1))
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-    table = transition_weights(HermitianOperator(np.diag([1.0, -1.0])), PAULI_X)
+    table = transition_weights(HermitianOperator(np.diag([1.0, -1.0])), PAULI_X, INFINITE_TEMPERATURE)
     points = np.arange(4.0)
     raised_in = []
 
@@ -210,7 +210,7 @@ def test_a_stalled_worker_does_not_hold_up_the_grid(monkeypatch):
     # the other worker can do only if blocks are dealt out as workers ask.
     monkeypatch.setattr(oracle, "TILE", (1, 1))
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-    table = transition_weights(random_hermitian(2, 5), random_real_symmetric(2, 6))
+    table = transition_weights(random_hermitian(2, 5), random_real_symmetric(2, 6), INFINITE_TEMPERATURE)
     points = np.arange(1.0, 6.0)
     others = (2 * points.size - 1) * table.gaps.size
     calls = itertools.count()
@@ -234,7 +234,7 @@ def test_every_tile_is_summed_once_under_frequent_thread_switches(monkeypatch):
     # handed out twice or not at all shows up as a repeated or missing tile.
     monkeypatch.setattr(oracle, "TILE", (1, 1))
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 8)
-    table = transition_weights(random_hermitian(2, 5), random_real_symmetric(2, 6))
+    table = transition_weights(random_hermitian(2, 5), random_real_symmetric(2, 6), INFINITE_TEMPERATURE)
     points = np.arange(1.0, 21.0)
     tiles = []
 
@@ -347,7 +347,7 @@ def test_folded_sums_are_the_same_bytes_at_any_worker_count(monkeypatch, tile):
 def test_spectral_function_rejects_nonpositive_gamma():
     # NaN fails every comparison, so it is caught at the guard, not by the
     # non-finite check on the finished spectrum.
-    table = transition_weights(PAULI_Z, PAULI_X)
+    table = transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE)
     for gamma in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="gamma must be positive"):
             spectral_function(table, np.array([0.0]), gamma)
@@ -359,7 +359,9 @@ def test_spectrum_table_exports_round_trip(tmp_path):
 
     # A spectrum's table goes to disk once, through the package's one CSV writer, which
     # returns the sha256 that the JSON writer records beside gamma.
-    table = spectral_function(transition_weights(PAULI_Z, PAULI_X), np.linspace(-3, 3, 11), 0.4)
+    table = spectral_function(
+        transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE), np.linspace(-3, 3, 11), 0.4
+    )
     digest = write_csv(tmp_path / "spectrum.csv", {"omega": table.frequencies, "sigma": table.values})
     assert digest == hashlib.sha256((tmp_path / "spectrum.csv").read_bytes()).hexdigest()
     rows = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
@@ -387,7 +389,7 @@ def matrix_element_weights(hamiltonian, operator):
 
 
 def test_two_level_golden_rule_weights():
-    weights = dense_phase_weights(transition_weights(PAULI_Z, PAULI_X), 2)
+    weights = dense_phase_weights(transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE), 2)
     np.testing.assert_allclose(weights, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
     np.testing.assert_allclose(weights, matrix_element_weights(PAULI_Z, PAULI_X), atol=1e-12)
 
@@ -395,7 +397,7 @@ def test_two_level_golden_rule_weights():
 def test_commuting_observable_weights_are_diagonal():
     ham = HermitianOperator(np.diag([0.1, 0.9, 1.7, 3.0]))
     op = HermitianOperator(np.diag([1.0, 2.0, -1.0, 0.5]))
-    weights = dense_phase_weights(transition_weights(ham, op), 4)
+    weights = dense_phase_weights(transition_weights(ham, op, INFINITE_TEMPERATURE), 4)
     diag = np.array([1.0, 4.0, 1.0, 0.25])
     np.testing.assert_allclose(weights, np.diag(diag / diag.sum()), atol=1e-12)
 
@@ -403,7 +405,7 @@ def test_commuting_observable_weights_are_diagonal():
 def test_weights_symmetric_for_real_symmetric_inputs():
     ham = random_real_symmetric(3, seed=14)
     op = random_real_symmetric(3, seed=15)
-    weights = dense_phase_weights(transition_weights(ham, op), 8)
+    weights = dense_phase_weights(transition_weights(ham, op, INFINITE_TEMPERATURE), 8)
     assert np.max(np.abs(weights - weights.T)) <= 1e-12
     assert abs(weights.sum() - 1.0) <= 1e-10
 
@@ -414,14 +416,15 @@ def test_purification_route_equals_matrix_elements_route():
     ham = random_real_symmetric(3, seed=16)
     op = random_real_symmetric(3, seed=17)
     eig = eig_hermitian(ham)
-    state = thermal_operator_state(op, None, INFINITE_TEMPERATURE)
+    state = thermal_operator_state(op, ham, INFINITE_TEMPERATURE)
     matrix = state.amplitudes.reshape(8, 8)
     coeffs = eig.eigenvectors.conj().T @ matrix @ eig.eigenvectors
     from_state = np.abs(coeffs) ** 2
     elements = eig.eigenvectors.conj().T @ op.matrix @ eig.eigenvectors
     from_elements = np.abs(elements) ** 2 / np.trace(op.matrix @ op.matrix).real
     assert np.max(np.abs(from_state - from_elements)) <= 1e-10
-    np.testing.assert_allclose(dense_phase_weights(transition_weights(ham, op), 8), from_state, atol=1e-12)
+    table = transition_weights(ham, op, INFINITE_TEMPERATURE)
+    np.testing.assert_allclose(dense_phase_weights(table, 8), from_state, atol=1e-12)
 
 
 def test_ground_state_weights_select_ground_column():
@@ -436,7 +439,7 @@ def test_ground_state_weights_select_ground_column():
 
 def test_weights_reject_zero_operator():
     with pytest.raises(ZeroNormError, match="annihilates the infinite_temperature base state"):
-        transition_weights(PAULI_Z, HermitianOperator(np.zeros((2, 2))))
+        transition_weights(PAULI_Z, HermitianOperator(np.zeros((2, 2))), INFINITE_TEMPERATURE)
 
 
 @settings(max_examples=60, deadline=None)
@@ -600,7 +603,7 @@ def test_kernel_row_is_normalized():
 
 @pytest.mark.parametrize("num_bits", [0, -1])
 def test_outcome_distribution_needs_a_phase_bit(num_bits):
-    table = transition_weights(PAULI_Z, PAULI_X)
+    table = transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE)
     with pytest.raises(ValueError, match="need at least one phase bit"):
         exact_outcome_distribution(table, num_bits, 0.3)
 
@@ -608,7 +611,7 @@ def test_outcome_distribution_needs_a_phase_bit(num_bits):
 @pytest.mark.parametrize("delta", [0.0, -0.5, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])
 def test_outcome_distribution_rejects_a_nonpositive_or_nonfinite_delta(delta):
     # inf and NaN used to reach the bin index and fail there with an IndexError.
-    table = transition_weights(PAULI_Z, PAULI_X)
+    table = transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE)
     with pytest.raises(ValueError, match="delta must be positive and finite"):
         exact_outcome_distribution(table, 3, delta)
 
@@ -637,7 +640,9 @@ def test_outcome_distribution_holds_a_tile_per_worker_not_a_row_per_pair(monkeyp
     # N=6, l=9: a dense (pairs, 2**l) kernel buffer alone would take 4.2 MiB.  The
     # sum holds one tile per worker beside arrays of one entry per pair or per bin.
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-    table = transition_weights(build_operator(tilted_ising(6)), preset_observable("total_sz", 6))
+    table = transition_weights(
+        build_operator(tilted_ising(6)), preset_observable("total_sz", 6), INFINITE_TEMPERATURE
+    )
     assert table.gaps.size * 8 * 2**9 > 4 * 2**20
     exact_outcome_distribution(table, 9, 0.05)
     tracemalloc.start()
@@ -650,14 +655,15 @@ def test_outcome_distribution_holds_a_tile_per_worker_not_a_row_per_pair(monkeyp
 
 
 def test_outcome_distribution_zero_hamiltonian():
-    dist = exact_outcome_distribution(transition_weights(HermitianOperator(np.zeros((2, 2))), PAULI_X), 3, 0.4)
+    table = transition_weights(HermitianOperator(np.zeros((2, 2))), PAULI_X, INFINITE_TEMPERATURE)
+    dist = exact_outcome_distribution(table, 3, 0.4)
     expected = np.zeros(8)
     expected[0] = 1.0
     np.testing.assert_allclose(dist.probabilities, expected, atol=1e-12)
 
 
 def test_outcome_distribution_two_level_lines():
-    dist = exact_outcome_distribution(transition_weights(PAULI_Z, PAULI_X), 3, np.pi / 4)
+    dist = exact_outcome_distribution(transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE), 3, np.pi / 4)
     np.testing.assert_allclose(dist.probabilities[[2, 6]], [0.5, 0.5], atol=1e-12)
     assert abs(dist.probabilities.sum() - 1.0) <= 1e-10
 
@@ -665,8 +671,8 @@ def test_outcome_distribution_two_level_lines():
 def test_outcome_distribution_matches_circuit_on_random_instance():
     ham = random_real_symmetric(3, seed=20)
     obs = preset_observable("total_sz", 3)
-    circuit = run_qpe(thermal_operator_state(obs, None, INFINITE_TEMPERATURE), ham, 5, 0.23)
-    reference = exact_outcome_distribution(transition_weights(ham, obs), 5, 0.23)
+    circuit = run_qpe(thermal_operator_state(obs, ham, INFINITE_TEMPERATURE), ham, 5, 0.23)
+    reference = exact_outcome_distribution(transition_weights(ham, obs, INFINITE_TEMPERATURE), 5, 0.23)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
 
@@ -679,7 +685,7 @@ def test_consistency_triangle_concentration():
     eig = eig_hermitian(ham)
     span = float(eig.eigenvalues[-1] - eig.eigenvalues[0])
     delta = 2 * np.pi * (dim // 2 - 1) / (dim * span)
-    table = transition_weights(ham, obs)
+    table = transition_weights(ham, obs, INFINITE_TEMPERATURE)
     dist = exact_outcome_distribution(table, num_bits, delta)
     flat_gaps, flat_weights = directed_transitions(table)
     flat_weights = flat_weights / table.mass
@@ -710,7 +716,7 @@ def test_spectrum_and_outcome_peaks_coincide():
     span = float(eig.eigenvalues[-1] - eig.eigenvalues[0])
     delta = 2 * np.pi * (dim // 2 - 1) / (dim * span)
     gamma = 2 * np.pi / (delta * dim)
-    transitions = transition_weights(ham, obs)
+    transitions = transition_weights(ham, obs, INFINITE_TEMPERATURE)
     dist = exact_outcome_distribution(transitions, num_bits, delta)
     freqs = dist.frequencies()
     table = spectral_function(transitions, np.sort(freqs), gamma)
@@ -744,7 +750,7 @@ def test_outcome_distribution_matches_kernel_sum(num_sites, num_bits, delta, sca
         energies = np.round(energies) * 2 * np.pi / (delta * dim)
     ham = HermitianOperator(np.diag(energies))
     obs = random_real_symmetric(num_sites, seed)
-    table = transition_weights(ham, obs)
+    table = transition_weights(ham, obs, INFINITE_TEMPERATURE)
     dist = exact_outcome_distribution(table, num_bits, delta)
     # The kernel has period 2**l, so the phase is first reduced modulo 2**l, which fmod does
     # exactly.  Subtracting the bins from the full phase instead rounds it once more when the

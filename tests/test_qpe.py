@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import plus_state, preset_observable, random_hermitian, random_real_symmetric
+from helpers import (
+    at_infinite_temperature,
+    plus_state,
+    preset_observable,
+    random_hermitian,
+    random_real_symmetric,
+)
 from qspec import qpe
 from qspec.errors import DimensionMismatchError, NormalizationError, ResourceCapError
 from qspec.experiment import write_csv, write_json
@@ -38,7 +44,7 @@ PAULI_Z = HermitianOperator(np.diag([1.0, -1.0]))
 
 
 def test_zero_hamiltonian_concentrates_at_zero():
-    prepared = thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(*at_infinite_temperature(PAULI_X))
     dist = run_qpe(prepared, HermitianOperator(np.zeros((2, 2))), 4, 0.3)
     expected = np.zeros(16)
     expected[0] = 1.0
@@ -47,7 +53,7 @@ def test_zero_hamiltonian_concentrates_at_zero():
 
 def test_two_level_lines_land_on_exact_bins():
     # Gaps +-2 at delta = pi/4 and l = 3 give integer bin offsets +-2.
-    dist = run_qpe(thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
+    dist = run_qpe(thermal_operator_state(PAULI_X, PAULI_Z, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
     expected = np.zeros(8)
     expected[2] = 0.5
     expected[6] = 0.5
@@ -62,9 +68,9 @@ def test_circuit_matches_oracle_on_random_instances(seed):
     ham = random_real_symmetric(num_sites, seed=100 + seed)
     obs = preset_observable("total_sz", num_sites)
     delta = float(rng.uniform(0.05, 1.2))
-    prepared = thermal_operator_state(obs, None, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(obs, ham, INFINITE_TEMPERATURE)
     circuit = run_qpe(prepared, ham, num_bits, delta)
-    reference = exact_outcome_distribution(transition_weights(ham, obs), num_bits, delta)
+    reference = exact_outcome_distribution(transition_weights(ham, obs, INFINITE_TEMPERATURE), num_bits, delta)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
 
@@ -73,8 +79,8 @@ def test_circuit_matches_oracle_with_degenerate_spectrum():
     # must not depend on which orthonormal basis the solver picks.
     ham = build_operator(heisenberg(2))
     obs = preset_observable("staggered_sz", 2)
-    circuit = run_qpe(thermal_operator_state(obs, None, INFINITE_TEMPERATURE), ham, 4, 0.43)
-    reference = exact_outcome_distribution(transition_weights(ham, obs), 4, 0.43)
+    circuit = run_qpe(thermal_operator_state(obs, ham, INFINITE_TEMPERATURE), ham, 4, 0.43)
+    reference = exact_outcome_distribution(transition_weights(ham, obs, INFINITE_TEMPERATURE), 4, 0.43)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
 
@@ -127,7 +133,7 @@ def test_circuit_matches_oracle_along_the_cap_diagonal(num_sites):
 def test_frequency_symmetry_at_infinite_temperature():
     ham = random_real_symmetric(2, seed=7)
     obs = preset_observable("site_sz", 2, 0)
-    dist = run_qpe(thermal_operator_state(obs, None, INFINITE_TEMPERATURE), ham, 5, 0.31)
+    dist = run_qpe(thermal_operator_state(obs, ham, INFINITE_TEMPERATURE), ham, 5, 0.31)
     p = dist.probabilities
     for f in range(1, 32):
         assert abs(p[f] - p[32 - f]) <= 1e-10
@@ -146,7 +152,7 @@ def test_controlled_powers_match_repeated_base_steps():
     # exactly exponentiated power used by run_qpe.
     num_sites, num_bits, delta = 2, 3, 0.47
     ham = random_real_symmetric(num_sites, seed=11)
-    prepared = thermal_operator_state(preset_observable("total_sz", num_sites), None, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(preset_observable("total_sz", num_sites), ham, INFINITE_TEMPERATURE)
     copy_a, copy_b, phase = register_positions(num_sites, num_bits)
     state = tensor_product(prepared, plus_state(num_bits))
     eig = eig_hermitian(ham)
@@ -222,7 +228,7 @@ def test_run_qpe_transforms_in_place_off_power_of_two_strides(monkeypatch, num_s
 
 
 def test_run_qpe_rejects_bad_inputs():
-    prepared = thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(PAULI_X, PAULI_Z, INFINITE_TEMPERATURE)
     with pytest.raises(ValueError):
         run_qpe(prepared, PAULI_Z, 3, 0.0)
     with pytest.raises(DimensionMismatchError):
@@ -233,14 +239,14 @@ def test_run_qpe_rejects_bad_inputs():
 
 @pytest.mark.parametrize("delta", [-0.5, float("inf"), float("nan")])
 def test_run_qpe_rejects_a_nonpositive_or_nonfinite_delta(delta):
-    prepared = thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(PAULI_X, PAULI_Z, INFINITE_TEMPERATURE)
     with pytest.raises(ValueError, match="delta must be positive"):
         run_qpe(prepared, PAULI_Z, 3, delta)
 
 
 def test_run_qpe_rejects_a_non_finite_register_state():
     # Phases of 1e310 overflow, so every propagator entry and the norm are NaN.
-    prepared = thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(*at_infinite_temperature(PAULI_X))
     huge = HermitianOperator(np.diag([1e300, -1e300]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NormalizationError):
         run_qpe(prepared, huge, 3, 1e10)
@@ -251,7 +257,7 @@ def test_run_qpe_heap_peak_is_one_working_array():
     # place: the peak is the working array, one block and the propagators.
     num_sites, num_bits = 5, 8
     ham = random_hermitian(num_sites, seed=5)
-    prepared = thermal_operator_state(random_hermitian(num_sites, seed=6), None, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(random_hermitian(num_sites, seed=6), ham, INFINITE_TEMPERATURE)
     ham.eig  # the memoised decomposition is not part of the circuit
     working = (1 << num_bits) * 4**num_sites * 16
     tracemalloc.start()
@@ -269,7 +275,7 @@ def test_run_qpe_bytes_do_not_depend_on_the_block_size(monkeypatch):
     # default, which splits this working array into four blocks.
     num_sites, num_bits = 4, 10
     ham = random_hermitian(num_sites, seed=8)
-    prepared = thermal_operator_state(random_hermitian(num_sites, seed=9), None, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(random_hermitian(num_sites, seed=9), ham, INFINITE_TEMPERATURE)
     default = run_qpe(prepared, ham, num_bits, 0.2).probabilities
     assert qpe._BLOCK_BYTES == (1 << num_bits) * 4**num_sites * 16 // 4
     for rows in (1, 3):
@@ -279,7 +285,7 @@ def test_run_qpe_bytes_do_not_depend_on_the_block_size(monkeypatch):
 
 def test_run_qpe_is_deterministic():
     ham = random_real_symmetric(2, seed=13)
-    prepared = thermal_operator_state(preset_observable("total_sz", 2), None, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(preset_observable("total_sz", 2), ham, INFINITE_TEMPERATURE)
     first = run_qpe(prepared, ham, 4, 0.6)
     second = run_qpe(prepared, ham, 4, 0.6)
     np.testing.assert_array_equal(first.probabilities, second.probabilities)
@@ -289,7 +295,7 @@ def test_run_qpe_is_deterministic():
 
 
 def test_sampling_point_mass_puts_all_shots_there():
-    prepared = thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(*at_infinite_temperature(PAULI_X))
     dist = run_qpe(prepared, HermitianOperator(np.zeros((2, 2))), 3, 0.5)
     empirical = sample_outcomes(dist, shots=1000, seed=4)
     assert empirical.probabilities[0] == 1.0
@@ -297,7 +303,7 @@ def test_sampling_point_mass_puts_all_shots_there():
 
 
 def test_sampling_is_seed_reproducible():
-    prepared = thermal_operator_state(preset_observable("total_sz", 2), None, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(*at_infinite_temperature(preset_observable("total_sz", 2)))
     dist = run_qpe(prepared, random_real_symmetric(2, seed=17), 5, 0.4)
     first = sample_outcomes(dist, shots=5000, seed=99)
     second = sample_outcomes(dist, shots=5000, seed=99)
@@ -308,7 +314,7 @@ def test_sampling_is_seed_reproducible():
 
 def test_sampling_concentrates_l6_preset():
     ham = build_operator(tilted_ising(2))
-    prepared = thermal_operator_state(preset_observable("total_sz", 2), None, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(preset_observable("total_sz", 2), ham, INFINITE_TEMPERATURE)
     dist = run_qpe(prepared, ham, 6, np.pi / 16)
     for seed in range(20):
         empirical = sample_outcomes(dist, shots=100_000, seed=seed)
@@ -316,7 +322,7 @@ def test_sampling_concentrates_l6_preset():
 
 
 def test_sampling_requires_exact_distribution():
-    dist = run_qpe(thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
+    dist = run_qpe(thermal_operator_state(PAULI_X, PAULI_Z, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
     empirical = sample_outcomes(dist, shots=10, seed=0)
     with pytest.raises(ValueError, match="sampling requires an exact distribution"):
         sample_outcomes(empirical, shots=10, seed=0)
@@ -449,7 +455,7 @@ def test_phase_distribution_rejects_non_finite_probabilities(bad):
 
 def test_phase_distribution_csv_and_json_round_trip(tmp_path):
     # A distribution goes to disk through the package's one CSV and one JSON writer.
-    dist = run_qpe(thermal_operator_state(PAULI_X, None, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
+    dist = run_qpe(thermal_operator_state(PAULI_X, PAULI_Z, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
     csv_path = tmp_path / "dist.csv"
     write_csv(csv_path, {"f": range(8), "omega": dist.frequencies(), "probability": dist.probabilities})
     rows = csv_path.read_text().strip().splitlines()

@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gate_by_gate_prep, preset_observable, random_hermitian, random_real_symmetric
-from qspec.errors import DegenerateAngleError, ZeroOperatorError
+from helpers import (
+    at_infinite_temperature,
+    gate_by_gate_prep,
+    preset_observable,
+    random_hermitian,
+    random_real_symmetric,
+)
+from qspec.errors import DegenerateAngleError, DimensionMismatchError, ZeroOperatorError
 from qspec.models import (
     EigenvalueDistribution,
     build_operator,
@@ -17,8 +23,8 @@ from qspec.models import (
     synthetic_eigenvalues,
     tilted_ising,
 )
-from qspec.purify import GROUND_STATE, INFINITE_TEMPERATURE, gibbs
-from qspec.simcore import HermitianOperator
+from qspec.purify import GROUND_STATE, INFINITE_TEMPERATURE, gibbs, thermal_operator_state
+from qspec.simcore import HermitianOperator, overlap
 from qspec.stateprep import (
     MomentSet,
     acceptance_probability,
@@ -34,7 +40,7 @@ from qspec.stateprep import (
 )
 
 PAULI_Z = HermitianOperator(np.diag([1.0, -1.0]))
-Z_SPECTRUM = spectral_weights(PAULI_Z)
+Z_SPECTRUM = spectral_weights(*at_infinite_temperature(PAULI_Z))
 
 LAWS = ("semicircle", "uniform", "arcsine", "gaussian")
 CONSTANTS = {"semicircle": 0.5, "uniform": 5 / 9, "arcsine": 2 / 3, "gaussian": 1 / 3}
@@ -88,25 +94,26 @@ def test_zero_angle_is_degenerate():
     with pytest.raises(DegenerateAngleError):
         preparation_fidelity(*Z_SPECTRUM, 0.0)
     with pytest.raises(DegenerateAngleError):
-        simulate_prep_circuit(PAULI_Z, 0.0)
+        simulate_prep_circuit(*at_infinite_temperature(PAULI_Z), 0.0)
 
 
 # --- circuit against closed forms ------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "ensemble,needs_ham",
-    [(None, False), (gibbs(0.7), True), (GROUND_STATE, True)],
-)
-def test_circuit_branch_norms_match_closed_forms(ensemble, needs_ham):
+def overlap_fidelity(operator, hamiltonian, ensemble, post) -> float:
+    """|<target|post>|^2 against the target operator state, clipped at 1 as a run records it."""
+    return min(abs(overlap(thermal_operator_state(operator, hamiltonian, ensemble), post)) ** 2, 1.0)
+
+
+@pytest.mark.parametrize("ensemble", [INFINITE_TEMPERATURE, gibbs(0.7), GROUND_STATE])
+def test_circuit_branch_norms_match_closed_forms(ensemble):
     op = random_real_symmetric(2, seed=71)
-    ham = random_real_symmetric(2, seed=72) if needs_ham else None
-    kwargs = {} if ensemble is None else {"ensemble": ensemble, "hamiltonian": ham}
+    ham = random_real_symmetric(2, seed=72)
     phi = 0.43
-    p1, _, fidelity = simulate_prep_circuit(op, phi, **kwargs)
-    spectrum = spectral_weights(op, **kwargs)
+    p1, post = simulate_prep_circuit(op, ham, ensemble, phi)
+    spectrum = spectral_weights(op, ham, ensemble)
     assert abs(p1 - acceptance_probability(*spectrum, phi)) <= 1e-12
-    assert abs(fidelity - preparation_fidelity(*spectrum, phi)) <= 1e-10
+    assert abs(overlap_fidelity(op, ham, ensemble, post) - preparation_fidelity(*spectrum, phi)) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,17 +130,34 @@ def test_circuit_branch_norms_match_closed_forms(ensemble, needs_ham):
 def test_simulate_prep_circuit_matches_gate_by_gate_circuit(num_sites, seed, real_h, real_o, ensemble, phi):
     ham = (random_real_symmetric if real_h else random_hermitian)(num_sites, seed=seed)
     obs = (random_real_symmetric if real_o else random_hermitian)(num_sites, seed=seed + 1)
-    p1, post, fidelity = simulate_prep_circuit(obs, phi, ensemble, ham)
-    ref_p1, ref_post, ref_fidelity = gate_by_gate_prep(obs, phi, ensemble, ham)
+    p1, post = simulate_prep_circuit(obs, ham, ensemble, phi)
+    ref_p1, ref_post = gate_by_gate_prep(obs, ham, ensemble, phi)
     assert abs(p1 - ref_p1) <= 1e-12
     assert np.max(np.abs(post.amplitudes - ref_post.amplitudes)) <= 1e-12
-    assert abs(fidelity - ref_fidelity) <= 1e-12
+    ref_fidelity = overlap_fidelity(obs, ham, ensemble, ref_post)
+    assert abs(overlap_fidelity(obs, ham, ensemble, post) - ref_fidelity) <= 1e-12
+    # The closed form a run records, against the gate-level overlap.
+    closed_form = min(preparation_fidelity(*spectral_weights(obs, ham, ensemble), phi), 1.0)
+    assert abs(closed_form - ref_fidelity) <= 1e-10
+
+
+@pytest.mark.parametrize("ensemble", [INFINITE_TEMPERATURE, gibbs(1.0), GROUND_STATE])
+def test_run_records_the_overlap_fidelity_at_a_tiny_epsilon(ensemble):
+    # At epsilon = 1e-10 the angle is about 1e-5, where 2 - 2cos(phi*O) would
+    # lose all but six digits of the branch norm and so of the infidelity.
+    obs, ham = preset_observable("total_sz", 3), build_operator(tilted_ising(3))
+    outcome = run_prep_circuit(obs, ham, ensemble, 1e-10, seed=0, max_attempts=10**15)
+    fidelity = outcome.stats["fidelity_with_target"]
+    assert abs(fidelity - overlap_fidelity(obs, ham, ensemble, outcome.post_state)) <= 1e-12
+    ms = moments(*spectral_weights(obs, ham, ensemble))
+    leading = 1e-10 / 4 * (1 - ms.m3**2 / (ms.m2 * ms.m4))
+    assert abs((1 - fidelity) / leading - 1) <= 1e-3
 
 
 def test_branch_norms_sum_to_one():
     op = random_hermitian(2, seed=73)
     phi = 1.1
-    p1 = acceptance_probability(*spectral_weights(op), phi)
+    p1 = acceptance_probability(*spectral_weights(*at_infinite_temperature(op)), phi)
     # The rejected branch carries <cos^2(phi O / 2)>; unitarity forces the sum to 1.
     eig = np.linalg.eigvalsh(op.matrix)
     p0 = float(np.mean(np.cos(phi * eig / 2) ** 2))
@@ -141,12 +165,12 @@ def test_branch_norms_sum_to_one():
 
 
 def test_accepted_state_is_returned_only_on_acceptance():
-    op = PAULI_Z
+    triple = at_infinite_temperature(PAULI_Z)
     # epsilon = 0.99 gives phi ~ 0.995 and P1 ~ 0.23: seed 0 accepts within 100 attempts.
-    outcome = run_prep_circuit(op, 0.99, seed=0, max_attempts=100)
+    outcome = run_prep_circuit(*triple, 0.99, seed=0, max_attempts=100)
     assert outcome.accepted and outcome.post_state is not None
     # epsilon = 1e-8 gives P1 = sin^2(5e-5) ~ 2.5e-9: one attempt rejects, but the stats stay filled.
-    outcome = run_prep_circuit(op, 1e-8, seed=0, max_attempts=1)
+    outcome = run_prep_circuit(*triple, 1e-8, seed=0, max_attempts=1)
     assert not outcome.accepted and outcome.post_state is None
     assert outcome.stats["acceptance_probability"] > 0
     assert outcome.stats["fidelity_with_target"] > 0.99
@@ -161,10 +185,12 @@ def _accepting_attempt(seed: int, p1: float) -> int:
 @pytest.mark.parametrize("seed", range(6))
 def test_attempts_follow_the_closed_form_until_acceptance_or_budget(seed):
     # P1 ~ 0.079 with a budget of 8: seeds 1, 3 and 5 accept (attempts 8, 2 and 4), the rest exhaust.
-    op = random_real_symmetric(2, seed=75)
+    triple = at_infinite_temperature(random_real_symmetric(2, seed=75))
     epsilon, budget = 0.5, 8
-    outcome = run_prep_circuit(op, epsilon, seed=seed, max_attempts=budget)
-    p1, post, fidelity = simulate_prep_circuit(op, choose_phi(moments(*spectral_weights(op)), epsilon))
+    outcome = run_prep_circuit(*triple, epsilon, seed=seed, max_attempts=budget)
+    spectrum = spectral_weights(*triple)
+    phi = choose_phi(moments(*spectrum), epsilon)
+    p1, post = simulate_prep_circuit(*triple, phi)
     first = _accepting_attempt(seed, p1)
     assert outcome.accepted == (first <= budget)
     assert outcome.stats["attempts"] == min(first, budget)
@@ -173,13 +199,13 @@ def test_attempts_follow_the_closed_form_until_acceptance_or_budget(seed):
     else:
         assert outcome.post_state is None
     assert outcome.stats["acceptance_probability"] == p1
-    assert outcome.stats["fidelity_with_target"] == fidelity
+    assert outcome.stats["fidelity_with_target"] == min(preparation_fidelity(*spectrum, phi), 1.0)
 
 
 def test_prep_draw_is_seed_deterministic():
-    op = random_real_symmetric(2, seed=74)
-    first = run_prep_circuit(op, 0.3, seed=123, max_attempts=5)
-    second = run_prep_circuit(op, 0.3, seed=123, max_attempts=5)
+    triple = at_infinite_temperature(random_real_symmetric(2, seed=74))
+    first = run_prep_circuit(*triple, 0.3, seed=123, max_attempts=5)
+    second = run_prep_circuit(*triple, 0.3, seed=123, max_attempts=5)
     assert first.accepted == second.accepted
     assert first.stats == second.stats
 
@@ -187,8 +213,9 @@ def test_prep_draw_is_seed_deterministic():
 def test_prep_draw_rejects_a_negative_seed_as_numpy_does():
     with pytest.raises(ValueError, match="non-negative"):
         np.random.SeedSequence(-1, spawn_key=(1,))
+    triple = at_infinite_temperature(random_real_symmetric(2, seed=75))
     with pytest.raises(ValueError, match="non-negative"):
-        run_prep_circuit(random_real_symmetric(2, seed=75), 0.5, seed=-1, max_attempts=4)
+        run_prep_circuit(*triple, 0.5, seed=-1, max_attempts=4)
 
 
 def test_accepting_attempts_follow_the_geometric_law():
@@ -196,11 +223,11 @@ def test_accepting_attempts_follow_the_geometric_law():
     # and the mean of K against 1/P1 within four standard errors.  The 1% critical
     # value 1.63/sqrt(n) is conservative for a discrete law; an off-by-one K moves
     # the CDF by up to P1, about three times that value.
-    op = random_real_symmetric(2, seed=75)
+    triple = at_infinite_temperature(random_real_symmetric(2, seed=75))
     count = 3000
-    ks = np.array([run_prep_circuit(op, 0.5, seed=s, max_attempts=1 << 62).stats["attempts"]
+    ks = np.array([run_prep_circuit(*triple, 0.5, seed=s, max_attempts=1 << 62).stats["attempts"]
                    for s in range(count)])
-    p1 = run_prep_circuit(op, 0.5, seed=0, max_attempts=1).stats["acceptance_probability"]
+    p1 = run_prep_circuit(*triple, 0.5, seed=0, max_attempts=1).stats["acceptance_probability"]
     support = np.arange(1, ks.max() + 1)
     empirical = np.searchsorted(np.sort(ks), support, side="right") / count
     law = 1.0 - (1.0 - p1) ** support
@@ -210,12 +237,12 @@ def test_accepting_attempts_follow_the_geometric_law():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_a_budget_of_k_accepts_and_one_less_exhausts(seed):
-    op = random_real_symmetric(2, seed=75)
+    triple = at_infinite_temperature(random_real_symmetric(2, seed=75))
     epsilon = 0.01  # P1 ~ 1.6e-3: K runs from 65 to 2309 over these seeds
-    first = run_prep_circuit(op, epsilon, seed=seed, max_attempts=1 << 62).stats["attempts"]
-    at_k = run_prep_circuit(op, epsilon, seed=seed, max_attempts=first)
+    first = run_prep_circuit(*triple, epsilon, seed=seed, max_attempts=1 << 62).stats["attempts"]
+    at_k = run_prep_circuit(*triple, epsilon, seed=seed, max_attempts=first)
     assert at_k.accepted and at_k.stats["attempts"] == first
-    short = run_prep_circuit(op, epsilon, seed=seed, max_attempts=first - 1)
+    short = run_prep_circuit(*triple, epsilon, seed=seed, max_attempts=first - 1)
     assert not short.accepted and short.post_state is None
     assert short.stats["attempts"] == first - 1
 
@@ -227,11 +254,11 @@ def test_a_budget_of_k_accepts_and_one_less_exhausts(seed):
     spare=st.one_of(st.integers(0, 1000), st.integers(0, (1 << 62) - 1)),
 )
 def test_accepting_attempt_is_the_same_at_any_budget_from_k(seed, epsilon, spare):
-    op = random_real_symmetric(2, seed=75)
-    outcome = run_prep_circuit(op, epsilon, seed=seed, max_attempts=1 << 62)
+    triple = at_infinite_temperature(random_real_symmetric(2, seed=75))
+    outcome = run_prep_circuit(*triple, epsilon, seed=seed, max_attempts=1 << 62)
     first = outcome.stats["attempts"]
     assert outcome.accepted and first == _accepting_attempt(seed, outcome.stats["acceptance_probability"])
-    again = run_prep_circuit(op, epsilon, seed=seed, max_attempts=first + spare)
+    again = run_prep_circuit(*triple, epsilon, seed=seed, max_attempts=first + spare)
     assert again.accepted and again.stats == outcome.stats
     np.testing.assert_array_equal(again.post_state.amplitudes, outcome.post_state.amplitudes)
 
@@ -240,7 +267,7 @@ def test_accepting_attempt_is_the_same_at_any_budget_from_k(seed, epsilon, spare
 
 
 def test_small_angle_acceptance_remainder_bound():
-    spectrum = spectral_weights(random_hermitian(3, seed=75))
+    spectrum = spectral_weights(*at_infinite_temperature(random_hermitian(3, seed=75)))
     ms = moments(*spectrum)
     for phi in (0.05, 0.2, 0.5):
         p1 = acceptance_probability(*spectrum, phi)
@@ -248,7 +275,7 @@ def test_small_angle_acceptance_remainder_bound():
 
 
 def test_small_angle_fidelity_coefficient():
-    spectrum = spectral_weights(random_real_symmetric(3, seed=76))
+    spectrum = spectral_weights(*at_infinite_temperature(random_real_symmetric(3, seed=76)))
     ms = moments(*spectrum)
     phi = 1e-3
     expansion = 1 - (phi**2 / 4) * (ms.m4 / ms.m2 - ms.m3**2 / ms.m2**2)
@@ -258,7 +285,7 @@ def test_small_angle_fidelity_coefficient():
 @settings(max_examples=30, deadline=None)
 @given(phi=st.floats(-3.0, 3.0), seed=st.integers(0, 300))
 def test_acceptance_probability_is_even_and_bounded(phi, seed):
-    spectrum = spectral_weights(random_hermitian(2, seed=seed))
+    spectrum = spectral_weights(*at_infinite_temperature(random_hermitian(2, seed=seed)))
     p1 = acceptance_probability(*spectrum, phi)
     assert 0.0 <= p1 <= 1.0
     assert abs(p1 - acceptance_probability(*spectrum, -phi)) <= 1e-14
@@ -274,7 +301,7 @@ def test_choose_phi_for_uniform_law():
 
 
 def test_choose_phi_quarter_epsilon_scaling():
-    ms = moments(*spectral_weights(random_real_symmetric(3, seed=77)))
+    ms = moments(*spectral_weights(*at_infinite_temperature(random_real_symmetric(3, seed=77))))
     assert abs(choose_phi(ms, 0.04) / choose_phi(ms, 0.01) - 2.0) <= 1e-12
 
 
@@ -294,7 +321,7 @@ def test_choose_phi_meets_target_for_presets():
     )
     for epsilon in (0.1, 0.01):
         for op in presets:
-            spectrum = spectral_weights(op)
+            spectrum = spectral_weights(*at_infinite_temperature(op))
             phi = choose_phi(moments(*spectrum), epsilon)
             assert preparation_fidelity(*spectrum, phi) >= 1 - 1.2 * epsilon
 
@@ -327,7 +354,7 @@ def test_predicted_p1_is_the_acceptance_at_the_chosen_angle(case):
     if case == "pauli_z":
         vals, q = Z_SPECTRUM
     elif case == "gibbs_ising":
-        vals, q = spectral_weights(preset_observable("total_sz", 3), gibbs(1.0), build_operator(tilted_ising(3)))
+        vals, q = spectral_weights(preset_observable("total_sz", 3), build_operator(tilted_ising(3)), gibbs(1.0))
     else:
         vals, q = synthetic_spectrum(case, 6, seed=2)
     ms = moments(vals, q)
@@ -341,7 +368,7 @@ def test_predicted_p1_is_the_acceptance_at_the_chosen_angle(case):
 
 def test_spectral_weights_of_zero_operator_rejected():
     with pytest.raises(ZeroOperatorError):
-        spectral_weights(HermitianOperator(np.zeros((2, 2))))
+        spectral_weights(*at_infinite_temperature(HermitianOperator(np.zeros((2, 2)))))
 
 
 def test_spectral_weights_reject_rounding_scale_second_moment():
@@ -350,7 +377,22 @@ def test_spectral_weights_reject_rounding_scale_second_moment():
     ham = build_operator(heisenberg(4))
     obs = preset_observable("total_sz", 4)
     with pytest.raises(ZeroOperatorError):
-        spectral_weights(obs, GROUND_STATE, ham)
+        spectral_weights(obs, ham, GROUND_STATE)
+
+
+@pytest.mark.parametrize("ensemble", [INFINITE_TEMPERATURE, gibbs(1.0)])
+def test_a_hamiltonian_of_another_size_is_rejected(ensemble):
+    # Every reader of the (operator, Hamiltonian, ensemble) triple checks the
+    # sizes, also at infinite temperature, which reads H only for its size.
+    obs, ham = PAULI_Z, random_real_symmetric(2, seed=80)
+    routes = (
+        lambda: thermal_operator_state(obs, ham, ensemble),
+        lambda: spectral_weights(obs, ham, ensemble),
+        lambda: run_prep_circuit(obs, ham, ensemble, 0.5, seed=0, max_attempts=10),
+    )
+    for route in routes:
+        with pytest.raises(DimensionMismatchError, match="operator dim 2 vs Hamiltonian dim 4"):
+            route()
 
 
 def test_moments_accept_physically_small_second_moment():
@@ -358,7 +400,7 @@ def test_moments_accept_physically_small_second_moment():
     # tiny (about 3e-11) but far above rounding scale.
     ham = build_operator(heisenberg(4))
     obs = preset_observable("total_sz", 4)
-    ms = moments(*spectral_weights(obs, gibbs(10.0), ham))
+    ms = moments(*spectral_weights(obs, ham, gibbs(10.0)))
     assert 1e-12 < ms.m2 < 1e-9
     assert ms.m4 >= ms.m2**2
 
@@ -373,15 +415,15 @@ def test_moment_set_validates_cauchy_schwarz():
 def test_traced_observable_closed_forms_are_silent_and_exact():
     # The closed forms keep the identity part, so a trace needs no warning:
     # both match the simulated circuit on an observable with one.
-    shifted = HermitianOperator(np.diag([2.0, 0.0]))
+    triple = at_infinite_temperature(HermitianOperator(np.diag([2.0, 0.0])))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spectrum = spectral_weights(shifted)
+        spectrum = spectral_weights(*triple)
         p1 = acceptance_probability(*spectrum, 0.4)
         fidelity = preparation_fidelity(*spectrum, 0.4)
-    simulated_p1, _, simulated_fidelity = simulate_prep_circuit(shifted, 0.4)
+    simulated_p1, post = simulate_prep_circuit(*triple, 0.4)
     assert abs(p1 - simulated_p1) <= 1e-12
-    assert abs(fidelity - simulated_fidelity) <= 1e-12
+    assert abs(fidelity - overlap_fidelity(*triple, post)) <= 1e-12
 
 
 def test_ensemble_moments_match_direct_traces():
@@ -391,7 +433,7 @@ def test_ensemble_moments_match_direct_traces():
     vals, vecs = np.linalg.eigh(ham.matrix)
     rho = (vecs * np.exp(-beta * (vals - vals[0]))) @ vecs.T
     rho /= np.trace(rho)
-    ms = moments(*spectral_weights(op, gibbs(beta), hamiltonian=ham))
+    ms = moments(*spectral_weights(op, ham, gibbs(beta)))
     for k, got in ((2, ms.m2), (3, ms.m3), (4, ms.m4)):
         direct = np.trace(rho @ np.linalg.matrix_power(op.matrix, k)).real
         assert abs(got - direct) <= 1e-12

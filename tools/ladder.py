@@ -27,7 +27,7 @@ no output; the two manifests must be identical::
     python tools/ladder.py /tmp/all_cpus
     diff /tmp/one_cpu/manifest.json /tmp/all_cpus/manifest.json
 
-The ladder (228 invocations):
+The ladder (229 invocations):
 
 * the benchmark workload configs at workload seed 1, plus the ``oracle_grid``
   config under ``run``, and the benchmark's N=2 smoke configs;
@@ -54,6 +54,8 @@ The ladder (228 invocations):
   the grid cap);
 * ``I + 1e-6 X`` planned at gamma=1e-11 (l=19, phases past the ``2**18``-turn
   winding bound) under ``run``;
+* a Gibbs ensemble with ``beta`` -1 under ``run`` (a config error on
+  ``ensemble.beta``);
 * ``2**63`` shots under ``run``, and ``run``, ``oracle`` and ``prepstudy``
   with an ``--out`` that names an existing file (``OUTDIR/<name>/taken``);
 * ``qspec plan --omega-max 10 --gamma 0.1``, and ``plan`` with an infinite
@@ -186,6 +188,7 @@ def invocations():
     two_level = _config(_pauli_sum(1, [(1.0, "Z")]), _pauli_sum(1, [(1.0, "X")]), ENSEMBLES["infinite"],
                         "exact", {"l": 3, "delta": 0.3})
     yield "shots/2**63/run", "run", {**two_level, "shots": 1 << 63}
+    yield "negative_beta/run", "run", {**two_level, "ensemble": {"kind": "gibbs", "beta": -1}}
     winding = _config(_pauli_sum(1, [(1.0, "I"), (1e-6, "X")]), "total_sz", ENSEMBLES["infinite"], "exact",
                       {"gamma": 1e-11, "auto_plan": True})
     yield "winding/planned/run", "run", winding
