@@ -136,11 +136,13 @@ def transition_weights(
     eig = hamiltonian.eig
     vecs, levels = eig.eigenvectors, eig.eigenvalues
     pops = ensemble_populations(eig, ensemble)
-    elements = vecs.conj().T @ operator.matrix @ vecs
-    squares = np.abs(elements) ** 2
-    weights = squares * pops[:, None]  # the transition n -> m at [n, m]
+    # |O_nm|^2 in one array, squared and then weighted in place.
+    weights = np.abs(vecs.conj().T @ operator.matrix @ vecs)
+    np.square(weights, out=weights)
+    mean_square = float(weights.sum()) / eig.dim
+    np.multiply(weights, pops[:, None], out=weights)  # the transition n -> m at [n, m]
     mass = float(weights.sum())
-    reject_annihilation(mass, float(squares.sum()) / eig.dim, ensemble)
+    reject_annihilation(mass, mean_square, ensemble)
     # One pass, no sort: the weights above PRUNE_SHARE of their mean, and the
     # pairs n <= m (levels ascending, so gaps >= 0) with either direction kept.
     cut = PRUNE_SHARE * mass / weights.size

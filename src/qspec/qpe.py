@@ -33,15 +33,24 @@ every N, so no size needs its own rule.  The pad is never read: every
 product, the transform and the marginal see the same values in the same
 order, so the outcome bytes do not depend on it.
 
-Beside the propagators and the returned probabilities, the heap holds one
-working array plus one bounded block.  The left product ``U_j psi`` is
-written straight into ``psi[2**j : 2**(j+1)]``, which it does not overlap.
-The right product by ``U_j^dagger`` then runs in place on blocks of
-``_BLOCK_BYTES`` of register rows, so numpy's copy of the overlapping operand
-is at most one block, and the marginal sums ``|psi|^2`` over the same blocks
-into the preallocated probabilities.  Every gemm sees the same 2-D matrices
-in the same order as one unblocked product, and every row is reduced the
-same way, so the outcome bytes do not depend on the block size.
+Beside the returned probabilities, the heap holds one working array, one
+propagator and one bounded block.  The propagator ``U_j`` is built in blocks
+of rows (``simcore.EigenDecomposition.apply_function``) and released after
+its step, so the next build, the transform and the marginal run without it.
+The left product ``U_j psi`` is written straight into
+``psi[2**j : 2**(j+1)]``, which it does not overlap.  The right product by
+``U_j^dagger`` then runs in place on blocks, so numpy's copy of the
+overlapping operand is at most one block.  A block is a run of register rows
+of at most ``_BLOCK_BYTES``, at least one row.  A register row holds as many
+amplitudes as a propagator, and one larger than a blocked product's block
+(``simcore._block_rows``; only at N=10) is cut into runs of matrix rows.  The
+marginal squares ``|psi|`` of one run of register rows at a time into one
+reused buffer and sums each row whole into the preallocated probabilities
+(numpy's pairwise sum of a row is not the sum of its pieces' sums).  A gemm
+over a run of at least ``simcore._MIN_BLOCK_ROWS`` matrix rows gives the
+bytes of the unblocked product, and every row is reduced the same way, so the
+outcome bytes do not depend on the block size.  The working array lives in
+``_circuit_marginal`` and is freed before the probabilities are checked.
 
 Controlled powers are built by raising eigenphases once, not by repeating
 gates; repeating the base step, and the gate-by-gate circuit on the full
@@ -57,7 +66,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationError, ResourceCapError
-from .simcore import NORM_TOL, QUBIT_CAP, HermitianOperator, StateVector, _fourier
+from .simcore import (
+    NORM_TOL,
+    QUBIT_CAP,
+    EigenDecomposition,
+    HermitianOperator,
+    StateVector,
+    _block_rows,
+    _fourier,
+)
 
 #: Spare complex128 entries after each register row (module docstring).
 _ROW_PAD = 1
@@ -130,14 +147,27 @@ def run_qpe(
             f"{prepared.num_qubits + num_bits} qubits exceed the {QUBIT_CAP}-qubit cap"
         )
 
-    dim, sys_dim = 1 << num_bits, hamiltonian.dim
+    probs = _circuit_marginal(prepared, hamiltonian.eig, num_bits, delta)
+    norm_err = abs(math.sqrt(probs.sum()) - 1.0)
+    if not norm_err <= NORM_TOL:
+        raise NormalizationError(f"register state norm deviates from 1 by {norm_err:.3e}")
+    return PhaseDistribution(num_bits, delta, probs)
+
+
+def _circuit_marginal(
+    prepared: StateVector, eig: EigenDecomposition, num_bits: int, delta: float
+) -> np.ndarray:
+    """The circuit's outcome probabilities; the working array is freed on return."""
+    dim, sys_dim = 1 << num_bits, eig.dim
     # Phase-major working array psi[x, a, b]: the register is uniform, the copies prepared.
     # The padded rows keep the register stride off a power of two (module docstring).
     amps = np.empty((dim, sys_dim * sys_dim + _ROW_PAD), dtype=complex)[:, : sys_dim * sys_dim]
     psi = amps.reshape(dim, sys_dim, sys_dim)
-    psi[0] = prepared.amplitudes.reshape(sys_dim, sys_dim) * (1.0 / np.sqrt(dim))
-    rows = max(1, _BLOCK_BYTES // (16 * sys_dim * sys_dim))  # register rows per block
-    eig = hamiltonian.eig
+    np.multiply(prepared.amplitudes.reshape(sys_dim, sys_dim), 1.0 / np.sqrt(dim), out=psi[0])
+    # A block is a run of register rows, cut into runs of matrix rows when one
+    # register row is larger than a blocked product's block (module docstring).
+    rows = max(1, _BLOCK_BYTES // (16 * sys_dim * sys_dim))
+    mat_rows = min(sys_dim, _block_rows(16 * sys_dim))
     for j in range(num_bits):
         # The branches with bit j set are those below 2**j with U_j applied.
         low, high = psi[: 1 << j], psi[1 << j : 2 << j]
@@ -146,15 +176,20 @@ def run_qpe(
         # exp(-1j*H^T*t) = (U^dagger)^T on copy b; U is conjugated in place after U psi is formed.
         backward = np.conjugate(forward, out=forward).T
         for s in range(0, 1 << j, rows):
-            np.matmul(high[s : s + rows], backward, out=high[s : s + rows])
+            for r in range(0, sys_dim, mat_rows):
+                block = high[s : s + rows, r : r + mat_rows]
+                np.matmul(block, backward, out=block)
+        del forward, backward  # the next build, the transform and the marginal run without it
     _fourier(amps, out=amps)
     probs = np.empty(dim)
+    # |psi|^2 of one block of register rows at a time; each row is summed whole.
+    squares = np.empty((min(rows, dim), sys_dim * sys_dim))
     for s in range(0, dim, rows):
-        np.sum(np.abs(amps[s : s + rows]) ** 2, axis=1, out=probs[s : s + rows])
-    norm_err = abs(math.sqrt(probs.sum()) - 1.0)
-    if not norm_err <= NORM_TOL:
-        raise NormalizationError(f"register state norm deviates from 1 by {norm_err:.3e}")
-    return PhaseDistribution(num_bits, delta, probs)
+        part = squares[: min(rows, dim - s)]
+        np.abs(amps[s : s + rows], out=part)
+        np.square(part, out=part)
+        np.sum(part, axis=1, out=probs[s : s + rows])
+    return probs
 
 
 def sample_outcomes(

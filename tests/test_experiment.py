@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 
 import qspec
 from helpers import at_infinite_temperature
-from qspec import experiment, oracle, purify, stateprep
+from qspec import experiment, oracle, purify, qpe, simcore, stateprep
 from qspec.cli import main
 from qspec.errors import ConfigError, PrepExhaustedError, ResourceCapError
 from qspec.experiment import run_experiment, validate_config, write_csv
@@ -787,6 +788,35 @@ def test_benchmark_prep_batch_exhausts_on_seeds_0_and_2(tmp_path):
     ]
     assert [o.stats["attempts"] for o in outcomes] == [1000, 815, 1000, 134]
     assert [o.accepted for o in outcomes] == [False, True, False, True]
+
+
+# --- memory at the qubit cap ------------------------------------------------------
+
+
+def test_n10_run_holds_its_matrices_the_working_array_one_propagator_and_two_blocks(tmp_path):
+    # The benchmark's eigh_dense run: tilted Ising N=10, total_sz, Gibbs, exact
+    # prep, l=1 (22 qubits).  The run holds four real 1024 x 1024 matrices (H, O,
+    # V and the prepared state); the circuit adds the working array, one
+    # propagator and a block of the product that builds it or of the right
+    # product (84 MiB in all), and the bound allows one block more.  A
+    # propagator built through full-size temporaries breaks it.
+    config = make_config(
+        tmp_path,
+        model={"preset": "tilted_ising", "N": 10},
+        observable="total_sz",
+        ensemble={"kind": "gibbs", "beta": 1.0},
+        qpe={"l": 1, "delta": 0.05},
+    )
+    matrix = 4**10 * 8
+    working = 2 * 4**10 * 16
+    propagator = 4**10 * 16
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * matrix + working + propagator + 2 * max(simcore._BLOCK_BYTES, qpe._BLOCK_BYTES)
 
 
 # --- command line -----------------------------------------------------------------

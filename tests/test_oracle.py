@@ -636,6 +636,21 @@ def test_outcome_distribution_reads_edge_phases_through_the_mirror(num_bits):
         assert abs(dist.sum() - 1.0) <= 1e-14
 
 
+def test_transition_table_build_holds_under_three_matrices():
+    # |O_nm|^2 is squared and weighted in place in one array, so the build holds
+    # that matrix beside the pruned table: 2.89 real 2**N x 2**N matrices at N=9
+    # and N=10.  Separate squares and weights arrays break the bound.
+    ham, obs = build_operator(tilted_ising(9)), preset_observable("total_sz", 9)
+    ham.eig  # the memoised decomposition is not part of the build
+    tracemalloc.start()
+    try:
+        transition_weights(ham, obs, gibbs(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 4**9 * 8
+
+
 def test_outcome_distribution_holds_a_tile_per_worker_not_a_row_per_pair(monkeypatch):
     # N=6, l=9: a dense (pairs, 2**l) kernel buffer alone would take 4.2 MiB.  The
     # sum holds one tile per worker beside arrays of one entry per pair or per bin.

@@ -15,7 +15,7 @@ from helpers import (
     random_hermitian,
     random_real_symmetric,
 )
-from qspec import qpe
+from qspec import qpe, simcore
 from qspec.errors import DimensionMismatchError, NormalizationError, ResourceCapError
 from qspec.experiment import write_csv, write_json
 from qspec.models import build_operator, heisenberg, tilted_ising
@@ -95,14 +95,15 @@ def test_circuit_matches_oracle_for_thermal_ensembles(ensemble):
 
 
 #: ``run_qpe``'s heap peak on the cap diagonal, in working arrays (2**l * 4**N
-#: complex doubles): at most 1.15 for N=2-8, measured 1.03-1.13 at 1 and 2 BLAS
+#: complex doubles): at most 1.15 for N=2-8, measured 1.03-1.11 at 1 and 2 BLAS
 #: threads (the working array, its row pad, the probabilities and one block).
-#: The exceptions: N=1 (1.50), whose rows hold four amplitudes, so
-#: ``qpe._ROW_PAD`` adds a quarter of a working array and the returned
-#: probabilities an eighth; N=9 (1.38), whose eight rows of 4 MiB each make a
-#: block one row and a propagator an eighth of the array; and N=10 (2.00),
-#: which has one register row and peaks in the propagator build.
-DIAGONAL_HEAP_EXCEPTIONS = {1: 1.625, 9: 1.5, 10: 2.125}
+#: The exceptions: N=1 (1.40), whose rows hold four amplitudes, so
+#: ``qpe._ROW_PAD`` adds a quarter of a working array and the probabilities an
+#: eighth; N=9 (1.25), whose eight rows of 4 MiB each make a block one row and a
+#: propagator an eighth of the array; and N=10 (1.63), which has one register
+#: row of the size of a propagator and peaks with the propagator and one block
+#: of the product that builds it.
+DIAGONAL_HEAP_EXCEPTIONS = {1: 1.45, 9: 1.3, 10: 1.7}
 
 
 @pytest.mark.parametrize("num_sites", range(1, 11))
@@ -272,7 +273,9 @@ def test_run_qpe_heap_peak_is_one_working_array():
 
 def test_run_qpe_bytes_do_not_depend_on_the_block_size(monkeypatch):
     # One register row per block, three (which does not divide 2**l), and the
-    # default, which splits this working array into four blocks.
+    # default, which splits this working array into four blocks.  A register row
+    # larger than a blocked product's block is cut into runs of matrix rows: a
+    # one-byte block gives the fewest allowed, two runs of eight per row.
     num_sites, num_bits = 4, 10
     ham = random_hermitian(num_sites, seed=8)
     prepared = thermal_operator_state(random_hermitian(num_sites, seed=9), ham, INFINITE_TEMPERATURE)
@@ -281,6 +284,10 @@ def test_run_qpe_bytes_do_not_depend_on_the_block_size(monkeypatch):
     for rows in (1, 3):
         monkeypatch.setattr(qpe, "_BLOCK_BYTES", rows * 4**num_sites * 16)
         np.testing.assert_array_equal(run_qpe(prepared, ham, num_bits, 0.2).probabilities, default)
+    assert simcore._MIN_BLOCK_ROWS == 8 == 2**num_sites // 2
+    monkeypatch.setattr(qpe, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(simcore, "_BLOCK_BYTES", 1)
+    np.testing.assert_array_equal(run_qpe(prepared, ham, num_bits, 0.2).probabilities, default)
 
 
 def test_run_qpe_is_deterministic():

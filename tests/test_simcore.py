@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import plus_state, random_hermitian, random_real_symmetric, random_state
+from qspec import simcore
 from qspec.errors import (
     DimensionMismatchError,
     HermiticityError,
@@ -378,6 +379,32 @@ def test_apply_function_on_real_eigenvectors_matches_complex_product():
     vecs = eig.eigenvectors.astype(complex)
     np.testing.assert_allclose(split, (vecs * fn(eig.eigenvalues)) @ vecs.conj().T, atol=1e-14)
     assert eig.apply_function(np.cos).dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "operator, fn",
+    [
+        (random_real_symmetric(5, seed=31), lambda lam: np.exp(0.7j * lam)),
+        (random_real_symmetric(5, seed=32), np.cos),
+        (random_hermitian(5, seed=33), lambda lam: np.exp(-0.4j * lam)),
+        (random_hermitian(5, seed=34), np.sin),
+    ],
+    ids=["real-V-complex-fn", "real-V-real-fn", "complex-V-complex-fn", "complex-V-real-fn"],
+)
+def test_apply_function_blocks_give_the_unblocked_bytes(monkeypatch, operator, fn):
+    # A one-byte block gives blocks of the fewest rows allowed: four blocks of the
+    # 32 rows of V.  A one-row block would go through gemv and move the bytes.
+    assert simcore._MIN_BLOCK_ROWS >= 8
+    monkeypatch.setattr(simcore, "_BLOCK_BYTES", 1)
+    eig = operator.eig
+    vecs, vals = eig.eigenvectors, fn(eig.eigenvalues)
+    if np.iscomplexobj(vecs) or not np.iscomplexobj(vals):
+        unblocked = (vecs * vals) @ vecs.conj().T
+    else:
+        unblocked = np.empty((eig.dim, eig.dim), dtype=complex)
+        unblocked.real = (vecs * vals.real) @ vecs.T
+        unblocked.imag = (vecs * vals.imag) @ vecs.T
+    np.testing.assert_array_equal(eig.apply_function(fn), unblocked)
 
 
 def _real_state(num_qubits: int, seed: int) -> StateVector:
