@@ -90,9 +90,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     config = _load_config(args)
     hamiltonian = build_operator(config.model)
     observable = build_operator(config.observable)
-    vals = hamiltonian.eig.eigenvalues
-    span = float(vals[-1] - vals[0])
-    reach = 1.2 * span if span > 0 else 1.0
+    reach = 1.2 * hamiltonian.eig.span if hamiltonian.eig.span > 0 else 1.0
     gamma, step = config.qpe.linewidth, 2 * reach / 2000
     if step > gamma:
         path = "qpe.gamma" if config.qpe.gamma is not None else "qpe.delta"

@@ -49,13 +49,12 @@ from . import __version__
 from .errors import ConfigError, PrepExhaustedError, ResourceCapError
 from .models import (
     MAX_SITES,
-    ModelSpec,
+    MODEL_PRESETS,
     OBSERVABLE_PRESETS,
+    ModelSpec,
     PauliTerm,
     build_operator,
-    heisenberg,
     observable_spec,
-    tilted_ising,
 )
 from .oracle import (
     SpectrumTable,
@@ -82,8 +81,6 @@ SCHEMA_VERSION = 2
 CSV_BLOCK_ROWS = 1 << 14
 
 _SHOT_KEY = 2
-
-_MODEL_PRESETS = ("tilted_ising", "heisenberg")
 
 #: |log2| of the linewidth stays below this, so the oracle's gamma**2 is a normal double.
 _LINEWIDTH_LOG2 = 511
@@ -204,25 +201,19 @@ def _parse_terms(obj: dict, path: str) -> ModelSpec:
         raise ConfigError(f"{path}.terms: {exc}") from exc
 
 
-def _given_numbers(obj: dict, keys: tuple[str, ...], path: str) -> dict:
-    """The preset parameters the document gives; the builder's own defaults fill the rest."""
-    return {key: _as_number(obj[key], f"{path}.{key}") for key in keys if key in obj}
-
-
 def _parse_model(obj, path: str) -> ModelSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     if "preset" in obj:
         preset = obj["preset"]
-        if preset == "tilted_ising":
-            _reject_unknown(obj, ("preset", "N", "g", "h"), path)
-            num_sites = _as_int(_require(obj, "N", path), f"{path}.N", minimum=1)
-            return tilted_ising(num_sites, **_given_numbers(obj, ("g", "h"), path))
-        if preset == "heisenberg":
-            _reject_unknown(obj, ("preset", "N", "coupling"), path)
-            num_sites = _as_int(_require(obj, "N", path), f"{path}.N", minimum=2)
-            return heisenberg(num_sites, **_given_numbers(obj, ("coupling",), path))
-        raise ConfigError(f"{path}.preset: unknown preset {preset!r}; choose from {_MODEL_PRESETS}")
+        if not isinstance(preset, str) or preset not in MODEL_PRESETS:
+            raise ConfigError(f"{path}.preset: unknown preset {preset!r}; choose from {tuple(MODEL_PRESETS)}")
+        builder, parameters, min_sites = MODEL_PRESETS[preset]
+        _reject_unknown(obj, ("preset", "N", *parameters), path)
+        num_sites = _as_int(_require(obj, "N", path), f"{path}.N", minimum=min_sites)
+        # The parameters the document gives; the builder's own defaults fill the rest.
+        given = {key: _as_number(obj[key], f"{path}.{key}") for key in parameters if key in obj}
+        return builder(num_sites, **given)
     return _parse_terms(obj, path)
 
 
@@ -439,7 +430,7 @@ class ExperimentReport:
         out = Path(output_dir)
         t0 = time.perf_counter()
         dist = self.exact_distribution
-        columns = {"f": np.arange(1 << dist.num_bits), "omega": dist.frequencies(),
+        columns = {"f": np.arange(1 << dist.num_bits), "omega": dist.frequencies,
                    "p_exact": dist.probabilities, "p_oracle": self.oracle_distribution.probabilities}
         if self.empirical_distribution is not None:
             columns["p_empirical"] = self.empirical_distribution.probabilities
@@ -504,11 +495,9 @@ def _write_blocks(path: Path, blocks: Iterable[bytes]) -> str:
 
 
 def _auto_plan(config: ExperimentConfig, hamiltonian) -> ResolutionPlan:
-    vals = hamiltonian.eig.eigenvalues
-    span = float(vals[-1] - vals[0])
     # outcome_frequency wraps the upper half of every register to negative
     # frequencies whatever the ensemble, so the band is twice the span.
-    omega_max = 2.0 * span
+    omega_max = 2.0 * hamiltonian.eig.span
     if omega_max <= 0:
         raise ConfigError("qpe.auto_plan: model spectrum has zero bandwidth; give l and delta explicitly")
     if config.qpe.gamma >= omega_max:
@@ -572,7 +561,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     # one block of rows (see ``qpe``) sets the memory peak at large N.
     table = transition_weights(hamiltonian, observable, config.ensemble)
     reference = exact_outcome_distribution(table, num_bits, delta)
-    spectrum = spectral_function(table, np.sort(exact.frequencies()), config.qpe.linewidth)
+    spectrum = spectral_function(table, np.sort(exact.frequencies), config.qpe.linewidth)
     timings["oracle_s"] = time.perf_counter() - t0
 
     empirical = None

@@ -132,6 +132,13 @@ def heisenberg(num_sites: int, coupling: float = 1.0) -> ModelSpec:
     return ModelSpec(num_sites, tuple(terms), name=f"heisenberg(J={coupling})")
 
 
+#: The model presets a configuration names: (builder, its parameters by name, the fewest sites).
+MODEL_PRESETS = {
+    "tilted_ising": (tilted_ising, ("g", "h"), 1),
+    "heisenberg": (heisenberg, ("coupling",), 2),  # a chain with one bond at least
+}
+
+
 OBSERVABLE_PRESETS = ("total_sz", "site_sz", "staggered_sz")
 
 

@@ -283,10 +283,11 @@ def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: flo
     if num_bits < 1:
         raise ValueError("need at least one phase bit")
     dim, half = 1 << num_bits, 1 << (num_bits - 1)
-    phases = delta * dim * table.gaps / (2.0 * math.pi)
-    nearest = np.round(phases)
-    frac = phases - nearest
+    frac = delta * dim * table.gaps / (2.0 * math.pi)  # the phase p, then p - round(p) in place
+    nearest = np.round(frac)
+    frac -= nearest
     hit = nearest - dim * np.floor(nearest / dim)  # the bin with j = 0
+    del nearest
     numerator = np.sin(np.pi * frac)
     numerator *= numerator / dim**2
     # Near a zero offset the split form divides two vanishing squares; there the

@@ -79,8 +79,7 @@ DEGENERACY_RTOL = 1e-9
 def ground_state_degeneracy(eig: EigenDecomposition) -> int:
     """Size g of the ground level: the eigenvalues within ``DEGENERACY_RTOL * max(1, span)`` of the lowest."""
     vals = eig.eigenvalues
-    span = float(vals[-1] - vals[0])
-    return int(np.sum(vals - vals[0] <= DEGENERACY_RTOL * max(1.0, span)))
+    return int(np.sum(vals - vals[0] <= DEGENERACY_RTOL * max(1.0, eig.span)))
 
 
 def ensemble_populations(eig: EigenDecomposition, ensemble: EnsembleSpec) -> np.ndarray:
@@ -116,8 +115,7 @@ def base_state(hamiltonian: HermitianOperator, ensemble: EnsembleSpec) -> StateV
     if ensemble.kind == "infinite_temperature":
         matrix = np.eye(hamiltonian.dim) / np.sqrt(hamiltonian.dim)
     else:
-        eig = hamiltonian.eig
-        matrix = eig.apply_function(lambda _: np.sqrt(ensemble_populations(eig, ensemble)))
+        matrix = hamiltonian.eig.apply(np.sqrt(ensemble_populations(hamiltonian.eig, ensemble)))
     return StateVector(2 * num_sites, matrix.reshape(-1))
 
 
@@ -156,4 +154,5 @@ def thermal_operator_state(
     m = operator.matrix @ base.amplitudes.reshape(dim, dim)
     norm = float(np.linalg.norm(m))
     reject_annihilation(norm * norm, float(np.vdot(operator.matrix, operator.matrix).real) / dim, ensemble)
-    return StateVector(base.num_qubits, m.reshape(-1) / norm)
+    m /= norm  # in place: no third matrix beside the base state and O times it
+    return StateVector(base.num_qubits, m.reshape(-1))

@@ -35,8 +35,9 @@ order, so the outcome bytes do not depend on it.
 
 Beside the returned probabilities, the heap holds one working array, one
 propagator and one bounded block.  The propagator ``U_j`` is built in blocks
-of rows (``simcore.EigenDecomposition.apply_function``) and released after
-its step, so the next build, the transform and the marginal run without it.
+of rows (``simcore.EigenDecomposition.apply`` of its eigenphases) and
+released after its step, so the next build, the transform and the marginal
+run without it.
 The left product ``U_j psi`` is written straight into
 ``psi[2**j : 2**(j+1)]``, which it does not overlap.  The right product by
 ``U_j^dagger`` then runs in place on blocks, so numpy's copy of the
@@ -113,12 +114,9 @@ class PhaseDistribution:
         if self.shots is not None and self.shots < 1:
             raise ValueError("empirical distributions must record a positive shot count")
 
-    def frequencies(self) -> np.ndarray:
-        """Signed angular frequency of every outcome, computed once and returned read-only."""
-        return self._frequencies
-
     @cached_property
-    def _frequencies(self) -> np.ndarray:
+    def frequencies(self) -> np.ndarray:
+        """Signed angular frequency of every outcome, computed once and read-only."""
         omega = outcome_frequency(np.arange(1 << self.num_bits), self.num_bits, self.delta)
         omega.flags.writeable = False
         return omega

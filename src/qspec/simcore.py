@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -180,33 +180,40 @@ class EigenDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def apply_function(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """The matrix ``V fn(diag) V^dagger``, built in blocks of rows.
+    @property
+    def span(self) -> float:
+        """Width of the spectrum: the highest eigenvalue minus the lowest."""
+        return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
-        Each block of ``_block_rows`` rows of V is scaled by ``fn`` and
-        multiplied into the preallocated output, so beside the output the heap
-        holds one block (and, for complex V, the conjugate of V).  The gemm of
-        a block gives the bytes of the unblocked product (``_MIN_BLOCK_ROWS``).
-        With real V and complex ``fn`` each block is two real products, one for
-        the real and one for the imaginary part of ``fn``.
+    def apply(self, diagonal: np.ndarray) -> np.ndarray:
+        """The matrix ``V diag(diagonal) V^dagger``, built into its output in blocks of rows.
+
+        Beside the output the heap holds one block of ``_block_rows`` rows of V,
+        whose gemm gives the bytes of the unblocked product (``_MIN_BLOCK_ROWS``).
+        Real V with a complex diagonal takes two real products per block; complex
+        V takes ``conj(conj(V_s d) V^T)``, conjugated in place, so no conjugate
+        copy of V is made.
         """
-        vecs, vals = self.eigenvectors, fn(self.eigenvalues)
-        right = vecs.conj().T
-        split = not np.iscomplexobj(vecs) and np.iscomplexobj(vals)
-        out = np.empty((self.dim, self.dim), dtype=np.result_type(vecs, vals))
+        vecs = self.eigenvectors
+        out = np.empty((self.dim, self.dim), dtype=np.result_type(vecs, diagonal))
         rows = _block_rows(out.itemsize * self.dim)
         for s in range(0, self.dim, rows):
-            block = vecs[s : s + rows]
-            if split:
-                out.real[s : s + rows] = (block * vals.real) @ right
-                out.imag[s : s + rows] = (block * vals.imag) @ right
+            block, dest = vecs[s : s + rows], out[s : s + rows]
+            if np.iscomplexobj(vecs):
+                scaled = block * diagonal
+                np.matmul(np.conjugate(scaled, out=scaled), vecs.T, out=dest)
+                np.conjugate(dest, out=dest)
+                del scaled  # before the next block is scaled
+            elif np.iscomplexobj(diagonal):
+                dest.real = (block * diagonal.real) @ vecs.T
+                dest.imag = (block * diagonal.imag) @ vecs.T
             else:
-                np.matmul(block * vals, right, out=out[s : s + rows])
+                np.matmul(block * diagonal, vecs.T, out=dest)
         return out
 
     def propagator(self, t: float) -> np.ndarray:
         """``exp(1j * t * H)`` as a dense matrix; ``propagator(-t)`` steps backward."""
-        return self.apply_function(lambda lam: np.exp(1j * t * lam))
+        return self.apply(np.exp(1j * t * self.eigenvalues))
 
 
 def eig_hermitian(operator: HermitianOperator | np.ndarray) -> EigenDecomposition:

@@ -395,7 +395,7 @@ def test_planned_ground_state_band_keeps_every_line_at_its_positive_gap(tmp_path
     report = run_experiment(config)
     plan, oracle_dist = report.plan, report.oracle_distribution
     dim = 1 << plan.num_bits
-    omega, width = oracle_dist.frequencies(), 2 * np.pi / (plan.delta * dim)
+    omega, width = oracle_dist.frequencies, 2 * np.pi / (plan.delta * dim)
     table = oracle.transition_weights(build_operator(config.model), build_operator(config.observable),
                                       config.ensemble)
     strong = table.weights[:, 0] >= 0.05 * table.mass
@@ -459,7 +459,7 @@ def test_report_arrays_round_trip_losslessly(tmp_path):
     tables = {
         "distribution.csv": {
             "f": np.arange(1 << exact.num_bits),
-            "omega": exact.frequencies(),
+            "omega": exact.frequencies,
             "p_exact": exact.probabilities,
             "p_oracle": report.oracle_distribution.probabilities,
             "p_empirical": report.empirical_distribution.probabilities,
@@ -1063,8 +1063,15 @@ def test_cli_observable_below_the_normal_range_exits_with_one_line(
         ({"qpe": {"l": 3, "delta": 1e300}}, "config error: qpe.delta: "),
         # Phases past 2**18 turns round circuit and oracle apart by over 1e-10.
         ({"qpe": {"l": 3, "delta": 1e20}}, "config error: qpe.delta: "),
+        # The model presets, as whole lines.  A list cannot key the preset table.
+        ({"model": {"preset": []}},
+         "config error: model.preset: unknown preset []; choose from ('tilted_ising', 'heisenberg')\n"),
+        ({"model": {"preset": "ising", "N": 2}},
+         "config error: model.preset: unknown preset 'ising'; choose from ('tilted_ising', 'heisenberg')\n"),
+        ({"model": {"preset": "heisenberg", "N": 1}}, "config error: model.N: must be >= 2, got 1\n"),
     ],
-    ids=["model_overflow", "observable_overflow", "linewidth_overflow", "linewidth_underflow", "phase_winding"],
+    ids=["model_overflow", "observable_overflow", "linewidth_overflow", "linewidth_underflow", "phase_winding",
+         "preset_not_a_string", "preset_unknown", "heisenberg_one_site"],
 )
 def test_cli_out_of_range_configs_exit_with_one_line(tmp_path, capsys, command, overrides, message):
     document = dict(TWO_LEVEL, output_dir=str(tmp_path / "never"), **overrides)
@@ -1311,8 +1318,7 @@ def test_cli_oracle_grid_is_exactly_symmetric(tmp_path, overrides):
     omega = csv_columns(tmp_path / "oracle-out" / "spectrum.csv")["omega"]
     assert omega.size == 2001
     assert np.all(omega == -omega[::-1])
-    levels = build_operator(config.model).eig.eigenvalues
-    reach = 1.2 * float(levels[-1] - levels[0])
+    reach = 1.2 * build_operator(config.model).eig.span
     assert abs(omega[-1] - reach) <= np.spacing(reach) and abs(omega[0] + reach) <= np.spacing(reach)
 
 

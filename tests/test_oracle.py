@@ -108,7 +108,7 @@ def test_gibbs_correlation_matches_density_matrix_trace():
     op = random_real_symmetric(2, seed=11)
     beta = 0.9
     eig = eig_hermitian(ham)
-    rho = eig.apply_function(lambda lam: np.exp(-beta * (lam - lam[0])))
+    rho = eig.apply(np.exp(-beta * (eig.eigenvalues - eig.eigenvalues[0])))
     rho /= np.trace(rho)
     t = 1.4
     propagator = eig.propagator(t)
@@ -273,7 +273,7 @@ def _test_grid(kind: str, reach: float, rng) -> np.ndarray:
     if kind == "signed_zeros":
         return rng.permutation(np.concatenate((rng.uniform(-reach, reach, 20), [0.0, -0.0])))
     # The register grid of a run: exact negatives but for the unpaired -half bin.
-    grid = np.sort(PhaseDistribution(5, np.pi / reach, np.full(32, 1 / 32)).frequencies())
+    grid = np.sort(PhaseDistribution(5, np.pi / reach, np.full(32, 1 / 32)).frequencies)
     assert -grid[0] not in grid and np.all(grid[1:] == -grid[:0:-1])
     return grid
 
@@ -293,8 +293,7 @@ def test_folded_sums_match_the_direct_sum(num_sites, seed, complex_h, ensemble, 
     make = random_hermitian if complex_h else random_real_symmetric
     ham, obs = make(num_sites, seed), make(num_sites, seed + 1)
     table = transition_weights(ham, obs, ensemble)
-    levels = ham.eig.eigenvalues
-    points = _test_grid(kind, 1.2 * float(levels[-1] - levels[0]) + 0.1, np.random.default_rng(seed))
+    points = _test_grid(kind, 1.2 * ham.eig.span + 0.1, np.random.default_rng(seed))
     sigma = spectral_function(table, points, gamma).values
     reference = direct_transition_sum(table, points, lambda x, gap: gamma / (gamma**2 + (x - gap) ** 2)).real
     assert np.max(np.abs(sigma - reference)) <= 1e-13 * np.max(reference)
@@ -308,8 +307,7 @@ def test_folded_sums_accumulate_across_tile_blocks(monkeypatch, tile):
     ham = random_hermitian(3, 41)
     table = transition_weights(ham, random_real_symmetric(3, 42), gibbs(0.8))
     assert table.gaps.size >= 20
-    levels = ham.eig.eigenvalues
-    points = _test_grid("asymmetric", 1.2 * float(levels[-1] - levels[0]) + 0.1, np.random.default_rng(43))
+    points = _test_grid("asymmetric", 1.2 * ham.eig.span + 0.1, np.random.default_rng(43))
     gamma = 0.3
     sigma = spectral_function(table, points, gamma).values
     reference = direct_transition_sum(table, points, lambda x, gap: gamma / (gamma**2 + (x - gap) ** 2)).real
@@ -323,8 +321,7 @@ def test_folded_sums_are_the_same_bytes_at_any_worker_count(monkeypatch, tile):
     monkeypatch.setattr(oracle, "TILE", tile)
     ham = random_hermitian(3, 41)
     table = transition_weights(ham, random_real_symmetric(3, 42), gibbs(0.8))
-    levels = ham.eig.eigenvalues
-    grid = _test_grid("asymmetric", 1.2 * float(levels[-1] - levels[0]) + 0.1, np.random.default_rng(43))
+    grid = _test_grid("asymmetric", 1.2 * ham.eig.span + 0.1, np.random.default_rng(43))
     for points in (grid, grid[:2], np.array([])):
         results = []
         for workers in (1, 2, 3, 8):
@@ -669,6 +666,23 @@ def test_outcome_distribution_holds_a_tile_per_worker_not_a_row_per_pair(monkeyp
     assert peak <= 2 * 8 * oracle.TILE[0] * oracle.TILE[1] + 2**19
 
 
+def test_outcome_distribution_at_n10_holds_four_arrays_per_pair():
+    # The eigh_dense table: tilted Ising N=10, total_sz, Gibbs, l=1.  The phase
+    # array becomes the offsets in place and the nearest integers go once the
+    # bins are formed, so the stage holds four arrays of one double per pair
+    # (offsets, bins, numerators, unsplit ratios), a mask and one tile: 4.4
+    # arrays traced.  A separate phase array and nearest integers (6.4) break it.
+    ham = build_operator(tilted_ising(10))
+    table = transition_weights(ham, preset_observable("total_sz", 10), gibbs(1.0))
+    tracemalloc.start()
+    try:
+        exact_outcome_distribution(table, 1, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * table.gaps.size
+
+
 def test_outcome_distribution_zero_hamiltonian():
     table = transition_weights(HermitianOperator(np.zeros((2, 2))), PAULI_X, INFINITE_TEMPERATURE)
     dist = exact_outcome_distribution(table, 3, 0.4)
@@ -698,8 +712,7 @@ def test_consistency_triangle_concentration():
     obs = preset_observable("total_sz", 2)
     num_bits, dim = 6, 64
     eig = eig_hermitian(ham)
-    span = float(eig.eigenvalues[-1] - eig.eigenvalues[0])
-    delta = 2 * np.pi * (dim // 2 - 1) / (dim * span)
+    delta = 2 * np.pi * (dim // 2 - 1) / (dim * eig.span)
     table = transition_weights(ham, obs, INFINITE_TEMPERATURE)
     dist = exact_outcome_distribution(table, num_bits, delta)
     flat_gaps, flat_weights = directed_transitions(table)
@@ -728,12 +741,11 @@ def test_spectrum_and_outcome_peaks_coincide():
     obs = preset_observable("total_sz", 3)
     num_bits, dim = 8, 256
     eig = eig_hermitian(ham)
-    span = float(eig.eigenvalues[-1] - eig.eigenvalues[0])
-    delta = 2 * np.pi * (dim // 2 - 1) / (dim * span)
+    delta = 2 * np.pi * (dim // 2 - 1) / (dim * eig.span)
     gamma = 2 * np.pi / (delta * dim)
     transitions = transition_weights(ham, obs, INFINITE_TEMPERATURE)
     dist = exact_outcome_distribution(transitions, num_bits, delta)
-    freqs = dist.frequencies()
+    freqs = dist.frequencies
     table = spectral_function(transitions, np.sort(freqs), gamma)
     order = np.argsort(freqs)
 

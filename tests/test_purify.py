@@ -1,6 +1,7 @@
 """Base states, operator states and their purifications on the doubled register."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from helpers import (
     complex_copy,
     gibbs_purification,
     ground_pair,
+    preset_observable,
     random_hermitian,
     random_real_symmetric,
     real_pauli_sums,
 )
 from qspec.errors import ResourceCapError, ZeroNormError, ZeroOperatorError
-from qspec.models import ModelSpec, PauliTerm, build_operator
+from qspec.models import ModelSpec, PauliTerm, build_operator, tilted_ising
 from qspec.oracle import distribution_distance, exact_outcome_distribution, transition_weights
 from qspec.purify import (
     GROUND_STATE,
@@ -315,3 +317,24 @@ def test_real_operators_give_real_purified_states(ensemble):
     twin = thermal_operator_state(complex_copy(obs), complex_copy(ham), ensemble)
     assert twin.amplitudes.dtype == np.complex128
     assert abs(abs(overlap(real, twin)) - 1.0) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def chain_at_the_cap():
+    ham = build_operator(tilted_ising(10))
+    ham.eig  # the memoised decomposition is not part of the state
+    return ham, preset_observable("total_sz", 10)
+
+
+@pytest.mark.parametrize("ensemble", [INFINITE_TEMPERATURE, gibbs(1.0), GROUND_STATE])
+def test_operator_state_at_n10_holds_two_matrices(chain_at_the_cap, ensemble):
+    # The base state and O times it, normalized in place: 16.0 MiB traced in
+    # every ensemble.  A normalized copy beside them (24.0 MiB) breaks the bound.
+    ham, obs = chain_at_the_cap
+    tracemalloc.start()
+    try:
+        thermal_operator_state(obs, ham, ensemble)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 4**10 * 8 + 2**20

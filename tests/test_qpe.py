@@ -366,12 +366,12 @@ def test_outcome_frequency_range_check():
 def test_frequencies_are_each_outcome_frequency_byte_for_byte(num_bits, delta):
     dim = 1 << num_bits
     dist = PhaseDistribution(num_bits, delta, np.full(dim, 1.0 / dim))
-    freqs = dist.frequencies()
+    freqs = dist.frequencies
     expected = np.array([outcome_frequency(f, num_bits, delta) for f in range(dim)])
     assert freqs.dtype == np.float64
     assert freqs.tobytes() == expected.tobytes()
     # Computed once: the report's omega column and the spectrum grid share one array.
-    assert dist.frequencies() is freqs and not freqs.flags.writeable
+    assert dist.frequencies is freqs and not freqs.flags.writeable
 
 
 # --- resolution planning -------------------------------------------------------------
@@ -464,12 +464,12 @@ def test_phase_distribution_csv_and_json_round_trip(tmp_path):
     # A distribution goes to disk through the package's one CSV and one JSON writer.
     dist = run_qpe(thermal_operator_state(PAULI_X, PAULI_Z, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
     csv_path = tmp_path / "dist.csv"
-    write_csv(csv_path, {"f": range(8), "omega": dist.frequencies(), "probability": dist.probabilities})
+    write_csv(csv_path, {"f": range(8), "omega": dist.frequencies, "probability": dist.probabilities})
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0] == "f,omega,probability"
     parsed = [row.split(",") for row in rows[1:]]
     assert [row[0] for row in parsed] == [str(f) for f in range(8)]
-    np.testing.assert_array_equal(np.array([float(row[1]) for row in parsed]), dist.frequencies())
+    np.testing.assert_array_equal(np.array([float(row[1]) for row in parsed]), dist.frequencies)
     np.testing.assert_array_equal(np.array([float(row[2]) for row in parsed]), dist.probabilities)
 
     json_path = tmp_path / "dist.json"

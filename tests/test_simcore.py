@@ -1,5 +1,7 @@
 """Register conventions, gates and marginals of the dense simulator core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -370,15 +372,15 @@ def test_state_vector_keeps_real_amplitudes_real():
     assert StateVector(1, np.array([1.0 + 0j, 0.0])).amplitudes.dtype == np.complex128
 
 
-def test_apply_function_on_real_eigenvectors_matches_complex_product():
+def test_apply_on_real_eigenvectors_matches_complex_product():
     eig = random_real_symmetric(3, seed=8).eig
     assert eig.eigenvectors.dtype == np.float64
-    fn = lambda lam: np.exp(0.7j * lam)  # noqa: E731
-    split = eig.apply_function(fn)
+    diagonal = np.exp(0.7j * eig.eigenvalues)
+    split = eig.apply(diagonal)
     assert split.dtype == np.complex128
     vecs = eig.eigenvectors.astype(complex)
-    np.testing.assert_allclose(split, (vecs * fn(eig.eigenvalues)) @ vecs.conj().T, atol=1e-14)
-    assert eig.apply_function(np.cos).dtype == np.float64
+    np.testing.assert_allclose(split, (vecs * diagonal) @ vecs.conj().T, atol=1e-14)
+    assert eig.apply(np.cos(eig.eigenvalues)).dtype == np.float64
 
 
 @pytest.mark.parametrize(
@@ -389,22 +391,43 @@ def test_apply_function_on_real_eigenvectors_matches_complex_product():
         (random_hermitian(5, seed=33), lambda lam: np.exp(-0.4j * lam)),
         (random_hermitian(5, seed=34), np.sin),
     ],
-    ids=["real-V-complex-fn", "real-V-real-fn", "complex-V-complex-fn", "complex-V-real-fn"],
+    ids=["real-V-complex-d", "real-V-real-d", "complex-V-complex-d", "complex-V-real-d"],
 )
-def test_apply_function_blocks_give_the_unblocked_bytes(monkeypatch, operator, fn):
+def test_apply_blocks_give_the_unblocked_bytes(monkeypatch, operator, fn):
     # A one-byte block gives blocks of the fewest rows allowed: four blocks of the
     # 32 rows of V.  A one-row block would go through gemv and move the bytes.
+    # Complex V forms each block as conj(conj(V_s d) V^T), which gives the bytes
+    # of the product with a conjugate copy of V.
     assert simcore._MIN_BLOCK_ROWS >= 8
     monkeypatch.setattr(simcore, "_BLOCK_BYTES", 1)
     eig = operator.eig
-    vecs, vals = eig.eigenvectors, fn(eig.eigenvalues)
-    if np.iscomplexobj(vecs) or not np.iscomplexobj(vals):
-        unblocked = (vecs * vals) @ vecs.conj().T
+    vecs, diagonal = eig.eigenvectors, fn(eig.eigenvalues)
+    if np.iscomplexobj(vecs) or not np.iscomplexobj(diagonal):
+        unblocked = (vecs * diagonal) @ vecs.conj().T
     else:
         unblocked = np.empty((eig.dim, eig.dim), dtype=complex)
-        unblocked.real = (vecs * vals.real) @ vecs.T
-        unblocked.imag = (vecs * vals.imag) @ vecs.T
-    np.testing.assert_array_equal(eig.apply_function(fn), unblocked)
+        unblocked.real = (vecs * diagonal.real) @ vecs.T
+        unblocked.imag = (vecs * diagonal.imag) @ vecs.T
+    np.testing.assert_array_equal(eig.apply(diagonal), unblocked)
+
+
+def test_complex_propagator_at_n10_holds_its_output_and_one_block():
+    # A random unitary from QR stands in for the eigenvectors of a complex H at
+    # N=10, so no complex eigh runs.  The propagator holds its 16 MiB output and
+    # one 4 MiB block of rows (20.1 MiB traced); the bound spares half a block.  A
+    # conjugate copy of V (36.1 MiB), or the previous block kept while the next
+    # is scaled (24.1 MiB), breaks it.
+    rng = np.random.default_rng(10)
+    dim = 1 << 10
+    vecs, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    eig = simcore.EigenDecomposition(np.sort(rng.normal(size=dim)), vecs)
+    tracemalloc.start()
+    try:
+        eig.propagator(0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dim * dim * 16 + 3 * simcore._BLOCK_BYTES // 2
 
 
 def _real_state(num_qubits: int, seed: int) -> StateVector:
