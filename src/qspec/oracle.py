@@ -35,14 +35,15 @@ reflection-symmetric model about half of the transitions carry weight that
 symmetry makes exactly zero, and rounding leaves them far below that
 threshold.
 
-Both sums run in cache-sized tiles, on a thread pool when there is more than
-one block of points (``_transition_sum``).  They do not move by a bit with
+Both sums run on one sorted grid that holds each point's negative, in
+cache-sized tiles, on a thread pool when there is more than one block of
+points (``_transition_sum``).  Each kernel sets its own numpy error state, so
+no worker copies the caller's context.  The sums do not move by a bit with
 the number of CPUs, only with the BLAS thread count, as the table's products do.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -52,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .purify import EnsembleSpec, ensemble_populations, reject_annihilation
+from .purify import EnsembleSpec, ensemble_populations, reject_annihilation, reject_size_mismatch
 from .qpe import PhaseDistribution
 from .simcore import HermitianOperator
 
@@ -129,20 +130,16 @@ def transition_weights(
     mass is ``<O^2>`` in the base state, and an observable that annihilates
     the base state is rejected (``purify.reject_annihilation``).
     """
-    if hamiltonian.dim != operator.dim:
-        raise DimensionMismatchError(
-            f"Hamiltonian dim {hamiltonian.dim} vs operator dim {operator.dim}"
-        )
+    reject_size_mismatch(operator, hamiltonian)
     eig = hamiltonian.eig
     vecs, levels = eig.eigenvectors, eig.eigenvalues
     pops = ensemble_populations(eig, ensemble)
     # |O_nm|^2 in one array, squared and then weighted in place.
     weights = np.abs(vecs.conj().T @ operator.matrix @ vecs)
     np.square(weights, out=weights)
-    mean_square = float(weights.sum()) / eig.dim
     np.multiply(weights, pops[:, None], out=weights)  # the transition n -> m at [n, m]
     mass = float(weights.sum())
-    reject_annihilation(mass, mean_square, ensemble)
+    reject_annihilation(mass, operator, ensemble)
     # One pass, no sort: the weights above PRUNE_SHARE of their mean, and the
     # pairs n <= m (levels ascending, so gaps >= 0) with either direction kept.
     cut = PRUNE_SHARE * mass / weights.size
@@ -171,56 +168,53 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _mirror(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted union of the points and their negatives, and where each point and its negative sit in it."""
-    mirrored, where = np.unique(np.concatenate((points, -points)), return_inverse=True)
-    return mirrored, where[: points.size], where[points.size :]
+def _mirror(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of the points and their negatives, and where each point sits in it."""
+    grid, where = np.unique(np.concatenate((points, -points)), return_inverse=True)
+    return grid, where[: points.size]
 
 
 def _transition_sum(
     table: TransitionTable,
-    mirror: tuple[np.ndarray, np.ndarray, np.ndarray],
+    grid: np.ndarray,
     kernel: Callable[[np.ndarray, slice, np.ndarray], None],
 ) -> np.ndarray:
-    """Real sum over kept transitions of ``weight * kernel(point, gap)``, one kernel per gap.
+    """Real sum over kept transitions of ``weight * kernel(point, gap)`` at every grid point.
 
     The kernel satisfies ``kernel(p, -g) == kernel(-p, g)``, so a reverse
-    transition at -gap contributes the pair's kernel at -p.  The kernel runs
-    once on the points and their mirrors, and each tile meets both weight
-    columns in one product: ``S(p) = out[p, 0] + out[-p, 1]``.  ``mirror`` is
-    ``(mirrored, plus, minus)``: the sorted union of the points and their
-    negatives, and the index there of each point and of its negative, as
-    ``_mirror`` builds it or a caller knows it in closed form.
+    transition at -gap contributes the pair's kernel at -p.  ``grid`` is
+    sorted and holds the negative of each of its points (``_mirror`` builds
+    one, or a caller knows it in closed form), so ``grid[::-1] == -grid``:
+    the kernel runs once on the grid, each tile meets both weight columns in
+    one product, and ``S = out[:, 0] + out[::-1, 1]``.
     ``kernel(block, pairs, out)`` fills the (points, pairs) tile ``out`` in
     place for the table rows in the slice ``pairs``, one ``TILE`` at a time,
     in a buffer that stays in cache while each block of points meets every
-    block of pairs in turn.
+    block of pairs in turn.  It sets the numpy error state it needs itself,
+    so a pool worker needs no copy of the caller's context.
 
     The pool has one worker per usable CPU and at most one per block of points;
     when that is one, the calling thread sums every block and no pool starts.
-    Each worker runs in a copy of the caller's context, so numpy's error state
-    holds there too.  It takes the next block of points from a shared counter
-    until none is left, so a slow CPU holds up only the blocks it has taken,
-    sums its tiles in its own row of the tile buffer and writes only that
-    block's rows of the sum.  Each row meets the same kernel calls and
-    products, on the same tile shapes and in the same order, whichever worker
-    takes it: the result's bytes do not depend on the worker count.  Once
-    every worker is done, the first worker's exception, in worker order, is
-    raised here.
+    Each worker takes the next block of points from a shared counter until
+    none is left, so a slow CPU holds up only the blocks it has taken, sums
+    its tiles in its own row of the tile buffer and writes only that block's
+    rows of the sum.  Each row meets the same kernel calls and products, on
+    the same tile shapes and in the same order, whichever worker takes it:
+    the result's bytes do not depend on the worker count.  Once every worker
+    is done, the first worker's exception, in worker order, is raised here.
     """
-    mirrored, plus, minus = mirror
-    out = np.zeros((mirrored.size, 2))
+    out = np.zeros((grid.size, 2))
     pairs = table.gaps.size
     cols = min(max(pairs, 1), TILE[1])
     rows = TILE[0] * TILE[1] // cols
-    blocks = range(0, mirrored.size, rows)
+    blocks = range(0, grid.size, rows)
     workers = max(1, min(_usable_cpus(), len(blocks)))  # one, even for no points
     buffers = np.empty((workers, rows * cols))
     starts = iter(blocks)  # shared: each next() hands one block to one worker
 
     def run(part: int) -> None:
         for row in starts:
-            block = mirrored[row : row + rows]
+            block = grid[row : row + rows]
             for start in range(0, pairs, cols):
                 span = slice(start, min(start + cols, pairs))
                 tile = buffers[part, : block.size * (span.stop - start)].reshape(block.size, -1)
@@ -231,10 +225,10 @@ def _transition_sum(
         run(0)
     else:
         with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, run, part) for part in range(workers)]
+            futures = [pool.submit(run, part) for part in range(workers)]
         for future in futures:
             future.result()
-    return out[plus, 0] + out[minus, 1]
+    return out[:, 0] + out[::-1, 1]
 
 
 def spectral_function(table: TransitionTable, omega_grid: np.ndarray, gamma: float) -> SpectrumTable:
@@ -254,15 +248,15 @@ def spectral_function(table: TransitionTable, omega_grid: np.ndarray, gamma: flo
     height = 1.0 / gamma
 
     def kernel(block, pairs, out):
-        np.subtract(block[:, None], table.gaps[pairs], out=out)
-        np.multiply(out, height, out=out)
-        np.square(out, out=out)
-        np.add(1.0, out, out=out)
-        np.divide(height, out, out=out)
+        with np.errstate(over="ignore"):
+            np.subtract(block[:, None], table.gaps[pairs], out=out)
+            np.multiply(out, height, out=out)
+            np.square(out, out=out)
+            np.add(1.0, out, out=out)
+            np.divide(height, out, out=out)
 
-    with np.errstate(over="ignore"):
-        values = _transition_sum(table, _mirror(omega), kernel)
-    return SpectrumTable(omega, values, gamma)
+    grid, where = _mirror(omega)
+    return SpectrumTable(omega, _transition_sum(table, grid, kernel)[where], gamma)
 
 
 def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: float) -> PhaseDistribution:
@@ -275,8 +269,8 @@ def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: flo
     leakage kernel, the squared sinc ratio ``(sinc(r) / sinc(r / 2**l))**2``,
     with its numerator ``sin^2(pi r) = sin^2(pi frac)`` computed once per
     pair; ``r`` never carries the phase's integer part.  The kernel is even,
-    so ``_transition_sum`` sums it on the signed bins ``f - 2**l [f >= 2**(l-1)]``,
-    whose mirror is the lattice ``-2**(l-1) ... 2**(l-1)`` in closed form.
+    so ``_transition_sum`` sums it on the lattice ``-2**(l-1) ... 2**(l-1)``,
+    which holds each signed bin ``f - 2**l [f >= 2**(l-1)]`` and its negative.
     """
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
@@ -292,26 +286,25 @@ def exact_outcome_distribution(table: TransitionTable, num_bits: int, delta: flo
     numerator *= numerator / dim**2
     # Near a zero offset the split form divides two vanishing squares; there the
     # j = 0 entry takes the unsplit sinc ratio, 1 to a few ulp for |frac| < sqrt(eps).
-    near = np.abs(frac) < 2.0**-26
-    unsplit = np.zeros_like(frac)
-    unsplit[near] = (np.sinc(frac[near]) / np.sinc(frac[near] / dim)) ** 2
+    near = np.flatnonzero(np.abs(frac) < 2.0**-26)
+    unsplit = (np.sinc(frac[near]) / np.sinc(frac[near] / dim)) ** 2
 
     def kernel(block, pairs, out):
         np.subtract(hit[pairs], block[:, None], out=out)  # from -half to below dim + half
         np.subtract(out, dim, out=out, where=out >= half)  # j, wrapped into the register
-        cols = np.flatnonzero(near[pairs])
+        first, stop = np.searchsorted(near, (pairs.start, pairs.stop))
+        cols = near[first:stop] - pairs.start
         hits, which = np.nonzero(out[:, cols] == 0)
         out += frac[pairs]
         out *= np.pi / dim
         np.sin(out, out=out)
         np.square(out, out=out)
-        np.divide(numerator[pairs], out, out=out)
-        out[hits, cols[which]] = unsplit[pairs][cols[which]]
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at the hits, replaced below
+            np.divide(numerator[pairs], out, out=out)
+        out[hits, cols[which]] = unsplit[first:stop][which]
 
     signed = np.roll(np.arange(-half, half), half)  # the signed bin of each f
-    lattice = np.arange(-half, half + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        probs = _transition_sum(table, (lattice, signed + half, half - signed), kernel)
+    probs = _transition_sum(table, np.arange(-half, half + 1, dtype=float), kernel)[signed + half]
     return PhaseDistribution(num_bits, delta, probs / table.mass)
 
 

@@ -119,13 +119,21 @@ def base_state(hamiltonian: HermitianOperator, ensemble: EnsembleSpec) -> StateV
     return StateVector(2 * num_sites, matrix.reshape(-1))
 
 
-def reject_annihilation(second_moment: float, mean_square: float, ensemble: EnsembleSpec) -> None:
+def reject_size_mismatch(operator: HermitianOperator, hamiltonian: HermitianOperator) -> None:
+    """Raise ``DimensionMismatchError`` unless O and H act on the same space."""
+    if hamiltonian.dim != operator.dim:
+        raise DimensionMismatchError(f"operator dim {operator.dim} vs Hamiltonian dim {hamiltonian.dim}")
+
+
+def reject_annihilation(second_moment: float, operator: HermitianOperator, ensemble: EnsembleSpec) -> None:
     """Raise ``ZeroNormError`` when ``<O^2> <= M2_RTOL * tr(O^2)/dim`` in the base state.
 
+    The caller passes the ``<O^2>`` it formed; the scale ``tr(O^2)/dim`` is read from O here.
     A nonzero but subnormal ``tr(O^2)/dim`` is a ``ZeroOperatorError``: no norm of O is accurate.
     A subnormal ``<O^2>`` is a ``ZeroNormError`` too: the base state leaves O's
     norm, and every moment above it, to rounding.
     """
+    mean_square = float(np.vdot(operator.matrix, operator.matrix).real) / operator.dim
     if 0.0 < mean_square < np.finfo(float).tiny:
         raise ZeroOperatorError(f"tr(O^2)/dim = {mean_square:.3g} is below the normal float range")
     if not second_moment > M2_RTOL * mean_square:
@@ -145,14 +153,11 @@ def thermal_operator_state(
 
     At infinite temperature this is ``sum_ij O_ij |i>|j> / sqrt(tr O^2)``.
     """
-    if hamiltonian.dim != operator.dim:
-        raise DimensionMismatchError(
-            f"operator dim {operator.dim} vs Hamiltonian dim {hamiltonian.dim}"
-        )
+    reject_size_mismatch(operator, hamiltonian)
     dim = operator.dim
     base = base_state(hamiltonian, ensemble)
     m = operator.matrix @ base.amplitudes.reshape(dim, dim)
     norm = float(np.linalg.norm(m))
-    reject_annihilation(norm * norm, float(np.vdot(operator.matrix, operator.matrix).real) / dim, ensemble)
+    reject_annihilation(norm * norm, operator, ensemble)
     m /= norm  # in place: no third matrix beside the base state and O times it
     return StateVector(base.num_qubits, m.reshape(-1))

@@ -45,9 +45,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateAngleError, DimensionMismatchError, ResourceCapError, ZeroOperatorError
+from .errors import DegenerateAngleError, ResourceCapError, ZeroOperatorError
 from .models import EigenvalueDistribution, analytic_moments
-from .purify import EnsembleSpec, base_state, ensemble_populations, reject_annihilation
+from .purify import EnsembleSpec, base_state, ensemble_populations, reject_annihilation, reject_size_mismatch
 from .simcore import QUBIT_CAP, HermitianOperator, StateVector
 
 TRACE_TOL = 1e-12
@@ -114,8 +114,7 @@ def spectral_weights(
     ``purify.M2_RTOL``).  Infinite temperature occupies every eigenvalue
     evenly and does not diagonalize H.
     """
-    if hamiltonian.dim != operator.dim:
-        raise DimensionMismatchError(f"operator dim {operator.dim} vs Hamiltonian dim {hamiltonian.dim}")
+    reject_size_mismatch(operator, hamiltonian)
     eig_o = operator.eig
     vals = eig_o.eigenvalues
     if ensemble.kind == "infinite_temperature":
@@ -124,7 +123,7 @@ def spectral_weights(
         eig_h = hamiltonian.eig
         amp = eig_o.eigenvectors.conj().T @ eig_h.eigenvectors
         q = (np.abs(amp) ** 2) @ ensemble_populations(eig_h, ensemble)
-    reject_annihilation(float(q @ vals**2), float(np.mean(vals**2)), ensemble)
+    reject_annihilation(float(q @ vals**2), operator, ensemble)
     return vals, q
 
 

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -179,8 +179,8 @@ def test_overflowing_detunings_take_their_limit_silently():
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_overflowing_detunings_take_their_limit_silently_on_every_worker(monkeypatch, workers):
-    # One point per block, so the helpers sum most of the grid; each must see
-    # the caller's numpy error state, or the overflow escapes as an error.
+    # One point per block, so the helpers sum most of the grid; the kernel sets
+    # its own numpy error state there, or the overflow escapes as an error.
     monkeypatch.setattr(oracle, "TILE", (1, 1))
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: workers)
     test_overflowing_detunings_take_their_limit_silently()
@@ -200,7 +200,7 @@ def test_an_error_in_a_helper_is_raised_by_the_call(monkeypatch):
         np.subtract(block[:, None], table.gaps[pairs][None, :], out=out)
 
     with pytest.raises(RuntimeError, match="kernel failed"):
-        oracle._transition_sum(table, oracle._mirror(points), kernel)
+        oracle._transition_sum(table, oracle._mirror(points)[0], kernel)
     assert raised_in and raised_in[0] is not threading.current_thread()
 
 
@@ -225,7 +225,7 @@ def test_a_stalled_worker_does_not_hold_up_the_grid(monkeypatch):
             released.set()
         np.subtract(block[:, None], table.gaps[pairs][None, :], out=out)
 
-    oracle._transition_sum(table, oracle._mirror(points), kernel)
+    oracle._transition_sum(table, oracle._mirror(points)[0], kernel)
     assert waited == [True]
 
 
@@ -245,7 +245,7 @@ def test_every_tile_is_summed_once_under_frequent_thread_switches(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        oracle._transition_sum(table, oracle._mirror(points), kernel)
+        oracle._transition_sum(table, oracle._mirror(points)[0], kernel)
     finally:
         sys.setswitchinterval(interval)
     grid = np.concatenate((-points[::-1], points))
@@ -272,6 +272,10 @@ def _test_grid(kind: str, reach: float, rng) -> np.ndarray:
         return np.concatenate((-side[::-1], [0.0], side))
     if kind == "signed_zeros":
         return rng.permutation(np.concatenate((rng.uniform(-reach, reach, 20), [0.0, -0.0])))
+    if kind == "edges":
+        # Both zeros, a repeated point, both infinities and a point without its negative.
+        x, y = rng.uniform(0.0, reach, 2)
+        return np.array([0.0, x, -0.0, np.inf, x, -np.inf, -y])
     # The register grid of a run: exact negatives but for the unpaired -half bin.
     grid = np.sort(PhaseDistribution(5, np.pi / reach, np.full(32, 1 / 32)).frequencies)
     assert -grid[0] not in grid and np.all(grid[1:] == -grid[:0:-1])
@@ -284,12 +288,14 @@ def _test_grid(kind: str, reach: float, rng) -> np.ndarray:
     seed=st.integers(0, 10_000),
     complex_h=st.booleans(),
     ensemble=st.sampled_from([INFINITE_TEMPERATURE, gibbs(0.8), GROUND_STATE]),
-    kind=st.sampled_from(["asymmetric", "symmetric", "signed_zeros", "register"]),
+    kind=st.sampled_from(["asymmetric", "symmetric", "signed_zeros", "edges", "register"]),
     gamma=st.floats(0.05, 2.0),
 )
+@example(num_sites=2, seed=3, complex_h=True, ensemble=gibbs(0.8), kind="edges", gamma=0.3)
 def test_folded_sums_match_the_direct_sum(num_sites, seed, complex_h, ensemble, kind, gamma):
     # Each pair's kernel is evaluated once and its reverse read at the mirrored
-    # point; the reference sums every directed transition at its own signed gap.
+    # point of a grid closed under negation; the reference sums every directed
+    # transition at its own signed gap.
     make = random_hermitian if complex_h else random_real_symmetric
     ham, obs = make(num_sites, seed), make(num_sites, seed + 1)
     table = transition_weights(ham, obs, ensemble)
@@ -668,10 +674,11 @@ def test_outcome_distribution_holds_a_tile_per_worker_not_a_row_per_pair(monkeyp
 
 def test_outcome_distribution_at_n10_holds_four_arrays_per_pair():
     # The eigh_dense table: tilted Ising N=10, total_sz, Gibbs, l=1.  The phase
-    # array becomes the offsets in place and the nearest integers go once the
-    # bins are formed, so the stage holds four arrays of one double per pair
-    # (offsets, bins, numerators, unsplit ratios), a mask and one tile: 4.4
-    # arrays traced.  A separate phase array and nearest integers (6.4) break it.
+    # array becomes the offsets in place, the nearest integers go once the bins
+    # are formed, and only the 1024 zero-offset pairs keep an unsplit ratio, so
+    # the stage peaks at 4.13 doubles per pair, when the numerators are formed
+    # beside the offsets and bins.  A full-length array of unsplit ratios (4.39)
+    # or a separate phase array and nearest integers (6.4) break it.
     ham = build_operator(tilted_ising(10))
     table = transition_weights(ham, preset_observable("total_sz", 10), gibbs(1.0))
     tracemalloc.start()
@@ -680,7 +687,7 @@ def test_outcome_distribution_at_n10_holds_four_arrays_per_pair():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * 8 * table.gaps.size
+    assert peak <= 4.25 * 8 * table.gaps.size
 
 
 def test_outcome_distribution_zero_hamiltonian():

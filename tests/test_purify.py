@@ -18,7 +18,7 @@ from helpers import (
     random_real_symmetric,
     real_pauli_sums,
 )
-from qspec.errors import ResourceCapError, ZeroNormError, ZeroOperatorError
+from qspec.errors import DimensionMismatchError, ResourceCapError, ZeroNormError, ZeroOperatorError
 from qspec.models import ModelSpec, PauliTerm, build_operator, tilted_ising
 from qspec.oracle import distribution_distance, exact_outcome_distribution, transition_weights
 from qspec.purify import (
@@ -131,6 +131,23 @@ def test_subnormal_second_moment_in_the_base_state_is_zero_norm():
     for route in routes:
         with pytest.raises(ZeroNormError, match=r"<O\^2> = 1\.05e-320 in the gibbs base state"):
             route()
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [thermal_operator_state, spectral_weights, lambda obs, ham, ensemble: transition_weights(ham, obs, ensemble)],
+    ids=["thermal_operator_state", "spectral_weights", "transition_weights"],
+)
+def test_every_reader_rejects_a_size_mismatch_and_an_annihilation_with_one_line(reader):
+    # Each rule has one owner in purify, so every reader of (O, H, ensemble)
+    # raises the same line.
+    with pytest.raises(DimensionMismatchError) as caught:
+        reader(HermitianOperator(PAULI_Z), random_real_symmetric(2, seed=80), INFINITE_TEMPERATURE)
+    assert str(caught.value) == "operator dim 2 vs Hamiltonian dim 4"
+    # The ground state of Z is |1>, which |0><0| annihilates.
+    with pytest.raises(ZeroNormError) as caught:
+        reader(HermitianOperator(np.diag([1.0, 0.0])), HermitianOperator(PAULI_Z), GROUND_STATE)
+    assert str(caught.value) == "annihilates the ground_state base state"
 
 
 @settings(max_examples=25, deadline=None)

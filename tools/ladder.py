@@ -29,14 +29,16 @@ no output; the two manifests must be identical::
 
 The ladder (229 invocations):
 
-* the benchmark workload configs at workload seed 1, plus the ``oracle_grid``
-  config under ``run``, and the benchmark's N=2 smoke configs;
-* the cap diagonal (2N + l + 1 = 22 qubits): N 1-10 at l = 21 - 2N and
-  delta=0.05, exact prep, no shots, under ``run``, each N with the model,
-  ensemble and observable of the diagonal test in ``tests/test_qpe.py``;
+* the benchmark's runs at workload seed 1, every workload's and the N=2
+  smoke workload's, as ``perfbench/workloads.py`` builds them (read from its
+  file, never edited);
 * the ``prep_circuit`` config with ``max_attempts`` 5000 at config seed 0
   (accepts at attempt 1427, past the default budget of 1000), 1500 at config
   seed 2 (exhausts: it accepts at 3290) and ``2**63`` (a config error);
+* the ``oracle_grid`` config under ``run``;
+* the cap diagonal (2N + l + 1 = 22 qubits): N 1-10 at l = 21 - 2N and
+  delta=0.05, exact prep, no shots, under ``run``, each N with the model,
+  ensemble and observable of the diagonal test in ``tests/test_qpe.py``;
 * tilted Ising (l=4, delta=0.3) and Heisenberg (planned at gamma=0.35),
   N 2-4 x infinite temperature / Gibbs beta=1 / ground state x exact /
   circuit prep x ``total_sz`` / ``staggered_sz`` x ``run`` / ``oracle``;
@@ -67,10 +69,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
-import random
 import sys
 from pathlib import Path
 
@@ -82,6 +84,7 @@ ENSEMBLES = {
     "gibbs": {"kind": "gibbs", "beta": 1.0},
     "ground": {"kind": "ground_state"},
 }
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 ARTIFACTS = ("distribution.csv", "spectrum.csv", "spectrum.json", "prepstudy.csv")
 #: Invocations under this name get ``--out OUTDIR/<name>/taken``, a file written beforehand.
 OUT_IS_FILE = "out_is_file"
@@ -105,43 +108,32 @@ def _config(model, observable, ensemble, prep, qpe, shots=0, seed=7) -> dict:
             "prep": {"mode": prep}, "qpe": qpe, "shots": shots, "seed": seed}
 
 
-def _workload_seeds(count: int) -> list[int]:
-    # The benchmark's config seeds for workload seed 1.
-    rng = random.Random(1)
-    return [rng.getrandbits(63) for _ in range(count)]
+def _benchmark_runs() -> dict:
+    """The benchmark's runs at workload seed 1, read from ``perfbench/workloads.py`` by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up by name
+    spec.loader.exec_module(workloads)
+    return {run.key: run for w in (*workloads.WORKLOADS.values(), workloads.SMOKE) for run in w.batch(1)}
 
 
 def invocations():
     """Yield ``(name, command, config)``; prepstudy and plan carry their arguments instead of a config."""
-    ising = lambda n: {"preset": "tilted_ising", "N": n}  # noqa: E731
-    bench = lambda l: {"l": l, "delta": 0.05}  # noqa: E731
-    for s in _workload_seeds(2):
-        yield f"qpe_wide/{s}", "run", _config(ising(6), "total_sz", ENSEMBLES["infinite"], "exact",
-                                              bench(9), 20000, s)
-    for s in range(4):
-        yield f"prep_circuit/{s}", "run", _config(ising(6), "total_sz", ENSEMBLES["gibbs"], "circuit",
-                                                  bench(5), 0, s)
+    runs = _benchmark_runs()
+    for run in runs.values():
+        yield run.key, run.command, run.config
     for s, budget in ((0, 5000), (2, 1500), (0, 1 << 63)):
-        config = _config(ising(6), "total_sz", ENSEMBLES["gibbs"], "circuit", bench(5), 0, s)
-        config["prep"]["max_attempts"] = budget
-        yield f"prep_budget/{s}/{budget}", "run", config
-    (s,) = _workload_seeds(1)
-    yield f"eigh_dense/{s}", "run", _config(ising(10), "total_sz", ENSEMBLES["gibbs"], "exact",
-                                            bench(1), 0, s)
-    for command in ("oracle", "run"):
-        yield f"oracle_grid/{command}/{s}", command, _config(ising(9), "total_sz", ENSEMBLES["gibbs"],
-                                                             "exact", bench(1), 0, s)
-    yield f"smoke/run/{s}", "run", _config(ising(2), "total_sz", ENSEMBLES["infinite"], "exact",
-                                           bench(3), 100, s)
-    yield f"smoke/circuit/{s}", "run", _config(ising(2), "total_sz", ENSEMBLES["gibbs"], "circuit",
-                                               bench(3), 0, s)
-    yield f"smoke/oracle/{s}", "oracle", _config(ising(2), "total_sz", ENSEMBLES["gibbs"], "exact",
-                                                 bench(3), 0, s)
+        config = runs[f"prep_circuit/{s}"].config
+        yield f"prep_budget/{s}/{budget}", "run", {**config, "prep": {**config["prep"], "max_attempts": budget}}
+    (grid,) = (run for run in runs.values() if run.key.startswith("oracle_grid/"))
+    yield f"oracle_grid/run/{grid.config['seed']}", "run", grid.config
+    ising = lambda n: {"preset": "tilted_ising", "N": n}  # noqa: E731
     for n in range(1, 11):
         ens = ("infinite", "gibbs", "ground")[n % 3]
         # total_sz commutes with the Heisenberg model, which the ground state uses.
         model, obs = ({"preset": "heisenberg", "N": n}, "site_sz") if ens == "ground" else (ising(n), "total_sz")
-        yield f"diagonal/N{n}/run", "run", _config(model, obs, ENSEMBLES[ens], "exact", bench(21 - 2 * n))
+        yield f"diagonal/N{n}/run", "run", _config(model, obs, ENSEMBLES[ens], "exact",
+                                                   {"l": 21 - 2 * n, "delta": 0.05})
 
     presets = {"ising": ("tilted_ising", {"l": 4, "delta": 0.3}),
                "heisenberg": ("heisenberg", {"gamma": 0.35, "auto_plan": True})}
