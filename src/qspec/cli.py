@@ -5,7 +5,7 @@ Subcommands:
 * ``run``       full pipeline from a JSON config (prep, phase estimation,
                 oracle comparison, sampling, CSV + JSON artifacts).
 * ``prepstudy`` acceptance probability and fidelity over an angle grid for
-                the four synthetic eigenvalue laws, on their sampled spectra.
+                the four unit-scale eigenvalue laws, on their sampled spectra.
 * ``oracle``    reference spectrum only, from the same config format:
                 ``spectrum.csv`` and ``spectrum.json`` (gamma, ensemble and
                 the CSV's sha256).
@@ -37,13 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, PrepExhaustedError, QspecError, ResourceCapError, ZeroNormError
 from .experiment import check_output_dir, plan_payload, run_experiment, validate_config, write_csv, write_json
-from .models import (
-    DISTRIBUTION_KINDS,
-    EigenvalueDistribution,
-    build_operator,
-    check_sites,
-    synthetic_eigenvalues,
-)
+from .models import EIGENVALUE_LAWS, build_operator, check_sites, synthetic_eigenvalues
 from .oracle import spectral_function, transition_weights
 from .qpe import plan_resolution
 from .simcore import QUBIT_CAP
@@ -119,17 +113,16 @@ def _cmd_prepstudy(args: argparse.Namespace) -> int:
     phis = np.linspace(args.phi_max / args.phi_points, args.phi_max, args.phi_points)
     q = np.full(dim, 1.0 / dim)
     p1, fidelity = [], []
-    for index, kind in enumerate(DISTRIBUTION_KINDS):
-        vals = synthetic_eigenvalues(
-            EigenvalueDistribution(kind, 1.0), args.num_sites,
-            np.random.SeedSequence(args.seed, spawn_key=(_SYNTH_KEY, index)),
-        )
+    kinds = list(EIGENVALUE_LAWS)
+    for index, kind in enumerate(kinds):
+        seed = np.random.SeedSequence(args.seed, spawn_key=(_SYNTH_KEY, index))
+        vals = synthetic_eigenvalues(kind, args.num_sites, seed)
         p1 += [acceptance_probability(vals, q, float(phi)) for phi in phis]
         fidelity += [preparation_fidelity(vals, q, float(phi)) for phi in phis]
     rows = len(p1)
     write_csv(out / "prepstudy.csv", {
-        "phi": np.tile(phis, len(DISTRIBUTION_KINDS)), "P1": p1, "fidelity": fidelity,
-        "distribution": np.repeat(DISTRIBUTION_KINDS, phis.size), "N": [args.num_sites] * rows,
+        "phi": np.tile(phis, len(kinds)), "P1": p1, "fidelity": fidelity,
+        "distribution": np.repeat(kinds, phis.size), "N": [args.num_sites] * rows,
         "seed": [args.seed] * rows,
     })
     print(f"prep study written to {(out / 'prepstudy.csv').resolve()}")

@@ -420,14 +420,14 @@ class ExperimentReport:
             "metadata": self.metadata,
         }
 
-    def write(self, output_dir: str | Path, started: float) -> Path:
-        """Write the two CSV files, then ``report.json`` with their digests and the write's time.
+    def write(self, started: float) -> Path:
+        """Write the two CSV files to ``config.output_dir``, then ``report.json`` with their digests.
 
-        ``started`` is the run's ``time.perf_counter()`` start: ``total_s`` is taken
-        after the CSV write, so the report's own write is the one step it leaves out.
+        ``started`` is the run's ``time.perf_counter()`` start: ``write_s`` times the CSV write and
+        ``total_s`` is taken after it, so the report's own write is the one step it leaves out.
         ``peak_rss_mb`` is the process's peak resident set at the same point, in MiB.
         """
-        out = Path(output_dir)
+        out = Path(self.config.output_dir)
         t0 = time.perf_counter()
         dist = self.exact_distribution
         columns = {"f": np.arange(1 << dist.num_bits), "omega": dist.frequencies,
@@ -597,6 +597,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         distances=distances,
         metadata=metadata,
     )
-    report.write(config.output_dir, t_total)
+    report.write(t_total)
     return report
 

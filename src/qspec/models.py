@@ -5,8 +5,9 @@ matrices.  A Pauli string has one nonzero entry per column, so each term is
 compiled from its X/Y flip mask, Z/Y sign mask and ``i**(#Y)`` phase in
 O(2**N), never as a Kronecker product.  Chains use open boundary
 conditions.  Synthetic observables are spectra only: eigenvalues drawn from
-one of four symmetric laws (semicircle, uniform, arcsine, gaussian), shifted
-traceless and sorted, with no matrix built.
+one of the four symmetric laws of ``EIGENVALUE_LAWS`` (semicircle, uniform,
+arcsine, gaussian), each a unit-scale table entry of its two even moments and
+its sampler, shifted traceless and sorted, with no matrix built.
 """
 
 from __future__ import annotations
@@ -162,51 +163,21 @@ def observable_spec(name: str, num_sites: int, site: int | None = None) -> Model
     return ModelSpec(num_sites, terms, name=name)
 
 
-DISTRIBUTION_KINDS = ("semicircle", "uniform", "arcsine", "gaussian")
+#: The synthetic observables' eigenvalue laws at unit scale: kind -> (m2, m4, draw(size, rng)).
+#: All four are symmetric, so every odd moment is 0.  A law of scale a has moments
+#: a**2 * m2 and a**4 * m4, and its P1 at angle phi is the unit law's at a * phi.
+EIGENVALUE_LAWS = {
+    # (x + 1) / 2 of the unit semicircle follows Beta(3/2, 3/2).
+    "semicircle": (1 / 4, 1 / 8, lambda size, rng: 2.0 * rng.beta(1.5, 1.5, size) - 1.0),
+    "uniform": (1 / 3, 1 / 5, lambda size, rng: rng.uniform(-1.0, 1.0, size)),
+    "arcsine": (1 / 2, 3 / 8, lambda size, rng: np.cos(np.pi * rng.random(size))),
+    "gaussian": (1.0, 3.0, lambda size, rng: rng.normal(0.0, 1.0, size)),
+}
 
 
-@dataclass(frozen=True)
-class EigenvalueDistribution:
-    """A symmetric eigenvalue law: semicircle(R), uniform(a), arcsine(a) or gaussian(sigma)."""
-
-    kind: str
-    parameter: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in DISTRIBUTION_KINDS:
-            raise ValueError(f"unknown distribution {self.kind!r}; choose from {DISTRIBUTION_KINDS}")
-        if not (math.isfinite(self.parameter) and self.parameter > 0):
-            raise ValueError("distribution parameter must be positive and finite")
-
-
-def analytic_moments(dist: EigenvalueDistribution) -> tuple[float, float, float]:
-    """Exact (m2, m3, m4) of the law; all four laws are symmetric, so m3 = 0."""
-    p = dist.parameter
-    if dist.kind == "semicircle":
-        return p**2 / 4.0, 0.0, p**4 / 8.0
-    if dist.kind == "uniform":
-        return p**2 / 3.0, 0.0, p**4 / 5.0
-    if dist.kind == "arcsine":
-        return p**2 / 2.0, 0.0, 3.0 * p**4 / 8.0
-    return p**2, 0.0, 3.0 * p**4  # gaussian
-
-
-def sample_eigenvalues(dist: EigenvalueDistribution, size: int, rng: np.random.Generator) -> np.ndarray:
-    p = dist.parameter
-    if dist.kind == "uniform":
-        return rng.uniform(-p, p, size)
-    if dist.kind == "gaussian":
-        return rng.normal(0.0, p, size)
-    if dist.kind == "arcsine":
-        return p * np.cos(np.pi * rng.random(size))
-    # Semicircle: (x + 1) / 2 of the unit semicircle follows Beta(3/2, 3/2).
-    return p * (2.0 * rng.beta(1.5, 1.5, size) - 1.0)
-
-
-def synthetic_eigenvalues(
-    dist: EigenvalueDistribution, num_sites: int, seed: int | np.random.SeedSequence
-) -> np.ndarray:
-    """Sorted spectrum of a synthetic observable: 2**N seeded i.i.d. draws, shifted traceless."""
+def synthetic_eigenvalues(kind: str, num_sites: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+    """Sorted spectrum of the law ``kind``: 2**N seeded i.i.d. draws, shifted traceless."""
+    _, _, draw = EIGENVALUE_LAWS[kind]
     check_sites(num_sites)
-    vals = sample_eigenvalues(dist, 1 << num_sites, np.random.default_rng(seed))
+    vals = draw(1 << num_sites, np.random.default_rng(seed))
     return np.sort(vals - vals.mean())

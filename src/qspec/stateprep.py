@@ -46,13 +46,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DegenerateAngleError, ResourceCapError, ZeroOperatorError
-from .models import EigenvalueDistribution, analytic_moments
+from .models import EIGENVALUE_LAWS
 from .purify import EnsembleSpec, base_state, ensemble_populations, reject_annihilation, reject_size_mismatch
 from .simcore import QUBIT_CAP, HermitianOperator, StateVector
 
 TRACE_TOL = 1e-12
 
 _PREP_KEY = 1
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -143,14 +144,16 @@ def preparation_fidelity(vals: np.ndarray, q: np.ndarray, phi: float) -> float:
     Evaluated through ``1 - exp(1j*t) = -2j sin(t/2) exp(1j*t/2)`` as
     ``|<O sin(phi*O/2) exp(1j*phi*O/2)>|^2 / (<O^2> P1)``, whose sums do not
     cancel at small angles, where ``<2 - 2cos(phi*O)>`` would carry a
-    relative rounding error of about ``1e-16 / (phi*O)^2``.
+    relative rounding error of about ``1e-16 / (phi*O)^2``.  So it holds
+    however small P1 is, and fails only when the denominator is not a
+    normal double (zero included).
     """
     half = 0.5 * phi * vals
     sines = np.sin(half)
-    p1 = float(q @ sines**2)
-    if p1 <= 1e-24:
-        raise DegenerateAngleError("accepted branch has zero norm at this angle")
-    return float(abs(np.sum(q * vals * sines * np.exp(1j * half))) ** 2 / (float(q @ vals**2) * p1))
+    denominator = float(q @ vals**2) * float(q @ sines**2)
+    if not _TINY <= denominator < math.inf:
+        raise DegenerateAngleError(f"<O^2> P1 = {denominator:.3g} is not a normal double at this angle")
+    return float(abs(np.sum(q * vals * sines * np.exp(1j * half))) ** 2 / denominator)
 
 
 def simulate_prep_circuit(
@@ -243,12 +246,7 @@ def success_probability_bound(vals: np.ndarray, ms: MomentSet, epsilon: float) -
     )
 
 
-def moment_ratio_constant(dist: EigenvalueDistribution) -> float:
-    """The small-angle ratio P1/(1 - F) = m2^2/m4 from the law's analytic moments."""
-    m2, _, m4 = analytic_moments(dist)
+def moment_ratio_constant(kind: str) -> float:
+    """The small-angle ratio P1/(1 - F) = m2^2/m4 of the law ``kind``, from its table moments."""
+    m2, m4, _ = EIGENVALUE_LAWS[kind]
     return m2 * m2 / m4
-
-
-def choose_phi_for_distribution(dist: EigenvalueDistribution, epsilon: float) -> float:
-    """``choose_phi`` at the law's analytic moments."""
-    return choose_phi(MomentSet(*analytic_moments(dist)), epsilon)

@@ -16,12 +16,7 @@ from helpers import (
     random_hermitian,
     random_real_symmetric,
 )
-from qspec.models import (
-    EigenvalueDistribution,
-    build_operator,
-    synthetic_eigenvalues,
-    tilted_ising,
-)
+from qspec.models import build_operator, synthetic_eigenvalues, tilted_ising
 from qspec.oracle import distribution_distance, exact_outcome_distribution, transition_weights
 from qspec.purify import (
     GROUND_STATE,
@@ -54,7 +49,7 @@ def test_criterion_1_moment_ratio_constants():
     start = time.perf_counter()
     worst_exact = 0.0
     for kind, constant in zip(LAWS, CONSTANTS):
-        got = moment_ratio_constant(EigenvalueDistribution(kind, 1.0))
+        got = moment_ratio_constant(kind)
         worst_exact = max(worst_exact, abs(got - constant))
 
     # Small-angle law on sampled spectra: the exactly computed ratio
@@ -64,7 +59,7 @@ def test_criterion_1_moment_ratio_constants():
     worst_mc = 0.0
     phi = 1e-2
     for index, kind in enumerate(LAWS):
-        vals = synthetic_eigenvalues(EigenvalueDistribution(kind, 1.0), 10, seed=index)
+        vals = synthetic_eigenvalues(kind, 10, seed=index)
         q = np.full(vals.size, 1.0 / vals.size)
         ms = moments(vals, q)
         p1 = float(np.mean(np.sin(phi * vals / 2) ** 2))

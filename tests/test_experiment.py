@@ -22,15 +22,7 @@ from qspec import experiment, oracle, purify, qpe, simcore, stateprep
 from qspec.cli import main
 from qspec.errors import ConfigError, PrepExhaustedError, ResourceCapError
 from qspec.experiment import run_experiment, validate_config, write_csv
-from qspec.models import (
-    DISTRIBUTION_KINDS,
-    EigenvalueDistribution,
-    build_operator,
-    heisenberg,
-    observable_spec,
-    sample_eigenvalues,
-    tilted_ising,
-)
+from qspec.models import build_operator, heisenberg, observable_spec, tilted_ising
 from qspec.purify import INFINITE_TEMPERATURE
 from qspec.simcore import HermitianOperator
 from qspec.stateprep import acceptance_probability, choose_phi, moments, preparation_fidelity, spectral_weights
@@ -271,7 +263,7 @@ TEST_ONLY_NAMES = {
     "basis_state", "tensor_product", "apply_controlled_unitary", "inverse_qft", "register_distribution",
     "overlap",
     # stateprep: the prep study's analytic small-angle law.
-    "moment_ratio_constant", "choose_phi_for_distribution",
+    "moment_ratio_constant",
 }
 
 
@@ -1206,20 +1198,30 @@ def test_cli_prepstudy_writes_expected_columns(tmp_path):
     assert fields[4] == "6"
 
 
+#: Each law's unit-scale numpy draw, written out here rather than read from the package's table.
+LAW_DRAWS = {
+    "semicircle": lambda size, rng: 2.0 * rng.beta(1.5, 1.5, size) - 1.0,
+    "uniform": lambda size, rng: rng.uniform(-1.0, 1.0, size),
+    "arcsine": lambda size, rng: np.cos(np.pi * rng.random(size)),
+    "gaussian": lambda size, rng: rng.normal(0.0, 1.0, size),
+}
+
+
 def _operator_route_prepstudy(path, num_sites, seed, phi_max=3.0, phi_points=60):
     """``prepstudy.csv`` by the dense route: per law a diagonal operator, its eigh, then the closed forms."""
     phis = np.linspace(phi_max / phi_points, phi_max, phi_points)
+    kinds = list(LAW_DRAWS)
     p1, fidelity = [], []
-    for index, kind in enumerate(DISTRIBUTION_KINDS):
+    for index, kind in enumerate(kinds):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, index)))
-        draws = sample_eigenvalues(EigenvalueDistribution(kind, 1.0), 1 << num_sites, rng)
+        draws = LAW_DRAWS[kind](1 << num_sites, rng)
         spectrum = spectral_weights(*at_infinite_temperature(HermitianOperator(np.diag(draws - draws.mean()))))
         p1 += [acceptance_probability(*spectrum, float(phi)) for phi in phis]
         fidelity += [preparation_fidelity(*spectrum, float(phi)) for phi in phis]
     rows = len(p1)
     write_csv(path, {
-        "phi": np.tile(phis, len(DISTRIBUTION_KINDS)), "P1": p1, "fidelity": fidelity,
-        "distribution": np.repeat(DISTRIBUTION_KINDS, phis.size), "N": [num_sites] * rows, "seed": [seed] * rows,
+        "phi": np.tile(phis, len(kinds)), "P1": p1, "fidelity": fidelity,
+        "distribution": np.repeat(kinds, phis.size), "N": [num_sites] * rows, "seed": [seed] * rows,
     })
 
 
@@ -1236,6 +1238,19 @@ def test_cli_prepstudy_matches_the_operator_route_without_eigh(tmp_path, monkeyp
     out = tmp_path / "study"
     assert main(["prepstudy", "--out", str(out), "--num-sites", str(num_sites), "--seed", str(seed)]) == 0
     assert (out / "prepstudy.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_cli_prepstudy_runs_on_angles_near_1e_13(tmp_path):
+    # P1 is about 1e-27 here; the half-angle closed form stays exact, so the
+    # study writes F = 1 rather than refusing the grid.
+    out = tmp_path / "study"
+    argv = ["prepstudy", "--out", str(out), "--num-sites", "4", "--phi-max", "1e-13", "--phi-points", "3"]
+    assert main(argv) == 0
+    with open(out / "prepstudy.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 4 * 3
+    assert all(0 < float(row["P1"]) < 1e-26 for row in rows)
+    assert all(abs(float(row["fidelity"]) - 1.0) <= 1e-12 for row in rows)
 
 
 class _GridBuilt(Exception):

@@ -12,15 +12,13 @@ from hypothesis import strategies as st
 from qspec.errors import ResourceCapError
 from qspec.experiment import validate_config
 from qspec.models import (
+    EIGENVALUE_LAWS,
     OBSERVABLE_PRESETS,
-    EigenvalueDistribution,
     ModelSpec,
     PauliTerm,
-    analytic_moments,
     build_operator,
     heisenberg,
     observable_spec,
-    sample_eigenvalues,
     synthetic_eigenvalues,
     tilted_ising,
 )
@@ -203,46 +201,41 @@ def test_model_spec_round_trips_through_dict():
 
 
 def test_gaussian_second_moment():
-    vals = synthetic_eigenvalues(EigenvalueDistribution("gaussian", 1.0), 8, seed=3)
+    vals = synthetic_eigenvalues("gaussian", 8, seed=3)
     assert abs(float(np.mean(vals**2)) - 1.0) <= 0.05
 
 
 def test_uniform_fourth_moment():
-    vals = synthetic_eigenvalues(EigenvalueDistribution("uniform", 1.0), 10, seed=2)
-    assert abs(float(np.mean(vals**4)) - 0.2) <= 0.01  # 5% of a**4/5 = 0.2
+    vals = synthetic_eigenvalues("uniform", 10, seed=2)
+    assert abs(float(np.mean(vals**4)) - 0.2) <= 0.01  # 5% of 1/5
 
 
 def test_synthetic_observable_is_traceless_and_deterministic():
-    dist = EigenvalueDistribution("semicircle", 2.0)
-    first = synthetic_eigenvalues(dist, 6, seed=9)
-    np.testing.assert_array_equal(first, synthetic_eigenvalues(dist, 6, seed=9))
+    first = synthetic_eigenvalues("semicircle", 6, seed=9)
+    np.testing.assert_array_equal(first, synthetic_eigenvalues("semicircle", 6, seed=9))
     assert abs(first.sum()) <= 1e-10
-    assert not np.array_equal(first, synthetic_eigenvalues(dist, 6, seed=10))
+    assert not np.array_equal(first, synthetic_eigenvalues("semicircle", 6, seed=10))
 
 
 def test_sampled_laws_respect_their_support():
     rng = np.random.default_rng(1)
-    semi = sample_eigenvalues(EigenvalueDistribution("semicircle", 2.0), 5000, rng)
-    assert np.max(np.abs(semi)) <= 2.0
-    arcs = sample_eigenvalues(EigenvalueDistribution("arcsine", 1.5), 5000, rng)
-    assert np.max(np.abs(arcs)) <= 1.5
+    semi = EIGENVALUE_LAWS["semicircle"][2](5000, rng)
+    assert np.max(np.abs(semi)) <= 1.0
+    arcs = EIGENVALUE_LAWS["arcsine"][2](5000, rng)
+    assert np.max(np.abs(arcs)) <= 1.0
 
 
 def test_sampled_moments_approach_analytic_values():
     rng = np.random.default_rng(7)
-    for kind in ("semicircle", "uniform", "arcsine", "gaussian"):
-        dist = EigenvalueDistribution(kind, 1.0)
-        draws = sample_eigenvalues(dist, 200_000, rng)
-        m2, m3, m4 = analytic_moments(dist)
+    for m2, m4, draw in EIGENVALUE_LAWS.values():
+        draws = draw(200_000, rng)
         assert abs(np.mean(draws**2) - m2) <= 0.05 * m2
         assert abs(np.mean(draws**4) - m4) <= 0.05 * m4
-        assert m3 == 0.0
+        assert abs(np.mean(draws**3)) <= 0.05 * m2**1.5  # every law is symmetric: odd moments are 0
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
-        EigenvalueDistribution("lognormal", 1.0)
-    with pytest.raises(ValueError):
-        EigenvalueDistribution("uniform", 0.0)
+    with pytest.raises(KeyError):
+        synthetic_eigenvalues("lognormal", 4, seed=0)
     with pytest.raises(ResourceCapError):
-        synthetic_eigenvalues(EigenvalueDistribution("uniform", 1.0), 12, seed=0)
+        synthetic_eigenvalues("uniform", 12, seed=0)

@@ -16,20 +16,13 @@ from helpers import (
     random_real_symmetric,
 )
 from qspec.errors import DegenerateAngleError, DimensionMismatchError, ZeroOperatorError
-from qspec.models import (
-    EigenvalueDistribution,
-    build_operator,
-    heisenberg,
-    synthetic_eigenvalues,
-    tilted_ising,
-)
+from qspec.models import EIGENVALUE_LAWS, build_operator, heisenberg, synthetic_eigenvalues, tilted_ising
 from qspec.purify import GROUND_STATE, INFINITE_TEMPERATURE, gibbs, thermal_operator_state
 from qspec.simcore import HermitianOperator, overlap
 from qspec.stateprep import (
     MomentSet,
     acceptance_probability,
     choose_phi,
-    choose_phi_for_distribution,
     moment_ratio_constant,
     moments,
     preparation_fidelity,
@@ -47,7 +40,7 @@ CONSTANTS = {"semicircle": 0.5, "uniform": 5 / 9, "arcsine": 2 / 3, "gaussian": 
 
 
 def law_quadrature(kind: str):
-    """Grid, weight and abscissa for expectations over the unit-parameter law.
+    """Grid, weight and abscissa for expectations over the unit-scale law.
 
     The arcsine and semicircle laws are integrated through the substitution
     x = cos(angle), which removes their endpoint singularities.
@@ -67,8 +60,8 @@ def law_quadrature(kind: str):
 
 
 def synthetic_spectrum(kind: str, num_sites: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """A unit-parameter law's synthetic eigenvalues with uniform (infinite-temperature) weights."""
-    vals = synthetic_eigenvalues(EigenvalueDistribution(kind, 1.0), num_sites, seed)
+    """A unit-scale law's synthetic eigenvalues with uniform (infinite-temperature) weights."""
+    vals = synthetic_eigenvalues(kind, num_sites, seed)
     return vals, np.full(vals.size, 1.0 / vals.size)
 
 
@@ -80,7 +73,8 @@ def law_expect(kind: str, fn) -> complex:
 # --- two-level closed forms ----------------------------------------------------
 
 
-@pytest.mark.parametrize("phi", [0.2, 0.7, 1.5, np.pi / 2, 2.9])
+# At 1e-13, P1 is about 2.5e-27: the closed form stays exact far below where the simulated branch cancels.
+@pytest.mark.parametrize("phi", [1e-13, 0.2, 0.7, 1.5, np.pi / 2, 2.9])
 def test_two_level_acceptance_and_fidelity(phi):
     assert abs(acceptance_probability(*Z_SPECTRUM, phi) - np.sin(phi / 2) ** 2) <= 1e-14
     assert abs(preparation_fidelity(*Z_SPECTRUM, phi) - np.cos(phi / 2) ** 2) <= 1e-14
@@ -295,7 +289,8 @@ def test_acceptance_probability_is_even_and_bounded(phi, seed):
 
 
 def test_choose_phi_for_uniform_law():
-    phi = choose_phi_for_distribution(EigenvalueDistribution("uniform", 1.0), 0.01)
+    m2, m4, _ = EIGENVALUE_LAWS["uniform"]
+    phi = choose_phi(MomentSet(m2, 0.0, m4), 0.01)
     assert abs(phi - np.sqrt(0.01 * (1 / 3) / (1 / 5))) <= 1e-15
     assert abs(phi - 0.1290994448735806) <= 1e-12
 
@@ -444,7 +439,7 @@ def test_ensemble_moments_match_direct_traces():
 
 def test_moment_ratio_constants_are_exact():
     for kind in LAWS:
-        c = moment_ratio_constant(EigenvalueDistribution(kind, 1.7))
+        c = moment_ratio_constant(kind)
         assert abs(c - CONSTANTS[kind]) <= 1e-12
 
 
@@ -476,4 +471,12 @@ def test_small_angle_law_against_quadrature():
         amplitude = law_expect(kind, lambda x: x * (1 - np.exp(1j * phi * x)))
         fidelity = abs(amplitude) ** 2 / (m2 * 4 * p1)
         ratio = p1 / (1 - fidelity)
-        assert abs(ratio - moment_ratio_constant(EigenvalueDistribution(kind, 1.0))) <= 1e-3
+        assert abs(ratio - moment_ratio_constant(kind)) <= 1e-3
+
+
+def test_law_table_moments_match_quadrature():
+    # The table's order is the prep study's spawn-key order.
+    assert tuple(EIGENVALUE_LAWS) == LAWS
+    for kind, (m2, m4, _) in EIGENVALUE_LAWS.items():
+        assert abs(law_expect(kind, lambda x: x**2).real - m2) <= 1e-8
+        assert abs(law_expect(kind, lambda x: x**4).real - m4) <= 1e-8

@@ -27,7 +27,7 @@ no output; the two manifests must be identical::
     python tools/ladder.py /tmp/all_cpus
     diff /tmp/one_cpu/manifest.json /tmp/all_cpus/manifest.json
 
-The ladder (229 invocations):
+The ladder (230 invocations):
 
 * the benchmark's runs at workload seed 1, every workload's and the N=2
   smoke workload's, as ``perfbench/workloads.py`` builds them (read from its
@@ -52,8 +52,8 @@ The ladder (229 invocations):
   under exact ``run``, circuit ``run`` and ``oracle``;
 * a string and a bool observable coefficient under ``run``;
 * ``qspec prepstudy --num-sites 6 --seed 3``, ``prepstudy`` with the
-  out-of-range seeds ``-1`` and ``2**64``, and with ``10**12`` angles (past
-  the grid cap);
+  out-of-range seeds ``-1`` and ``2**64``, with ``10**12`` angles (past
+  the grid cap), and with three angles up to ``1e-13`` (P1 near ``1e-27``);
 * ``I + 1e-6 X`` planned at gamma=1e-11 (l=19, phases past the ``2**18``-turn
   winding bound) under ``run``;
 * a Gibbs ensemble with ``beta`` -1 under ``run`` (a config error on
@@ -177,6 +177,7 @@ def invocations():
     for seed in (-1, 1 << 64):
         yield f"prepstudy/seed{seed}", "prepstudy", ["--seed", str(seed)]
     yield "prepstudy/grid_cap", "prepstudy", ["--num-sites", "1", "--phi-points", str(10**12)]
+    yield "prepstudy/tiny_angles", "prepstudy", ["--num-sites", "4", "--phi-max", "1e-13", "--phi-points", "3"]
     two_level = _config(_pauli_sum(1, [(1.0, "Z")]), _pauli_sum(1, [(1.0, "X")]), ENSEMBLES["infinite"],
                         "exact", {"l": 3, "delta": 0.3})
     yield "shots/2**63/run", "run", {**two_level, "shots": 1 << 63}
