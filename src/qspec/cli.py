@@ -12,13 +12,14 @@ Subcommands:
 * ``plan``      register size and coupling time for a two-sided bandwidth
                 and a linewidth.
 
-Exit codes: 0 success, 1 configuration error (among them an observable that
-annihilates the ensemble's base state, and an output path that cannot be
-used), 2 resource cap exceeded (for ``prepstudy``, checked before the grid is
-allocated: more than ``MAX_SITES`` sites, or more than ``2**QUBIT_CAP``
-angles), 3 circuit preparation exhausted its attempt
-budget, 4 any other error the package detects while running.  Every failure
-prints one line to stderr.
+Exit codes: 0 success, 1 configuration error (among them a usage error on
+the command line, an observable that annihilates the ensemble's base state,
+and an output path that cannot be used), 2 resource cap exceeded (for
+``run``, checked before any operator is built, and again once a register is
+planned; for ``prepstudy``, checked before the grid is allocated: more than
+``MAX_SITES`` sites, or more than ``2**QUBIT_CAP`` angles), 3 circuit
+preparation exhausted its attempt budget, 4 any other error the package
+detects while running.  Every failure prints one line to stderr.
 
 Python names are imported from their modules, e.g. ``qspec.experiment.run_experiment``;
 the package root holds only ``__version__``.
@@ -138,8 +139,15 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are config errors (exit 1, one line); its subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qspec",
         description="Sample many-body spectral functions with a phase-estimation simulator.",
     )
@@ -170,9 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -306,10 +306,10 @@ def _check_linewidth(log2_gamma: float, path: str) -> None:
         raise ConfigError(f"{path}: linewidth 2**{log2_gamma:.1f} squares outside the double range")
 
 
-def _check_winding(h_bound: float, num_bits: int, delta: float, path: str) -> None:
-    """Reject a register whose phases wind past ``_TURNS_LOG2``; energy gaps are at most 2 * h_bound."""
+def _check_winding(h_bound: float, gamma: float, path: str) -> None:
+    """Reject phases past ``_TURNS_LOG2`` turns: gaps reach 2 * h_bound, and delta * 2**l is 2 * pi / gamma."""
     if h_bound > 0:
-        turns = math.log2(delta) + num_bits + (math.log2(h_bound) - math.log2(math.pi))
+        turns = math.log2(2.0 * h_bound) - math.log2(gamma)
         if turns > _TURNS_LOG2:
             raise ConfigError(
                 f"{path}: phases wind up to 2**{turns:.1f} turns, past the 2**{_TURNS_LOG2} "
@@ -339,7 +339,7 @@ def check_output_dir(value, path: str) -> str:
 
 
 def validate_config(raw: str | dict) -> ExperimentConfig:
-    """Parse and validate a JSON experiment document, applying defaults."""
+    """Parse and validate a JSON experiment document with defaults; ``run_experiment`` adds the circuit's rules."""
     if isinstance(raw, str):
         try:
             document = json.loads(raw)
@@ -358,7 +358,7 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
     if model.num_sites > MAX_SITES:
         raise ConfigError(f"model.N: {model.num_sites} sites exceed the cap of {MAX_SITES}")
     observable = _parse_observable(_require(document, "observable", ""), model.num_sites, "observable")
-    h_bound = _norm_bound(model, "model.terms" if "terms" in document["model"] else "model")
+    _norm_bound(model, "model.terms" if "terms" in document["model"] else "model")
     o_bound = _norm_bound(observable, "observable.terms")
     # Purification and the transition weights square O's entries over 2**N states.
     # Below the normal range those squares lose digits: norms drift, moments vanish.
@@ -370,19 +370,10 @@ def validate_config(raw: str | dict) -> ExperimentConfig:
         raise ConfigError("observable.terms: squared coefficient magnitudes fall below the normal double range")
     ensemble = _parse_ensemble(document.get("ensemble", {"kind": "infinite_temperature"}), "ensemble")
     prep = _parse_prep(document.get("prep", {}), "prep")
-    # Circuit preparation takes O's fourth moment, bounded by o_bound**4.
-    if prep.mode == "circuit" and not math.isfinite(squared * squared):
-        raise ConfigError("observable.terms: fourth powers of the coefficient magnitudes pass the double range")
-    if prep.mode == "circuit" and squared * squared / dim < sys.float_info.min:
-        raise ConfigError(
-            "observable.terms: fourth powers of the coefficient magnitudes fall below the normal double range"
-        )
     qpe_settings = _parse_qpe(_require(document, "qpe", ""), "qpe")
     # The spectrum peaks below <O^2> / gamma <= o_bound**2 / gamma.
     if not math.isfinite(o_bound * (o_bound / qpe_settings.linewidth)):
         raise ConfigError("observable.terms: squared magnitudes over the linewidth pass the double range")
-    if qpe_settings.gamma is None:
-        _check_winding(h_bound, qpe_settings.num_bits, qpe_settings.delta, "qpe.delta")
     shots = _as_int(document.get("shots", 0), "shots", minimum=0)
     if shots >= 1 << 63:
         raise ConfigError("shots: must fit in 63 bits")
@@ -504,10 +495,13 @@ def _auto_plan(config: ExperimentConfig, hamiltonian) -> ResolutionPlan:
         raise ConfigError(
             f"qpe.gamma: {config.qpe.gamma} does not resolve anything below the bandwidth {omega_max:.6g}"
         )
-    plan = plan_resolution(omega_max, config.qpe.gamma)
-    # Checked on the planned register, not before planning: an overflowing plan is a cap error.
-    _check_winding(_norm_bound(config.model, "model"), plan.num_bits, plan.delta, "qpe.gamma")
-    return plan
+    return plan_resolution(omega_max, config.qpe.gamma)
+
+
+def _check_qubits(num_sites: int, num_bits: int) -> None:
+    total_qubits = 2 * num_sites + num_bits + 1
+    if total_qubits > QUBIT_CAP:
+        raise ResourceCapError(f"run needs {total_qubits} qubits (2N + l + 1), cap is {QUBIT_CAP}")
 
 
 def _distances(p: PhaseDistribution, q: PhaseDistribution) -> dict:
@@ -516,6 +510,19 @@ def _distances(p: PhaseDistribution, q: PhaseDistribution) -> dict:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the full pipeline and write all artifacts to ``config.output_dir``."""
+    # The circuit's own bounds, from the config before any operator is built: O's fourth power, winding, qubits.
+    if config.prep.mode == "circuit":
+        o_bound = _norm_bound(config.observable, "observable.terms")
+        fourth = (o_bound * o_bound) * (o_bound * o_bound)
+        if not math.isfinite(fourth):
+            raise ConfigError("observable.terms: fourth powers of the coefficient magnitudes pass the double range")
+        if fourth / (1 << config.model.num_sites) < sys.float_info.min:
+            raise ConfigError(
+                "observable.terms: fourth powers of the coefficient magnitudes fall below the normal double range"
+            )
+    _check_winding(_norm_bound(config.model, "model"), config.qpe.linewidth,
+                   "qpe.gamma" if config.qpe.gamma is not None else "qpe.delta")
+    _check_qubits(config.model.num_sites, config.qpe.num_bits or 1)  # a planned register has l >= 1
     timings: dict[str, float] = {}
     t_total = time.perf_counter()
 
@@ -528,13 +535,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.qpe.gamma is not None:
         plan = _auto_plan(config, hamiltonian)
         num_bits, delta = plan.num_bits, plan.delta
+        _check_qubits(config.model.num_sites, num_bits)
     else:
         num_bits, delta = config.qpe.num_bits, config.qpe.delta
-    total_qubits = 2 * config.model.num_sites + num_bits + 1
-    if total_qubits > QUBIT_CAP:
-        raise ResourceCapError(
-            f"run needs {total_qubits} qubits (2N + l + 1), cap is {QUBIT_CAP}"
-        )
 
     t0 = time.perf_counter()
     prep_stats: dict = {"mode": config.prep.mode}

@@ -64,14 +64,6 @@ class EnsembleSpec:
             raise ValueError(f"{self.kind} ensemble takes no beta")
 
 
-INFINITE_TEMPERATURE = EnsembleSpec("infinite_temperature")
-GROUND_STATE = EnsembleSpec("ground_state")
-
-
-def gibbs(beta: float) -> EnsembleSpec:
-    return EnsembleSpec("gibbs", float(beta))
-
-
 #: Eigenvalues within this multiple of ``max(1, span)`` of the lowest one form the ground level.
 DEGENERACY_RTOL = 1e-9
 

@@ -146,9 +146,10 @@ def run_qpe(
         )
 
     probs = _circuit_marginal(prepared, hamiltonian.eig, num_bits, delta)
-    norm_err = abs(math.sqrt(probs.sum()) - 1.0)
+    # The condition PhaseDistribution applies, so a total it would reject fails here; so does a NaN.
+    norm_err = abs(probs.sum() - 1.0)
     if not norm_err <= NORM_TOL:
-        raise NormalizationError(f"register state norm deviates from 1 by {norm_err:.3e}")
+        raise NormalizationError(f"register probabilities miss a total of 1 by {norm_err:.3e}")
     return PhaseDistribution(num_bits, delta, probs)
 
 

@@ -3,8 +3,8 @@
 Conventions fixed here and relied on by every other module:
 
 * Qubit 0 is the most significant bit of a computational index, so on
-  three qubits the state ``|x=2>`` is ``|010>``.  ``tensor_product(a, b)``
-  places a's qubits above b's.
+  three qubits the state ``|x=2>`` is ``|010>``, and a Kronecker product
+  ``kron(a, b)`` places a's qubits above b's.
 * A register is a sequence of distinct qubit positions; its computational
   value is read most-significant-first along that sequence.
 * ``inverse_qft`` applies the matrix ``2**(-l/2) * exp(-2j*pi*x*k / 2**l)``,
@@ -22,9 +22,9 @@ keeps float64 amplitudes when given real ones.  The gate operations
 always return complex128 amplitudes, promoting a real state before the
 phases reach it, so no imaginary part is ever cast away.
 
-The register operations (``basis_state``, ``tensor_product``, the gate
-operations, ``register_distribution``) are the tests' gate-level reference;
-the pipeline (``qpe``, ``stateprep``) works on the doubled-register matrix.
+The register operations (the gate operations and ``register_distribution``)
+are the tests' gate-level reference; the pipeline (``qpe``, ``stateprep``)
+works on the doubled-register matrix.
 There is one gate engine: ``apply_controlled_unitary`` is ``apply_unitary``
 of ``diag(1, U)``, and both check their matrix against ``UNITARITY_TOL``.
 
@@ -108,23 +108,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-def basis_state(num_qubits: int, index: int) -> StateVector:
-    """The computational basis state ``|index>``."""
-    dim = 1 << num_qubits
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    amps = np.zeros(dim)
-    amps[index] = 1.0
-    return StateVector(num_qubits, amps)
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b>."""
-    if a.num_qubits != b.num_qubits:
-        raise DimensionMismatchError("states live on different registers")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -222,14 +205,6 @@ def eig_hermitian(operator: HermitianOperator | np.ndarray) -> EigenDecompositio
         operator = HermitianOperator(np.asarray(operator))
     vals, vecs = np.linalg.eigh(operator.matrix)
     return EigenDecomposition(vals, vecs)
-
-
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
-    """Joint state with a's qubits more significant than b's."""
-    return StateVector(
-        a.num_qubits + b.num_qubits,
-        np.kron(a.amplitudes, b.amplitudes),
-    )
 
 
 def _as_register(register: Iterable[int], num_qubits: int) -> tuple[int, ...]:

@@ -46,7 +46,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DegenerateAngleError, ResourceCapError, ZeroOperatorError
-from .models import EIGENVALUE_LAWS
 from .purify import EnsembleSpec, base_state, ensemble_populations, reject_annihilation, reject_size_mismatch
 from .simcore import QUBIT_CAP, HermitianOperator, StateVector
 
@@ -244,9 +243,3 @@ def success_probability_bound(vals: np.ndarray, ms: MomentSet, epsilon: float) -
         o_min=o_min,
         rank=rank,
     )
-
-
-def moment_ratio_constant(kind: str) -> float:
-    """The small-angle ratio P1/(1 - F) = m2^2/m4 of the law ``kind``, from its table moments."""
-    m2, m4, _ = EIGENVALUE_LAWS[kind]
-    return m2 * m2 / m4

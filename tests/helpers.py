@@ -1,19 +1,56 @@
-"""Seeded random instances and compiled observable presets shared across test modules."""
+"""Seeded random instances and compiled observable presets shared across test modules.
+
+Also the names only the tests read: the spelled-out ensembles, basis states,
+tensor products and overlaps of the gate-level reference, and the prep
+study's small-angle constant.
+"""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from qspec.models import ModelSpec, PauliTerm, build_operator, observable_spec
+from qspec.errors import DimensionMismatchError
+from qspec.models import EIGENVALUE_LAWS, ModelSpec, PauliTerm, build_operator, observable_spec
 from qspec.oracle import TransitionTable, exact_outcome_distribution
-from qspec.purify import INFINITE_TEMPERATURE, base_state, thermal_operator_state
-from qspec.simcore import (
-    HermitianOperator,
-    StateVector,
-    apply_controlled_unitary,
-    apply_unitary,
-    basis_state,
-    tensor_product,
-)
+from qspec.purify import EnsembleSpec, base_state, thermal_operator_state
+from qspec.simcore import HermitianOperator, StateVector, apply_controlled_unitary, apply_unitary
+
+INFINITE_TEMPERATURE = EnsembleSpec("infinite_temperature")
+GROUND_STATE = EnsembleSpec("ground_state")
+
+
+def gibbs(beta: float) -> EnsembleSpec:
+    return EnsembleSpec("gibbs", float(beta))
+
+
+def basis_state(num_qubits: int, index: int) -> StateVector:
+    """The computational basis state ``|index>``."""
+    dim = 1 << num_qubits
+    if not 0 <= index < dim:
+        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
+    amps = np.zeros(dim)
+    amps[index] = 1.0
+    return StateVector(num_qubits, amps)
+
+
+def overlap(a: StateVector, b: StateVector) -> complex:
+    """Inner product <a|b>."""
+    if a.num_qubits != b.num_qubits:
+        raise DimensionMismatchError("states live on different registers")
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def tensor_product(a: StateVector, b: StateVector) -> StateVector:
+    """Joint state with a's qubits more significant than b's."""
+    return StateVector(
+        a.num_qubits + b.num_qubits,
+        np.kron(a.amplitudes, b.amplitudes),
+    )
+
+
+def moment_ratio_constant(kind: str) -> float:
+    """The small-angle ratio P1/(1 - F) = m2^2/m4 of the law ``kind``, from its table moments."""
+    m2, m4, _ = EIGENVALUE_LAWS[kind]
+    return m2 * m2 / m4
 
 
 def plus_state(num_qubits: int) -> StateVector:

@@ -9,32 +9,24 @@ import time
 import numpy as np
 
 from helpers import (
+    GROUND_STATE,
+    INFINITE_TEMPERATURE,
     at_infinite_temperature,
     directed_transitions,
+    gibbs,
     leakage_row,
+    moment_ratio_constant,
+    overlap,
     preset_observable,
     random_hermitian,
     random_real_symmetric,
 )
 from qspec.models import build_operator, synthetic_eigenvalues, tilted_ising
 from qspec.oracle import distribution_distance, exact_outcome_distribution, transition_weights
-from qspec.purify import (
-    GROUND_STATE,
-    INFINITE_TEMPERATURE,
-    base_state,
-    gibbs,
-    thermal_operator_state,
-)
+from qspec.purify import base_state, thermal_operator_state
 from qspec.qpe import plan_resolution, run_qpe, sample_outcomes
-from qspec.simcore import eig_hermitian, overlap
-from qspec.stateprep import (
-    choose_phi,
-    moment_ratio_constant,
-    moments,
-    preparation_fidelity,
-    simulate_prep_circuit,
-    spectral_weights,
-)
+from qspec.simcore import eig_hermitian
+from qspec.stateprep import choose_phi, moments, preparation_fidelity, simulate_prep_circuit, spectral_weights
 
 LAWS = ("semicircle", "uniform", "arcsine", "gaussian")
 CONSTANTS = (0.5, 5 / 9, 2 / 3, 1 / 3)

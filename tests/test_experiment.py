@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 
 import qspec
-from helpers import at_infinite_temperature
+from helpers import INFINITE_TEMPERATURE, at_infinite_temperature
 from qspec import experiment, oracle, purify, qpe, simcore, stateprep
 from qspec.cli import main
 from qspec.errors import ConfigError, PrepExhaustedError, ResourceCapError
 from qspec.experiment import run_experiment, validate_config, write_csv
 from qspec.models import build_operator, heisenberg, observable_spec, tilted_ising
-from qspec.purify import INFINITE_TEMPERATURE
 from qspec.simcore import HermitianOperator
 from qspec.stateprep import acceptance_probability, choose_phi, moments, preparation_fidelity, spectral_weights
 
@@ -256,14 +255,9 @@ def test_package_root_defines_only_its_version():
 #: The package's public top-level names that nothing else in the package reads:
 #: its test-only surface.  A new one must be added here on purpose.
 TEST_ONLY_NAMES = {
-    # purify: the ensembles a caller spells out; the package reads the kind string.
-    "gibbs", "GROUND_STATE", "INFINITE_TEMPERATURE",
-    # simcore: the gate-level reference for the doubled-register pipeline, and the
-    # overlap that scores a prepared state against its target.
-    "basis_state", "tensor_product", "apply_controlled_unitary", "inverse_qft", "register_distribution",
-    "overlap",
-    # stateprep: the prep study's analytic small-angle law.
-    "moment_ratio_constant",
+    # simcore: the gate-level reference for the doubled-register pipeline, kept in the
+    # package while the benchmark's tracer wraps these names.
+    "apply_controlled_unitary", "inverse_qft", "register_distribution",
 }
 
 
@@ -439,6 +433,32 @@ def test_resource_cap_detected_before_running(tmp_path):
         qpe={"l": 8, "delta": 0.3},
     )
     with pytest.raises(ResourceCapError):
+        run_experiment(config)
+
+
+def _never_built(spec):
+    raise AssertionError(f"build_operator called for {spec.name or spec.num_sites}")
+
+
+@pytest.mark.parametrize("qpe", [{"l": 1, "delta": 0.3}, {"gamma": 0.35, "auto_plan": True}],
+                         ids=["explicit", "planned"])
+def test_cli_run_rejects_a_register_past_the_cap_before_building(tmp_path, capsys, monkeypatch, qpe):
+    # N=11 needs 2N + l + 1 >= 24 qubits whatever the register: the config alone
+    # decides it, so no operator is compiled or decomposed first.  A planned
+    # register is judged at its least size, l = 1.
+    monkeypatch.setattr(experiment, "build_operator", _never_built)
+    path = write_config(tmp_path, {"model": {"preset": "tilted_ising", "N": 11}, "observable": "total_sz",
+                                   "qpe": qpe, "output_dir": str(tmp_path / "never")})
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "resource cap: run needs 24 qubits (2N + l + 1), cap is 22\n"
+    assert not (tmp_path / "never").exists()
+
+
+def test_planned_register_past_the_cap_is_rejected_once_planned(tmp_path):
+    # 2N + 2 = 20 qubits pass the check before building; the planned l = 8 does not.
+    config = make_config(tmp_path, model={"preset": "heisenberg", "N": 9}, observable="total_sz",
+                         qpe={"gamma": 0.35, "auto_plan": True})
+    with pytest.raises(ResourceCapError, match=r"^run needs 27 qubits \(2N \+ l \+ 1\), cap is 22$"):
         run_experiment(config)
 
 
@@ -1053,7 +1073,8 @@ def test_cli_observable_below_the_normal_range_exits_with_one_line(
         ({"qpe": {"l": 3, "delta": 1e-300}}, "config error: qpe.delta: "),
         # ... or underflows to zero when it is tiny.
         ({"qpe": {"l": 3, "delta": 1e300}}, "config error: qpe.delta: "),
-        # Phases past 2**18 turns round circuit and oracle apart by over 1e-10.
+        # Phases past 2**18 turns round circuit and oracle apart by over 1e-10 (run);
+        # the oracle has no register, and its grid step is far above that linewidth.
         ({"qpe": {"l": 3, "delta": 1e20}}, "config error: qpe.delta: "),
         # The model presets, as whole lines.  A list cannot key the preset table.
         ({"model": {"preset": []}},
@@ -1074,6 +1095,38 @@ def test_cli_out_of_range_configs_exit_with_one_line(tmp_path, capsys, command, 
     assert not (tmp_path / "never").exists()
 
 
+#: 1e6 I + Z with observable X: energies near 1e6 against a span of 2.
+OFFSET_MODEL = {"N": 1, "terms": [{"coefficient": 1e6, "factors": "I"}, {"coefficient": 1.0, "factors": "Z"}]}
+
+
+@pytest.mark.parametrize(
+    "qpe, path",
+    [({"l": 3, "delta": 2 * np.pi / (0.01 * 8)}, "qpe.delta"), ({"gamma": 0.01, "auto_plan": True}, "qpe.gamma")],
+    ids=["explicit", "planned"],
+)
+def test_phase_winding_is_a_rule_of_run_alone(tmp_path, capsys, monkeypatch, qpe, path):
+    # Linewidth 0.01 in either form: the oracle, which has no register, resolves
+    # it; the circuit's register would wind phases to 2 * (1e6 + 1) / 0.01 turns.
+    # The explicit form used to fail under oracle, and the planned one under run
+    # only after compiling H and O and decomposing H.
+    config = write_config(tmp_path, dict(TWO_LEVEL, model=OFFSET_MODEL, qpe=qpe))
+    assert main(["oracle", "--config", str(config), "--out", str(tmp_path / "oracle")]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(experiment, "build_operator", _never_built)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "never")]) == 1
+    assert capsys.readouterr().err == (f"config error: {path}: phases wind up to 2**27.6 turns, "
+                                       "past the 2**18 that circuit and oracle resolve alike\n")
+    assert not (tmp_path / "never").exists()
+
+
+def test_fourth_power_bound_is_a_rule_of_circuit_prep_alone(tmp_path, capsys):
+    # 1e-100 ZI: circuit preparation's fourth moment falls below the normal doubles
+    # (run exits 1, above), while the oracle, which forms no fourth moment, runs.
+    path = _scaled_observable_config(tmp_path, 1e-100, "circuit")
+    assert main(["oracle", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_phase_winding_bound_admits_the_last_resolvable_delta(tmp_path):
     # Gaps of the two-level model reach 2 * |c| = 2: delta * 2**l * 2 / 2 pi = 2**18 is accepted,
     # and circuit and oracle still agree there within the 1e-10 acceptance tolerance.
@@ -1081,8 +1134,10 @@ def test_phase_winding_bound_admits_the_last_resolvable_delta(tmp_path):
     config = make_config(tmp_path, qpe={"l": 3, "delta": delta})
     assert config.qpe.delta == delta
     assert run_experiment(config).distances["exact_vs_oracle"]["total_variation"] <= 1e-10
-    with pytest.raises(ConfigError, match="qpe.delta"):
-        make_config(tmp_path, qpe={"l": 3, "delta": 4 * delta})
+    # The bound is a rule of the circuit's register: the config is valid, its run is not.
+    config = make_config(tmp_path, qpe={"l": 3, "delta": 4 * delta})
+    with pytest.raises(ConfigError, match=r"^qpe.delta: phases wind up to 2\*\*20.0 turns"):
+        run_experiment(config)
 
 
 @pytest.mark.parametrize(
@@ -1129,6 +1184,33 @@ def test_cli_output_dir_that_cannot_be_created_exits_with_one_line(tmp_path, cap
     assert taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run"], "qspec run: the following arguments are required: --config"),
+        (["plan", "--omega-max", "abc", "--gamma", "0.1"],
+         "qspec plan: argument --omega-max: invalid float value: 'abc'"),
+        (["bogus"], "qspec: argument command: invalid choice: 'bogus'"),
+        ([], "qspec: the following arguments are required: command"),
+        (["oracle", "--config", "c.json", "--bogus"], "qspec: unrecognized arguments: --bogus"),
+    ],
+    ids=["run_without_config", "plan_not_a_number", "unknown_subcommand", "no_subcommand", "unknown_option"],
+)
+def test_cli_usage_errors_exit_one_with_one_line(capsys, argv, message):
+    # argparse used to print a usage block and exit 2, the resource-cap code.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}") and captured.err.count("\n") == 1
+
+
+def test_cli_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qspec run")
+
+
 def test_cli_plan_prints_json(capsys):
     assert main(["plan", "--omega-max", "10", "--gamma", "0.1"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -1149,8 +1231,10 @@ def test_cli_plan_rejects_non_finite_input(capsys, omega_max, gamma):
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
 
 
-def test_cli_run_with_an_overflowing_plan_ratio_exits_two(tmp_path, capsys):
-    # omega_max / gamma = 4e300 / 1e-150 overflows; planning used to hang here.
+def test_cli_run_with_an_overflowing_plan_ratio_exits_one_on_the_winding_rule(tmp_path, capsys):
+    # omega_max / gamma = 4e300 / 1e-150 overflows; planning used to hang here.  Every
+    # register a double cannot describe winds past 2**500 turns, so run rejects it
+    # before planning; only plan itself reports the overflow as a resource cap.
     document = {
         "model": {"N": 2, "terms": [{"coefficient": 1e300, "factors": "ZZ"},
                                     {"coefficient": 1.0, "factors": "XI"}]},
@@ -1160,11 +1244,14 @@ def test_cli_run_with_an_overflowing_plan_ratio_exits_two(tmp_path, capsys):
     }
     path = write_config(tmp_path, document)
     start = time.perf_counter()
-    assert main(["run", "--config", str(path)]) == 2
+    assert main(["run", "--config", str(path)]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("resource cap: ") and err.count("\n") == 1
+    assert err.startswith("config error: qpe.gamma: phases wind up to 2**1495.9 turns") and err.count("\n") == 1
     assert not (tmp_path / "never").exists()
+    assert main(["plan", "--omega-max", "4e300", "--gamma", "1e-150"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: ") and err.count("\n") == 1
 
 
 def test_cli_run_with_a_planned_register_past_the_winding_bound_exits_one(tmp_path, capsys):

@@ -12,10 +12,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    GROUND_STATE,
+    INFINITE_TEMPERATURE,
     complex_copy,
     dense_phase_weights,
     direct_transition_sum,
     directed_transitions,
+    gibbs,
     leakage_kernel,
     leakage_row,
     preset_observable,
@@ -36,14 +39,7 @@ from qspec.oracle import (
     spectral_function,
     transition_weights,
 )
-from qspec.purify import (
-    GROUND_STATE,
-    INFINITE_TEMPERATURE,
-    ensemble_populations,
-    gibbs,
-    ground_state_degeneracy,
-    thermal_operator_state,
-)
+from qspec.purify import ensemble_populations, ground_state_degeneracy, thermal_operator_state
 from qspec.qpe import PhaseDistribution, run_qpe
 from qspec.simcore import HermitianOperator, eig_hermitian
 
@@ -102,8 +98,6 @@ def test_ground_state_correlation_matches_direct_expectation():
 
 
 def test_gibbs_correlation_matches_density_matrix_trace():
-    from qspec.purify import gibbs
-
     ham = random_real_symmetric(2, seed=10)
     op = random_real_symmetric(2, seed=11)
     beta = 0.9

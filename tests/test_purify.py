@@ -9,10 +9,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    GROUND_STATE,
+    INFINITE_TEMPERATURE,
     at_infinite_temperature,
     complex_copy,
+    gibbs,
     gibbs_purification,
     ground_pair,
+    overlap,
     preset_observable,
     random_hermitian,
     random_real_symmetric,
@@ -21,17 +25,9 @@ from helpers import (
 from qspec.errors import DimensionMismatchError, ResourceCapError, ZeroNormError, ZeroOperatorError
 from qspec.models import ModelSpec, PauliTerm, build_operator, tilted_ising
 from qspec.oracle import distribution_distance, exact_outcome_distribution, transition_weights
-from qspec.purify import (
-    GROUND_STATE,
-    INFINITE_TEMPERATURE,
-    base_state,
-    ensemble_populations,
-    gibbs,
-    ground_state_degeneracy,
-    thermal_operator_state,
-)
+from qspec.purify import base_state, ensemble_populations, ground_state_degeneracy, thermal_operator_state
 from qspec.qpe import run_qpe
-from qspec.simcore import HermitianOperator, overlap, register_distribution
+from qspec.simcore import HermitianOperator, register_distribution
 from qspec.stateprep import spectral_weights
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -9,18 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    GROUND_STATE,
+    INFINITE_TEMPERATURE,
     at_infinite_temperature,
+    gibbs,
     plus_state,
     preset_observable,
     random_hermitian,
     random_real_symmetric,
+    tensor_product,
 )
 from qspec import qpe, simcore
 from qspec.errors import DimensionMismatchError, NormalizationError, ResourceCapError
 from qspec.experiment import write_csv, write_json
 from qspec.models import build_operator, heisenberg, tilted_ising
 from qspec.oracle import distribution_distance, exact_outcome_distribution, transition_weights
-from qspec.purify import GROUND_STATE, INFINITE_TEMPERATURE, gibbs, thermal_operator_state
+from qspec.purify import thermal_operator_state
 from qspec.qpe import (
     PhaseDistribution,
     outcome_frequency,
@@ -30,13 +34,13 @@ from qspec.qpe import (
 )
 from qspec.simcore import (
     HermitianOperator,
+    StateVector,
     _fourier,
     apply_controlled_unitary,
     apply_unitary,
     eig_hermitian,
     inverse_qft,
     register_distribution,
-    tensor_product,
 )
 
 PAULI_X = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -251,6 +255,15 @@ def test_run_qpe_rejects_a_non_finite_register_state():
     huge = HermitianOperator(np.diag([1e300, -1e300]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NormalizationError):
         run_qpe(prepared, huge, 3, 1e10)
+
+
+def test_run_qpe_rejects_a_register_total_past_the_tolerance():
+    # An amplitude of 1 + 0.9e-10 passes the state's own norm check, but its
+    # probabilities sum to 1 + 1.8e-10; PhaseDistribution used to reject that
+    # total with a bare ValueError, after run_qpe had checked only its root.
+    prepared = StateVector(2, np.array([1 + 0.9e-10, 0.0, 0.0, 0.0]))
+    with pytest.raises(NormalizationError, match="by 1.800e-10"):
+        run_qpe(prepared, PAULI_Z, 3, 0.3)
 
 
 def test_run_qpe_heap_peak_is_one_working_array():

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import plus_state, random_hermitian, random_real_symmetric, random_state
+from helpers import (
+    basis_state,
+    plus_state,
+    random_hermitian,
+    random_real_symmetric,
+    random_state,
+    tensor_product,
+)
 from qspec import simcore
 from qspec.errors import (
     DimensionMismatchError,
@@ -21,11 +28,9 @@ from qspec.simcore import (
     StateVector,
     apply_controlled_unitary,
     apply_unitary,
-    basis_state,
     eig_hermitian,
     inverse_qft,
     register_distribution,
-    tensor_product,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -9,21 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    GROUND_STATE,
+    INFINITE_TEMPERATURE,
     at_infinite_temperature,
     gate_by_gate_prep,
+    gibbs,
+    moment_ratio_constant,
+    overlap,
     preset_observable,
     random_hermitian,
     random_real_symmetric,
 )
 from qspec.errors import DegenerateAngleError, DimensionMismatchError, ZeroOperatorError
 from qspec.models import EIGENVALUE_LAWS, build_operator, heisenberg, synthetic_eigenvalues, tilted_ising
-from qspec.purify import GROUND_STATE, INFINITE_TEMPERATURE, gibbs, thermal_operator_state
-from qspec.simcore import HermitianOperator, overlap
+from qspec.purify import thermal_operator_state
+from qspec.simcore import HermitianOperator
 from qspec.stateprep import (
     MomentSet,
     acceptance_probability,
     choose_phi,
-    moment_ratio_constant,
     moments,
     preparation_fidelity,
     run_prep_circuit,

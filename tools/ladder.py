@@ -27,7 +27,7 @@ no output; the two manifests must be identical::
     python tools/ladder.py /tmp/all_cpus
     diff /tmp/one_cpu/manifest.json /tmp/all_cpus/manifest.json
 
-The ladder (230 invocations):
+The ladder (235 invocations):
 
 * the benchmark's runs at workload seed 1, every workload's and the N=2
   smoke workload's, as ``perfbench/workloads.py`` builds them (read from its
@@ -56,6 +56,11 @@ The ladder (230 invocations):
   the grid cap), and with three angles up to ``1e-13`` (P1 near ``1e-27``);
 * ``I + 1e-6 X`` planned at gamma=1e-11 (l=19, phases past the ``2**18``-turn
   winding bound) under ``run``;
+* ``1e6 I + Z`` with observable ``X`` at linewidth 0.01, explicit (l=3) and
+  planned, under ``oracle`` (which has no register and runs) and ``run``
+  (phases wind to ``2**27.6`` turns);
+* tilted Ising N=11 planned at gamma=0.35 under ``run`` (past the qubit cap
+  at any register, so rejected before any operator is built);
 * a Gibbs ensemble with ``beta`` -1 under ``run`` (a config error on
   ``ensemble.beta``);
 * ``2**63`` shots under ``run``, and ``run``, ``oracle`` and ``prepstudy``
@@ -185,6 +190,15 @@ def invocations():
     winding = _config(_pauli_sum(1, [(1.0, "I"), (1e-6, "X")]), "total_sz", ENSEMBLES["infinite"], "exact",
                       {"gamma": 1e-11, "auto_plan": True})
     yield "winding/planned/run", "run", winding
+    # Linewidth 0.01 in both forms (2 pi / (delta * 2**3) for the explicit one).
+    offset = _config(_pauli_sum(1, [(1e6, "I"), (1.0, "Z")]), _pauli_sum(1, [(1.0, "X")]), ENSEMBLES["infinite"],
+                     "exact", None)
+    forms = {"explicit": {"l": 3, "delta": 78.53981633974483}, "planned": {"gamma": 0.01, "auto_plan": True}}
+    for form, qpe in forms.items():
+        for command in ("oracle", "run"):
+            yield f"offset/{form}/{command}", command, {**offset, "qpe": qpe}
+    yield "cap/N11/planned/run", "run", _config({"preset": "tilted_ising", "N": 11}, "total_sz",
+                                                ENSEMBLES["infinite"], "exact", {"gamma": 0.35, "auto_plan": True})
     for command in ("run", "oracle"):
         yield f"{OUT_IS_FILE}/{command}", command, two_level
     yield f"{OUT_IS_FILE}/prepstudy", "prepstudy", ["--num-sites", "2", "--phi-points", "2"]
