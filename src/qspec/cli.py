@@ -83,15 +83,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    hamiltonian = build_operator(config.model)
+    eig_h = build_operator(config.model).eig  # H's matrix is freed once decomposed
     observable = build_operator(config.observable)
-    reach = 1.2 * hamiltonian.eig.span if hamiltonian.eig.span > 0 else 1.0
+    reach = 1.2 * eig_h.span if eig_h.span > 0 else 1.0
     gamma, step = config.qpe.linewidth, 2 * reach / 2000
     if step > gamma:
         path = "qpe.gamma" if config.qpe.gamma is not None else "qpe.delta"
         raise ConfigError(f"{path}: linewidth {gamma:.6g} is below the oracle grid step {step:.6g}")
     grid = step * np.arange(-1000, 1001)  # exactly symmetric: the oracle folds each line with its mirror
-    table = spectral_function(transition_weights(hamiltonian, observable, config.ensemble), grid, gamma)
+    table = spectral_function(transition_weights(eig_h, observable, config.ensemble), grid, gamma)
     out = Path(config.output_dir)
     digest = write_csv(out / "spectrum.csv", {"omega": table.frequencies, "sigma": table.values})
     write_json(out / "spectrum.json", {"gamma": table.gamma, "ensemble": asdict(config.ensemble),

@@ -71,7 +71,7 @@ from .qpe import (
     run_qpe,
     sample_outcomes,
 )
-from .simcore import QUBIT_CAP
+from .simcore import QUBIT_CAP, EigenDecomposition
 from .stateprep import run_prep_circuit
 
 SCHEMA_VERSION = 2
@@ -485,10 +485,10 @@ def _write_blocks(path: Path, blocks: Iterable[bytes]) -> str:
     return digest.hexdigest()
 
 
-def _auto_plan(config: ExperimentConfig, hamiltonian) -> ResolutionPlan:
+def _auto_plan(config: ExperimentConfig, eig_h: EigenDecomposition) -> ResolutionPlan:
     # outcome_frequency wraps the upper half of every register to negative
-    # frequencies whatever the ensemble, so the band is twice the span.
-    omega_max = 2.0 * hamiltonian.eig.span
+    # frequencies whatever the ensemble, so the band is twice H's span.
+    omega_max = 2.0 * eig_h.span
     if omega_max <= 0:
         raise ConfigError("qpe.auto_plan: model spectrum has zero bandwidth; give l and delta explicitly")
     if config.qpe.gamma >= omega_max:
@@ -527,13 +527,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     t_total = time.perf_counter()
 
     t0 = time.perf_counter()
-    hamiltonian = build_operator(config.model)
+    # Every stage reads H through its decomposition alone, so H's dense matrix
+    # is freed here, before the circuit's working array sets the memory peak.
+    eig_h = build_operator(config.model).eig
     observable = build_operator(config.observable)
     timings["build_s"] = time.perf_counter() - t0
 
     plan = None
     if config.qpe.gamma is not None:
-        plan = _auto_plan(config, hamiltonian)
+        plan = _auto_plan(config, eig_h)
         num_bits, delta = plan.num_bits, plan.delta
         _check_qubits(config.model.num_sites, num_bits)
     else:
@@ -542,9 +544,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     prep_stats: dict = {"mode": config.prep.mode}
     if config.prep.mode == "exact":
-        prepared = thermal_operator_state(observable, hamiltonian, config.ensemble)
+        prepared = thermal_operator_state(observable, eig_h, config.ensemble)
     else:
-        outcome = run_prep_circuit(observable, hamiltonian, config.ensemble, config.prep.epsilon,
+        outcome = run_prep_circuit(observable, eig_h, config.ensemble, config.prep.epsilon,
                                    seed=config.seed, max_attempts=config.prep.max_attempts)
         if not outcome.accepted:
             raise PrepExhaustedError(
@@ -556,13 +558,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     timings["prep_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    exact = run_qpe(prepared, hamiltonian, num_bits, delta)
+    exact = run_qpe(prepared, eig_h, num_bits, delta)
     timings["qpe_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     # Built only after run_qpe returns and frees its working array, which with
     # one block of rows (see ``qpe``) sets the memory peak at large N.
-    table = transition_weights(hamiltonian, observable, config.ensemble)
+    table = transition_weights(eig_h, observable, config.ensemble)
     reference = exact_outcome_distribution(table, num_bits, delta)
     spectrum = spectral_function(table, np.sort(exact.frequencies), config.qpe.linewidth)
     timings["oracle_s"] = time.perf_counter() - t0
@@ -587,7 +589,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "timings": timings,
     }
     if config.ensemble.kind == "ground_state":
-        metadata["ground_state_degeneracy"] = ground_state_degeneracy(hamiltonian.eig)
+        metadata["ground_state_degeneracy"] = ground_state_degeneracy(eig_h)
 
     report = ExperimentReport(
         config=config,

@@ -20,10 +20,11 @@ with the absorption weight ``p_n |O_e,nm|^2`` at +gap and the emission weight
 both gap and argument, so it is evaluated once per gap and the emission
 column is read at the mirrored point: the spectrum at ``-omega``, the
 phase-register distribution at bin ``-f``.  The oracle shares no
-purification code with the circuit, only its inputs: the ensemble
-populations p of ``purify.ensemble_populations``, from which
-``purify.base_state`` also builds the circuit's base state, and the
-annihilation rule ``purify.reject_annihilation``.  Since circuit and oracle
+purification code with the circuit, only its inputs: H's decomposition,
+which a run makes once and hands to both, the ensemble populations p of
+``purify.ensemble_populations``, from which ``purify.base_state`` also
+builds the circuit's base state, and the annihilation rule
+``purify.reject_annihilation``.  Since circuit and oracle
 read the same p, the test suite checks p against an independent purification.
 
 The table is pruned: of its T = 4**N directed transitions it drops every one
@@ -55,7 +56,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .purify import EnsembleSpec, ensemble_populations, reject_annihilation, reject_size_mismatch
 from .qpe import PhaseDistribution
-from .simcore import HermitianOperator
+from .simcore import EigenDecomposition, HermitianOperator
 
 
 @dataclass(frozen=True)
@@ -112,11 +113,13 @@ class TransitionTable:
 
 
 def transition_weights(
-    hamiltonian: HermitianOperator,
+    eig_h: EigenDecomposition,
     operator: HermitianOperator,
     ensemble: EnsembleSpec,
 ) -> TransitionTable:
     """The run's one transition table: O in H's eigenbasis once, pruned by mass.
+
+    ``eig_h`` is H's decomposition, the one the circuit reads too.
 
     The circuit's phase register sees these weights directly.  The purified
     state's matrix (see ``purify``) is ``M = O V diag(sqrt(p)) V^dagger =
@@ -130,10 +133,9 @@ def transition_weights(
     mass is ``<O^2>`` in the base state, and an observable that annihilates
     the base state is rejected (``purify.reject_annihilation``).
     """
-    reject_size_mismatch(operator, hamiltonian)
-    eig = hamiltonian.eig
-    vecs, levels = eig.eigenvectors, eig.eigenvalues
-    pops = ensemble_populations(eig, ensemble)
+    reject_size_mismatch(operator, eig_h)
+    vecs, levels = eig_h.eigenvectors, eig_h.eigenvalues
+    pops = ensemble_populations(eig_h, ensemble)
     # |O_nm|^2 in one array, squared and then weighted in place.
     weights = np.abs(vecs.conj().T @ operator.matrix @ vecs)
     np.square(weights, out=weights)
@@ -145,7 +147,7 @@ def transition_weights(
     cut = PRUNE_SHARE * mass / weights.size
     live = weights > cut
     index = np.flatnonzero(np.triu(live | live.T))
-    initial, final = np.divmod(index, eig.dim)
+    initial, final = np.divmod(index, eig_h.dim)
     pairs = np.empty((index.size, 2))
     pairs[:, 0] = weights.reshape(-1)[index]
     pairs[:, 1] = weights[final, initial]

@@ -12,14 +12,17 @@ for the ground state, the projector onto the ground level over the square
 root of its degeneracy (``psi_0 psi_0^dagger`` when it is one state), the
 beta -> infinity limit of Gibbs.  Uniform p gives the identity over
 sqrt(2**N) in any basis, so the infinite-temperature base state (the
-entangled pair state) is built as that identity, exactly and without
-diagonalizing H.  The builders take (operator, Hamiltonian, ensemble) in
-that order, every member required: ``base_state(hamiltonian, ensemble)``,
-and ``thermal_operator_state(operator, hamiltonian, ensemble)``, the one
-builder of the target operator state.  Copy b holds conjugated
-eigenvectors; the circuit evolves copy b under -H^T (see ``qpe``), which
-keeps them eigenstates.  A real operator is stored and diagonalized in
-float64 (see ``simcore``), so real H and O give real purified states.
+entangled pair state) is built as that identity, exactly, from the size of
+H alone.  H enters only through its decomposition: the builders take
+(operator, H's decomposition, ensemble) in that order, every member
+required: ``base_state(eig_h, ensemble)``, and
+``thermal_operator_state(operator, eig_h, ensemble)``, the one builder of
+the target operator state.  A run decomposes H once and hands the
+decomposition on, so H's dense matrix is freed before any state is built.
+Copy b holds conjugated eigenvectors; the circuit evolves copy b under -H^T
+(see ``qpe``), which keeps them eigenstates.  A real operator is stored and
+diagonalized in float64 (see ``simcore``), so real H and O give real
+purified states.
 """
 
 from __future__ import annotations
@@ -94,27 +97,28 @@ def ensemble_populations(eig: EigenDecomposition, ensemble: EnsembleSpec) -> np.
     return pops
 
 
-def base_state(hamiltonian: HermitianOperator, ensemble: EnsembleSpec) -> StateVector:
+def base_state(eig_h: EigenDecomposition, ensemble: EnsembleSpec) -> StateVector:
     """The doubled-register state ``rho**(1/2) = V diag(sqrt(p)) V^dagger`` the operator is applied to.
 
-    Infinite temperature reads only H's size: uniform p gives the identity
-    over sqrt(2**N), built directly without diagonalizing H.  A degenerate
-    ground level is populated evenly (see ``ensemble_populations``).
+    ``eig_h`` is H's decomposition.  Infinite temperature reads only its size:
+    uniform p gives the identity over sqrt(2**N), built directly, so neither
+    eigenvalues nor V enter.  A degenerate ground level is populated evenly
+    (see ``ensemble_populations``).
     """
-    num_sites = hamiltonian.num_qubits
+    num_sites = eig_h.dim.bit_length() - 1
     if 2 * num_sites > QUBIT_CAP:
         raise ResourceCapError(f"two copies of {num_sites} sites exceed the {QUBIT_CAP}-qubit cap")
     if ensemble.kind == "infinite_temperature":
-        matrix = np.eye(hamiltonian.dim) / np.sqrt(hamiltonian.dim)
+        matrix = np.eye(eig_h.dim) / np.sqrt(eig_h.dim)
     else:
-        matrix = hamiltonian.eig.apply(np.sqrt(ensemble_populations(hamiltonian.eig, ensemble)))
+        matrix = eig_h.apply(np.sqrt(ensemble_populations(eig_h, ensemble)))
     return StateVector(2 * num_sites, matrix.reshape(-1))
 
 
-def reject_size_mismatch(operator: HermitianOperator, hamiltonian: HermitianOperator) -> None:
-    """Raise ``DimensionMismatchError`` unless O and H act on the same space."""
-    if hamiltonian.dim != operator.dim:
-        raise DimensionMismatchError(f"operator dim {operator.dim} vs Hamiltonian dim {hamiltonian.dim}")
+def reject_size_mismatch(operator: HermitianOperator, eig_h: EigenDecomposition) -> None:
+    """Raise ``DimensionMismatchError`` unless O and H (given by its decomposition) act on the same space."""
+    if eig_h.dim != operator.dim:
+        raise DimensionMismatchError(f"operator dim {operator.dim} vs Hamiltonian dim {eig_h.dim}")
 
 
 def reject_annihilation(second_moment: float, operator: HermitianOperator, ensemble: EnsembleSpec) -> None:
@@ -138,16 +142,16 @@ def reject_annihilation(second_moment: float, operator: HermitianOperator, ensem
 
 def thermal_operator_state(
     operator: HermitianOperator,
-    hamiltonian: HermitianOperator,
+    eig_h: EigenDecomposition,
     ensemble: EnsembleSpec,
 ) -> StateVector:
     """Normalized (O tensor 1) applied to the ensemble's base state: the target operator state.
 
     At infinite temperature this is ``sum_ij O_ij |i>|j> / sqrt(tr O^2)``.
     """
-    reject_size_mismatch(operator, hamiltonian)
+    reject_size_mismatch(operator, eig_h)
     dim = operator.dim
-    base = base_state(hamiltonian, ensemble)
+    base = base_state(eig_h, ensemble)
     m = operator.matrix @ base.amplitudes.reshape(dim, dim)
     norm = float(np.linalg.norm(m))
     reject_annihilation(norm * norm, operator, ensemble)

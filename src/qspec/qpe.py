@@ -21,7 +21,8 @@ as ``U_j psi[0 : 2**j] U_j^dagger``.  Each distinct branch is computed once,
 with the gates of the full circuit in their order.  The inverse Fourier
 transform is the simulator's FFT along x, in place, and the outcome marginal
 sums ``|psi|^2`` over both copies.  The circuit stays a gate-level simulation
-in the computational basis; the eigenbasis is used only to exponentiate ``U_j``.
+in the computational basis; the eigenbasis is used only to exponentiate ``U_j``,
+so ``run_qpe`` takes H's decomposition, not H.
 
 Each register row of the working array carries one spare complex amplitude
 (16 bytes) after its ``4**N`` amplitudes, and ``psi`` is a view of the
@@ -71,7 +72,6 @@ from .simcore import (
     NORM_TOL,
     QUBIT_CAP,
     EigenDecomposition,
-    HermitianOperator,
     StateVector,
     _block_rows,
     _fourier,
@@ -124,11 +124,11 @@ class PhaseDistribution:
 
 def run_qpe(
     prepared: StateVector,
-    hamiltonian: HermitianOperator,
+    eig_h: EigenDecomposition,
     num_bits: int,
     delta: float,
 ) -> PhaseDistribution:
-    """Exact outcome distribution of the phase register for a prepared doubled state."""
+    """Exact outcome distribution of the phase register for a prepared doubled state; ``eig_h`` is H's decomposition."""
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
     if num_bits < 1:
@@ -136,16 +136,16 @@ def run_qpe(
     if prepared.num_qubits % 2:
         raise DimensionMismatchError("prepared state must cover two equal copies")
     num_sites = prepared.num_qubits // 2
-    if hamiltonian.dim != (1 << num_sites):
+    if eig_h.dim != (1 << num_sites):
         raise DimensionMismatchError(
-            f"Hamiltonian dim {hamiltonian.dim} does not match {num_sites}-site copies"
+            f"Hamiltonian dim {eig_h.dim} does not match {num_sites}-site copies"
         )
     if prepared.num_qubits + num_bits > QUBIT_CAP:
         raise ResourceCapError(
             f"{prepared.num_qubits + num_bits} qubits exceed the {QUBIT_CAP}-qubit cap"
         )
 
-    probs = _circuit_marginal(prepared, hamiltonian.eig, num_bits, delta)
+    probs = _circuit_marginal(prepared, eig_h, num_bits, delta)
     # The condition PhaseDistribution applies, so a total it would reject fails here; so does a NaN.
     norm_err = abs(probs.sum() - 1.0)
     if not norm_err <= NORM_TOL:

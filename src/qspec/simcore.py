@@ -31,9 +31,11 @@ of ``diag(1, U)``, and both check their matrix against ``UNITARITY_TOL``.
 All operations are pure functions of immutable inputs: amplitude arrays and
 operator matrices are never mutated in place and identical inputs produce
 bit-identical outputs.  A ``HermitianOperator`` therefore memoises its
-spectral decomposition (``.eig``): every consumer of one operator object
-shares a single ``eigh`` call.  Propagators are computed exactly in the
-eigenbasis of their generator, never split into short steps.
+spectral decomposition (``.eig``), and the run decomposes H once and hands
+the decomposition on: every stage takes (operator, H's decomposition,
+ensemble), so H's dense matrix is freed once it is decomposed.
+Propagators are computed exactly in the eigenbasis of their generator,
+never split into short steps.
 """
 
 from __future__ import annotations
@@ -141,10 +143,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return self.dim.bit_length() - 1
 
     @cached_property
     def eig(self) -> EigenDecomposition:

@@ -19,11 +19,12 @@ form, where neither sum cancels at small angles.
 
 The closed forms are functions of the occupied spectrum ``(vals, q)``: O's
 eigenvalues and their probabilities in the base state, which
-``spectral_weights(operator, hamiltonian, ensemble)`` resolves once.  A run
+``spectral_weights(operator, eig_h, ensemble)`` resolves once.  A run
 records F at the chosen angle as ``fidelity_with_target`` from this closed
 form, while P1 is the simulated branch's norm; the target state itself is
-never built.  Every function that reads an operator takes (operator,
-Hamiltonian, ensemble) in that order, every member required.
+never built.  Every function that reads an operator takes (operator, H's
+decomposition, ensemble) in that order, every member required: H enters
+only through the decomposition the run made once.
 
 Only the ``|1>`` branch is built; its squared norm is P1 exactly, and the
 ``|0>`` branch holds the rest, ``1 - P1``.  The seeded draw only decides
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import DegenerateAngleError, ResourceCapError, ZeroOperatorError
 from .purify import EnsembleSpec, base_state, ensemble_populations, reject_annihilation, reject_size_mismatch
-from .simcore import QUBIT_CAP, HermitianOperator, StateVector
+from .simcore import QUBIT_CAP, EigenDecomposition, HermitianOperator, StateVector
 
 TRACE_TOL = 1e-12
 
@@ -104,23 +105,22 @@ def is_traceless(operator: HermitianOperator) -> bool:
 
 def spectral_weights(
     operator: HermitianOperator,
-    hamiltonian: HermitianOperator,
+    eig_h: EigenDecomposition,
     ensemble: EnsembleSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of O and their occupation probabilities q in the ensemble's base state.
 
-    The closed forms' one reader of the (operator, Hamiltonian, ensemble)
-    triple: an O that annihilates the base state is rejected here (see
-    ``purify.M2_RTOL``).  Infinite temperature occupies every eigenvalue
-    evenly and does not diagonalize H.
+    The closed forms' one reader of the (operator, H's decomposition,
+    ensemble) triple: an O that annihilates the base state is rejected here
+    (see ``purify.M2_RTOL``).  Infinite temperature occupies every eigenvalue
+    evenly and reads only the size of ``eig_h``.
     """
-    reject_size_mismatch(operator, hamiltonian)
+    reject_size_mismatch(operator, eig_h)
     eig_o = operator.eig
     vals = eig_o.eigenvalues
     if ensemble.kind == "infinite_temperature":
         q = np.full(operator.dim, 1.0 / operator.dim)
     else:
-        eig_h = hamiltonian.eig
         amp = eig_o.eigenvectors.conj().T @ eig_h.eigenvectors
         q = (np.abs(amp) ** 2) @ ensemble_populations(eig_h, ensemble)
     reject_annihilation(float(q @ vals**2), operator, ensemble)
@@ -157,7 +157,7 @@ def preparation_fidelity(vals: np.ndarray, q: np.ndarray, phi: float) -> float:
 
 def simulate_prep_circuit(
     operator: HermitianOperator,
-    hamiltonian: HermitianOperator,
+    eig_h: EigenDecomposition,
     ensemble: EnsembleSpec,
     phi: float,
 ) -> tuple[float, StateVector]:
@@ -167,7 +167,7 @@ def simulate_prep_circuit(
     ``(B - U B)/2``.  Returns the exact, unclipped acceptance probability P1
     and the normalized accepted branch.
     """
-    base = base_state(hamiltonian, ensemble)
+    base = base_state(eig_h, ensemble)
     n = base.num_qubits
     if n + 1 > QUBIT_CAP:
         raise ResourceCapError(f"prep circuit needs {n + 1} qubits, cap is {QUBIT_CAP}")
@@ -183,7 +183,7 @@ def simulate_prep_circuit(
 
 def run_prep_circuit(
     operator: HermitianOperator,
-    hamiltonian: HermitianOperator,
+    eig_h: EigenDecomposition,
     ensemble: EnsembleSpec,
     epsilon: float,
     *,
@@ -198,11 +198,11 @@ def run_prep_circuit(
     recorded attempts are ``min(K, max_attempts)``; ``fidelity_with_target``
     is ``preparation_fidelity`` at the chosen angle.
     """
-    vals, q = spectral_weights(operator, hamiltonian, ensemble)
+    vals, q = spectral_weights(operator, eig_h, ensemble)
     ms = moments(vals, q)
     phi = choose_phi(ms, epsilon)
     bound = success_probability_bound(vals, ms, epsilon)
-    p1, post = simulate_prep_circuit(operator, hamiltonian, ensemble, phi)
+    p1, post = simulate_prep_circuit(operator, eig_h, ensemble, phi)
     u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_PREP_KEY,))).random()
     # At the chosen angle P1 <= predicted_p1 <= epsilon/4 < 1/4, so log1p(-P1) is finite and negative.
     first = max(1, math.ceil(math.log1p(-u) / math.log1p(-p1)))

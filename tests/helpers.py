@@ -12,7 +12,7 @@ from qspec.errors import DimensionMismatchError
 from qspec.models import EIGENVALUE_LAWS, ModelSpec, PauliTerm, build_operator, observable_spec
 from qspec.oracle import TransitionTable, exact_outcome_distribution
 from qspec.purify import EnsembleSpec, base_state, thermal_operator_state
-from qspec.simcore import HermitianOperator, StateVector, apply_controlled_unitary, apply_unitary
+from qspec.simcore import EigenDecomposition, HermitianOperator, StateVector, apply_controlled_unitary, apply_unitary
 
 INFINITE_TEMPERATURE = EnsembleSpec("infinite_temperature")
 GROUND_STATE = EnsembleSpec("ground_state")
@@ -66,8 +66,11 @@ def random_state(num_qubits: int, seed: int) -> StateVector:
 
 
 def at_infinite_temperature(operator: HermitianOperator) -> tuple:
-    """The triple (operator, H = 0, infinite temperature); that base state reads only H's size."""
-    return operator, HermitianOperator(np.zeros((operator.dim, operator.dim))), INFINITE_TEMPERATURE
+    """The triple (operator, H = 0's decomposition, infinite temperature); that base state reads only H's size.
+
+    The decomposition of the zero matrix is written down, so building the triple calls no ``eigh``.
+    """
+    return operator, EigenDecomposition(np.zeros(operator.dim), np.eye(operator.dim)), INFINITE_TEMPERATURE
 
 
 def random_hermitian(num_qubits: int, seed: int) -> HermitianOperator:
@@ -131,7 +134,7 @@ def ground_pair(hamiltonian: HermitianOperator) -> np.ndarray:
     return np.kron(psi0, psi0.conj())
 
 
-def purified_phase_weights(hamiltonian, operator, ensemble) -> np.ndarray:
+def purified_phase_weights(eig_h, operator, ensemble) -> np.ndarray:
     """The circuit's route to the weights: |c_nm|^2 of the purified state, entry (n, m) at gap e_n - e_m.
 
     ``c = V^dagger M V`` writes the doubled-register matrix M of the prepared
@@ -139,9 +142,9 @@ def purified_phase_weights(hamiltonian, operator, ensemble) -> np.ndarray:
     circuit (U on copy a, -H^T on copy b: ``M -> U M U^dagger``) multiplies
     each entry by a phase.
     """
-    prepared = thermal_operator_state(operator, hamiltonian, ensemble)
-    vecs = hamiltonian.eig.eigenvectors
-    matrix = prepared.amplitudes.reshape(hamiltonian.dim, hamiltonian.dim)
+    prepared = thermal_operator_state(operator, eig_h, ensemble)
+    vecs = eig_h.eigenvectors
+    matrix = prepared.amplitudes.reshape(eig_h.dim, eig_h.dim)
     return np.abs(vecs.conj().T @ matrix @ vecs) ** 2
 
 
@@ -206,19 +209,19 @@ def leakage_row(gap: float, num_bits: int, delta: float) -> np.ndarray:
     return exact_outcome_distribution(table, num_bits, delta).probabilities
 
 
-def gate_by_gate_prep(operator, hamiltonian, ensemble, phi):
+def gate_by_gate_prep(operator, eig_h, ensemble, phi):
     """The register-level prep circuit that ``simulate_prep_circuit`` replaced.
 
     The ancilla is appended as the least significant qubit: Hadamard, then
     ``exp(1j*phi*O)`` on copy a controlled by it, then Hadamard.  Returns the
     same ``(P1, accepted branch)`` pair.
     """
-    base = base_state(hamiltonian, ensemble)
+    base = base_state(eig_h, ensemble)
     ancilla = base.num_qubits
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     state = apply_unitary(tensor_product(base, basis_state(1, 0)), hadamard, (ancilla,))
     rotation = operator.eig.propagator(phi)
-    state = apply_controlled_unitary(state, ancilla, rotation, range(operator.num_qubits))
+    state = apply_controlled_unitary(state, ancilla, rotation, range(ancilla // 2))  # copy a
     state = apply_unitary(state, hadamard, (ancilla,))
     accepted = state.amplitudes.reshape(-1, 2)[:, 1]
     p1 = float(np.linalg.norm(accepted) ** 2)

@@ -85,9 +85,9 @@ def test_criterion_2_circuit_oracle_equivalence():
         ham = random_real_symmetric(num_sites, seed=5000 + instance)
         obs = presets[instance % 3](num_sites)
         delta = float(rng.uniform(0.05, 1.0))
-        prepared = thermal_operator_state(obs, ham, INFINITE_TEMPERATURE)
-        circuit = run_qpe(prepared, ham, num_bits, delta)
-        table = transition_weights(ham, obs, INFINITE_TEMPERATURE)
+        prepared = thermal_operator_state(obs, ham.eig, INFINITE_TEMPERATURE)
+        circuit = run_qpe(prepared, ham.eig, num_bits, delta)
+        table = transition_weights(ham.eig, obs, INFINITE_TEMPERATURE)
         reference = exact_outcome_distribution(table, num_bits, delta)
         worst = max(worst, distribution_distance(circuit, reference, "max_abs"))
 
@@ -104,8 +104,8 @@ def test_criterion_2_circuit_oracle_equivalence():
         obs = presets[instance % 3](num_sites) if instance % 4 < 2 else make(num_sites, seed=7000 + instance)
         ensemble = ensembles[(instance // 2) % 4]
         delta = float(rng.uniform(0.05, 1.0))
-        circuit = run_qpe(thermal_operator_state(obs, ham, ensemble), ham, num_bits, delta)
-        reference = exact_outcome_distribution(transition_weights(ham, obs, ensemble), num_bits, delta)
+        circuit = run_qpe(thermal_operator_state(obs, ham.eig, ensemble), ham.eig, num_bits, delta)
+        reference = exact_outcome_distribution(transition_weights(ham.eig, obs, ensemble), num_bits, delta)
         worst_tv = max(worst_tv, distribution_distance(circuit, reference))
     elapsed = time.perf_counter() - start
     passed = worst <= 1e-10 and worst_tv <= 1e-10 and elapsed < 60.0
@@ -122,7 +122,7 @@ def test_criterion_3_golden_rule_identity():
         obs = random_real_symmetric(num_sites, seed=400 + seed)
         eig = eig_hermitian(ham)
         # Purification route, through the actual doubled-register state.
-        state = thermal_operator_state(obs, ham, INFINITE_TEMPERATURE)
+        state = thermal_operator_state(obs, ham.eig, INFINITE_TEMPERATURE)
         matrix = state.amplitudes.reshape(obs.dim, obs.dim)
         from_state = np.abs(eig.eigenvectors.conj().T @ matrix @ eig.eigenvectors.conj()) ** 2
         # Direct matrix elements of the observable.
@@ -202,8 +202,8 @@ def test_criterion_6_resolution_planning():
 
 def test_criterion_7_sampling_fidelity():
     ham = build_operator(tilted_ising(2))
-    prepared = thermal_operator_state(preset_observable("total_sz", 2), ham, INFINITE_TEMPERATURE)
-    exact = run_qpe(prepared, ham, 6, np.pi / 16)
+    prepared = thermal_operator_state(preset_observable("total_sz", 2), ham.eig, INFINITE_TEMPERATURE)
+    exact = run_qpe(prepared, ham.eig, 6, np.pi / 16)
     worst = 0.0
     for seed in range(20):
         empirical = sample_outcomes(exact, shots=100_000, seed=seed)
@@ -224,7 +224,7 @@ def test_criterion_8_spectral_peak_agreement():
     span = float(np.ptp(eig_hermitian(ham).eigenvalues))
     delta = 2 * np.pi * (dim // 2 - 1) / (dim * span)  # two-sided band fits without aliasing
     gamma = 2 * np.pi / (delta * dim)
-    table = transition_weights(ham, obs, INFINITE_TEMPERATURE)
+    table = transition_weights(ham.eig, obs, INFINITE_TEMPERATURE)
     dist = exact_outcome_distribution(table, num_bits, delta)
 
     p = dist.probabilities
@@ -258,8 +258,8 @@ def test_criterion_8_spectral_peak_agreement():
 
 def test_criterion_9_ensemble_limits():
     ham = build_operator(tilted_ising(3))
-    pair = base_state(ham, INFINITE_TEMPERATURE)
-    worst_pair = float(np.max(np.abs(base_state(ham, gibbs(0.0)).amplitudes - pair.amplitudes)))
+    pair = base_state(ham.eig, INFINITE_TEMPERATURE)
+    worst_pair = float(np.max(np.abs(base_state(ham.eig, gibbs(0.0)).amplitudes - pair.amplitudes)))
 
     obs = preset_observable("total_sz", 3)
     num_bits, dim = 6, 64
@@ -267,10 +267,10 @@ def test_criterion_9_ensemble_limits():
     eig = eig_hermitian(ham)
     line_gaps = eig.eigenvalues - eig.eigenvalues[0]
     delta = 2 * np.pi * (dim - 1) / (dim * float(line_gaps[-1]))  # one-sided lines fit
-    prepared = thermal_operator_state(obs, ham, gibbs(beta))
-    dist = run_qpe(prepared, ham, num_bits, delta)
+    prepared = thermal_operator_state(obs, ham.eig, gibbs(beta))
+    dist = run_qpe(prepared, ham.eig, num_bits, delta)
 
-    table = transition_weights(ham, obs, gibbs(beta))
+    table = transition_weights(ham.eig, obs, gibbs(beta))
     gaps, flat = directed_transitions(table)
     flat = flat / table.mass
     scale = delta * dim / (2 * np.pi)

@@ -11,6 +11,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 
 import qspec
 from helpers import INFINITE_TEMPERATURE, at_infinite_temperature
-from qspec import experiment, oracle, purify, qpe, simcore, stateprep
+from qspec import cli, experiment, oracle, purify, qpe, simcore, stateprep
 from qspec.cli import main
 from qspec.errors import ConfigError, PrepExhaustedError, ResourceCapError
 from qspec.experiment import run_experiment, validate_config, write_csv
@@ -382,7 +383,7 @@ def test_planned_ground_state_band_keeps_every_line_at_its_positive_gap(tmp_path
     plan, oracle_dist = report.plan, report.oracle_distribution
     dim = 1 << plan.num_bits
     omega, width = oracle_dist.frequencies, 2 * np.pi / (plan.delta * dim)
-    table = oracle.transition_weights(build_operator(config.model), build_operator(config.observable),
+    table = oracle.transition_weights(build_operator(config.model).eig, build_operator(config.observable),
                                       config.ensemble)
     strong = table.weights[:, 0] >= 0.05 * table.mass
     assert strong.sum() >= 2 and table.gaps[strong].max() > 5
@@ -627,27 +628,65 @@ _ENSEMBLES = (
 
 
 @pytest.mark.parametrize(
-    "ensemble, prep, expected",
-    [(e, {"mode": "exact"}, 1) for e in _ENSEMBLES]
-    + [({"kind": "gibbs", "beta": 1.0}, {"mode": "circuit", "epsilon": 0.5}, 2)],
-    ids=["exact-infinite_temperature", "exact-gibbs", "exact-ground_state", "circuit-gibbs"],
+    "command, ensemble, prep, expected",
+    [("run", e, {"mode": "exact"}, 1) for e in _ENSEMBLES]
+    + [("run", {"kind": "gibbs", "beta": 1.0}, {"mode": "circuit", "epsilon": 0.5}, 2)]
+    + [("oracle", e, {"mode": "exact"}, 1) for e in _ENSEMBLES],
+    ids=["exact-infinite_temperature", "exact-gibbs", "exact-ground_state", "circuit-gibbs",
+         "oracle-infinite_temperature", "oracle-gibbs", "oracle-ground_state"],
 )
-def test_run_decomposes_each_operator_once(tmp_path, monkeypatch, ensemble, prep, expected):
-    # H is decomposed once for prep, QPE and the oracle; circuit prep adds O.
+def test_run_decomposes_each_operator_once(tmp_path, monkeypatch, command, ensemble, prep, expected):
+    # H is decomposed first and once, for prep, QPE and the oracle; circuit prep
+    # adds O.  ``qspec oracle`` decomposes H alone.
     calls = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
-    config = make_config(
-        tmp_path,
-        model={"preset": "tilted_ising", "N": 3},
-        observable="total_sz",
-        ensemble=ensemble,
-        prep=prep,
-        qpe={"gamma": 0.5, "auto_plan": True},
-        seed=1,
-    )
-    run_experiment(config)
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.copy()) or eigh(m))
+    document = dict(TWO_LEVEL, model={"preset": "tilted_ising", "N": 3}, observable="total_sz",
+                    ensemble=ensemble, prep=prep, qpe={"gamma": 0.5, "auto_plan": True}, seed=1,
+                    output_dir=str(tmp_path / "out"))
+    config = validate_config(document)
+    if command == "run":
+        run_experiment(config)
+    else:
+        assert main(["oracle", "--config", str(write_config(tmp_path, document))]) == 0
     assert len(calls) == expected
+    np.testing.assert_array_equal(calls[0], build_operator(config.model).matrix)
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_hamiltonian_operator_is_freed_once_decomposed(tmp_path, monkeypatch, command):
+    # Every stage reads H through its decomposition, so neither command keeps
+    # H's operator, and with it H's dense matrix, past the one eigh: it is gone
+    # when the circuit (run) or the spectrum sum (oracle) is entered.
+    document = dict(TWO_LEVEL, model={"preset": "tilted_ising", "N": 3}, observable="total_sz",
+                    ensemble={"kind": "gibbs", "beta": 1.0}, qpe={"gamma": 0.5, "auto_plan": True},
+                    output_dir=str(tmp_path / "out"))
+    config = validate_config(document)
+    refs = []
+
+    def recorded(spec):
+        operator = build_operator(spec)
+        if spec == config.model:
+            refs.append(weakref.ref(operator))
+        return operator
+
+    dead_on_entry = []
+
+    def probed(stage):
+        def probe(*args, **kwargs):
+            dead_on_entry.append([ref() is None for ref in refs])
+            return stage(*args, **kwargs)
+        return probe
+
+    monkeypatch.setattr(experiment, "build_operator", recorded)
+    monkeypatch.setattr(cli, "build_operator", recorded)
+    if command == "run":
+        monkeypatch.setattr(experiment, "run_qpe", probed(qpe.run_qpe))
+        run_experiment(config)
+    else:
+        monkeypatch.setattr(cli, "spectral_function", probed(oracle.spectral_function))
+        assert main(["oracle", "--config", str(write_config(tmp_path, document))]) == 0
+    assert dead_on_entry == [[True]]
 
 
 @pytest.mark.parametrize(
@@ -734,7 +773,7 @@ def _closed_form_reference(config):
     Returns the accepted attempt K (None when K passes the budget) and the
     simulation's (P1, accepted branch) with the closed-form fidelity at its angle.
     """
-    triple = build_operator(config.observable), build_operator(config.model), config.ensemble
+    triple = build_operator(config.observable), build_operator(config.model).eig, config.ensemble
     spectrum = spectral_weights(*triple)
     phi = choose_phi(moments(*spectrum), config.prep.epsilon)
     p1, post = stateprep.simulate_prep_circuit(*triple, phi)
@@ -794,7 +833,7 @@ def test_benchmark_prep_batch_exhausts_on_seeds_0_and_2(tmp_path):
     )
     hamiltonian, observable = build_operator(config.model), build_operator(config.observable)
     outcomes = [
-        stateprep.run_prep_circuit(observable, hamiltonian, config.ensemble, config.prep.epsilon,
+        stateprep.run_prep_circuit(observable, hamiltonian.eig, config.ensemble, config.prep.epsilon,
                                    seed=seed, max_attempts=config.prep.max_attempts)
         for seed in range(4)
     ]
@@ -805,13 +844,14 @@ def test_benchmark_prep_batch_exhausts_on_seeds_0_and_2(tmp_path):
 # --- memory at the qubit cap ------------------------------------------------------
 
 
-def test_n10_run_holds_its_matrices_the_working_array_one_propagator_and_two_blocks(tmp_path):
+def test_n10_run_holds_three_matrices_the_working_array_one_propagator_and_two_blocks(tmp_path):
     # The benchmark's eigh_dense run: tilted Ising N=10, total_sz, Gibbs, exact
-    # prep, l=1 (22 qubits).  The run holds four real 1024 x 1024 matrices (H, O,
-    # V and the prepared state); the circuit adds the working array, one
-    # propagator and a block of the product that builds it or of the right
-    # product (84 MiB in all), and the bound allows one block more.  A
-    # propagator built through full-size temporaries breaks it.
+    # prep, l=1 (22 qubits).  The run holds three real 1024 x 1024 matrices (O,
+    # H's eigenvectors V and the prepared state); H's own matrix is freed once
+    # decomposed.  The circuit adds the working array, one propagator and a
+    # block of the product that builds it or of the right product (76 MiB in
+    # all), and the bound, 80 MiB, allows one block more.  A run that keeps H's
+    # matrix (84 MiB) or a propagator built through full-size temporaries breaks it.
     config = make_config(
         tmp_path,
         model={"preset": "tilted_ising", "N": 10},
@@ -828,7 +868,7 @@ def test_n10_run_holds_its_matrices_the_working_array_one_propagator_and_two_blo
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * matrix + working + propagator + 2 * max(simcore._BLOCK_BYTES, qpe._BLOCK_BYTES)
+    assert peak <= 3 * matrix + working + propagator + 2 * max(simcore._BLOCK_BYTES, qpe._BLOCK_BYTES)
 
 
 # --- command line -----------------------------------------------------------------
@@ -900,8 +940,8 @@ def test_cli_prep_exhaustion_prints_a_tiny_acceptance_probability(tmp_path, caps
     }
     path = write_config(tmp_path, document)
     assert main(["run", "--config", str(path)]) == 3
-    observable, hamiltonian = build_operator(observable_spec("total_sz", 3)), build_operator(tilted_ising(3))
-    triple = observable, hamiltonian, INFINITE_TEMPERATURE
+    observable, eig_h = build_operator(observable_spec("total_sz", 3)), build_operator(tilted_ising(3)).eig
+    triple = observable, eig_h, INFINITE_TEMPERATURE
     phi = choose_phi(moments(*spectral_weights(*triple)), epsilon)
     p1 = stateprep.simulate_prep_circuit(*triple, phi)[0]
     assert 0 < p1 < 5e-7

@@ -58,13 +58,13 @@ def correlation_series(table, times):
 def test_equal_time_correlation_is_second_moment():
     op = random_hermitian(2, seed=3)
     ham = random_hermitian(2, seed=4)
-    (value,) = correlation_series(transition_weights(ham, op, INFINITE_TEMPERATURE), np.array([0.0]))
+    (value,) = correlation_series(transition_weights(ham.eig, op, INFINITE_TEMPERATURE), np.array([0.0]))
     m2 = np.trace(op.matrix @ op.matrix).real / 4
     assert abs(value - m2) <= 1e-12
 
 
 def test_two_level_correlation_is_cosine():
-    table = transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE)
+    table = transition_weights(PAULI_Z.eig, PAULI_X, INFINITE_TEMPERATURE)
     times = np.linspace(-4, 4, 17)
     values = correlation_series(table, times)
     assert np.max(np.abs(values - np.cos(2 * times))) <= 1e-12
@@ -73,7 +73,7 @@ def test_two_level_correlation_is_cosine():
 def test_correlation_conjugate_symmetry():
     ham = random_real_symmetric(2, seed=5)
     op = random_real_symmetric(2, seed=6)
-    table = transition_weights(ham, op, INFINITE_TEMPERATURE)
+    table = transition_weights(ham.eig, op, INFINITE_TEMPERATURE)
     times = np.array([0.3, 1.7])
     forward = correlation_series(table, times)
     backward = correlation_series(table, -times)
@@ -82,7 +82,7 @@ def test_correlation_conjugate_symmetry():
 
 def test_correlation_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        transition_weights(PAULI_Z, HermitianOperator(np.eye(4)), INFINITE_TEMPERATURE)
+        transition_weights(PAULI_Z.eig, HermitianOperator(np.eye(4)), INFINITE_TEMPERATURE)
 
 
 def test_ground_state_correlation_matches_direct_expectation():
@@ -93,7 +93,7 @@ def test_ground_state_correlation_matches_direct_expectation():
     t = 0.9
     propagator = eig.propagator(t)
     direct = psi0.conj() @ propagator @ op.matrix @ propagator.conj().T @ op.matrix @ psi0
-    (value,) = correlation_series(transition_weights(ham, op, GROUND_STATE), np.array([t]))
+    (value,) = correlation_series(transition_weights(ham.eig, op, GROUND_STATE), np.array([t]))
     assert abs(value - direct) <= 1e-12
 
 
@@ -108,7 +108,7 @@ def test_gibbs_correlation_matches_density_matrix_trace():
     propagator = eig.propagator(t)
     heisenberg_op = propagator @ op.matrix @ propagator.conj().T
     direct = np.trace(rho @ heisenberg_op @ op.matrix)
-    (value,) = correlation_series(transition_weights(ham, op, gibbs(beta)), np.array([t]))
+    (value,) = correlation_series(transition_weights(ham.eig, op, gibbs(beta)), np.array([t]))
     assert abs(value - direct) <= 1e-12
 
 
@@ -118,7 +118,7 @@ def test_gibbs_correlation_matches_density_matrix_trace():
 def test_two_level_spectrum_closed_form():
     gamma = 0.2
     omega = np.linspace(-4, 4, 201)
-    table = spectral_function(transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE), omega, gamma)
+    table = spectral_function(transition_weights(PAULI_Z.eig, PAULI_X, INFINITE_TEMPERATURE), omega, gamma)
     expected = 0.5 * (gamma / (gamma**2 + (omega - 2) ** 2) + gamma / (gamma**2 + (omega + 2) ** 2))
     np.testing.assert_allclose(table.values, expected, atol=1e-12)
 
@@ -128,7 +128,7 @@ def test_commuting_observable_gives_single_lorentzian_at_zero():
     op = HermitianOperator(np.diag([1.0, -1.0, 2.0, -2.0]))
     gamma = 0.15
     omega = np.linspace(-3, 3, 101)
-    table = spectral_function(transition_weights(ham, op, INFINITE_TEMPERATURE), omega, gamma)
+    table = spectral_function(transition_weights(ham.eig, op, INFINITE_TEMPERATURE), omega, gamma)
     m2 = np.trace(op.matrix @ op.matrix).real / 4
     np.testing.assert_allclose(table.values, m2 * gamma / (gamma**2 + omega**2), atol=1e-12)
 
@@ -139,7 +139,7 @@ def test_spectrum_matches_time_domain_quadrature():
     op = random_real_symmetric(2, seed=13)
     gamma = 1.0
     times = np.linspace(0.0, 40.0 / gamma, 200_001)
-    table = transition_weights(ham, op, INFINITE_TEMPERATURE)
+    table = transition_weights(ham.eig, op, INFINITE_TEMPERATURE)
     series = correlation_series(table, times)
     for omega in (-2.3, 0.0, 0.7, 3.1):
         integrand = np.exp((1j * omega - gamma) * times) * series
@@ -154,7 +154,7 @@ def test_two_level_spectrum_near_the_linewidth_cap():
     scale, gamma = 1e154, 6.25e153
     omega = np.linspace(-3e154, 3e154, 13)
     ham = HermitianOperator(np.array([[0.0, scale], [scale, 0.0]]))
-    table = spectral_function(transition_weights(ham, PAULI_Z, INFINITE_TEMPERATURE), omega, gamma)
+    table = spectral_function(transition_weights(ham.eig, PAULI_Z, INFINITE_TEMPERATURE), omega, gamma)
     expected = 0.5 * sum((1 / gamma) / (1 + ((omega - line) / gamma) ** 2) for line in (2 * scale, -2 * scale))
     np.testing.assert_allclose(table.values, expected, rtol=1e-14, atol=0)
 
@@ -164,7 +164,7 @@ def test_overflowing_detunings_take_their_limit_silently():
     # rounding of a line centre, passes the double range, and the true values
     # (gamma / x**2 or less) underflow.  Each term takes its exact limit 0.
     ham = HermitianOperator(np.diag([1e300, -1e300]))
-    table = transition_weights(ham, PAULI_X, INFINITE_TEMPERATURE)
+    table = transition_weights(ham.eig, PAULI_X, INFINITE_TEMPERATURE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = spectral_function(table, np.array([-2.4e300, -2e300, 0.0, 1e300, 2e300]), 1e-150).values
@@ -183,7 +183,7 @@ def test_overflowing_detunings_take_their_limit_silently_on_every_worker(monkeyp
 def test_an_error_in_a_helper_is_raised_by_the_call(monkeypatch):
     monkeypatch.setattr(oracle, "TILE", (1, 1))
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-    table = transition_weights(HermitianOperator(np.diag([1.0, -1.0])), PAULI_X, INFINITE_TEMPERATURE)
+    table = transition_weights(HermitianOperator(np.diag([1.0, -1.0])).eig, PAULI_X, INFINITE_TEMPERATURE)
     points = np.arange(4.0)
     raised_in = []
 
@@ -204,7 +204,7 @@ def test_a_stalled_worker_does_not_hold_up_the_grid(monkeypatch):
     # the other worker can do only if blocks are dealt out as workers ask.
     monkeypatch.setattr(oracle, "TILE", (1, 1))
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-    table = transition_weights(random_hermitian(2, 5), random_real_symmetric(2, 6), INFINITE_TEMPERATURE)
+    table = transition_weights(random_hermitian(2, 5).eig, random_real_symmetric(2, 6), INFINITE_TEMPERATURE)
     points = np.arange(1.0, 6.0)
     others = (2 * points.size - 1) * table.gaps.size
     calls = itertools.count()
@@ -228,7 +228,7 @@ def test_every_tile_is_summed_once_under_frequent_thread_switches(monkeypatch):
     # handed out twice or not at all shows up as a repeated or missing tile.
     monkeypatch.setattr(oracle, "TILE", (1, 1))
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 8)
-    table = transition_weights(random_hermitian(2, 5), random_real_symmetric(2, 6), INFINITE_TEMPERATURE)
+    table = transition_weights(random_hermitian(2, 5).eig, random_real_symmetric(2, 6), INFINITE_TEMPERATURE)
     points = np.arange(1.0, 21.0)
     tiles = []
 
@@ -292,7 +292,7 @@ def test_folded_sums_match_the_direct_sum(num_sites, seed, complex_h, ensemble, 
     # transition at its own signed gap.
     make = random_hermitian if complex_h else random_real_symmetric
     ham, obs = make(num_sites, seed), make(num_sites, seed + 1)
-    table = transition_weights(ham, obs, ensemble)
+    table = transition_weights(ham.eig, obs, ensemble)
     points = _test_grid(kind, 1.2 * ham.eig.span + 0.1, np.random.default_rng(seed))
     sigma = spectral_function(table, points, gamma).values
     reference = direct_transition_sum(table, points, lambda x, gap: gamma / (gamma**2 + (x - gap) ** 2)).real
@@ -305,7 +305,7 @@ def test_folded_sums_accumulate_across_tile_blocks(monkeypatch, tile):
     # tiles split the pairs and the mirrored points into many blocks each.
     monkeypatch.setattr(oracle, "TILE", tile)
     ham = random_hermitian(3, 41)
-    table = transition_weights(ham, random_real_symmetric(3, 42), gibbs(0.8))
+    table = transition_weights(ham.eig, random_real_symmetric(3, 42), gibbs(0.8))
     assert table.gaps.size >= 20
     points = _test_grid("asymmetric", 1.2 * ham.eig.span + 0.1, np.random.default_rng(43))
     gamma = 0.3
@@ -320,7 +320,7 @@ def test_folded_sums_are_the_same_bytes_at_any_worker_count(monkeypatch, tile):
     # would.  The two-point grid has at most four blocks, fewer than 8 workers.
     monkeypatch.setattr(oracle, "TILE", tile)
     ham = random_hermitian(3, 41)
-    table = transition_weights(ham, random_real_symmetric(3, 42), gibbs(0.8))
+    table = transition_weights(ham.eig, random_real_symmetric(3, 42), gibbs(0.8))
     grid = _test_grid("asymmetric", 1.2 * ham.eig.span + 0.1, np.random.default_rng(43))
     for points in (grid, grid[:2], np.array([])):
         results = []
@@ -344,7 +344,7 @@ def test_folded_sums_are_the_same_bytes_at_any_worker_count(monkeypatch, tile):
 def test_spectral_function_rejects_nonpositive_gamma():
     # NaN fails every comparison, so it is caught at the guard, not by the
     # non-finite check on the finished spectrum.
-    table = transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE)
+    table = transition_weights(PAULI_Z.eig, PAULI_X, INFINITE_TEMPERATURE)
     for gamma in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="gamma must be positive"):
             spectral_function(table, np.array([0.0]), gamma)
@@ -357,7 +357,7 @@ def test_spectrum_table_exports_round_trip(tmp_path):
     # A spectrum's table goes to disk once, through the package's one CSV writer, which
     # returns the sha256 that the JSON writer records beside gamma.
     table = spectral_function(
-        transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE), np.linspace(-3, 3, 11), 0.4
+        transition_weights(PAULI_Z.eig, PAULI_X, INFINITE_TEMPERATURE), np.linspace(-3, 3, 11), 0.4
     )
     digest = write_csv(tmp_path / "spectrum.csv", {"omega": table.frequencies, "sigma": table.values})
     assert digest == hashlib.sha256((tmp_path / "spectrum.csv").read_bytes()).hexdigest()
@@ -386,7 +386,7 @@ def matrix_element_weights(hamiltonian, operator):
 
 
 def test_two_level_golden_rule_weights():
-    weights = dense_phase_weights(transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE), 2)
+    weights = dense_phase_weights(transition_weights(PAULI_Z.eig, PAULI_X, INFINITE_TEMPERATURE), 2)
     np.testing.assert_allclose(weights, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
     np.testing.assert_allclose(weights, matrix_element_weights(PAULI_Z, PAULI_X), atol=1e-12)
 
@@ -394,7 +394,7 @@ def test_two_level_golden_rule_weights():
 def test_commuting_observable_weights_are_diagonal():
     ham = HermitianOperator(np.diag([0.1, 0.9, 1.7, 3.0]))
     op = HermitianOperator(np.diag([1.0, 2.0, -1.0, 0.5]))
-    weights = dense_phase_weights(transition_weights(ham, op, INFINITE_TEMPERATURE), 4)
+    weights = dense_phase_weights(transition_weights(ham.eig, op, INFINITE_TEMPERATURE), 4)
     diag = np.array([1.0, 4.0, 1.0, 0.25])
     np.testing.assert_allclose(weights, np.diag(diag / diag.sum()), atol=1e-12)
 
@@ -402,7 +402,7 @@ def test_commuting_observable_weights_are_diagonal():
 def test_weights_symmetric_for_real_symmetric_inputs():
     ham = random_real_symmetric(3, seed=14)
     op = random_real_symmetric(3, seed=15)
-    weights = dense_phase_weights(transition_weights(ham, op, INFINITE_TEMPERATURE), 8)
+    weights = dense_phase_weights(transition_weights(ham.eig, op, INFINITE_TEMPERATURE), 8)
     assert np.max(np.abs(weights - weights.T)) <= 1e-12
     assert abs(weights.sum() - 1.0) <= 1e-10
 
@@ -413,21 +413,21 @@ def test_purification_route_equals_matrix_elements_route():
     ham = random_real_symmetric(3, seed=16)
     op = random_real_symmetric(3, seed=17)
     eig = eig_hermitian(ham)
-    state = thermal_operator_state(op, ham, INFINITE_TEMPERATURE)
+    state = thermal_operator_state(op, ham.eig, INFINITE_TEMPERATURE)
     matrix = state.amplitudes.reshape(8, 8)
     coeffs = eig.eigenvectors.conj().T @ matrix @ eig.eigenvectors
     from_state = np.abs(coeffs) ** 2
     elements = eig.eigenvectors.conj().T @ op.matrix @ eig.eigenvectors
     from_elements = np.abs(elements) ** 2 / np.trace(op.matrix @ op.matrix).real
     assert np.max(np.abs(from_state - from_elements)) <= 1e-10
-    table = transition_weights(ham, op, INFINITE_TEMPERATURE)
+    table = transition_weights(ham.eig, op, INFINITE_TEMPERATURE)
     np.testing.assert_allclose(dense_phase_weights(table, 8), from_state, atol=1e-12)
 
 
 def test_ground_state_weights_select_ground_column():
     ham = random_real_symmetric(2, seed=18)
     op = random_real_symmetric(2, seed=19)
-    table = transition_weights(ham, op, GROUND_STATE)
+    table = transition_weights(ham.eig, op, GROUND_STATE)
     weights = dense_phase_weights(table, 4)
     assert np.max(np.abs(weights[:, 1:])) <= 1e-12  # only transitions out of the ground state
     assert abs(weights.sum() - 1.0) <= 1e-10
@@ -436,7 +436,7 @@ def test_ground_state_weights_select_ground_column():
 
 def test_weights_reject_zero_operator():
     with pytest.raises(ZeroNormError, match="annihilates the infinite_temperature base state"):
-        transition_weights(PAULI_Z, HermitianOperator(np.zeros((2, 2))), INFINITE_TEMPERATURE)
+        transition_weights(PAULI_Z.eig, HermitianOperator(np.zeros((2, 2))), INFINITE_TEMPERATURE)
 
 
 @settings(max_examples=60, deadline=None)
@@ -461,7 +461,7 @@ def test_circuit_samples_the_golden_rule_weights(num_sites, num_bits, seed, comp
     dim = 1 << num_bits
     offsets = (delta * dim * gaps.reshape(-1) / (2 * np.pi))[:, None] - np.arange(dim)
     reference = golden.reshape(-1) / golden.sum() @ leakage_kernel(offsets, num_bits)
-    circuit = run_qpe(thermal_operator_state(obs, ham, ensemble), ham, num_bits, delta)
+    circuit = run_qpe(thermal_operator_state(obs, ham.eig, ensemble), ham.eig, num_bits, delta)
     assert distribution_distance(circuit, reference) <= 1e-10
 
 
@@ -478,8 +478,8 @@ def test_table_matches_purified_state_reference(num_sites, seed, complex_h, ense
     make = random_hermitian if complex_h else random_real_symmetric
     ham, obs = make(num_sites, seed), make(num_sites, seed + 1)
     dim = ham.dim
-    table = transition_weights(ham, obs, ensemble)
-    reference = purified_phase_weights(ham, obs, ensemble)
+    table = transition_weights(ham.eig, obs, ensemble)
+    reference = purified_phase_weights(ham.eig, obs, ensemble)
     assert np.max(np.abs(dense_phase_weights(table, dim) - reference)) <= 1e-12
     levels = ham.eig.eigenvalues
     initial, final = np.divmod(table.index, dim)
@@ -505,8 +505,8 @@ def _unpruned(monkeypatch, *args):
 
 
 def _assert_pruning_within_bound(monkeypatch, ham, obs, ensemble):
-    pruned = transition_weights(ham, obs, ensemble)
-    full = _unpruned(monkeypatch, ham, obs, ensemble)
+    pruned = transition_weights(ham.eig, obs, ensemble)
+    full = _unpruned(monkeypatch, ham.eig, obs, ensemble)
     assert PRUNE_SHARE == 2.0**-60  # the stated bound
     assert pruned.total == full.total == ham.dim**2
     assert pruned.kept < full.kept
@@ -600,7 +600,7 @@ def test_kernel_row_is_normalized():
 
 @pytest.mark.parametrize("num_bits", [0, -1])
 def test_outcome_distribution_needs_a_phase_bit(num_bits):
-    table = transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE)
+    table = transition_weights(PAULI_Z.eig, PAULI_X, INFINITE_TEMPERATURE)
     with pytest.raises(ValueError, match="need at least one phase bit"):
         exact_outcome_distribution(table, num_bits, 0.3)
 
@@ -608,7 +608,7 @@ def test_outcome_distribution_needs_a_phase_bit(num_bits):
 @pytest.mark.parametrize("delta", [0.0, -0.5, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])
 def test_outcome_distribution_rejects_a_nonpositive_or_nonfinite_delta(delta):
     # inf and NaN used to reach the bin index and fail there with an IndexError.
-    table = transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE)
+    table = transition_weights(PAULI_Z.eig, PAULI_X, INFINITE_TEMPERATURE)
     with pytest.raises(ValueError, match="delta must be positive and finite"):
         exact_outcome_distribution(table, 3, delta)
 
@@ -641,7 +641,7 @@ def test_transition_table_build_holds_under_three_matrices():
     ham.eig  # the memoised decomposition is not part of the build
     tracemalloc.start()
     try:
-        transition_weights(ham, obs, gibbs(1.0))
+        transition_weights(ham.eig, obs, gibbs(1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -653,7 +653,7 @@ def test_outcome_distribution_holds_a_tile_per_worker_not_a_row_per_pair(monkeyp
     # sum holds one tile per worker beside arrays of one entry per pair or per bin.
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
     table = transition_weights(
-        build_operator(tilted_ising(6)), preset_observable("total_sz", 6), INFINITE_TEMPERATURE
+        build_operator(tilted_ising(6)).eig, preset_observable("total_sz", 6), INFINITE_TEMPERATURE
     )
     assert table.gaps.size * 8 * 2**9 > 4 * 2**20
     exact_outcome_distribution(table, 9, 0.05)
@@ -674,7 +674,7 @@ def test_outcome_distribution_at_n10_holds_four_arrays_per_pair():
     # beside the offsets and bins.  A full-length array of unsplit ratios (4.39)
     # or a separate phase array and nearest integers (6.4) break it.
     ham = build_operator(tilted_ising(10))
-    table = transition_weights(ham, preset_observable("total_sz", 10), gibbs(1.0))
+    table = transition_weights(ham.eig, preset_observable("total_sz", 10), gibbs(1.0))
     tracemalloc.start()
     try:
         exact_outcome_distribution(table, 1, 0.05)
@@ -685,7 +685,7 @@ def test_outcome_distribution_at_n10_holds_four_arrays_per_pair():
 
 
 def test_outcome_distribution_zero_hamiltonian():
-    table = transition_weights(HermitianOperator(np.zeros((2, 2))), PAULI_X, INFINITE_TEMPERATURE)
+    table = transition_weights(HermitianOperator(np.zeros((2, 2))).eig, PAULI_X, INFINITE_TEMPERATURE)
     dist = exact_outcome_distribution(table, 3, 0.4)
     expected = np.zeros(8)
     expected[0] = 1.0
@@ -693,7 +693,7 @@ def test_outcome_distribution_zero_hamiltonian():
 
 
 def test_outcome_distribution_two_level_lines():
-    dist = exact_outcome_distribution(transition_weights(PAULI_Z, PAULI_X, INFINITE_TEMPERATURE), 3, np.pi / 4)
+    dist = exact_outcome_distribution(transition_weights(PAULI_Z.eig, PAULI_X, INFINITE_TEMPERATURE), 3, np.pi / 4)
     np.testing.assert_allclose(dist.probabilities[[2, 6]], [0.5, 0.5], atol=1e-12)
     assert abs(dist.probabilities.sum() - 1.0) <= 1e-10
 
@@ -701,8 +701,8 @@ def test_outcome_distribution_two_level_lines():
 def test_outcome_distribution_matches_circuit_on_random_instance():
     ham = random_real_symmetric(3, seed=20)
     obs = preset_observable("total_sz", 3)
-    circuit = run_qpe(thermal_operator_state(obs, ham, INFINITE_TEMPERATURE), ham, 5, 0.23)
-    reference = exact_outcome_distribution(transition_weights(ham, obs, INFINITE_TEMPERATURE), 5, 0.23)
+    circuit = run_qpe(thermal_operator_state(obs, ham.eig, INFINITE_TEMPERATURE), ham.eig, 5, 0.23)
+    reference = exact_outcome_distribution(transition_weights(ham.eig, obs, INFINITE_TEMPERATURE), 5, 0.23)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
 
@@ -714,7 +714,7 @@ def test_consistency_triangle_concentration():
     num_bits, dim = 6, 64
     eig = eig_hermitian(ham)
     delta = 2 * np.pi * (dim // 2 - 1) / (dim * eig.span)
-    table = transition_weights(ham, obs, INFINITE_TEMPERATURE)
+    table = transition_weights(ham.eig, obs, INFINITE_TEMPERATURE)
     dist = exact_outcome_distribution(table, num_bits, delta)
     flat_gaps, flat_weights = directed_transitions(table)
     flat_weights = flat_weights / table.mass
@@ -744,7 +744,7 @@ def test_spectrum_and_outcome_peaks_coincide():
     eig = eig_hermitian(ham)
     delta = 2 * np.pi * (dim // 2 - 1) / (dim * eig.span)
     gamma = 2 * np.pi / (delta * dim)
-    transitions = transition_weights(ham, obs, INFINITE_TEMPERATURE)
+    transitions = transition_weights(ham.eig, obs, INFINITE_TEMPERATURE)
     dist = exact_outcome_distribution(transitions, num_bits, delta)
     freqs = dist.frequencies
     table = spectral_function(transitions, np.sort(freqs), gamma)
@@ -778,7 +778,7 @@ def test_outcome_distribution_matches_kernel_sum(num_sites, num_bits, delta, sca
         energies = np.round(energies) * 2 * np.pi / (delta * dim)
     ham = HermitianOperator(np.diag(energies))
     obs = random_real_symmetric(num_sites, seed)
-    table = transition_weights(ham, obs, INFINITE_TEMPERATURE)
+    table = transition_weights(ham.eig, obs, INFINITE_TEMPERATURE)
     dist = exact_outcome_distribution(table, num_bits, delta)
     # The kernel has period 2**l, so the phase is first reduced modulo 2**l, which fmod does
     # exactly.  Subtracting the bins from the full phase instead rounds it once more when the
@@ -829,17 +829,17 @@ def _check_real_storage_matches_complex(ham, obs, num_bits, delta, ensemble):
     assert ham.matrix.dtype == obs.matrix.dtype == np.float64
     ham_c, obs_c = complex_copy(ham), complex_copy(obs)
     try:
-        prepared = thermal_operator_state(obs, ham, ensemble)
+        prepared = thermal_operator_state(obs, ham.eig, ensemble)
     except (ZeroNormError, ZeroOperatorError):
         assume(False)
-    prepared_c = thermal_operator_state(obs_c, ham_c, ensemble)
+    prepared_c = thermal_operator_state(obs_c, ham_c.eig, ensemble)
     assert prepared.amplitudes.dtype == np.float64
     assert prepared_c.amplitudes.dtype == np.complex128
-    tw, tw_c = transition_weights(ham, obs, ensemble), transition_weights(ham_c, obs_c, ensemble)
+    tw, tw_c = transition_weights(ham.eig, obs, ensemble), transition_weights(ham_c.eig, obs_c, ensemble)
     drift = 4 * _ground_level_rotation(ham, ensemble) * float(np.max(np.abs(obs.eig.eigenvalues))) ** 2
 
-    circuit = run_qpe(prepared, ham, num_bits, delta).probabilities
-    circuit_c = run_qpe(prepared_c, ham_c, num_bits, delta).probabilities
+    circuit = run_qpe(prepared, ham.eig, num_bits, delta).probabilities
+    circuit_c = run_qpe(prepared_c, ham_c.eig, num_bits, delta).probabilities
     assert np.max(np.abs(circuit - circuit_c)) <= 1e-12 + 2 * drift / tw.mass
     exact = exact_outcome_distribution(tw, num_bits, delta).probabilities
     exact_c = exact_outcome_distribution(tw_c, num_bits, delta).probabilities
@@ -903,11 +903,11 @@ def test_degenerate_heisenberg_keeps_circuit_oracle_agreement(ensemble):
     obs = preset_observable("staggered_sz", 4)
     assert ham.eig.eigenvectors.dtype == np.float64
     assert np.min(np.diff(ham.eig.eigenvalues)) <= 1e-12
-    prepared = thermal_operator_state(obs, ham, ensemble)
-    circuit = run_qpe(prepared, ham, 5, 0.37)
-    reference = exact_outcome_distribution(transition_weights(ham, obs, ensemble), 5, 0.37)
+    prepared = thermal_operator_state(obs, ham.eig, ensemble)
+    circuit = run_qpe(prepared, ham.eig, 5, 0.37)
+    reference = exact_outcome_distribution(transition_weights(ham.eig, obs, ensemble), 5, 0.37)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
-    twin = exact_outcome_distribution(transition_weights(complex_copy(ham), complex_copy(obs), ensemble), 5, 0.37)
+    twin = exact_outcome_distribution(transition_weights(complex_copy(ham).eig, complex_copy(obs), ensemble), 5, 0.37)
     assert distribution_distance(reference, twin, "max_abs") <= 1e-12
 
 

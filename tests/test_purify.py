@@ -27,7 +27,7 @@ from qspec.models import ModelSpec, PauliTerm, build_operator, tilted_ising
 from qspec.oracle import distribution_distance, exact_outcome_distribution, transition_weights
 from qspec.purify import base_state, ensemble_populations, ground_state_degeneracy, thermal_operator_state
 from qspec.qpe import run_qpe
-from qspec.simcore import HermitianOperator, register_distribution
+from qspec.simcore import EigenDecomposition, HermitianOperator, register_distribution
 from qspec.stateprep import spectral_weights
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -37,7 +37,7 @@ PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 def pair_state(num_sites: int):
     """The infinite-temperature base state, the entangled pair state: it reads only H's size."""
     dim = 1 << num_sites
-    return base_state(HermitianOperator(np.zeros((dim, dim))), INFINITE_TEMPERATURE)
+    return base_state(EigenDecomposition(np.zeros(dim), np.eye(dim)), INFINITE_TEMPERATURE)
 
 
 def test_entangled_pair_single_site_is_bell_pair():
@@ -102,9 +102,9 @@ def test_observable_with_subnormal_squares_is_a_zero_operator(ensemble):
     ham = random_real_symmetric(2, seed=46)
     obs = HermitianOperator(1e-160 * np.kron(PAULI_Z.real, np.eye(2)))
     routes = (
-        lambda: thermal_operator_state(obs, ham, ensemble),
-        lambda: spectral_weights(obs, ham, ensemble),
-        lambda: transition_weights(ham, obs, ensemble),
+        lambda: thermal_operator_state(obs, ham.eig, ensemble),
+        lambda: spectral_weights(obs, ham.eig, ensemble),
+        lambda: transition_weights(ham.eig, obs, ensemble),
     )
     for route in routes:
         with pytest.raises(ZeroOperatorError) as caught:
@@ -120,9 +120,9 @@ def test_subnormal_second_moment_in_the_base_state_is_zero_norm():
     obs = HermitianOperator(np.diag([0.0, 1e-150]))
     ensemble = gibbs(46.0)
     routes = (
-        lambda: thermal_operator_state(obs, ham, ensemble),
-        lambda: spectral_weights(obs, ham, ensemble),
-        lambda: transition_weights(ham, obs, ensemble),
+        lambda: thermal_operator_state(obs, ham.eig, ensemble),
+        lambda: spectral_weights(obs, ham.eig, ensemble),
+        lambda: transition_weights(ham.eig, obs, ensemble),
     )
     for route in routes:
         with pytest.raises(ZeroNormError, match=r"<O\^2> = 1\.05e-320 in the gibbs base state"):
@@ -131,18 +131,18 @@ def test_subnormal_second_moment_in_the_base_state_is_zero_norm():
 
 @pytest.mark.parametrize(
     "reader",
-    [thermal_operator_state, spectral_weights, lambda obs, ham, ensemble: transition_weights(ham, obs, ensemble)],
+    [thermal_operator_state, spectral_weights, lambda obs, eig_h, ensemble: transition_weights(eig_h, obs, ensemble)],
     ids=["thermal_operator_state", "spectral_weights", "transition_weights"],
 )
 def test_every_reader_rejects_a_size_mismatch_and_an_annihilation_with_one_line(reader):
-    # Each rule has one owner in purify, so every reader of (O, H, ensemble)
-    # raises the same line.
+    # Each rule has one owner in purify, so every reader of (O, H's
+    # decomposition, ensemble) raises the same line.
     with pytest.raises(DimensionMismatchError) as caught:
-        reader(HermitianOperator(PAULI_Z), random_real_symmetric(2, seed=80), INFINITE_TEMPERATURE)
+        reader(HermitianOperator(PAULI_Z), random_real_symmetric(2, seed=80).eig, INFINITE_TEMPERATURE)
     assert str(caught.value) == "operator dim 2 vs Hamiltonian dim 4"
     # The ground state of Z is |1>, which |0><0| annihilates.
     with pytest.raises(ZeroNormError) as caught:
-        reader(HermitianOperator(np.diag([1.0, 0.0])), HermitianOperator(PAULI_Z), GROUND_STATE)
+        reader(HermitianOperator(np.diag([1.0, 0.0])), HermitianOperator(PAULI_Z).eig, GROUND_STATE)
     assert str(caught.value) == "annihilates the ground_state base state"
 
 
@@ -173,12 +173,12 @@ def test_purify_schmidt_coefficients_are_normalized_eigenvalues():
 
 def test_gibbs_at_zero_beta_is_entangled_pair():
     ham = random_real_symmetric(2, seed=31)
-    state = base_state(ham, gibbs(0.0))
+    state = base_state(ham.eig, gibbs(0.0))
     assert np.max(np.abs(state.amplitudes - pair_state(2).amplitudes)) <= 1e-12
 
 
 def test_gibbs_two_level_closed_form():
-    state = base_state(HermitianOperator(PAULI_Z), gibbs(2.0))
+    state = base_state(HermitianOperator(PAULI_Z).eig, gibbs(2.0))
     norm = math.sqrt(2.0 * math.cosh(2.0))
     expected = np.array([math.exp(-1.0), 0.0, 0.0, math.exp(1.0)]) / norm
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-14)
@@ -186,7 +186,7 @@ def test_gibbs_two_level_closed_form():
 
 def test_gibbs_large_beta_reaches_ground_pair():
     ham = HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0]))
-    state = base_state(ham, gibbs(50.0))
+    state = base_state(ham.eig, gibbs(50.0))
     assert abs(np.vdot(ground_pair(ham), state.amplitudes)) ** 2 >= 1.0 - 1e-10
 
 
@@ -194,7 +194,7 @@ def test_gibbs_fidelity_with_pair_state_decreases_in_beta():
     ham = HermitianOperator(np.diag([0.0, 0.7, 1.9, 3.1]))
     pair = pair_state(2)
     fidelities = [
-        abs(overlap(pair, base_state(ham, gibbs(beta)))) ** 2 for beta in (0.0, 0.5, 1.0, 2.0, 4.0)
+        abs(overlap(pair, base_state(ham.eig, gibbs(beta)))) ** 2 for beta in (0.0, 0.5, 1.0, 2.0, 4.0)
     ]
     assert all(a > b for a, b in zip(fidelities, fidelities[1:]))
 
@@ -208,7 +208,7 @@ def test_gibbs_rejects_bad_beta():
 
 def test_ground_state_is_the_ground_projector():
     ham = random_real_symmetric(2, seed=33)
-    state = base_state(ham, GROUND_STATE)
+    state = base_state(ham.eig, GROUND_STATE)
     psi0 = ham.eig.eigenvectors[:, 0]
     # Every other population is exactly zero, so a real psi_0 psi_0^T is kron(psi0, psi0) bit for bit.
     np.testing.assert_array_equal(state.amplitudes, np.kron(psi0, psi0))
@@ -226,8 +226,8 @@ def test_a_degenerate_ground_level_is_the_zero_temperature_limit():
     assert ground_state_degeneracy(ham.eig) == 2
     circuit, oracle = {}, {}
     for ensemble in (GROUND_STATE, gibbs(1000.0)):
-        circuit[ensemble] = run_qpe(thermal_operator_state(obs, ham, ensemble), ham, 5, 0.3)
-        oracle[ensemble] = exact_outcome_distribution(transition_weights(ham, obs, ensemble), 5, 0.3)
+        circuit[ensemble] = run_qpe(thermal_operator_state(obs, ham.eig, ensemble), ham.eig, 5, 0.3)
+        oracle[ensemble] = exact_outcome_distribution(transition_weights(ham.eig, obs, ensemble), 5, 0.3)
     assert distribution_distance(circuit[GROUND_STATE], circuit[gibbs(1000.0)]) <= 1e-10
     assert distribution_distance(oracle[GROUND_STATE], oracle[gibbs(1000.0)]) <= 1e-10
 
@@ -265,9 +265,9 @@ def test_base_state_matches_the_direct_purification(num_sites, seed, is_complex,
     # catch a wrong population; the shifted exp(-beta*H/2) and psi_0 psi_0^dagger can.
     ham = (random_hermitian if is_complex else random_real_symmetric)(num_sites, seed)
     if beta is None:
-        state, reference = base_state(ham, GROUND_STATE), ground_pair(ham)
+        state, reference = base_state(ham.eig, GROUND_STATE), ground_pair(ham)
     else:
-        state, reference = base_state(ham, gibbs(beta)), gibbs_purification(ham, beta)
+        state, reference = base_state(ham.eig, gibbs(beta)), gibbs_purification(ham, beta)
     assert np.max(np.abs(state.amplitudes - reference)) <= 1e-13
 
 
@@ -285,14 +285,14 @@ def test_thermal_state_infinite_temperature_equals_operator_state():
 def test_thermal_state_gibbs_beta_zero_equals_operator_state():
     op = random_real_symmetric(2, seed=42)
     ham = random_real_symmetric(2, seed=43)
-    via_gibbs = thermal_operator_state(op, ham, gibbs(0.0))
+    via_gibbs = thermal_operator_state(op, ham.eig, gibbs(0.0))
     direct = op.matrix.reshape(-1) / np.sqrt(np.trace(op.matrix @ op.matrix))
     assert np.max(np.abs(via_gibbs.amplitudes - direct)) <= 1e-12
 
 
 def test_thermal_state_ground_two_level():
     # Ground state of sigma^z is |1>; sigma^x flips it, copy keeps the reference.
-    out = thermal_operator_state(HermitianOperator(PAULI_X), HermitianOperator(PAULI_Z), GROUND_STATE)
+    out = thermal_operator_state(HermitianOperator(PAULI_X), HermitianOperator(PAULI_Z).eig, GROUND_STATE)
     np.testing.assert_allclose(np.abs(out.amplitudes), [0, 1, 0, 0], atol=1e-14)
 
 
@@ -300,7 +300,7 @@ def test_thermal_state_zero_norm_error():
     # O projects onto |0> but the ground state of sigma^z is |1>.
     projector = HermitianOperator(np.diag([1.0, 0.0]))
     with pytest.raises(ZeroNormError):
-        thermal_operator_state(projector, HermitianOperator(PAULI_Z), GROUND_STATE)
+        thermal_operator_state(projector, HermitianOperator(PAULI_Z).eig, GROUND_STATE)
 
 
 def test_all_purified_states_are_normalized():
@@ -309,10 +309,10 @@ def test_all_purified_states_are_normalized():
     for state in (
         pair_state(3),
         thermal_operator_state(*at_infinite_temperature(op)),
-        base_state(ham, gibbs(1.3)),
-        base_state(ham, GROUND_STATE),
-        thermal_operator_state(op, ham, gibbs(0.8)),
-        thermal_operator_state(op, ham, GROUND_STATE),
+        base_state(ham.eig, gibbs(1.3)),
+        base_state(ham.eig, GROUND_STATE),
+        thermal_operator_state(op, ham.eig, gibbs(0.8)),
+        thermal_operator_state(op, ham.eig, GROUND_STATE),
     ):
         assert abs(state.norm() - 1.0) <= 1e-10
 
@@ -321,13 +321,13 @@ def test_all_purified_states_are_normalized():
 def test_real_operators_give_real_purified_states(ensemble):
     ham = random_real_symmetric(2, seed=31)
     obs = random_real_symmetric(2, seed=32)
-    real = thermal_operator_state(obs, ham, ensemble)
+    real = thermal_operator_state(obs, ham.eig, ensemble)
     assert real.amplitudes.dtype == np.float64
     infinite = thermal_operator_state(*at_infinite_temperature(obs))
-    for state in (pair_state(2), infinite, base_state(ham, gibbs(0.9)), base_state(ham, GROUND_STATE)):
+    for state in (pair_state(2), infinite, base_state(ham.eig, gibbs(0.9)), base_state(ham.eig, GROUND_STATE)):
         assert state.amplitudes.dtype == np.float64
     # The complex route reaches the same state up to a global phase (its ground vector's).
-    twin = thermal_operator_state(complex_copy(obs), complex_copy(ham), ensemble)
+    twin = thermal_operator_state(complex_copy(obs), complex_copy(ham).eig, ensemble)
     assert twin.amplitudes.dtype == np.complex128
     assert abs(abs(overlap(real, twin)) - 1.0) <= 1e-12
 
@@ -346,7 +346,7 @@ def test_operator_state_at_n10_holds_two_matrices(chain_at_the_cap, ensemble):
     ham, obs = chain_at_the_cap
     tracemalloc.start()
     try:
-        thermal_operator_state(obs, ham, ensemble)
+        thermal_operator_state(obs, ham.eig, ensemble)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

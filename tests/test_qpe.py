@@ -49,7 +49,7 @@ PAULI_Z = HermitianOperator(np.diag([1.0, -1.0]))
 
 def test_zero_hamiltonian_concentrates_at_zero():
     prepared = thermal_operator_state(*at_infinite_temperature(PAULI_X))
-    dist = run_qpe(prepared, HermitianOperator(np.zeros((2, 2))), 4, 0.3)
+    dist = run_qpe(prepared, HermitianOperator(np.zeros((2, 2))).eig, 4, 0.3)
     expected = np.zeros(16)
     expected[0] = 1.0
     np.testing.assert_allclose(dist.probabilities, expected, atol=1e-12)
@@ -57,7 +57,7 @@ def test_zero_hamiltonian_concentrates_at_zero():
 
 def test_two_level_lines_land_on_exact_bins():
     # Gaps +-2 at delta = pi/4 and l = 3 give integer bin offsets +-2.
-    dist = run_qpe(thermal_operator_state(PAULI_X, PAULI_Z, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
+    dist = run_qpe(thermal_operator_state(PAULI_X, PAULI_Z.eig, INFINITE_TEMPERATURE), PAULI_Z.eig, 3, np.pi / 4)
     expected = np.zeros(8)
     expected[2] = 0.5
     expected[6] = 0.5
@@ -72,9 +72,9 @@ def test_circuit_matches_oracle_on_random_instances(seed):
     ham = random_real_symmetric(num_sites, seed=100 + seed)
     obs = preset_observable("total_sz", num_sites)
     delta = float(rng.uniform(0.05, 1.2))
-    prepared = thermal_operator_state(obs, ham, INFINITE_TEMPERATURE)
-    circuit = run_qpe(prepared, ham, num_bits, delta)
-    reference = exact_outcome_distribution(transition_weights(ham, obs, INFINITE_TEMPERATURE), num_bits, delta)
+    prepared = thermal_operator_state(obs, ham.eig, INFINITE_TEMPERATURE)
+    circuit = run_qpe(prepared, ham.eig, num_bits, delta)
+    reference = exact_outcome_distribution(transition_weights(ham.eig, obs, INFINITE_TEMPERATURE), num_bits, delta)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
 
@@ -83,8 +83,8 @@ def test_circuit_matches_oracle_with_degenerate_spectrum():
     # must not depend on which orthonormal basis the solver picks.
     ham = build_operator(heisenberg(2))
     obs = preset_observable("staggered_sz", 2)
-    circuit = run_qpe(thermal_operator_state(obs, ham, INFINITE_TEMPERATURE), ham, 4, 0.43)
-    reference = exact_outcome_distribution(transition_weights(ham, obs, INFINITE_TEMPERATURE), 4, 0.43)
+    circuit = run_qpe(thermal_operator_state(obs, ham.eig, INFINITE_TEMPERATURE), ham.eig, 4, 0.43)
+    reference = exact_outcome_distribution(transition_weights(ham.eig, obs, INFINITE_TEMPERATURE), 4, 0.43)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
 
@@ -92,9 +92,9 @@ def test_circuit_matches_oracle_with_degenerate_spectrum():
 def test_circuit_matches_oracle_for_thermal_ensembles(ensemble):
     ham = random_real_symmetric(2, seed=23)
     obs = preset_observable("total_sz", 2)
-    prepared = thermal_operator_state(obs, ham, ensemble)
-    circuit = run_qpe(prepared, ham, 5, 0.39)
-    reference = exact_outcome_distribution(transition_weights(ham, obs, ensemble), 5, 0.39)
+    prepared = thermal_operator_state(obs, ham.eig, ensemble)
+    circuit = run_qpe(prepared, ham.eig, 5, 0.39)
+    reference = exact_outcome_distribution(transition_weights(ham.eig, obs, ensemble), 5, 0.39)
     assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
 
 
@@ -121,24 +121,24 @@ def test_circuit_matches_oracle_along_the_cap_diagonal(num_sites):
         ham, obs = build_operator(heisenberg(num_sites)), preset_observable("site_sz", num_sites)
     else:
         ham, obs = build_operator(tilted_ising(num_sites)), preset_observable("total_sz", num_sites)
-    prepared = thermal_operator_state(obs, ham, ensemble)
+    prepared = thermal_operator_state(obs, ham.eig, ensemble)
     ham.eig  # the memoised decomposition is not part of the circuit
     working = (1 << num_bits) * 4**num_sites * 16
     tracemalloc.start()
     try:
-        circuit = run_qpe(prepared, ham, num_bits, 0.05)
+        circuit = run_qpe(prepared, ham.eig, num_bits, 0.05)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= DIAGONAL_HEAP_EXCEPTIONS.get(num_sites, 1.15) * working
-    reference = exact_outcome_distribution(transition_weights(ham, obs, ensemble), num_bits, 0.05)
+    reference = exact_outcome_distribution(transition_weights(ham.eig, obs, ensemble), num_bits, 0.05)
     assert distribution_distance(circuit, reference, "total_variation") <= 1e-10
 
 
 def test_frequency_symmetry_at_infinite_temperature():
     ham = random_real_symmetric(2, seed=7)
     obs = preset_observable("site_sz", 2, 0)
-    dist = run_qpe(thermal_operator_state(obs, ham, INFINITE_TEMPERATURE), ham, 5, 0.31)
+    dist = run_qpe(thermal_operator_state(obs, ham.eig, INFINITE_TEMPERATURE), ham.eig, 5, 0.31)
     p = dist.probabilities
     for f in range(1, 32):
         assert abs(p[f] - p[32 - f]) <= 1e-10
@@ -157,7 +157,7 @@ def test_controlled_powers_match_repeated_base_steps():
     # exactly exponentiated power used by run_qpe.
     num_sites, num_bits, delta = 2, 3, 0.47
     ham = random_real_symmetric(num_sites, seed=11)
-    prepared = thermal_operator_state(preset_observable("total_sz", num_sites), ham, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(preset_observable("total_sz", num_sites), ham.eig, INFINITE_TEMPERATURE)
     copy_a, copy_b, phase = register_positions(num_sites, num_bits)
     state = tensor_product(prepared, plus_state(num_bits))
     eig = eig_hermitian(ham)
@@ -170,7 +170,7 @@ def test_controlled_powers_match_repeated_base_steps():
             state = apply_controlled_unitary(state, control, backward, copy_b)
     state = inverse_qft(state, phase)
     stepped = register_distribution(state, phase)
-    powered = run_qpe(prepared, ham, num_bits, delta)
+    powered = run_qpe(prepared, ham.eig, num_bits, delta)
     assert np.max(np.abs(stepped - powered.probabilities)) <= 1e-10
 
 
@@ -204,9 +204,9 @@ def gate_by_gate_qpe(prepared, hamiltonian, num_bits, delta):
 def test_run_qpe_matches_gate_by_gate_circuit(num_sites, num_bits, seed, real, ensemble, delta):
     ham = (random_real_symmetric if real else random_hermitian)(num_sites, seed=seed)
     obs = random_hermitian(num_sites, seed=seed + 1)
-    prepared = thermal_operator_state(obs, ham, ensemble)
+    prepared = thermal_operator_state(obs, ham.eig, ensemble)
     reference = gate_by_gate_qpe(prepared, ham, num_bits, delta)
-    dist = run_qpe(prepared, ham, num_bits, delta)
+    dist = run_qpe(prepared, ham.eig, num_bits, delta)
     assert np.max(np.abs(dist.probabilities - reference)) <= 1e-12
 
 
@@ -222,8 +222,8 @@ def test_run_qpe_transforms_in_place_off_power_of_two_strides(monkeypatch, num_s
 
     monkeypatch.setattr(qpe, "_fourier", spy)
     ham = random_hermitian(num_sites, seed=num_bits)
-    prepared = thermal_operator_state(random_hermitian(num_sites, seed=7), ham, gibbs(0.8))
-    dist = run_qpe(prepared, ham, num_bits, 0.4)
+    prepared = thermal_operator_state(random_hermitian(num_sites, seed=7), ham.eig, gibbs(0.8))
+    dist = run_qpe(prepared, ham.eig, num_bits, 0.4)
     [(amplitudes, out)] = seen
     assert out is amplitudes
     assert amplitudes.shape == (1 << num_bits, 4**num_sites)
@@ -233,20 +233,20 @@ def test_run_qpe_transforms_in_place_off_power_of_two_strides(monkeypatch, num_s
 
 
 def test_run_qpe_rejects_bad_inputs():
-    prepared = thermal_operator_state(PAULI_X, PAULI_Z, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(PAULI_X, PAULI_Z.eig, INFINITE_TEMPERATURE)
     with pytest.raises(ValueError):
-        run_qpe(prepared, PAULI_Z, 3, 0.0)
+        run_qpe(prepared, PAULI_Z.eig, 3, 0.0)
     with pytest.raises(DimensionMismatchError):
-        run_qpe(prepared, HermitianOperator(np.eye(4)), 3, 0.5)
+        run_qpe(prepared, HermitianOperator(np.eye(4)).eig, 3, 0.5)
     with pytest.raises(ResourceCapError):
-        run_qpe(prepared, PAULI_Z, 21, 0.5)
+        run_qpe(prepared, PAULI_Z.eig, 21, 0.5)
 
 
 @pytest.mark.parametrize("delta", [-0.5, float("inf"), float("nan")])
 def test_run_qpe_rejects_a_nonpositive_or_nonfinite_delta(delta):
-    prepared = thermal_operator_state(PAULI_X, PAULI_Z, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(PAULI_X, PAULI_Z.eig, INFINITE_TEMPERATURE)
     with pytest.raises(ValueError, match="delta must be positive"):
-        run_qpe(prepared, PAULI_Z, 3, delta)
+        run_qpe(prepared, PAULI_Z.eig, 3, delta)
 
 
 def test_run_qpe_rejects_a_non_finite_register_state():
@@ -254,7 +254,7 @@ def test_run_qpe_rejects_a_non_finite_register_state():
     prepared = thermal_operator_state(*at_infinite_temperature(PAULI_X))
     huge = HermitianOperator(np.diag([1e300, -1e300]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NormalizationError):
-        run_qpe(prepared, huge, 3, 1e10)
+        run_qpe(prepared, huge.eig, 3, 1e10)
 
 
 def test_run_qpe_rejects_a_register_total_past_the_tolerance():
@@ -263,7 +263,7 @@ def test_run_qpe_rejects_a_register_total_past_the_tolerance():
     # total with a bare ValueError, after run_qpe had checked only its root.
     prepared = StateVector(2, np.array([1 + 0.9e-10, 0.0, 0.0, 0.0]))
     with pytest.raises(NormalizationError, match="by 1.800e-10"):
-        run_qpe(prepared, PAULI_Z, 3, 0.3)
+        run_qpe(prepared, PAULI_Z.eig, 3, 0.3)
 
 
 def test_run_qpe_heap_peak_is_one_working_array():
@@ -271,12 +271,12 @@ def test_run_qpe_heap_peak_is_one_working_array():
     # place: the peak is the working array, one block and the propagators.
     num_sites, num_bits = 5, 8
     ham = random_hermitian(num_sites, seed=5)
-    prepared = thermal_operator_state(random_hermitian(num_sites, seed=6), ham, INFINITE_TEMPERATURE)
+    prepared = thermal_operator_state(random_hermitian(num_sites, seed=6), ham.eig, INFINITE_TEMPERATURE)
     ham.eig  # the memoised decomposition is not part of the circuit
     working = (1 << num_bits) * 4**num_sites * 16
     tracemalloc.start()
     try:
-        run_qpe(prepared, ham, num_bits, 0.3)
+        run_qpe(prepared, ham.eig, num_bits, 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -291,23 +291,23 @@ def test_run_qpe_bytes_do_not_depend_on_the_block_size(monkeypatch):
     # one-byte block gives the fewest allowed, two runs of eight per row.
     num_sites, num_bits = 4, 10
     ham = random_hermitian(num_sites, seed=8)
-    prepared = thermal_operator_state(random_hermitian(num_sites, seed=9), ham, INFINITE_TEMPERATURE)
-    default = run_qpe(prepared, ham, num_bits, 0.2).probabilities
+    prepared = thermal_operator_state(random_hermitian(num_sites, seed=9), ham.eig, INFINITE_TEMPERATURE)
+    default = run_qpe(prepared, ham.eig, num_bits, 0.2).probabilities
     assert qpe._BLOCK_BYTES == (1 << num_bits) * 4**num_sites * 16 // 4
     for rows in (1, 3):
         monkeypatch.setattr(qpe, "_BLOCK_BYTES", rows * 4**num_sites * 16)
-        np.testing.assert_array_equal(run_qpe(prepared, ham, num_bits, 0.2).probabilities, default)
+        np.testing.assert_array_equal(run_qpe(prepared, ham.eig, num_bits, 0.2).probabilities, default)
     assert simcore._MIN_BLOCK_ROWS == 8 == 2**num_sites // 2
     monkeypatch.setattr(qpe, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(simcore, "_BLOCK_BYTES", 1)
-    np.testing.assert_array_equal(run_qpe(prepared, ham, num_bits, 0.2).probabilities, default)
+    np.testing.assert_array_equal(run_qpe(prepared, ham.eig, num_bits, 0.2).probabilities, default)
 
 
 def test_run_qpe_is_deterministic():
     ham = random_real_symmetric(2, seed=13)
-    prepared = thermal_operator_state(preset_observable("total_sz", 2), ham, INFINITE_TEMPERATURE)
-    first = run_qpe(prepared, ham, 4, 0.6)
-    second = run_qpe(prepared, ham, 4, 0.6)
+    prepared = thermal_operator_state(preset_observable("total_sz", 2), ham.eig, INFINITE_TEMPERATURE)
+    first = run_qpe(prepared, ham.eig, 4, 0.6)
+    second = run_qpe(prepared, ham.eig, 4, 0.6)
     np.testing.assert_array_equal(first.probabilities, second.probabilities)
 
 
@@ -316,7 +316,7 @@ def test_run_qpe_is_deterministic():
 
 def test_sampling_point_mass_puts_all_shots_there():
     prepared = thermal_operator_state(*at_infinite_temperature(PAULI_X))
-    dist = run_qpe(prepared, HermitianOperator(np.zeros((2, 2))), 3, 0.5)
+    dist = run_qpe(prepared, HermitianOperator(np.zeros((2, 2))).eig, 3, 0.5)
     empirical = sample_outcomes(dist, shots=1000, seed=4)
     assert empirical.probabilities[0] == 1.0
     assert empirical.shots == 1000
@@ -324,7 +324,7 @@ def test_sampling_point_mass_puts_all_shots_there():
 
 def test_sampling_is_seed_reproducible():
     prepared = thermal_operator_state(*at_infinite_temperature(preset_observable("total_sz", 2)))
-    dist = run_qpe(prepared, random_real_symmetric(2, seed=17), 5, 0.4)
+    dist = run_qpe(prepared, random_real_symmetric(2, seed=17).eig, 5, 0.4)
     first = sample_outcomes(dist, shots=5000, seed=99)
     second = sample_outcomes(dist, shots=5000, seed=99)
     np.testing.assert_array_equal(first.probabilities, second.probabilities)
@@ -334,15 +334,15 @@ def test_sampling_is_seed_reproducible():
 
 def test_sampling_concentrates_l6_preset():
     ham = build_operator(tilted_ising(2))
-    prepared = thermal_operator_state(preset_observable("total_sz", 2), ham, INFINITE_TEMPERATURE)
-    dist = run_qpe(prepared, ham, 6, np.pi / 16)
+    prepared = thermal_operator_state(preset_observable("total_sz", 2), ham.eig, INFINITE_TEMPERATURE)
+    dist = run_qpe(prepared, ham.eig, 6, np.pi / 16)
     for seed in range(20):
         empirical = sample_outcomes(dist, shots=100_000, seed=seed)
         assert distribution_distance(empirical, dist) <= 0.02
 
 
 def test_sampling_requires_exact_distribution():
-    dist = run_qpe(thermal_operator_state(PAULI_X, PAULI_Z, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
+    dist = run_qpe(thermal_operator_state(PAULI_X, PAULI_Z.eig, INFINITE_TEMPERATURE), PAULI_Z.eig, 3, np.pi / 4)
     empirical = sample_outcomes(dist, shots=10, seed=0)
     with pytest.raises(ValueError, match="sampling requires an exact distribution"):
         sample_outcomes(empirical, shots=10, seed=0)
@@ -475,7 +475,7 @@ def test_phase_distribution_rejects_non_finite_probabilities(bad):
 
 def test_phase_distribution_csv_and_json_round_trip(tmp_path):
     # A distribution goes to disk through the package's one CSV and one JSON writer.
-    dist = run_qpe(thermal_operator_state(PAULI_X, PAULI_Z, INFINITE_TEMPERATURE), PAULI_Z, 3, np.pi / 4)
+    dist = run_qpe(thermal_operator_state(PAULI_X, PAULI_Z.eig, INFINITE_TEMPERATURE), PAULI_Z.eig, 3, np.pi / 4)
     csv_path = tmp_path / "dist.csv"
     write_csv(csv_path, {"f": range(8), "omega": dist.frequencies, "probability": dist.probabilities})
     rows = csv_path.read_text().strip().splitlines()

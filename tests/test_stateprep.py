@@ -98,9 +98,9 @@ def test_zero_angle_is_degenerate():
 # --- circuit against closed forms ------------------------------------------------
 
 
-def overlap_fidelity(operator, hamiltonian, ensemble, post) -> float:
+def overlap_fidelity(operator, eig_h, ensemble, post) -> float:
     """|<target|post>|^2 against the target operator state, clipped at 1 as a run records it."""
-    return min(abs(overlap(thermal_operator_state(operator, hamiltonian, ensemble), post)) ** 2, 1.0)
+    return min(abs(overlap(thermal_operator_state(operator, eig_h, ensemble), post)) ** 2, 1.0)
 
 
 @pytest.mark.parametrize("ensemble", [INFINITE_TEMPERATURE, gibbs(0.7), GROUND_STATE])
@@ -108,10 +108,10 @@ def test_circuit_branch_norms_match_closed_forms(ensemble):
     op = random_real_symmetric(2, seed=71)
     ham = random_real_symmetric(2, seed=72)
     phi = 0.43
-    p1, post = simulate_prep_circuit(op, ham, ensemble, phi)
-    spectrum = spectral_weights(op, ham, ensemble)
+    p1, post = simulate_prep_circuit(op, ham.eig, ensemble, phi)
+    spectrum = spectral_weights(op, ham.eig, ensemble)
     assert abs(p1 - acceptance_probability(*spectrum, phi)) <= 1e-12
-    assert abs(overlap_fidelity(op, ham, ensemble, post) - preparation_fidelity(*spectrum, phi)) <= 1e-10
+    assert abs(overlap_fidelity(op, ham.eig, ensemble, post) - preparation_fidelity(*spectrum, phi)) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,14 +128,14 @@ def test_circuit_branch_norms_match_closed_forms(ensemble):
 def test_simulate_prep_circuit_matches_gate_by_gate_circuit(num_sites, seed, real_h, real_o, ensemble, phi):
     ham = (random_real_symmetric if real_h else random_hermitian)(num_sites, seed=seed)
     obs = (random_real_symmetric if real_o else random_hermitian)(num_sites, seed=seed + 1)
-    p1, post = simulate_prep_circuit(obs, ham, ensemble, phi)
-    ref_p1, ref_post = gate_by_gate_prep(obs, ham, ensemble, phi)
+    p1, post = simulate_prep_circuit(obs, ham.eig, ensemble, phi)
+    ref_p1, ref_post = gate_by_gate_prep(obs, ham.eig, ensemble, phi)
     assert abs(p1 - ref_p1) <= 1e-12
     assert np.max(np.abs(post.amplitudes - ref_post.amplitudes)) <= 1e-12
-    ref_fidelity = overlap_fidelity(obs, ham, ensemble, ref_post)
-    assert abs(overlap_fidelity(obs, ham, ensemble, post) - ref_fidelity) <= 1e-12
+    ref_fidelity = overlap_fidelity(obs, ham.eig, ensemble, ref_post)
+    assert abs(overlap_fidelity(obs, ham.eig, ensemble, post) - ref_fidelity) <= 1e-12
     # The closed form a run records, against the gate-level overlap.
-    closed_form = min(preparation_fidelity(*spectral_weights(obs, ham, ensemble), phi), 1.0)
+    closed_form = min(preparation_fidelity(*spectral_weights(obs, ham.eig, ensemble), phi), 1.0)
     assert abs(closed_form - ref_fidelity) <= 1e-10
 
 
@@ -144,10 +144,10 @@ def test_run_records_the_overlap_fidelity_at_a_tiny_epsilon(ensemble):
     # At epsilon = 1e-10 the angle is about 1e-5, where 2 - 2cos(phi*O) would
     # lose all but six digits of the branch norm and so of the infidelity.
     obs, ham = preset_observable("total_sz", 3), build_operator(tilted_ising(3))
-    outcome = run_prep_circuit(obs, ham, ensemble, 1e-10, seed=0, max_attempts=10**15)
+    outcome = run_prep_circuit(obs, ham.eig, ensemble, 1e-10, seed=0, max_attempts=10**15)
     fidelity = outcome.stats["fidelity_with_target"]
-    assert abs(fidelity - overlap_fidelity(obs, ham, ensemble, outcome.post_state)) <= 1e-12
-    ms = moments(*spectral_weights(obs, ham, ensemble))
+    assert abs(fidelity - overlap_fidelity(obs, ham.eig, ensemble, outcome.post_state)) <= 1e-12
+    ms = moments(*spectral_weights(obs, ham.eig, ensemble))
     leading = 1e-10 / 4 * (1 - ms.m3**2 / (ms.m2 * ms.m4))
     assert abs((1 - fidelity) / leading - 1) <= 1e-3
 
@@ -353,7 +353,7 @@ def test_predicted_p1_is_the_acceptance_at_the_chosen_angle(case):
     if case == "pauli_z":
         vals, q = Z_SPECTRUM
     elif case == "gibbs_ising":
-        vals, q = spectral_weights(preset_observable("total_sz", 3), build_operator(tilted_ising(3)), gibbs(1.0))
+        vals, q = spectral_weights(preset_observable("total_sz", 3), build_operator(tilted_ising(3)).eig, gibbs(1.0))
     else:
         vals, q = synthetic_spectrum(case, 6, seed=2)
     ms = moments(vals, q)
@@ -376,18 +376,18 @@ def test_spectral_weights_reject_rounding_scale_second_moment():
     ham = build_operator(heisenberg(4))
     obs = preset_observable("total_sz", 4)
     with pytest.raises(ZeroOperatorError):
-        spectral_weights(obs, ham, GROUND_STATE)
+        spectral_weights(obs, ham.eig, GROUND_STATE)
 
 
 @pytest.mark.parametrize("ensemble", [INFINITE_TEMPERATURE, gibbs(1.0)])
 def test_a_hamiltonian_of_another_size_is_rejected(ensemble):
-    # Every reader of the (operator, Hamiltonian, ensemble) triple checks the
-    # sizes, also at infinite temperature, which reads H only for its size.
+    # Every reader of the (operator, H's decomposition, ensemble) triple checks
+    # the sizes, also at infinite temperature, which reads only H's size.
     obs, ham = PAULI_Z, random_real_symmetric(2, seed=80)
     routes = (
-        lambda: thermal_operator_state(obs, ham, ensemble),
-        lambda: spectral_weights(obs, ham, ensemble),
-        lambda: run_prep_circuit(obs, ham, ensemble, 0.5, seed=0, max_attempts=10),
+        lambda: thermal_operator_state(obs, ham.eig, ensemble),
+        lambda: spectral_weights(obs, ham.eig, ensemble),
+        lambda: run_prep_circuit(obs, ham.eig, ensemble, 0.5, seed=0, max_attempts=10),
     )
     for route in routes:
         with pytest.raises(DimensionMismatchError, match="operator dim 2 vs Hamiltonian dim 4"):
@@ -399,7 +399,7 @@ def test_moments_accept_physically_small_second_moment():
     # tiny (about 3e-11) but far above rounding scale.
     ham = build_operator(heisenberg(4))
     obs = preset_observable("total_sz", 4)
-    ms = moments(*spectral_weights(obs, ham, gibbs(10.0)))
+    ms = moments(*spectral_weights(obs, ham.eig, gibbs(10.0)))
     assert 1e-12 < ms.m2 < 1e-9
     assert ms.m4 >= ms.m2**2
 
@@ -432,7 +432,7 @@ def test_ensemble_moments_match_direct_traces():
     vals, vecs = np.linalg.eigh(ham.matrix)
     rho = (vecs * np.exp(-beta * (vals - vals[0]))) @ vecs.T
     rho /= np.trace(rho)
-    ms = moments(*spectral_weights(op, ham, gibbs(beta)))
+    ms = moments(*spectral_weights(op, ham.eig, gibbs(beta)))
     for k, got in ((2, ms.m2), (3, ms.m3), (4, ms.m4)):
         direct = np.trace(rho @ np.linalg.matrix_power(op.matrix, k)).real
         assert abs(got - direct) <= 1e-12
