@@ -192,8 +192,10 @@ def _transition_sum(
     ``kernel(block, pairs, out)`` fills the (points, pairs) tile ``out`` in
     place for the table rows in the slice ``pairs``, one ``TILE`` at a time,
     in a buffer that stays in cache while each block of points meets every
-    block of pairs in turn.  It sets the numpy error state it needs itself,
-    so a pool worker needs no copy of the caller's context.
+    block of pairs in turn.  Each worker's tile starts on a 64-byte line, so
+    the loop's speed does not depend on where the heap puts the buffer.  It
+    sets the numpy error state it needs itself, so a pool worker needs no copy
+    of the caller's context.
 
     The pool has one worker per usable CPU and at most one per block of points;
     when that is one, the calling thread sums every block and no pool starts.
@@ -211,7 +213,11 @@ def _transition_sum(
     rows = TILE[0] * TILE[1] // cols
     blocks = range(0, grid.size, rows)
     workers = max(1, min(_usable_cpus(), len(blocks)))  # one, even for no points
-    buffers = np.empty((workers, rows * cols))
+    # Each worker's row a whole number of 64-byte lines, from the first line boundary.
+    size = -(-rows * cols // 8) * 8
+    raw = np.empty(workers * size + 8)
+    skip = -raw.ctypes.data % 64 // raw.itemsize
+    buffers = raw[skip : skip + workers * size].reshape(workers, size)
     starts = iter(blocks)  # shared: each next() hands one block to one worker
 
     def run(part: int) -> None:

@@ -13,46 +13,42 @@ positive energy differences land at small positive f and negative ones wrap
 into the upper half of the register, which ``outcome_frequency`` maps back
 to signed angular frequencies.
 
-The circuit runs on one phase-major working array ``psi[x, a, b]`` over the
-register value x and the two copies.  The register starts uniform and the
+The circuit runs on one copy-a-major working array ``psi[a, x, b]`` over
+copy a, the register value x and copy b.  The register starts uniform and the
 controlled powers act only on the copies, so the array fills in doubling
-order: ``psi[0]`` is the prepared state and bit j writes ``psi[2**j : 2**(j+1)]``
-as ``U_j psi[0 : 2**j] U_j^dagger``.  Each distinct branch is computed once,
-with the gates of the full circuit in their order.  The inverse Fourier
-transform is the simulator's FFT along x, in place, and the outcome marginal
-sums ``|psi|^2`` over both copies.  The circuit stays a gate-level simulation
-in the computational basis; the eigenbasis is used only to exponentiate ``U_j``,
-so ``run_qpe`` takes H's decomposition, not H.
-
-Each register row of the working array carries one spare complex amplitude
-(16 bytes) after its ``4**N`` amplitudes, and ``psi`` is a view of the
-leading columns.  Without it the register stride is a power of two (64 KiB
-at N=6), so the FFT's gather along x maps every row to the same cache sets;
-with it the transform at N=6, l=9 runs 2 to 2.5 times faster (2-vCPU x86
-host), as fast as with a 64-byte pad.  One amplitude is the smallest pad at
-every N, so no size needs its own rule.  The pad is never read: every
-product, the transform and the marginal see the same values in the same
-order, so the outcome bytes do not depend on it.
+order: ``psi[:, 0]`` is the prepared state and bit j writes
+``psi[:, 2**j : 2**(j+1)]`` as ``U_j psi[:, 0 : 2**j] U_j^dagger``.  Each
+distinct branch is computed once, with the gates of the full circuit in their
+order.  The inverse Fourier transform is the simulator's FFT along x, in place
+on the unpadded array, and the outcome marginal sums ``|psi|^2`` over both
+copies.  The circuit stays a gate-level simulation in the computational basis;
+the eigenbasis is used only to exponentiate ``U_j``, so ``run_qpe`` takes H's
+decomposition, not H.
 
 Beside the returned probabilities, the heap holds one working array, one
 propagator and one bounded block.  The propagator ``U_j`` is built in blocks
 of rows (``simcore.EigenDecomposition.apply`` of its eigenphases) and
 released after its step, so the next build, the transform and the marginal
 run without it.
-The left product ``U_j psi`` is written straight into
-``psi[2**j : 2**(j+1)]``, which it does not overlap.  The right product by
-``U_j^dagger`` then runs in place on blocks, so numpy's copy of the
-overlapping operand is at most one block.  A block is a run of register rows
-of at most ``_BLOCK_BYTES``, at least one row.  A register row holds as many
-amplitudes as a propagator, and one larger than a blocked product's block
-(``simcore._block_rows``; only at N=10) is cut into runs of matrix rows.  The
-marginal squares ``|psi|`` of one run of register rows at a time into one
-reused buffer and sums each row whole into the preallocated probabilities
-(numpy's pairwise sum of a row is not the sum of its pieces' sums).  A gemm
-over a run of at least ``simcore._MIN_BLOCK_ROWS`` matrix rows gives the
-bytes of the unblocked product, and every row is reduced the same way, so the
-outcome bytes do not depend on the block size.  The working array lives in
-``_circuit_marginal`` and is freed before the probabilities are checked.
+Copy a leads, so the branches below 2**j form one ``2**N x 2**(j+N)`` matrix
+``psi[:, :2**j]``, and the left product ``U_j psi`` is one gemm written
+straight into ``psi[:, 2**j : 2**(j+1)]``, which it does not overlap.  The
+right product by ``U_j^dagger`` then runs in place on blocks of matrices
+of rows over b, so numpy's copy of the overlapping operand is at most one
+block.  The matrices are the copy-a rows ``psi[a, 2**j : 2**(j+1)]`` (each a
+contiguous ``2**j x 2**N`` matrix) once ``2**j >= 2**N``, and the branches
+``psi[:, x]`` (each ``2**N x 2**N``) before: the fewer and larger of the two.
+A block is a run of matrices of at most ``_BLOCK_BYTES``, at least one, cut
+into runs of matrix rows when one matrix is larger than a blocked product's
+block (``simcore._block_rows``).  The marginal gathers ``|psi|`` of one run
+of register rows of at most ``_BLOCK_BYTES`` at a time into one reused
+register-major buffer, squares it and sums each row whole into the
+preallocated probabilities (numpy's pairwise sum of a row is not the sum of
+its pieces' sums).  A gemm over a run of at least ``simcore._MIN_BLOCK_ROWS``
+matrix rows gives the bytes of the unblocked product, and every row is
+reduced the same way, so the outcome bytes do not depend on the block size.
+The working array lives in ``_circuit_marginal`` and is freed before the
+probabilities are checked.
 
 Controlled powers are built by raising eigenphases once, not by repeating
 gates; repeating the base step, and the gate-by-gate circuit on the full
@@ -77,11 +73,8 @@ from .simcore import (
     _fourier,
 )
 
-#: Spare complex128 entries after each register row (module docstring).
-_ROW_PAD = 1
-
-#: Bytes of register rows per block of the in-place right product and the
-#: marginal; a block holds at least one row (module docstring).
+#: Bytes of register rows per block of the marginal; a block holds at least
+#: one row (module docstring).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -158,34 +151,38 @@ def _circuit_marginal(
 ) -> np.ndarray:
     """The circuit's outcome probabilities; the working array is freed on return."""
     dim, sys_dim = 1 << num_bits, eig.dim
-    # Phase-major working array psi[x, a, b]: the register is uniform, the copies prepared.
-    # The padded rows keep the register stride off a power of two (module docstring).
-    amps = np.empty((dim, sys_dim * sys_dim + _ROW_PAD), dtype=complex)[:, : sys_dim * sys_dim]
-    psi = amps.reshape(dim, sys_dim, sys_dim)
-    np.multiply(prepared.amplitudes.reshape(sys_dim, sys_dim), 1.0 / np.sqrt(dim), out=psi[0])
-    # A block is a run of register rows, cut into runs of matrix rows when one
-    # register row is larger than a blocked product's block (module docstring).
-    rows = max(1, _BLOCK_BYTES // (16 * sys_dim * sys_dim))
-    mat_rows = min(sys_dim, _block_rows(16 * sys_dim))
+    # Copy-a-major working array psi[a, x, b]: the register is uniform, the copies prepared.
+    psi = np.empty((sys_dim, dim, sys_dim), dtype=complex)
+    np.multiply(prepared.amplitudes.reshape(sys_dim, sys_dim), 1.0 / np.sqrt(dim), out=psi[:, 0])
+    mat_rows = _block_rows(16 * sys_dim)
     for j in range(num_bits):
-        # The branches with bit j set are those below 2**j with U_j applied.
-        low, high = psi[: 1 << j], psi[1 << j : 2 << j]
-        forward = eig.propagator(delta * (1 << j))
-        np.matmul(forward, low, out=high)
+        # The branches with bit j set are those below 2**j with U_j applied: one gemm.
+        low = 1 << j
+        forward = eig.propagator(delta * low)
+        np.matmul(forward, psi[:, :low].reshape(sys_dim, -1), out=psi[:, low : 2 * low].reshape(sys_dim, -1))
         # exp(-1j*H^T*t) = (U^dagger)^T on copy b; U is conjugated in place after U psi is formed.
         backward = np.conjugate(forward, out=forward).T
-        for s in range(0, 1 << j, rows):
-            for r in range(0, sys_dim, mat_rows):
-                block = high[s : s + rows, r : r + mat_rows]
+        # In place on the larger matrices of rows over b, the copy-a rows or the
+        # branches, one block of them at a time (module docstring).
+        high = psi[:, low : 2 * low]
+        matrices = high if low >= sys_dim else high.swapaxes(0, 1)
+        count, size = matrices.shape[:2]
+        stack = max(1, _BLOCK_BYTES // (16 * size * sys_dim))
+        for s in range(0, count, stack):
+            for r in range(0, size, mat_rows):
+                block = matrices[s : s + stack, r : r + mat_rows]
                 np.matmul(block, backward, out=block)
         del forward, backward  # the next build, the transform and the marginal run without it
-    _fourier(amps, out=amps)
+    register_major = psi.swapaxes(0, 1)
+    _fourier(register_major, out=register_major)
     probs = np.empty(dim)
-    # |psi|^2 of one block of register rows at a time; each row is summed whole.
+    # |psi|^2 of one block of register rows at a time, gathered register-major;
+    # each row is summed whole.
+    rows = max(1, _BLOCK_BYTES // (16 * sys_dim * sys_dim))
     squares = np.empty((min(rows, dim), sys_dim * sys_dim))
     for s in range(0, dim, rows):
         part = squares[: min(rows, dim - s)]
-        np.abs(amps[s : s + rows], out=part)
+        np.abs(register_major[s : s + rows], out=part.reshape(-1, sys_dim, sys_dim))
         np.square(part, out=part)
         np.sum(part, axis=1, out=probs[s : s + rows])
     return probs

@@ -327,35 +327,36 @@ THREAD_INVARIANT_UP_TO = {
 
 def test_promised_columns_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
     # N=6 is the last size at which p_exact and p_empirical are promised; p_oracle
-    # and sigma are promised up to N=7, so every column is checked here.
-    num_sites = 6
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "model": {"preset": "tilted_ising", "N": num_sites},
-        "observable": "total_sz",
-        "ensemble": {"kind": "gibbs", "beta": 1.0},
-        "qpe": {"l": 5, "delta": 0.05},
-        "shots": 2000,
-        "seed": 3,
-    }))
+    # and sigma are promised up to N=7, so every column is checked there.  At N=3,
+    # l=12 the QPE's right product runs by copy-a row from 2**j >= 2**N on.
     env = dict(os.environ, PYTHONPATH=str(Path(qspec.__file__).parents[1]))
-    runs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env["OPENBLAS_NUM_THREADS"] = threads
-        subprocess.run(
-            [sys.executable, "-m", "qspec.cli", "run", "--config", str(config), "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=120,
-        )
-        runs.append({})
-        for name in THREAD_INVARIANT_UP_TO:
-            header, *rows = csv.reader((out / name).open())
-            runs[-1][name] = dict(zip(header, zip(*rows)))
-    for name, bounds in THREAD_INVARIANT_UP_TO.items():
-        assert list(runs[0][name]) == list(bounds)
-        for column, bound in bounds.items():
-            if bound is None or num_sites <= bound:
-                assert runs[0][name][column] == runs[1][name][column], (name, column)
+    for num_sites, num_bits in ((6, 5), (3, 12)):
+        config = tmp_path / f"config{num_sites}.json"
+        config.write_text(json.dumps({
+            "model": {"preset": "tilted_ising", "N": num_sites},
+            "observable": "total_sz",
+            "ensemble": {"kind": "gibbs", "beta": 1.0},
+            "qpe": {"l": num_bits, "delta": 0.05},
+            "shots": 2000,
+            "seed": 3,
+        }))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"N{num_sites}threads{threads}"
+            env["OPENBLAS_NUM_THREADS"] = threads
+            subprocess.run(
+                [sys.executable, "-m", "qspec.cli", "run", "--config", str(config), "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            runs.append({})
+            for name in THREAD_INVARIANT_UP_TO:
+                header, *rows = csv.reader((out / name).open())
+                runs[-1][name] = dict(zip(header, zip(*rows)))
+        for name, bounds in THREAD_INVARIANT_UP_TO.items():
+            assert list(runs[0][name]) == list(bounds)
+            for column, bound in bounds.items():
+                if bound is None or num_sites <= bound:
+                    assert runs[0][name][column] == runs[1][name][column], (num_sites, name, column)
 
 
 def test_auto_plan_satisfies_inequalities(tmp_path):

@@ -246,6 +246,23 @@ def test_every_tile_is_summed_once_under_frequent_thread_switches(monkeypatch):
     assert sorted(tiles) == sorted((x, gap) for x in grid for gap in table.gaps)
 
 
+@pytest.mark.parametrize("tile", [oracle.TILE, (3, 5)])
+def test_every_tile_starts_on_a_cache_line(monkeypatch, tile):
+    # A (3, 5) tile holds 15 doubles, so unaligned rows of the buffer would
+    # start the second and third workers' tiles off a 64-byte line.
+    monkeypatch.setattr(oracle, "TILE", tile)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
+    table = transition_weights(random_hermitian(3, 41).eig, random_real_symmetric(3, 42), gibbs(0.8))
+    offsets = []
+
+    def kernel(block, pairs, out):
+        offsets.append(out.ctypes.data % 64)
+        np.subtract(block[:, None], table.gaps[pairs][None, :], out=out)
+
+    oracle._transition_sum(table, np.linspace(-2.0, 2.0, 41), kernel)
+    assert offsets and set(offsets) == {0}
+
+
 def test_usable_cpus_counts_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     assert oracle._usable_cpus() == 3

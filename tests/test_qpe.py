@@ -99,15 +99,15 @@ def test_circuit_matches_oracle_for_thermal_ensembles(ensemble):
 
 
 #: ``run_qpe``'s heap peak on the cap diagonal, in working arrays (2**l * 4**N
-#: complex doubles): at most 1.15 for N=2-8, measured 1.03-1.11 at 1 and 2 BLAS
-#: threads (the working array, its row pad, the probabilities and one block).
-#: The exceptions: N=1 (1.40), whose rows hold four amplitudes, so
-#: ``qpe._ROW_PAD`` adds a quarter of a working array and the probabilities an
-#: eighth; N=9 (1.25), whose eight rows of 4 MiB each make a block one row and a
-#: propagator an eighth of the array; and N=10 (1.63), which has one register
-#: row of the size of a propagator and peaks with the propagator and one block
-#: of the product that builds it.
-DIAGONAL_HEAP_EXCEPTIONS = {1: 1.45, 9: 1.3, 10: 1.7}
+#: complex doubles): at most 1.15 for N=2-8, measured 1.02-1.125 at 1 and 2 BLAS
+#: threads (the working array, the probabilities and one block).
+#: The exceptions: N=1 (1.145), whose rows hold four amplitudes, so the
+#: probabilities add an eighth of a working array and the marginal's buffer a
+#: sixty-fourth; N=9 (1.25), whose eight rows of 4 MiB each make a block one row
+#: and a propagator an eighth of the array; and N=10 (1.63), which has one
+#: register row of the size of a propagator and peaks with the propagator and
+#: one block of the product that builds it.
+DIAGONAL_HEAP_EXCEPTIONS = {1: 1.2, 9: 1.3, 10: 1.7}
 
 
 @pytest.mark.parametrize("num_sites", range(1, 11))
@@ -211,23 +211,34 @@ def test_run_qpe_matches_gate_by_gate_circuit(num_sites, num_bits, seed, real, e
 
 
 @pytest.mark.parametrize("num_sites, num_bits", [(1, 1), (4, 1), (2, 5), (4, 5)])
-def test_run_qpe_transforms_in_place_off_power_of_two_strides(monkeypatch, num_sites, num_bits):
-    # A register stride that is a multiple of 4096 bytes maps every row the FFT
-    # gathers to the same cache sets; the padded rows keep it off that grid.
-    seen = []
+def test_run_qpe_works_copy_a_major_with_one_left_product_per_step(monkeypatch, num_sites, num_bits):
+    # psi[a, x, b] puts every branch of one copy-a row side by side, so U_j psi
+    # over all new branches is one gemm, and the FFT runs in place along x.
+    # (2, 5) and (4, 5) reach 2**j >= 2**N, where the right product goes by copy-a row.
+    products, transforms = [], []
+    matmul = np.matmul
 
-    def spy(amplitudes, out=None):
-        seen.append((amplitudes, out))
+    def matmul_spy(left, right, out=None):
+        products.append((left, out))
+        return matmul(left, right, out=out)
+
+    def fourier_spy(amplitudes, out=None):
+        transforms.append((amplitudes, out))
         return _fourier(amplitudes, out=out)
 
-    monkeypatch.setattr(qpe, "_fourier", spy)
+    monkeypatch.setattr(np, "matmul", matmul_spy)
+    monkeypatch.setattr(qpe, "_fourier", fourier_spy)
     ham = random_hermitian(num_sites, seed=num_bits)
     prepared = thermal_operator_state(random_hermitian(num_sites, seed=7), ham.eig, gibbs(0.8))
     dist = run_qpe(prepared, ham.eig, num_bits, 0.4)
-    [(amplitudes, out)] = seen
+    [(amplitudes, out)] = transforms
     assert out is amplitudes
-    assert amplitudes.shape == (1 << num_bits, 4**num_sites)
-    assert amplitudes.strides[0] % 4096 != 0
+    sys_dim = 2**num_sites
+    psi = amplitudes.swapaxes(0, 1)
+    assert psi.shape == (sys_dim, 1 << num_bits, sys_dim) and psi.flags.c_contiguous
+    # A left product writes into the working array from an operand that is not its output.
+    left = [out.shape for operand, out in products if out is not operand and np.shares_memory(out, psi)]
+    assert left == [(sys_dim, sys_dim << j) for j in range(num_bits)]
     reference = gate_by_gate_qpe(prepared, ham, num_bits, 0.4)
     assert np.max(np.abs(dist.probabilities - reference)) <= 1e-12
 
@@ -286,9 +297,10 @@ def test_run_qpe_heap_peak_is_one_working_array():
 
 def test_run_qpe_bytes_do_not_depend_on_the_block_size(monkeypatch):
     # One register row per block, three (which does not divide 2**l), and the
-    # default, which splits this working array into four blocks.  A register row
-    # larger than a blocked product's block is cut into runs of matrix rows: a
-    # one-byte block gives the fewest allowed, two runs of eight per row.
+    # default, which splits this working array into four blocks.  A block of
+    # matrix rows is cut to a blocked product's block: a one-byte block gives the
+    # fewest allowed, eight, so two per branch while 2**j < 2**N and many per
+    # copy-a row after.
     num_sites, num_bits = 4, 10
     ham = random_hermitian(num_sites, seed=8)
     prepared = thermal_operator_state(random_hermitian(num_sites, seed=9), ham.eig, INFINITE_TEMPERATURE)
