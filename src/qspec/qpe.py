@@ -21,15 +21,16 @@ order: ``psi[:, 0]`` is the prepared state and bit j writes
 distinct branch is computed once, with the gates of the full circuit in their
 order.  The inverse Fourier transform is the simulator's FFT along x, in place
 on the unpadded array, and the outcome marginal sums ``|psi|^2`` over both
-copies.  The circuit stays a gate-level simulation in the computational basis;
+copies, as re^2 + im^2 of the array's float view in one einsum pass in memory
+order.  The circuit stays a gate-level simulation in the computational basis;
 the eigenbasis is used only to exponentiate ``U_j``, so ``run_qpe`` takes H's
 decomposition, not H.
 
 Beside the returned probabilities, the heap holds one working array, one
-propagator and one bounded block.  The propagator ``U_j`` is built in blocks
-of rows (``simcore.EigenDecomposition.apply`` of its eigenphases) and
-released after its step, so the next build, the transform and the marginal
-run without it.
+propagator and one bounded block of the right product.  The propagator
+``U_j`` is built in blocks of rows (``simcore.EigenDecomposition.apply`` of
+its eigenphases) and released after its step, so the next build, the
+transform and the marginal run without it.
 Copy a leads, so the branches below 2**j form one ``2**N x 2**(j+N)`` matrix
 ``psi[:, :2**j]``, and the left product ``U_j psi`` is one gemm written
 straight into ``psi[:, 2**j : 2**(j+1)]``, which it does not overlap.  The
@@ -40,15 +41,13 @@ contiguous ``2**j x 2**N`` matrix) once ``2**j >= 2**N``, and the branches
 ``psi[:, x]`` (each ``2**N x 2**N``) before: the fewer and larger of the two.
 A block is a run of matrices of at most ``_BLOCK_BYTES``, at least one, cut
 into runs of matrix rows when one matrix is larger than a blocked product's
-block (``simcore._block_rows``).  The marginal gathers ``|psi|`` of one run
-of register rows of at most ``_BLOCK_BYTES`` at a time into one reused
-register-major buffer, squares it and sums each row whole into the
-preallocated probabilities (numpy's pairwise sum of a row is not the sum of
-its pieces' sums).  A gemm over a run of at least ``simcore._MIN_BLOCK_ROWS``
-matrix rows gives the bytes of the unblocked product, and every row is
-reduced the same way, so the outcome bytes do not depend on the block size.
-The working array lives in ``_circuit_marginal`` and is freed before the
-probabilities are checked.
+block (``simcore._block_rows``).  A gemm over a run of at least
+``simcore._MIN_BLOCK_ROWS`` matrix rows gives the bytes of the unblocked
+product, so the outcome bytes do not depend on the block size.  The marginal
+allocates only the probabilities; it runs numpy's own sum-of-products loop
+(einsum without ``optimize``), not BLAS, so its bytes depend on no block size
+and no BLAS thread count.  The working array lives in ``_circuit_marginal``
+and is freed before the probabilities are checked.
 
 Controlled powers are built by raising eigenphases once, not by repeating
 gates; repeating the base step, and the gate-by-gate circuit on the full
@@ -73,8 +72,8 @@ from .simcore import (
     _fourier,
 )
 
-#: Bytes of register rows per block of the marginal; a block holds at least
-#: one row (module docstring).
+#: Bytes of matrices per block of the in-place right product; a block holds at
+#: least one matrix (module docstring).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -175,17 +174,9 @@ def _circuit_marginal(
         del forward, backward  # the next build, the transform and the marginal run without it
     register_major = psi.swapaxes(0, 1)
     _fourier(register_major, out=register_major)
-    probs = np.empty(dim)
-    # |psi|^2 of one block of register rows at a time, gathered register-major;
-    # each row is summed whole.
-    rows = max(1, _BLOCK_BYTES // (16 * sys_dim * sys_dim))
-    squares = np.empty((min(rows, dim), sys_dim * sys_dim))
-    for s in range(0, dim, rows):
-        part = squares[: min(rows, dim - s)]
-        np.abs(register_major[s : s + rows], out=part.reshape(-1, sys_dim, sys_dim))
-        np.square(part, out=part)
-        np.sum(part, axis=1, out=probs[s : s + rows])
-    return probs
+    # |psi|^2 summed over both copies: re^2 + im^2 of the float view, in one pass in memory order.
+    floats = psi.view(float)
+    return np.einsum("axc,axc->x", floats, floats)
 
 
 def sample_outcomes(

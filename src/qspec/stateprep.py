@@ -197,7 +197,12 @@ def run_prep_circuit(
     ``(1,)`` of ``seed``.  ``accepted`` is ``K <= max_attempts`` and the
     recorded attempts are ``min(K, max_attempts)``; ``fidelity_with_target``
     is ``preparation_fidelity`` at the chosen angle.
+
+    O is decomposed once, for the closed forms and the circuit, on a local
+    handle of its matrix: the decomposition is released on return instead of
+    staying memoised on the caller's operator.
     """
+    operator = HermitianOperator(operator.matrix)
     vals, q = spectral_weights(operator, eig_h, ensemble)
     ms = moments(vals, q)
     phi = choose_phi(ms, epsilon)

@@ -872,6 +872,33 @@ def test_n10_run_holds_three_matrices_the_working_array_one_propagator_and_two_b
     assert peak <= 3 * matrix + working + propagator + 2 * max(simcore._BLOCK_BYTES, qpe._BLOCK_BYTES)
 
 
+def test_n10_circuit_prep_run_releases_the_observable_decomposition_before_the_circuit(tmp_path):
+    # The same run with circuit prep (accepting at attempt 1391 of a 2**40 budget):
+    # O's eigendecomposition serves the closed forms and the prep circuit only, so
+    # the circuit holds O, V and the complex prepared state (84.7 MiB measured with
+    # the working array, one propagator and a block).  The bound allows two blocks;
+    # a run that keeps O's eigenvectors memoised through the circuit (92.7 MiB) breaks it.
+    config = make_config(
+        tmp_path,
+        model={"preset": "tilted_ising", "N": 10},
+        observable="total_sz",
+        ensemble={"kind": "gibbs", "beta": 1.0},
+        prep={"mode": "circuit", "max_attempts": 1 << 40},
+        qpe={"l": 1, "delta": 0.05},
+    )
+    matrix = 4**10 * 8
+    working = 2 * 4**10 * 16
+    propagator = prepared = 4**10 * 16
+    tracemalloc.start()
+    try:
+        report = run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.prep_stats["attempts"] == 1391
+    assert peak <= 2 * matrix + prepared + working + propagator + 2 * max(simcore._BLOCK_BYTES, qpe._BLOCK_BYTES)
+
+
 # --- command line -----------------------------------------------------------------
 
 

@@ -1,26 +1,85 @@
-"""The output ladder's invocation count is the one its docstring and the README state.
+"""The output ladder: its invocation count is the one its docstring and the
+README state, and its compare mode tells moved columns from other changes.
 
 ``tools/ladder.py`` is loaded from its file.  On import it sets the BLAS
-thread variables to 1; the test sets them first through ``monkeypatch``, so
+thread variables to 1; the tests set them first through ``monkeypatch``, so
 they are restored afterwards.
 """
 
+import copy
+import hashlib
 import importlib.util
+import json
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LADDER = ROOT / "tools" / "ladder.py"
 
 
-def test_ladder_invocations_are_unique_and_counted_in_the_docs(monkeypatch):
+@pytest.fixture
+def ladder(monkeypatch):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     spec = importlib.util.spec_from_file_location("ladder", LADDER)
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ladder_invocations_are_unique_and_counted_in_the_docs(ladder):
     names = [name for name, _, _ in ladder.invocations()]
     assert len(set(names)) == len(names)
     (stated,) = re.findall(r"The ladder \((\d+) invocations\)", ladder.__doc__)
     (readme,) = re.findall(r"ladder of (\d+) invocations", (ROOT / "README.md").read_text())
     assert len(names) == int(stated) == int(readme)
+
+
+def _tree(root: Path, p_exact: list[str], total_variation: float, **changes) -> Path:
+    """A one-invocation ladder tree whose distribution.csv carries ``p_exact``."""
+    rows = "".join(f"{f},0.5,{p},0.25\n" for f, p in enumerate(p_exact))
+    text = "f,omega,p_exact,p_oracle\n" + rows
+    (root / "diag").mkdir(parents=True)
+    (root / "diag" / "distribution.csv").write_text(text)
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    entry = {"command": "run", "config": {"seed": 7}, "exit": 0, "stderr": "", "sha256": {"distribution.csv": sha},
+             "report": {"distances": {"exact_vs_oracle": {"total_variation": total_variation}},
+                        "artifacts": {"distribution.csv": sha}, "prep": {"mode": "exact"}}}
+    for key, value in changes.items():
+        entry[key] = value
+    (root / "manifest.json").write_text(json.dumps({"diag": entry}))
+    return root
+
+
+def test_compare_reports_moved_columns_and_distances(ladder, tmp_path, capsys):
+    before = _tree(tmp_path / "a", ["0.25", "0.75", "0"], 1e-13)
+    after = _tree(tmp_path / "b", ["0.25000000000000006", "0.7499999999999999", "0"], 2e-13)
+    assert ladder.main([str(after), "--compare", str(before)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "diag distribution.csv p_exact: 2 of 3 rows moved, max |diff| 1.11e-16",
+        "diag report distances.exact_vs_oracle.total_variation: 1.000000e-13 -> 2.000000e-13, |diff| 1e-13",
+        "1 of 1 invocations moved; 0 failures",
+    ]
+    assert ladder.main([str(before), "--compare", str(before)]) == 0
+    assert capsys.readouterr().out == "0 of 1 invocations moved; 0 failures\n"
+
+
+@pytest.mark.parametrize("change", ["exit", "stderr", "report", "rows", "missing"])
+def test_compare_fails_on_any_other_change(ladder, tmp_path, capsys, change):
+    before = _tree(tmp_path / "a", ["0.25", "0.75"], 1e-13)
+    report = json.loads((before / "manifest.json").read_text())["diag"]["report"]
+    changed = copy.deepcopy(report)
+    changed["prep"]["mode"] = "circuit"
+    changes = {"exit": {"exit": 1}, "stderr": {"stderr": "error: x"}, "report": {"report": changed}}
+    after = _tree(tmp_path / "b", ["0.25", "0.75", "0"] if change == "rows" else ["0.25", "0.75"], 1e-13,
+                  **changes.get(change, {}))
+    if change == "missing":
+        (after / "manifest.json").write_text("{}")
+    assert ladder.main([str(after), "--compare", str(before)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].endswith("; 1 failures")
+    assert {"exit": "exit changed", "stderr": "stderr changed", "report": "report prep.mode changed",
+            "rows": "header or row count changed (2 -> 3 rows)", "missing": "only in"}[change] in out

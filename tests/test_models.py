@@ -22,6 +22,7 @@ from qspec.models import (
     synthetic_eigenvalues,
     tilted_ising,
 )
+from qspec.simcore import HermitianOperator
 
 PAULI = {
     "I": np.eye(2),
@@ -149,10 +150,11 @@ def test_real_pauli_sums_compile_to_float64():
         assert op.eig.eigenvectors.dtype == np.float64
 
 
-def test_real_pauli_sums_compile_in_two_matrices():
-    # The float64 sum and the Hermiticity check's one temporary, plus a few
-    # index vectors of length 2**N; a complex128 sum with a two-temporary
-    # check took five matrices.
+def test_real_pauli_sums_compile_in_one_matrix():
+    # The float64 sum, the finiteness check's boolean matrix (an eighth of it)
+    # and a few index vectors of length 2**N: the Hermiticity check works in
+    # tiles.  A full-size transposed copy for the check took two matrices, and
+    # a complex128 sum with a two-temporary check five.
     num_sites = 10
     dim = 1 << num_sites
     for spec in (tilted_ising(num_sites), heisenberg(num_sites), observable_spec("total_sz", num_sites)):
@@ -162,7 +164,26 @@ def test_real_pauli_sums_compile_in_two_matrices():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * dim * dim * 8 + 8 * dim * 8
+        assert peak <= dim * dim * 8 + dim * dim + 8 * dim * 8
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermiticity_check_holds_no_full_size_temporary(dtype):
+    # An N=10 operator from a given matrix allocates the finiteness check's
+    # boolean matrix and one tile of the Hermiticity check at a time.
+    dim = 1 << 10
+    rng = np.random.default_rng(3)
+    mat = rng.standard_normal((dim, dim)).astype(dtype)
+    if dtype is complex:
+        mat += 1j * rng.standard_normal((dim, dim))
+    mat = np.ascontiguousarray(mat + mat.conj().T)
+    tracemalloc.start()
+    try:
+        HermitianOperator(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dim * dim + mat.itemsize * dim * dim // 16
 
 
 def test_pauli_sums_with_imaginary_entries_stay_complex():

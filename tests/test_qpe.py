@@ -99,15 +99,16 @@ def test_circuit_matches_oracle_for_thermal_ensembles(ensemble):
 
 
 #: ``run_qpe``'s heap peak on the cap diagonal, in working arrays (2**l * 4**N
-#: complex doubles): at most 1.15 for N=2-8, measured 1.02-1.125 at 1 and 2 BLAS
-#: threads (the working array, the probabilities and one block).
-#: The exceptions: N=1 (1.145), whose rows hold four amplitudes, so the
-#: probabilities add an eighth of a working array and the marginal's buffer a
-#: sixty-fourth; N=9 (1.25), whose eight rows of 4 MiB each make a block one row
+#: complex doubles): at most 1.13 for N=2-8, measured 1.03-1.125 at 1 and 2 BLAS
+#: threads (the working array, the probabilities and one block of the right
+#: product, at most 4 MiB of matrix rows).
+#: The exceptions: N=1 (1.129), whose rows hold four amplitudes, so the
+#: probabilities add an eighth of a working array (the marginal allocates nothing
+#: else); N=9 (1.25), whose eight rows of 4 MiB each make a block one row
 #: and a propagator an eighth of the array; and N=10 (1.63), which has one
 #: register row of the size of a propagator and peaks with the propagator and
 #: one block of the product that builds it.
-DIAGONAL_HEAP_EXCEPTIONS = {1: 1.2, 9: 1.3, 10: 1.7}
+DIAGONAL_HEAP_EXCEPTIONS = {1: 1.135, 9: 1.3, 10: 1.7}
 
 
 @pytest.mark.parametrize("num_sites", range(1, 11))
@@ -130,7 +131,7 @@ def test_circuit_matches_oracle_along_the_cap_diagonal(num_sites):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= DIAGONAL_HEAP_EXCEPTIONS.get(num_sites, 1.15) * working
+    assert peak <= DIAGONAL_HEAP_EXCEPTIONS.get(num_sites, 1.13) * working
     reference = exact_outcome_distribution(transition_weights(ham.eig, obs, ensemble), num_bits, 0.05)
     assert distribution_distance(circuit, reference, "total_variation") <= 1e-10
 
@@ -279,7 +280,8 @@ def test_run_qpe_rejects_a_register_total_past_the_tolerance():
 
 def test_run_qpe_heap_peak_is_one_working_array():
     # The branches are filled in doubling order, multiplied and transformed in
-    # place: the peak is the working array, one block and the propagators.
+    # place: the peak is the working array, one block of the right product and
+    # one propagator (measured: 1 MiB and 17 KiB beside the working array).
     num_sites, num_bits = 5, 8
     ham = random_hermitian(num_sites, seed=5)
     prepared = thermal_operator_state(random_hermitian(num_sites, seed=6), ham.eig, INFINITE_TEMPERATURE)
@@ -292,22 +294,48 @@ def test_run_qpe_heap_peak_is_one_working_array():
     finally:
         tracemalloc.stop()
     propagator = 4**num_sites * 16
-    assert peak <= working + qpe._BLOCK_BYTES + 4 * propagator
+    assert peak <= working + qpe._BLOCK_BYTES + 2 * propagator
+
+
+@pytest.mark.parametrize("num_sites, num_bits", [(2, 10), (3, 8), (5, 6), (6, 9)])
+def test_transform_and_marginal_allocate_only_the_probabilities(monkeypatch, num_sites, num_bits):
+    # From the inverse QFT on, the heap grows by the 2**l probabilities and
+    # iterator scraps (measured at most 1.6 KiB): the FFT runs in place and the
+    # marginal reads the working array's float view without a gather buffer.
+    ham = random_hermitian(num_sites, seed=5)
+    prepared = thermal_operator_state(random_hermitian(num_sites, seed=6), ham.eig, INFINITE_TEMPERATURE)
+    ham.eig  # the memoised decomposition is not part of the circuit
+    fourier, entry = qpe._fourier, []
+
+    def traced(amplitudes, out):
+        entry.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return fourier(amplitudes, out=out)
+
+    monkeypatch.setattr(qpe, "_fourier", traced)
+    tracemalloc.start()
+    try:
+        run_qpe(prepared, ham.eig, num_bits, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry[0] <= 8 * (1 << num_bits) + 4096
 
 
 def test_run_qpe_bytes_do_not_depend_on_the_block_size(monkeypatch):
-    # One register row per block, three (which does not divide 2**l), and the
-    # default, which splits this working array into four blocks.  A block of
-    # matrix rows is cut to a blocked product's block: a one-byte block gives the
-    # fewest allowed, eight, so two per branch while 2**j < 2**N and many per
-    # copy-a row after.
+    # Right-product blocks of one branch matrix (2**N x 2**N complex doubles),
+    # of three (which does not divide the branch count) and the default (a
+    # quarter of this working array).  A block of matrix rows is cut to a
+    # blocked product's block: a one-byte block gives the fewest allowed,
+    # eight, so two per branch while 2**j < 2**N and many per copy-a row
+    # after.  The marginal has no block.
     num_sites, num_bits = 4, 10
     ham = random_hermitian(num_sites, seed=8)
     prepared = thermal_operator_state(random_hermitian(num_sites, seed=9), ham.eig, INFINITE_TEMPERATURE)
     default = run_qpe(prepared, ham.eig, num_bits, 0.2).probabilities
     assert qpe._BLOCK_BYTES == (1 << num_bits) * 4**num_sites * 16 // 4
-    for rows in (1, 3):
-        monkeypatch.setattr(qpe, "_BLOCK_BYTES", rows * 4**num_sites * 16)
+    for matrices in (1, 3):
+        monkeypatch.setattr(qpe, "_BLOCK_BYTES", matrices * 4**num_sites * 16)
         np.testing.assert_array_equal(run_qpe(prepared, ham.eig, num_bits, 0.2).probabilities, default)
     assert simcore._MIN_BLOCK_ROWS == 8 == 2**num_sites // 2
     monkeypatch.setattr(qpe, "_BLOCK_BYTES", 1)

@@ -136,6 +136,29 @@ def test_hermiticity_check_measures_the_deviation_and_leaves_the_matrix_alone():
             np.testing.assert_array_equal(mat, before)
 
 
+@pytest.mark.parametrize("num_qubits", [2, 9])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tiled_hermiticity_check_reports_the_full_matrix_deviation(num_qubits, dtype):
+    # The check reads square tiles on and above the diagonal; the deviation it
+    # reports is max |mat - mat^dagger| over the whole matrix, wherever the
+    # largest entry sits (below the diagonal, across tiles, or on the diagonal of
+    # a complex matrix).
+    dim = 1 << num_qubits
+    rng = np.random.default_rng(num_qubits)
+    base = rng.standard_normal((dim, dim)).astype(dtype)
+    if dtype is complex:
+        base += 1j * rng.standard_normal((dim, dim))
+    base = base + base.conj().T
+    for row, col in ((dim - 1, 0), (1, dim - 2), (dim // 2, dim // 2 - 1), (dim - 1, dim - 1)):
+        mat = base.copy()
+        mat[row, col] += 3.7e-9 * (1j if dtype is complex and row == col else 1)
+        mat += 1e-10 * rng.standard_normal((dim, dim))
+        full = float(np.abs(mat - mat.conj().T).max())
+        with pytest.raises(HermiticityError) as caught:
+            HermitianOperator(mat)
+        assert str(caught.value) == f"matrix deviates from Hermitian by {full:.3e}"
+
+
 def test_eigh_deterministic():
     op = random_hermitian(3, seed=6)
     first = eig_hermitian(op)

@@ -3,6 +3,7 @@
 Usage::
 
     python tools/ladder.py OUTDIR [--src SRC]
+    python tools/ladder.py OUTDIR --compare BEFORE
 
 Every invocation runs ``qspec.cli.main`` in this process, with one BLAS
 thread, and writes its artifacts under ``OUTDIR/<name>/``.  ``OUTDIR/manifest.json``
@@ -17,6 +18,18 @@ against each and diffing the manifests::
     python tools/ladder.py /tmp/before --src /path/to/other/checkout/src
     python tools/ladder.py /tmp/after
     diff /tmp/before/manifest.json /tmp/after/manifest.json
+
+``--compare BEFORE`` runs nothing and compares the ladder tree ``OUTDIR``
+with the tree ``BEFORE``, invocation by invocation::
+
+    python tools/ladder.py /tmp/after --compare /tmp/before
+
+For each CSV whose hash moved it prints, per column that moved, the count
+of moved rows and the largest absolute difference, and it prints every moved
+number under ``report.json``'s ``distances``.  Any other change fails the
+comparison (exit status 1): a missing or added invocation, exit code,
+stderr or stdout line, config, non-CSV artifact, CSV header or row count,
+or any other ``report.json`` field (its ``artifacts`` hashes follow the CSVs).
 
 The oracle sums its spectra on a thread pool with one worker per usable
 CPU, each worker taking the next block of points.  Running the ladder once
@@ -73,6 +86,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -253,12 +267,78 @@ def run_ladder(outdir: Path) -> dict:
     return manifest
 
 
+def _column_moves(before: Path, after: Path) -> list[str]:
+    """``column: moved rows, max |diff|`` for each moved column of one CSV; raises ValueError on a reshaped one."""
+    (head_a, *rows_a), (head_b, *rows_b) = (list(csv.reader(path.open())) for path in (before, after))
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        raise ValueError(f"header or row count changed ({len(rows_a)} -> {len(rows_b)} rows)")
+    moves = []
+    for name, col_a, col_b in zip(head_a, zip(*rows_a), zip(*rows_b)):
+        pairs = [(a, b) for a, b in zip(col_a, col_b) if a != b]
+        if pairs:
+            diff = max(abs(float(a) - float(b)) for a, b in pairs)
+            moves.append(f"{name}: {len(pairs)} of {len(col_a)} rows moved, max |diff| {diff:.3g}")
+    return moves
+
+
+def _report_changes(before, after, path: str = "") -> list[tuple[str, object, object]]:
+    """``(path, before, after)`` for every leaf of two ``report.json`` documents that differs."""
+    if isinstance(before, dict) and isinstance(after, dict):
+        return [change for key in sorted(set(before) | set(after), key=str)
+                for change in _report_changes(before.get(key), after.get(key), f"{path}.{key}".lstrip("."))]
+    return [] if before == after else [(path, before, after)]
+
+
+def compare(before: Path, after: Path) -> int:
+    """Print what moved between two ladder trees; 1 when anything beyond CSV columns and distances did."""
+    manifests = [json.loads((tree / "manifest.json").read_text()) for tree in (before, after)]
+    failures, moved = [], 0
+    for name in sorted(set(manifests[0]) | set(manifests[1])):
+        old, new = (manifest.get(name) for manifest in manifests)
+        if old is None or new is None:
+            failures.append(f"{name}: only in {before if new is None else after}")
+            continue
+        lines = [f"{key} changed" for key in ("command", "config", "exit", "stderr", "stdout")
+                 if old.get(key) != new.get(key)]
+        notes = []
+        shas = old["sha256"], new["sha256"]
+        for artifact in sorted(set(shas[0]) | set(shas[1])):
+            if shas[0].get(artifact) == shas[1].get(artifact):
+                continue
+            if not artifact.endswith(".csv") or artifact not in shas[0] or artifact not in shas[1]:
+                lines.append(f"{artifact} changed")
+                continue
+            try:
+                moves = _column_moves(before / name / artifact, after / name / artifact)
+                notes += [f"{artifact} {move}" for move in moves]
+            except ValueError as exc:
+                lines.append(f"{artifact}: {exc}")
+        for path, a, b in _report_changes(old.get("report"), new.get("report")):
+            artifact = path.removeprefix("artifacts.")
+            if path.startswith("distances.") and all(isinstance(v, (int, float)) for v in (a, b)):
+                notes.append(f"report {path}: {a:.6e} -> {b:.6e}, |diff| {abs(a - b):.3g}")
+            elif artifact == path or shas[0].get(artifact) == shas[1].get(artifact):
+                lines.append(f"report {path} changed")
+        moved += bool(notes or lines)
+        for note in notes:
+            print(f"{name} {note}")
+        failures += [f"{name}: {line}" for line in lines]
+    for failure in failures:
+        print(f"FAIL {failure}")
+    print(f"{moved} of {len(manifests[1])} invocations moved; {len(failures)} failures")
+    return 1 if failures else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("outdir", help="directory for the artifacts and manifest.json")
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="directory qspec is imported from (default: this checkout's src)")
+    parser.add_argument("--compare", metavar="BEFORE",
+                        help="run nothing; compare the ladder tree OUTDIR with the ladder tree BEFORE")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(Path(args.compare), Path(args.outdir))
     sys.path.insert(0, str(Path(args.src).resolve()))
     outdir = Path(args.outdir)
     if outdir.exists() and any(outdir.iterdir()):
