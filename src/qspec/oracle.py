@@ -37,7 +37,9 @@ symmetry makes exactly zero, and rounding leaves them far below that
 threshold.
 
 Both sums run on one sorted grid that holds each point's negative, in
-cache-sized tiles, on a thread pool when there is more than one block of
+1 MiB tiles of 32 points by 4096 pairs, or more points when there are fewer
+pairs (``TILE``: each numpy call and each product covers many elements, and a
+tile fits a core's L2), on a thread pool when there is more than one block of
 points (``_transition_sum``).  Each kernel sets its own numpy error state, so
 no worker copies the caller's context.  The sums do not move by a bit with
 the number of CPUs, only with the BLAS thread count, as the table's products do.
@@ -81,11 +83,16 @@ class SpectrumTable:
 #: The pruning share of the module docstring: the bound on the dropped mass.
 PRUNE_SHARE = 2.0**-60
 
-#: Shape (points, pairs) of one tile of ``_transition_sum``: 2**16 doubles
-#: (512 KiB) stay in a core's L2 cache through the kernel's passes, and
-#: several points per tile make its product a matrix one.  Fewer pairs than a
+#: Shape (points, pairs) of one tile of ``_transition_sum``: 2**17 doubles
+#: (1 MiB).  Each kernel pass is one numpy call per tile, so a larger tile pays
+#: less dispatch per element, and 32 points make the product with the weights a
+#: taller matrix one; the tile still fits a 2 MiB per-core L2.  On the N=9
+#: ``qspec oracle`` table (66045 pairs, 2001 points; 2-vCPU x86 host, 2 BLAS
+#: threads, medians of 48 runs) two workers summed it in 185 ms and one in
+#: 284 ms, against 236 and 293 ms for (8, 2**13); (16, 2**13) and (48, 2**12)
+#: read about the same, (64, 2**11) and (32, 2**13) slower.  Fewer pairs than a
 #: tile row leave room for more points.
-TILE = (8, 1 << 13)
+TILE = (32, 1 << 12)
 
 
 @dataclass(frozen=True)
@@ -192,10 +199,15 @@ def _transition_sum(
     ``kernel(block, pairs, out)`` fills the (points, pairs) tile ``out`` in
     place for the table rows in the slice ``pairs``, one ``TILE`` at a time,
     in a buffer that stays in cache while each block of points meets every
-    block of pairs in turn.  Each worker's tile starts on a 64-byte line, so
-    the loop's speed does not depend on where the heap puts the buffer.  It
-    sets the numpy error state it needs itself, so a pool worker needs no copy
-    of the caller's context.
+    block of pairs in turn.  The tile's size sets the loop's speed: each
+    kernel pass is one numpy call per tile, and the tile's points are the
+    rows of its product with the weights, so a larger tile pays less dispatch
+    per element and gives a taller product.  Its rows are capped at the grid's
+    point count, so a short grid allocates only the rows it uses.  Each
+    worker's tile starts on a 64-byte line, so the loop's speed does not
+    depend on where the heap puts the buffer.  The kernel sets the numpy
+    error state it needs itself, so a pool worker needs no copy of the
+    caller's context.
 
     The pool has one worker per usable CPU and at most one per block of points;
     when that is one, the calling thread sums every block and no pool starts.
@@ -210,7 +222,7 @@ def _transition_sum(
     out = np.zeros((grid.size, 2))
     pairs = table.gaps.size
     cols = min(max(pairs, 1), TILE[1])
-    rows = TILE[0] * TILE[1] // cols
+    rows = max(1, min(TILE[0] * TILE[1] // cols, grid.size))  # a short grid allocates only its rows
     blocks = range(0, grid.size, rows)
     workers = max(1, min(_usable_cpus(), len(blocks)))  # one, even for no points
     # Each worker's row a whole number of 64-byte lines, from the first line boundary.

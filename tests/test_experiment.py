@@ -327,10 +327,12 @@ THREAD_INVARIANT_UP_TO = {
 
 def test_promised_columns_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
     # N=6 is the last size at which p_exact and p_empirical are promised; p_oracle
-    # and sigma are promised up to N=7, so every column is checked there.  At N=3,
-    # l=12 the QPE's right product runs by copy-a row from 2**j >= 2**N on.
+    # and sigma are promised up to N=7, so every column is checked there, and
+    # ``qspec oracle``'s 2001-point spectrum at N=7.  At N=3, l=12 the QPE's right
+    # product runs by copy-a row from 2**j >= 2**N on.
     env = dict(os.environ, PYTHONPATH=str(Path(qspec.__file__).parents[1]))
-    for num_sites, num_bits in ((6, 5), (3, 12)):
+    for command, num_sites, num_bits in (("run", 6, 5), ("run", 3, 12), ("oracle", 7, 5)):
+        names = [name for name in THREAD_INVARIANT_UP_TO if command == "run" or name == "spectrum.csv"]
         config = tmp_path / f"config{num_sites}.json"
         config.write_text(json.dumps({
             "model": {"preset": "tilted_ising", "N": num_sites},
@@ -345,18 +347,19 @@ def test_promised_columns_are_the_same_bytes_at_one_and_two_blas_threads(tmp_pat
             out = tmp_path / f"N{num_sites}threads{threads}"
             env["OPENBLAS_NUM_THREADS"] = threads
             subprocess.run(
-                [sys.executable, "-m", "qspec.cli", "run", "--config", str(config), "--out", str(out)],
+                [sys.executable, "-m", "qspec.cli", command, "--config", str(config), "--out", str(out)],
                 env=env, check=True, capture_output=True, timeout=120,
             )
             runs.append({})
-            for name in THREAD_INVARIANT_UP_TO:
+            for name in names:
                 header, *rows = csv.reader((out / name).open())
                 runs[-1][name] = dict(zip(header, zip(*rows)))
-        for name, bounds in THREAD_INVARIANT_UP_TO.items():
+        for name in names:
+            bounds = THREAD_INVARIANT_UP_TO[name]
             assert list(runs[0][name]) == list(bounds)
             for column, bound in bounds.items():
                 if bound is None or num_sites <= bound:
-                    assert runs[0][name][column] == runs[1][name][column], (num_sites, name, column)
+                    assert runs[0][name][column] == runs[1][name][column], (command, num_sites, name, column)
 
 
 def test_auto_plan_satisfies_inequalities(tmp_path):

@@ -83,3 +83,41 @@ def test_compare_fails_on_any_other_change(ladder, tmp_path, capsys, change):
     assert out.splitlines()[-1].endswith("; 1 failures")
     assert {"exit": "exit changed", "stderr": "stderr changed", "report": "report prep.mode changed",
             "rows": "header or row count changed (2 -> 3 rows)", "missing": "only in"}[change] in out
+
+
+def _oracle_tree(root: Path, sigma: str, gamma: float, digest: str | None = None) -> Path:
+    """A one-invocation ``qspec oracle`` tree: spectrum.csv and spectrum.json, which holds its digest."""
+    (root / "oracle").mkdir(parents=True)
+    text = f"omega,sigma\n-1,{sigma}\n1,0.5\n"
+    (root / "oracle" / "spectrum.csv").write_text(text)
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    record = json.dumps({"gamma": gamma, "ensemble": {"kind": "gibbs", "beta": 1.0},
+                         "artifacts": {"spectrum.csv": digest or sha}})
+    (root / "oracle" / "spectrum.json").write_text(record)
+    shas = {"spectrum.csv": sha, "spectrum.json": hashlib.sha256(record.encode()).hexdigest()}
+    entry = {"command": "oracle", "config": {"seed": 7}, "exit": 0, "stderr": "", "sha256": shas}
+    (root / "manifest.json").write_text(json.dumps({"oracle": entry}))
+    return root
+
+
+def test_compare_lets_the_spectrum_record_digest_move_with_its_csv(ladder, tmp_path, capsys):
+    before = _oracle_tree(tmp_path / "a", "0.25", 0.3)
+    after = _oracle_tree(tmp_path / "b", "0.25000000000000006", 0.3)
+    assert ladder.main([str(after), "--compare", str(before)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "oracle spectrum.csv sigma: 1 of 2 rows moved, max |diff| 5.55e-17",
+        "1 of 1 invocations moved; 0 failures",
+    ]
+
+
+@pytest.mark.parametrize("change", ["gamma", "digest"])
+def test_compare_fails_on_any_other_spectrum_record_change(ladder, tmp_path, capsys, change):
+    # A changed linewidth, or a digest that moves while spectrum.csv does not.
+    before = _oracle_tree(tmp_path / "a", "0.25", 0.3)
+    after = _oracle_tree(tmp_path / "b", "0.25", 0.4 if change == "gamma" else 0.3,
+                         digest="0" * 64 if change == "digest" else None)
+    assert ladder.main([str(after), "--compare", str(before)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "1 of 1 invocations moved; 1 failures"
+    assert {"gamma": "FAIL oracle: spectrum.json gamma changed",
+            "digest": "FAIL oracle: spectrum.json artifacts.spectrum.csv changed"}[change] in out

@@ -683,6 +683,23 @@ def test_outcome_distribution_holds_a_tile_per_worker_not_a_row_per_pair(monkeyp
     assert peak <= 2 * 8 * oracle.TILE[0] * oracle.TILE[1] + 2**19
 
 
+def test_a_short_grid_allocates_only_its_rows_of_the_tile():
+    # The prep_circuit workload's leakage sum: tilted Ising N=6, total_sz, Gibbs,
+    # l=5, 1072 pairs on the 33-point lattice.  A whole tile of 1072-pair rows
+    # would hold 122 of them (1.0 MiB); the buffer holds the lattice's 33 rows
+    # (276 KiB), and the stage peaks at 425 KiB beside the per-pair arrays.
+    table = transition_weights(build_operator(tilted_ising(6)).eig, preset_observable("total_sz", 6), gibbs(1.0))
+    assert table.gaps.size == 1072
+    exact_outcome_distribution(table, 5, 0.05)
+    tracemalloc.start()
+    try:
+        exact_outcome_distribution(table, 5, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 33 * table.gaps.size + 2**18
+
+
 def test_outcome_distribution_at_n10_holds_four_arrays_per_pair():
     # The eigh_dense table: tilted Ising N=10, total_sz, Gibbs, l=1.  The phase
     # array becomes the offsets in place, the nearest integers go once the bins

@@ -120,6 +120,21 @@ def test_hermitian_operator_rejects_non_finite_entries():
             HermitianOperator(np.diag([1.0, bad]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_non_finite_entries_are_reported_before_any_deviation(dtype, bad):
+    # The check reads tile by tile: a deviation in the first tile does not hide a
+    # non-finite entry in a later one, below, above or on the diagonal.
+    dim = 1 << 9
+    base = random_hermitian(9, seed=5).matrix if dtype is complex else random_real_symmetric(9, seed=5).matrix
+    for row, col in ((dim - 1, 0), (dim - 2, dim - 1), (dim - 1, dim - 1)):
+        mat = base.copy()
+        mat[0, 1] += 1.0
+        mat[row, col] = bad
+        with pytest.raises(HermiticityError, match="^matrix has non-finite entries$"):
+            HermitianOperator(mat)
+
+
 def test_hermiticity_check_measures_the_deviation_and_leaves_the_matrix_alone():
     # The check overwrites its own copy of mat^dagger; the operator's bytes are the input's.
     for scale, accepted in ((5e-11, True), (2e-10, False)):

@@ -28,8 +28,9 @@ For each CSV whose hash moved it prints, per column that moved, the count
 of moved rows and the largest absolute difference, and it prints every moved
 number under ``report.json``'s ``distances``.  Any other change fails the
 comparison (exit status 1): a missing or added invocation, exit code,
-stderr or stdout line, config, non-CSV artifact, CSV header or row count,
-or any other ``report.json`` field (its ``artifacts`` hashes follow the CSVs).
+stderr or stdout line, config, other artifact, CSV header or row count,
+or any other field of ``report.json`` or ``spectrum.json`` (the
+``artifacts`` hashes in either may move only with their CSV).
 
 The oracle sums its spectra on a thread pool with one worker per usable
 CPU, each worker taking the next block of points.  Running the ladder once
@@ -289,6 +290,15 @@ def _report_changes(before, after, path: str = "") -> list[tuple[str, object, ob
     return [] if before == after else [(path, before, after)]
 
 
+def _field_changes(before, after, shas) -> list[tuple[str, object, object]]:
+    """The changed leaves of two JSON documents, less ``artifacts`` digests that moved with their artifact."""
+    def moved_with_artifact(path: str) -> bool:
+        artifact = path.removeprefix("artifacts.")
+        return artifact != path and shas[0].get(artifact) != shas[1].get(artifact)
+
+    return [change for change in _report_changes(before, after) if not moved_with_artifact(change[0])]
+
+
 def compare(before: Path, after: Path) -> int:
     """Print what moved between two ladder trees; 1 when anything beyond CSV columns and distances did."""
     manifests = [json.loads((tree / "manifest.json").read_text()) for tree in (before, after)]
@@ -305,7 +315,16 @@ def compare(before: Path, after: Path) -> int:
         for artifact in sorted(set(shas[0]) | set(shas[1])):
             if shas[0].get(artifact) == shas[1].get(artifact):
                 continue
-            if not artifact.endswith(".csv") or artifact not in shas[0] or artifact not in shas[1]:
+            if artifact not in shas[0] or artifact not in shas[1]:
+                lines.append(f"{artifact} changed")
+                continue
+            if artifact == "spectrum.json":
+                docs = [json.loads((tree / name / artifact).read_text()) for tree in (before, after)]
+                if docs[0] == docs[1]:  # the bytes moved, not a field
+                    lines.append(f"{artifact} changed")
+                lines += [f"{artifact} {path} changed" for path, _, _ in _field_changes(*docs, shas)]
+                continue
+            if not artifact.endswith(".csv"):
                 lines.append(f"{artifact} changed")
                 continue
             try:
@@ -313,11 +332,10 @@ def compare(before: Path, after: Path) -> int:
                 notes += [f"{artifact} {move}" for move in moves]
             except ValueError as exc:
                 lines.append(f"{artifact}: {exc}")
-        for path, a, b in _report_changes(old.get("report"), new.get("report")):
-            artifact = path.removeprefix("artifacts.")
+        for path, a, b in _field_changes(old.get("report"), new.get("report"), shas):
             if path.startswith("distances.") and all(isinstance(v, (int, float)) for v in (a, b)):
                 notes.append(f"report {path}: {a:.6e} -> {b:.6e}, |diff| {abs(a - b):.3g}")
-            elif artifact == path or shas[0].get(artifact) == shas[1].get(artifact):
+            else:
                 lines.append(f"report {path} changed")
         moved += bool(notes or lines)
         for note in notes:
