@@ -91,7 +91,11 @@ PRUNE_SHARE = 2.0**-60
 #: threads, medians of 48 runs) two workers summed it in 185 ms and one in
 #: 284 ms, against 236 and 293 ms for (8, 2**13); (16, 2**13) and (48, 2**12)
 #: read about the same, (64, 2**11) and (32, 2**13) slower.  Fewer pairs than a
-#: tile row leave room for more points.
+#: tile row leave room for more points.  The second worker's gain assumes an
+#: idle second CPU: after a multithreaded BLAS call, such as the table's
+#: products, OpenBLAS's idle threads busy-wait for 0.1-0.2 s and hold it, so in
+#: ``qspec oracle`` at N=9 the whole spectrum took 0.19-0.23 s at 2 BLAS
+#: threads against 0.165-0.178 s at 1.
 TILE = (32, 1 << 12)
 
 

@@ -36,12 +36,23 @@ the decomposition on: every stage takes (operator, H's decomposition,
 ensemble), so H's dense matrix is freed once it is decomposed.
 Propagators are computed exactly in the eigenbasis of their generator,
 never split into short steps.
+
+Every preset chain is symmetric under its reflection R, which reverses the
+qubit order (R**2 = 1).  ``.eig`` of a matrix equal to R H R bit for bit
+runs one ``eig_hermitian`` (one ``eigh`` of a Hermitian matrix of any size)
+on each of R's two sectors, of about half the dimension each, and merges
+them into one ``EigenDecomposition`` in the computational basis: ascending
+eigenvalues and a dense V, whose columns each have a definite parity under
+R.  Any other matrix is one sector, decomposed whole by one ``eigh``; so is
+a compiled chain whose float sums at an entry and at its mirror image add
+the same terms in another order and miss by an ulp.  Every consumer reads
+only the merged decomposition, so none knows about the sectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -84,6 +95,54 @@ def _dtype_of(values) -> type:
     return complex if np.iscomplexobj(values) else float
 
 
+def _square_matrix(values) -> np.ndarray:
+    """A contiguous square matrix, float64 when every entry's imaginary part is exactly zero."""
+    mat = np.asarray(values)
+    if np.iscomplexobj(mat) and not mat.imag.any():
+        mat = mat.real
+    mat = np.ascontiguousarray(mat, dtype=_dtype_of(mat))
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatchError(f"operator matrix must be square, got {mat.shape}")
+    return mat
+
+
+def _upper_tiles(dim: int, tile: int = 128) -> Iterable[tuple[slice, slice]]:
+    """(rows, cols) of the square tiles of a dim x dim matrix on and above its diagonal."""
+    for s in range(0, dim, tile):
+        for t in range(s, dim, tile):
+            yield slice(s, s + tile), slice(t, t + tile)
+
+
+def _mirror_lower(mat: np.ndarray) -> np.ndarray:
+    """``mat`` with its strict upper triangle overwritten by the conjugate of its lower, in place."""
+    for rows, cols in _upper_tiles(mat.shape[0]):
+        mirrored = np.conjugate(mat[cols, rows].T)
+        if rows == cols:  # a diagonal tile: its strict upper triangle only
+            np.copyto(mat[rows, cols], mirrored, where=~np.tri(*mirrored.shape, dtype=bool))
+        else:
+            mat[rows, cols] = mirrored
+    return mat
+
+
+def _require_hermitian(mat: np.ndarray) -> None:
+    """Reject a square matrix with a non-finite entry or more than ``HERMITICITY_TOL`` from Hermitian."""
+    # |mat - mat^dagger| is symmetric, so square tiles on and above the diagonal see
+    # every deviation; each tile of mat^dagger is overwritten by the difference's modulus.
+    # A non-finite entry makes its difference inf or nan, and so the tile's maximum,
+    # and it is reported before a deviation found in any tile.
+    dev = 0.0
+    for rows, cols in _upper_tiles(mat.shape[0]):
+        diff = np.conjugate(mat[cols, rows].T)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            np.subtract(mat[rows, cols], diff, out=diff)
+        peak = float(np.abs(diff, out=diff).real.max())
+        if not peak < np.inf:
+            raise HermiticityError("matrix has non-finite entries")
+        dev = max(dev, peak)
+    if dev > HERMITICITY_TOL:
+        raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Amplitudes over ``2**num_qubits`` computational states, qubit 0 most significant."""
@@ -119,32 +178,12 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix)
-        if np.iscomplexobj(mat) and not mat.imag.any():
-            mat = mat.real
-        mat = np.ascontiguousarray(mat, dtype=_dtype_of(mat))
+        mat = _square_matrix(self.matrix)
         object.__setattr__(self, "matrix", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatchError(f"operator matrix must be square, got {mat.shape}")
         dim = mat.shape[0]
         if dim < 1 or dim & (dim - 1):
             raise DimensionMismatchError(f"dimension {dim} is not a power of two")
-        # |mat - mat^dagger| is symmetric, so square tiles on and above the diagonal see
-        # every deviation; each tile of mat^dagger is overwritten by the difference's modulus.
-        # A non-finite entry makes its difference inf or nan, and so the tile's maximum,
-        # and it is reported before a deviation found in any tile.
-        dev, tile = 0.0, 128
-        for s in range(0, dim, tile):
-            for t in range(s, dim, tile):
-                diff = np.conjugate(mat[t : t + tile, s : s + tile].T)
-                with np.errstate(invalid="ignore"):  # inf - inf
-                    np.subtract(mat[s : s + tile, t : t + tile], diff, out=diff)
-                peak = float(np.abs(diff, out=diff).real.max())
-                if not peak < np.inf:
-                    raise HermiticityError("matrix has non-finite entries")
-                dev = max(dev, peak)
-        if dev > HERMITICITY_TOL:
-            raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
+        _require_hermitian(mat)
 
     @property
     def dim(self) -> int:
@@ -152,8 +191,15 @@ class HermitianOperator:
 
     @cached_property
     def eig(self) -> EigenDecomposition:
-        """The spectral decomposition, computed on first use and kept with the operator."""
-        return eig_hermitian(self)
+        """The spectral decomposition, computed on first use and kept with the operator.
+
+        A matrix equal bit for bit to R H R, R the chain reflection, is decomposed
+        in R's two sectors, one ``eig_hermitian`` each (``_reflection_eig``).  Any
+        other matrix, and every one-qubit matrix (R is then the identity), is one
+        sector: one ``eig_hermitian`` of the whole matrix.
+        """
+        split = _reflection_eig(self.matrix)
+        return eig_hermitian(self) if split is None else split
 
 
 @dataclass(frozen=True)
@@ -204,11 +250,96 @@ class EigenDecomposition:
 
 
 def eig_hermitian(operator: HermitianOperator | np.ndarray) -> EigenDecomposition:
-    """Full spectral decomposition; rejects non-Hermitian input."""
-    if not isinstance(operator, HermitianOperator):
-        operator = HermitianOperator(np.asarray(operator))
-    vals, vecs = np.linalg.eigh(operator.matrix)
+    """One ``eigh`` of a Hermitian matrix of any size; rejects non-Hermitian input."""
+    if isinstance(operator, HermitianOperator):
+        mat = operator.matrix
+    else:
+        mat = _square_matrix(operator)
+        _require_hermitian(mat)
+    vals, vecs = np.linalg.eigh(mat)
     return EigenDecomposition(vals, vecs)
+
+
+#: Bytes of rows per block of the reflection check and the sector split: each
+#: block is gathered once or twice, so a block, not the matrix, is the temporary.
+_SPLIT_BYTES = 1 << 20
+
+
+@lru_cache(maxsize=None)
+def _reflection(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R as an index map, ``R[i]`` being i with its qubit order reversed, then lo and pal (read-only).
+
+    lo holds the states i < R(i) and pal the states i = R(i), each ascending.
+    """
+    index = np.arange(1 << num_qubits)
+    reflected = np.zeros_like(index)
+    for q in range(num_qubits):
+        reflected |= ((index >> q) & 1) << (num_qubits - 1 - q)
+    maps = reflected, np.flatnonzero(index < reflected), np.flatnonzero(index == reflected)
+    for array in maps:
+        array.setflags(write=False)
+    return maps
+
+
+def _reflection_eig(mat: np.ndarray) -> EigenDecomposition | None:
+    """H's decomposition sector by sector under the chain reflection R; None when R H R != H or R = 1.
+
+    ``lo`` holds the states i < R(i) and ``pal`` the states i = R(i).  In the basis
+    ``(|i> +- |R i>)/sqrt(2)`` for i in lo, and ``|p>`` for p in pal, an R-symmetric H
+    splits into the even sector ``[[H[lo,lo] + H[lo,R lo], sqrt(2) H[lo,pal]],
+    [sqrt(2) H[pal,lo], H[pal,pal]]]`` and the odd sector ``H[lo,lo] - H[lo,R lo]``.
+    ``eigh`` reads a sector's lower triangle only, and the upper one is mirrored
+    from it, so each sector is exactly Hermitian: its entries sum two of H's, so
+    they could deviate from Hermitian twice as far as H's.  The two spectra merge
+    by a stable argsort into ascending eigenvalues, and V, dense in the
+    computational basis, takes an even eigenvector ``(u_lo, u_pal)`` as
+    ``u_lo/sqrt(2)`` at lo and at R lo and ``u_pal`` at pal, and an odd one w as
+    ``+-w/sqrt(2)`` at lo and R lo.  The symmetry check, the split and V's
+    assembly run in blocks of rows of ``_SPLIT_BYTES``, so beside V only the
+    sectors and their eigenvectors are held.
+    """
+    dim = mat.shape[0]
+    reflected, lo, pal = _reflection(dim.bit_length() - 1)
+    if not lo.size:
+        return None
+    rows = max(1, _SPLIT_BYTES // (mat.itemsize * dim))
+    # H[i, R j] == H[R i, j] for every i, j is R H R == H.
+    for s in range(0, dim, rows):
+        if not np.array_equal(np.take(mat[s : s + rows], reflected, axis=1), mat[reflected[s : s + rows]]):
+            return None
+    hi, root2, n_lo = reflected[lo], np.sqrt(2.0), lo.size
+    even = np.empty((n_lo + pal.size, n_lo + pal.size), mat.dtype)
+    odd = np.empty((n_lo, n_lo), mat.dtype)
+    for s in range(0, n_lo, rows):
+        part = slice(s, min(s + rows, n_lo))
+        block = mat[lo[part]]
+        near, far = np.take(block, lo, axis=1), np.take(block, hi, axis=1)
+        np.add(near, far, out=even[part, :n_lo])
+        np.subtract(near, far, out=odd[part])
+        np.multiply(np.take(block, pal, axis=1), root2, out=even[part, n_lo:])
+    block = mat[pal]
+    np.multiply(np.take(block, lo, axis=1), root2, out=even[n_lo:, :n_lo])
+    even[n_lo:, n_lo:] = np.take(block, pal, axis=1)
+    del block, near, far
+    u, w = eig_hermitian(_mirror_lower(even)), eig_hermitian(_mirror_lower(odd))
+    del even, odd
+    values = np.concatenate((u.eigenvalues, w.eigenvalues))
+    order = np.argsort(values, kind="stable")  # column k of V holds sector column order[k]
+    u, w = u.eigenvectors, w.eigenvectors
+    vecs = np.empty((dim, dim), np.result_type(u, w))
+    sector_rows = np.empty((min(rows, n_lo), dim), vecs.dtype)  # even sector columns, then odd
+    for s in range(0, n_lo, rows):
+        part = slice(s, min(s + rows, n_lo))
+        src = sector_rows[: part.stop - s]
+        np.divide(u[part], root2, out=src[:, : u.shape[1]])
+        np.divide(w[part], root2, out=src[:, u.shape[1] :])
+        vecs[lo[part]] = np.take(src, order, axis=1)
+        np.negative(src[:, u.shape[1] :], out=src[:, u.shape[1] :])
+        vecs[hi[part]] = np.take(src, order, axis=1)
+    src = np.zeros((pal.size, dim), vecs.dtype)
+    src[:, : u.shape[1]] = u[n_lo:]
+    vecs[pal] = np.take(src, order, axis=1)
+    return EigenDecomposition(values[order], vecs)
 
 
 def _as_register(register: Iterable[int], num_qubits: int) -> tuple[int, ...]:

@@ -22,6 +22,39 @@ def gibbs(beta: float) -> EnsembleSpec:
     return EnsembleSpec("gibbs", float(beta))
 
 
+def reflected(matrix: np.ndarray) -> np.ndarray:
+    """R M R, R the chain reflection: each index with its qubit order reversed."""
+    rev = _reflection_order(matrix.shape[0])
+    return matrix[np.ix_(rev, rev)]
+
+
+def _reflection_order(dim: int) -> np.ndarray:
+    """R as a permutation of the 2**bits computational indices."""
+    bits = dim.bit_length() - 1
+    return np.array([int(format(i, f"0{bits}b")[::-1], 2) if bits else 0 for i in range(dim)])
+
+
+def reflection_sectors(matrix: np.ndarray) -> list[np.ndarray]:
+    """A matrix's blocks in the sectors of the chain reflection R, written out from their formula.
+
+    R reverses the qubit order.  With lo the states i < R(i) and pal the states
+    i = R(i), a matrix equal to R M R has the even sector ``[[M[lo,lo] +
+    M[lo,R lo], sqrt(2) M[lo,pal]], [sqrt(2) M[pal,lo], M[pal,pal]]]`` and the odd
+    sector ``M[lo,lo] - M[lo,R lo]``.  Any other matrix, and a one-qubit one, is
+    its own single sector.
+    """
+    rev = _reflection_order(matrix.shape[0])
+    lo = np.flatnonzero(np.arange(rev.size) < rev)
+    pal = np.flatnonzero(np.arange(rev.size) == rev)
+    if not lo.size or not np.array_equal(matrix, reflected(matrix)):
+        return [matrix]
+    root2 = np.sqrt(2.0)
+    near, far = matrix[np.ix_(lo, lo)], matrix[np.ix_(lo, rev[lo])]
+    even = np.block([[near + far, matrix[np.ix_(lo, pal)] * root2],
+                     [matrix[np.ix_(pal, lo)] * root2, matrix[np.ix_(pal, pal)]]])
+    return [even, near - far]
+
+
 def basis_state(num_qubits: int, index: int) -> StateVector:
     """The computational basis state ``|index>``."""
     dim = 1 << num_qubits

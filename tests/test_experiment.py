@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import qspec
-from helpers import INFINITE_TEMPERATURE, at_infinite_temperature
+from helpers import INFINITE_TEMPERATURE, at_infinite_temperature, reflection_sectors
 from qspec import cli, experiment, oracle, purify, qpe, simcore, stateprep
 from qspec.cli import main
 from qspec.errors import ConfigError, PrepExhaustedError, ResourceCapError
@@ -633,15 +633,17 @@ _ENSEMBLES = (
 
 @pytest.mark.parametrize(
     "command, ensemble, prep, expected",
-    [("run", e, {"mode": "exact"}, 1) for e in _ENSEMBLES]
-    + [("run", {"kind": "gibbs", "beta": 1.0}, {"mode": "circuit", "epsilon": 0.5}, 2)]
-    + [("oracle", e, {"mode": "exact"}, 1) for e in _ENSEMBLES],
+    [("run", e, {"mode": "exact"}, 2) for e in _ENSEMBLES]
+    + [("run", {"kind": "gibbs", "beta": 1.0}, {"mode": "circuit", "epsilon": 0.5}, 4)]
+    + [("oracle", e, {"mode": "exact"}, 2) for e in _ENSEMBLES],
     ids=["exact-infinite_temperature", "exact-gibbs", "exact-ground_state", "circuit-gibbs",
          "oracle-infinite_temperature", "oracle-gibbs", "oracle-ground_state"],
 )
 def test_run_decomposes_each_operator_once(tmp_path, monkeypatch, command, ensemble, prep, expected):
     # H is decomposed first and once, for prep, QPE and the oracle; circuit prep
-    # adds O.  ``qspec oracle`` decomposes H alone.
+    # adds O.  ``qspec oracle`` decomposes H alone.  Both operators are symmetric
+    # under the chain reflection, so each is decomposed as its two sectors, one
+    # eigh each, and the matrices eigh sees are exactly those sectors, in order.
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.copy()) or eigh(m))
@@ -653,14 +655,18 @@ def test_run_decomposes_each_operator_once(tmp_path, monkeypatch, command, ensem
         run_experiment(config)
     else:
         assert main(["oracle", "--config", str(write_config(tmp_path, document))]) == 0
-    assert len(calls) == expected
-    np.testing.assert_array_equal(calls[0], build_operator(config.model).matrix)
+    sectors = reflection_sectors(build_operator(config.model).matrix)
+    if prep["mode"] == "circuit":
+        sectors += reflection_sectors(build_operator(config.observable).matrix)
+    assert len(calls) == len(sectors) == expected
+    for call, sector in zip(calls, sectors):
+        np.testing.assert_array_equal(call, sector)
 
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
 def test_hamiltonian_operator_is_freed_once_decomposed(tmp_path, monkeypatch, command):
     # Every stage reads H through its decomposition, so neither command keeps
-    # H's operator, and with it H's dense matrix, past the one eigh: it is gone
+    # H's operator, and with it H's dense matrix, past its decomposition: it is gone
     # when the circuit (run) or the spectrum sum (oracle) is entered.
     document = dict(TWO_LEVEL, model={"preset": "tilted_ising", "N": 3}, observable="total_sz",
                     ensemble={"kind": "gibbs", "beta": 1.0}, qpe={"gamma": 0.5, "auto_plan": True},

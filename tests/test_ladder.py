@@ -121,3 +121,24 @@ def test_compare_fails_on_any_other_spectrum_record_change(ladder, tmp_path, cap
     assert out.splitlines()[-1] == "1 of 1 invocations moved; 1 failures"
     assert {"gamma": "FAIL oracle: spectrum.json gamma changed",
             "digest": "FAIL oracle: spectrum.json artifacts.spectrum.csv changed"}[change] in out
+
+
+def test_compare_tallies_each_failing_field_over_invocations(ladder, tmp_path, capsys):
+    # Two invocations whose prep record moved and one whose exit code moved: the
+    # tally counts each field once per invocation, most first, before the summary.
+    trees = []
+    for root, phi, code in ((tmp_path / "a", 0.1, 0), (tmp_path / "b", 0.2, 1)):
+        root.mkdir()
+        entry = {"command": "run", "config": {}, "exit": 0, "stderr": "", "sha256": {},
+                 "report": {"prep": {"phi": phi, "fidelity_with_target": phi}}}
+        manifest = {"one": entry, "two": entry, "three": {**entry, "exit": code}}
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        trees.append(root)
+    assert ladder.main([str(trees[1]), "--compare", str(trees[0])]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-4:] == [
+        "TALLY report prep.fidelity_with_target changed: 3",
+        "TALLY report prep.phi changed: 3",
+        "TALLY exit changed: 1",
+        "3 of 3 invocations moved; 7 failures",
+    ]

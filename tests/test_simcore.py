@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    INFINITE_TEMPERATURE,
     basis_state,
+    gibbs,
     plus_state,
+    preset_observable,
     random_hermitian,
     random_real_symmetric,
     random_state,
+    reflected,
+    reflection_sectors,
     tensor_product,
 )
 from qspec import simcore
@@ -23,6 +28,10 @@ from qspec.errors import (
     RegisterError,
     UnitarityError,
 )
+from qspec.models import ModelSpec, PauliTerm, build_operator, heisenberg, tilted_ising
+from qspec.oracle import distribution_distance, exact_outcome_distribution, transition_weights
+from qspec.purify import thermal_operator_state
+from qspec.qpe import run_qpe
 from qspec.simcore import (
     HermitianOperator,
     StateVector,
@@ -114,6 +123,19 @@ def test_eigh_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigh_takes_a_hermitian_matrix_of_any_size():
+    # A reflection sector need not have a power-of-two dimension; the check stays.
+    mat = np.array([[2.0, 1.0j, 0.0], [-1.0j, 0.0, 0.5], [0.0, 0.5, -1.0]])
+    eig = eig_hermitian(mat)
+    vals, vecs = np.linalg.eigh(mat)
+    np.testing.assert_array_equal(eig.eigenvalues, vals)
+    np.testing.assert_array_equal(eig.eigenvectors, vecs)
+    with pytest.raises(HermiticityError):
+        eig_hermitian(np.triu(np.ones((3, 3))))
+    with pytest.raises(DimensionMismatchError):
+        eig_hermitian(np.ones((2, 3)))
+
+
 def test_hermitian_operator_rejects_non_finite_entries():
     for bad in (np.inf, np.nan):
         with pytest.raises(HermiticityError):
@@ -180,6 +202,139 @@ def test_eigh_deterministic():
     second = eig_hermitian(op)
     np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
     np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
+
+
+# --- the decomposition by reflection sector ----------------------------------
+
+
+def _counted_eig(monkeypatch, operator: HermitianOperator) -> tuple[simcore.EigenDecomposition, list]:
+    """``operator.eig`` and the matrices it handed to ``np.linalg.eigh``, in order."""
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.copy()) or eigh(m))
+    eig = operator.eig
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return eig, calls
+
+
+def _accuracy(matrix: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> tuple[float, float]:
+    """The residual max|HV - V diag(vals)| and the orthogonality max|V^dagger V - 1|."""
+    residual = float(np.abs(matrix @ vecs - vecs * vals).max())
+    return residual, float(np.abs(vecs.conj().T @ vecs - np.eye(vals.size)).max())
+
+
+@pytest.mark.parametrize("num_sites", range(2, 11))
+@pytest.mark.parametrize("preset", [tilted_ising, heisenberg])
+def test_reflection_sectors_match_a_full_eigh_on_every_preset(monkeypatch, preset, num_sites):
+    # Every preset chain is reflection-symmetric: two eigh calls, one per sector,
+    # exactly on the sector blocks, and a decomposition as accurate as the full one.
+    operator = build_operator(preset(num_sites))
+    eig, calls = _counted_eig(monkeypatch, operator)
+    sectors = reflection_sectors(operator.matrix)
+    assert len(calls) == len(sectors) == 2
+    for call, sector in zip(calls, sectors):
+        np.testing.assert_array_equal(call, sector)
+    vals, vecs = np.linalg.eigh(operator.matrix)
+    span = float(vals[-1] - vals[0])
+    assert np.all(np.diff(eig.eigenvalues) >= 0)
+    assert np.abs(eig.eigenvalues - vals).max() <= 1e-12 * span
+    residual, orthogonality = _accuracy(operator.matrix, eig.eigenvalues, eig.eigenvectors)
+    full_residual, full_orthogonality = _accuracy(operator.matrix, vals, vecs)
+    # Both paths read 0-2.3 eps*span and 1-30 eps here; a floor of a few eps
+    # keeps a full path that happened to land near 0 from setting the bar.
+    eps = np.finfo(float).eps
+    assert residual <= 2 * max(full_residual, 2 * eps * span)
+    assert orthogonality <= 2 * max(full_orthogonality, 8 * eps)
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [
+        build_operator(ModelSpec(2, (PauliTerm(1.0, "XI"), PauliTerm(0.7, "ZZ")))),
+        build_operator(tilted_ising(1)),
+        random_hermitian(1, seed=3),
+    ],
+    ids=["XI+0.7ZZ", "tilted_ising-N1", "complex-N1"],
+)
+def test_one_sector_is_byte_identical_to_a_full_eigh(monkeypatch, operator):
+    # A chain that breaks the reflection, and any one-qubit matrix (R is the
+    # identity), is decomposed whole, by the one eigh it always had.
+    eig, calls = _counted_eig(monkeypatch, operator)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], operator.matrix)
+    vals, vecs = np.linalg.eigh(operator.matrix)
+    assert eig.eigenvalues.tobytes() == vals.tobytes()
+    assert eig.eigenvectors.tobytes() == vecs.tobytes()
+
+
+def test_complex_reflection_symmetric_operator_splits(monkeypatch):
+    # One Y per string makes H complex; each string appears with its mirror image
+    # and dyadic coefficients, so the compiled sum is R-symmetric bit for bit.
+    terms = [(0.5, "XYZ"), (0.5, "ZYX"), (1.0, "ZZI"), (1.0, "IZZ"), (0.25, "XII"), (0.25, "IIX"), (0.75, "IYI")]
+    operator = build_operator(ModelSpec(3, tuple(PauliTerm(c, f) for c, f in terms)))
+    assert np.iscomplexobj(operator.matrix)
+    eig, calls = _counted_eig(monkeypatch, operator)
+    assert len(calls) == 2
+    assert eig.eigenvectors.dtype == np.complex128
+    vals = np.linalg.eigvalsh(operator.matrix)
+    span = float(vals[-1] - vals[0])
+    assert np.all(np.diff(eig.eigenvalues) >= 0)
+    assert np.abs(eig.eigenvalues - vals).max() <= 1e-12 * span
+    residual, orthogonality = _accuracy(operator.matrix, eig.eigenvalues, eig.eigenvectors)
+    assert residual <= 1e-14 * span and orthogonality <= 1e-14
+
+
+def test_a_sector_is_exactly_hermitian_when_the_operator_is_only_nearly_so(monkeypatch):
+    # A sector entry sums two of H's, so an H within HERMITICITY_TOL can give a
+    # sector beyond it; each sector's upper triangle is mirrored from its lower
+    # one, which is all that eigh reads.
+    rng = np.random.default_rng(4)
+    symmetric = random_real_symmetric(3, seed=4).matrix
+    skew = np.triu(rng.choice([-1.0, 1.0], size=symmetric.shape), 1)
+    skew = skew - skew.T
+    skew = skew + reflected(skew)  # antisymmetric and R-symmetric
+    mat = symmetric + reflected(symmetric) + 0.45 * simcore.HERMITICITY_TOL / np.abs(skew).max() * skew
+    operator = HermitianOperator(mat)  # R-symmetric bit for bit, 0.9e-10 from symmetric
+    unmirrored = max(float(np.abs(m - m.T).max()) for m in reflection_sectors(mat))
+    assert unmirrored > simcore.HERMITICITY_TOL
+    eig, calls = _counted_eig(monkeypatch, operator)
+    assert len(calls) == 2
+    for call in calls:
+        np.testing.assert_array_equal(call, call.T)
+    assert _accuracy(operator.matrix, eig.eigenvalues, eig.eigenvectors)[0] <= 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(num_sites=st.integers(2, 3), seed=st.integers(0, 2**32 - 1), num_bits=st.integers(3, 6),
+       beta=st.floats(0.0, 2.0))
+def test_reflection_symmetric_circuit_matches_a_full_eigh_oracle(num_sites, seed, num_bits, beta):
+    # H = A + R A R is R-symmetric for any Hermitian A.  The circuit runs on the
+    # sector decomposition, the oracle on one full eigh of the same matrix.
+    a = random_hermitian(num_sites, seed=seed).matrix
+    operator = HermitianOperator(a + reflected(a))
+    assert len(reflection_sectors(operator.matrix)) == 2
+    observable = preset_observable("staggered_sz", num_sites)
+    ensemble = gibbs(beta) if beta else INFINITE_TEMPERATURE
+    delta = 0.3
+    circuit = run_qpe(thermal_operator_state(observable, operator.eig, ensemble), operator.eig, num_bits, delta)
+    full = eig_hermitian(operator)
+    reference = exact_outcome_distribution(transition_weights(full, observable, ensemble), num_bits, delta)
+    assert distribution_distance(circuit, reference, "max_abs") <= 1e-10
+
+
+def test_sector_split_and_assembly_hold_no_full_size_temporary():
+    # At N=10 the decomposition holds V (8 MiB), the sectors' eigenvectors (528**2
+    # and 496**2 doubles, 4.0 MiB) and two blocks of rows of _SPLIT_BYTES: 14.0
+    # MiB traced.  The bound spares half a block.  A full-size gather for the
+    # symmetry check, mat[R][:, R], alone peaks at 16 MiB.
+    operator = build_operator(tilted_ising(10))
+    dim, even, odd = operator.dim, 528, 496
+    tracemalloc.start()
+    try:
+        operator.eig
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (dim * dim + even * even + odd * odd) + 5 * simcore._SPLIT_BYTES // 2
 
 
 # --- evolution: the exact propagator applied as a register unitary --------------

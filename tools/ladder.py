@@ -30,7 +30,10 @@ number under ``report.json``'s ``distances``.  Any other change fails the
 comparison (exit status 1): a missing or added invocation, exit code,
 stderr or stdout line, config, other artifact, CSV header or row count,
 or any other field of ``report.json`` or ``spectrum.json`` (the
-``artifacts`` hashes in either may move only with their CSV).
+``artifacts`` hashes in either may move only with their CSV).  Each failure
+prints one ``FAIL`` line, and a ``TALLY`` line per failing field then gives
+the count of invocations it failed in, most first, so a declared float
+reorder can be listed field by field.
 
 The oracle sums its spectra on a thread pool with one worker per usable
 CPU, each worker taking the next block of points.  Running the ladder once
@@ -94,6 +97,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -306,7 +310,7 @@ def compare(before: Path, after: Path) -> int:
     for name in sorted(set(manifests[0]) | set(manifests[1])):
         old, new = (manifest.get(name) for manifest in manifests)
         if old is None or new is None:
-            failures.append(f"{name}: only in {before if new is None else after}")
+            failures.append((name, f"only in {before if new is None else after}"))
             continue
         lines = [f"{key} changed" for key in ("command", "config", "exit", "stderr", "stdout")
                  if old.get(key) != new.get(key)]
@@ -340,9 +344,13 @@ def compare(before: Path, after: Path) -> int:
         moved += bool(notes or lines)
         for note in notes:
             print(f"{name} {note}")
-        failures += [f"{name}: {line}" for line in lines]
-    for failure in failures:
-        print(f"FAIL {failure}")
+        failures += [(name, line) for line in lines]
+    for name, line in failures:
+        print(f"FAIL {name}: {line}")
+    # Each failing field once, with the count of invocations it failed in.
+    tally = Counter(line for _, line in failures)
+    for line, count in sorted(tally.items(), key=lambda item: (-item[1], item[0])):
+        print(f"TALLY {line}: {count}")
     print(f"{moved} of {len(manifests[1])} invocations moved; {len(failures)} failures")
     return 1 if failures else 0
 
