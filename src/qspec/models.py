@@ -85,6 +85,15 @@ def build_operator(spec: ModelSpec) -> HermitianOperator:
     When every string has an even number of Y factors, every entry is real
     and the sum is accumulated in float64: the same float sums as the real
     part of a complex accumulation, at half its memory.
+
+    Each term is added together with its mirror image, the reversed string at
+    the same coefficient, as one pair sum, pair after pair in the order of
+    their first terms; a term without one, or a palindrome, is a pair alone.
+    The mirror image of an entry then receives the same pair sums in the same
+    order (``a + b`` is the same float as ``b + a``), so the matrix of a
+    reflection-closed term set equals R H R bit for bit, R the chain
+    reflection, whatever the coefficients, and ``HermitianOperator.eig``
+    decomposes it by sector.
     """
     check_sites(spec.num_sites)
     n = spec.num_sites
@@ -93,7 +102,9 @@ def build_operator(spec: ModelSpec) -> HermitianOperator:
     signs = 1.0 - 2.0 * (np.bitwise_count(idx) & 1)  # signs[c] = (-1)**popcount(c)
     real = all(term.factors.count("Y") % 2 == 0 for term in spec.terms)
     total = np.zeros((dim, dim), dtype=float if real else complex)
-    for term in spec.terms:
+
+    def columns(term: PauliTerm) -> tuple[int, np.ndarray]:
+        """The term's flip mask and its entry in each column."""
         xmask = zmask = 0
         for site, factor in enumerate(term.factors):
             bit = 1 << (n - 1 - site)  # site 0 is the most significant qubit
@@ -102,8 +113,22 @@ def build_operator(spec: ModelSpec) -> HermitianOperator:
             if factor in "ZY":
                 zmask |= bit
         phase = _I_POWERS[term.factors.count("Y") % 4]
-        coefficient = term.coefficient * (phase.real if real else phase)
-        total[idx ^ xmask, idx] += coefficient * signs[idx & zmask]
+        return xmask, term.coefficient * (phase.real if real else phase) * signs[idx & zmask]
+
+    pending = list(spec.terms)
+    while pending:
+        term = pending.pop(0)
+        pair = [term]
+        if term.factors != term.factors[::-1]:
+            mirror = next((t for t in pending if t == PauliTerm(term.coefficient, term.factors[::-1])), None)
+            if mirror is not None:
+                pending.remove(mirror)
+                pair.append(mirror)
+        entries: dict[int, np.ndarray] = {}
+        for xmask, values in map(columns, pair):
+            entries[xmask] = entries[xmask] + values if xmask in entries else values
+        for xmask, values in entries.items():
+            total[idx ^ xmask, idx] += values
     return HermitianOperator(total)
 
 

@@ -145,10 +145,10 @@ def transition_weights(
     the base state is rejected (``purify.reject_annihilation``).
     """
     reject_size_mismatch(operator, eig_h)
-    vecs, levels = eig_h.eigenvectors, eig_h.eigenvalues
+    levels = eig_h.eigenvalues
     pops = ensemble_populations(eig_h, ensemble)
     # |O_nm|^2 in one array, squared and then weighted in place.
-    weights = np.abs(vecs.conj().T @ operator.matrix @ vecs)
+    weights = np.abs(eig_h.to_eigenbasis(operator.matrix))
     np.square(weights, out=weights)
     np.multiply(weights, pops[:, None], out=weights)  # the transition n -> m at [n, m]
     mass = float(weights.sum())

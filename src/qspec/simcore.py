@@ -202,12 +202,35 @@ class HermitianOperator:
         return eig_hermitian(self) if split is None else split
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class EigenDecomposition:
-    """Ascending eigenvalues and a matching unitary (real orthogonal for a real operator)."""
+    """Ascending eigenvalues and a matching unitary V (real orthogonal for a real operator), by sector.
+
+    The stored form is per sector: ``sectors[a]`` holds sector a's eigenvectors
+    and ``columns[a]`` the merged column, the position in ``eigenvalues``, of
+    each of them.  ``EigenDecomposition(vals, vecs)`` is one sector, whose
+    basis change is S = 1: its matrix is V itself.  Two sectors are those of the
+    chain reflection R (``_reflection_eig``): with lo the states i < R(i) and
+    pal the states i = R(i) (``_reflection``), S maps the even sector's states
+    to ``(|i> + |R i>)/sqrt(2)`` for i in lo and ``|p>`` for p in pal, and the
+    odd sector's to ``(|i> - |R i>)/sqrt(2)``.  Each sector stores its
+    eigenvectors as the rows of V they give: the even sector V's rows lo, then
+    pal, at its columns, the odd sector V's rows lo at its columns; V's rows
+    R lo are the rows lo times the sector's parity, +1 or -1.  So
+    ``V = T blockdiag(sectors)`` with T the +-1 map ``|i> +- |R i>``, ``|p>``.
+
+    ``apply`` and ``to_eigenbasis`` work on the sectors.  The dense V is
+    assembled only when ``eigenvectors`` is read.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    sectors: tuple[np.ndarray, ...]
+    columns: tuple[np.ndarray, ...]
+
+    def __init__(self, eigenvalues: np.ndarray, *sectors: np.ndarray, columns: tuple[np.ndarray, ...] = ()):
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "sectors", sectors)
+        object.__setattr__(self, "columns", columns or (np.arange(eigenvalues.shape[0]),))
 
     @property
     def dim(self) -> int:
@@ -218,35 +241,129 @@ class EigenDecomposition:
         """Width of the spectrum: the highest eigenvalue minus the lowest."""
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The dense V in the computational basis, assembled from the sectors on first use.
+
+        One sector is V.  Two are scattered in blocks of rows of ``_SPLIT_BYTES``:
+        an even column's entries at lo and at R lo are its stored rows lo, an odd
+        column's are its stored rows lo and their negatives, and pal holds the
+        even columns' stored rows pal and zeros at the odd columns.
+        """
+        if len(self.sectors) == 1:
+            return self.sectors[0]
+        even, odd = self.sectors
+        reflected, lo, pal = _reflection(self.dim.bit_length() - 1)
+        order = np.empty(self.dim, np.intp)  # column k of V holds sector column order[k], even ones first
+        order[np.concatenate(self.columns)] = np.arange(self.dim)
+        vecs = np.empty((self.dim, self.dim), np.result_type(even, odd))
+        rows, n_lo = max(1, _SPLIT_BYTES // (vecs.itemsize * self.dim)), lo.size
+        src = np.empty((min(rows, n_lo), self.dim), vecs.dtype)
+        for s in range(0, n_lo, rows):
+            part = slice(s, min(s + rows, n_lo))
+            block = src[: part.stop - s]
+            block[:, : even.shape[1]], block[:, even.shape[1] :] = even[part], odd[part]
+            vecs[lo[part]] = np.take(block, order, axis=1)
+            np.negative(block[:, even.shape[1] :], out=block[:, even.shape[1] :])
+            vecs[reflected[lo[part]]] = np.take(block, order, axis=1)
+        src = np.zeros((pal.size, self.dim), vecs.dtype)
+        src[:, : even.shape[1]] = even[n_lo:]
+        vecs[pal] = np.take(src, order, axis=1)
+        return vecs
+
     def apply(self, diagonal: np.ndarray) -> np.ndarray:
         """The matrix ``V diag(diagonal) V^dagger``, built into its output in blocks of rows.
 
-        Beside the output the heap holds one block of ``_block_rows`` rows of V,
-        whose gemm gives the bytes of the unblocked product (``_MIN_BLOCK_ROWS``).
-        Real V with a complex diagonal takes two real products per block; complex
-        V takes ``conj(conj(V_s d) V^T)``, conjugated in place, so no conjugate
-        copy of V is made.
+        It is ``S blockdiag(U_a d_a U_a^dagger) S^dagger``, U_a sector a's eigenvectors
+        and d_a its part of the diagonal.  Each block of ``_block_rows`` rows
+        holds every sector's product for its rows side by side (``_sector_product``):
+        with one sector that block is the output's rows themselves, with two it is
+        folded into the output's rows lo, R lo and pal (``_fold``).  Beside the
+        output the heap holds that block, the fold's row gather and one
+        product's scaled rows; no matrix of the output's size and no whole sector
+        product.  A gemm of ``_MIN_BLOCK_ROWS`` rows or more gives the bytes of
+        the unblocked product, so one sector gives those of ``V diag(d) V^dagger``
+        formed in one product, and no output depends on the block size.
         """
-        vecs = self.eigenvectors
-        out = np.empty((self.dim, self.dim), dtype=np.result_type(vecs, diagonal))
-        rows = _block_rows(out.itemsize * self.dim)
-        for s in range(0, self.dim, rows):
-            block, dest = vecs[s : s + rows], out[s : s + rows]
-            if np.iscomplexobj(vecs):
-                scaled = block * diagonal
-                np.matmul(np.conjugate(scaled, out=scaled), vecs.T, out=dest)
-                np.conjugate(dest, out=dest)
-                del scaled  # before the next block is scaled
-            elif np.iscomplexobj(diagonal):
-                dest.real = (block * diagonal.real) @ vecs.T
-                dest.imag = (block * diagonal.imag) @ vecs.T
-            else:
-                np.matmul(block * diagonal, vecs.T, out=dest)
+        dim, width = self.dim, self.sectors[0].shape[0]
+        out = np.empty((dim, dim), dtype=np.result_type(*self.sectors, diagonal))
+        # Beside two sectors' block come one product's scaled rows and one run of the
+        # fold, so the block takes half the rows, and all three stay within a block's bytes.
+        rows = _block_rows(out.itemsize * dim * len(self.sectors))
+        parts = [diagonal[cols] for cols in self.columns]
+        block = out if len(self.sectors) == 1 else np.empty((min(rows, width), dim), out.dtype)
+        for s in range(0, width, rows):
+            dest, start = block[s : s + rows] if block is out else block[: min(rows, width - s)], 0
+            for vecs, part in zip(self.sectors, parts):
+                if s < vecs.shape[0]:
+                    _sector_product(vecs, part, s, dest[: vecs.shape[0] - s, start : start + vecs.shape[1]])
+                start += vecs.shape[1]
+            if block is not out:
+                _fold(dest, s, out)
         return out
 
     def propagator(self, t: float) -> np.ndarray:
         """``exp(1j * t * H)`` as a dense matrix; ``propagator(-t)`` steps backward."""
         return self.apply(np.exp(1j * t * self.eigenvalues))
+
+    def coordinates(self, vectors: np.ndarray) -> np.ndarray:
+        """``V^dagger X``, the columns of X in the eigenbasis, rows in the merged order, formed sector by sector.
+
+        One sector is ``U^dagger X``.  With two, X's rows are folded once,
+        ``T^dagger X`` (``_fold_rows``), and sector a's part gives the rows
+        ``columns[a]``: ``U_a^dagger (T^dagger X)_a``.
+        """
+        if len(self.sectors) == 1:
+            return self.sectors[0].conj().T @ vectors
+        folded = _fold_rows(vectors)
+        out = np.empty((self.dim, vectors.shape[1]), np.result_type(vectors, *self.sectors))
+        start = 0
+        for vecs, rows in zip(self.sectors, self.columns):
+            out[rows] = vecs.conj().T @ folded[start : start + vecs.shape[0]]
+            start += vecs.shape[0]
+        return out
+
+    def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
+        """``V^dagger M V`` in the merged order, formed sector by sector.
+
+        One sector is ``U^dagger M U``.  With two, M is folded once into the sector
+        layout, ``F = T^dagger M T`` (``_sector_fold``), and each pair of sectors
+        (a, b) gives ``U_a^dagger F_ab U_b`` at rows ``columns[a]`` and columns
+        ``columns[b]``.  A block F_ab that is all zero is skipped: its product is
+        exact zeros.  An R-symmetric M has exactly zero cross blocks, since each
+        of their entries is a float sum minus the same sum in the other order.
+        """
+        if len(self.sectors) == 1:
+            vecs = self.sectors[0]
+            return vecs.conj().T @ matrix @ vecs
+        folded = _sector_fold(matrix)
+        out = np.zeros((self.dim, self.dim), np.result_type(matrix, *self.sectors))
+        bounds = np.cumsum([0, *(vecs.shape[0] for vecs in self.sectors)])
+        for a, (left, rows) in enumerate(zip(self.sectors, self.columns)):
+            for b, (right, cols) in enumerate(zip(self.sectors, self.columns)):
+                block = folded[bounds[a] : bounds[a + 1], bounds[b] : bounds[b + 1]]
+                if block.any():
+                    out[np.ix_(rows, cols)] = left.conj().T @ block @ right
+        return out
+
+
+def _sector_product(vecs: np.ndarray, diagonal: np.ndarray, start: int, dest: np.ndarray) -> None:
+    """Rows ``start:`` of ``vecs diag(diagonal) vecs^dagger`` into ``dest``, as many as it has.
+
+    Real vecs with a complex diagonal take two real products; complex vecs take
+    ``conj(conj(vecs_s d) vecs^T)``, conjugated in place, so no conjugate copy
+    of vecs is made.
+    """
+    block = vecs[start : start + dest.shape[0]]
+    if np.iscomplexobj(vecs):
+        scaled = block * diagonal
+        np.matmul(np.conjugate(scaled, out=scaled), vecs.T, out=dest)
+        np.conjugate(dest, out=dest)
+    elif np.iscomplexobj(diagonal):
+        dest.real = (block * diagonal.real) @ vecs.T
+        dest.imag = (block * diagonal.imag) @ vecs.T
+    else:
+        np.matmul(block * diagonal, vecs.T, out=dest)
 
 
 def eig_hermitian(operator: HermitianOperator | np.ndarray) -> EigenDecomposition:
@@ -260,8 +377,9 @@ def eig_hermitian(operator: HermitianOperator | np.ndarray) -> EigenDecompositio
     return EigenDecomposition(vals, vecs)
 
 
-#: Bytes of rows per block of the reflection check and the sector split: each
-#: block is gathered once or twice, so a block, not the matrix, is the temporary.
+#: Bytes of rows per block of the reflection check, the sector split, V's
+#: assembly and the fold of a matrix into the sectors: each block is gathered
+#: once or twice, so a block, not the matrix, is the temporary.
 _SPLIT_BYTES = 1 << 20
 
 
@@ -281,6 +399,96 @@ def _reflection(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return maps
 
 
+@lru_cache(maxsize=None)
+def _fold_maps(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The index maps of ``_fold`` (read-only): rows, mirrored rows, columns and mirrored columns.
+
+    A block of rows in the sector layout ``[even: lo, pal | odd: lo]``, once its
+    lo columns hold the sum and its odd columns the difference of the two
+    sectors, has the layout ``[sum at lo | pal | difference at R lo]``.  The
+    rows are the computational row of each even-sector row (lo, then pal) and
+    the mirrored rows R lo; the columns are where each computational column
+    sits in that layout, and the mirrored columns are those of R's image.
+    """
+    reflected, lo, pal = _reflection(num_qubits)
+    cols = np.empty_like(reflected)
+    cols[lo] = np.arange(lo.size)
+    cols[pal] = lo.size + np.arange(pal.size)
+    cols[reflected[lo]] = lo.size + pal.size + np.arange(lo.size)
+    maps = np.concatenate((lo, pal)), reflected[lo], cols, cols[reflected]
+    for array in maps:
+        array.setflags(write=False)
+    return maps
+
+
+def _fold(block: np.ndarray, start: int, out: np.ndarray) -> None:
+    """Fold rows ``start:`` of ``[E | O]``, the two sectors' products side by side, into ``out``.
+
+    With the stored rows of V (``EigenDecomposition``), row lo_k of the output is
+    ``E_k + O_k`` at lo, ``E_k - O_k`` at R lo and ``E_k`` at pal; row R lo_k is
+    the same row with its columns reflected, and row pal_p is ``E_p`` at lo, at
+    R lo and at pal.  In runs of rows of ``_SPLIT_BYTES``, the sum and
+    difference are formed in place in the block, whose rows past the odd
+    sector (pal rows) copy their lo columns into the difference's place, and
+    each output row is one gather of the block's columns (``_fold_maps``), so
+    a run, not the block, is the temporary.
+    """
+    rows, mirrored, cols, mirrored_cols = _fold_maps(out.shape[0].bit_length() - 1)
+    n_lo, width = mirrored.size, rows.size
+    step = max(1, _SPLIT_BYTES // (out.itemsize * out.shape[0]))
+    for s in range(0, block.shape[0], step):
+        part, first = block[s : s + step], start + s
+        odd = max(0, min(part.shape[0], n_lo - first))  # the run's rows in the odd sector
+        near, far = part[:odd, :n_lo], part[:odd, width:]
+        difference = near - far
+        near += far
+        far[...] = difference
+        part[odd:, width:] = part[odd:, :n_lo]
+        out[rows[first : first + part.shape[0]]] = np.take(part, cols, axis=1)
+        out[mirrored[first : first + odd]] = np.take(part[:odd], mirrored_cols, axis=1)
+
+
+def _fold_rows(matrix: np.ndarray) -> np.ndarray:
+    """``T^dagger X`` for a matrix X of 2**N rows: its rows in the sector layout ``[even: lo, pal | odd: lo]``.
+
+    T maps even state k to ``|lo_k> + |R lo_k>`` or ``|pal_k>`` and odd state k to
+    ``|lo_k> - |R lo_k>`` (``EigenDecomposition``), so rows lo_k and R lo_k of X
+    are added (even) and subtracted (odd), in blocks of rows of ``_SPLIT_BYTES``,
+    and the rows pal are copied.
+    """
+    reflected, lo, pal = _reflection(matrix.shape[0].bit_length() - 1)
+    n_lo, width = lo.size, lo.size + pal.size
+    out = np.empty_like(matrix)
+    rows = max(1, _SPLIT_BYTES // (matrix.itemsize * matrix.shape[1]))
+    for s in range(0, n_lo, rows):
+        part = slice(s, min(s + rows, n_lo))
+        near, far = matrix[lo[part]], matrix[reflected[lo[part]]]
+        np.add(near, far, out=out[part])
+        np.subtract(near, far, out=out[width + part.start : width + part.stop])
+    out[n_lo:width] = matrix[pal]
+    return out
+
+
+def _sector_fold(matrix: np.ndarray) -> np.ndarray:
+    """``T^dagger M T``, rows and columns in the sector layout ``[even: lo, pal | odd: lo]``.
+
+    The rows are folded first (``_fold_rows``), then each block of rows of
+    ``_SPLIT_BYTES`` has its columns lo and R lo added and subtracted, and its
+    columns pal copied, in place.
+    """
+    reflected, lo, pal = _reflection(matrix.shape[0].bit_length() - 1)
+    n_lo, width = lo.size, lo.size + pal.size
+    out = _fold_rows(matrix)
+    rows = max(1, _SPLIT_BYTES // (out.itemsize * out.shape[1]))
+    for s in range(0, out.shape[0], rows):
+        block = out[s : s + rows]
+        near, far, mid = (np.take(block, index, axis=1) for index in (lo, reflected[lo], pal))
+        np.add(near, far, out=block[:, :n_lo])
+        block[:, n_lo:width] = mid
+        np.subtract(near, far, out=block[:, width:])
+    return out
+
+
 def _reflection_eig(mat: np.ndarray) -> EigenDecomposition | None:
     """H's decomposition sector by sector under the chain reflection R; None when R H R != H or R = 1.
 
@@ -291,12 +499,12 @@ def _reflection_eig(mat: np.ndarray) -> EigenDecomposition | None:
     ``eigh`` reads a sector's lower triangle only, and the upper one is mirrored
     from it, so each sector is exactly Hermitian: its entries sum two of H's, so
     they could deviate from Hermitian twice as far as H's.  The two spectra merge
-    by a stable argsort into ascending eigenvalues, and V, dense in the
-    computational basis, takes an even eigenvector ``(u_lo, u_pal)`` as
-    ``u_lo/sqrt(2)`` at lo and at R lo and ``u_pal`` at pal, and an odd one w as
-    ``+-w/sqrt(2)`` at lo and R lo.  The symmetry check, the split and V's
-    assembly run in blocks of rows of ``_SPLIT_BYTES``, so beside V only the
-    sectors and their eigenvectors are held.
+    by a stable argsort into ascending eigenvalues.  Each sector keeps its
+    eigenvectors as the rows of V they give (``EigenDecomposition``): an even
+    eigenvector ``(u_lo, u_pal)`` as ``(u_lo/sqrt(2), u_pal)`` and an odd one w
+    as ``w/sqrt(2)``, divided in place.  The symmetry check and the split run in
+    blocks of rows of ``_SPLIT_BYTES``, so only the sectors and their
+    eigenvectors are held, and no V.
     """
     dim = mat.shape[0]
     reflected, lo, pal = _reflection(dim.bit_length() - 1)
@@ -324,22 +532,13 @@ def _reflection_eig(mat: np.ndarray) -> EigenDecomposition | None:
     u, w = eig_hermitian(_mirror_lower(even)), eig_hermitian(_mirror_lower(odd))
     del even, odd
     values = np.concatenate((u.eigenvalues, w.eigenvalues))
-    order = np.argsort(values, kind="stable")  # column k of V holds sector column order[k]
+    order = np.argsort(values, kind="stable")  # merged column k holds sector column order[k], even ones first
+    columns = np.empty(dim, np.intp)
+    columns[order] = np.arange(dim)
     u, w = u.eigenvectors, w.eigenvectors
-    vecs = np.empty((dim, dim), np.result_type(u, w))
-    sector_rows = np.empty((min(rows, n_lo), dim), vecs.dtype)  # even sector columns, then odd
-    for s in range(0, n_lo, rows):
-        part = slice(s, min(s + rows, n_lo))
-        src = sector_rows[: part.stop - s]
-        np.divide(u[part], root2, out=src[:, : u.shape[1]])
-        np.divide(w[part], root2, out=src[:, u.shape[1] :])
-        vecs[lo[part]] = np.take(src, order, axis=1)
-        np.negative(src[:, u.shape[1] :], out=src[:, u.shape[1] :])
-        vecs[hi[part]] = np.take(src, order, axis=1)
-    src = np.zeros((pal.size, dim), vecs.dtype)
-    src[:, : u.shape[1]] = u[n_lo:]
-    vecs[pal] = np.take(src, order, axis=1)
-    return EigenDecomposition(values[order], vecs)
+    np.divide(u[:n_lo], root2, out=u[:n_lo])
+    np.divide(w, root2, out=w)
+    return EigenDecomposition(values[order], u, w, columns=(columns[: u.shape[1]], columns[u.shape[1] :]))
 
 
 def _as_register(register: Iterable[int], num_qubits: int) -> tuple[int, ...]:

@@ -521,14 +521,14 @@ def _unpruned(monkeypatch, *args):
         return transition_weights(*args)
 
 
-def _assert_pruning_within_bound(monkeypatch, ham, obs, ensemble):
-    pruned = transition_weights(ham.eig, obs, ensemble)
-    full = _unpruned(monkeypatch, ham.eig, obs, ensemble)
+def _assert_pruning_within_bound(monkeypatch, eig, obs, ensemble):
+    pruned = transition_weights(eig, obs, ensemble)
+    full = _unpruned(monkeypatch, eig, obs, ensemble)
     assert PRUNE_SHARE == 2.0**-60  # the stated bound
-    assert pruned.total == full.total == ham.dim**2
+    assert pruned.total == full.total == eig.dim**2
     assert pruned.kept < full.kept
     # Directed weights: every kept one unchanged, the dropped ones within the bound.
-    dense, dense_full = (dense_phase_weights(t, ham.dim) * t.mass for t in (pruned, full))
+    dense, dense_full = (dense_phase_weights(t, eig.dim) * t.mass for t in (pruned, full))
     assert pruned.kept == np.count_nonzero(dense) and full.kept == np.count_nonzero(dense_full)
     kept = dense != 0
     np.testing.assert_array_equal(dense[kept], dense_full[kept])
@@ -552,19 +552,26 @@ def _assert_pruning_within_bound(monkeypatch, ham, obs, ensemble):
 )
 @pytest.mark.parametrize("complex_h", [False, True], ids=["real", "complex"])
 def test_pruning_stays_within_its_mass_bound(monkeypatch, ensemble, complex_h):
-    # tilted Ising and total_sz are reflection-symmetric: about half of the
-    # transitions carry weight that is exactly zero up to rounding.
+    # tilted Ising and total_sz are reflection-symmetric.  Decomposed whole by one
+    # eigh, about half of the transitions carry weight that the symmetry makes
+    # zero up to rounding, and pruning drops them.  Decomposed by sector, the
+    # table skips the cross blocks, so those weights are exact zeros: the
+    # unpruned sector table keeps the pairs the whole one keeps once pruned.
     ham = build_operator(tilted_ising(4))
     obs = preset_observable("total_sz", 4)
     if complex_h:
         ham, obs = complex_copy(ham), complex_copy(obs)
-    _assert_pruning_within_bound(monkeypatch, ham, obs, ensemble)
+    whole = _assert_pruning_within_bound(monkeypatch, eig_hermitian(ham), obs, ensemble)
+    assert len(ham.eig.sectors) == 2
+    by_sector = _unpruned(monkeypatch, ham.eig, obs, ensemble)
+    np.testing.assert_array_equal(by_sector.index, whole.index)
+    assert by_sector.kept == whole.kept
 
     # A Gibbs pair whose reverse weight is cut while its forward weight is kept:
     # at beta = 1 across a gap of 50 the upper level's population is e**-50 of
     # the lower's, below 2**-60 of the mean weight.
     pair = HermitianOperator(np.diag([0.0, 50.0]))
-    one_sided = _assert_pruning_within_bound(monkeypatch, pair, PAULI_X, gibbs(1.0))
+    one_sided = _assert_pruning_within_bound(monkeypatch, pair.eig, PAULI_X, gibbs(1.0))
     np.testing.assert_array_equal(one_sided.index, [1])
     assert one_sided.weights[0, 0] > 0 and one_sided.weights[0, 1] == 0
     assert one_sided.kept == 1

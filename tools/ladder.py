@@ -44,7 +44,7 @@ no output; the two manifests must be identical::
     python tools/ladder.py /tmp/all_cpus
     diff /tmp/one_cpu/manifest.json /tmp/all_cpus/manifest.json
 
-The ladder (235 invocations):
+The ladder (236 invocations):
 
 * the benchmark's runs at workload seed 1, every workload's and the N=2
   smoke workload's, as ``perfbench/workloads.py`` builds them (read from its
@@ -59,6 +59,9 @@ The ladder (235 invocations):
 * tilted Ising (l=4, delta=0.3) and Heisenberg (planned at gamma=0.35),
   N 2-4 x infinite temperature / Gibbs beta=1 / ground state x exact /
   circuit prep x ``total_sz`` / ``staggered_sz`` x ``run`` / ``oracle``;
+* Heisenberg N=8 at the non-dyadic coupling J=0.37, Gibbs beta=1, exact
+  prep, ``staggered_sz`` (``total_sz`` commutes with the chain), l=5 and
+  delta=0.3, under ``run``;
 * ``XI + 0.7 ZZ`` with a ``1e-13 ZI`` and a ``1e-11 ZI`` observable under
   exact ``run``, circuit ``run`` and ``oracle``;
 * complex Hamiltonians (Pauli sums with one Y factor per string, N 2-3)
@@ -169,6 +172,11 @@ def invocations():
                         config = _config({"preset": preset, "N": n}, obs, ensemble, prep, qpe, 200)
                         for command in ("run", "oracle"):
                             yield f"{label}/N{n}/{ens}/{prep}/{obs}/{command}", command, config
+
+    # A non-dyadic coupling: the compile is reflection-exact only by adding each term with its mirror image.
+    yield "heisenberg_J0.37/N8/gibbs/exact/staggered_sz/run", "run", _config(
+        {"preset": "heisenberg", "N": 8, "coupling": 0.37}, "staggered_sz", ENSEMBLES["gibbs"], "exact",
+        {"l": 5, "delta": 0.3}, 200)
 
     model = _pauli_sum(2, [(1.0, "XI"), (0.7, "ZZ")])
     for scale in (1e-13, 1e-11):
