@@ -241,6 +241,12 @@ class EigenDecomposition:
         """Width of the spectrum: the highest eigenvalue minus the lowest."""
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
+    @property
+    def _layout(self) -> list[slice]:
+        """Where each sector sits in the sector layout: its rows, or columns, of ``T^dagger M T``."""
+        edges = np.cumsum([0, *(vecs.shape[0] for vecs in self.sectors)])
+        return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """The dense V in the computational basis, assembled from the sectors on first use.
@@ -285,20 +291,19 @@ class EigenDecomposition:
         the unblocked product, so one sector gives those of ``V diag(d) V^dagger``
         formed in one product, and no output depends on the block size.
         """
-        dim, width = self.dim, self.sectors[0].shape[0]
+        dim, width, whole = self.dim, self.sectors[0].shape[0], len(self.sectors) == 1
         out = np.empty((dim, dim), dtype=np.result_type(*self.sectors, diagonal))
         # Beside two sectors' block come one product's scaled rows and one run of the
         # fold, so the block takes half the rows, and all three stay within a block's bytes.
         rows = _block_rows(out.itemsize * dim * len(self.sectors))
         parts = [diagonal[cols] for cols in self.columns]
-        block = out if len(self.sectors) == 1 else np.empty((min(rows, width), dim), out.dtype)
+        block = out if whole else np.empty((min(rows, width), dim), out.dtype)
         for s in range(0, width, rows):
-            dest, start = block[s : s + rows] if block is out else block[: min(rows, width - s)], 0
-            for vecs, part in zip(self.sectors, parts):
+            dest = block[s : s + rows] if whole else block[: min(rows, width - s)]
+            for vecs, part, span in zip(self.sectors, parts, self._layout):
                 if s < vecs.shape[0]:
-                    _sector_product(vecs, part, s, dest[: vecs.shape[0] - s, start : start + vecs.shape[1]])
-                start += vecs.shape[1]
-            if block is not out:
+                    _sector_product(vecs, part, s, dest[: vecs.shape[0] - s, span])
+            if not whole:
                 _fold(dest, s, out)
         return out
 
@@ -306,21 +311,19 @@ class EigenDecomposition:
         """``exp(1j * t * H)`` as a dense matrix; ``propagator(-t)`` steps backward."""
         return self.apply(np.exp(1j * t * self.eigenvalues))
 
-    def coordinates(self, vectors: np.ndarray) -> np.ndarray:
-        """``V^dagger X``, the columns of X in the eigenbasis, rows in the merged order, formed sector by sector.
+    def overlaps(self, vectors: np.ndarray) -> np.ndarray:
+        """``X^dagger V``, the overlap ``<x_k|v_n>`` of each column of X with each eigenvector, by sector.
 
-        One sector is ``U^dagger X``.  With two, X's rows are folded once,
-        ``T^dagger X`` (``_fold_rows``), and sector a's part gives the rows
-        ``columns[a]``: ``U_a^dagger (T^dagger X)_a``.
+        One sector is ``X^dagger U``.  With two, X's rows are folded once,
+        ``T^dagger X`` (``_fold_rows``), and sector a gives the columns
+        ``columns[a]``: ``(T^dagger X)_a^dagger U_a``.
         """
         if len(self.sectors) == 1:
-            return self.sectors[0].conj().T @ vectors
+            return vectors.conj().T @ self.sectors[0]
         folded = _fold_rows(vectors)
-        out = np.empty((self.dim, vectors.shape[1]), np.result_type(vectors, *self.sectors))
-        start = 0
-        for vecs, rows in zip(self.sectors, self.columns):
-            out[rows] = vecs.conj().T @ folded[start : start + vecs.shape[0]]
-            start += vecs.shape[0]
+        out = np.empty((vectors.shape[1], self.dim), np.result_type(vectors, *self.sectors))
+        for vecs, cols, span in zip(self.sectors, self.columns, self._layout):
+            out[:, cols] = folded[span].conj().T @ vecs
         return out
 
     def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
@@ -338,10 +341,10 @@ class EigenDecomposition:
             return vecs.conj().T @ matrix @ vecs
         folded = _sector_fold(matrix)
         out = np.zeros((self.dim, self.dim), np.result_type(matrix, *self.sectors))
-        bounds = np.cumsum([0, *(vecs.shape[0] for vecs in self.sectors)])
-        for a, (left, rows) in enumerate(zip(self.sectors, self.columns)):
-            for b, (right, cols) in enumerate(zip(self.sectors, self.columns)):
-                block = folded[bounds[a] : bounds[a + 1], bounds[b] : bounds[b + 1]]
+        sectors = list(zip(self.sectors, self.columns, self._layout))
+        for left, rows, row_span in sectors:
+            for right, cols, col_span in sectors:
+                block = folded[row_span, col_span]
                 if block.any():
                     out[np.ix_(rows, cols)] = left.conj().T @ block @ right
         return out
@@ -443,6 +446,7 @@ def _fold(block: np.ndarray, start: int, out: np.ndarray) -> None:
         difference = near - far
         near += far
         far[...] = difference
+        del difference  # before the gathers
         part[odd:, width:] = part[odd:, :n_lo]
         out[rows[first : first + part.shape[0]]] = np.take(part, cols, axis=1)
         out[mirrored[first : first + odd]] = np.take(part[:odd], mirrored_cols, axis=1)

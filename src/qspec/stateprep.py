@@ -121,8 +121,8 @@ def spectral_weights(
     if ensemble.kind == "infinite_temperature":
         q = np.full(operator.dim, 1.0 / operator.dim)
     else:
-        amp = eig_h.coordinates(eig_o.eigenvectors)  # <h_n|o_k> at [n, k]
-        q = ensemble_populations(eig_h, ensemble) @ (np.abs(amp) ** 2)
+        amp = eig_h.overlaps(eig_o.eigenvectors)  # <o_k|h_n> at [k, n]
+        q = (np.abs(amp) ** 2) @ ensemble_populations(eig_h, ensemble)
     reject_annihilation(float(q @ vals**2), operator, ensemble)
     return vals, q
 

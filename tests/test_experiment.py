@@ -854,14 +854,34 @@ def test_benchmark_prep_batch_exhausts_on_seeds_0_and_2(tmp_path):
 # --- memory at the qubit cap ------------------------------------------------------
 
 
-def test_n10_run_holds_three_matrices_the_working_array_one_propagator_and_two_blocks(tmp_path):
+#: The N=10 tilted Ising sectors' eigenvectors (528**2 and 496**2 doubles), H's
+#: decomposition as the run holds it: no dense V is assembled.
+H_SECTORS = 8 * (528**2 + 496**2)
+
+
+def _run_keeping_h(monkeypatch, config):
+    """``run_experiment(config)``'s report, its ``tracemalloc`` peak and the H decomposition the oracle read."""
+    seen = []
+    table = experiment.transition_weights
+    monkeypatch.setattr(experiment, "transition_weights", lambda eig_h, *rest: seen.append(eig_h) or table(eig_h, *rest))
+    tracemalloc.start()
+    try:
+        report = run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return report, peak, seen[0]
+
+
+def test_n10_run_holds_two_matrices_h_sectors_the_working_array_one_propagator_and_a_block(monkeypatch, tmp_path):
     # The benchmark's eigh_dense run: tilted Ising N=10, total_sz, Gibbs, exact
-    # prep, l=1 (22 qubits).  The run holds three real 1024 x 1024 matrices (O,
-    # H's eigenvectors V and the prepared state); H's own matrix is freed once
-    # decomposed.  The circuit adds the working array, one propagator and a
-    # block of the product that builds it or of the right product (76 MiB in
-    # all), and the bound, 80 MiB, allows one block more.  A run that keeps H's
-    # matrix (84 MiB) or a propagator built through full-size temporaries breaks it.
+    # prep, l=1 (22 qubits).  The run holds two real 1024 x 1024 matrices (O and
+    # the prepared state) and H's sector eigenvectors (4.0 MiB); H's own matrix is
+    # freed once decomposed, and no dense V is ever assembled.  The circuit adds
+    # the working array, one propagator and the transients of its build or of the
+    # right product (72.06 MiB in all, measured); the bound allows a block of
+    # each.  A run that holds V (76.04 MiB, as every run did before the
+    # decomposition was stored by sector) or keeps H's matrix breaks it.
     config = make_config(
         tmp_path,
         model={"preset": "tilted_ising", "N": 10},
@@ -872,21 +892,19 @@ def test_n10_run_holds_three_matrices_the_working_array_one_propagator_and_two_b
     matrix = 4**10 * 8
     working = 2 * 4**10 * 16
     propagator = 4**10 * 16
-    tracemalloc.start()
-    try:
-        run_experiment(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * matrix + working + propagator + 2 * max(simcore._BLOCK_BYTES, qpe._BLOCK_BYTES)
+    _, peak, eig_h = _run_keeping_h(monkeypatch, config)
+    assert "eigenvectors" not in eig_h.__dict__
+    assert peak <= 2 * matrix + H_SECTORS + working + propagator + simcore._BLOCK_BYTES + qpe._BLOCK_BYTES
 
 
-def test_n10_circuit_prep_run_releases_the_observable_decomposition_before_the_circuit(tmp_path):
+def test_n10_circuit_prep_run_releases_the_observable_decomposition_before_the_circuit(monkeypatch, tmp_path):
     # The same run with circuit prep (accepting at attempt 1391 of a 2**40 budget):
-    # O's eigendecomposition serves the closed forms and the prep circuit only, so
-    # the circuit holds O, V and the complex prepared state (84.7 MiB measured with
-    # the working array, one propagator and a block).  The bound allows two blocks;
-    # a run that keeps O's eigenvectors memoised through the circuit (92.7 MiB) breaks it.
+    # O's eigendecomposition serves the closed forms and the prep circuit only, and
+    # the closed forms read H's eigenvectors by sector, so the circuit holds O, H's
+    # sector eigenvectors and the complex prepared state (80.74 MiB measured with
+    # the working array, one propagator and its transients).  The bound allows a
+    # block of each product.  A run that keeps O's eigenvectors memoised through
+    # the circuit, or H's dense V (84.72 MiB), breaks it.
     config = make_config(
         tmp_path,
         model={"preset": "tilted_ising", "N": 10},
@@ -898,14 +916,10 @@ def test_n10_circuit_prep_run_releases_the_observable_decomposition_before_the_c
     matrix = 4**10 * 8
     working = 2 * 4**10 * 16
     propagator = prepared = 4**10 * 16
-    tracemalloc.start()
-    try:
-        report = run_experiment(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak, eig_h = _run_keeping_h(monkeypatch, config)
     assert report.prep_stats["attempts"] == 1391
-    assert peak <= 2 * matrix + prepared + working + propagator + 2 * max(simcore._BLOCK_BYTES, qpe._BLOCK_BYTES)
+    assert "eigenvectors" not in eig_h.__dict__
+    assert peak <= matrix + H_SECTORS + prepared + working + propagator + simcore._BLOCK_BYTES + qpe._BLOCK_BYTES
 
 
 # --- command line -----------------------------------------------------------------

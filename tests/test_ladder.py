@@ -35,6 +35,8 @@ def test_ladder_invocations_are_unique_and_counted_in_the_docs(ladder):
     (stated,) = re.findall(r"The ladder \((\d+) invocations\)", ladder.__doc__)
     (readme,) = re.findall(r"ladder of (\d+) invocations", (ROOT / "README.md").read_text())
     assert len(names) == int(stated) == int(readme)
+    # A non-dyadic coupling, decomposed by sector only through the pair-wise compile.
+    assert "heisenberg_J0.37/N8/gibbs/exact/staggered_sz/run" in names
 
 
 def _tree(root: Path, p_exact: list[str], total_variation: float, **changes) -> Path:

@@ -110,10 +110,21 @@ def test_heisenberg_matches_kron_sum():
 
 
 def kron_sum(spec):
-    # Reference compile: the dense Kronecker product of every string, summed in term order.
+    # Reference compile: the dense Kronecker product of every string.  Each string
+    # is summed with its mirror image (the reversed string at the same coefficient)
+    # first, and the pairs are added in the order of their first strings.
+    def kron(term):
+        return term.coefficient * reduce(np.kron, [PAULI[c].astype(complex) for c in term.factors])
+
     total = np.zeros((1 << spec.num_sites, 1 << spec.num_sites), dtype=complex)
-    for term in spec.terms:
-        total += term.coefficient * reduce(np.kron, [PAULI[c].astype(complex) for c in term.factors])
+    pending = list(spec.terms)
+    while pending:
+        term = pending.pop(0)
+        pair, mirror = kron(term), PauliTerm(term.coefficient, term.factors[::-1])
+        if mirror != term and mirror in pending:
+            pending.remove(mirror)
+            pair = pair + kron(mirror)
+        total += pair
     return total
 
 
@@ -138,6 +149,53 @@ def test_flip_mask_compile_equals_kron_sum_on_presets():
     )
     for spec in (tilted_ising(8), heisenberg(8), observable_spec("staggered_sz", 8), mixed):
         np.testing.assert_array_equal(build_operator(spec).matrix, kron_sum(spec))
+
+
+def _eigh_calls(monkeypatch, operator: HermitianOperator) -> int:
+    """How many ``np.linalg.eigh`` calls ``operator.eig`` makes: one per sector."""
+    calls, eigh = [], np.linalg.eigh
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        operator.eig
+    return len(calls)
+
+
+def _reflection_symmetric(matrix: np.ndarray) -> bool:
+    bits = matrix.shape[0].bit_length() - 1
+    rev = np.array([int(format(i, f"0{bits}b")[::-1], 2) for i in range(matrix.shape[0])])
+    return np.array_equal(matrix, matrix[np.ix_(rev, rev)])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [heisenberg(n, 0.37) for n in range(6, 11)] + [tilted_ising(n, 0.7, 0.37) for n in (9, 10)],
+    ids=[f"heisenberg-J0.37-N{n}" for n in range(6, 11)] + [f"tilted_ising-g0.7-h0.37-N{n}" for n in (9, 10)],
+)
+def test_reflection_closed_terms_compile_reflection_exact(monkeypatch, spec):
+    # Non-dyadic couplings: summed term by term, an entry and its mirror image add
+    # the same terms in another order and miss by an ulp.  Each term is added with
+    # its mirror image as one pair sum, so the matrix equals R H R bit for bit and
+    # decomposes by sector, one eigh each.
+    operator = build_operator(spec)
+    assert _reflection_symmetric(operator.matrix)
+    assert _eigh_calls(monkeypatch, operator) == 2
+    np.testing.assert_allclose(operator.matrix, kron_sum(spec), rtol=0, atol=1e-14)
+
+
+def test_terms_that_are_not_reflection_closed_stay_one_sector(monkeypatch):
+    # XXI has no mirror image IXX in the set, so the chain is not R-symmetric.
+    spec = ModelSpec(3, (PauliTerm(0.37, "XXI"), PauliTerm(0.37, "ZZI"), PauliTerm(0.37, "IZZ"), PauliTerm(0.7, "IXI")))
+    operator = build_operator(spec)
+    assert not _reflection_symmetric(operator.matrix)
+    assert _eigh_calls(monkeypatch, operator) == 1
+
+
+def test_pair_sums_keep_every_term_and_its_order_free_of_the_mirror_search():
+    # A duplicated palindrome stays two terms, a duplicated pair two pairs, and a
+    # mirror image at another coefficient is no pair: every term is added once.
+    terms = [(0.3, "ZIZ"), (0.3, "ZIZ"), (0.37, "XZI"), (0.37, "IZX"), (0.37, "XZI"), (0.37, "IZX"), (0.5, "YXI"), (0.25, "IXY")]
+    spec = ModelSpec(3, tuple(PauliTerm(c, f) for c, f in terms))
+    np.testing.assert_allclose(build_operator(spec).matrix, kron_sum(spec), rtol=0, atol=1e-14)
 
 
 def test_real_pauli_sums_compile_to_float64():

@@ -322,19 +322,158 @@ def test_reflection_symmetric_circuit_matches_a_full_eigh_oracle(num_sites, seed
 
 
 def test_sector_split_and_assembly_hold_no_full_size_temporary():
-    # At N=10 the decomposition holds V (8 MiB), the sectors' eigenvectors (528**2
-    # and 496**2 doubles, 4.0 MiB) and two blocks of rows of _SPLIT_BYTES: 14.0
-    # MiB traced.  The bound spares half a block.  A full-size gather for the
-    # symmetry check, mat[R][:, R], alone peaks at 16 MiB.
+    # At N=10 the decomposition holds the sectors (528**2 and 496**2 doubles, 4.0
+    # MiB) and their eigenvectors (4.0 MiB) while the second eigh runs, and no V:
+    # 8.04 MiB traced.  The bound spares half a block of rows of _SPLIT_BYTES.  A
+    # decomposition that assembles V (14.04 MiB), or a full-size gather for the
+    # symmetry check, mat[R][:, R] (16 MiB), breaks it.
     operator = build_operator(tilted_ising(10))
-    dim, even, odd = operator.dim, 528, 496
+    even, odd = 528, 496
     tracemalloc.start()
     try:
-        operator.eig
+        eig = operator.eig
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (dim * dim + even * even + odd * odd) + 5 * simcore._SPLIT_BYTES // 2
+    assert [vecs.shape for vecs in eig.sectors] == [(even, even), (odd, odd)]
+    assert "eigenvectors" not in eig.__dict__
+    assert peak <= 2 * 8 * (even * even + odd * odd) + simcore._SPLIT_BYTES // 2
+
+
+# --- the sector form: apply, the eigenbasis and overlaps ------------------------------
+
+
+def _dense(eig: simcore.EigenDecomposition) -> simcore.EigenDecomposition:
+    """The same decomposition as one sector: its eigenvalues and the assembled V, so S = 1."""
+    return simcore.EigenDecomposition(eig.eigenvalues, eig.eigenvectors)
+
+
+def _diagonals(eig: simcore.EigenDecomposition) -> list[np.ndarray]:
+    """A real diagonal (a Gibbs base state's square roots) and a complex one (a propagator's phases)."""
+    return [np.sqrt(np.exp(-(eig.eigenvalues - eig.eigenvalues[0]))), np.exp(0.37j * eig.eigenvalues)]
+
+
+@pytest.mark.parametrize("num_sites", range(2, 11))
+@pytest.mark.parametrize("preset", [tilted_ising, heisenberg])
+def test_sector_apply_matches_the_dense_product_on_every_preset(preset, num_sites):
+    eig = build_operator(preset(num_sites)).eig
+    assert len(eig.sectors) == 2
+    diagonals = _diagonals(eig)
+    outs = [eig.apply(diagonal) for diagonal in diagonals]
+    assert "eigenvectors" not in eig.__dict__  # apply never assembles V
+    dense = _dense(eig)
+    for diagonal, out in zip(diagonals, outs):
+        assert out.dtype == np.result_type(eig.eigenvectors, diagonal)
+        assert np.abs(out - dense.apply(diagonal)).max() <= 1e-12 * np.abs(diagonal).max()
+
+
+def test_sector_apply_of_a_complex_reflection_symmetric_operator():
+    terms = [(0.5, "XYZ"), (0.5, "ZYX"), (1.0, "ZZI"), (1.0, "IZZ"), (0.25, "XII"), (0.25, "IIX"), (0.75, "IYI")]
+    operator = build_operator(ModelSpec(3, tuple(PauliTerm(c, f) for c, f in terms)))
+    eig = operator.eig
+    assert len(eig.sectors) == 2 and all(np.iscomplexobj(vecs) for vecs in eig.sectors)
+    for diagonal in _diagonals(eig):
+        assert np.abs(eig.apply(diagonal) - _dense(eig).apply(diagonal)).max() <= 1e-12 * np.abs(diagonal).max()
+    np.testing.assert_allclose(eig.propagator(0.3), _dense(eig).propagator(0.3), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [build_operator(ModelSpec(2, (PauliTerm(1.0, "XI"), PauliTerm(0.7, "ZZ")))), build_operator(tilted_ising(1))],
+    ids=["XI+0.7ZZ", "tilted_ising-N1"],
+)
+def test_one_sector_apply_is_the_unblocked_dense_product(operator):
+    # S = 1: the one blocked product, with the bytes of V diag(d) V^T in one product.
+    eig = operator.eig
+    assert len(eig.sectors) == 1 and eig.eigenvectors is eig.sectors[0]
+    vecs = eig.eigenvectors
+    real, phases = _diagonals(eig)
+    assert eig.apply(real).tobytes() == ((vecs * real) @ vecs.T).tobytes()
+    expected = np.empty((eig.dim, eig.dim), dtype=complex)
+    expected.real = (vecs * phases.real) @ vecs.T
+    expected.imag = (vecs * phases.imag) @ vecs.T
+    assert eig.apply(phases).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("num_sites", [3, 4, 7, 9])
+def test_sector_apply_bytes_do_not_depend_on_the_block_sizes(monkeypatch, num_sites):
+    # Fold runs of 1 row, 3 rows and the default give the same bytes, and so do
+    # product blocks of the fewest rows allowed (a one-byte block) where a default
+    # block is cut (N >= 9).  Below that the default block holds every row; at
+    # N=6-8 blocks of 8 rows move the bytes of the sector products, as they do
+    # those of a dense product at N=6-7.
+    eig = build_operator(heisenberg(num_sites)).eig
+    expected = [eig.apply(diagonal) for diagonal in _diagonals(eig)]
+    blocks = (1, simcore._BLOCK_BYTES) if num_sites >= 9 else (simcore._BLOCK_BYTES,)
+    for split in (1, 3 * 16 << num_sites, simcore._SPLIT_BYTES):
+        for block in blocks:
+            with monkeypatch.context() as patch:
+                patch.setattr(simcore, "_SPLIT_BYTES", split)
+                patch.setattr(simcore, "_BLOCK_BYTES", block)
+                for diagonal, reference in zip(_diagonals(eig), expected):
+                    assert eig.apply(diagonal).tobytes() == reference.tobytes()
+
+
+def test_sector_propagator_at_n10_holds_its_output_a_block_and_one_fold_run():
+    # Tilted Ising N=10: the propagator holds its 16 MiB output, the block of both
+    # sectors' rows (half a _BLOCK_BYTES) and the gather of one fold run of
+    # _SPLIT_BYTES: 19.07 MiB traced.  The bound spares a quarter of a run.  The
+    # dense product of the assembled V, which holds one block of V's rows and their
+    # product's temporaries (20.02 MiB), breaks it; so does a block of full rows.
+    eig = build_operator(tilted_ising(10)).eig
+    dim = eig.dim
+    tracemalloc.start()
+    try:
+        eig.propagator(0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "eigenvectors" not in eig.__dict__
+    assert peak <= dim * dim * 16 + simcore._BLOCK_BYTES // 2 + 5 * simcore._SPLIT_BYTES // 4
+
+
+@pytest.mark.parametrize(
+    "observable",
+    [preset_observable("total_sz", 6), preset_observable("site_sz", 6), random_hermitian(6, seed=12)],
+    ids=["total_sz", "site_sz", "complex"],
+)
+def test_sector_eigenbasis_matches_the_dense_product(observable):
+    # O in H's eigenbasis by sector against V^dagger O V.  total_sz is R-symmetric,
+    # so its cross blocks are skipped and exactly zero; site_sz at site 0 and a
+    # random complex O are not, and keep all four blocks.
+    eig = build_operator(tilted_ising(6)).eig
+    vecs = eig.eigenvectors
+    by_sector = eig.to_eigenbasis(observable.matrix)
+    dense = vecs.conj().T @ observable.matrix @ vecs
+    assert np.abs(by_sector - dense).max() <= 1e-12 * np.linalg.norm(observable.matrix, 2)
+    even, odd = eig.columns
+    cross = by_sector[np.ix_(even, odd)]
+    if np.array_equal(observable.matrix, reflected(observable.matrix)):
+        assert not cross.any()
+    else:
+        assert np.abs(cross).max() > 1e-3
+
+
+def test_sector_overlaps_match_the_dense_product():
+    eig = build_operator(heisenberg(5)).eig
+    vectors = random_hermitian(5, seed=2).eig.eigenvectors
+    dense = vectors.conj().T @ eig.eigenvectors
+    assert np.abs(eig.overlaps(vectors) - dense).max() <= 1e-13
+
+
+@pytest.mark.parametrize("num_sites", range(2, 9))
+@pytest.mark.parametrize("preset", [tilted_ising, heisenberg])
+def test_sector_table_keeps_the_dense_tables_transitions(preset, num_sites):
+    # The table by sector against the table of the same V as one sector: the same
+    # pairs, kept transitions and gaps, weights within 1e-12 of the total.
+    eig = build_operator(preset(num_sites)).eig
+    for name in ("total_sz", "site_sz", "staggered_sz"):
+        observable = preset_observable(name, num_sites)
+        by_sector, dense = (transition_weights(e, observable, gibbs(1.0)) for e in (eig, _dense(eig)))
+        np.testing.assert_array_equal(by_sector.index, dense.index)
+        np.testing.assert_array_equal(by_sector.gaps, dense.gaps)
+        assert by_sector.kept == dense.kept
+        assert np.abs(by_sector.weights - dense.weights).max() <= 1e-12 * dense.mass
 
 
 # --- evolution: the exact propagator applied as a register unitary --------------
