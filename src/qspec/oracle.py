@@ -27,14 +27,24 @@ builds the circuit's base state, and the annihilation rule
 ``purify.reject_annihilation``.  Since circuit and oracle
 read the same p, the test suite checks p against an independent purification.
 
+``O_e`` is formed by H's sectors (``simcore.EigenDecomposition.to_eigenbasis``):
+O is folded once into the sector basis of the chain reflection R, and each
+pair of sectors gives one half-size product, scattered into the merged
+order; a block of the folded O that is all zero, such as the cross blocks
+of an R-symmetric O like ``total_sz``, is skipped, so its weights are exact
+zeros.  An O that breaks R, such as ``site_sz``, keeps all four blocks, and
+an H that is one sector gives ``V^dagger O V`` in one product.  The oracle
+still shares only H's decomposition with the circuit, and no dense V is
+assembled.
+
 The table is pruned: of its T = 4**N directed transitions it drops every one
 whose weight is at most ``2**-60 * sum(w) / T``, and a pair row goes once both
 of its directions are dropped.  The dropped mass is then at most ``2**-60`` of
 the total, so each oracle probability moves by at most ``2**-60`` and each
 spectrum value by at most ``2**-60 * sum(w) / gamma``.  In a
 reflection-symmetric model about half of the transitions carry weight that
-symmetry makes exactly zero, and rounding leaves them far below that
-threshold.
+symmetry makes exactly zero: exact zeros when O is R-symmetric too (its
+cross blocks are skipped), and otherwise rounding far below that threshold.
 
 Both sums run on one sorted grid that holds each point's negative, in
 1 MiB tiles of 32 points by 4096 pairs, or more points when there are fewer
@@ -128,9 +138,10 @@ def transition_weights(
     operator: HermitianOperator,
     ensemble: EnsembleSpec,
 ) -> TransitionTable:
-    """The run's one transition table: O in H's eigenbasis once, pruned by mass.
+    """The run's one transition table: O in H's eigenbasis once, by H's sectors, pruned by mass.
 
-    ``eig_h`` is H's decomposition, the one the circuit reads too.
+    ``eig_h`` is H's decomposition, the one the circuit reads too; ``O_e`` is its
+    ``to_eigenbasis`` of O (module docstring).
 
     The circuit's phase register sees these weights directly.  The purified
     state's matrix (see ``purify``) is ``M = O V diag(sqrt(p)) V^dagger =

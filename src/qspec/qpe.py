@@ -29,8 +29,11 @@ decomposition, not H.
 Beside the returned probabilities, the heap holds one working array, one
 propagator and one bounded block of the right product.  The propagator
 ``U_j`` is built in blocks of rows (``simcore.EigenDecomposition.apply`` of
-its eigenphases) and released after its step, so the next build, the
-transform and the marginal run without it.
+its eigenphases), and for a reflection-symmetric H by sector: two half-size
+products per block of rows, folded into the computational basis, so the
+dense matrix the circuit multiplies by is the same ``exp(1j*H*t)``.  It is
+released after its step, so the next build, the transform and the marginal
+run without it.
 Copy a leads, so the branches below 2**j form one ``2**N x 2**(j+N)`` matrix
 ``psi[:, :2**j]``, and the left product ``U_j psi`` is one gemm written
 straight into ``psi[:, 2**j : 2**(j+1)]``, which it does not overlap.  The

@@ -40,13 +40,17 @@ never split into short steps.
 Every preset chain is symmetric under its reflection R, which reverses the
 qubit order (R**2 = 1).  ``.eig`` of a matrix equal to R H R bit for bit
 runs one ``eig_hermitian`` (one ``eigh`` of a Hermitian matrix of any size)
-on each of R's two sectors, of about half the dimension each, and merges
-them into one ``EigenDecomposition`` in the computational basis: ascending
-eigenvalues and a dense V, whose columns each have a definite parity under
-R.  Any other matrix is one sector, decomposed whole by one ``eigh``; so is
-a compiled chain whose float sums at an entry and at its mirror image add
-the same terms in another order and miss by an ulp.  Every consumer reads
-only the merged decomposition, so none knows about the sectors.
+on each of R's two sectors, of about half the dimension each, and keeps
+them as one ``EigenDecomposition``: ascending eigenvalues, and per sector
+its eigenvectors and the position of each among the eigenvalues.  Any other
+matrix is one sector, decomposed whole by one ``eigh``, whose eigenvectors
+are V itself.  The consumers read the sectors through the decomposition's
+methods: ``apply`` (propagators and base states) forms half-size products
+and folds them into the computational basis, ``to_eigenbasis`` (the
+oracle's table) and ``overlaps`` (the closed forms' occupations) fold the
+other matrix into the sectors first.  The circuit stays in the
+computational basis; only the products that build its dense matrices run
+by sector.  The dense V is assembled only when ``eigenvectors`` is read.
 """
 
 from __future__ import annotations
@@ -209,18 +213,22 @@ class EigenDecomposition:
     The stored form is per sector: ``sectors[a]`` holds sector a's eigenvectors
     and ``columns[a]`` the merged column, the position in ``eigenvalues``, of
     each of them.  ``EigenDecomposition(vals, vecs)`` is one sector, whose
-    basis change is S = 1: its matrix is V itself.  Two sectors are those of the
-    chain reflection R (``_reflection_eig``): with lo the states i < R(i) and
-    pal the states i = R(i) (``_reflection``), S maps the even sector's states
+    basis change S is 1: its matrix is V itself.  Two sectors are those of the
+    chain reflection R (``_reflection_eig``).  With lo the states i < R(i) and
+    pal the states i = R(i) (``_reflection``), S takes the even sector's states
     to ``(|i> + |R i>)/sqrt(2)`` for i in lo and ``|p>`` for p in pal, and the
-    odd sector's to ``(|i> - |R i>)/sqrt(2)``.  Each sector stores its
-    eigenvectors as the rows of V they give: the even sector V's rows lo, then
-    pal, at its columns, the odd sector V's rows lo at its columns; V's rows
+    odd sector's to ``(|i> - |R i>)/sqrt(2)``, and V is S times the sectors'
+    eigenvectors.  Each sector stores them as the rows of V they give: the
+    even sector V's rows lo, then pal, at its columns, and the odd sector V's
+    rows lo at its columns (an eigenvector's lo part over sqrt(2)); V's rows
     R lo are the rows lo times the sector's parity, +1 or -1.  So
-    ``V = T blockdiag(sectors)`` with T the +-1 map ``|i> +- |R i>``, ``|p>``.
+    ``V = T blockdiag(sectors)``, T taking even state k to ``|lo_k> + |R lo_k>``
+    or ``|pal_k>`` and odd state k to ``|lo_k> - |R lo_k>``, and the folds
+    between the two bases (``_fold``, ``_fold_rows``, ``_sector_fold``) only
+    add, subtract and move entries.
 
-    ``apply`` and ``to_eigenbasis`` work on the sectors.  The dense V is
-    assembled only when ``eigenvectors`` is read.
+    ``apply``, ``overlaps`` and ``to_eigenbasis`` work on the sectors.  The
+    dense V is assembled only when ``eigenvectors`` is read.
     """
 
     eigenvalues: np.ndarray
@@ -241,7 +249,7 @@ class EigenDecomposition:
         """Width of the spectrum: the highest eigenvalue minus the lowest."""
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
-    @property
+    @cached_property
     def _layout(self) -> list[slice]:
         """Where each sector sits in the sector layout: its rows, or columns, of ``T^dagger M T``."""
         edges = np.cumsum([0, *(vecs.shape[0] for vecs in self.sectors)])
@@ -280,16 +288,18 @@ class EigenDecomposition:
     def apply(self, diagonal: np.ndarray) -> np.ndarray:
         """The matrix ``V diag(diagonal) V^dagger``, built into its output in blocks of rows.
 
-        It is ``S blockdiag(U_a d_a U_a^dagger) S^dagger``, U_a sector a's eigenvectors
-        and d_a its part of the diagonal.  Each block of ``_block_rows`` rows
-        holds every sector's product for its rows side by side (``_sector_product``):
-        with one sector that block is the output's rows themselves, with two it is
-        folded into the output's rows lo, R lo and pal (``_fold``).  Beside the
-        output the heap holds that block, the fold's row gather and one
-        product's scaled rows; no matrix of the output's size and no whole sector
-        product.  A gemm of ``_MIN_BLOCK_ROWS`` rows or more gives the bytes of
-        the unblocked product, so one sector gives those of ``V diag(d) V^dagger``
-        formed in one product, and no output depends on the block size.
+        It is ``T blockdiag(W_a d_a W_a^dagger) T^dagger``, W_a sector a's stored
+        eigenvectors and d_a its part of the diagonal.  Each block of
+        ``_block_rows`` rows holds every sector's product for its rows side by
+        side (``_sector_product``): with one sector that block is the output's
+        rows themselves, with two it is folded into the output's rows lo, R lo
+        and pal (``_fold``).  Beside the output the heap holds that block and one
+        product's scaled rows or one fold run's gather; no matrix of the
+        output's size and no whole sector product.  One sector runs the blocked
+        product ``V diag(d) V^dagger`` it always did.  A gemm of
+        ``_MIN_BLOCK_ROWS`` rows or more of a large enough product gives the
+        bytes of the unblocked one, and at the default block size a product is
+        cut into blocks only from N=9, so no output depends on the block size.
         """
         dim, width, whole = self.dim, self.sectors[0].shape[0], len(self.sectors) == 1
         out = np.empty((dim, dim), dtype=np.result_type(*self.sectors, diagonal))

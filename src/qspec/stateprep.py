@@ -113,7 +113,10 @@ def spectral_weights(
     The closed forms' one reader of the (operator, H's decomposition,
     ensemble) triple: an O that annihilates the base state is rejected here
     (see ``purify.M2_RTOL``).  Infinite temperature occupies every eigenvalue
-    evenly and reads only the size of ``eig_h``.
+    evenly and reads only the size of ``eig_h``.  Otherwise
+    ``q_k = sum_n p_n |<o_k|h_n>|^2``, with the overlaps formed by H's sectors
+    (``EigenDecomposition.overlaps``) from O's dense eigenvectors, so H's dense V
+    is never assembled.
     """
     reject_size_mismatch(operator, eig_h)
     eig_o = operator.eig
