@@ -115,15 +115,18 @@ def build_operator(spec: ModelSpec) -> HermitianOperator:
         phase = _I_POWERS[term.factors.count("Y") % 4]
         return xmask, term.coefficient * (phase.real if real else phase) * signs[idx & zmask]
 
-    pending = list(spec.terms)
-    while pending:
-        term = pending.pop(0)
-        pair = [term]
-        if term.factors != term.factors[::-1]:
-            mirror = next((t for t in pending if t == PauliTerm(term.coefficient, term.factors[::-1])), None)
-            if mirror is not None:
-                pending.remove(mirror)
-                pair.append(mirror)
+    # The pairs in the order of their first terms: a term joins the first earlier
+    # term still alone whose string it reverses at the same coefficient.
+    pairs: list[list[PauliTerm]] = []
+    alone: dict[tuple[float, str], list[int]] = {}
+    for term in spec.terms:
+        mirror = alone.get((term.coefficient, term.factors[::-1]))
+        if mirror and term.factors != term.factors[::-1]:
+            pairs[mirror.pop(0)].append(term)
+        else:
+            alone.setdefault((term.coefficient, term.factors), []).append(len(pairs))
+            pairs.append([term])
+    for pair in pairs:
         entries: dict[int, np.ndarray] = {}
         for xmask, values in map(columns, pair):
             entries[xmask] = entries[xmask] + values if xmask in entries else values
