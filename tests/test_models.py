@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reflected
 from qspec.errors import ResourceCapError
 from qspec.experiment import validate_config
 from qspec.models import (
@@ -160,12 +161,6 @@ def _eigh_calls(monkeypatch, operator: HermitianOperator) -> int:
     return len(calls)
 
 
-def _reflection_symmetric(matrix: np.ndarray) -> bool:
-    bits = matrix.shape[0].bit_length() - 1
-    rev = np.array([int(format(i, f"0{bits}b")[::-1], 2) for i in range(matrix.shape[0])])
-    return np.array_equal(matrix, matrix[np.ix_(rev, rev)])
-
-
 @pytest.mark.parametrize(
     "spec",
     [heisenberg(n, 0.37) for n in range(6, 11)] + [tilted_ising(n, 0.7, 0.37) for n in (9, 10)],
@@ -177,7 +172,7 @@ def test_reflection_closed_terms_compile_reflection_exact(monkeypatch, spec):
     # its mirror image as one pair sum, so the matrix equals R H R bit for bit and
     # decomposes by sector, one eigh each.
     operator = build_operator(spec)
-    assert _reflection_symmetric(operator.matrix)
+    assert np.array_equal(operator.matrix, reflected(operator.matrix))
     assert _eigh_calls(monkeypatch, operator) == 2
     np.testing.assert_allclose(operator.matrix, kron_sum(spec), rtol=0, atol=1e-14)
 
@@ -186,7 +181,7 @@ def test_terms_that_are_not_reflection_closed_stay_one_sector(monkeypatch):
     # XXI has no mirror image IXX in the set, so the chain is not R-symmetric.
     spec = ModelSpec(3, (PauliTerm(0.37, "XXI"), PauliTerm(0.37, "ZZI"), PauliTerm(0.37, "IZZ"), PauliTerm(0.7, "IXI")))
     operator = build_operator(spec)
-    assert not _reflection_symmetric(operator.matrix)
+    assert not np.array_equal(operator.matrix, reflected(operator.matrix))
     assert _eigh_calls(monkeypatch, operator) == 1
 
 

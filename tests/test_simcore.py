@@ -374,7 +374,6 @@ def test_sector_apply_of_a_complex_reflection_symmetric_operator():
     assert len(eig.sectors) == 2 and all(np.iscomplexobj(vecs) for vecs in eig.sectors)
     for diagonal in _diagonals(eig):
         assert np.abs(eig.apply(diagonal) - _dense(eig).apply(diagonal)).max() <= 1e-12 * np.abs(diagonal).max()
-    np.testing.assert_allclose(eig.propagator(0.3), _dense(eig).propagator(0.3), rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize(
